@@ -274,12 +274,6 @@ class WorldState:
                 return a
         raise KeyError(f"no agent with id {agent_id}")
 
-    def agent_at(self, x: int, y: int) -> Optional[AgentState]:
-        for a in self.agents:
-            if a.x == x and a.y == y:
-                return a
-        return None
-
     def occupied_cells(self) -> set[tuple[int, int]]:
         """Cells blocked for movement (live agents and corpses alike)."""
         return {a.pos for a in self.agents}

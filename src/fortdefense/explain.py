@@ -42,11 +42,13 @@ from fortdefense.kr.beliefs import (
     check_executable,
     progress,
 )
-from fortdefense.kr.goals import Goal, _attacker_index, pose_of
+from fortdefense.kr.goals import Goal, is_down, nearest_living, pose_of
 from fortdefense.kr.ground import (
+    PURSUIT_MARGIN,
     GroundedDomain,
     attacker_symbols,
     ground,
+    guard_symbols,
     match_atom,
     solve,
 )
@@ -558,25 +560,6 @@ def _with_agent(action: Atom, ah: str) -> Atom:
     return Atom(action.pred, (ah,) + action.args)
 
 
-def _nearest_attacker(belief: Belief, gdom: GroundedDomain):
-    """The living attacker nearest the controlled guard (ties by index)."""
-    pose = pose_of(belief, gdom.ah_symbol)
-    if pose is None:
-        return None
-    best = None
-    for sym in attacker_symbols(gdom.config):
-        if Atom("shot", (sym,)) in belief.atoms:
-            continue
-        tpose = pose_of(belief, sym)
-        if tpose is None:
-            continue
-        d = math.hypot(tpose[0] - pose[0], tpose[1] - pose[1])
-        key = (d, _attacker_index(sym), sym, tpose)
-        if best is None or key[:2] < best[:2]:
-            best = key
-    return best  # (distance, index, symbol, pose) or None
-
-
 def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
     gdom = trace.gdom
     config = trace.config
@@ -588,7 +571,7 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
         tpose = pose_of(belief, goal.target)
         ax, ay, _ = pose
         tx, ty, _ = tpose
-        reach = config.shoot_range + 3.0
+        reach = config.shoot_range + PURSUIT_MARGIN
         d_now = math.hypot(tx - ax, ty - ay)
         antecedents = (
             Literal(Atom("in", (ah, ax, ay)), True),
@@ -625,19 +608,17 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
         )
     if goal.kind == "occupy_region" and goal.target is not None:
         antecedents = []
-        from fortdefense.kr.ground import guard_symbols
-
         for sym in guard_symbols(config):
-            if Atom("shot", (sym,)) in belief.atoms:
+            if is_down(belief, sym):
                 antecedents.append(Literal(Atom("shot", (sym,)), True))
             else:
                 antecedents.append(
                     Literal(Atom("agent_in", (sym, goal.target)), False)
                 )
-        nearest = _nearest_attacker(belief, gdom)
+        nearest = nearest_living(belief, ah, attacker_symbols(config))
         if nearest is not None:
-            sym, tpose = nearest[2], nearest[3]
-            antecedents.append(Literal(Atom("in", (sym, tpose[0], tpose[1])), True))
+            sym, (tx, ty) = nearest
+            antecedents.append(Literal(Atom("in", (sym, tx, ty)), True))
             antecedents.append(Literal(Atom("shot", (sym,)), False))
         slots = {"region": goal.target}
         return AxiomInstance(
@@ -650,19 +631,19 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
             slots=tuple(sorted(slots.items())),
         )
     # hold_position
-    nearest = _nearest_attacker(belief, gdom)
-    if goal.literals and nearest is not None and pose is not None:
+    nearest = nearest_living(belief, ah, attacker_symbols(config))
+    if goal.literals and nearest is not None:
         facing = goal.literals[0].atom.args[1]
-        sym, tpose = nearest[2], nearest[3]
+        sym, (tx, ty) = nearest
         antecedents = (
             Literal(Atom("in", (ah, pose[0], pose[1])), True),
-            Literal(Atom("in", (sym, tpose[0], tpose[1])), True),
+            Literal(Atom("in", (sym, tx, ty)), True),
             Literal(Atom("shot", (sym,)), False),
         )
         slots = {
             "facing": str(facing),
             "target": sym,
-            "target_cell": _cell(tpose[0], tpose[1]),
+            "target_cell": _cell(tx, ty),
         }
         return AxiomInstance(
             template="clause_goal_hold",
@@ -676,7 +657,7 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
     antecedents = tuple(
         Literal(Atom("shot", (sym,)), True)
         for sym in attacker_symbols(config)
-        if Atom("shot", (sym,)) in belief.atoms
+        if is_down(belief, sym)
     )
     return AxiomInstance(
         template="clause_goal_idle",
@@ -899,8 +880,7 @@ def why_not_chain(
             f"{action} is exactly the action chosen in step {step};"
             f" ask 'why {action} in step {step}'"
         )
-    universe = trace_action_universe(trace)
-    if action not in universe:
+    if not well_formed_action(gdom, action):
         raise TraceQueryError(f"{action} is not a well-formed action in this game")
     ok, blocker = check_executable(rec.belief, action, gdom)
     if not ok:
@@ -994,14 +974,17 @@ def why_not_chain(
     return tuple(chain), True
 
 
-_UNIVERSE_CACHE: dict[int, frozenset] = {}
-
-
-def trace_action_universe(trace: EpisodeTrace) -> frozenset:
-    key = id(trace.gdom)
-    if key not in _UNIVERSE_CACHE:
-        _UNIVERSE_CACHE[key] = frozenset(trace.gdom.ground_actions)
-    return _UNIVERSE_CACHE[key]
+def well_formed_action(gdom: GroundedDomain, action: Atom) -> bool:
+    """Whether ``action`` is one of the controlled guard's ground actions:
+    a declared, non-exogenous action whose arguments are of its declared
+    sorts."""
+    decl = gdom.desc.actions.get(action.pred)
+    return (
+        decl is not None
+        and not decl.exogenous
+        and len(action.args) == len(decl.arg_sorts)
+        and all(gdom.in_sort(a, s) for a, s in zip(action.args, decl.arg_sorts))
+    )
 
 
 def answer_why_not(trace: EpisodeTrace, action: Atom, step: int) -> Answer:
@@ -1203,15 +1186,6 @@ def answer_why_belief(trace: EpisodeTrace, literal: Literal, step: int) -> Answe
 # ---------------------------------------------------------------------------
 # dispatch, re-checking, REPL, batch
 # ---------------------------------------------------------------------------
-
-
-def active_axioms(
-    trace: EpisodeTrace, step: int, target: Union[Atom, Literal]
-) -> tuple[AxiomInstance, ...]:
-    """The support chain for an executed action or a believed literal."""
-    if isinstance(target, Literal):
-        return why_belief_chain(trace, step, target)
-    return why_action_chain(trace, step, target)
 
 
 def answer_query(trace: EpisodeTrace, query: Union[Query, str]) -> Answer:

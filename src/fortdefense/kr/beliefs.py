@@ -16,7 +16,7 @@ resolves each tick in layers:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from fortdefense.env import WorldState
@@ -497,30 +497,3 @@ def complete_initial(
     raise HardInconsistencyError(
         "observations are inconsistent under every default retraction"
     )
-
-
-# ---------------------------------------------------------------------------
-# recorded history
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class History:
-    """Observed literals and occurred actions indexed by step."""
-
-    observations: list[tuple[int, Literal]] = field(default_factory=list)
-    happened: list[tuple[int, Atom]] = field(default_factory=list)
-
-    def observe(self, step: int, literals: Iterable[Literal]) -> None:
-        for lit in literals:
-            self.observations.append((step, lit))
-
-    def record(self, step: int, actions: Iterable[Atom]) -> None:
-        for action in actions:
-            self.happened.append((step, action))
-
-    def observations_at(self, step: int) -> list[Literal]:
-        return [lit for s, lit in self.observations if s == step]
-
-    def actions_at(self, step: int) -> list[Atom]:
-        return [a for s, a in self.happened if s == step]

@@ -1,4 +1,4 @@
-"""Goal selection and relevance-based grounding granularity.
+"""Goal selection and the regions relevant to a decision.
 
 Goals are conjunctions of ground literals handed to the planner, chosen
 by a fixed priority:
@@ -10,7 +10,9 @@ by a fixed priority:
 2. ``occupy_region`` — some fort-adjacent region contains no living
    guard: occupy the unguarded region closest to an attacker (highest
    threat), ties to the lowest region index.
-3. ``hold_position`` — face the nearest living attacker.
+3. ``hold_position`` — face the nearest living attacker
+   (:func:`nearest_living`, which the fallback, the targets of predicted
+   shots and the explainer share).
 
 Relevance decides which regions are grounded at cell granularity: the
 controlled guard's region, the fort regions, every region holding or
@@ -24,13 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from fortdefense.env import Direction
 from fortdefense.kr.ground import (
     DIR_OF_SYMBOL,
     DIR_SYMBOLS,
     PURSUIT_MARGIN,
     GroundedDomain,
-    all_region_symbols,
     attacker_symbols,
     fort_region_symbols,
     guard_symbols,
@@ -77,6 +77,28 @@ def living_attackers(belief, gdom: GroundedDomain) -> list[tuple[str, Cell]]:
         if pose is not None:
             out.append((sym, (pose[0], pose[1])))
     return out
+
+
+def nearest_living(
+    belief, sym: str, pool: Sequence[str]
+) -> Optional[tuple[str, Cell]]:
+    """The living agent of ``pool`` nearest to ``sym``, with its cell; ties
+    go to the earlier agent in ``pool``.  None when ``sym`` has no pose or
+    no agent of ``pool`` is alive."""
+    pose = pose_of(belief, sym)
+    if pose is None:
+        return None
+    best: Optional[tuple[float, str, Cell]] = None
+    for other in pool:
+        if is_down(belief, other):
+            continue
+        opose = pose_of(belief, other)
+        if opose is None:
+            continue
+        d = math.hypot(opose[0] - pose[0], opose[1] - pose[1])
+        if best is None or d < best[0]:
+            best = (d, other, (opose[0], opose[1]))
+    return None if best is None else (best[1], best[2])
 
 
 def _attacker_index(sym: str) -> int:
@@ -172,15 +194,9 @@ def select_goal(
         )
 
     # priority 3: face the nearest living attacker
-    if attackers:
-        nearest = min(
-            attackers,
-            key=lambda item: (
-                math.hypot(item[1][0] - ax, item[1][1] - ay),
-                _attacker_index(item[0]),
-            ),
-        )
-        (tx, ty) = nearest[1]
+    nearest = nearest_living(belief, ah, attacker_symbols(config))
+    if nearest is not None:
+        tx, ty = nearest[1]
         if (tx, ty) != (ax, ay):
             d = _nearest_facing(tx - ax, ty - ay)
             return Goal(
@@ -203,18 +219,13 @@ def corridor_regions(config, a: Cell, b: Cell) -> frozenset[str]:
 
 def compute_relevance(
     belief,
-    predicted_actions: Optional[Mapping[str, object]],
     predicted_next: Optional[Mapping[str, Cell]],
     gdom: GroundedDomain,
     extra: Iterable[str] = (),
-) -> tuple[frozenset[str], dict[str, str]]:
-    """Regions needing cell-level grounding and the resulting granularity
-    map (region symbol -> "fine" | "coarse").
-
-    Relevance is positional, so the predicted actions parameter is kept
-    for interface completeness but granularity is derived from poses.
-    """
-    del predicted_actions
+) -> frozenset[str]:
+    """The regions needing cell-level grounding (the fine regions); every
+    other region stays coarse.  Relevance is positional: current and
+    predicted next cells, never predicted action kinds."""
     config = gdom.config
     fine: set[str] = set(extra)
     fine |= fort_region_symbols(config)
@@ -227,7 +238,4 @@ def compute_relevance(
             px, py = predicted_next[sym]
             if config.in_bounds(px, py):
                 fine.add(region_symbol_of(config, px, py))
-    granularity = {
-        r: ("fine" if r in fine else "coarse") for r in all_region_symbols(config)
-    }
-    return frozenset(fine), granularity
+    return frozenset(fine)

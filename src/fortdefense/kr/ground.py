@@ -1,12 +1,12 @@
 """Grounding: populate sorts from a grid configuration, build static
-relations, enumerate restricted atom/action universes, and compile axioms
-for the rule engine.
+relations, fix the active cells of the fine-grained regions, and compile
+axioms for the rule engine.
 
-Grounding is *restricted by granularity*: cell-level action atoms (and the
-cell-level slice of the atom universe) are instantiated only over the
-active cells of fine-grained regions; coarse regions contribute region
-atoms alone.  Belief atoms themselves are never truncated — restriction
-controls which ground actions and program atoms exist.
+Grounding is *restricted by granularity*: the planner and the predicted
+exogenous schedule move agents only onto the active cells of fine-grained
+regions; coarse regions contribute region atoms alone.  Belief atoms
+themselves are never truncated, and a restriction (:func:`restrict`) is a
+view of one grounding that differs only in its fine regions.
 
 The rule engine works on compiled rules whose bodies are re-ordered for
 evaluation: positive fluent literals first (they bind variables against
@@ -17,6 +17,7 @@ point.  Violations are grounding errors that name the axiom.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -46,6 +47,9 @@ DIR_OF_SYMBOL = {
     "w": Direction.W,
 }
 SYMBOL_OF_DIR = {v: k for k, v in DIR_OF_SYMBOL.items()}
+#: Facing symbol after a clockwise / counterclockwise quarter turn.
+CW = {SYMBOL_OF_DIR[d]: SYMBOL_OF_DIR[d.clockwise()] for d in Direction}
+CCW = {v: k for k, v in CW.items()}
 
 
 class GroundingError(ValueError):
@@ -190,8 +194,7 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
         for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0))
         if config.in_bounds(x + dx, y + dy)
     ]
-    cw = {"n": "e", "e": "s", "s": "w", "w": "n"}
-    next_dir = [(d, cw[d]) for d in DIR_SYMBOLS]
+    next_dir = [(d, CW[d]) for d in DIR_SYMBOLS]
     opposite = [("n", "s"), ("s", "n"), ("e", "w"), ("w", "e")]
     component = [
         (x, y, region_symbol_of(config, x, y))
@@ -376,9 +379,6 @@ class GroundedDomain:
     fine_regions: frozenset[str]
     horizon: int = 8
     fluent_decls: dict = field(default_factory=dict)
-    fluent_atoms: dict[str, tuple[Atom, ...]] = field(default_factory=dict)
-    ground_actions: tuple[Atom, ...] = ()
-    exo_ground_actions: tuple[Atom, ...] = ()
     causal_by_action: dict[str, list[CompiledRule]] = field(default_factory=dict)
     exec_by_action: dict[str, list[CompiledRule]] = field(default_factory=dict)
     windows: list[CompiledRule] = field(default_factory=list)
@@ -429,48 +429,11 @@ class GroundedDomain:
         vals = self.sorts.get("ah_agent", ())
         return vals[0] if vals else None
 
-    def report(self) -> dict:
-        return {
-            "atoms": {p: len(atoms) for p, atoms in sorted(self.fluent_atoms.items())},
-            "atom_total": sum(len(a) for a in self.fluent_atoms.values()),
-            "own_actions": len(self.ground_actions),
-            "exo_actions": len(self.exo_ground_actions),
-            "fine_regions": sorted(self.fine_regions, key=region_index),
-            "active_cells": len(self.active_cells),
-        }
 
-
-def _enumerate_atoms(
-    gdom: GroundedDomain, pred: str, arg_sorts: tuple[str, ...]
-) -> tuple[Atom, ...]:
-    """Atom universe for one predicate, with (x_val, y_val) argument pairs
-    restricted to the active cells when grounding against a grid."""
-    slots: list[tuple] = []
-    i = 0
-    while i < len(arg_sorts):
-        if (
-            gdom.config is not None
-            and i + 1 < len(arg_sorts)
-            and arg_sorts[i] == "x_val"
-            and arg_sorts[i + 1] == "y_val"
-        ):
-            slots.append(("cell", sorted(gdom.active_cells)))
-            i += 2
-        else:
-            slots.append(("plain", gdom.sorts.get(arg_sorts[i], ())))
-            i += 1
-    atoms: list[Atom] = []
-
-    def rec(idx: int, acc: tuple):
-        if idx == len(slots):
-            atoms.append(Atom(pred, acc))
-            return
-        kind, values = slots[idx]
-        for v in values:
-            rec(idx + 1, acc + (v if kind == "cell" else (v,)))
-
-    rec(0, ())
-    return tuple(atoms)
+def _active_cells(
+    config: GridConfig, fine: frozenset[str]
+) -> frozenset[tuple[int, int]]:
+    return frozenset(cell for r in fine for cell in region_cells(config, r))
 
 
 def ground(
@@ -504,9 +467,7 @@ def ground(
             fine = frozenset(all_region_symbols(config))
         else:
             fine = frozenset(fine_regions)
-        active = frozenset(
-            cell for r in fine for cell in region_cells(config, r)
-        )
+        active = _active_cells(config, fine)
     else:
         fine = frozenset()
         active = frozenset()
@@ -592,66 +553,19 @@ def ground(
         for rule in gdom.definitions
         for lit in rule.body
     )
-
-    # --- atom and action universes -----------------------------------------
-    for pred, decl in desc.fluents.items():
-        gdom.fluent_atoms[pred] = _enumerate_atoms(gdom, pred, decl.arg_sorts)
-    own, exo = [], []
-    for name, adecl in desc.actions.items():
-        for atom in _enumerate_atoms(gdom, name, adecl.arg_sorts):
-            (exo if adecl.exogenous else own).append(atom)
-    gdom.ground_actions = tuple(own)
-    gdom.exo_ground_actions = tuple(exo)
     return gdom
 
 
 def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomain:
-    """A cheap re-grounding of an already-grounded domain at a different
-    granularity: compiled rules, statics, and sorts are shared; only the
-    active cells and the cell-level atom/action universes are rebuilt."""
+    """A view of an already-grounded domain at a different granularity:
+    compiled rules, statics and sorts are shared; only the fine regions
+    and their active cells differ."""
     if gdom.config is None:
         raise GroundingError("granularity restriction requires a grid configuration")
     fine = frozenset(fine_regions)
-    out = GroundedDomain(
-        desc=gdom.desc,
-        config=gdom.config,
-        sorts=gdom.sorts,
-        statics=gdom.statics,
-        active_cells=frozenset(
-            cell for r in fine for cell in region_cells(gdom.config, r)
-        ),
-        fine_regions=fine,
-        horizon=gdom.horizon,
-        fluent_decls=gdom.fluent_decls,
-        causal_by_action=gdom.causal_by_action,
-        exec_by_action=gdom.exec_by_action,
-        windows=gdom.windows,
-        definitions=gdom.definitions,
-        defaults=gdom.defaults,
-        window_triggers=gdom.window_triggers,
-        inertial_preds=gdom.inertial_preds,
-        recursive_definitions=gdom.recursive_definitions,
+    return dataclasses.replace(
+        gdom, active_cells=_active_cells(gdom.config, fine), fine_regions=fine
     )
-    for pred, decl in gdom.desc.fluents.items():
-        gdom_atoms = gdom.fluent_atoms.get(pred, ())
-        if "x_val" in decl.arg_sorts:
-            out.fluent_atoms[pred] = _enumerate_atoms(out, pred, decl.arg_sorts)
-        else:
-            out.fluent_atoms[pred] = gdom_atoms
-    own, exo = [], []
-    for name, adecl in gdom.desc.actions.items():
-        if "x_val" in adecl.arg_sorts:
-            atoms = _enumerate_atoms(out, name, adecl.arg_sorts)
-        else:
-            atoms = tuple(
-                a
-                for a in (gdom.ground_actions + gdom.exo_ground_actions)
-                if a.pred == name
-            )
-        (exo if adecl.exogenous else own).extend(atoms)
-    out.ground_actions = tuple(own)
-    out.exo_ground_actions = tuple(exo)
-    return out
 
 
 def _check_bindable(

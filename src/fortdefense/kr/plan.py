@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from fortdefense.kr.beliefs import Belief, check_executable, progress
 from fortdefense.kr.goals import Goal, pose_of
-from fortdefense.kr.ground import GroundedDomain, attacker_symbols
+from fortdefense.kr.ground import CCW, CW, GroundedDomain, attacker_symbols
 from fortdefense.kr.lang import Atom
 
-_CW = {"n": "e", "e": "s", "s": "w", "w": "n"}
-_CCW = {v: k for k, v in _CW.items()}
 _MOVE_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # n, e, s, w order
 
 
@@ -59,8 +57,8 @@ def candidate_actions(belief: Belief, gdom: GroundedDomain) -> list[Atom]:
             tx, ty = x + dx, y + dy
             if (tx, ty) in gdom.active_cells:
                 out.append(Atom("move", (ah, tx, ty)))
-        out.append(Atom("rotate", (ah, _CW[d])))
-        out.append(Atom("rotate", (ah, _CCW[d])))
+        out.append(Atom("rotate", (ah, CW[d])))
+        out.append(Atom("rotate", (ah, CCW[d])))
     out.append(Atom("noop", (ah,)))
     return out
 

@@ -30,7 +30,6 @@ enough examples have accumulated.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,16 +63,18 @@ from fortdefense.kr.beliefs import (
 )
 from fortdefense.kr.goals import (
     Goal,
-    _attacker_index,
     _nearest_facing,
     compute_relevance,
     corridor_regions,
-    living_attackers,
+    is_down,
+    nearest_living,
     pose_of,
     region_cells,
     select_goal,
 )
 from fortdefense.kr.ground import (
+    CCW,
+    CW,
     SYMBOL_OF_DIR,
     GroundedDomain,
     agent_symbol,
@@ -99,8 +100,6 @@ from fortdefense.policies import make_mix, make_policy, policy_action
 
 DOMAIN_RESOURCE = "fort_attack.dom"
 
-_CW = {"n": "e", "e": "s", "s": "w", "w": "n"}
-_CCW = {v: k for k, v in _CW.items()}
 _OBSERVABLE_PREDS = frozenset({"in", "face", "shot"})
 _MOVE_DELTA_FOR_KIND = {
     int(kind): (direction.dx, direction.dy) for kind, direction in MOVE_KINDS.items()
@@ -179,41 +178,13 @@ def predicted_cell(
     return nxt if config.in_bounds(*nxt) else pos
 
 
-def _is_down(belief: Belief, sym: str) -> bool:
-    return Atom("shot", (sym,)) in belief.atoms
-
-
-def _nearest_opponent(
-    belief: Belief, gdom: GroundedDomain, sym: str
-) -> Optional[str]:
-    """The nearest living opposing agent, ties to the lowest id."""
-    config = gdom.config
-    guards = guard_symbols(config)
-    pool = attacker_symbols(config) if sym in guards else guards
-    pose = pose_of(belief, sym)
-    if pose is None:
-        return None
-    best: Optional[tuple[float, int, str]] = None
-    for other in pool:
-        if _is_down(belief, other):
-            continue
-        opose = pose_of(belief, other)
-        if opose is None:
-            continue
-        d = math.hypot(opose[0] - pose[0], opose[1] - pose[1])
-        key = (d, symbol_agent_id(config, other), other)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[2]
-
-
 def _exo_atom_for(
     belief: Belief, gdom: GroundedDomain, sym: str, kind: int
 ) -> Optional[Atom]:
     """The exogenous action atom a predicted kind denotes at the current
     simulated pose, or None when it is not expressible (noop, off the
     active cells, no living target)."""
-    if _is_down(belief, sym):
+    if is_down(belief, sym):
         return None
     pose = pose_of(belief, sym)
     if pose is None:
@@ -227,14 +198,16 @@ def _exo_atom_for(
             return None
         return Atom("agent_move", (sym, cell[0], cell[1]))
     if kind == int(ActionKind.ROTATE_CW):
-        return Atom("agent_rotate", (sym, _CW[d]))
+        return Atom("agent_rotate", (sym, CW[d]))
     if kind == int(ActionKind.ROTATE_CCW):
-        return Atom("agent_rotate", (sym, _CCW[d]))
+        return Atom("agent_rotate", (sym, CCW[d]))
     if kind == int(ActionKind.SHOOT):
-        target = _nearest_opponent(belief, gdom, sym)
-        if target is None:
+        guards = guard_symbols(gdom.config)
+        pool = attacker_symbols(gdom.config) if sym in guards else guards
+        nearest = nearest_living(belief, sym, pool)
+        if nearest is None:
             return None
-        return Atom("agent_shoot", (sym, target))
+        return Atom("agent_shoot", (sym, nearest[0]))
     return None
 
 
@@ -479,35 +452,24 @@ class AdHocController:
                 anchor = cells[0]
         if pose is not None and anchor is not None:
             extra |= corridor_regions(self.config, (pose[0], pose[1]), anchor)
-        fine, _ = compute_relevance(
-            belief, None, predicted_next, gdom, extra=sorted(extra)
-        )
-        return fine
+        return compute_relevance(belief, predicted_next, gdom, extra=extra)
 
     def _fallback(self, belief: Belief, gdom: GroundedDomain) -> Atom:
         """Face the nearest living attacker; noop when already facing (or
         nothing to face, or rotation is blocked)."""
         ah = gdom.ah_symbol
         noop = Atom("noop", (ah,))
-        pose = pose_of(belief, ah)
-        attackers = living_attackers(belief, gdom)
-        if pose is None or not attackers:
+        nearest = nearest_living(belief, ah, attacker_symbols(gdom.config))
+        if nearest is None:
             return noop
-        ax, ay, d = pose
-        nearest = min(
-            attackers,
-            key=lambda item: (
-                math.hypot(item[1][0] - ax, item[1][1] - ay),
-                _attacker_index(item[0]),
-            ),
-        )
+        ax, ay, d = pose_of(belief, ah)
         tx, ty = nearest[1]
         if (tx, ty) == (ax, ay):
             return noop
         want = _nearest_facing(tx - ax, ty - ay)
         if want == d:
             return noop
-        target = want if want in (_CW[d], _CCW[d]) else _CW[d]
+        target = want if want in (CW[d], CCW[d]) else CW[d]
         atom = Atom("rotate", (ah, target))
         ok, _ = check_executable(belief, atom, gdom)
         return atom if ok else noop
@@ -528,7 +490,7 @@ class AdHocController:
             assert pose is not None
             kind = (
                 ActionKind.ROTATE_CW
-                if _CW[pose[2]] == chosen.args[1]
+                if CW[pose[2]] == chosen.args[1]
                 else ActionKind.ROTATE_CCW
             )
             return Action(kind)

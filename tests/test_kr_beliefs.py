@@ -14,7 +14,6 @@ from fortdefense.env import GridConfig, reset
 from fortdefense.kr.beliefs import (
     Belief,
     HardInconsistencyError,
-    History,
     InconsistencyError,
     NotExecutableError,
     belief_from_world,
@@ -433,13 +432,3 @@ def test_hard_inconsistency_when_observations_conflict():
     ]
     with pytest.raises(HardInconsistencyError):
         complete_initial(obs, gdom)
-
-
-def test_history_records_and_queries():
-    h = History()
-    h.observe(0, [Literal(Atom("in", ("guard0", 1, 1)), True)])
-    h.record(0, [Atom("noop", ("guard0",))])
-    h.observe(1, [Literal(Atom("in", ("guard0", 1, 2)), True)])
-    assert len(h.observations_at(0)) == 1
-    assert h.actions_at(0) == [Atom("noop", ("guard0",))]
-    assert h.actions_at(1) == []

@@ -7,6 +7,7 @@ from fortdefense.kr.goals import (
     compute_relevance,
     corridor_regions,
     fort_adjacent_regions,
+    nearest_living,
     pose_of,
     region_center,
     select_goal,
@@ -80,6 +81,25 @@ def test_nearest_attacker_wins_with_ties_to_lowest_index():
     goal = select_goal(b, gdom)
     assert goal.kind == "shoot_target"
     assert goal.target == "attacker2"
+
+
+def test_nearest_living_skips_the_dead_and_ties_to_pool_order():
+    config = GridConfig(n_guards=1, n_attackers=3)
+    gdom = make_gdom(config)
+    b = belief_of(
+        gdom,
+        [
+            ("guard0", 10, 10, "n", True),
+            ("attacker1", 10, 11, "s", False),  # nearest, but down
+            ("attacker2", 10, 15, "s", True),  # distance 5
+            ("attacker3", 15, 10, "w", True),  # distance 5
+        ],
+    )
+    pool = ("attacker1", "attacker2", "attacker3")
+    assert nearest_living(b, "guard0", pool) == ("attacker2", (10, 15))
+    assert nearest_living(b, "guard0", pool[::-1]) == ("attacker3", (15, 10))
+    assert nearest_living(b, "guard0", ("attacker1",)) is None
+    assert nearest_living(b, "guard9", pool) is None  # no pose
 
 
 def test_dead_attackers_are_ignored():
@@ -170,15 +190,8 @@ def test_relevance_marks_positional_regions_fine():
             ("attacker2", 0, 0, "n", False),  # dead: not relevant
         ],
     )
-    fine, granularity = compute_relevance(
-        b, None, {"attacker1": (9, 14)}, gdom
-    )
+    fine = compute_relevance(b, {"attacker1": (9, 14)}, gdom)
     assert fine == frozenset({"r15", "r17", "r22"})
-    assert granularity["r15"] == "fine"
-    assert granularity["r0"] == "coarse"
-    assert set(granularity) == set(
-        f"r{k}" for k in range(25)
-    )
 
 
 def test_relevance_extra_regions_and_corridor():
@@ -190,7 +203,7 @@ def test_relevance_extra_regions_and_corridor():
     )
     corridor = corridor_regions(config, (2, 14), (10, 14))
     assert corridor == frozenset({"r15", "r16", "r17"})
-    fine, _ = compute_relevance(b, None, None, gdom, extra=corridor)
+    fine = compute_relevance(b, None, gdom, extra=corridor)
     assert corridor <= fine
     assert "r22" in fine  # fort stays fine
 
@@ -202,7 +215,7 @@ def test_predicted_cell_region_joins_fine_set():
         gdom,
         [("guard0", 0, 0, "n", True), ("attacker1", 4, 0, "w", True)],
     )
-    fine_without, _ = compute_relevance(b, None, None, gdom)
-    fine_with, _ = compute_relevance(b, None, {"attacker1": (3, 0)}, gdom)
+    fine_without = compute_relevance(b, None, gdom)
+    fine_with = compute_relevance(b, {"attacker1": (3, 0)}, gdom)
     assert "r0" in fine_with and "r1" in fine_with
     assert fine_without <= fine_with

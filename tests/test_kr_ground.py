@@ -1,4 +1,4 @@
-"""Grounding layer: sort population, statics, atom universes, granularity
+"""Grounding layer: sort population, statics, compiled rules, granularity
 restriction, and the body-binding validation errors.
 
 Oracles here are computed from first principles (straight loops over the
@@ -8,9 +8,13 @@ grid) and compared against the grounder's output.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fortdefense.env import Direction, GridConfig, clear_shot, AgentState, AgentKind
+from fortdefense.kr.beliefs import Belief, progress
 from fortdefense.kr.ground import (
+    CCW,
+    CW,
     DIR_OF_SYMBOL,
     PURSUIT_MARGIN,
     REGION_BLOCK,
@@ -28,9 +32,11 @@ from fortdefense.kr.ground import (
     region_cells,
     region_grid,
     region_symbol_of,
+    restrict,
     symbol_agent_id,
 )
-from fortdefense.kr.lang import parse_domain
+from fortdefense.kr.lang import Atom, parse_domain
+from fortdefense.kr.plan import candidate_actions
 
 MINI_GRID = """
 sort agent.
@@ -58,8 +64,15 @@ def test_three_by_three_single_agent_grounds_nine_position_atoms():
         desc,
         sorts={"agent": ("a1",), "x_val": (0, 1, 2), "y_val": (0, 1, 2)},
     )
-    assert len(gdom.fluent_atoms["in"]) == 9
-    assert len(gdom.ground_actions) == 9  # go over every cell
+    start = Belief([Atom("in", ("a1", 0, 0))])
+    reached = set()
+    for x in range(3):
+        for y in range(3):
+            after = progress(start, [Atom("go", ("a1", x, y))], gdom)
+            # the constraints leave exactly the new position
+            assert after.atoms == frozenset({Atom("in", ("a1", x, y))})
+            reached |= after.atoms
+    assert len(reached) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +158,8 @@ def test_direction_statics():
     assert statics["opposite_dir"].table == frozenset(
         {("n", "s"), ("s", "n"), ("e", "w"), ("w", "e")}
     )
+    assert CW == {"n": "e", "e": "s", "s": "w", "w": "n"}
+    assert CCW == {"e": "n", "s": "e", "w": "s", "n": "w"}
 
 
 def test_component_is_total_and_functional():
@@ -211,18 +226,20 @@ def test_builtin_comparisons():
 def test_default_grounding_sizes():
     config = GridConfig()
     gdom = ground(shipped_domain(), config)
-    report = gdom.report()
     n_agents = config.n_guards + config.n_attackers
-    n_cells = config.width * config.height
-    assert report["active_cells"] == n_cells
-    assert report["atoms"]["in"] == n_agents * n_cells
-    assert report["atoms"]["face"] == n_agents * 4
-    assert report["atoms"]["shot"] == n_agents
-    assert report["atoms"]["agent_in"] == n_agents * 25
-    # own actions: moves to every cell + 4 rotations + shoot each attacker + noop
-    assert report["own_actions"] == n_cells + 4 + config.n_attackers + 1
-    exo_agents = n_agents - 1
-    assert report["exo_actions"] == exo_agents * n_cells + exo_agents * 4 + exo_agents * n_agents
+    assert len(gdom.active_cells) == config.width * config.height
+    assert gdom.fine_regions == frozenset(all_region_symbols(config))
+    assert len(gdom.sorts["agent"]) == n_agents
+    assert len(gdom.sorts["ext_agent"]) == n_agents - 1
+    assert (len(gdom.sorts["x_val"]), len(gdom.sorts["y_val"])) == (20, 20)
+    assert len(gdom.sorts["region"]) == 25
+    assert sum(len(r) for r in gdom.causal_by_action.values()) == 6
+    assert sum(len(r) for r in gdom.exec_by_action.values()) == 16
+    assert (len(gdom.windows), len(gdom.definitions), len(gdom.defaults)) == (3, 3, 1)
+
+
+def guard_at(x, y, d="n") -> Belief:
+    return Belief([Atom("in", ("guard0", x, y)), Atom("face", ("guard0", d))])
 
 
 def test_granularity_restriction_drops_cell_atoms_for_coarse_regions():
@@ -231,14 +248,46 @@ def test_granularity_restriction_drops_cell_atoms_for_coarse_regions():
     gdom = ground(shipped_domain(), config, fine_regions=fine)
     active = {c for r in fine for c in region_cells(config, r)}
     assert gdom.active_cells == frozenset(active)
-    move_targets = {
-        (a.args[1], a.args[2]) for a in gdom.ground_actions if a.pred == "move"
+    # (8, 16) is r22's south-west corner: west is r21 and south is r17
+    moves = {
+        (a.args[1], a.args[2])
+        for a in candidate_actions(guard_at(8, 16), gdom)
+        if a.pred == "move"
     }
-    assert move_targets == active
+    assert moves == {(8, 17), (9, 16), (8, 15)}
+    # a restriction is a view: the compiled rules are shared, not rebuilt
     full = ground(shipped_domain(), config)
-    assert len(gdom.fluent_atoms["in"]) < len(full.fluent_atoms["in"])
-    # region-level atoms are unaffected by granularity
-    assert len(gdom.fluent_atoms["agent_in"]) == len(full.fluent_atoms["agent_in"])
+    view = restrict(full, fine)
+    assert view.active_cells == gdom.active_cells
+    assert view.causal_by_action is full.causal_by_action
+    assert view.statics is full.statics
+
+
+@pytest.fixture(scope="module")
+def full_gdom():
+    return ground(shipped_domain(), GridConfig())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    fine=st.frozensets(st.sampled_from(all_region_symbols(GridConfig()))),
+    x=st.integers(0, 19),
+    y=st.integers(0, 19),
+    d=st.sampled_from("nesw"),
+)
+def test_restrict_agrees_with_grounding_at_that_granularity(full_gdom, fine, x, y, d):
+    view = restrict(full_gdom, fine)
+    grounded = ground(shipped_domain(), GridConfig(), fine_regions=fine)
+    assert view.fine_regions == grounded.fine_regions == fine
+    assert view.active_cells == grounded.active_cells
+    belief = guard_at(x, y, d)
+    assert candidate_actions(belief, view) == candidate_actions(belief, grounded)
+
+
+def test_restrict_needs_a_grid():
+    gdom = ground(parse_domain(MINI_GRID), sorts={"agent": ("a1",)})
+    with pytest.raises(GroundingError):
+        restrict(gdom, ["r0"])
 
 
 def test_populate_sorts_partitions_agents():

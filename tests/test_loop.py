@@ -7,6 +7,7 @@ reconciliation fallback.  Translation of simulator outcomes into action
 atoms is checked against hand-resolved scenarios.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -562,3 +563,27 @@ class TestOnlineModels:
             small_config, "P1", 2, seed=51, ad_hoc=True, library=lib, refit=False
         )
         assert set(lib.models) == {0}
+
+
+# ---------------------------------------------------------------------------
+# golden decisions
+# ---------------------------------------------------------------------------
+
+# sha256 over one W0 episode's decisions (GridConfig(), P1, episode seed 0,
+# horizon 8): per decision step "policy|seed|step|goal kind:target|chosen
+# atom|plan length", then "policy|seed|outcome|outcome|steps", one item per
+# line.  A refactor that keeps every decision keeps this value.
+GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0ff5e8f1"
+
+
+def test_golden_w0_episode_decisions(w0_p1_record):
+    rec = w0_p1_record
+    h = hashlib.sha256()
+    for s in rec.steps:
+        item = (
+            f"{rec.policy}|{rec.seed}|{s.step}|{s.goal.kind}:{s.goal.target}"
+            f"|{s.chosen}|{len(s.plan_actions)}"
+        )
+        h.update(item.encode() + b"\n")
+    h.update(f"{rec.policy}|{rec.seed}|outcome|{rec.outcome}|{rec.n_steps}\n".encode())
+    assert h.hexdigest() == GOLDEN_W0_P1_SEED0
