@@ -4,18 +4,32 @@ observations via consistency-restoring defaults.
 
 A belief is the set of ground atoms taken to be true (closed-world: every
 atom not in the set is false).  Only *inertial* fluents persist; *defined*
-fluents are recomputed from scratch after every change.  Progression
-resolves each tick in layers:
+fluents follow from the inertial ones through the definition rules.
+Progression resolves each tick in layers:
 
 1. direct effects of the tick's actions (conflicts raise),
 2. constraint-derived consequences (conflicts with direct effects raise),
 3. inherited atoms carried by inertia, which yield silently to any
    constraint that retracts them.
+
+Progression works from the tick's change, not from the whole belief
+(semi-naive evaluation): state constraints are triggered by the direct
+and derived atoms, and by inherited atoms only for the constraints where
+an inherited atom can still make a difference; defined fluents are
+updated only where an inertial atom was added or removed
+(delete-and-rederive).  Both rest on one precondition: **the input belief
+is closed under the definitions and consistent with the state
+constraints** (:func:`validate` passes).  On the shipped domain every
+belief built by :func:`progress`, :func:`belief_from_world`,
+:func:`complete_initial` and the control loop's observation step is.
+``tests/reference_beliefs.py`` keeps the from-scratch versions as the
+reference they are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -53,11 +67,13 @@ class NotExecutableError(Exception):
 class Belief:
     """An immutable set of true ground atoms with a predicate index."""
 
-    __slots__ = ("atoms", "_index")
+    __slots__ = ("atoms", "_index", "_inertial")
 
     def __init__(self, atoms: Iterable[Atom]):
         self.atoms: frozenset[Atom] = frozenset(atoms)
         self._index: Optional[dict[str, tuple[Atom, ...]]] = None
+        # (inertial predicate set, inertial atoms) of the last lookup
+        self._inertial: Optional[tuple[frozenset[str], frozenset[Atom]]] = None
 
     @property
     def index(self) -> dict[str, tuple[Atom, ...]]:
@@ -73,7 +89,11 @@ class Belief:
 
     def inertial_atoms(self, gdom: GroundedDomain) -> frozenset[Atom]:
         preds = gdom.inertial_preds
-        return frozenset(a for a in self.atoms if a.pred in preds)
+        cached = self._inertial
+        if cached is None or cached[0] is not preds:
+            cached = (preds, frozenset(a for a in self.atoms if a.pred in preds))
+            self._inertial = cached
+        return cached[1]
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
@@ -88,38 +108,108 @@ class Belief:
         return f"Belief({len(self.atoms)} atoms)"
 
 
-def close_defined(inertial_atoms: Iterable[Atom], gdom: GroundedDomain) -> frozenset[Atom]:
-    """Inertial atoms plus the least fixpoint of the definition rules.
-
-    Non-recursive definition sets (no defined fluent in any definition
-    body) close in a single pass.
-    """
-    working: dict[str, set[Atom]] = {}
-    out: list[Atom] = []
-    for atom in inertial_atoms:
-        bucket = working.get(atom.pred)
+def _index_of(atoms: Iterable[Atom]) -> dict[str, set[Atom]]:
+    """Atoms by predicate, the index :func:`solve` reads."""
+    index: dict[str, set[Atom]] = {}
+    for atom in atoms:
+        bucket = index.get(atom.pred)
         if bucket is None:
-            bucket = working[atom.pred] = set()
-        if atom not in bucket:
-            bucket.add(atom)
-            out.append(atom)
-    changed = True
-    while changed:
-        changed = False
-        for rule in gdom.definitions:
-            derived = [
-                rule.head.atom.substitute(binding)
-                for binding in solve(gdom, working, rule.body, {})
-            ]
-            for atom in derived:
-                bucket = working.setdefault(atom.pred, set())
-                if atom not in bucket:
-                    bucket.add(atom)
-                    out.append(atom)
-                    changed = True
-        if not gdom.recursive_definitions:
-            break
-    return frozenset(out)
+            bucket = index[atom.pred] = set()
+        bucket.add(atom)
+    return index
+
+
+def _derived_by(
+    changed: Iterable[Atom],
+    positive: bool,
+    index: dict,
+    gdom: GroundedDomain,
+) -> set[Atom]:
+    """Heads of the definition instances that hold in ``index`` and use a
+    ``changed`` atom in a body literal of the given sign."""
+    out: set[Atom] = set()
+    for atom in changed:
+        for rule, pos in gdom.definition_triggers.get(atom.pred, ()):
+            lit = rule.body[pos]
+            if lit.positive != positive:
+                continue
+            binding = match_atom(lit.atom, atom, {})
+            if binding is None:
+                continue
+            rest = rule.body[:pos] + rule.body[pos + 1 :]
+            for b2 in solve(gdom, index, rest, binding):
+                out.add(rule.head.atom.substitute(b2))
+    return out
+
+
+def _derivable(atom: Atom, index: dict, gdom: GroundedDomain) -> bool:
+    for rule in gdom.definitions:
+        binding = match_atom(rule.head.atom, atom, {})
+        if binding is not None and any(
+            True for _ in solve(gdom, index, rule.body, binding)
+        ):
+            return True
+    return False
+
+
+def close_defined(
+    inertial_atoms: Iterable[Atom],
+    gdom: GroundedDomain,
+    parent: Optional[Belief] = None,
+) -> frozenset[Atom]:
+    """Inertial atoms plus the defined atoms the definition rules derive
+    from them.
+
+    ``parent`` is a belief closed under the definitions; only the change
+    from its inertial atoms is then processed.  Defined atoms that some
+    definition instance derived through a removed inertial atom (or
+    through the absence of an added one) are dropped unless another
+    instance still derives them; those derived through an added atom (or
+    the absence of a removed one) are added.  With no parent every atom
+    counts as added, and the closure is the least fixpoint of the rules
+    computed from scratch; recursive definitions (a defined fluent in a
+    definition body) always take that path.
+    """
+    inertial = frozenset(inertial_atoms)
+    working = _index_of(inertial)
+    if parent is None or gdom.recursive_definitions:
+        out = set(inertial)
+        changed = True
+        while changed:
+            changed = False
+            for rule in gdom.definitions:
+                derived = [
+                    rule.head.atom.substitute(binding)
+                    for binding in solve(gdom, working, rule.body, {})
+                ]
+                for atom in derived:
+                    bucket = working.setdefault(atom.pred, set())
+                    if atom not in bucket:
+                        bucket.add(atom)
+                        out.add(atom)
+                        changed = True
+            if not gdom.recursive_definitions:
+                break
+        return frozenset(out)
+
+    before = parent.inertial_atoms(gdom)
+    removed = before - inertial
+    added = inertial - before
+    if not removed and not added:
+        return parent.atoms
+    old_index = parent.index
+    stale = _derived_by(removed, True, old_index, gdom)
+    stale |= _derived_by(added, False, old_index, gdom)
+    fresh = _derived_by(added, True, working, gdom)
+    fresh |= _derived_by(removed, False, working, gdom)
+    atoms = set(parent.atoms)
+    atoms -= removed
+    atoms |= added
+    atoms -= {
+        a for a in stale if a not in fresh and not _derivable(a, working, gdom)
+    }
+    atoms |= fresh
+    return frozenset(atoms)
 
 
 def check_executable(
@@ -165,6 +255,15 @@ def progress(
     trace: Optional[list] = None,
 ) -> Belief:
     """The belief after all of ``actions`` occur simultaneously.
+
+    ``belief`` must be closed under the definitions and consistent with the
+    state constraints (see the module docstring); the result is closed.
+    The constraint closure is queued with the direct effects (sorted),
+    then the inherited atoms that can still trigger a constraint (none,
+    for a domain whose windows all have a negative head and positive
+    fluent bodies, like the shipped one), then derived atoms as they
+    arise; the defined fluents are updated from the change in inertial
+    atoms (:func:`close_defined` with ``belief`` as parent).
 
     ``on_blocked`` controls non-executable actions: "raise" aborts, "drop"
     silently discards them (used for predicted exogenous actions that the
@@ -237,32 +336,39 @@ def progress(
                         )
 
     # layer 3 candidates: inertia
+    inertial_preds = gdom.inertial_preds
     for atom in belief.atoms:
-        if gdom.is_inertial(atom.pred) and atom not in tag and atom not in false_by:
+        if atom.pred in inertial_preds and atom not in tag and atom not in false_by:
             tag[atom] = _INHERITED
 
     # layer 2: constraint closure over the candidate valuation
-    working: dict[str, set[Atom]] = {}
-    for atom in tag:
-        working.setdefault(atom.pred, set()).add(atom)
+    working = _index_of(tag)
 
     # direct/derived triggers are processed before inherited ones, so an
     # effect atom retracts the stale inherited pose rather than colliding
     # with it; a window instance whose body rests on an inherited atom
     # never overrides a direct or derived atom (inertia yields silently)
-    queue: list[Atom] = sorted(tag, key=lambda a: (tag[a], str(a)))
+    live = gdom.inherited_window_triggers
+    queue: deque[Atom] = deque(
+        sorted((a for a, t in tag.items() if t == _DIRECT), key=str)
+    )
+    queue.extend(
+        sorted((a for a, t in tag.items() if t == _INHERITED and a.pred in live), key=str)
+    )
     while queue:
-        trigger = queue.pop(0)
-        if trigger not in tag:
+        trigger = queue.popleft()
+        trigger_tag = tag.get(trigger)
+        if trigger_tag is None:
             continue  # retracted since it was queued
-        for rule, pos in gdom.window_triggers.get(trigger.pred, ()):
+        triggers = live if trigger_tag == _INHERITED else gdom.window_triggers
+        for rule, pos in triggers.get(trigger.pred, ()):
             binding = match_atom(rule.body[pos].atom, trigger, {})
             if binding is None:
                 continue
             rest = rule.body[:pos] + rule.body[pos + 1 :]
             # solutions are materialized because the loop mutates `working`
             for b2 in list(solve(gdom, working, rest, binding)):
-                body_inherited = tag.get(trigger) == _INHERITED or any(
+                body_inherited = trigger_tag == _INHERITED or any(
                     tag.get(lit.atom.substitute(b2)) == _INHERITED
                     for lit in rest
                     if lit.positive and lit.atom.pred in gdom.fluent_decls
@@ -328,12 +434,14 @@ def progress(
                             )
                         )
 
-    inertial_result = [a for a in tag if gdom.is_inertial(a.pred)]
+    inertial = frozenset(a for a in tag if a.pred in inertial_preds)
     if trace is not None:
         for atom, t in tag.items():
             if t == _INHERITED:
                 trace.append(Provenance(atom, "inherited"))
-    return Belief(close_defined(inertial_result, gdom))
+    child = Belief(close_defined(inertial, gdom, belief))
+    child._inertial = (inertial_preds, inertial)
+    return child
 
 
 def validate(belief: Belief, gdom: GroundedDomain) -> None:

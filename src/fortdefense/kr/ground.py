@@ -384,7 +384,17 @@ class GroundedDomain:
     windows: list[CompiledRule] = field(default_factory=list)
     definitions: list[CompiledRule] = field(default_factory=list)
     defaults: list[CompiledRule] = field(default_factory=list)
+    #: (window, body position) for each positive fluent body literal, by
+    #: predicate: the constraints a direct or derived atom triggers
     window_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(default_factory=dict)
+    #: the subset an inherited atom still triggers (see ``ground``)
+    inherited_window_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(
+        default_factory=dict
+    )
+    #: (definition, body position) for each fluent body literal, by predicate
+    definition_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(
+        default_factory=dict
+    )
     inertial_preds: frozenset[str] = frozenset()
     recursive_definitions: bool = False
     _sort_sets: dict[str, frozenset] = field(default_factory=dict)
@@ -415,10 +425,6 @@ class GroundedDomain:
             or self.desc.actions.get(pred)
         )
         return decl.arg_sorts if decl else None
-
-    def is_inertial(self, pred: str) -> bool:
-        decl = self.desc.fluents.get(pred)
-        return decl is not None and decl.kind == "inertial"
 
     def is_defined(self, pred: str) -> bool:
         decl = self.desc.fluents.get(pred)
@@ -553,6 +559,33 @@ def ground(
         for rule in gdom.definitions
         for lit in rule.body
     )
+    for rule in gdom.definitions:
+        for i, lit in enumerate(rule.body):
+            if lit.atom.pred in gdom.fluent_decls:
+                gdom.definition_triggers.setdefault(lit.atom.pred, []).append((rule, i))
+    # On a consistent input, an instance of a negative-head window whose
+    # fluent literals are all positive and none derivable by a positive-head
+    # window changes nothing when an inherited atom triggers it: its body
+    # either rests on inherited atoms alone, which held together with any
+    # inherited victim in the input, or contains a direct atom, whose
+    # trigger ran first and found the same instance.  A negated literal can
+    # open an instance without any trigger, and a derived body atom is
+    # queued after the inherited ones, so inherited atoms still trigger
+    # those windows and positive-head ones.
+    derivable = {r.head.atom.pred for r in gdom.windows if r.head.positive}
+    for pred, entries in gdom.window_triggers.items():
+        live = [
+            (rule, pos)
+            for rule, pos in entries
+            if rule.head.positive
+            or any(
+                lit.atom.pred in gdom.fluent_decls
+                and (not lit.positive or lit.atom.pred in derivable)
+                for lit in rule.body + rule.residual
+            )
+        ]
+        if live:
+            gdom.inherited_window_triggers[pred] = live
     return gdom
 
 

@@ -12,6 +12,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fortdefense.env import (
     Action,
@@ -570,3 +571,99 @@ def test_fixed_script_is_deterministic():
         return snapshots
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# properties of one step from random valid states
+# ---------------------------------------------------------------------------
+
+# a small grid, so that moves contest cells and most shots are in range
+PROPERTY_CONFIG = GridConfig(
+    width=6, height=6, fort_cells=frozenset({(2, 5), (3, 5)}), n_guards=2, n_attackers=2
+)
+_N_AGENTS = PROPERTY_CONFIG.n_guards + PROPERTY_CONFIG.n_attackers
+_ACTIONS = st.sampled_from(
+    [Action(k) for k in ActionKind if k is not ActionKind.SHOOT]
+) | st.builds(Action.shoot, st.integers(0, _N_AGENTS - 1))
+
+
+_FREE_CELLS = [
+    (x, y)
+    for x in range(PROPERTY_CONFIG.width)
+    for y in range(PROPERTY_CONFIG.height)
+    if (x, y) not in PROPERTY_CONFIG.fort_cells
+]
+
+
+@st.composite
+def valid_states(draw):
+    """Non-terminal states: distinct cells off the fort, any facings, and
+    any agents down as long as each side keeps a living agent."""
+    cells = draw(st.permutations(_FREE_CELLS))[:_N_AGENTS]
+    alive = [draw(st.booleans()) for _ in range(_N_AGENTS)]
+    alive[draw(st.integers(0, PROPERTY_CONFIG.n_guards - 1))] = True
+    alive[draw(st.integers(PROPERTY_CONFIG.n_guards, _N_AGENTS - 1))] = True
+    agents = []
+    for i, (x, y) in enumerate(cells):
+        if i == 0:
+            kind = AgentKind.AD_HOC_GUARD
+        elif i < PROPERTY_CONFIG.n_guards:
+            kind = AgentKind.GUARD
+        else:
+            kind = AgentKind.ATTACKER
+        agents.append(
+            AgentState(i, kind, x, y, draw(st.sampled_from(Direction)), alive=alive[i])
+        )
+    state = make_state(PROPERTY_CONFIG, agents)
+    assert terminal(state) is None
+    return state
+
+
+@st.composite
+def joint_actions(draw, state):
+    """One action per living agent; dead agents sometimes get one too (it
+    is dropped with a warning)."""
+    return {
+        a.id: draw(_ACTIONS)
+        for a in state.agents
+        if a.alive or draw(st.integers(0, 3)) == 0
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_no_two_bodies_share_a_cell_after_a_step(data):
+    state = data.draw(valid_states())
+    nxt, _ = step(state, data.draw(joint_actions(state)))
+    cells = [a.pos for a in nxt.agents]  # living and dead alike
+    assert len(set(cells)) == len(cells)
+    assert all(PROPERTY_CONFIG.in_bounds(x, y) for x, y in cells)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shots_resolve_on_tick_start_poses(data):
+    state = data.draw(valid_states())
+    joint = data.draw(joint_actions(state))
+    nxt, events = step(state, joint)
+    before = {a.id: a for a in state.agents}
+    expected_hits = set()
+    for shooter_id, act in sorted(joint.items()):
+        shooter = before[shooter_id]
+        if act.kind is not ActionKind.SHOOT or not shooter.alive:
+            continue
+        target = before[act.target]
+        hit = target.alive and cone_oracle(
+            shooter.direction,
+            target.x - shooter.x,
+            target.y - shooter.y,
+            PROPERTY_CONFIG.shoot_range,
+            PROPERTY_CONFIG.shoot_arc_deg,
+        )
+        if hit:
+            expected_hits.add((shooter_id, target.id))
+    shots = [e for e in events if isinstance(e, ShotEvent)]
+    assert {(e.shooter, e.target) for e in shots if e.hit} == expected_hits
+    killed = {t for _, t in expected_hits}
+    for agent in nxt.agents:
+        assert agent.alive == (before[agent.id].alive and agent.id not in killed)

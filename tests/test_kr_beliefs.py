@@ -3,12 +3,17 @@ closure, and consistency-restoring initial completion.
 
 The completion tests include a brute-force oracle: every subset of ground
 default instances is enumerated and the minimal consistent retraction is
-computed independently, then compared with the engine's answer.
+computed independently, then compared with the engine's answer.  The
+delta-driven ``progress`` and ``close_defined`` are checked against the
+from-scratch versions in ``reference_beliefs.py`` on random closed,
+consistent beliefs.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_beliefs import reference_close_defined, reference_progress
 
 from fortdefense.env import GridConfig, reset
 from fortdefense.kr.beliefs import (
@@ -432,3 +437,239 @@ def test_hard_inconsistency_when_observations_conflict():
     ]
     with pytest.raises(HardInconsistencyError):
         complete_initial(obs, gdom)
+
+
+# ---------------------------------------------------------------------------
+# delta-driven progression equals the from-scratch reference
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, belief, actions, gdom, checked):
+    """(atoms or exception type, provenance list, resulting belief or
+    None) of one progression."""
+    trace: list = []
+    try:
+        result = fn(
+            belief, actions, gdom, on_blocked="drop", checked=checked, trace=trace
+        )
+    except InconsistencyError as err:
+        return type(err), trace, None
+    return result.atoms, trace, result
+
+
+def assert_progress_matches_reference(belief, steps, gdom, keeps_consistency=True):
+    """Progress ``belief`` through each (actions, checked) step with both
+    versions; atoms, exception types and provenance lists (order included)
+    must agree.  Both continue from the optimised result, so later steps
+    also cover a parent whose inertial atoms ``progress`` cached; equal
+    beliefs built apart may iterate their atoms in different orders, and
+    the inherited entries follow that order, so both get one object.
+    Without ``keeps_consistency`` (a domain whose progression may break a
+    constraint), the run stops at the first inconsistent result, which is
+    outside ``progress``'s precondition."""
+    for actions, checked in steps:
+        fast_atoms, fast_trace, fast = _outcome(progress, belief, actions, gdom, checked)
+        slow_atoms, slow_trace, _ = _outcome(
+            reference_progress, belief, actions, gdom, checked
+        )
+        assert fast_atoms == slow_atoms
+        assert fast_trace == slow_trace
+        if fast is None:
+            return
+        try:
+            validate(fast, gdom)
+        except InconsistencyError:
+            if keeps_consistency:
+                raise
+            return
+        belief = fast
+
+
+@pytest.fixture(scope="module")
+def w0_gdom():
+    return fort_gdom()
+
+
+_W0_AGENTS = ("guard0", "guard1", "guard2", "attacker1", "attacker2", "attacker3")
+_EXT_AGENTS = _W0_AGENTS[1:]
+# agents crowd one corner so moves collide, shots land and the grid edge
+# bounds the moves
+_COORD = st.integers(0, 5)
+_DIR = st.sampled_from("nesw")
+
+
+@st.composite
+def w0_beliefs(draw):
+    """Random inertial atoms of constraint-consistent beliefs of the shipped
+    domain: each agent has at most one cell and one facing, may be shot,
+    and each attacker may be on a spread attack."""
+    atoms = []
+    for sym in _W0_AGENTS:
+        if draw(st.integers(0, 9)):  # an agent may lack a pose atom
+            atoms.append(Atom("in", (sym, draw(_COORD), draw(_COORD))))
+        if draw(st.integers(0, 9)):
+            atoms.append(Atom("face", (sym, draw(_DIR))))
+        if draw(st.integers(0, 3)) == 0:
+            atoms.append(Atom("shot", (sym,)))
+        if sym.startswith("attacker") and draw(st.booleans()):
+            atoms.append(Atom("spread_attack", (sym,)))
+    return atoms
+
+
+_OWN_ACTIONS = st.one_of(
+    st.builds(lambda x, y: Atom("move", ("guard0", x, y)), _COORD, _COORD),
+    st.builds(lambda d: Atom("rotate", ("guard0", d)), _DIR),
+    st.builds(lambda a: Atom("shoot", ("guard0", a)), st.sampled_from(_W0_AGENTS[3:])),
+    st.just(Atom("noop", ("guard0",))),
+)
+_EXO_ACTIONS = st.one_of(
+    st.builds(
+        lambda e, x, y: Atom("agent_move", (e, x, y)),
+        st.sampled_from(_EXT_AGENTS),
+        _COORD,
+        _COORD,
+    ),
+    st.builds(
+        lambda e, d: Atom("agent_rotate", (e, d)), st.sampled_from(_EXT_AGENTS), _DIR
+    ),
+    st.builds(
+        lambda e, a: Atom("agent_shoot", (e, a)),
+        st.sampled_from(_EXT_AGENTS),
+        st.sampled_from(_W0_AGENTS),
+    ),
+)
+
+
+@st.composite
+def w0_steps(draw):
+    """One tick: an optional own action (checked or not, as the planner and
+    the observation step pass it) and up to four exogenous actions."""
+    own = draw(st.lists(_OWN_ACTIONS, max_size=1))
+    actions = tuple(own + draw(st.lists(_EXO_ACTIONS, max_size=4)))
+    checked = frozenset(own) if own and draw(st.booleans()) else frozenset()
+    return actions, checked
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(atoms=w0_beliefs(), steps=st.lists(w0_steps(), min_size=1, max_size=2))
+def test_progress_matches_the_reference_on_the_shipped_domain(w0_gdom, atoms, steps):
+    belief = Belief(reference_close_defined(atoms, w0_gdom))
+    validate(belief, w0_gdom)
+    assert_progress_matches_reference(belief, steps, w0_gdom)
+
+
+POSITIVE_WINDOW = (
+    "sort s. fluent inertial f(s). fluent inertial g(s). action a(s). "
+    "a(X) causes f(X). g(X) if f(X)."
+)
+_S = ("o1", "o2", "o3", "o4")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    f=st.frozensets(st.sampled_from(_S)),
+    g=st.frozensets(st.sampled_from(_S)),
+    acts=st.lists(st.sampled_from(_S), max_size=3),
+)
+def test_progress_matches_the_reference_on_a_positive_window(f, g, acts):
+    gdom = ground(parse_domain(POSITIVE_WINDOW), sorts={"s": _S})
+    # consistent: g holds wherever f does
+    atoms = [Atom("f", (o,)) for o in f] + [Atom("g", (o,)) for o in f | g]
+    actions = tuple(Atom("a", (o,)) for o in acts)
+    belief = Belief(reference_close_defined(atoms, gdom))
+    validate(belief, gdom)
+    assert_progress_matches_reference(belief, [(actions, frozenset())], gdom)
+
+
+# Every rule shape the delta code tells apart: a positive window (h from f),
+# a negative window whose body holds an atom a positive window derives (h),
+# one with a negated body literal (which a removed n opens), and one with
+# positive, underivable body literals (the only shape inherited atoms no
+# longer trigger); definitions with a negated literal, with two fluent
+# literals, and with heads derived many ways.  Progressing a(o1) and q(o1)
+# from g(o1), k(o1), n(o1) makes the second and third windows race for
+# k(o1) and g(o1); the reference's outcome needs inherited g(o1) to trigger
+# the second one.
+MIXED = """
+sort s.
+fluent inertial f(s).
+fluent inertial g(s).
+fluent inertial h(s).
+fluent inertial k(s).
+fluent inertial n(s).
+fluent defined d(s).
+fluent defined e(s, s).
+fluent defined m(s).
+action a(s).
+action b(s).
+action c(s).
+action p(s).
+action q(s).
+a(X) causes f(X).
+b(X) causes g(X).
+c(X) causes -h(X).
+p(X) causes k(X).
+q(X) causes -n(X).
+h(X) if f(X).
+-k(X) if g(X), h(X).
+-g(X) if k(X), -n(X).
+-k(Y) if k(X), g(X), Y != X.
+d(X) if f(X), -g(X).
+e(X, Y) if k(X), h(Y).
+m(X) if h(X), k(Y).
+m(X) if f(X).
+"""
+_MIXED_INERTIAL = tuple(Atom(p, (o,)) for p in "fghkn" for o in _S[:3])
+
+
+@pytest.fixture(scope="module")
+def mixed_gdom():
+    return ground(parse_domain(MIXED), sorts={"s": _S[:3]})
+
+
+@st.composite
+def mixed_inertial_atoms(draw):
+    """Random inertial atoms of MIXED that satisfy its windows: h covers f,
+    no k where g and h hold, no g where k holds without n, and k is a
+    single atom wherever it meets g."""
+    objs = st.frozensets(st.sampled_from(_S[:3]))
+    f, g, h, k, n = (draw(objs) for _ in range(5))
+    h |= f
+    k -= g & h
+    g -= k - n
+    if k & g:
+        k = {min(k & g)}
+    return [Atom(p, (o,)) for p, os in zip("fghkn", (f, g, h, k, n)) for o in os]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    atoms=mixed_inertial_atoms(),
+    ticks=st.lists(
+        st.lists(
+            st.builds(
+                lambda p, o: Atom(p, (o,)), st.sampled_from("abcpq"), st.sampled_from(_S[:3])
+            ),
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_progress_matches_the_reference_on_every_rule_shape(mixed_gdom, atoms, ticks):
+    belief = Belief(reference_close_defined(atoms, mixed_gdom))
+    validate(belief, mixed_gdom)
+    steps = [(tuple(actions), frozenset()) for actions in ticks]
+    assert_progress_matches_reference(belief, steps, mixed_gdom, keeps_consistency=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    parent=st.frozensets(st.sampled_from(_MIXED_INERTIAL)),
+    child=st.frozensets(st.sampled_from(_MIXED_INERTIAL)),
+)
+def test_close_defined_from_a_parent_matches_the_reference(mixed_gdom, parent, child):
+    closed_parent = Belief(reference_close_defined(parent, mixed_gdom))
+    expected = reference_close_defined(child, mixed_gdom)
+    assert close_defined(child, mixed_gdom, closed_parent) == expected
+    assert close_defined(child, mixed_gdom) == expected

@@ -8,6 +8,7 @@ atoms is checked against hand-resolved scenarios.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from fortdefense.env import (
     step,
     terminal,
 )
+from fortdefense.explain import _step_dict
 from fortdefense.kr.beliefs import (
     Belief,
     check_executable,
@@ -575,6 +577,18 @@ class TestOnlineModels:
 # line.  A refactor that keeps every decision keeps this value.
 GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0ff5e8f1"
 
+# The same episode's search effort and provenance, computed before
+# progression became delta-driven: the planner's nodes expanded, summed over
+# the episode, and a sha256 over each step's provenance as the trace file
+# stores it (explain._step_dict's order, one JSON list per line).  The
+# provenance is sorted before hashing because the in-memory order of the
+# "inherited" entries follows frozenset iteration, which changes with
+# PYTHONHASHSEED; the multiset of entries does not.
+GOLDEN_W0_P1_SEED0_EXPANDED = 316
+GOLDEN_W0_P1_SEED0_PROVENANCE = (
+    "094217d9607c9fde0af048e1cd912a847eec209af7296aad907c996375abc127"
+)
+
 
 def test_golden_w0_episode_decisions(w0_p1_record):
     rec = w0_p1_record
@@ -587,3 +601,12 @@ def test_golden_w0_episode_decisions(w0_p1_record):
         h.update(item.encode() + b"\n")
     h.update(f"{rec.policy}|{rec.seed}|outcome|{rec.outcome}|{rec.n_steps}\n".encode())
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0
+
+
+def test_golden_w0_episode_search_and_provenance(w0_p1_record):
+    steps = w0_p1_record.steps
+    assert sum(s.plan_expanded for s in steps) == GOLDEN_W0_P1_SEED0_EXPANDED
+    h = hashlib.sha256()
+    for s in steps:
+        h.update(json.dumps(_step_dict(s)["provenance"], sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_W0_P1_SEED0_PROVENANCE
