@@ -40,6 +40,7 @@ from fortdefense.kr.beliefs import (
     Belief,
     Provenance,
     check_executable,
+    derivation,
     progress,
 )
 from fortdefense.kr.goals import Goal, is_down, nearest_living, pose_of
@@ -49,8 +50,6 @@ from fortdefense.kr.ground import (
     attacker_symbols,
     ground,
     guard_symbols,
-    match_atom,
-    solve,
 )
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import goal_holds, plan as search_plan
@@ -1018,27 +1017,23 @@ def _definition_instance(
     trace: EpisodeTrace, step: int, atom: Atom
 ) -> Optional[AxiomInstance]:
     """Re-derive a defined atom from its defining constraint at ``step``."""
-    gdom = trace.gdom
-    belief = trace.belief_at(step)
-    for rule in gdom.definitions:
-        binding = match_atom(rule.head.atom, atom, {})
-        if binding is None:
-            continue
-        for solution in solve(gdom, belief.index, rule.body, binding):
-            antecedents = tuple(lit.substitute(solution) for lit in rule.body)
-            return AxiomInstance(
-                template="clause_definition",
-                axiom_id=rule.axiom_id,
-                axiom_text=rule.text,
-                step=step,
-                antecedents=antecedents,
-                consequence=str(atom),
-                slots=(
-                    ("axiom", f"{rule.axiom_id} {rule.text}"),
-                    ("literals", "; ".join(str(l) for l in antecedents)),
-                ),
-            )
-    return None
+    found = derivation(atom, trace.belief_at(step).index, trace.gdom)
+    if found is None:
+        return None
+    rule, binding = found
+    antecedents = tuple(lit.substitute(binding) for lit in rule.body)
+    return AxiomInstance(
+        template="clause_definition",
+        axiom_id=rule.axiom_id,
+        axiom_text=rule.text,
+        step=step,
+        antecedents=antecedents,
+        consequence=str(atom),
+        slots=(
+            ("axiom", f"{rule.axiom_id} {rule.text}"),
+            ("literals", "; ".join(str(l) for l in antecedents)),
+        ),
+    )
 
 
 def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance]:
@@ -1046,10 +1041,10 @@ def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance
         return None
     gdom = trace.gdom
     for rule in gdom.defaults:
-        binding = match_atom(rule.head.atom, atom, {})
-        if binding is None:
+        env = rule.on_head.match(atom)
+        if env is None:
             continue
-        antecedents = tuple(lit.substitute(binding) for lit in rule.body)
+        antecedents = tuple(lit.substitute(rule.on_head.binding(env)) for lit in rule.body)
         return AxiomInstance(
             template="clause_default",
             axiom_id=rule.axiom_id,

@@ -35,12 +35,11 @@ from typing import Iterable, Optional, Sequence
 
 from fortdefense.env import WorldState
 from fortdefense.kr.ground import (
+    CompiledRule,
     GroundedDomain,
     GroundingError,
     SYMBOL_OF_DIR,
     agent_symbol,
-    match_atom,
-    solve,
 )
 from fortdefense.kr.lang import Atom, Literal
 
@@ -109,7 +108,7 @@ class Belief:
 
 
 def _index_of(atoms: Iterable[Atom]) -> dict[str, set[Atom]]:
-    """Atoms by predicate, the index :func:`solve` reads."""
+    """Atoms by predicate, the index a compiled join reads."""
     index: dict[str, set[Atom]] = {}
     for atom in atoms:
         bucket = index.get(atom.pred)
@@ -130,26 +129,29 @@ def _derived_by(
     out: set[Atom] = set()
     for atom in changed:
         for rule, pos in gdom.definition_triggers.get(atom.pred, ()):
-            lit = rule.body[pos]
-            if lit.positive != positive:
+            if rule.body[pos].positive != positive:
                 continue
-            binding = match_atom(lit.atom, atom, {})
-            if binding is None:
-                continue
-            rest = rule.body[:pos] + rule.body[pos + 1 :]
-            for b2 in solve(gdom, index, rest, binding):
-                out.add(rule.head.atom.substitute(b2))
+            join = rule.on_body[pos]
+            for env in join.solve(index, atom):
+                out.add(join.head(env))
     return out
 
 
-def _derivable(atom: Atom, index: dict, gdom: GroundedDomain) -> bool:
+def derivation(
+    atom: Atom, index: dict, gdom: GroundedDomain
+) -> Optional[tuple[CompiledRule, dict]]:
+    """The first definition instance that derives ``atom`` in ``index``,
+    as (rule, binding): definitions in order, each body's solutions in
+    index order.  None when no instance does."""
     for rule in gdom.definitions:
-        binding = match_atom(rule.head.atom, atom, {})
-        if binding is not None and any(
-            True for _ in solve(gdom, index, rule.body, binding)
-        ):
-            return True
-    return False
+        env = rule.on_head.first(index, atom)
+        if env is not None:
+            return rule, rule.on_head.binding(env)
+    return None
+
+
+def _derivable(atom: Atom, index: dict, gdom: GroundedDomain) -> bool:
+    return derivation(atom, index, gdom) is not None
 
 
 def close_defined(
@@ -178,10 +180,8 @@ def close_defined(
         while changed:
             changed = False
             for rule in gdom.definitions:
-                derived = [
-                    rule.head.atom.substitute(binding)
-                    for binding in solve(gdom, working, rule.body, {})
-                ]
+                join = rule.unbound
+                derived = [join.head(env) for env in join.run(working, ())]
                 for atom in derived:
                     bucket = working.setdefault(atom.pred, set())
                     if atom not in bucket:
@@ -220,12 +220,12 @@ def check_executable(
     decl = gdom.desc.actions.get(action.pred)
     if decl is None:
         raise GroundingError(f"unknown action {action!r}")
+    index = belief.index
     for rule in gdom.exec_by_action.get(action.pred, ()):
-        binding = match_atom(rule.action, action, {})
-        if binding is None:
-            continue
-        for b2 in solve(gdom, belief.index, rule.body, binding):
-            return False, (rule, b2)
+        join = rule.on_action
+        env = join.first(index, action)
+        if env is not None:
+            return False, (rule, join.binding(env))
     return True, None
 
 
@@ -243,6 +243,10 @@ class Provenance:
     axiom_text: str = ""
     action: Optional[Atom] = None
     support: tuple[Literal, ...] = ()  # ground body literals of the firing rule
+
+
+def _support(body: tuple[Literal, ...], binding: dict) -> tuple[Literal, ...]:
+    return tuple(lit.substitute(binding) for lit in body)
 
 
 def progress(
@@ -288,14 +292,13 @@ def progress(
 
     # layer 1: direct effects
     tag: dict[Atom, int] = {}
-    false_by: dict[Atom, tuple] = {}
+    false_by: set[Atom] = set()
+    index = belief.index
     for action in kept:
         for rule in gdom.causal_by_action.get(action.pred, ()):
-            binding = match_atom(rule.action, action, {})
-            if binding is None:
-                continue
-            for b2 in solve(gdom, belief.index, rule.body, binding):
-                atom = rule.head.atom.substitute(b2)
+            join = rule.on_action
+            for env in join.solve(index, action):
+                atom = join.head(env)
                 if rule.head.positive:
                     if atom in false_by:
                         raise InconsistencyError(
@@ -304,17 +307,7 @@ def progress(
                             rule.text,
                         )
                     tag[atom] = _DIRECT
-                    if trace is not None:
-                        trace.append(
-                            Provenance(
-                                atom,
-                                "direct",
-                                rule.axiom_id,
-                                rule.text,
-                                action,
-                                tuple(l.substitute(b2) for l in rule.body),
-                            )
-                        )
+                    how = "direct"
                 else:
                     if tag.get(atom) == _DIRECT:
                         raise InconsistencyError(
@@ -322,18 +315,19 @@ def progress(
                             rule.axiom_id,
                             rule.text,
                         )
-                    false_by[atom] = (rule, b2)
-                    if trace is not None:
-                        trace.append(
-                            Provenance(
-                                atom,
-                                "retracted",
-                                rule.axiom_id,
-                                rule.text,
-                                action,
-                                tuple(l.substitute(b2) for l in rule.body),
-                            )
+                    false_by.add(atom)
+                    how = "retracted"
+                if trace is not None:
+                    trace.append(
+                        Provenance(
+                            atom,
+                            how,
+                            rule.axiom_id,
+                            rule.text,
+                            action,
+                            _support(rule.body, join.binding(env)),
                         )
+                    )
 
     # layer 3 candidates: inertia
     inertial_preds = gdom.inertial_preds
@@ -362,19 +356,11 @@ def progress(
             continue  # retracted since it was queued
         triggers = live if trigger_tag == _INHERITED else gdom.window_triggers
         for rule, pos in triggers.get(trigger.pred, ()):
-            binding = match_atom(rule.body[pos].atom, trigger, {})
-            if binding is None:
-                continue
-            rest = rule.body[:pos] + rule.body[pos + 1 :]
+            join = rule.on_body[pos]
             # solutions are materialized because the loop mutates `working`
-            for b2 in list(solve(gdom, working, rest, binding)):
-                body_inherited = trigger_tag == _INHERITED or any(
-                    tag.get(lit.atom.substitute(b2)) == _INHERITED
-                    for lit in rest
-                    if lit.positive and lit.atom.pred in gdom.fluent_decls
-                )
+            for env in list(join.solve(working, trigger)):
                 if rule.head.positive:
-                    atom = rule.head.atom.substitute(b2)
+                    atom = join.head(env)
                     if atom in false_by and atom not in tag:
                         raise InconsistencyError(
                             f"derived atom {atom} contradicts a direct retraction",
@@ -393,20 +379,21 @@ def progress(
                                     rule.axiom_id,
                                     rule.text,
                                     None,
-                                    tuple(l.substitute(b2) for l in rule.body),
+                                    _support(rule.body, join.binding(env)),
                                 )
                             )
                     continue
-                # negative head: bind remaining head variables against the
-                # atoms currently true; check residual comparisons per match
-                head_pat = rule.head.atom.substitute(b2)
-                for victim in list(working.get(head_pat.pred, ())):
-                    b3 = match_atom(head_pat, victim, b2)
-                    if b3 is None or victim not in tag:
+                body_inherited = trigger_tag == _INHERITED or any(
+                    tag.get(scanned(env)) == _INHERITED for scanned in join.scanned
+                )
+                # negative head: match the atoms currently true against the
+                # head and check the residual comparisons per match
+                victims = join.then
+                for victim in list(working.get(rule.head.atom.pred, ())):
+                    if victim not in tag:
                         continue
-                    if rule.residual and not any(
-                        True for _ in solve(gdom, working, rule.residual, b3)
-                    ):
+                    env2 = victims.first(working, victim, env)
+                    if env2 is None:
                         continue
                     if tag[victim] in (_DIRECT, _DERIVED):
                         if body_inherited:
@@ -427,10 +414,7 @@ def progress(
                                 rule.axiom_id,
                                 rule.text,
                                 None,
-                                tuple(
-                                    l.substitute(b3)
-                                    for l in rule.body + rule.residual
-                                ),
+                                _support(rule.body + rule.residual, victims.binding(env2)),
                             )
                         )
 
@@ -446,30 +430,26 @@ def progress(
 
 def validate(belief: Belief, gdom: GroundedDomain) -> None:
     """Raise if any window constraint instance is violated in the belief."""
+    index = belief.index
     for rule in gdom.windows:
-        for binding in solve(gdom, belief.index, rule.body, {}):
-            head = rule.head.atom.substitute(binding)
+        join = rule.unbound
+        for env in join.run(index, ()):
             if rule.head.positive:
-                if head.is_ground and head not in belief.atoms:
+                head = join.head(env)
+                if head not in belief.atoms:
                     raise InconsistencyError(
                         f"constraint requires missing atom {head}",
                         rule.axiom_id,
                         rule.text,
                     )
                 continue
-            for victim in belief.index.get(head.pred, ()):
-                b2 = match_atom(head, victim, binding)
-                if b2 is None:
-                    continue
-                if rule.residual and not any(
-                    True for _ in solve(gdom, belief.index, rule.residual, b2)
-                ):
-                    continue
-                raise InconsistencyError(
-                    f"constraint forbids atom {victim}",
-                    rule.axiom_id,
-                    rule.text,
-                )
+            for victim in index.get(rule.head.atom.pred, ()):
+                if join.then.first(index, victim, env) is not None:
+                    raise InconsistencyError(
+                        f"constraint forbids atom {victim}",
+                        rule.axiom_id,
+                        rule.text,
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +521,9 @@ def ground_defaults(
     for rule in gdom.defaults:
         if not rule.cr_allowed:
             continue
-        for binding in solve(gdom, pos.index, rule.body, {}):
-            atom = rule.head.atom.substitute(binding)
-            if not atom.is_ground:
-                raise GroundingError(
-                    f"axiom {rule.axiom_id}: default conclusion {atom!r} not ground"
-                )
-            inst = DefaultInstance(rule.axiom_id, rule.text, atom)
+        join = rule.unbound
+        for env in join.run(pos.index, ()):
+            inst = DefaultInstance(rule.axiom_id, rule.text, join.head(env))
             if inst not in out:
                 out.append(inst)
     out.sort(key=lambda i: (i.axiom_id, str(i.conclusion)))

@@ -13,6 +13,20 @@ evaluation: positive fluent literals first (they bind variables against
 the belief index), then enumerable statics and sort-membership atoms,
 then computed or negated literals, which must be fully bound by that
 point.  Violations are grounding errors that name the axiom.
+
+Grounding then compiles each body into a :class:`Join` for every way the
+reasoner enters it: by the action (causal laws, executability), by an
+atom of one body literal (window and definition triggers), by the head
+(re-deriving a defined atom, a negative window's victim with its
+residual), and unbound (closure from scratch, validation, defaults).  A
+join binds variables to integer *slots* of a tuple, and each argument of
+each literal is worked out once, at grounding: bind a new slot, compare
+with a bound slot, or compare with a constant.  Enumeration order is part
+of the contract (provenance and blockers depend on it): literals in body
+order, each predicate's atoms in the order of the index the join is given
+(a bound first argument is one more comparison, not a sub-index), static
+rows in sorted order, sort members in declared order.  A ``{Variable: value}`` dict is built only where a
+binding is rendered (:meth:`Join.binding`).
 """
 
 from __future__ import annotations
@@ -20,7 +34,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from fortdefense.env import Direction, GridConfig, in_arc, in_range
 from fortdefense.kr.lang import (
@@ -157,7 +172,7 @@ class Static:
         self.arity = arity
         self.table = frozenset(table) if table is not None else None
         self.func = func
-        self._expand_cache: dict[tuple[int, ...], dict] = {}
+        self._rows: dict[tuple[int, ...], dict] = {}
 
     def contains(self, args: tuple) -> bool:
         if self.table is not None:
@@ -175,14 +190,18 @@ class Static:
                 f"computed static {self.name!r} cannot enumerate free arguments"
             )
         bound = tuple(i for i in range(self.arity) if i not in free)
-        index = self._expand_cache.get(bound)
+        yield from self.rows(bound).get(tuple(pattern[i] for i in bound), ())
+
+    def rows(self, bound: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """The table's rows in sorted order, keyed by their values at the
+        ``bound`` positions."""
+        index = self._rows.get(bound)
         if index is None:
             index = {}
             for row in sorted(self.table):
                 index.setdefault(tuple(row[i] for i in bound), []).append(row)
-            self._expand_cache[bound] = index
-        key = tuple(pattern[i] for i in bound)
-        yield from index.get(key, ())
+            self._rows[bound] = index
+        return index
 
 
 def build_statics(config: GridConfig) -> dict[str, Static]:
@@ -271,6 +290,15 @@ class CompiledRule:
     evaluable before the head is bound; ``residual`` holds the rest
     (typically comparisons over head variables), checked per candidate
     atom matched against the head pattern.
+
+    The body is compiled once for each way it is entered (see
+    :class:`Join`): ``on_action`` by the action (causal laws and
+    executability conditions); ``on_body[i]`` by an atom of body literal
+    ``i``, the rest of the body following in order (window and definition
+    triggers; None where no trigger enters); ``on_head`` by the head
+    (re-deriving a defined atom, matching a default's conclusion); and
+    ``unbound`` from nothing (closure from scratch, validation, defaults).
+    A negative window's body joins end in the victim continuation.
     """
 
     axiom_id: str
@@ -281,6 +309,10 @@ class CompiledRule:
     body: tuple[Literal, ...]
     residual: tuple[Literal, ...] = ()
     cr_allowed: bool = False
+    on_action: Optional[Join] = field(default=None, compare=False, repr=False)
+    on_body: tuple[Optional[Join], ...] = field(default=(), compare=False, repr=False)
+    on_head: Optional[Join] = field(default=None, compare=False, repr=False)
+    unbound: Optional[Join] = field(default=None, compare=False, repr=False)
 
 
 def _literal_stage(lit: Literal, gdom: "GroundedDomain") -> int:
@@ -501,7 +533,9 @@ def ground(
         _infer_var_sorts(gdom, law.axiom_id, law.text, atoms)
         body = _order_body(law.conditions, gdom)
         _check_bindable(gdom, law.axiom_id, law.text, law.action, body, law.effect)
-        rule = CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
+        rule = _compiled(
+            gdom, CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
+        )
         gdom.causal_by_action.setdefault(law.action.pred, []).append(rule)
     for con in desc.constraints:
         atoms = [con.head.atom] + [l.atom for l in con.body]
@@ -509,7 +543,9 @@ def ground(
         body = _order_body(con.body, gdom)
         if gdom.is_defined(con.head.atom.pred):
             _check_bindable(gdom, con.axiom_id, con.text, None, body, con.head)
-            rule = CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
+            rule = _compiled(
+                gdom, CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
+            )
             gdom.definitions.append(rule)
         else:
             # negative inertial heads bind remaining variables against the
@@ -527,6 +563,7 @@ def ground(
                 rule = CompiledRule(
                     con.axiom_id, con.text, "window", None, con.head, pre, residual
                 )
+            rule = _compiled(gdom, rule)
             gdom.windows.append(rule)
             for i, lit in enumerate(rule.body):
                 if lit.positive and lit.atom.pred in gdom.fluent_decls:
@@ -536,19 +573,20 @@ def ground(
         _infer_var_sorts(gdom, ex.axiom_id, ex.text, atoms)
         body = _order_body(ex.conditions, gdom)
         _check_bindable(gdom, ex.axiom_id, ex.text, ex.action, body, None)
-        rule = CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
+        rule = _compiled(
+            gdom, CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
+        )
         gdom.exec_by_action.setdefault(ex.action.pred, []).append(rule)
     for d in desc.defaults:
         atoms = [d.conclusion.atom] + [l.atom for l in d.body]
         _infer_var_sorts(gdom, d.axiom_id, d.text, atoms)
         body = _order_body(d.body, gdom)
         _check_bindable(gdom, d.axiom_id, d.text, None, body, d.conclusion)
-        gdom.defaults.append(
-            CompiledRule(
-                d.axiom_id, d.text, "default", None, d.conclusion, body,
-                cr_allowed=d.cr_allowed,
-            )
+        rule = CompiledRule(
+            d.axiom_id, d.text, "default", None, d.conclusion, body,
+            cr_allowed=d.cr_allowed,
         )
+        gdom.defaults.append(_compiled(gdom, rule))
 
     gdom.inertial_preds = frozenset(
         p for p, d in desc.fluents.items() if d.kind == "inertial"
@@ -587,6 +625,35 @@ def ground(
         if live:
             gdom.inherited_window_triggers[pred] = live
     return gdom
+
+
+def _compiled(gdom: GroundedDomain, rule: CompiledRule) -> CompiledRule:
+    """``rule`` with its body compiled for each way it is entered."""
+    head = rule.head.atom if rule.head is not None else None
+    if rule.kind in ("causal", "exec"):
+        return dataclasses.replace(
+            rule, on_action=compile_join(gdom, rule.body, rule.action, head=head)
+        )
+    if rule.kind == "window" and not rule.head.positive:
+        out = {"then": (head, rule.residual)}
+    else:
+        out = {"head": head}
+    on_body: tuple[Optional[Join], ...] = ()
+    on_head = None
+    if rule.kind in ("window", "definition"):
+        # windows are triggered by positive fluent literals, definitions by any
+        on_body = tuple(
+            compile_join(gdom, rule.body[:i] + rule.body[i + 1 :], lit.atom, **out)
+            if lit.atom.pred in gdom.fluent_decls
+            and (lit.positive or rule.kind == "definition")
+            else None
+            for i, lit in enumerate(rule.body)
+        )
+    if rule.kind in ("definition", "default"):
+        on_head = compile_join(gdom, rule.body, head)
+    return dataclasses.replace(
+        rule, on_body=on_body, on_head=on_head, unbound=compile_join(gdom, rule.body, **out)
+    )
 
 
 def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomain:
@@ -631,106 +698,307 @@ def _check_bindable(
             )
 
 
-# ---------------------------------------------------------------------------
-# pattern matching / body solving
-# ---------------------------------------------------------------------------
 
 
-def match_atom(pattern: Atom, ground_atom: Atom, binding: dict) -> Optional[dict]:
-    """Extend ``binding`` so pattern == ground_atom, or None."""
-    if pattern.pred != ground_atom.pred or len(pattern.args) != len(ground_atom.args):
+# ---------------------------------------------------------------------------
+# compiled joins
+# ---------------------------------------------------------------------------
+
+#: One argument of a tuple built from a binding: (True, slot) or (False, constant).
+_Term = tuple[bool, object]
+
+
+def _take(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function picking ``positions`` out of a tuple, as a tuple."""
+    positions = tuple(positions)
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+def _build(terms: Sequence[_Term]) -> Callable[[tuple], tuple]:
+    """A function building the tuple of ``terms`` from a binding."""
+    terms = tuple(terms)
+    if all(is_slot for is_slot, _ in terms):
+        return _take([slot for _, slot in terms])
+    if not any(is_slot for is_slot, _ in terms):
+        constant = tuple(value for _, value in terms)
+        return lambda env: constant
+    return lambda env: tuple(env[v] if is_slot else v for is_slot, v in terms)
+
+
+def _same(pairs: Sequence[tuple[int, int]]) -> Optional[Callable[[tuple], bool]]:
+    """A test that the argument pairs of a repeated variable agree."""
+    if not pairs:
         return None
-    out = binding
-    copied = False
-    for p, g in zip(pattern.args, ground_atom.args):
-        if isinstance(p, Variable):
-            bound = out.get(p)
-            if bound is None:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[p] = g
-            elif bound != g:
-                return None
-        elif p != g:
+    return lambda args: all(args[i] == args[j] for i, j in pairs)
+
+
+def _fail(message: str) -> Callable:
+    def test(index, env):
+        raise GroundingError(message)
+
+    return test
+
+
+def _absent(pred: str, build: Callable) -> Callable:
+    return lambda index, env: Atom(pred, build(env)) not in index.get(pred, ())
+
+
+def _member(values: frozenset, build: Callable, positive: bool) -> Callable:
+    return lambda index, env: (build(env) in values) == positive
+
+
+def _holds(func: Callable, build: Callable, positive: bool) -> Callable:
+    return lambda index, env: bool(func(*build(env))) == positive
+
+
+def _instance(pred: str, build: Callable) -> Callable[[tuple], Atom]:
+    return lambda env: Atom(pred, build(env))
+
+
+def _matcher(pred: str, arity: int, key, want, same, new):
+    """Unify an entry atom with the entry pattern under a binding: the
+    extended binding, or None."""
+
+    def match(atom: Atom, env: tuple = ()) -> Optional[tuple]:
+        args = atom.args
+        if (
+            atom.pred != pred
+            or len(args) != arity
+            or key(args) != want(env)
+            or (same is not None and not same(args))
+        ):
             return None
-    return out
+        return env + new(args)
+
+    return match
 
 
-def _substituted_args(atom: Atom, binding: dict) -> tuple:
-    return tuple(
-        binding.get(a) if isinstance(a, Variable) else a for a in atom.args
-    )
+def _extend(candidates, want, same, bind, tests, then):
+    """One enumerating literal: every candidate argument tuple whose key
+    equals ``want(env)`` and whose repeated variables agree extends the
+    binding by its ``bind`` positions; the extension passes ``tests`` and
+    goes on to ``then`` (the next enumerating literal), or is a solution.
+    ``candidates(index, want)`` yields the argument tuples with that key,
+    in index order."""
+
+    def run(index, env):
+        for args in candidates(index, want(env)):
+            if same is not None and not same(args):
+                continue
+            out = env + bind(args)
+            for test in tests:
+                if not test(index, out):
+                    break
+            else:
+                if then is None:
+                    yield out
+                else:
+                    yield from then(index, out)
+
+    return run
 
 
-def solve(
-    gdom: GroundedDomain,
-    index: "dict[str, Iterable[Atom]]",
-    body: tuple[Literal, ...],
-    binding: dict,
-) -> Iterator[dict]:
-    """All extensions of ``binding`` under which the body holds.
+def _scan(pred: str, key: Callable):
+    """Candidates from the atoms of ``pred`` in ``index``, in index order."""
 
-    ``index`` maps fluent predicate names to the ground atoms currently
-    true (any iterable collection); negated fluents are closed-world.
-    Callers that mutate the index must materialize the results first.
+    def candidates(index, want):
+        for atom in index.get(pred, ()):
+            args = atom.args
+            if key(args) == want:
+                yield args
+
+    return candidates
+
+
+def _lookup(rows: dict):
+    """Candidates from a static's rows keyed by their bound positions."""
+    return lambda index, want: rows.get(want, ())
+
+
+class Join:
+    """A rule body compiled for one way of entering it.
+
+    A binding is a tuple of values, one per *slot*; ``variables`` names the
+    slot of each position, in the order the join binds them: the slots of
+    the binding it continues, then the new variables of the entry atom,
+    then those of each body literal.  ``match`` unifies an entry atom with
+    the entry pattern under a binding; ``run`` enumerates the extensions of
+    a binding under which the body holds, in index order.  ``head`` builds
+    the rule's head atom from a solution, where the body binds it;
+    ``then`` is the continuation a negative window uses to match a victim
+    against its head and check its residual; ``scanned`` builds the atoms
+    the positive fluent literals of the body matched.
     """
-    if not body:
-        yield binding
-        return
-    lit, rest = body[0], body[1:]
-    pred = lit.atom.pred
 
-    if pred in gdom.fluent_decls:
-        if lit.positive:
-            for atom in index.get(pred, ()):
-                b2 = match_atom(lit.atom, atom, binding)
-                if b2 is not None:
-                    yield from solve(gdom, index, rest, b2)
+    __slots__ = ("variables", "match", "head", "then", "scanned", "_tests", "_body")
+
+    def __init__(self, variables, match, tests, body, head, scanned):
+        self.variables: tuple[Variable, ...] = variables
+        self.match: Optional[Callable[[Atom, tuple], Optional[tuple]]] = match
+        self.head: Optional[Callable[[tuple], Atom]] = head
+        self.then: Optional[Join] = None
+        self.scanned: tuple[Callable[[tuple], Atom], ...] = scanned
+        self._tests = tests  # before the first enumerating literal
+        self._body = body  # from the first enumerating literal on, or None
+
+    def run(self, index: dict, env: tuple) -> Iterator[tuple]:
+        for test in self._tests:
+            if not test(index, env):
+                return iter(())
+        if self._body is None:
+            return iter((env,))
+        return self._body(index, env)
+
+    def solve(self, index: dict, atom: Atom, env: tuple = ()) -> Iterator[tuple]:
+        """The solutions after entering with ``atom`` under ``env``."""
+        env = self.match(atom, env)
+        if env is None:
+            return iter(())
+        return self.run(index, env)
+
+    def first(self, index: dict, atom: Atom, env: tuple = ()) -> Optional[tuple]:
+        """The first solution after entering with ``atom``, or None."""
+        env = self.match(atom, env)
+        if env is None:
+            return None
+        for test in self._tests:
+            if not test(index, env):
+                return None
+        if self._body is None:
+            return env
+        return next(self._body(index, env), None)
+
+    def binding(self, env: tuple) -> dict:
+        """The ``{Variable: value}`` form of a binding, for rendering."""
+        return dict(zip(self.variables, env))
+
+
+def compile_join(
+    gdom: GroundedDomain,
+    body: Sequence[Literal],
+    entry: Optional[Atom] = None,
+    *,
+    prefix: Sequence[Variable] = (),
+    head: Optional[Atom] = None,
+    then: Optional[tuple[Atom, Sequence[Literal]]] = None,
+) -> Join:
+    """Compile ``body``, evaluated in order after unifying ``entry``, for a
+    binding of ``prefix``.
+
+    Each literal becomes an enumerating step (a positive fluent scans its
+    predicate's atoms, an unbound sort atom its members, a partly bound
+    table static its rows) or a test of a fully bound literal.  Arguments
+    are worked out here once: a variable already bound is compared with
+    its slot, a constant with itself, a new variable is bound.  Literals
+    that cannot be evaluated (a negated literal with unbound arguments, a
+    computed static with free ones, a symbol without a relation) compile
+    to a step that raises :class:`GroundingError` when it is reached.
+    ``head`` compiles a builder of the head atom; ``then`` = (head
+    pattern, residual) compiles the victim continuation of a negative
+    window.
+    """
+    variables: list[Variable] = list(prefix)
+    slots = {v: i for i, v in enumerate(variables)}
+
+    def unify(args):
+        """(the positions compared, the values they must have, the test of
+        repeated new variables, the positions bound)."""
+        key, want, same, new = [], [], [], []
+        first: dict[Variable, int] = {}
+        for i, a in enumerate(args):
+            if not isinstance(a, Variable):
+                key.append(i)
+                want.append((False, a))
+            elif a in slots:
+                key.append(i)
+                want.append((True, slots[a]))
+            elif a in first:
+                same.append((first[a], i))
+            else:
+                first[a] = i
+                new.append(i)
+        for i in new:
+            slots[args[i]] = len(variables)
+            variables.append(args[i])
+        return tuple(key), _build(want), _same(same), _take(new)
+
+    def bound(args) -> bool:
+        return all(not isinstance(a, Variable) or a in slots for a in args)
+
+    def terms(args) -> list[_Term]:
+        return [(True, slots[a]) if isinstance(a, Variable) else (False, a) for a in args]
+
+    match = None
+    if entry is not None:
+        key, want, same, new = unify(entry.args)
+        match = _matcher(entry.pred, len(entry.args), _take(key), want, same, new)
+
+    entry_tests: list = []  # the tests before the first enumerating literal
+    tests = entry_tests  # the tests after the latest one
+    steps: list = []  # (candidates, want, same, new, tests) per enumerating literal
+    scanned = []
+
+    def enumerate_by(candidates, want, same, new):
+        nonlocal tests
+        tests = []
+        steps.append((candidates, want, same, new, tests))
+
+    for lit in body:
+        pred, args = lit.atom.pred, lit.atom.args
+        if pred in gdom.fluent_decls:
+            if lit.positive:
+                key, want, same, new = unify(args)
+                enumerate_by(_scan(pred, _take(key)), want, same, new)
+                scanned.append(_instance(pred, _build(terms(args))))
+            elif bound(args):
+                tests.append(_absent(pred, _build(terms(args))))
+            else:
+                tests.append(_fail(f"negated fluent {lit!r} evaluated with unbound arguments"))
+        elif pred in gdom.sorts and len(args) == 1:
+            members = gdom.sorts.get(pred, ())
+            if bound(args):
+                values = frozenset((v,) for v in members)
+                tests.append(_member(values, _build(terms(args)), lit.positive))
+            elif lit.positive:
+                _, want, _, new = unify(args)
+                enumerate_by(_lookup({(): tuple((v,) for v in members)}), want, None, new)
+            else:
+                tests.append(_fail(f"negated sort atom {lit!r} with unbound argument"))
         else:
-            args = _substituted_args(lit.atom, binding)
-            if any(a is None for a in args):
-                raise GroundingError(
-                    f"negated fluent {lit!r} evaluated with unbound arguments"
+            static = gdom.statics.get(pred)
+            if static is None:
+                tests.append(_fail(f"no relation for symbol {pred!r} in {lit!r}"))
+            elif bound(args):
+                build = _build(terms(args))
+                if static.table is not None:
+                    tests.append(_member(static.table, build, lit.positive))
+                else:
+                    tests.append(_holds(static.func, build, lit.positive))
+            elif not lit.positive:
+                tests.append(_fail(f"negated static {lit!r} with unbound arguments"))
+            elif static.table is None:
+                tests.append(
+                    _fail(f"computed static {static.name!r} cannot enumerate free arguments")
                 )
-            if Atom(pred, args) not in index.get(pred, ()):
-                yield from solve(gdom, index, rest, binding)
-        return
+            else:
+                key, want, same, new = unify(args)
+                enumerate_by(_lookup(static.rows(key)), want, same, new)
 
-    if pred in gdom.sorts and len(lit.atom.args) == 1:
-        arg = lit.atom.args[0]
-        if isinstance(arg, Variable) and arg not in binding:
-            if not lit.positive:
-                raise GroundingError(f"negated sort atom {lit!r} with unbound argument")
-            for v in gdom.sorts.get(pred, ()):
-                b2 = dict(binding)
-                b2[arg] = v
-                yield from solve(gdom, index, rest, b2)
-            return
-        value = binding.get(arg) if isinstance(arg, Variable) else arg
-        if gdom.in_sort(value, pred) == lit.positive:
-            yield from solve(gdom, index, rest, binding)
-        return
-
-    static = gdom.statics.get(pred)
-    if static is None:
-        raise GroundingError(f"no relation for symbol {pred!r} in {lit!r}")
-    args = _substituted_args(lit.atom, binding)
-    if lit.positive and any(a is None for a in args):
-        pattern = tuple(args)
-        for row in static.expand(pattern):
-            b2 = dict(binding)
-            ok = True
-            for slot, (a, v) in zip(lit.atom.args, zip(pattern, row)):
-                if a is None and isinstance(slot, Variable):
-                    if b2.get(slot, v) != v:
-                        ok = False
-                        break
-                    b2[slot] = v
-            if ok:
-                yield from solve(gdom, index, rest, b2)
-        return
-    if any(a is None for a in args):
-        raise GroundingError(f"negated static {lit!r} with unbound arguments")
-    if static.contains(args) == lit.positive:
-        yield from solve(gdom, index, rest, binding)
+    run = None
+    for candidates, want, same, new, after in reversed(steps):
+        run = _extend(candidates, want, same, new, tuple(after), run)
+    join = Join(
+        tuple(variables),
+        match,
+        tuple(entry_tests),
+        run,
+        None if head is None else _instance(head.pred, _build(terms(head.args))),
+        tuple(scanned),
+    )
+    if then is not None:
+        victim, residual = then
+        join.then = compile_join(gdom, residual, victim, prefix=join.variables)
+    return join

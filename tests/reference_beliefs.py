@@ -1,16 +1,19 @@
 """The slow reference for belief progression: ``progress`` and
-``close_defined`` as they were before progression became delta-driven.
+``close_defined`` as they were before progression became delta-driven,
+and the interpreted rule engine (``match_atom``, ``solve``) as it was
+before rule bodies were compiled.
 
 The reference queues every inherited atom as a constraint trigger and
-recomputes every defined fluent from scratch.  Tests compare the package's
-delta-driven versions against it; nothing in the package imports it.  The
-only edit to the original text is ``gdom.is_inertial(p)`` spelled as
-``p in gdom.inertial_preds``.
+recomputes every defined fluent from scratch, and it solves each body
+literal by literal with a ``{Variable: value}`` dict.  Tests compare the
+package's delta-driven versions and compiled joins against it; nothing in
+the package imports it.  The only edit to the original text is
+``gdom.is_inertial(p)`` spelled as ``p in gdom.inertial_preds``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from fortdefense.kr.beliefs import (
     Belief,
@@ -19,8 +22,109 @@ from fortdefense.kr.beliefs import (
     Provenance,
     check_executable,
 )
-from fortdefense.kr.ground import GroundedDomain, match_atom, solve
-from fortdefense.kr.lang import Atom
+from fortdefense.kr.ground import GroundedDomain, GroundingError
+from fortdefense.kr.lang import Atom, Literal, Variable
+
+
+def match_atom(pattern: Atom, ground_atom: Atom, binding: dict) -> Optional[dict]:
+    """Extend ``binding`` so pattern == ground_atom, or None."""
+    if pattern.pred != ground_atom.pred or len(pattern.args) != len(ground_atom.args):
+        return None
+    out = binding
+    copied = False
+    for p, g in zip(pattern.args, ground_atom.args):
+        if isinstance(p, Variable):
+            bound = out.get(p)
+            if bound is None:
+                if not copied:
+                    out = dict(out)
+                    copied = True
+                out[p] = g
+            elif bound != g:
+                return None
+        elif p != g:
+            return None
+    return out
+
+
+def _substituted_args(atom: Atom, binding: dict) -> tuple:
+    return tuple(
+        binding.get(a) if isinstance(a, Variable) else a for a in atom.args
+    )
+
+
+def solve(
+    gdom: GroundedDomain,
+    index: "dict[str, Iterable[Atom]]",
+    body: tuple[Literal, ...],
+    binding: dict,
+) -> Iterator[dict]:
+    """All extensions of ``binding`` under which the body holds.
+
+    ``index`` maps fluent predicate names to the ground atoms currently
+    true (any iterable collection); negated fluents are closed-world.
+    Callers that mutate the index must materialize the results first.
+    """
+    if not body:
+        yield binding
+        return
+    lit, rest = body[0], body[1:]
+    pred = lit.atom.pred
+
+    if pred in gdom.fluent_decls:
+        if lit.positive:
+            for atom in index.get(pred, ()):
+                b2 = match_atom(lit.atom, atom, binding)
+                if b2 is not None:
+                    yield from solve(gdom, index, rest, b2)
+        else:
+            args = _substituted_args(lit.atom, binding)
+            if any(a is None for a in args):
+                raise GroundingError(
+                    f"negated fluent {lit!r} evaluated with unbound arguments"
+                )
+            if Atom(pred, args) not in index.get(pred, ()):
+                yield from solve(gdom, index, rest, binding)
+        return
+
+    if pred in gdom.sorts and len(lit.atom.args) == 1:
+        arg = lit.atom.args[0]
+        if isinstance(arg, Variable) and arg not in binding:
+            if not lit.positive:
+                raise GroundingError(f"negated sort atom {lit!r} with unbound argument")
+            for v in gdom.sorts.get(pred, ()):
+                b2 = dict(binding)
+                b2[arg] = v
+                yield from solve(gdom, index, rest, b2)
+            return
+        value = binding.get(arg) if isinstance(arg, Variable) else arg
+        if gdom.in_sort(value, pred) == lit.positive:
+            yield from solve(gdom, index, rest, binding)
+        return
+
+    static = gdom.statics.get(pred)
+    if static is None:
+        raise GroundingError(f"no relation for symbol {pred!r} in {lit!r}")
+    args = _substituted_args(lit.atom, binding)
+    if lit.positive and any(a is None for a in args):
+        pattern = tuple(args)
+        for row in static.expand(pattern):
+            b2 = dict(binding)
+            ok = True
+            for slot, (a, v) in zip(lit.atom.args, zip(pattern, row)):
+                if a is None and isinstance(slot, Variable):
+                    if b2.get(slot, v) != v:
+                        ok = False
+                        break
+                    b2[slot] = v
+            if ok:
+                yield from solve(gdom, index, rest, b2)
+        return
+    if any(a is None for a in args):
+        raise GroundingError(f"negated static {lit!r} with unbound arguments")
+    if static.contains(args) == lit.positive:
+        yield from solve(gdom, index, rest, binding)
+
 
 _DIRECT, _DERIVED, _INHERITED = 0, 1, 2
 _TAG_NAME = {0: "direct", 1: "derived", 2: "inherited"}

@@ -1,6 +1,7 @@
 """The explanation engine over one recorded W0 episode: trace round
-trips, the soundness re-check of why and why-belief answers, rejection of
-ill-formed actions, and the known faults pinned as expected failures."""
+trips, the soundness re-check of why, why-belief and why-not answers,
+rejection of ill-formed actions, and the known faults pinned as expected
+failures."""
 
 import itertools
 
@@ -20,7 +21,9 @@ from fortdefense.explain import (
     verify_answer,
     well_formed_action,
 )
+from fortdefense.kr.beliefs import check_executable
 from fortdefense.kr.lang import Atom, Literal
+from fortdefense.kr.plan import candidate_actions
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,30 @@ _CANDIDATES = st.builds(
 def test_well_formedness_agrees_with_the_brute_force_universe(trace, universe, data):
     action = data.draw(st.sampled_from(sorted(universe, key=str)) | _CANDIDATES)
     assert well_formed_action(trace.gdom, action) == (action in universe)
+
+
+def test_every_why_not_verifies(trace):
+    """Why-not of every inexecutable candidate and of the first executable
+    candidate that was not chosen, at every step.  shoot(attacker2) at
+    step 12 is left to the expected failure below."""
+    gdom = trace.gdom
+    asked = {True: 0, False: 0}
+    for rec in trace.steps:
+        legal_asked = False
+        for action in candidate_actions(rec.belief, gdom):
+            if action == rec.chosen:
+                continue
+            executable = check_executable(rec.belief, action, gdom)[0]
+            if executable:
+                if legal_asked:
+                    continue
+                legal_asked = True
+            if (rec.step, action) == (12, Atom("shoot", ("guard0", "attacker2"))):
+                continue
+            answer = answer_query(trace, Query("why_not_action", action, None, rec.step))
+            assert verify_answer(trace, answer), (rec.step, answer.text)
+            asked[executable] += 1
+    assert asked[True] and asked[False]
 
 
 @pytest.mark.xfail(
