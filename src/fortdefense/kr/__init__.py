@@ -1,5 +1,6 @@
 """Action-language reasoning: domain parsing, grounding, belief
-progression, goal selection, and breadth-first planning."""
+progression, goal selection, and minimum-length planning by iterative
+deepening."""
 
 from fortdefense.kr.lang import (
     Atom,

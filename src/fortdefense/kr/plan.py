@@ -1,11 +1,11 @@
-"""Breadth-first planning over belief progression.
+"""Goal-directed planning over belief progression.
 
 The search space is exact: nodes are beliefs (keyed by their inertial
 atoms plus depth, since predicted exogenous behavior varies by depth),
 edges are the controlled guard's executable ground actions, and each
-edge also applies that depth's scheduled exogenous actions.  BFS returns
-a minimum-length plan; among equal-length plans the lexicographically
-first under the canonical action order wins:
+edge also applies that depth's scheduled exogenous actions.  The
+contract is a minimum-length plan; among equal-length plans the
+lexicographically first under the canonical action order wins:
 
     shoot (targets by attacker index) < move north < move east <
     move south < move west < rotate clockwise < rotate counterclockwise
@@ -13,18 +13,71 @@ first under the canonical action order wins:
 
 Rotation actions name absolute directions; "clockwise" is relative to
 the facing at the node being expanded.
+
+The search is depth-first iterative deepening (Korf 1985): for each
+length bound ``L`` from ``max(1, h(root))`` to the horizon, a depth-first
+search in canonical action order, which skips a child when
+``depth + 1 + h(child) > L``.  It returns exactly the plan a breadth-first
+search keyed the same way returns:
+
+- Breadth-first search keeps, for every ``(state, depth)`` key, the
+  lexicographically least path reaching it, and returns the least goal
+  path of the least length: a goal path's prefix can always be swapped
+  for the kept path of the same key.
+- Each iteration starts a fresh ``(state, depth)`` set.  Among paths of
+  one length, depth-first search in canonical order meets them in
+  lexicographic order, so the first visit of a key is its least path,
+  provided no prefix of that path was pruned.
+- That proviso is why ``h`` must be consistent, not merely admissible:
+  ``h(node) <= 1 + h(child)`` for every guard action (Hart, Nilsson &
+  Raphael 1968).  Then a prefix at depth ``k`` with ``k + h > L`` forces
+  ``d + h > L`` on every key below it, so whatever pruning cuts is never
+  reached by any path within the bound.  A bound that is only admissible
+  can cut the least path to a key and let a later path claim it.
+- The goal is tested when a child is generated, as breadth-first search
+  does, so a goal at depth ``L`` is found in iteration ``L`` and a plan
+  as long as the horizon is still found.  Since ``h`` is 0 where the goal
+  holds, no goal within the horizon is pruned, and no iteration before
+  the least goal depth finds one.
+
+``h`` is the maximum, over the goal's literals, of a bound taken from the
+literal alone (0 for a literal that already holds), so counterfactual
+replans in the explainer get it too:
+
+- ``agent_in(ah, R)``: the Manhattan distance from the guard's cell to
+  the nearest cell of ``R``.  Only the guard's own 4-connected ``move``
+  changes ``in(ah, ...)``.
+- ``face(ah, D)``: 0, 1 or 2 quarter turns; the opposite facing needs
+  two, since ``rotate`` turns one quarter.
+- ``shot(T)``: ``1 + ceil((dist(ah, T) - range) / 2)``, at least 1, with
+  the range test of the ``in_sight`` static.  ``shoot`` needs
+  ``in_sight`` at tick start, and the guard and ``T`` each move at most
+  one cell a tick, so the gap closes by at most 2 a tick.  When any
+  schedule step holds an ``agent_shoot(_, T)``, a teammate may hit ``T``
+  on any tick, and the bound is 1.
+- Any other literal: 0.
+
+``Plan.expanded`` counts node expansions summed over the iterations; a
+goal the bound proves out of the horizon expands none.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
+from fortdefense.env import EPS
 from fortdefense.kr.beliefs import Belief, check_executable, progress
 from fortdefense.kr.goals import Goal, pose_of
-from fortdefense.kr.ground import CCW, CW, GroundedDomain, attacker_symbols
-from fortdefense.kr.lang import Atom
+from fortdefense.kr.ground import (
+    CCW,
+    CW,
+    GroundedDomain,
+    attacker_symbols,
+    region_cells,
+)
+from fortdefense.kr.lang import Atom, Literal
 
 _MOVE_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # n, e, s, w order
 
@@ -33,6 +86,7 @@ _MOVE_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # n, e, s, w order
 class Plan:
     actions: tuple[Atom, ...]
     success: bool
+    #: nodes expanded, summed over the deepening iterations
     expanded: int
 
     def __len__(self) -> int:
@@ -63,6 +117,79 @@ def candidate_actions(belief: Belief, gdom: GroundedDomain) -> list[Atom]:
     return out
 
 
+Bound = Callable[[Belief], int]
+
+
+def _literal_bound(
+    lit: Literal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
+) -> Optional[Bound]:
+    """One goal literal's lower bound on the plan length, or None where
+    it contributes 0 (see the module docstring)."""
+    ah = gdom.ah_symbol
+    atom = lit.atom
+    if not lit.positive:
+        return None
+
+    if atom.pred == "agent_in" and atom.args[0] == ah and gdom.in_sort(atom.args[1], "region"):
+        cells = region_cells(gdom.config, atom.args[1])
+        x0, x1 = min(c[0] for c in cells), max(c[0] for c in cells)
+        y0, y1 = min(c[1] for c in cells), max(c[1] for c in cells)
+
+        def to_region(belief: Belief) -> int:
+            pose = pose_of(belief, ah)
+            if pose is None:
+                return 0
+            x, y, _ = pose
+            return max(x0 - x, 0, x - x1) + max(y0 - y, 0, y - y1)
+
+        return to_region
+
+    if atom.pred == "face" and atom.args[0] == ah:
+        want = atom.args[1]
+
+        def turns(belief: Belief) -> int:
+            pose = pose_of(belief, ah)
+            if pose is None or pose[2] == want:
+                return 0
+            return 2 if CW[CW[pose[2]]] == want else 1
+
+        return turns
+
+    if atom.pred == "shot":
+        target = atom.args[0]
+        if any(
+            a.pred == "agent_shoot" and a.args[1] == target
+            for step in schedule
+            for a in step
+        ):
+            return lambda belief: 0 if atom in belief.atoms else 1
+        reach = gdom.config.shoot_range + EPS
+
+        def ticks_to_hit(belief: Belief) -> int:
+            if atom in belief.atoms:
+                return 0
+            me, it = pose_of(belief, ah), pose_of(belief, target)
+            if me is None or it is None:
+                return 1
+            gap = math.hypot(it[0] - me[0], it[1] - me[1]) - reach
+            return 1 + max(0, math.ceil(gap / 2))
+
+        return ticks_to_hit
+
+    return None
+
+
+def goal_bound(
+    goal: Goal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]] = ()
+) -> Bound:
+    """A consistent lower bound on the length of any plan from a belief to
+    the goal under the schedule: the largest of its literals' bounds."""
+    bounds = [
+        b for lit in goal.literals if (b := _literal_bound(lit, gdom, schedule))
+    ]
+    return lambda belief: max((b(belief) for b in bounds), default=0)
+
+
 def plan(
     belief: Belief,
     goal: Goal,
@@ -82,17 +209,18 @@ def plan(
     exo: list[tuple[Atom, ...]] = [tuple(step) for step in schedule]
     while len(exo) < horizon:
         exo.append(())
-    visited: set[tuple[frozenset[Atom], int]] = {
-        (belief.inertial_atoms(gdom), 0)
-    }
-    frontier: deque[tuple[Belief, tuple[Atom, ...]]] = deque([(belief, ())])
+    h = goal_bound(goal, gdom, exo[:horizon])
     expanded = 0
-    while frontier:
-        node, path = frontier.popleft()
-        depth = len(path)
-        if depth >= horizon:
-            continue
+
+    def search(
+        node: Belief,
+        path: tuple[Atom, ...],
+        limit: int,
+        visited: set[tuple[frozenset[Atom], int]],
+    ) -> Optional[tuple[Atom, ...]]:
+        nonlocal expanded
         expanded += 1
+        depth = len(path)
         for action in candidate_actions(node, gdom):
             ok, _ = check_executable(node, action, gdom)
             if not ok:
@@ -106,11 +234,23 @@ def plan(
             )
             new_path = path + (action,)
             if goal_holds(child, goal):
-                return Plan(new_path, True, expanded)
+                return new_path
+            if depth + 1 >= limit or depth + 1 + h(child) > limit:
+                continue
             key = (child.inertial_atoms(gdom), depth + 1)
-            if key not in visited:
-                visited.add(key)
-                frontier.append((child, new_path))
+            if key in visited:
+                continue
+            visited.add(key)
+            found = search(child, new_path, limit, visited)
+            if found is not None:
+                return found
+        return None
+
+    root_key = (belief.inertial_atoms(gdom), 0)
+    for limit in range(max(1, h(belief)), horizon + 1):
+        found = search(belief, (), limit, {root_key})
+        if found is not None:
+            return Plan(found, True, expanded)
     return Plan((), False, expanded)
 
 

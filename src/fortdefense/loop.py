@@ -6,9 +6,10 @@ Each tick the controller:
    assigned behavior model,
 2. selects a goal from the belief (and the predicted next positions),
 3. restricts the grounded domain to the relevant fine-grained regions,
-4. plans with breadth-first search under a schedule of predicted
-   exogenous actions, reusing the previous plan while the goal is
-   unchanged and its next step stays executable, and
+4. plans a minimum-length action sequence (iterative deepening under a
+   consistent bound, see :mod:`fortdefense.kr.plan`) under a schedule of
+   predicted exogenous actions, reusing the previous plan while the goal
+   is unchanged and its next step stays executable, and
 5. executes the first planned action (falling back to facing the nearest
    attacker, then to a noop, when no plan exists).
 
@@ -126,7 +127,10 @@ class StepRecord:
 
     ``belief`` is the tick-start belief; ``executed`` and ``provenance``
     describe the transition into the next tick's belief.  Steps are
-    1-indexed.
+    1-indexed.  ``plan_expanded`` is the search's ``Plan.expanded`` on a
+    replanned step: nodes expanded, summed over the deepening iterations
+    (0 when no search ran, or when the bound put the goal beyond the
+    horizon).
     """
 
     step: int

@@ -1,19 +1,46 @@
-"""Breadth-first planner: optimality, canonical tie order, exogenous
-schedules, and agreement with an independently written search oracle.
+"""Planner: optimality, canonical tie order, exogenous schedules, the
+search bound, and agreement with two slower searches.
 
 The oracle below re-derives candidate actions straight from the belief
-atoms and runs a textbook BFS; the production planner must produce the
-identical action sequence on every instance.
+atoms and runs a textbook breadth-first search; ``reference_plan`` is the
+package's breadth-first planner as it was before the search became
+iterative deepening.  The production planner must produce the identical
+action sequence on every instance.
 """
 
+import importlib
+import math
+import sys
 from collections import deque
 
-from fortdefense.env import GridConfig
+from hypothesis import example, given, settings, strategies as st
+from reference_plan import reference_plan
+
+from fortdefense.env import KIND_FOR_DIRECTION, ActionKind, GridConfig
 from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
-from fortdefense.kr.goals import Goal, corridor_regions, select_goal
-from fortdefense.kr.ground import ground
+from fortdefense.kr.goals import (
+    Goal,
+    _nearest_facing,
+    compute_relevance,
+    corridor_regions,
+    nearest_living,
+    pose_of,
+    select_goal,
+)
+from fortdefense.kr.ground import (
+    DIR_OF_SYMBOL,
+    attacker_symbols,
+    guard_symbols,
+    ground,
+    region_symbol_of,
+    restrict,
+)
 from fortdefense.kr.lang import Atom, Literal, parse_domain
-from fortdefense.kr.plan import candidate_actions, goal_holds, plan, replay
+from fortdefense.kr.plan import candidate_actions, goal_bound, goal_holds, plan, replay
+from fortdefense.loop import build_schedule, predicted_cell
+
+# ``fortdefense.kr`` re-exports a function named ``plan``
+plan_module = importlib.import_module("fortdefense.kr.plan")
 
 
 def shipped_domain():
@@ -174,7 +201,10 @@ def test_unreachable_goal_fails_within_horizon():
     result = plan(b, goal, gdom, horizon=2)
     assert not result.success
     assert result.actions == ()
-    assert result.expanded > 0
+    assert not reference_plan(b, goal, gdom, horizon=2).success
+    # eight cells from a range-5 shooter: the bound needs 3 ticks, so no
+    # node is expanded
+    assert result.expanded == 0
 
 
 def test_canonical_tie_break_prefers_the_earlier_move():
@@ -276,3 +306,227 @@ def test_oracle_family_small_grid():
                 )
                 checked += 1
     assert checked == 48
+
+
+# ---------------------------------------------------------------------------
+# random W0 instances: the reference, the oracle and the bound
+# ---------------------------------------------------------------------------
+
+_W0 = GridConfig()
+_W0_GDOM = ground(shipped_domain(), _W0)
+_GUARDS = guard_symbols(_W0)
+_ATTACKERS = attacker_symbols(_W0)
+_DIR = st.sampled_from("nesw")
+
+
+_KIND_TOWARD = {d: int(KIND_FOR_DIRECTION[DIR_OF_SYMBOL[d]]) for d in "nesw"}
+_SHOOT = int(ActionKind.SHOOT)
+
+
+def _toward(a, b):
+    """The grid direction from cell ``a`` that best points at cell ``b``."""
+    return _nearest_facing(b[0] - a[0], b[1] - a[1])
+
+
+def _shoot_goal(target):
+    return Goal("shoot_target", target, (Literal(Atom("shot", (target,)), True),))
+
+
+@st.composite
+def planning_instances(draw):
+    """A consistent W0 belief, a goal, the planning domain (the full grid
+    or a restriction as the controller makes it), a schedule from
+    ``build_schedule`` over random predicted kinds, and a horizon 1-6.
+
+    The six agents stand in one window of 4 to 12 cells a side.  As in
+    play, agents often face their nearest opponent, teammates are often
+    predicted to shoot and attackers to close in on the guard; so targets
+    come into reach, close in faster than the guard alone can, and are
+    shot by teammates first.  Goals: the selected one, a region near the
+    guard, a facing, a random attacker or a shooting teammate's target."""
+    side = draw(st.integers(4, 12))
+    ox, oy = draw(st.integers(0, 20 - side)), draw(st.integers(0, 20 - side))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(ox, ox + side - 1), st.integers(oy, oy + side - 1)),
+            min_size=6,
+            max_size=6,
+            unique=True,
+        )
+    )
+    at = dict(zip(_GUARDS + _ATTACKERS, cells))
+    entries, kinds = [], {}
+    for sym, cell in at.items():
+        foes = _ATTACKERS if sym in _GUARDS else _GUARDS
+        foe = min(foes, key=lambda f: math.dist(cell, at[f]))
+        alive = draw(st.integers(0, 9)) > 0
+        facing = draw(st.sampled_from([*"nesw", _toward(cell, at[foe])]))
+        entries.append((sym, *cell, facing, alive))
+        if sym == "guard0" or not alive:
+            continue
+        if sym in _GUARDS:
+            kinds[sym] = draw(st.sampled_from([int(k) for k in ActionKind] + [_SHOOT] * 4))
+        else:
+            closing = _KIND_TOWARD[_toward(cell, at["guard0"])]
+            kinds[sym] = draw(st.sampled_from([int(k) for k in ActionKind] + [closing] * 4))
+    b = belief_of(_W0_GDOM, entries)
+    predicted_next = {
+        sym: predicted_cell(_W0, at[sym], kind) for sym, kind in kinds.items()
+    }
+
+    gx, gy = at["guard0"]
+    near = (
+        min(max(gx + draw(st.integers(-6, 6)), 0), 19),
+        min(max(gy + draw(st.integers(-6, 6)), 0), 19),
+    )
+    goals = [
+        select_goal(b, _W0_GDOM, predicted_next),
+        Goal(
+            "occupy_region",
+            None,
+            (Literal(Atom("agent_in", ("guard0", region_symbol_of(_W0, *near))), True),),
+        ),
+        Goal("hold_position", None, (Literal(Atom("face", ("guard0", draw(_DIR))), True),)),
+        _shoot_goal(draw(st.sampled_from(_ATTACKERS))),
+    ]
+    for sym in _GUARDS[1:]:
+        nearest = nearest_living(b, sym, _ATTACKERS)
+        if kinds.get(sym) == _SHOOT and nearest is not None:
+            goals.append(_shoot_goal(nearest[0]))
+    goal = draw(st.sampled_from(goals))
+
+    if draw(st.booleans()):
+        gdom = _W0_GDOM
+    else:
+        extra = corridor_regions(_W0, (gx, gy), near)
+        gdom = restrict(
+            _W0_GDOM, compute_relevance(b, predicted_next, _W0_GDOM, extra=extra)
+        )
+    horizon = draw(st.integers(1, 6))
+    schedule = build_schedule(b, gdom, kinds, horizon)
+    return b, goal, gdom, horizon, schedule
+
+
+def _encounter(target_kind, horizon):
+    """guard0 eight cells west of attacker1, both facing each other;
+    guard1 three cells north of attacker1, facing it; the rest far off."""
+    entries = [
+        ("guard0", 2, 10, "e", True),
+        ("guard1", 10, 13, "s", True),
+        ("guard2", 18, 1, "n", True),
+        ("attacker1", 10, 10, "w", True),
+        ("attacker2", 1, 1, "n", True),
+        ("attacker3", 18, 18, "s", True),
+    ]
+    b = belief_of(_W0_GDOM, entries)
+    noop = int(ActionKind.NOOP)
+    kinds = {sym: noop for sym, *_ in entries[1:]}
+    kinds.update(target_kind)
+    schedule = build_schedule(b, _W0_GDOM, kinds, horizon)
+    return b, _shoot_goal("attacker1"), _W0_GDOM, horizon, schedule
+
+
+# Two encounters the bound must get right, whatever the draw: guard1 hits
+# the target on the first tick, though guard0 alone needs three; the
+# target closes in, so guard0 fires on the third tick, not the fourth.
+@example(instance=_encounter({"guard1": int(ActionKind.SHOOT)}, horizon=1))
+@example(instance=_encounter({"attacker1": int(ActionKind.MOVE_W)}, horizon=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(instance=planning_instances())
+def test_plan_matches_the_reference_and_the_oracle(instance):
+    b, goal, gdom, horizon, schedule = instance
+    got = plan(b, goal, gdom, horizon=horizon, schedule=schedule)
+    ref = reference_plan(b, goal, gdom, horizon=horizon, schedule=schedule)
+    want = oracle_bfs(b, goal, gdom, horizon, schedule)
+    assert (got.actions, got.success) == (ref.actions, ref.success) == want
+    if got.success:
+        assert goal_holds(replay(b, got.actions, gdom, schedule), goal)
+
+
+@st.composite
+def exogenous_steps(draw, belief):
+    """One tick of exogenous actions: each living teammate and attacker
+    moves to a neighbouring cell, turns or shoots someone, or idles."""
+    step = []
+    for sym in _GUARDS[1:] + _ATTACKERS:
+        pose = pose_of(belief, sym)
+        if pose is None or Atom("shot", (sym,)) in belief.atoms:
+            continue
+        x, y, _ = pose
+        options = [
+            [Atom("agent_rotate", (sym, draw(_DIR)))],
+            [Atom("agent_shoot", (sym, draw(st.sampled_from(_GUARDS + _ATTACKERS))))],
+            [],
+        ]
+        dx, dy = draw(st.sampled_from(((0, 1), (1, 0), (0, -1), (-1, 0))))
+        if _W0.in_bounds(x + dx, y + dy):
+            options.append([Atom("agent_move", (sym, x + dx, y + dy))])
+        step += draw(st.sampled_from(options))
+    return tuple(step)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(instance=planning_instances(), data=st.data())
+def test_the_search_bound_is_consistent_and_admissible(instance, data):
+    """``h(node) <= 1 + h(child)`` for every executable guard action under
+    every scheduled step and a random one, and ``h`` never exceeds the
+    least plan length."""
+    b, goal, gdom, horizon, schedule = instance
+    schedule = schedule + [data.draw(exogenous_steps(b))]
+    h = goal_bound(goal, gdom, schedule)
+    for step in schedule:
+        for action in candidate_actions(b, gdom):
+            if not check_executable(b, action, gdom)[0]:
+                continue
+            child = progress(
+                b, (action,) + step, gdom, on_blocked="drop", checked=frozenset((action,))
+            )
+            assert h(b) <= 1 + h(child), (action, step)
+            if goal_holds(child, goal):
+                assert h(child) == 0
+    ref = reference_plan(b, goal, gdom, horizon=horizon, schedule=schedule)
+    if ref.success:
+        assert h(b) <= len(ref.actions)
+
+
+def test_the_tracer_counts_every_planner_call(monkeypatch):
+    """Per-layer tracing swaps ``progress`` and ``check_executable`` on the
+    planner's module; a search that reached them any other way (a local or
+    a default argument bound at import) would read as no work at all."""
+    _, gdom, b = interception_fixture()
+    goal = select_goal(b, gdom)
+    originals = {
+        name: getattr(plan_module, name) for name in ("progress", "check_executable")
+    }
+    counted = dict.fromkeys(originals, 0)
+    reached = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {name: counting(name) for name in originals}
+    for name, wrapper in wrappers.items():
+        monkeypatch.setattr(plan_module, name, wrapper)
+    codes = {fn.__code__: name for name, fn in originals.items()}
+    callers = {w.__code__ for w in wrappers.values()}
+
+    def profile(frame, event, arg):
+        name = codes.get(frame.f_code) if event == "call" else None
+        if name is not None and (
+            frame.f_back.f_code in callers
+            or frame.f_back.f_code.co_filename == plan_module.__file__
+        ):
+            reached[name] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = plan(b, goal, gdom, horizon=8)
+    finally:
+        sys.setprofile(None)
+    assert result.success and result.expanded > 0
+    assert counted == reached
+    assert min(counted.values()) > 0

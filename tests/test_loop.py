@@ -32,7 +32,7 @@ from fortdefense.kr.beliefs import (
     close_defined,
     observe_world,
 )
-from fortdefense.kr.ground import agent_symbol, ground
+from fortdefense.kr.ground import agent_symbol, ground, restrict
 from fortdefense.kr.lang import Atom
 from fortdefense.loop import (
     AdHocController,
@@ -46,6 +46,7 @@ from fortdefense.loop import (
 from fortdefense.models import ModelLibrary, learn_stacked
 
 import numpy as np
+from reference_plan import reference_plan
 
 
 def make_state(config, agents, step_count=0) -> WorldState:
@@ -577,14 +578,19 @@ class TestOnlineModels:
 # line.  A refactor that keeps every decision keeps this value.
 GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0ff5e8f1"
 
-# The same episode's search effort and provenance, computed before
-# progression became delta-driven: the planner's nodes expanded, summed over
-# the episode, and a sha256 over each step's provenance as the trace file
+# The same episode's search effort and provenance.  316 is the nodes the
+# breadth-first reference planner expands, summed over the episode's
+# replanned steps, each replayed on the step's own restriction and rebuilt
+# schedule; it was the package planner's count until the search became
+# iterative deepening, whose count (summed over its iterations) is the
+# second pin.  The provenance pin, computed before progression became
+# delta-driven, is a sha256 over each step's provenance as the trace file
 # stores it (explain._step_dict's order, one JSON list per line).  The
 # provenance is sorted before hashing because the in-memory order of the
 # "inherited" entries follows frozenset iteration, which changes with
 # PYTHONHASHSEED; the multiset of entries does not.
 GOLDEN_W0_P1_SEED0_EXPANDED = 316
+GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED = 25
 GOLDEN_W0_P1_SEED0_PROVENANCE = (
     "094217d9607c9fde0af048e1cd912a847eec209af7296aad907c996375abc127"
 )
@@ -605,7 +611,18 @@ def test_golden_w0_episode_decisions(w0_p1_record):
 
 def test_golden_w0_episode_search_and_provenance(w0_p1_record):
     steps = w0_p1_record.steps
-    assert sum(s.plan_expanded for s in steps) == GOLDEN_W0_P1_SEED0_EXPANDED
+    gdom = ground(load_domain(), GridConfig(), horizon=8)
+    reference_expanded = 0
+    for s in steps:
+        if not s.replanned:
+            continue
+        gdom_t = restrict(gdom, s.fine_regions)
+        schedule = build_schedule(s.belief, gdom_t, s.predictions, 8)
+        ref = reference_plan(s.belief, s.goal, gdom_t, horizon=8, schedule=schedule)
+        assert (ref.actions, ref.success) == (s.plan_actions, s.plan_success)
+        reference_expanded += ref.expanded
+    assert reference_expanded == GOLDEN_W0_P1_SEED0_EXPANDED
+    assert sum(s.plan_expanded for s in steps) == GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED
     h = hashlib.sha256()
     for s in steps:
         h.update(json.dumps(_step_dict(s)["provenance"], sort_keys=True).encode() + b"\n")
