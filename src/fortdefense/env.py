@@ -8,13 +8,30 @@ timeout.
 
 Coordinates are (x, y) with x growing east and y growing north, so the fort
 sits at y = height - 1 and attackers start near y = 0.
+
+Geometry is tabulated per configuration.  ``config.geometry`` is a
+:class:`Geometry`, built on first use and kept on the frozen config: the
+range, arc and shot-cone tests per facing and offset, the weapon-range
+disk of offsets, and per cell the distance to and the nearest of the fort
+cells and the polar coordinates around the grid centre.  Every entry is
+the value of the formula it replaces (``_range_formula``, ``_arc_formula``
+...), so reading the table is bit-identical to evaluating the formula, and
+the public functions (``in_range``, ``in_arc``, ``in_cone``,
+``clear_shot``, ``fort_distance``, ``nearest_fort_cell``,
+``centre_polar``) fall back to the formula for inputs off the table.  The
+simulator (``legal_actions``, shot resolution in ``step``), the scripted
+policies, the feature extractor and the reasoner's ``in_sight`` static
+all read these tables.  They are keyed by configuration, never by world
+state: a config is frozen, so its tables cannot go stale, while states
+change from tick to tick and tests edit them in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Mapping, Optional, Union
 
@@ -22,25 +39,28 @@ EPS = 1e-9
 
 
 class Direction(Enum):
-    """The four facings, with clockwise order N -> E -> S -> W."""
+    """The four facings, with clockwise order N -> E -> S -> W.
+
+    Each member carries plain attributes, set once when the class is built:
+
+    * ``dx``, ``dy`` -- the unit step one cell that way;
+    * ``angle`` -- the bearing in radians measured clockwise from north,
+      ``atan2(dx, dy)``;
+    * ``index`` -- quarter turns clockwise from north (N=0, E=1, S=2, W=3),
+      the encoding in feature vectors and of the per-facing tables of
+      :class:`Geometry`.
+    """
 
     N = (0, 1)
     E = (1, 0)
     S = (0, -1)
     W = (-1, 0)
 
-    @property
-    def dx(self) -> int:
-        return self.value[0]
-
-    @property
-    def dy(self) -> int:
-        return self.value[1]
-
-    @property
-    def angle(self) -> float:
-        """Bearing in radians measured clockwise from north."""
-        return math.atan2(self.dx, self.dy)
+    def __init__(self, dx: int, dy: int) -> None:
+        self.dx = dx
+        self.dy = dy
+        self.angle = math.atan2(dx, dy)
+        self.index = round(self.angle / (math.pi / 2)) % 4
 
     def clockwise(self) -> "Direction":
         order = (Direction.N, Direction.E, Direction.S, Direction.W)
@@ -51,8 +71,6 @@ class Direction(Enum):
         return order[(order.index(self) - 1) % 4]
 
 
-#: Direction index used in feature vectors and serialized traces.
-DIRECTION_INDEX = {Direction.N: 0, Direction.E: 1, Direction.S: 2, Direction.W: 3}
 DIRECTION_BY_NAME = {d.name: d for d in Direction}
 
 
@@ -98,25 +116,34 @@ class Action:
 
     @staticmethod
     def noop() -> "Action":
-        return Action(ActionKind.NOOP)
+        return TARGETLESS_ACTIONS[ActionKind.NOOP]
 
     @staticmethod
     def move(direction: Direction) -> "Action":
-        return Action(KIND_FOR_DIRECTION[direction])
+        return TARGETLESS_ACTIONS[KIND_FOR_DIRECTION[direction]]
 
     @staticmethod
     def shoot(target: int) -> "Action":
         return Action(ActionKind.SHOOT, target)
 
 
+#: One shared instance per target-less kind (noop, the four moves, the two
+#: rotations); actions are immutable, so these stand for every such action.
+TARGETLESS_ACTIONS = {
+    kind: Action(kind) for kind in ActionKind if kind is not ActionKind.SHOOT
+}
+
+
 class AgentKind(Enum):
+    """Agent roles.  ``is_guard`` is a plain member attribute: true for
+    both kinds of guard, false for attackers."""
+
     GUARD = "guard"
     AD_HOC_GUARD = "ad_hoc_guard"
     ATTACKER = "attacker"
 
-    @property
-    def is_guard(self) -> bool:
-        return self is not AgentKind.ATTACKER
+    def __init__(self, value: str) -> None:
+        self.is_guard = value != "attacker"
 
 
 @dataclass
@@ -185,6 +212,15 @@ class GridConfig:
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
+
+    @functools.cached_property
+    def geometry(self) -> "Geometry":
+        """This configuration's :class:`Geometry`, built on first use.
+
+        The cached value sits outside the dataclass fields, so equality,
+        hashing and ``dataclasses.replace`` (which builds a fresh config
+        with fresh tables) are unchanged."""
+        return Geometry(self)
 
     @property
     def attacker_band_rows(self) -> int:
@@ -287,7 +323,10 @@ class WorldState:
     def copy(self) -> "WorldState":
         return WorldState(
             config=self.config,
-            agents=[replace(a) for a in self.agents],
+            agents=[
+                AgentState(a.id, a.kind, a.x, a.y, a.direction, a.alive)
+                for a in self.agents
+            ],
             step_count=self.step_count,
             shots_fired=dict(self.shots_fired),
             shots_hit=dict(self.shots_hit),
@@ -325,17 +364,9 @@ def reset(config: GridConfig, seed: int, ad_hoc: bool = True) -> WorldState:
     )
 
 
-def fort_distance(config: GridConfig, x: float, y: float) -> float:
-    """Euclidean distance from (x, y) to the nearest fort cell."""
-    return min(math.hypot(x - fx, y - fy) for (fx, fy) in config.fort_cells)
-
-
-def fort_center(config: GridConfig) -> tuple[float, float]:
-    cells = sorted(config.fort_cells)
-    return (
-        sum(c[0] for c in cells) / len(cells),
-        sum(c[1] for c in cells) / len(cells),
-    )
+# ---------------------------------------------------------------------------
+# geometry: the formulas, and their tables per configuration
+# ---------------------------------------------------------------------------
 
 
 def wrap_angle(a: float) -> float:
@@ -347,8 +378,115 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def grid_center(config: GridConfig) -> tuple[float, float]:
+    """Geometric center of the cell grid (a half-cell point on even sizes)."""
+    return ((config.width - 1) / 2, (config.height - 1) / 2)
+
+
+def _range_formula(shoot_range: float, dx: float, dy: float) -> bool:
+    return math.hypot(dx, dy) <= shoot_range + EPS
+
+
+def _arc_formula(shoot_arc_deg: float, facing: Direction, dx: float, dy: float) -> bool:
+    if dx == 0 and dy == 0:
+        return False
+    bearing = math.atan2(dx, dy)
+    half = math.radians(shoot_arc_deg) / 2
+    return abs(wrap_angle(bearing - facing.angle)) <= half + EPS
+
+
+def _fort_distance_formula(fort_cells, x: float, y: float) -> float:
+    return min(math.hypot(x - fx, y - fy) for (fx, fy) in fort_cells)
+
+
+def _nearest_fort_cell_formula(fort_cells, x: int, y: int) -> tuple[int, int]:
+    return min(sorted(fort_cells), key=lambda c: math.hypot(x - c[0], y - c[1]))
+
+
+def _centre_polar_formula(center: tuple[float, float], x: float, y: float):
+    dx, dy = x - center[0], y - center[1]
+    dist = math.hypot(dx, dy)
+    return dist, 0.0 if dist == 0 else math.atan2(dx, dy)
+
+
+class Geometry:
+    """The geometric rules of one :class:`GridConfig`, tabulated.
+
+    ``config.geometry`` builds it on first use and keeps it for the life of
+    the configuration.  Every entry is the value of the formula it replaces
+    (``_range_formula``, ``_arc_formula`` ...), evaluated once, so a lookup
+    is bit-identical to a call.  Offsets span every displacement between
+    two cells of the grid, ``(1 - width .. width - 1, 1 - height ..
+    height - 1)``; the per-facing tables are tuples indexed by
+    ``Direction.index``.
+
+    * ``in_range[offset]`` -- whether the offset is within weapon range;
+      its keys are the span;
+    * ``in_arc[facing]`` -- the set of offsets in the facing's arc (never
+      the zero offset);
+    * ``cone[facing]`` -- the set of offsets in range and in the arc: where
+      a shooter so facing hits;
+    * ``disk`` -- the in-range offsets, in ``(dx, dy)`` order;
+    * ``fort_distance[cell]``, ``nearest_fort_cell[cell]`` -- Euclidean
+      distance to the nearest fort cell, and that cell (ties to the least);
+    * ``centre_polar[cell]`` -- ``(distance, bearing)`` of the cell around
+      :func:`grid_center`, the bearing clockwise from north and 0 at the
+      exact centre.
+
+    Every value is a function of the configuration alone, which is frozen,
+    so the tables can never go stale; nothing is keyed by a world state,
+    whose agents move (and which tests edit in place).  The functions that
+    read the tables fall back to the formula for inputs off them.
+    """
+
+    def __init__(self, config: GridConfig) -> None:
+        w, h = config.width, config.height
+        offsets = [(dx, dy) for dx in range(1 - w, w) for dy in range(1 - h, h)]
+        self.in_range = {o: _range_formula(config.shoot_range, *o) for o in offsets}
+        self.disk = tuple(o for o in offsets if self.in_range[o])
+        self.in_arc = tuple(
+            frozenset(o for o in offsets if _arc_formula(config.shoot_arc_deg, facing, *o))
+            for facing in Direction
+        )
+        self.cone = tuple(arc.intersection(self.disk) for arc in self.in_arc)
+        cells = [(x, y) for x in range(w) for y in range(h)]
+        forts = config.fort_cells
+        self.fort_distance = {c: _fort_distance_formula(forts, *c) for c in cells}
+        self.nearest_fort_cell = {c: _nearest_fort_cell_formula(forts, *c) for c in cells}
+        center = grid_center(config)
+        self.centre_polar = {c: _centre_polar_formula(center, *c) for c in cells}
+
+
+def fort_distance(config: GridConfig, x: float, y: float) -> float:
+    """Euclidean distance from (x, y) to the nearest fort cell."""
+    d = config.geometry.fort_distance.get((x, y))
+    return _fort_distance_formula(config.fort_cells, x, y) if d is None else d
+
+
+def nearest_fort_cell(config: GridConfig, x: int, y: int) -> tuple[int, int]:
+    """The fort cell nearest (x, y); ties go to the least cell."""
+    c = config.geometry.nearest_fort_cell.get((x, y))
+    return _nearest_fort_cell_formula(config.fort_cells, x, y) if c is None else c
+
+
+def centre_polar(config: GridConfig, x: float, y: float) -> tuple[float, float]:
+    """``(distance, bearing)`` of (x, y) around :func:`grid_center`; the
+    bearing is clockwise from north, 0 at the exact centre."""
+    polar = config.geometry.centre_polar.get((x, y))
+    return _centre_polar_formula(grid_center(config), x, y) if polar is None else polar
+
+
+def fort_center(config: GridConfig) -> tuple[float, float]:
+    cells = sorted(config.fort_cells)
+    return (
+        sum(c[0] for c in cells) / len(cells),
+        sum(c[1] for c in cells) / len(cells),
+    )
+
+
 def in_range(config: GridConfig, sx: int, sy: int, tx: int, ty: int) -> bool:
-    return math.hypot(tx - sx, ty - sy) <= config.shoot_range + EPS
+    hit = config.geometry.in_range.get((tx - sx, ty - sy))
+    return _range_formula(config.shoot_range, tx - sx, ty - sy) if hit is None else hit
 
 
 def in_arc(
@@ -358,19 +496,25 @@ def in_arc(
 
     The shooter's own cell is never in its arc.
     """
-    dx, dy = tx - sx, ty - sy
-    if dx == 0 and dy == 0:
-        return False
-    bearing = math.atan2(dx, dy)
-    half = math.radians(config.shoot_arc_deg) / 2
-    return abs(wrap_angle(bearing - facing.angle)) <= half + EPS
+    geometry, offset = config.geometry, (tx - sx, ty - sy)
+    if offset in geometry.in_range:
+        return offset in geometry.in_arc[facing.index]
+    return _arc_formula(config.shoot_arc_deg, facing, *offset)
+
+
+def in_cone(
+    config: GridConfig, facing: Direction, sx: int, sy: int, tx: int, ty: int
+) -> bool:
+    """Range-and-arc test: a shooter at (sx, sy) so facing hits (tx, ty)."""
+    geometry, offset = config.geometry, (tx - sx, ty - sy)
+    if offset in geometry.in_range:
+        return offset in geometry.cone[facing.index]
+    return in_range(config, sx, sy, tx, ty) and in_arc(config, facing, sx, sy, tx, ty)
 
 
 def clear_shot(config: GridConfig, shooter: AgentState, target: AgentState) -> bool:
     """Range-and-arc test between two agents at their current poses."""
-    return in_range(config, shooter.x, shooter.y, target.x, target.y) and in_arc(
-        config, shooter.direction, shooter.x, shooter.y, target.x, target.y
-    )
+    return in_cone(config, shooter.direction, shooter.x, shooter.y, target.x, target.y)
 
 
 def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
@@ -389,9 +533,9 @@ def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
     for kind, d in MOVE_KINDS.items():
         nx, ny = agent.x + d.dx, agent.y + d.dy
         if state.config.in_bounds(nx, ny) and (nx, ny) not in occupied:
-            acts.append(Action(kind))
-    acts.append(Action(ActionKind.ROTATE_CW))
-    acts.append(Action(ActionKind.ROTATE_CCW))
+            acts.append(TARGETLESS_ACTIONS[kind])
+    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CW])
+    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW])
     for other in sorted(state.agents, key=lambda a: a.id):
         if (
             other.alive

@@ -9,7 +9,9 @@ Layout (fixed, position-indexed by the model cues):
 * Block fields: ``x``, ``y``, Euclidean distance to the grid center,
   bearing from north around the grid center (radians in (-pi, pi],
   0 at the exact center), orientation index (N=0, E=1, S=2, W=3), and
-  Euclidean distance to the nearest fort cell.
+  Euclidean distance to the nearest fort cell.  The two distances and the
+  bearing are the simulator's (``env.centre_polar``, ``env.fort_distance``),
+  read from the configuration's geometry tables.
 * Three globals: distance of the nearest *alive* attacker to the fort
   (grid diagonal when none is alive), number of attackers not alive, and
   the modeled agent's previous action kind (noop before the first step).
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,9 +42,10 @@ from fortdefense.env import (
     ActionKind,
     AgentKind,
     AgentState,
-    DIRECTION_INDEX,
     GridConfig,
     WorldState,
+    centre_polar,
+    fort_distance,
 )
 
 #: Entries per agent block and number of blocks.
@@ -61,32 +65,18 @@ CATEGORICAL_FEATURES = frozenset(
 ) | {N_FEATURES - 1}
 
 
-def grid_center(config: GridConfig) -> tuple[float, float]:
-    """Geometric center of the cell grid (a half-cell point on even sizes)."""
-    return ((config.width - 1) / 2, (config.height - 1) / 2)
-
-
 def grid_diagonal(config: GridConfig) -> float:
     """Longest possible distance between two cells; the padding sentinel."""
     return math.hypot(config.width - 1, config.height - 1)
 
 
-def _fort_dist(config: GridConfig, x: float, y: float) -> float:
-    return min(math.hypot(x - fx, y - fy) for fx, fy in config.fort_cells)
-
-
 def _agent_block(config: GridConfig, agent: AgentState) -> list[float]:
-    cx, cy = grid_center(config)
-    dx, dy = agent.x - cx, agent.y - cy
-    dist_center = math.hypot(dx, dy)
-    bearing = 0.0 if dist_center == 0 else math.atan2(dx, dy)
     return [
         float(agent.x),
         float(agent.y),
-        dist_center,
-        bearing,
-        float(DIRECTION_INDEX[agent.direction]),
-        _fort_dist(config, agent.x, agent.y),
+        *centre_polar(config, agent.x, agent.y),
+        float(agent.direction.index),
+        fort_distance(config, agent.x, agent.y),
     ]
 
 
@@ -105,36 +95,23 @@ def extract(
     """
     config = state.config
     me = state.get(modeled)
-    mates = sorted(
-        (
-            a
-            for a in state.agents
-            if a.id != modeled and a.kind.is_guard == me.kind.is_guard
-        ),
-        key=lambda a: a.id,
-    )
-    opponents = sorted(
-        (a for a in state.agents if a.kind.is_guard != me.kind.is_guard),
-        key=lambda a: a.id,
-    )
+    by_id = sorted(state.agents, key=attrgetter("id"))
+    side = me.kind.is_guard
+    mates = [a for a in by_id if a.id != modeled and a.kind.is_guard is side]
+    opponents = [a for a in by_id if a.kind.is_guard is not side]
     blocks = ([me] + mates + opponents)[:N_BLOCKS]
     values: list[float] = []
     for agent in blocks:
-        values.extend(_agent_block(config, agent))
-    pad = pad_sentinel_block(config)
-    while len(values) < N_BLOCKS * len(BLOCK_FIELDS):
-        values.extend(pad)
+        values += _agent_block(config, agent)
+    if len(blocks) < N_BLOCKS:
+        values += pad_sentinel_block(config) * (N_BLOCKS - len(blocks))
 
-    alive_attackers = [
-        a for a in state.agents if a.kind is AgentKind.ATTACKER and a.alive
-    ]
-    if alive_attackers:
-        nearest = min(_fort_dist(config, a.x, a.y) for a in alive_attackers)
-    else:
-        nearest = grid_diagonal(config)
-    down = sum(1 for a in state.agents if a.kind is AgentKind.ATTACKER and not a.alive)
+    attackers = [a for a in by_id if a.kind is AgentKind.ATTACKER]
+    alive = [fort_distance(config, a.x, a.y) for a in attackers if a.alive]
+    nearest = min(alive) if alive else grid_diagonal(config)
+    down = len(attackers) - len(alive)
     prev = ActionKind.NOOP if prev_action is None else prev_action.kind
-    values.extend([nearest, float(down), float(int(prev))])
+    values += (nearest, float(down), float(int(prev)))
     return np.array(values, dtype=float)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from fortdefense.env import Direction, GridConfig, in_arc, in_range
+from fortdefense.env import Direction, GridConfig, in_cone
 from fortdefense.kr.lang import (
     Atom,
     DomainDescription,
@@ -222,9 +222,7 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
     ]
 
     def in_sight(x1, y1, d, x2, y2) -> bool:
-        return in_range(config, x1, y1, x2, y2) and in_arc(
-            config, DIR_OF_SYMBOL[d], x1, y1, x2, y2
-        )
+        return in_cone(config, DIR_OF_SYMBOL[d], x1, y1, x2, y2)
 
     def within_reach(x1, y1, x2, y2) -> bool:
         return math.hypot(x2 - x1, y2 - y1) <= config.shoot_range + PURSUIT_MARGIN

@@ -37,6 +37,7 @@ from typing import Callable, Mapping, Optional
 
 from fortdefense.env import (
     MOVE_KINDS,
+    TARGETLESS_ACTIONS,
     Action,
     ActionKind,
     AgentState,
@@ -47,6 +48,7 @@ from fortdefense.env import (
     fort_distance,
     in_arc,
     legal_actions,
+    nearest_fort_cell,
 )
 
 BUILTIN_NAMES = ("B220", "B650", "B1240", "B1600")
@@ -189,8 +191,8 @@ def _rotate_toward(agent: AgentState, pos: tuple[float, float]) -> Optional[Acti
     if steps_cw == 0:
         return None
     if steps_cw == 3:
-        return Action(ActionKind.ROTATE_CCW)
-    return Action(ActionKind.ROTATE_CW)
+        return TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW]
+    return TARGETLESS_ACTIONS[ActionKind.ROTATE_CW]
 
 
 def _guard_rank(state: WorldState, agent_id: int) -> int:
@@ -210,10 +212,6 @@ def _guard_anchor(cfg: GridConfig, spec: PolicySpec, rank: int, n: int) -> tuple
     gap = spec.param("anchor_gap")
     offset = (rank - (n - 1) / 2) * gap
     return (_clamp(round(cx + offset), 0, cfg.width - 1), cfg.height - 2)
-
-
-def _nearest_fort_cell(cfg: GridConfig, pos: tuple[int, int]) -> tuple[int, int]:
-    return min(sorted(cfg.fort_cells), key=lambda c: _dist(pos, c))
 
 
 def _covered(
@@ -393,7 +391,7 @@ def _lane_advance(
         return _advance(agent, moves, (lane_x, agent.y), limit)
     if agent.y < row:
         return _advance(agent, moves, (lane_x, row), limit)
-    return _advance(agent, moves, _nearest_fort_cell(cfg, agent.pos), limit)
+    return _advance(agent, moves, nearest_fort_cell(cfg, agent.x, agent.y), limit)
 
 
 def _attacker_action(
@@ -404,7 +402,7 @@ def _attacker_action(
     moves = _legal_moves(legal)
     shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
     rank = _attacker_rank(state, agent.id)
-    fort_goal = _nearest_fort_cell(cfg, agent.pos)
+    fort_goal = nearest_fort_cell(cfg, agent.x, agent.y)
     cx, _ = fort_center(cfg)
 
     slide_row = cfg.attacker_band_rows + rank
@@ -539,7 +537,7 @@ def _attacker_action(
             ]
             if runners_up:
                 runner = runners_up[0]
-                gate = _nearest_fort_cell(cfg, runner.pos)
+                gate = nearest_fort_cell(cfg, runner.x, runner.y)
                 blocker = min(guards, key=lambda g: (_dist(g.pos, gate), g.id))
                 return _advance(agent, moves, blocker.pos)
 
@@ -622,11 +620,10 @@ def _attacker_action(
                     if rot:
                         return rot
                     return Action.noop()
-                reach = int(cfg.shoot_range)
+                # every cell strikeable from lies in the weapon-range disk
                 posts = [
                     (mark.x + dx, mark.y + dy)
-                    for dx in range(-reach, reach + 1)
-                    for dy in range(-reach, reach + 1)
+                    for dx, dy in cfg.geometry.disk
                     if 0 <= mark.x + dx < cfg.width
                     and 0 <= mark.y + dy < cfg.height
                     and strikeable((mark.x + dx, mark.y + dy))

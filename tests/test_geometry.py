@@ -1,0 +1,205 @@
+"""Tests for the per-configuration geometry tables (``GridConfig.geometry``).
+
+The tables must give exactly what the formulas they replaced give: the
+property below compares every table-backed function with the slow copies in
+``reference_geometry.py`` over random configurations, on and off the table
+span.  The other tests pin the tables' lifetime (one per configuration
+object, invisible to equality, hashing and serialization) and the enum
+attributes that replaced properties.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+from hypothesis import given, settings, strategies as st
+
+import reference_geometry as ref
+from fortdefense.env import (
+    EPS,
+    TARGETLESS_ACTIONS,
+    Action,
+    ActionKind,
+    AgentKind,
+    AgentState,
+    Direction,
+    GridConfig,
+    clear_shot,
+    fort_distance,
+    in_arc,
+    in_cone,
+    in_range,
+    nearest_fort_cell,
+    reset,
+)
+from fortdefense.explain import _config_dict, load_traces, save_traces
+from fortdefense.features import _agent_block
+from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics
+
+# Ranges and arcs that put a cell's distance or bearing (from a shooter
+# facing north) exactly on the ``+ EPS`` edge or inside the EPS margin:
+# only these tell ``<=`` from ``<`` and a kept EPS from a dropped one.
+_SHORT_BY = st.sampled_from([1.0, 0.5])
+_BOUNDARY_RANGES = st.builds(
+    lambda a, b, k: math.hypot(a, b) - k * EPS,
+    st.integers(0, 8),
+    st.integers(1, 8),
+    _SHORT_BY,
+)
+_BOUNDARY_ARCS = st.builds(
+    lambda a, b, k: math.degrees(2 * (math.atan2(a, b) - k * EPS)),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    _SHORT_BY,
+)
+RANGES = st.one_of(
+    st.sampled_from([1.0, 2.5, 4.5, 5.0, 7.25, 12.0, 40.0]),
+    st.floats(0.5, 30.0),
+    _BOUNDARY_RANGES,
+)
+ARCS = st.one_of(
+    st.sampled_from([30.0, 90.0, 180.0, 360.0]),
+    st.floats(1.0, 360.0),
+    _BOUNDARY_ARCS,
+)
+
+
+@st.composite
+def configs(draw) -> GridConfig:
+    width, height = draw(st.integers(5, 25)), draw(st.integers(5, 25))
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    forts = draw(st.one_of(st.none(), st.frozensets(cells, min_size=1, max_size=4)))
+    return GridConfig(
+        width=width,
+        height=height,
+        fort_cells=forts,
+        shoot_range=draw(RANGES),
+        shoot_arc_deg=draw(ARCS),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=configs(), data=st.data())
+def test_tables_match_the_reference(config, data):
+    w, h = config.width, config.height
+    in_sight = build_statics(config)["in_sight"]
+    sx = data.draw(st.integers(0, w - 1), label="sx")
+    sy = data.draw(st.integers(0, h - 1), label="sy")
+    # every offset near the weapon-range disk, plus far ones off the span
+    reach = min(math.ceil(config.shoot_range) + 1, max(w, h) + 2)
+    near = [(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
+    far_coord = st.integers(-2 * max(w, h) - 10, 2 * max(w, h) + 10)
+    far = data.draw(st.lists(st.tuples(far_coord, far_coord), max_size=10), label="far")
+    for dx, dy in near + far:
+        tx, ty = sx + dx, sy + dy
+        want_range = ref.in_range(config, sx, sy, tx, ty)
+        assert in_range(config, sx, sy, tx, ty) is want_range, (dx, dy)
+        for facing in Direction:
+            want_arc = ref.in_arc(config, facing, sx, sy, tx, ty)
+            assert in_arc(config, facing, sx, sy, tx, ty) is want_arc, (facing, dx, dy)
+            want = want_range and want_arc
+            assert in_cone(config, facing, sx, sy, tx, ty) is want
+            shooter = AgentState(0, AgentKind.GUARD, sx, sy, facing)
+            target = AgentState(1, AgentKind.ATTACKER, tx, ty, Direction.N)
+            assert clear_shot(config, shooter, target) is want
+            assert in_sight.contains((sx, sy, SYMBOL_OF_DIR[facing], tx, ty)) is want
+
+    off_grid = data.draw(
+        st.lists(st.tuples(st.integers(-8, w + 8), st.integers(-8, h + 8)), max_size=10),
+        label="off_grid",
+    )
+    cells = [(x, y) for x in range(w) for y in range(h)] + off_grid
+    for x, y in cells + [(x + 0.5, y - 0.25) for x, y in off_grid]:
+        assert fort_distance(config, x, y) == ref.fort_distance(config, x, y), (x, y)
+    for x, y in cells:
+        assert nearest_fort_cell(config, x, y) == ref._nearest_fort_cell(config, (x, y))
+        for facing in Direction:
+            agent = AgentState(0, AgentKind.GUARD, x, y, facing)
+            assert _agent_block(config, agent) == ref._agent_block(config, agent)
+
+
+def test_boundary_draws_reach_the_eps_edge():
+    # the strategies above must really reach the edge they exist for
+    assert math.hypot(3, 4) == (5.0 - EPS) + EPS
+    bearing = math.atan2(1, 2)
+    half = math.radians(math.degrees(2 * (bearing - EPS))) / 2
+    assert bearing == half + EPS
+    config = GridConfig(shoot_arc_deg=math.degrees(2 * (bearing - EPS / 2)))
+    assert math.radians(config.shoot_arc_deg) / 2 < bearing
+    assert ref.in_arc(config, Direction.N, 0, 0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# table lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_a_replaced_config_gets_fresh_tables():
+    config = GridConfig()
+    assert config.geometry.in_range[(4, 0)]
+    narrow = dataclasses.replace(config, shoot_range=3.0)
+    assert narrow.geometry is not config.geometry
+    assert not narrow.geometry.in_range[(4, 0)]
+    assert not in_range(narrow, 0, 0, 4, 0) and in_range(config, 0, 0, 4, 0)
+    assert config.geometry is config.geometry
+
+
+def test_built_tables_leave_equality_and_hashing_alone():
+    a, b = GridConfig(), GridConfig()
+    hash_before = hash(a)
+    a.geometry
+    assert a == b and hash(a) == hash(b) == hash_before
+    assert {a: 1}[b] == 1
+    assert repr(a) == repr(b)
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    assert "geometry" not in {f.name for f in dataclasses.fields(a)}
+    assert a != dataclasses.replace(a, shoot_arc_deg=60.0)
+
+
+def test_config_round_trip_ignores_the_tables(w0_p1_record, tmp_path):
+    config = GridConfig()
+    fresh = _config_dict(config)
+    config.geometry
+    assert _config_dict(config) == fresh
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_traces([w0_p1_record], config, first)
+    loaded = load_traces(first)
+    assert loaded[0].config == config
+    loaded[0].config.geometry
+    save_traces(loaded, loaded[0].config, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# enum attributes and shared actions
+# ---------------------------------------------------------------------------
+
+
+def test_enum_attributes_equal_the_old_properties():
+    for d in Direction:
+        assert {"dx", "dy", "angle", "index"} <= set(vars(d))
+        assert (d.dx, d.dy) == d.value
+        assert d.angle == math.atan2(d.value[0], d.value[1])
+        assert d.index == ref.DIRECTION_INDEX[d]
+    for kind in AgentKind:
+        assert "is_guard" in vars(kind)
+        assert kind.is_guard is (kind is not AgentKind.ATTACKER)
+
+
+def test_targetless_actions_are_shared_and_equal_fresh_ones():
+    assert set(TARGETLESS_ACTIONS) == set(ActionKind) - {ActionKind.SHOOT}
+    for kind, act in TARGETLESS_ACTIONS.items():
+        assert act == Action(kind) and hash(act) == hash(Action(kind))
+    assert Action.noop() is TARGETLESS_ACTIONS[ActionKind.NOOP]
+    assert Action.move(Direction.E) is TARGETLESS_ACTIONS[ActionKind.MOVE_E]
+
+
+def test_state_copy_is_equal_and_independent():
+    state = reset(GridConfig(), seed=3)
+    state.agents[1].alive = False
+    clone = state.copy()
+    assert clone.agents == state.agents
+    assert all(a is not b for a, b in zip(clone.agents, state.agents))
+    clone.agents[0].x += 1
+    assert clone.agents[0] != state.agents[0]

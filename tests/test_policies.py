@@ -3,12 +3,14 @@ invariants, plus the mix-selection frequency check."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
+from fortdefense import loop
 from fortdefense.env import (
     MOVE_KINDS,
     Action,
@@ -275,3 +277,53 @@ def test_policy_episodes_are_deterministic():
             b.shots_fired,
             b.shots_hit,
         )
+
+
+# ---------------------------------------------------------------------------
+# golden scripted games
+# ---------------------------------------------------------------------------
+
+# sha256 per policy over one all-scripted game (GridConfig(), episode seed
+# 1000, ad_hoc=False) played through loop.run_games with an example sink:
+# every tick's joint action as "id:kind:target" items sorted by id, then
+# "outcome|steps", then each collected example as its role, its label and
+# the raw bytes of its float64 feature vector.  A refactor of the policies,
+# the simulator or the features that keeps every scripted decision and
+# every example keeps these values.
+GOLDEN_SCRIPTED_SEED1000 = {
+    "P1": "9f89446131bf8a3b105cb951625ce41c9e09a97438bce4f9d93258a0ee2f9216",
+    "P2": "5d21d8f6a8bed907aa8cfa77fdc484905b8a6478b5458c4498e9d6ccb82cb39c",
+    "B220": "33cb4cf42dec1ec789047d4b3e6ac50fdeba88933888aa44116794e94cd84afe",
+    "B650": "2e242fd852e52c168a4f60ab3c35cb72c31feea65f35348738ce605b369fc2f8",
+    "B1240": "5331bfd2ae1bdd7df5f66d7d6c0a0bd1e44787c713143d2c9edf2203cde6f861",
+    "B1600": "1576e8f1d14a353506dee739d35410e4937de53741129caedf43733ddc3831db",
+}
+
+
+def _scripted_game_digest(policy: str, monkeypatch) -> str:
+    h = hashlib.sha256()
+    real_step = loop.step
+
+    def recording_step(state, actions):
+        joint = ",".join(
+            f"{i}:{int(a.kind)}:{a.target}" for i, a in sorted(actions.items())
+        )
+        h.update(joint.encode() + b"\n")
+        return real_step(state, actions)
+
+    monkeypatch.setattr(loop, "step", recording_step)
+    sink = {"guard": [], "attacker": []}
+    stats = loop.run_games(
+        GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink
+    )
+    episode = stats.episodes[0]
+    h.update(f"{episode.outcome}|{episode.steps}\n".encode())
+    for role in ("guard", "attacker"):
+        for vec, label in sink[role]:
+            h.update(f"{role}|{label}|".encode() + vec.tobytes() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_SCRIPTED_SEED1000))
+def test_golden_scripted_game(policy, monkeypatch):
+    assert _scripted_game_digest(policy, monkeypatch) == GOLDEN_SCRIPTED_SEED1000[policy]
