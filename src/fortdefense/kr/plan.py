@@ -190,6 +190,57 @@ def goal_bound(
     return lambda belief: max((b(belief) for b in bounds), default=0)
 
 
+@dataclass
+class _Search:
+    """One ``plan`` call's fixed inputs and its running expansion count.
+
+    The depth-first search is a module-level function taking this as an
+    argument: a nested function that calls itself holds a reference to
+    itself, a cycle every call would leave for the cycle collector.
+    """
+
+    goal: Goal
+    gdom: GroundedDomain
+    exo: list[tuple[Atom, ...]]
+    h: Bound
+    expanded: int = 0
+
+
+def _search(
+    ctx: _Search,
+    node: Belief,
+    path: tuple[Atom, ...],
+    limit: int,
+    visited: set[tuple[frozenset[Atom], int]],
+) -> Optional[tuple[Atom, ...]]:
+    ctx.expanded += 1
+    gdom, depth = ctx.gdom, len(path)
+    for action in candidate_actions(node, gdom):
+        ok, _ = check_executable(node, action, gdom)
+        if not ok:
+            continue
+        child = progress(
+            node,
+            (action,) + ctx.exo[depth],
+            gdom,
+            on_blocked="drop",
+            checked=frozenset((action,)),
+        )
+        new_path = path + (action,)
+        if goal_holds(child, ctx.goal):
+            return new_path
+        if depth + 1 >= limit or depth + 1 + ctx.h(child) > limit:
+            continue
+        key = (child.inertial_atoms(gdom), depth + 1)
+        if key in visited:
+            continue
+        visited.add(key)
+        found = _search(ctx, child, new_path, limit, visited)
+        if found is not None:
+            return found
+    return None
+
+
 def plan(
     belief: Belief,
     goal: Goal,
@@ -209,49 +260,13 @@ def plan(
     exo: list[tuple[Atom, ...]] = [tuple(step) for step in schedule]
     while len(exo) < horizon:
         exo.append(())
-    h = goal_bound(goal, gdom, exo[:horizon])
-    expanded = 0
-
-    def search(
-        node: Belief,
-        path: tuple[Atom, ...],
-        limit: int,
-        visited: set[tuple[frozenset[Atom], int]],
-    ) -> Optional[tuple[Atom, ...]]:
-        nonlocal expanded
-        expanded += 1
-        depth = len(path)
-        for action in candidate_actions(node, gdom):
-            ok, _ = check_executable(node, action, gdom)
-            if not ok:
-                continue
-            child = progress(
-                node,
-                (action,) + exo[depth],
-                gdom,
-                on_blocked="drop",
-                checked=frozenset((action,)),
-            )
-            new_path = path + (action,)
-            if goal_holds(child, goal):
-                return new_path
-            if depth + 1 >= limit or depth + 1 + h(child) > limit:
-                continue
-            key = (child.inertial_atoms(gdom), depth + 1)
-            if key in visited:
-                continue
-            visited.add(key)
-            found = search(child, new_path, limit, visited)
-            if found is not None:
-                return found
-        return None
-
+    ctx = _Search(goal, gdom, exo, goal_bound(goal, gdom, exo[:horizon]))
     root_key = (belief.inertial_atoms(gdom), 0)
-    for limit in range(max(1, h(belief)), horizon + 1):
-        found = search(belief, (), limit, {root_key})
+    for limit in range(max(1, ctx.h(belief)), horizon + 1):
+        found = _search(ctx, belief, (), limit, {root_key})
         if found is not None:
-            return Plan(found, True, expanded)
-    return Plan((), False, expanded)
+            return Plan(found, True, ctx.expanded)
+    return Plan((), False, ctx.expanded)
 
 
 def replay(

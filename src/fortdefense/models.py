@@ -7,11 +7,36 @@ whatever remains.  The leaf budget is the attribute count (39).
 
 A *stacked model* predicts one of the eight action kinds with eight
 one-vs-rest FF trees whose binary votes feed a small top-down decision tree
-(the combiner).  Induction is deterministic: greedy cue choice maximizing
-the balanced accuracy of the single cue on the data remaining at that
-level, ties resolved toward the lowest feature index and smallest
-threshold; the combiner maximizes information gain with the same
-tie-breaking and predicts the lowest-indexed action on count ties.
+(the combiner).  Induction is deterministic and greedy: each level takes
+the cue whose split of the rows remaining at that level has the highest
+balanced accuracy (of the two-sided majority classifier), with these
+rules:
+
+- a numeric cue ``value <= t`` may split between any two consecutive
+  values present among the remaining rows, with ``t`` their midpoint;
+- a categorical cue ``value == c`` may use any category present among the
+  remaining rows, except one that holds every remaining row;
+- within a feature the first maximum wins: the smallest threshold, or the
+  lowest category;
+- across features, in index order, a later feature replaces the best so
+  far only when it scores more than ``1e-12`` higher, so scores that
+  differ only by float rounding keep the lower feature index;
+- induction stops when the remaining rows are one class, the leaf budget
+  is spent, or the best score is at most ``0.5 + 1e-12``.
+
+The combiner maximizes information gain with the same cross-feature
+margin and predicts the lowest-indexed action on count ties.
+
+Split finding is exact histogram induction (as in LightGBM, Ke et al.,
+NeurIPS 2017, without its binning): ``learn_stacked`` rank-codes every
+feature column once, each column's distinct values a range of integer
+bins, and that one code table serves all eight trees.  A level's per-bin
+row and positive counts come from ``np.bincount``; the root's row counts
+are shared by the eight trees, and each later level subtracts the
+histogram of the rows the new cue exits.  One vectorized pass over the
+histograms scores every numeric boundary and every category of every
+feature, so a level costs a fixed number of array operations whatever the
+feature count, with the same floats as a per-feature sort-and-scan.
 
 Agreement trackers keep a sliding window (default 30) of
 prediction-matched-observation flags per (agent, model) pair; the windowed
@@ -41,6 +66,11 @@ THETA_DEFAULT = 0.5
 RESERVOIR_SIZE = 5000
 BUFFER_SIZE = 200
 FORMAT_VERSION = 1
+# Rows per histogram gather and values per rank-coding sort: induction's
+# temporary index arrays stay a few hundred KB however large the data set,
+# so learning raises no process's peak memory.
+_HISTOGRAM_BLOCK = 512
+_RANK_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -111,52 +141,134 @@ def _balanced_accuracy(pos_l, n_l, pos_r, n_r, pos_total, n_total):
     return (correct_pos / pos_total + correct_neg / neg_total) / 2
 
 
-def _best_split_numeric(values: np.ndarray, labels: np.ndarray):
-    """Best ``<= threshold`` split -> (balanced_accuracy, threshold) or None."""
-    order = np.argsort(values, kind="stable")
-    sv, sy = values[order], labels[order]
-    boundaries = np.nonzero(sv[:-1] < sv[1:])[0]
-    if boundaries.size == 0:
-        return None
-    prefix = np.cumsum(sy)
-    n = len(sy)
-    pos_total = int(prefix[-1])
-    if pos_total == 0 or pos_total == n:
-        return None
-    n_l = boundaries + 1
-    pos_l = prefix[boundaries]
-    ba = _balanced_accuracy(pos_l, n_l, pos_total - pos_l, n - n_l, pos_total, n)
-    k = int(np.argmax(ba))  # first max -> smallest threshold on ties
-    threshold = (sv[boundaries[k]] + sv[boundaries[k] + 1]) / 2
-    return float(ba[k]), float(threshold)
+@dataclass(frozen=True)
+class _Bins:
+    """Rank codes of a feature matrix, shared by every tree learned on it.
+
+    Each column's distinct values, ascending, are consecutive bins, and the
+    columns' bin ranges follow column order; ``codes[i, f]`` is the bin of
+    ``X[i, f]``.
+    """
+
+    codes: np.ndarray  # n x F bin ids, int32 or narrower
+    values: np.ndarray  # per bin: its value
+    feature: np.ndarray  # per bin: its column
+    counts: np.ndarray  # per bin: rows of the whole matrix in it
+    categorical: np.ndarray  # per column: whether it is categorical
+
+    def histogram(self, rows: np.ndarray) -> np.ndarray:
+        """Per-bin counts of the rows indexed by ``rows``, gathered
+        ``_HISTOGRAM_BLOCK`` rows at a time to bound the bin-id copies."""
+        counts = np.zeros(len(self.values), dtype=np.int64)
+        for start in range(0, len(rows), _HISTOGRAM_BLOCK):
+            block = self.codes[rows[start : start + _HISTOGRAM_BLOCK]]
+            counts += np.bincount(block.ravel(), minlength=len(counts))
+        return counts
 
 
-def _best_split_categorical(values: np.ndarray, labels: np.ndarray):
-    """Best ``== category`` split -> (balanced_accuracy, category) or None."""
-    n = len(labels)
-    pos_total = int(labels.sum())
-    if pos_total == 0 or pos_total == n:
-        return None
-    best = None
-    for cat in sorted(set(values.tolist())):
-        mask = values == cat
-        n_l = int(mask.sum())
-        if n_l == 0 or n_l == n:
-            continue
-        pos_l = int(labels[mask].sum())
-        ba = float(
-            _balanced_accuracy(
-                np.array([pos_l]),
-                np.array([n_l]),
-                np.array([pos_total - pos_l]),
-                np.array([n - n_l]),
-                pos_total,
-                n,
-            )[0]
-        )
-        if best is None or ba > best[0]:
-            best = (ba, float(cat))
-    return best
+def _rank_codes(X: np.ndarray, categorical: frozenset[int]) -> _Bins:
+    """Rank-code ``X`` a block of columns at a time, each block at most
+    ``_RANK_BLOCK`` values so that its sort order stays small."""
+    n_rows, n_columns = X.shape
+    codes = np.empty(X.shape, dtype=np.uint16 if n_rows <= 1 << 16 else np.int32)
+    values, counts, sizes = [], [], []
+    step = max(1, _RANK_BLOCK // max(n_rows, 1))
+    for lo in range(0, n_columns, step):
+        block = X[:, lo : lo + step]
+        order = np.argsort(block, axis=0, kind="stable")
+        ordered = np.take_along_axis(block, order, axis=0)
+        new = np.ones(block.shape, dtype=bool)  # a row opens a bin
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        np.put_along_axis(codes[:, lo : lo + step], order, np.cumsum(new, axis=0) - 1, axis=0)
+        opens = np.flatnonzero(new.T)  # column by column
+        values.append(ordered.T.ravel()[opens])
+        counts.append(np.diff(opens, append=new.size))
+        sizes += new.sum(axis=0).tolist()
+    if sum(sizes) > 1 << 16:
+        codes = codes.astype(np.int32)
+    codes += np.cumsum([0] + sizes[:-1]).astype(codes.dtype)
+    return _Bins(
+        codes=codes,
+        values=np.concatenate(values),
+        feature=np.repeat(np.arange(n_columns), sizes),
+        counts=np.concatenate(counts),
+        categorical=np.isin(np.arange(n_columns), list(categorical)),
+    )
+
+
+def _feature_splits(bins: _Bins, count: np.ndarray, pos: np.ndarray, n: int, n_pos: int):
+    """Every feature's best split of the ``n`` rows (``n_pos`` positive)
+    whose per-bin histograms are ``count`` and ``pos``, scored in one pass.
+
+    Returns ``(features, accuracies, thresholds)``, ascending by feature,
+    for the features that have a split: a numeric boundary between two
+    values present among the rows, or a category not holding every row.
+    Within a feature the first maximum wins.
+    """
+    present = np.flatnonzero(count)
+    c, p, f = count[present], pos[present], bins.feature[present]
+    cat = bins.categorical[f]
+    # every column's bins hold all n rows, so a running count over the
+    # present bins, less n per earlier column, counts the rows <= a value
+    n_l = np.where(cat, c, np.cumsum(c) - f * n)
+    pos_l = np.where(cat, p, np.cumsum(p) - f * n_pos)
+    split = np.flatnonzero(n_l < n)
+    if not split.size:
+        return [], [], []
+    n_l, pos_l, f = n_l[split], pos_l[split], f[split]
+    ba = _balanced_accuracy(pos_l, n_l, n_pos - pos_l, n - n_l, n_pos, n)
+    starts = np.flatnonzero(np.diff(f, prepend=-1))
+    best = np.maximum.reduceat(ba, starts)
+    hits = np.flatnonzero(ba == np.repeat(best, np.diff(starts, append=split.size)))
+    first = split[hits[np.searchsorted(hits, starts)]]
+    value = bins.values[present[first]]
+    # a numeric split's next present value is the next present bin
+    upper = bins.values[present[np.minimum(first + 1, present.size - 1)]]
+    thresholds = np.where(cat[first], value, (value + upper) / 2)
+    return f[starts].tolist(), best.tolist(), thresholds.tolist()
+
+
+def _learn_binned(
+    bins: _Bins, X: np.ndarray, y: np.ndarray, max_leaves: int, pos: np.ndarray
+) -> FFTree:
+    """FF-tree induction on the binary labels ``y`` of the rows ``bins``
+    codes; ``pos`` is the histogram of the positive rows."""
+    if max_leaves < 2:
+        raise ValueError("max_leaves must be at least 2")
+    count = bins.counts
+    remaining = np.arange(len(y))
+    n_pos = int(y.sum())
+    cues: list[Cue] = []
+    while len(cues) < max_leaves - 1 and 0 < n_pos < len(remaining):
+        n = len(remaining)
+        best = None  # (ba, feature, threshold)
+        for f, ba, threshold in zip(*_feature_splits(bins, count, pos, n, n_pos)):
+            if best is None or ba > best[0] + 1e-12:
+                best = (ba, f, threshold)
+        if best is None or best[0] <= 0.5 + 1e-12:
+            break
+        _, f, threshold = best
+        is_cat = bool(bins.categorical[f])
+        vals = X[remaining, f]
+        test = (vals == threshold) if is_cat else (vals <= threshold)
+        n_t = int(test.sum())
+        pos_t = int(y[remaining[test]].sum())
+        n_f, pos_f = n - n_t, n_pos - pos_t
+        assert n_t > 0 and n_f > 0
+        exit_side = max(pos_t, n_t - pos_t) / n_t >= max(pos_f, n_f - pos_f) / n_f
+        if exit_side:
+            exit_label = _majority(pos_t, n_t)
+            n_pos = pos_f
+        else:
+            exit_label = _majority(pos_f, n_f)
+            n_pos = pos_t
+        cues.append(Cue(f, is_cat, threshold, exit_side, exit_label))
+        exits = test == exit_side
+        gone = remaining[exits]
+        remaining = remaining[~exits]
+        count = count - bins.histogram(gone)
+        pos = pos - bins.histogram(gone[y[gone] == 1])
+    return FFTree(tuple(cues), _majority(n_pos, len(remaining)))
 
 
 def learn_ff_tree(
@@ -170,50 +282,8 @@ def learn_ff_tree(
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise ValueError("cannot learn from an empty example set")
-    if max_leaves < 2:
-        raise ValueError("max_leaves must be at least 2")
-    remaining = np.arange(len(y))
-    cues: list[Cue] = []
-    while len(cues) < max_leaves - 1:
-        labels = y[remaining]
-        if labels.min() == labels.max():
-            break
-        best = None  # (ba, feature, is_cat, threshold)
-        for f in range(X.shape[1]):
-            vals = X[remaining, f]
-            if f in categorical:
-                found = _best_split_categorical(vals, labels)
-            else:
-                found = _best_split_numeric(vals, labels)
-            if found is None:
-                continue
-            ba, threshold = found
-            if best is None or ba > best[0] + 1e-12:
-                best = (ba, f, f in categorical, threshold)
-        if best is None or best[0] <= 0.5 + 1e-12:
-            break
-        _, f, is_cat, threshold = best
-        vals = X[remaining, f]
-        test = (vals == threshold) if is_cat else (vals <= threshold)
-        for side in (True, False):
-            side_labels = labels[test == side]
-            assert len(side_labels) > 0
-        pos_t, n_t = int(labels[test].sum()), int(test.sum())
-        pos_f, n_f = int(labels[~test].sum()), int((~test).sum())
-        purity_t = max(pos_t, n_t - pos_t) / n_t
-        purity_f = max(pos_f, n_f - pos_f) / n_f
-        exit_side = purity_t >= purity_f
-        if exit_side:
-            exit_label = _majority(pos_t, n_t)
-            keep = ~test
-        else:
-            exit_label = _majority(pos_f, n_f)
-            keep = test
-        cues.append(Cue(f, is_cat, float(threshold), bool(exit_side), exit_label))
-        remaining = remaining[keep]
-    labels = y[remaining]
-    final_label = _majority(int(labels.sum()), len(labels)) if len(labels) else 0
-    return FFTree(tuple(cues), final_label)
+    bins = _rank_codes(X, categorical)
+    return _learn_binned(bins, X, y, max_leaves, bins.histogram(np.flatnonzero(y == 1)))
 
 
 def batch_predict(tree: FFTree, X: np.ndarray) -> np.ndarray:
@@ -323,14 +393,21 @@ def learn_stacked(X: np.ndarray, y: np.ndarray, max_leaves: int = N_FEATURES) ->
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise ValueError("cannot learn from an empty example set")
+    bins = _rank_codes(X, CATEGORICAL_FEATURES)
     trees = tuple(
-        learn_ff_tree(X, (y == k).astype(int), max_leaves, CATEGORICAL_FEATURES)
+        _learn_binned(
+            bins, X, (y == k).astype(int), max_leaves, bins.histogram(np.flatnonzero(y == k))
+        )
         for k in range(N_ACTIONS)
     )
-    votes = np.column_stack([batch_predict(t, X) for t in trees])
+    votes = _votes(trees, X)
+    # the combiner's entropies sum in Counter order, so groups and their
+    # labels are entered in order of first appearance, as a row loop would
+    pairs = (y << votes.shape[1]) + _vote_keys(votes)
+    _, first, sizes = np.unique(pairs, return_index=True, return_counts=True)
     groups: dict[tuple[int, ...], Counter] = {}
-    for row, label in zip(votes, y):
-        groups.setdefault(tuple(int(v) for v in row), Counter())[int(label)] += 1
+    for i, size in sorted(zip(first.tolist(), sizes.tolist())):
+        groups.setdefault(tuple(votes[i].tolist()), Counter())[int(y[i])] = size
     combiner = _build_combiner(groups, tuple(range(N_ACTIONS)), N_ACTIONS)
     return StackedModel(trees=trees, combiner=combiner, train_count=len(y))
 
@@ -339,11 +416,30 @@ def predict_action(model: StackedModel, vec: Sequence[float]) -> int:
     return model.predict(vec)
 
 
+def _votes(trees: Sequence[FFTree], X: np.ndarray) -> np.ndarray:
+    """Every tree's vote on every row of ``X``: an n x len(trees) matrix."""
+    return np.column_stack([batch_predict(t, X) for t in trees])
+
+
+def _vote_keys(votes: np.ndarray) -> np.ndarray:
+    """Each row of 0/1 votes as one integer, tree k's vote its bit k."""
+    return votes @ (1 << np.arange(votes.shape[1]))
+
+
+def batch_predict_action(model: StackedModel, X: np.ndarray) -> np.ndarray:
+    """``model.predict`` over the rows of ``X``: the trees vote in batch,
+    then each distinct vote pattern walks the combiner once."""
+    votes = _votes(model.trees, X)
+    _, first, inverse = np.unique(_vote_keys(votes), return_index=True, return_inverse=True)
+    labels = [model.combiner.predict(v) for v in votes[first].tolist()]
+    return np.array(labels, dtype=int)[inverse]
+
+
 def accuracy(model: StackedModel, X: np.ndarray, y: np.ndarray) -> float:
     if len(y) == 0:
         return 0.0
-    hits = sum(1 for row, lab in zip(X, y) if model.predict(row) == int(lab))
-    return hits / len(y)
+    predicted = batch_predict_action(model, np.asarray(X, dtype=float))
+    return int(np.count_nonzero(predicted == np.asarray(y))) / len(y)
 
 
 # ---------------------------------------------------------------------------

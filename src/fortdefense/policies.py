@@ -199,8 +199,10 @@ def _guard_rank(state: WorldState, agent_id: int) -> int:
     return sorted(g.id for g in state.guards()).index(agent_id)
 
 
-def _attacker_rank(state: WorldState, agent_id: int) -> int:
-    return sorted(a.id for a in state.attackers()).index(agent_id)
+def _attacker_ranks(state: WorldState) -> dict[int, int]:
+    """Each attacker's rank among the attacker ids, dead ones included."""
+    ids = sorted(a.id for a in state.attackers())
+    return {agent_id: rank for rank, agent_id in enumerate(ids)}
 
 
 def _clamp(v: int, lo: int, hi: int) -> int:
@@ -401,7 +403,8 @@ def _attacker_action(
     legal = legal_actions(state, agent.id)
     moves = _legal_moves(legal)
     shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
-    rank = _attacker_rank(state, agent.id)
+    ranks = _attacker_ranks(state)
+    rank = ranks[agent.id]
     fort_goal = nearest_fort_cell(cfg, agent.x, agent.y)
     cx, _ = fort_center(cfg)
 
@@ -437,7 +440,7 @@ def _attacker_action(
             wings = [
                 a
                 for a in state.attackers()
-                if a.alive and _attacker_rank(state, a.id) % 3 != centre_rank
+                if a.alive and ranks[a.id] % 3 != centre_rank
             ]
             ready = all(a.y >= top for a in wings)
             crowded = any(
@@ -533,7 +536,7 @@ def _attacker_action(
                 for a in state.attackers()
                 if a.alive
                 and a.y >= cfg.height - 7
-                and _attacker_rank(state, a.id) >= n_aggressors
+                and ranks[a.id] >= n_aggressors
             ]
             if runners_up:
                 runner = runners_up[0]
@@ -637,7 +640,7 @@ def _attacker_action(
                     for a in state.attackers()
                     if a.alive
                     and a.id != agent.id
-                    and _attacker_rank(state, a.id) < n_aggressors
+                    and ranks[a.id] < n_aggressors
                 ]
                 spread = 0.5 if rank == 0 else 0.0
                 post = min(

@@ -8,6 +8,7 @@ iterative deepening.  The production planner must produce the identical
 action sequence on every instance.
 """
 
+import gc
 import importlib
 import math
 import sys
@@ -530,3 +531,19 @@ def test_the_tracer_counts_every_planner_call(monkeypatch):
     assert result.success and result.expanded > 0
     assert counted == reached
     assert min(counted.values()) > 0
+
+
+def test_a_plan_call_leaves_no_reference_cycles():
+    """Whatever one search allocates is freed by reference counting alone,
+    so nothing waits for the cycle collector."""
+    _, gdom, b = interception_fixture()
+    goal = select_goal(b, gdom)
+    gc.collect()
+    gc.disable()
+    try:
+        result = plan(b, goal, gdom, horizon=8)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert result.success and result.expanded > 0
+    assert left == 0

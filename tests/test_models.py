@@ -5,25 +5,40 @@ Oracles used here:
 * exhaustive single-cue search over all (feature, threshold) pairs for the
   perfectly separable dataset;
 * brute-force window means for agreement fractions;
-* recorded cue paths for prediction invariance under off-path mutations.
+* recorded cue paths for prediction invariance under off-path mutations;
+* ``reference_models``, the argsort learner the histogram learner replaced,
+  for equal trees, models and per-feature splits;
+* the per-row ``StackedModel.predict`` loop for batch prediction.
 """
 
+import functools
+import hashlib
+import json
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import reference_models as ref
+from fortdefense.env import GridConfig
 from fortdefense.features import CATEGORICAL_FEATURES, N_FEATURES
+from fortdefense.loop import run_games
 from fortdefense.models import (
     AgreementTracker,
     FFTree,
     ModelLibrary,
     StackedModel,
+    _feature_splits,
+    _rank_codes,
+    accuracy,
+    batch_predict_action,
     incremental_update,
     learn_ff_tree,
     learn_stacked,
     load_library,
+    model_to_dict,
     predict_action,
     save_library,
     select_or_flag,
@@ -373,3 +388,263 @@ def test_randomized_invariant_sweep():
             assert label in (0, 1)
             cases += 1
     assert cases == 500
+
+
+# ---------------------------------------------------------------------------
+# histogram induction against the argsort reference
+# ---------------------------------------------------------------------------
+
+#: The six golden scripted games of ``test_policies`` (GridConfig(), episode
+#: seed 1000, all scripted), pooled in this order.
+SCRIPTED_POLICIES = ("B1240", "B1600", "B220", "B650", "P1", "P2")
+
+
+@functools.lru_cache(maxsize=None)
+def scripted_examples() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per role, the feature matrix and action labels of those games."""
+    pooled = {"guard": [], "attacker": []}
+    for policy in SCRIPTED_POLICIES:
+        sink = {"guard": [], "attacker": []}
+        run_games(GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink)
+        for role in pooled:
+            pooled[role] += sink[role]
+    return {
+        role: (
+            np.array([v for v, _ in examples], dtype=float),
+            np.array([k for _, k in examples], dtype=int),
+        )
+        for role, examples in pooled.items()
+    }
+
+
+COLUMN_KINDS = ("spread", "coarse", "constant", "copy", "category")
+
+
+def draw_column(kind: str, rng: np.random.Generator, X: list, n: int) -> np.ndarray:
+    """One feature column: spread-out floats, a few repeated levels, a
+    constant, an exact or monotone copy of an earlier column, or a
+    small-integer category."""
+    if kind == "spread":
+        return rng.uniform(-5, 25, n).round(int(rng.integers(0, 4)))
+    if kind == "coarse":
+        return rng.choice(rng.uniform(-5, 25, int(rng.integers(1, 6))), n)
+    if kind == "constant":
+        return np.full(n, float(rng.integers(-3, 4)))
+    if kind == "copy" and X:
+        source = X[int(rng.integers(0, len(X)))]
+        return source if rng.integers(0, 2) else source * 2.0 + 1.0
+    return rng.integers(0, int(rng.integers(1, 9)), n).astype(float)
+
+
+def draw_labels(data, rng: np.random.Generator, X: np.ndarray, categories, n_labels: int):
+    """Random labels, a single class, or labels carried only by a
+    categorical column (with a little noise)."""
+    n = len(X)
+    how = data.draw(st.sampled_from(("random", "one-class", "category-signal")))
+    if how == "one-class":
+        return np.full(n, int(rng.integers(0, n_labels)))
+    if how == "category-signal" and categories:
+        column = X[:, sorted(categories)[int(rng.integers(0, len(categories)))]]
+        y = column.astype(int) % n_labels
+        noise = rng.random(n) < 0.1
+        return np.where(noise, rng.integers(0, n_labels, n), y)
+    return rng.integers(0, int(rng.integers(2, n_labels + 1)), n)
+
+
+@st.composite
+def feature_matrices(draw, n_columns=None):
+    """(X, categorical columns, rng) with 1..400 rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    if n_columns is None:
+        kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8))
+        categorical = frozenset(
+            f for f, kind in enumerate(kinds) if kind == "category" or rng.random() < 0.1
+        )
+    else:
+        kinds = draw(
+            st.lists(st.sampled_from(COLUMN_KINDS), min_size=n_columns, max_size=n_columns)
+        )
+        categorical = CATEGORICAL_FEATURES
+        kinds = ["category" if f in categorical else k for f, k in enumerate(kinds)]
+    columns: list = []
+    for kind in kinds:
+        columns.append(draw_column(kind, rng, columns, n))
+    return np.column_stack(columns), categorical, rng
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data(), drawn=feature_matrices(), max_leaves=st.integers(2, 39))
+def test_ff_tree_equals_the_argsort_learner(data, drawn, max_leaves):
+    X, categorical, rng = drawn
+    y = draw_labels(data, rng, X, categorical, 2)
+    assert learn_ff_tree(X, y, max_leaves, categorical) == ref.learn_ff_tree(
+        X, y, max_leaves, categorical
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), drawn=feature_matrices(N_FEATURES), max_leaves=st.integers(2, 39))
+def test_stacked_model_equals_the_argsort_learner(data, drawn, max_leaves):
+    X, categorical, rng = drawn
+    y = draw_labels(data, rng, X, categorical, 8)
+    assert learn_stacked(X, y, max_leaves) == ref.learn_stacked(X, y, max_leaves)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    role=st.sampled_from(("guard", "attacker")),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    max_leaves=st.integers(2, 39),
+)
+def test_learners_agree_on_subsets_of_scripted_examples(role, seed, n, max_leaves):
+    X, y = scripted_examples()[role]
+    rows = np.random.default_rng(seed).choice(len(y), min(n, len(y)), replace=False)
+    X, y = X[rows], y[rows]
+    assert learn_stacked(X, y, max_leaves) == ref.learn_stacked(X, y, max_leaves)
+    k = int(y[0])
+    assert learn_ff_tree(X, y == k, max_leaves, CATEGORICAL_FEATURES) == ref.learn_ff_tree(
+        X, y == k, max_leaves, CATEGORICAL_FEATURES
+    )
+
+
+@st.composite
+def near_ties(draw):
+    """Balanced labels (m of each) and two two-valued columns whose splits
+    have the same balanced accuracy, (a + b) / 2m, in exact arithmetic,
+    reached through different counts: a positives and b negatives
+    classified right.  Their float scores can differ in the last place,
+    which only the cross-feature margin ignores."""
+    m = draw(st.integers(2, 100))
+    total = draw(st.integers(m + 1, 2 * m))
+    pos_index, neg_index = np.arange(m), np.arange(m)
+    columns = []
+    for reverse in (False, True):
+        a = draw(st.integers(total - m, m))
+        b = total - a
+        pos_lo = pos_index >= m - a if reverse else pos_index < a
+        neg_lo = neg_index >= b if reverse else neg_index < m - b
+        columns.append(np.concatenate([pos_lo, neg_lo]).astype(float))
+    X = np.column_stack(columns)
+    y = np.repeat([1, 0], m)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(2 * m)
+    categorical = draw(st.sampled_from([frozenset(), frozenset({0}), frozenset({1})]))
+    return X[order], y[order], categorical
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=near_ties(), max_leaves=st.integers(2, 4))
+def test_a_later_feature_needs_more_than_the_margin(drawn, max_leaves):
+    X, y, categorical = drawn
+    assert learn_ff_tree(X, y, max_leaves, categorical) == ref.learn_ff_tree(
+        X, y, max_leaves, categorical
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), drawn=feature_matrices())
+def test_every_feature_split_equals_the_argsort_scan(data, drawn):
+    """One scoring pass over a histogram of any row subset gives every
+    feature the split the per-feature argsort scan finds."""
+    X, categorical, rng = drawn
+    y = draw_labels(data, rng, X, categorical, 2)
+    rows = np.flatnonzero(rng.random(len(y)) < data.draw(st.floats(0.05, 1.0)))
+    labels = y[rows]
+    assume(len(rows) and 0 < labels.sum() < len(rows))
+    bins = _rank_codes(X, categorical)
+    found = _feature_splits(
+        bins,
+        bins.histogram(rows),
+        bins.histogram(rows[labels == 1]),
+        len(rows),
+        int(labels.sum()),
+    )
+    want = {}
+    for f in range(X.shape[1]):
+        scan = ref._best_split_categorical if f in categorical else ref._best_split_numeric
+        split = scan(X[rows, f], labels)
+        if split is not None:
+            want[f] = split
+    assert {f: (ba, t) for f, ba, t in zip(*found)} == want
+
+
+def test_feature_splits_keep_the_first_maximum():
+    """A symmetric column ties its lowest and highest boundaries; the
+    smallest threshold and the lowest tied category win."""
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    y = np.array([1, 0, 0, 1])
+    bins = _rank_codes(X, frozenset({1}))
+    rows = np.arange(4)
+    features, accuracies, thresholds = _feature_splits(
+        bins, bins.histogram(rows), bins.histogram(rows[y == 1]), 4, 2
+    )
+    assert features == [0, 1]
+    assert accuracies == [0.75, 0.75]
+    assert thresholds == [0.5, 0.0]
+
+
+def test_rank_codes_give_each_column_its_own_bins():
+    X = np.array([[3.0, 7.0], [1.0, 7.0], [3.0, 5.0]])
+    bins = _rank_codes(X, frozenset({1}))
+    assert bins.codes.tolist() == [[1, 3], [0, 3], [1, 2]]
+    assert bins.codes.dtype == np.uint16
+    assert bins.values.tolist() == [1.0, 3.0, 5.0, 7.0]
+    assert bins.feature.tolist() == [0, 0, 1, 1]
+    assert bins.counts.tolist() == [1, 2, 1, 2]
+    assert bins.categorical.tolist() == [False, True]
+    assert bins.histogram(np.array([0, 2])).tolist() == [0, 2, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# batch prediction
+# ---------------------------------------------------------------------------
+
+
+def row_predictions(model: StackedModel, X: np.ndarray) -> list[int]:
+    return [model.predict(row) for row in X]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_prediction_equals_the_row_loop_on_random_examples(seed):
+    rng = np.random.RandomState(seed)
+    X = random_features(rng, 300)
+    y = np.where(rng.uniform(size=300) < 0.3, rng.randint(0, N_ACTIONS, 300), (X[:, 2] // 5) % 8)
+    model = learn_stacked(X[:200], y[:200].astype(int))
+    probe = random_features(rng, 100)
+    assert batch_predict_action(model, probe).tolist() == row_predictions(model, probe)
+    assert batch_predict_action(model, X).tolist() == row_predictions(model, X)
+    hits = sum(p == lab for p, lab in zip(row_predictions(model, X[200:]), y[200:]))
+    assert accuracy(model, X[200:], y[200:]) == hits / 100
+
+
+@pytest.mark.parametrize("role", ["guard", "attacker"])
+def test_batch_prediction_equals_the_row_loop_on_scripted_examples(role):
+    X, y = scripted_examples()[role]
+    model = learn_stacked(X[::2], y[::2])
+    assert batch_predict_action(model, X).tolist() == row_predictions(model, X)
+    hits = sum(p == lab for p, lab in zip(row_predictions(model, X[1::2]), y[1::2]))
+    assert accuracy(model, X[1::2], y[1::2]) == hits / len(y[1::2])
+    assert batch_predict_action(model, X[:0]).tolist() == []
+    assert accuracy(model, X[:0], y[:0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# golden learned models
+# ---------------------------------------------------------------------------
+
+# sha256 of ``json.dumps(model_to_dict(learn_stacked(X, y)), sort_keys=True)``
+# per role, on the examples of the six golden scripted games pooled in
+# SCRIPTED_POLICIES order.  A change to induction that keeps every learned
+# model keeps these values.
+GOLDEN_MODELS_SEED1000 = {
+    "guard": "ec0e53e493faa9e874e00564d1213142d72c11879854492298d9a73f9699d04c",
+    "attacker": "22b6201fbd291d0bb00bdbb50c2e7c69d47e7f074782162a018afa76acd37267",
+}
+
+
+@pytest.mark.parametrize("role", sorted(GOLDEN_MODELS_SEED1000))
+def test_golden_learned_model(role):
+    X, y = scripted_examples()[role]
+    text = json.dumps(model_to_dict(learn_stacked(X, y)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODELS_SEED1000[role]
