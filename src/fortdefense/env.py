@@ -431,7 +431,8 @@ class Geometry:
       distance to the nearest fort cell, and that cell (ties to the least);
     * ``centre_polar[cell]`` -- ``(distance, bearing)`` of the cell around
       :func:`grid_center`, the bearing clockwise from north and 0 at the
-      exact centre.
+      exact centre;
+    * ``fort_center`` -- the mean of the fort cells.
 
     Every value is a function of the configuration alone, which is frozen,
     so the tables can never go stale; nothing is keyed by a world state,
@@ -455,6 +456,11 @@ class Geometry:
         self.nearest_fort_cell = {c: _nearest_fort_cell_formula(forts, *c) for c in cells}
         center = grid_center(config)
         self.centre_polar = {c: _centre_polar_formula(center, *c) for c in cells}
+        ordered = sorted(forts)
+        self.fort_center = (
+            sum(c[0] for c in ordered) / len(ordered),
+            sum(c[1] for c in ordered) / len(ordered),
+        )
 
 
 def fort_distance(config: GridConfig, x: float, y: float) -> float:
@@ -477,11 +483,8 @@ def centre_polar(config: GridConfig, x: float, y: float) -> tuple[float, float]:
 
 
 def fort_center(config: GridConfig) -> tuple[float, float]:
-    cells = sorted(config.fort_cells)
-    return (
-        sum(c[0] for c in cells) / len(cells),
-        sum(c[1] for c in cells) / len(cells),
-    )
+    """The mean of the fort cells."""
+    return config.geometry.fort_center
 
 
 def in_range(config: GridConfig, sx: int, sy: int, tx: int, ty: int) -> bool:

@@ -6,8 +6,10 @@ change.  Queries over a trace are answered by reconstructing the chain
 of reasons behind a decision or a belief:
 
 * **why <action> in step i** — the goal conditions that selected the
-  goal, the executability condition that ruled out acting on the goal
-  directly (when one did), and the plan whose first step the action was.
+  goal (the goal rule is replayed on the step's belief and predictions,
+  and its support is cited), the executability condition that ruled out
+  acting on the goal directly (when one did), and the plan whose first
+  step the action was.
 * **why not <action> in step i** — if the action was inexecutable, the
   executability axiom that fired; if it was executable but not chosen,
   a one-step counterfactual: the action is simulated against the
@@ -27,6 +29,7 @@ timestamps, so identical runs give byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -43,15 +46,15 @@ from fortdefense.kr.beliefs import (
     derivation,
     progress,
 )
-from fortdefense.kr.goals import Goal, is_down, nearest_living, pose_of
-from fortdefense.kr.ground import (
-    PURSUIT_MARGIN,
-    GroundedDomain,
-    attacker_symbols,
-    ground,
-    guard_symbols,
+from fortdefense.kr.goals import Goal, select_goal
+from fortdefense.kr.ground import GroundedDomain, ground
+from fortdefense.kr.lang import (
+    Atom,
+    DomainSyntaxError,
+    Literal,
+    parse_atom,
+    parse_literal,
 )
-from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import goal_holds, plan as search_plan
 from fortdefense.loop import (
     EpisodeRecord,
@@ -183,37 +186,6 @@ def render_chain(kind: str, top_slots: dict[str, str], chain: Sequence[AxiomInst
 
 
 # ---------------------------------------------------------------------------
-# atom / literal string round-trip
-# ---------------------------------------------------------------------------
-
-_ATOM_RE = re.compile(r"^\s*([a-z_]\w*)\s*(?:\((.*)\))?\s*$")
-_INT_RE = re.compile(r"^-?\d+$")
-
-
-def parse_atom(text: str) -> Atom:
-    m = _ATOM_RE.match(text)
-    if not m:
-        raise QueryParseError(f"cannot parse atom {text!r}")
-    pred, argstr = m.group(1), m.group(2)
-    args: tuple = ()
-    if argstr and argstr.strip():
-        parts = [p.strip() for p in argstr.split(",")]
-        if any(not p for p in parts):
-            raise QueryParseError(f"cannot parse atom {text!r}")
-        args = tuple(int(p) if _INT_RE.match(p) else p for p in parts)
-    return Atom(pred, args)
-
-
-def parse_literal(text: str) -> Literal:
-    text = text.strip()
-    if text.startswith("-"):
-        return Literal(parse_atom(text[1:]), False)
-    if text.lower().startswith("not "):
-        return Literal(parse_atom(text[4:]), False)
-    return Literal(parse_atom(text), True)
-
-
-# ---------------------------------------------------------------------------
 # query parsing
 # ---------------------------------------------------------------------------
 
@@ -240,7 +212,11 @@ def parse_query(text: str) -> Query:
     step = int(m.group(1))
     rest = rest[: m.start()].strip()
     if rest.startswith("belief "):
-        return Query("why_belief", None, parse_literal(rest[7:]), step)
+        try:
+            literal = parse_literal(rest[7:])
+        except DomainSyntaxError as exc:
+            raise QueryParseError(f"{exc} in {text!r}; grammar: {GRAMMAR}") from None
+        return Query("why_belief", None, literal, step)
     negated = False
     if rest.startswith("didn't you "):
         negated, rest = True, rest[11:]
@@ -363,29 +339,16 @@ def _provenance_from_dict(d: dict) -> Provenance:
 
 
 def _config_dict(config: GridConfig) -> dict:
-    return {
-        "width": config.width,
-        "height": config.height,
-        "fort_cells": sorted([x, y] for (x, y) in config.fort_cells),
-        "n_guards": config.n_guards,
-        "n_attackers": config.n_attackers,
-        "shoot_range": config.shoot_range,
-        "shoot_arc_deg": config.shoot_arc_deg,
-        "max_steps": config.max_steps,
-    }
+    """Every field of the configuration, the fort cells as a sorted list."""
+    d = {f.name: getattr(config, f.name) for f in dataclasses.fields(GridConfig)}
+    d["fort_cells"] = sorted([x, y] for (x, y) in config.fort_cells)
+    return d
 
 
 def _config_from_dict(d: dict) -> GridConfig:
-    return GridConfig(
-        width=d["width"],
-        height=d["height"],
-        fort_cells=frozenset((x, y) for x, y in d["fort_cells"]),
-        n_guards=d["n_guards"],
-        n_attackers=d["n_attackers"],
-        shoot_range=d["shoot_range"],
-        shoot_arc_deg=d["shoot_arc_deg"],
-        max_steps=d["max_steps"],
-    )
+    values = {f.name: d[f.name] for f in dataclasses.fields(GridConfig)}
+    values["fort_cells"] = frozenset((x, y) for x, y in d["fort_cells"])
+    return GridConfig(**values)
 
 
 def _step_dict(rec: StepRecord) -> dict:
@@ -559,113 +522,66 @@ def _with_agent(action: Atom, ah: str) -> Atom:
     return Atom(action.pred, (ah,) + action.args)
 
 
-def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
-    gdom = trace.gdom
-    config = trace.config
-    goal = rec.goal
-    belief = rec.belief
-    ah = gdom.ah_symbol
-    pose = pose_of(belief, ah)
-    if goal.kind == "shoot_target" and goal.target is not None and pose is not None:
-        tpose = pose_of(belief, goal.target)
-        ax, ay, _ = pose
-        tx, ty, _ = tpose
-        reach = config.shoot_range + PURSUIT_MARGIN
-        d_now = math.hypot(tx - ax, ty - ay)
-        antecedents = (
-            Literal(Atom("in", (ah, ax, ay)), True),
-            Literal(Atom("in", (goal.target, tx, ty)), True),
-            Literal(Atom("shot", (goal.target,)), False),
-        )
-        if d_now <= reach + 1e-9:
-            slots = {
-                "target": goal.target,
-                "target_cell": _cell(tx, ty),
-                "own_cell": _cell(ax, ay),
-                "distance": _fmt(d_now),
-                "reach": _fmt(reach),
-            }
-            template = "clause_goal_shoot"
-        else:
-            px, py = rec.predicted_next.get(goal.target, (tx, ty))
-            slots = {
-                "target": goal.target,
-                "predicted_cell": _cell(px, py),
-                "own_cell": _cell(ax, ay),
-                "distance": _fmt(math.hypot(px - ax, py - ay)),
-                "reach": _fmt(reach),
-            }
-            template = "clause_goal_shoot_predicted"
-        return AxiomInstance(
-            template=template,
-            axiom_id="",
-            axiom_text="goal priority: shoot an attacker within pursuit reach",
-            step=rec.step,
-            antecedents=antecedents,
-            consequence=f"goal shoot_target({goal.target})",
-            slots=tuple(sorted(slots.items())),
-        )
-    if goal.kind == "occupy_region" and goal.target is not None:
-        antecedents = []
-        for sym in guard_symbols(config):
-            if is_down(belief, sym):
-                antecedents.append(Literal(Atom("shot", (sym,)), True))
-            else:
-                antecedents.append(
-                    Literal(Atom("agent_in", (sym, goal.target)), False)
-                )
-        nearest = nearest_living(belief, ah, attacker_symbols(config))
-        if nearest is not None:
-            sym, (tx, ty) = nearest
-            antecedents.append(Literal(Atom("in", (sym, tx, ty)), True))
-            antecedents.append(Literal(Atom("shot", (sym,)), False))
-        slots = {"region": goal.target}
-        return AxiomInstance(
-            template="clause_goal_occupy",
-            axiom_id="",
-            axiom_text="goal priority: occupy an unguarded fort-adjacent region",
-            step=rec.step,
-            antecedents=tuple(antecedents),
-            consequence=f"goal occupy_region({goal.target})",
-            slots=tuple(sorted(slots.items())),
-        )
-    # hold_position
-    nearest = nearest_living(belief, ah, attacker_symbols(config))
-    if goal.literals and nearest is not None:
-        facing = goal.literals[0].atom.args[1]
-        sym, (tx, ty) = nearest
-        antecedents = (
-            Literal(Atom("in", (ah, pose[0], pose[1])), True),
-            Literal(Atom("in", (sym, tx, ty)), True),
-            Literal(Atom("shot", (sym,)), False),
-        )
-        slots = {
-            "facing": str(facing),
-            "target": sym,
-            "target_cell": _cell(tx, ty),
-        }
-        return AxiomInstance(
-            template="clause_goal_hold",
-            axiom_id="",
-            axiom_text="goal priority: hold position facing the nearest attacker",
-            step=rec.step,
-            antecedents=antecedents,
-            consequence="goal hold_position",
-            slots=tuple(sorted(slots.items())),
-        )
-    antecedents = tuple(
-        Literal(Atom("shot", (sym,)), True)
-        for sym in attacker_symbols(config)
-        if is_down(belief, sym)
+def _cell_of(support: Sequence[Literal], sym: str) -> tuple:
+    """The cell an ``in(sym, x, y)`` literal of the support places ``sym`` in."""
+    return next(
+        l.atom.args[1:]
+        for l in support
+        if l.atom.pred == "in" and l.atom.args[0] == sym
     )
+
+
+def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
+    """The goal rule's instance at a step: the rule is replayed on the
+    step's belief and predictions, and the replayed goal's support and
+    comparison fill the template."""
+    goal = select_goal(rec.belief, trace.gdom, rec.predicted_next)
+    if goal != rec.goal:
+        raise TraceQueryError(
+            f"the goal rule replayed at step {rec.step} selects {goal},"
+            f" not the recorded {rec.goal}"
+        )
+    cmp = goal.comparison
+    if goal.kind == "shoot_target":
+        slots = {
+            "target": goal.target,
+            "own_cell": _cell(*_cell_of(goal.support, trace.gdom.ah_symbol)),
+            "distance": _fmt(cmp.distance),
+            "reach": _fmt(cmp.reach),
+        }
+        if cmp.cell == _cell_of(goal.support, goal.target):
+            template = "clause_goal_shoot"
+            slots["target_cell"] = _cell(*cmp.cell)
+        else:
+            template = "clause_goal_shoot_predicted"
+            slots["predicted_cell"] = _cell(*cmp.cell)
+        axiom_text = "goal priority: shoot an attacker within pursuit reach"
+        consequence = f"goal shoot_target({goal.target})"
+    elif goal.kind == "occupy_region":
+        template, slots = "clause_goal_occupy", {"region": goal.target}
+        axiom_text = "goal priority: occupy an unguarded fort-adjacent region"
+        consequence = f"goal occupy_region({goal.target})"
+    elif cmp is not None:
+        template = "clause_goal_hold"
+        slots = {
+            "facing": str(goal.literals[0].atom.args[1]),
+            "target": cmp.attacker,
+            "target_cell": _cell(*cmp.cell),
+        }
+        axiom_text = "goal priority: hold position facing the nearest attacker"
+        consequence = "goal hold_position"
+    else:
+        template, slots = "clause_goal_idle", {}
+        axiom_text = "goal priority: hold position"
+        consequence = "goal hold_position"
     return AxiomInstance(
-        template="clause_goal_idle",
+        template=template,
         axiom_id="",
-        axiom_text="goal priority: hold position",
+        axiom_text=axiom_text,
         step=rec.step,
-        antecedents=antecedents,
-        consequence="goal hold_position",
-        slots=(),
+        antecedents=goal.support,
+        consequence=consequence,
+        slots=tuple(sorted(slots.items())),
     )
 
 
@@ -1235,12 +1151,6 @@ def run_batch(trace: EpisodeTrace, lines: Iterable[str]) -> list[dict]:
         except (QueryParseError, TraceQueryError) as exc:
             out.append({"query": line, "error": str(exc)})
     return out
-
-
-def write_answers(answers: Sequence[dict], path) -> None:
-    with open(path, "w") as f:
-        for a in answers:
-            f.write(json.dumps(a, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def repl(trace: EpisodeTrace, inp=None, out=None) -> None:

@@ -13,7 +13,6 @@ from fortdefense.kr.lang import (
 from fortdefense.kr.ground import (
     GroundedDomain,
     GroundingError,
-    PURSUIT_MARGIN,
     REGION_BLOCK,
     agent_symbol,
     ground,
@@ -35,7 +34,7 @@ from fortdefense.kr.beliefs import (
     progress,
     validate,
 )
-from fortdefense.kr.goals import Goal, compute_relevance, select_goal
+from fortdefense.kr.goals import PURSUIT_MARGIN, Goal, compute_relevance, select_goal
 from fortdefense.kr.plan import Plan, candidate_actions, goal_holds, plan, replay
 
 __all__ = [

@@ -32,7 +32,6 @@ binding is rendered (:meth:`Join.binding`).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -49,10 +48,6 @@ from fortdefense.kr.lang import (
 #: Regions are square blocks of this many cells per side (the last row and
 #: column of regions may be smaller on grids not divisible by the block).
 REGION_BLOCK = 4
-
-#: A target is "within shooting reach" for goal selection when it is at
-#: most this margin beyond weapon range (the planner closes the gap).
-PURSUIT_MARGIN = 3.0
 
 DIR_SYMBOLS = ("n", "e", "s", "w")
 DIR_OF_SYMBOL = {
@@ -213,7 +208,6 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
         for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0))
         if config.in_bounds(x + dx, y + dy)
     ]
-    next_dir = [(d, CW[d]) for d in DIR_SYMBOLS]
     opposite = [("n", "s"), ("s", "n"), ("e", "w"), ("w", "e")]
     component = [
         (x, y, region_symbol_of(config, x, y))
@@ -224,19 +218,14 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
     def in_sight(x1, y1, d, x2, y2) -> bool:
         return in_cone(config, DIR_OF_SYMBOL[d], x1, y1, x2, y2)
 
-    def within_reach(x1, y1, x2, y2) -> bool:
-        return math.hypot(x2 - x1, y2 - y1) <= config.shoot_range + PURSUIT_MARGIN
-
     return {
         "next_to": Static("next_to", 4, table=next_to),
-        "next_dir": Static("next_dir", 2, table=next_dir),
         "opposite_dir": Static("opposite_dir", 2, table=opposite),
         "component": Static("component", 3, table=component),
         "next_to_region": Static(
             "next_to_region", 2, table=region_adjacency(config)
         ),
         "in_sight": Static("in_sight", 5, func=in_sight),
-        "within_reach": Static("within_reach", 4, func=within_reach),
     }
 
 

@@ -181,6 +181,11 @@ class DomainDescription:
 
 _NAME = r"[a-z][A-Za-z0-9_]*"
 _ATOM_RE = re.compile(rf"^({_NAME})\s*(?:\((.*)\))?$", re.S)
+_INT_RE = re.compile(r"-?\d+")
+_VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
+_CONSTANT_RE = re.compile(_NAME)
+_NEQ_RE = re.compile(r"(\S+)\s*!=\s*(\S+)")
+_EQ_RE = re.compile(r"(\S+)\s*==?\s*(\S+)")
 
 
 def _split_args(text: str) -> list[str]:
@@ -192,11 +197,11 @@ def _split_args(text: str) -> list[str]:
 
 
 def _parse_term(tok: str) -> Arg:
-    if re.fullmatch(r"-?\d+", tok):
+    if _INT_RE.fullmatch(tok):
         return int(tok)
-    if re.fullmatch(r"[A-Z][A-Za-z0-9_]*", tok):
+    if _VARIABLE_RE.fullmatch(tok):
         return Variable(tok)
-    if re.fullmatch(_NAME, tok):
+    if _CONSTANT_RE.fullmatch(tok):
         return tok
     raise DomainSyntaxError(f"bad term {tok!r}")
 
@@ -214,10 +219,10 @@ def parse_atom(text: str) -> Atom:
 
 def parse_literal(text: str) -> Literal:
     text = text.strip()
-    neq = re.fullmatch(r"(\S+)\s*!=\s*(\S+)", text)
+    neq = _NEQ_RE.fullmatch(text)
     if neq:
         return Literal(Atom("neq", (_parse_term(neq.group(1)), _parse_term(neq.group(2)))))
-    eq = re.fullmatch(r"(\S+)\s*==?\s*(\S+)", text)
+    eq = _EQ_RE.fullmatch(text)
     if eq:
         return Literal(Atom("eq", (_parse_term(eq.group(1)), _parse_term(eq.group(2)))))
     if text.startswith("-"):
@@ -272,7 +277,7 @@ def parse_domain(text: str) -> DomainDescription:
                 name, parent = (p.strip() for p in rest.split("<", 1))
             else:
                 name, parent = rest, None
-            if not re.fullmatch(_NAME, name) or (parent and not re.fullmatch(_NAME, parent)):
+            if not _CONSTANT_RE.fullmatch(name) or (parent and not _CONSTANT_RE.fullmatch(parent)):
                 raise DomainSyntaxError(f"bad sort declaration {stmt!r}")
             if parent and parent not in desc.sort_names():
                 raise DomainSyntaxError(f"unknown parent sort {parent!r} in {stmt!r}")

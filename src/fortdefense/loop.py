@@ -687,39 +687,6 @@ class GameStats:
     act_ms: list[float] = field(default_factory=list)
     observe_ms: list[float] = field(default_factory=list)
 
-    @property
-    def win_rate(self) -> float:
-        if not self.episodes:
-            return 0.0
-        return sum(e.guards_win for e in self.episodes) / len(self.episodes)
-
-    @property
-    def mean_steps(self) -> float:
-        if not self.episodes:
-            return 0.0
-        return sum(e.steps for e in self.episodes) / len(self.episodes)
-
-    @property
-    def prediction_accuracy(self) -> float:
-        total = sum(e.pred_total for e in self.episodes)
-        if total == 0:
-            return 0.0
-        return sum(e.pred_correct for e in self.episodes) / total
-
-    @property
-    def adhoc_accuracy(self) -> float:
-        fired = sum(e.adhoc_shots_fired for e in self.episodes)
-        if fired == 0:
-            return 0.0
-        return sum(e.adhoc_shots_hit for e in self.episodes) / fired
-
-    @property
-    def guard_accuracy(self) -> float:
-        fired = sum(e.guard_shots_fired for e in self.episodes)
-        if fired == 0:
-            return 0.0
-        return sum(e.guard_shots_hit for e in self.episodes) / fired
-
 
 def tick_rng(episode_seed: int, step_count: int, agent_id: int) -> random.Random:
     """The per-(episode, tick, agent) random stream for scripted policies."""

@@ -3,7 +3,8 @@ they were before ``GridConfig.geometry`` tabulated them, each evaluating
 its formula on every call.
 
 Copied unchanged from ``fortdefense.env`` (``EPS``, ``DIRECTION_INDEX``,
-``fort_distance``, ``wrap_angle``, ``in_range``, ``in_arc``),
+``fort_distance``, ``fort_center``, ``wrap_angle``, ``in_range``,
+``in_arc``),
 ``fortdefense.policies`` (``_dist``, ``_nearest_fort_cell``) and
 ``fortdefense.features`` (``grid_center``, ``_fort_dist``,
 ``_agent_block``).  Tests compare the table-backed functions against them;
@@ -26,6 +27,14 @@ DIRECTION_INDEX = {Direction.N: 0, Direction.E: 1, Direction.S: 2, Direction.W: 
 def fort_distance(config: GridConfig, x: float, y: float) -> float:
     """Euclidean distance from (x, y) to the nearest fort cell."""
     return min(math.hypot(x - fx, y - fy) for (fx, fy) in config.fort_cells)
+
+
+def fort_center(config: GridConfig) -> tuple[float, float]:
+    cells = sorted(config.fort_cells)
+    return (
+        sum(c[0] for c in cells) / len(cells),
+        sum(c[1] for c in cells) / len(cells),
+    )
 
 
 def wrap_angle(a: float) -> float:

@@ -1,9 +1,14 @@
 """The explanation engine over one recorded W0 episode: trace round
-trips, the soundness re-check of why, why-belief and why-not answers,
-rejection of ill-formed actions, and the known faults pinned as expected
-failures."""
+trips, the soundness re-check of why, why-belief and why-not answers, a
+golden digest of their texts, rejection of ill-formed actions and
+queries, the batch and interactive front ends, and the known faults
+pinned as expected failures."""
 
+import dataclasses
+import hashlib
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,16 +19,24 @@ from fortdefense.explain import (
     Query,
     QueryParseError,
     TraceQueryError,
+    _config_dict,
+    _config_from_dict,
+    _goal_instance,
     answer_query,
     load_traces,
     parse_query,
+    recheck_instance,
+    repl,
+    run_batch,
     save_traces,
     verify_answer,
     well_formed_action,
 )
-from fortdefense.kr.beliefs import check_executable
+from fortdefense.kr.beliefs import Belief, check_executable, close_defined
+from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
+from fortdefense.loop import StepRecord
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +51,40 @@ def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
     assert len(loaded) == 1
     save_traces(loaded, GridConfig(), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save_traces([w0_p1_record], GridConfig(), path)
+    (loaded,) = load_traces(path)
+    assert loaded.config == GridConfig()
+    for got, want in zip(loaded.steps, w0_p1_record.steps, strict=True):
+        assert got.belief.atoms == want.belief.atoms
+        assert got.goal == want.goal
+        assert set(got.provenance) == set(want.provenance)
+        assert (got.plan_actions, got.chosen, got.executed) == (
+            want.plan_actions,
+            want.chosen,
+            want.executed,
+        )
+    assert loaded.final_belief.atoms == w0_p1_record.final_belief.atoms
+
+
+def test_every_config_field_round_trips():
+    config = GridConfig(
+        width=12,
+        height=9,
+        fort_cells={(6, 8), (5, 8)},
+        n_guards=2,
+        n_attackers=4,
+        shoot_range=4.5,
+        shoot_arc_deg=120.0,
+        max_steps=60,
+    )
+    d = _config_dict(config)
+    assert set(d) == {f.name for f in dataclasses.fields(GridConfig)}
+    assert d["fort_cells"] == [[5, 8], [6, 8]]
+    assert _config_from_dict(json.loads(json.dumps(d))) == config
 
 
 def test_every_why_verifies(trace):
@@ -129,12 +176,11 @@ def test_well_formedness_agrees_with_the_brute_force_universe(trace, universe, d
     assert well_formed_action(trace.gdom, action) == (action in universe)
 
 
-def test_every_why_not_verifies(trace):
-    """Why-not of every inexecutable candidate and of the first executable
-    candidate that was not chosen, at every step.  shoot(attacker2) at
-    step 12 is left to the expected failure below."""
+def why_not_queries(trace):
+    """(step, action, executable) for every inexecutable candidate and the
+    first executable candidate that was not chosen, at every step.
+    shoot(attacker2) at step 12 is left to the expected failure below."""
     gdom = trace.gdom
-    asked = {True: 0, False: 0}
     for rec in trace.steps:
         legal_asked = False
         for action in candidate_actions(rec.belief, gdom):
@@ -147,10 +193,157 @@ def test_every_why_not_verifies(trace):
                 legal_asked = True
             if (rec.step, action) == (12, Atom("shoot", ("guard0", "attacker2"))):
                 continue
-            answer = answer_query(trace, Query("why_not_action", action, None, rec.step))
-            assert verify_answer(trace, answer), (rec.step, answer.text)
-            asked[executable] += 1
+            yield rec.step, action, executable
+
+
+def test_every_why_not_verifies(trace):
+    asked = {True: 0, False: 0}
+    for step, action, executable in why_not_queries(trace):
+        answer = answer_query(trace, Query("why_not_action", action, None, step))
+        assert verify_answer(trace, answer), (step, answer.text)
+        asked[executable] += 1
     assert asked[True] and asked[False]
+
+
+#: (count, sha256) of the why texts of every step, then the why-not texts
+#: of ``why_not_queries``, one per line, as rendered before the goal rule
+#: carried its own support; rendering from that support keeps every text.
+GOLDEN_TEXTS = (61, "bf5934ac7970451182fcfece46fc6ff61ca42d8ccf0dd1d143b27c80e034c1e9")
+
+
+def test_why_and_why_not_texts_match_the_golden_digest(trace):
+    texts = [
+        answer_query(trace, Query("why_action", rec.chosen, None, rec.step)).text
+        for rec in trace.steps
+    ]
+    texts += [
+        answer_query(trace, Query("why_not_action", action, None, step)).text
+        for step, action, _ in why_not_queries(trace)
+    ]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(texts), digest) == GOLDEN_TEXTS
+
+
+def test_a_goal_the_rule_does_not_select_is_refused(trace):
+    rec = trace.step(1)
+    forged = dataclasses.replace(rec, goal=Goal("hold_position", None, ()))
+    tampered = dataclasses.replace(trace, steps=[forged] + trace.steps[1:])
+    with pytest.raises(TraceQueryError, match="goal rule replayed at step 1"):
+        answer_query(tampered, Query("why_action", rec.chosen, None, 1))
+
+
+@pytest.mark.parametrize(
+    "entries, predicted, template, slots",
+    [
+        (  # in reach only at its predicted cell
+            [("guard0", 2, 14, "e", True), ("attacker1", 11, 14, "w", True)],
+            {"attacker1": (10, 14)},
+            "clause_goal_shoot_predicted",
+            {"predicted_cell": "(10, 14)", "own_cell": "(2, 14)", "target": "attacker1"},
+        ),
+        (  # in reach where it stands: the current cell is cited
+            [("guard0", 3, 14, "e", True), ("attacker1", 11, 14, "w", True)],
+            {"attacker1": (10, 14)},
+            "clause_goal_shoot",
+            {"target_cell": "(11, 14)", "own_cell": "(3, 14)", "target": "attacker1"},
+        ),
+        (  # every fort-adjacent region guarded
+            [
+                ("guard0", 9, 13, "n", True),
+                ("guard1", 5, 17, "s", True),
+                ("guard2", 9, 17, "s", True),
+                ("guard3", 13, 17, "s", True),
+                ("attacker1", 19, 13, "w", True),
+            ],
+            {},
+            "clause_goal_hold",
+            {"facing": "e", "target": "attacker1", "target_cell": "(19, 13)"},
+        ),
+        (
+            [("guard0", 10, 10, "n", True), ("attacker1", 19, 19, "n", False)],
+            {},
+            "clause_goal_idle",
+            {},
+        ),
+    ],
+    ids=["shoot-predicted", "shoot", "hold", "idle"],
+)
+def test_goal_clauses_render_the_replayed_support(entries, predicted, template, slots):
+    n_guards = sum(sym.startswith("guard") for sym, *_ in entries)
+    config = GridConfig(n_guards=n_guards, n_attackers=len(entries) - n_guards)
+    trace = EpisodeTrace(
+        config=config,
+        seed=0,
+        policy="",
+        horizon=8,
+        completion_applied=(),
+        completion_retracted=(),
+        steps=[],
+        final_belief=None,
+        outcome="",
+        n_steps=0,
+        guards_win=False,
+    )
+    atoms = [Atom("in", (sym, x, y)) for sym, x, y, _, _ in entries]
+    atoms += [Atom("face", (sym, d)) for sym, _, _, d, _ in entries]
+    atoms += [Atom("shot", (sym,)) for sym, *_, alive in entries if not alive]
+    belief = Belief(close_defined(atoms, trace.gdom))
+    goal = select_goal(belief, trace.gdom, predicted)
+    trace.steps.append(StepRecord(1, belief, goal, predicted_next=predicted))
+    inst = _goal_instance(trace, trace.steps[0])
+    assert inst.template == template
+    if template.startswith("clause_goal_shoot"):
+        slots = {**slots, "distance": "8", "reach": "8"}
+    assert dict(inst.slots) == slots
+    assert inst.antecedents == goal.support
+    assert recheck_instance(trace, inst)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "why belief in(guard0,, 3) at step 1",
+        "why belief in(guard0, 3 at step 1",
+        "why belief 3in(guard0) at step 1",
+        "why belief in(guard0, $3, 4) at step 1",
+    ],
+)
+def test_a_malformed_belief_literal_is_a_parse_error(query):
+    with pytest.raises(QueryParseError, match="grammar"):
+        parse_query(query)
+
+
+def _own_cell_belief_query(trace, step=1):
+    atom = next(
+        a
+        for a in sorted(trace.step(step).belief.atoms, key=str)
+        if a.pred == "in" and a.args[0] == trace.gdom.ah_symbol
+    )
+    return f"why belief {atom} at step {step}"
+
+
+def test_run_batch_answers_and_records_errors(trace):
+    good = _own_cell_belief_query(trace)
+    lines = ["# a comment", "", good, "why did the chicken", "why noop in step 999"]
+    out = run_batch(trace, lines)
+    assert [r["query"] for r in out] == lines[2:]
+    assert out[0]["text"].startswith("In step 1 I believed") and "error" not in out[0]
+    assert "grammar" in out[1]["error"]  # QueryParseError
+    assert "step 999 is not in the trace" in out[2]["error"]  # TraceQueryError
+
+
+def test_repl_answers_reports_errors_and_stops_at_quit(trace):
+    good = _own_cell_belief_query(trace)
+    inp = io.StringIO(f"{good}\n\nwhy not\nwhy noop in step 999\nquit\n{good}\n")
+    out = io.StringIO()
+    repl(trace, inp, out)
+    text = out.getvalue()
+    assert text.count("In step 1 I believed") == 1  # nothing after quit
+    assert text.count("error: ") == 2
+    assert "error: missing step index" in text
+    assert "error: step 999 is not in the trace" in text
+    assert text.endswith("explain> ")
+    assert inp.readline() == f"{good}\n"  # left unread
 
 
 @pytest.mark.xfail(

@@ -26,6 +26,7 @@ from fortdefense.env import (
     Direction,
     GridConfig,
     clear_shot,
+    fort_center,
     fort_distance,
     in_arc,
     in_cone,
@@ -109,6 +110,7 @@ def test_tables_match_the_reference(config, data):
         st.lists(st.tuples(st.integers(-8, w + 8), st.integers(-8, h + 8)), max_size=10),
         label="off_grid",
     )
+    assert fort_center(config) == ref.fort_center(config)
     cells = [(x, y) for x in range(w) for y in range(h)] + off_grid
     for x, y in cells + [(x + 0.5, y - 0.25) for x, y in off_grid]:
         assert fort_distance(config, x, y) == ref.fort_distance(config, x, y), (x, y)

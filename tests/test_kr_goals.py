@@ -1,9 +1,16 @@
-"""Goal-priority rule and relevance-driven granularity."""
+"""Goal-priority rule, its support, and relevance-driven granularity."""
+
+import math
+
+from hypothesis import given, settings
+from test_kr_plan import _W0_GDOM, w0_situations
 
 from fortdefense.env import GridConfig
 from fortdefense.kr.beliefs import Belief, close_defined
 from fortdefense.kr.goals import (
+    PURSUIT_MARGIN,
     Goal,
+    Comparison,
     compute_relevance,
     corridor_regions,
     fort_adjacent_regions,
@@ -147,6 +154,12 @@ def test_hold_position_faces_the_nearest_attacker():
     goal = select_goal(b, gdom)
     assert goal.kind == "hold_position"
     assert goal.literals == (Literal(Atom("face", ("guard0", "e")), True),)
+    assert goal.support == (
+        Literal(Atom("in", ("guard0", 9, 13)), True),
+        Literal(Atom("in", ("attacker1", 19, 13)), True),
+        Literal(Atom("shot", ("attacker1",)), False),
+    )
+    assert goal.comparison == Comparison("attacker1", (19, 13), 10.0)
 
 
 def test_no_living_attackers_holds_with_empty_goal():
@@ -159,17 +172,22 @@ def test_no_living_attackers_holds_with_empty_goal():
     goal = select_goal(b, gdom)
     assert goal.kind == "hold_position"
     assert goal.literals == ()
+    assert goal.support == (Literal(Atom("shot", ("attacker1",)), True),)
+    assert goal.comparison is None
 
 
 def test_fort_adjacent_regions_default_grid():
-    gdom = make_gdom(GridConfig())
-    assert fort_adjacent_regions(gdom) == frozenset({"r17", "r21", "r22", "r23"})
+    config = GridConfig()
+    regions = fort_adjacent_regions(config)
+    assert [r for r, _ in regions] == ["r17", "r21", "r22", "r23"]
+    assert regions == tuple((r, region_center(config, r)) for r, _ in regions)
+    assert fort_adjacent_regions(GridConfig()) is regions  # once per config
 
 
 def test_region_center_is_cell_average():
-    gdom = make_gdom(GridConfig())
-    assert region_center(gdom, "r0") == (1.5, 1.5)
-    assert region_center(gdom, "r22") == (9.5, 17.5)
+    config = GridConfig()
+    assert region_center(config, "r0") == (1.5, 1.5)
+    assert region_center(config, "r22") == (9.5, 17.5)
 
 
 def test_pose_extraction():
@@ -219,3 +237,79 @@ def test_predicted_cell_region_joins_fine_set():
     fine_with = compute_relevance(b, {"attacker1": (3, 0)}, gdom)
     assert "r0" in fine_with and "r1" in fine_with
     assert fine_without <= fine_with
+
+
+def test_support_cites_the_predicted_cell_only_when_the_current_is_out_of_reach():
+    config = GridConfig(n_guards=1, n_attackers=1)
+    gdom = make_gdom(config)
+    b = belief_of(
+        gdom,
+        [("guard0", 2, 14, "e", True), ("attacker1", 11, 14, "w", True)],
+    )
+    goal = select_goal(b, gdom, predicted_next={"attacker1": (10, 14)})
+    assert goal.support == (
+        Literal(Atom("in", ("guard0", 2, 14)), True),
+        Literal(Atom("in", ("attacker1", 11, 14)), True),
+        Literal(Atom("shot", ("attacker1",)), False),
+    )
+    assert goal.comparison == Comparison("attacker1", (10, 14), 8.0, 8.0)
+    # in reach where it stands: the current cell is cited
+    goal = select_goal(b, gdom, predicted_next={"attacker1": (12, 14)})
+    assert goal.kind != "shoot_target"
+    b = belief_of(
+        gdom,
+        [("guard0", 3, 14, "e", True), ("attacker1", 11, 14, "w", True)],
+    )
+    goal = select_goal(b, gdom, predicted_next={"attacker1": (10, 14)})
+    assert goal.comparison == Comparison("attacker1", (11, 14), 8.0, 8.0)
+
+
+def test_occupy_support_cites_the_attacker_nearest_the_region():
+    config = GridConfig(n_guards=2, n_attackers=2)
+    gdom = make_gdom(config)
+    b = belief_of(
+        gdom,
+        [
+            ("guard0", 0, 0, "n", True),
+            ("guard1", 9, 17, "s", False),  # down in r22
+            ("attacker1", 0, 9, "n", True),  # nearest guard0
+            ("attacker2", 10, 10, "n", True),  # nearest r17's centre
+        ],
+    )
+    goal = select_goal(b, gdom)
+    assert (goal.kind, goal.target) == ("occupy_region", "r17")
+    assert goal.support == (
+        Literal(Atom("agent_in", ("guard0", "r17")), False),
+        Literal(Atom("shot", ("guard1",)), True),
+        Literal(Atom("in", ("attacker2", 10, 10)), True),
+        Literal(Atom("shot", ("attacker2",)), False),
+    )
+    cx, cy = region_center(config, "r17")
+    assert goal.comparison == Comparison("attacker2", (10, 10), math.hypot(10 - cx, 10 - cy))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(situation=w0_situations())
+def test_goal_support_holds_and_goal_equality_ignores_it(situation):
+    b, predicted_next, _, at = situation
+    goal = select_goal(b, _W0_GDOM, predicted_next)
+    for literal in goal.support:
+        assert b.holds(literal), (goal, literal)
+    bare = Goal(goal.kind, goal.target, goal.literals)
+    assert bare == goal and hash(bare) == hash(goal)
+    cmp = goal.comparison
+    if goal.kind == "shoot_target":
+        assert cmp.attacker == goal.target
+        assert cmp.reach == _W0_GDOM.config.shoot_range + PURSUIT_MARGIN
+        assert cmp.distance <= cmp.reach + 1e-9
+        current = at[goal.target]
+        assert cmp.cell in (current, predicted_next.get(goal.target))
+        assert cmp.distance == math.dist(at["guard0"], cmp.cell)
+    elif goal.kind == "occupy_region":
+        cx, cy = region_center(_W0_GDOM.config, goal.target)
+        assert cmp.cell == at[cmp.attacker]
+        assert cmp.distance == math.hypot(cmp.cell[0] - cx, cmp.cell[1] - cy)
+    elif goal.literals:
+        assert cmp.cell == at[cmp.attacker]
+    else:
+        assert cmp is None

@@ -5,8 +5,6 @@ Oracles here are computed from first principles (straight loops over the
 grid) and compared against the grounder's output.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +14,6 @@ from fortdefense.kr.ground import (
     CCW,
     CW,
     DIR_OF_SYMBOL,
-    PURSUIT_MARGIN,
     REGION_BLOCK,
     GroundingError,
     Static,
@@ -152,9 +149,6 @@ def test_next_to_matches_grid_adjacency():
 
 def test_direction_statics():
     statics = build_statics(GridConfig())
-    assert statics["next_dir"].table == frozenset(
-        {("n", "e"), ("e", "s"), ("s", "w"), ("w", "n")}
-    )
     assert statics["opposite_dir"].table == frozenset(
         {("n", "s"), ("s", "n"), ("e", "w"), ("w", "e")}
     )
@@ -191,14 +185,6 @@ def test_in_sight_agrees_with_simulator_shot_test():
         assert in_sight.contains((sx, sy, d, tx, ty)) == clear_shot(
             config, shooter, target
         )
-
-
-def test_within_reach_boundary_is_range_plus_margin():
-    config = GridConfig()
-    reach = build_statics(config)["within_reach"]
-    assert reach.contains((2, 14, 10, 14))  # distance 8 == 5 + 3
-    assert not reach.contains((2, 14, 11, 14))
-    assert math.isclose(config.shoot_range + PURSUIT_MARGIN, 8.0)
 
 
 def test_static_expand_enumerates_and_filters():

@@ -334,17 +334,15 @@ def _shoot_goal(target):
 
 
 @st.composite
-def planning_instances(draw):
-    """A consistent W0 belief, a goal, the planning domain (the full grid
-    or a restriction as the controller makes it), a schedule from
-    ``build_schedule`` over random predicted kinds, and a horizon 1-6.
+def w0_situations(draw):
+    """A consistent W0 belief, the predicted next cells and action kinds
+    of the other living agents, and every agent's cell.
 
     The six agents stand in one window of 4 to 12 cells a side.  As in
     play, agents often face their nearest opponent, teammates are often
     predicted to shoot and attackers to close in on the guard; so targets
     come into reach, close in faster than the guard alone can, and are
-    shot by teammates first.  Goals: the selected one, a region near the
-    guard, a facing, a random attacker or a shooting teammate's target."""
+    shot by teammates first."""
     side = draw(st.integers(4, 12))
     ox, oy = draw(st.integers(0, 20 - side)), draw(st.integers(0, 20 - side))
     cells = draw(
@@ -374,7 +372,17 @@ def planning_instances(draw):
     predicted_next = {
         sym: predicted_cell(_W0, at[sym], kind) for sym, kind in kinds.items()
     }
+    return b, predicted_next, kinds, at
 
+
+@st.composite
+def planning_instances(draw):
+    """A W0 situation, a goal, the planning domain (the full grid or a
+    restriction as the controller makes it), a schedule from
+    ``build_schedule`` over the predicted kinds, and a horizon 1-6.
+    Goals: the selected one, a region near the guard, a facing, a random
+    attacker or a shooting teammate's target."""
+    b, predicted_next, kinds, at = draw(w0_situations())
     gx, gy = at["guard0"]
     near = (
         min(max(gx + draw(st.integers(-6, 6)), 0), 19),
