@@ -78,7 +78,7 @@ class ActionKind(IntEnum):
     """The eight primitive action kinds.
 
     The integer values are the canonical encoding used in feature vectors,
-    CSV logs, and model outputs.
+    traces, and model outputs.
     """
 
     NOOP = 0
@@ -381,6 +381,34 @@ def wrap_angle(a: float) -> float:
 def grid_center(config: GridConfig) -> tuple[float, float]:
     """Geometric center of the cell grid (a half-cell point on even sizes)."""
     return ((config.width - 1) / 2, (config.height - 1) / 2)
+
+
+def facing_toward(dx: int, dy: int) -> Direction:
+    """The facing nearest the bearing to the nonzero offset ``(dx, dy)``;
+    a bearing halfway between two facings (a diagonal) goes to the first
+    of N, E, S, W.  The comparisons are exact, so no rounding of the
+    bearing can tip a tie.  The one source of facing choice for the
+    scripted policies, the goal rule and the controller's fallback."""
+    if dx == 0 and dy == 0:
+        raise ValueError("no facing points at the agent's own cell")
+    if dy > 0 and dy >= abs(dx):
+        return Direction.N
+    if dx > 0 and dx >= abs(dy):
+        return Direction.E
+    if dy < 0 and -dy >= abs(dx):
+        return Direction.S
+    return Direction.W
+
+
+def turn_toward(facing: Direction, want: Direction) -> Optional[ActionKind]:
+    """The quarter turn from ``facing`` toward ``want``: none when already
+    facing it, counter-clockwise when ``want`` is the counter-clockwise
+    neighbour, else clockwise (the half turn starts clockwise)."""
+    if want is facing:
+        return None
+    if want is facing.counterclockwise():
+        return ActionKind.ROTATE_CCW
+    return ActionKind.ROTATE_CW
 
 
 def _range_formula(shoot_range: float, dx: float, dy: float) -> bool:
@@ -724,29 +752,3 @@ def state_to_dict(state: WorldState) -> dict:
         ],
     }
 
-
-def render(state: WorldState) -> str:
-    """ASCII picture of the grid (north at the top) for demos and debugging."""
-    cfg = state.config
-    rows = []
-    by_pos = {a.pos: a for a in state.agents}
-    for y in range(cfg.height - 1, -1, -1):
-        row = []
-        for x in range(cfg.width):
-            a = by_pos.get((x, y))
-            if a is not None:
-                if not a.alive:
-                    ch = "x"
-                elif a.kind is AgentKind.ATTACKER:
-                    ch = "a"
-                elif a.kind is AgentKind.AD_HOC_GUARD:
-                    ch = "H"
-                else:
-                    ch = "G"
-            elif (x, y) in cfg.fort_cells:
-                ch = "#"
-            else:
-                ch = "."
-            row.append(ch)
-        rows.append("".join(row))
-    return "\n".join(rows)

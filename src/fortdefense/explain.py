@@ -327,14 +327,14 @@ def _provenance_dict(p: Provenance) -> dict:
     }
 
 
-def _provenance_from_dict(d: dict) -> Provenance:
+def _provenance_from_dict(d: dict, atom, literal) -> Provenance:
     return Provenance(
-        atom=parse_atom(d["atom"]),
+        atom=atom(d["atom"]),
         how=d["how"],
         axiom_id=d["axiom_id"],
         axiom_text=d["axiom_text"],
-        action=parse_atom(d["action"]) if d["action"] else None,
-        support=tuple(parse_literal(s) for s in d["support"]),
+        action=atom(d["action"]) if d["action"] else None,
+        support=tuple(literal(s) for s in d["support"]),
     )
 
 
@@ -385,14 +385,16 @@ def _step_dict(rec: StepRecord) -> dict:
     }
 
 
-def _step_from_dict(d: dict) -> StepRecord:
+def _step_from_dict(d: dict, atom, literal) -> StepRecord:
+    """A step record from its JSON form; ``atom`` and ``literal`` parse
+    one atom or literal string."""
     return StepRecord(
         step=d["step"],
-        belief=Belief(parse_atom(s) for s in d["belief"]),
+        belief=Belief(atom(s) for s in d["belief"]),
         goal=Goal(
             d["goal"]["kind"],
             d["goal"]["target"],
-            tuple(parse_literal(s) for s in d["goal"]["literals"]),
+            tuple(literal(s) for s in d["goal"]["literals"]),
         ),
         predictions={k: int(v) for k, v in d["predictions"].items()},
         predicted_next={
@@ -402,11 +404,13 @@ def _step_from_dict(d: dict) -> StepRecord:
         replanned=d["replanned"],
         plan_success=d["plan_success"],
         plan_expanded=d["plan_expanded"],
-        plan_actions=tuple(parse_atom(s) for s in d["plan"]),
-        chosen=None if d["chosen"] is None else parse_atom(d["chosen"]),
+        plan_actions=tuple(atom(s) for s in d["plan"]),
+        chosen=None if d["chosen"] is None else atom(d["chosen"]),
         fallback=d["fallback"],
-        executed=tuple(parse_atom(s) for s in d["executed"]),
-        provenance=tuple(_provenance_from_dict(p) for p in d["provenance"]),
+        executed=tuple(atom(s) for s in d["executed"]),
+        provenance=tuple(
+            _provenance_from_dict(p, atom, literal) for p in d["provenance"]
+        ),
         reconciled=d["reconciled"],
     )
 
@@ -455,8 +459,23 @@ def save_traces(
     return len(records)
 
 
+def _memo(parse):
+    """``parse`` reading each distinct string once: a trace repeats the same
+    belief atoms at every step."""
+    parsed: dict = {}
+
+    def lookup(text: str):
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse(text)
+        return value
+
+    return lookup
+
+
 def load_traces(path) -> list[EpisodeTrace]:
     """Read a JSONL trace file back into queryable traces."""
+    atom, literal = _memo(parse_atom), _memo(parse_literal)
     traces: list[EpisodeTrace] = []
     header: Optional[dict] = None
     steps: list[StepRecord] = []
@@ -474,7 +493,7 @@ def load_traces(path) -> list[EpisodeTrace]:
                 header = d
                 steps = []
             elif d["type"] == "step":
-                steps.append(_step_from_dict(d))
+                steps.append(_step_from_dict(d, atom, literal))
             elif d["type"] == "final":
                 if header is None:
                     raise ValueError("trace file has a final line before a header")
@@ -488,7 +507,7 @@ def load_traces(path) -> list[EpisodeTrace]:
                         completion_applied=tuple(header["completion_applied"]),
                         completion_retracted=tuple(header["completion_retracted"]),
                         steps=steps,
-                        final_belief=Belief(parse_atom(s) for s in d["belief"])
+                        final_belief=Belief(atom(s) for s in d["belief"])
                         if d["belief"]
                         else None,
                         outcome=header["outcome"],

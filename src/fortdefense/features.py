@@ -23,17 +23,13 @@ frozen pose; their absence shows up in the not-alive count.
 
 A padding block is ``(-1, -1, diagonal, 0, 0, diagonal)``: impossible
 coordinates plus max-distance sentinels.
-
-Datasets are CSV files with the 39 feature columns followed by one
-``action`` label column (the modeled agent's action kind at that step).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -114,31 +110,3 @@ def extract(
     values += (nearest, float(down), float(int(prev)))
     return np.array(values, dtype=float)
 
-
-def write_dataset(path, rows: Iterable[tuple[Sequence[float], int]]) -> int:
-    """Write (feature vector, action label) rows as CSV; returns row count."""
-    count = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_NAMES) + ["action"])
-        for vec, label in rows:
-            if len(vec) != N_FEATURES:
-                raise ValueError(f"feature vector has {len(vec)} entries, not {N_FEATURES}")
-            writer.writerow([repr(float(v)) for v in vec] + [int(label)])
-            count += 1
-    return count
-
-
-def read_dataset(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dataset written by :func:`write_dataset` -> (X, y)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(FEATURE_NAMES) + ["action"]:
-            raise ValueError(f"unrecognized dataset header in {path}")
-        X: list[list[float]] = []
-        y: list[int] = []
-        for row in reader:
-            X.append([float(v) for v in row[:N_FEATURES]])
-            y.append(int(row[N_FEATURES]))
-    return np.array(X, dtype=float).reshape(len(y), N_FEATURES), np.array(y, dtype=int)

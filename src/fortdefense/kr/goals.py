@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from fortdefense.env import GridConfig
+from fortdefense.env import GridConfig, facing_toward
 from fortdefense.kr.ground import (
-    DIR_OF_SYMBOL,
-    DIR_SYMBOLS,
+    SYMBOL_OF_DIR,
     GroundedDomain,
     attacker_symbols,
     fort_region_symbols,
@@ -138,19 +137,6 @@ def nearest_living(
 
 def _attacker_index(sym: str) -> int:
     return int(sym[len("attacker") :])
-
-
-def _nearest_facing(ax: float, ay: float) -> str:
-    """The grid direction best aligned with the bearing to (ax, ay)
-    relative to the origin; ties resolve in n, e, s, w order."""
-    best, best_err = "n", None
-    bearing = math.atan2(ax, ay)
-    for d in DIR_SYMBOLS:
-        vec = DIR_OF_SYMBOL[d]
-        err = abs(math.remainder(bearing - math.atan2(vec.dx, vec.dy), math.tau))
-        if best_err is None or err < best_err - 1e-12:
-            best, best_err = d, err
-    return best
 
 
 def region_center(config: GridConfig, sym: str) -> tuple[float, float]:
@@ -254,7 +240,7 @@ def select_goal(
     if nearest is not None:
         sym, (tx, ty) = nearest
         if (tx, ty) != (ax, ay):
-            d = _nearest_facing(tx - ax, ty - ay)
+            d = SYMBOL_OF_DIR[facing_toward(tx - ax, ty - ay)]
             return Goal(
                 "hold_position",
                 None,

@@ -5,8 +5,9 @@ axioms for the rule engine.
 Grounding is *restricted by granularity*: the planner and the predicted
 exogenous schedule move agents only onto the active cells of fine-grained
 regions; coarse regions contribute region atoms alone.  Belief atoms
-themselves are never truncated, and a restriction (:func:`restrict`) is a
-view of one grounding that differs only in its fine regions.
+themselves are never truncated.  :func:`ground` makes every region fine;
+a restriction (:func:`restrict`) is a view of that grounding that differs
+only in its fine regions.
 
 The rule engine works on compiled rules whose bodies are re-ordered for
 evaluation: positive fluent literals first (they bind variables against
@@ -467,14 +468,14 @@ def ground(
     *,
     sorts: Optional[dict[str, tuple[Term, ...]]] = None,
     statics: Optional[dict[str, Static]] = None,
-    fine_regions: Optional[Iterable[str]] = None,
     horizon: int = 8,
 ) -> GroundedDomain:
-    """Ground a domain description against a grid configuration.
+    """Ground a domain description against a grid configuration, every
+    region at cell granularity; :func:`restrict` gives a view at a coarser
+    granularity.
 
     Synthetic domains (tests, default-conflict fixtures) may instead pass
-    explicit ``sorts``/``statics``.  ``fine_regions`` restricts cell-level
-    grounding; the default is every region fine.
+    explicit ``sorts``/``statics``.
     """
     if sorts is None:
         if config is None:
@@ -488,10 +489,7 @@ def ground(
         resolved_statics.update(statics)
 
     if config is not None:
-        if fine_regions is None:
-            fine = frozenset(all_region_symbols(config))
-        else:
-            fine = frozenset(fine_regions)
+        fine = frozenset(all_region_symbols(config))
         active = _active_cells(config, fine)
     else:
         fine = frozenset()

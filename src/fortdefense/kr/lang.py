@@ -80,10 +80,6 @@ class Atom:
             return self.pred
         return f"{self.pred}({', '.join(map(str, self.args))})"
 
-    @property
-    def is_ground(self) -> bool:
-        return not any(isinstance(a, Variable) for a in self.args)
-
     def substitute(self, binding: dict) -> "Atom":
         return Atom(
             self.pred,

@@ -10,8 +10,10 @@ Each tick the controller:
    consistent bound, see :mod:`fortdefense.kr.plan`) under a schedule of
    predicted exogenous actions, reusing the previous plan while the goal
    is unchanged and its next step stays executable, and
-5. executes the first planned action (falling back to facing the nearest
-   attacker, then to a noop, when no plan exists).
+5. executes the first planned action (falling back to a quarter turn
+   toward the nearest attacker by the simulator's facing rule,
+   ``env.facing_toward`` and ``env.turn_toward``, then to a noop, when no
+   plan exists).
 
 Beliefs advance by progression through the actions that actually
 happened.  Cancelled moves simply do not happen (no atom), rotations are
@@ -22,11 +24,14 @@ progression the belief is reconciled against the observation: on any
 mismatch it is rebuilt from the observed poses, carrying over the
 unobservable inertial atoms.
 
-Model bookkeeping runs alongside: agreement trackers are updated for
-every library model against each agent's observed action, the
-keep/switch/flag rule reassigns models per agent, and a flagged agent
-triggers an incremental refit from that agent's example buffer once
-enough examples have accumulated.
+Model bookkeeping runs alongside: agreement trackers (windows of
+``models.WINDOW_DEFAULT`` = 30 ticks) are updated for every library model
+against each agent's observed action, the keep/switch/flag rule
+(``models.select_or_flag`` at the fixed threshold ``THETA_DEFAULT`` = 0.5)
+reassigns models per agent, and a flagged agent triggers an incremental
+refit from that agent's example buffer once it holds ``WINDOW_DEFAULT``
+examples.  ``refit=False`` turns refitting off, which isolates the model
+dynamics in tests.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from fortdefense.env import (
     MOVE_KINDS,
     ShotEvent,
     WorldState,
+    facing_toward,
     reset,
     step,
     terminal,
+    turn_toward,
 )
 from fortdefense.features import extract
 from fortdefense.kr.beliefs import (
@@ -64,7 +71,6 @@ from fortdefense.kr.beliefs import (
 )
 from fortdefense.kr.goals import (
     Goal,
-    _nearest_facing,
     compute_relevance,
     corridor_regions,
     is_down,
@@ -76,6 +82,7 @@ from fortdefense.kr.goals import (
 from fortdefense.kr.ground import (
     CCW,
     CW,
+    DIR_OF_SYMBOL,
     SYMBOL_OF_DIR,
     GroundedDomain,
     agent_symbol,
@@ -90,7 +97,6 @@ from fortdefense.kr.plan import goal_holds, plan as search_plan
 from fortdefense.models import (
     BUFFER_SIZE,
     RESERVOIR_SIZE,
-    THETA_DEFAULT,
     WINDOW_DEFAULT,
     ModelLibrary,
     incremental_update,
@@ -270,19 +276,13 @@ class AdHocController:
         library: Optional[ModelLibrary] = None,
         *,
         horizon: int = 8,
-        theta: float = THETA_DEFAULT,
-        window: int = WINDOW_DEFAULT,
         refit: bool = True,
-        refit_min: int = WINDOW_DEFAULT,
         collect_trace: bool = False,
     ):
         self.config = config
         self.library = library if library is not None else ModelLibrary()
         self.horizon = horizon
-        self.theta = theta
-        self.window = window
         self.refit = refit
-        self.refit_min = refit_min
         self.collect_trace = collect_trace
         self.gdom = ground(load_domain(), config, horizon=horizon)
         self.ah_id = symbol_agent_id(config, self.gdom.ah_symbol)
@@ -470,10 +470,10 @@ class AdHocController:
         tx, ty = nearest[1]
         if (tx, ty) == (ax, ay):
             return noop
-        want = _nearest_facing(tx - ax, ty - ay)
-        if want == d:
+        turn = turn_toward(DIR_OF_SYMBOL[d], facing_toward(tx - ax, ty - ay))
+        if turn is None:
             return noop
-        target = want if want in (CW[d], CCW[d]) else CW[d]
+        target = (CCW if turn is ActionKind.ROTATE_CCW else CW)[d]
         atom = Atom("rotate", (ah, target))
         ok, _ = check_executable(belief, atom, gdom)
         return atom if ok else noop
@@ -565,7 +565,7 @@ class AdHocController:
             for tid in sorted(lib.models):
                 key = (agent_id, tid)
                 if key in self._last_preds:
-                    lib.tracker(agent_id, tid, self.window).update(
+                    lib.tracker(agent_id, tid).update(
                         self._last_preds[key], actual
                     )
                     if tid == assigned:
@@ -573,9 +573,7 @@ class AdHocController:
                         self.pred_correct += int(self._last_preds[key] == actual)
             if assigned is None and self.refit:
                 flagged.append(agent_id)
-        for agent_id, (verdict, tid) in sorted(
-            select_or_flag(lib, self.theta).items()
-        ):
+        for agent_id, (verdict, tid) in sorted(select_or_flag(lib).items()):
             if verdict == "switch":
                 lib.assignment[agent_id] = tid
             elif verdict == "flag_new_model" and self.refit:
@@ -590,7 +588,7 @@ class AdHocController:
         """Learn (or update) a model for a flagged agent from its buffer."""
         lib = self.library
         buffer = self.buffers.get(agent_id, [])
-        if len(buffer) < self.refit_min:
+        if len(buffer) < WINDOW_DEFAULT:
             return
         current_tid = lib.assignment.get(agent_id)
         current = lib.models.get(current_tid) if current_tid is not None else None
@@ -704,10 +702,7 @@ def run_games(
     ad_hoc: bool = True,
     library: Optional[ModelLibrary] = None,
     horizon: int = 8,
-    theta: float = THETA_DEFAULT,
-    window: int = WINDOW_DEFAULT,
     refit: bool = True,
-    refit_min: int = WINDOW_DEFAULT,
     collect_traces: bool = False,
     example_sink: Optional[Mapping[str, list]] = None,
 ) -> GameStats:
@@ -725,10 +720,7 @@ def run_games(
             config,
             library,
             horizon=horizon,
-            theta=theta,
-            window=window,
             refit=refit,
-            refit_min=refit_min,
             collect_trace=collect_traces,
         )
     for episode in range(n_episodes):

@@ -38,10 +38,11 @@ histograms scores every numeric boundary and every category of every
 feature, so a level costs a fixed number of array operations whatever the
 feature count, with the same floats as a per-feature sort-and-scan.
 
-Agreement trackers keep a sliding window (default 30) of
+Agreement trackers keep a sliding window of :data:`WINDOW_DEFAULT` (30)
 prediction-matched-observation flags per (agent, model) pair; the windowed
-fraction drives keep / switch / learn-a-new-model decisions at threshold
-theta (default 0.5).  Incremental updates refit on a retained reservoir
+fraction drives keep / switch / learn-a-new-model decisions at the fixed
+threshold :data:`THETA_DEFAULT` (0.5).  A tracker read back from a library
+file keeps the window it was saved with.  Incremental updates refit on a retained reservoir
 (up to 5,000 examples) plus a fresh buffer (200), keeping the old model
 when its held-out accuracy is better; the holdout is every fifth example.
 
@@ -475,29 +476,32 @@ class ModelLibrary:
     assignment: dict[int, int] = field(default_factory=dict)
     trackers: dict[tuple[int, int], AgreementTracker] = field(default_factory=dict)
 
-    def tracker(self, agent: int, type_id: int, window: int = WINDOW_DEFAULT) -> AgreementTracker:
+    def tracker(self, agent: int, type_id: int) -> AgreementTracker:
         key = (agent, type_id)
         if key not in self.trackers:
-            self.trackers[key] = AgreementTracker(window=window)
+            self.trackers[key] = AgreementTracker()
         return self.trackers[key]
 
     def next_type_id(self) -> int:
         return max(self.models, default=-1) + 1
 
 
-def select_or_flag(lib: ModelLibrary, theta: float = THETA_DEFAULT) -> dict:
-    """Per assigned agent: keep the current model, switch, or flag for a new
-    one.  An untracked (agent, model) pair counts as full agreement."""
+def select_or_flag(lib: ModelLibrary) -> dict:
+    """Per assigned agent: keep the current model while its agreement is
+    at least :data:`THETA_DEFAULT`, else switch to the model agreeing most
+    (ties to the lowest type id) if that one reaches the threshold, else
+    flag for a new one.  An untracked (agent, model) pair counts as full
+    agreement."""
     decisions = {}
     for agent in sorted(lib.assignment):
         current = lib.assignment[agent]
-        if _fraction(lib, agent, current) >= theta:
+        if _fraction(lib, agent, current) >= THETA_DEFAULT:
             decisions[agent] = ("keep", current)
             continue
         best = None  # (fraction, type_id)
         for type_id in sorted(lib.models):
             frac = _fraction(lib, agent, type_id)
-            if frac >= theta and (best is None or frac > best[0]):
+            if frac >= THETA_DEFAULT and (best is None or frac > best[0]):
                 best = (frac, type_id)
         if best is not None:
             decisions[agent] = ("switch", best[1])

@@ -2,10 +2,11 @@
 
 Two handcrafted training policies (P1, P2) and four analogs of pre-trained
 opponent checkpoints (B220, B650, B1240, B1600), here realized as
-parameterized heuristics.  The numeric parameters below are this
-implementation's declared analog values (the originals are neural policies
-with no published parameters); results obtained with them are directional,
-not replications.
+heuristics with fixed parameters.  The numbers in :data:`DEFAULT_PARAMS`
+are this implementation's declared analog values (the originals are
+neural policies with no published parameters); results obtained with them
+are directional, not replications.  A :class:`PolicySpec` names a policy
+and reads its parameters from that table.
 
 Qualitative intents:
 
@@ -25,15 +26,17 @@ Qualitative intents:
   with live fire while the rest hold back and dash for the fort once any
   guard is drawn out of position.
 
-Every returned action is drawn from ``legal_actions``; a dead agent noops.
+Turns aim with the simulator's facing rule (``env.facing_toward`` and
+``env.turn_toward``).  Every returned action is drawn from
+``legal_actions``; a dead agent noops.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from fortdefense.env import (
     MOVE_KINDS,
@@ -41,14 +44,15 @@ from fortdefense.env import (
     Action,
     ActionKind,
     AgentState,
-    Direction,
     GridConfig,
     WorldState,
+    facing_toward,
     fort_center,
     fort_distance,
     in_arc,
     legal_actions,
     nearest_fort_cell,
+    turn_toward,
 )
 
 BUILTIN_NAMES = ("B220", "B650", "B1240", "B1600")
@@ -79,52 +83,28 @@ DEFAULT_PARAMS: dict[str, dict[str, float]] = {
     "mix": {},
 }
 
-PARAM_RANGES: dict[str, tuple[float, float]] = {
-    "guard_radius": (0, 40),
-    "engage_range": (0, 40),
-    "anchor_gap": (0, 20),
-    "spread_steps": (0, 20),
-    "jitter": (0.0, 1.0),
-    "lane_gap": (0, 20),
-    "stagger": (0, 10),
-    "aggression": (0.0, 1.0),
-    "drawn_radius": (0, 40),
-    "standoff_rows": (0, 40),
-}
-
 
 @dataclass
 class PolicySpec:
     name: str
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.name not in POLICY_NAMES:
             raise ValueError(
                 f"unknown policy {self.name!r}; expected one of {POLICY_NAMES}"
             )
-        for key, value in self.params.items():
-            if key not in PARAM_RANGES:
-                raise ValueError(f"unknown policy parameter {key!r}")
-            lo, hi = PARAM_RANGES[key]
-            if not lo <= value <= hi:
-                raise ValueError(f"{key}={value} outside documented range [{lo}, {hi}]")
 
     def param(self, key: str) -> float:
-        if key in self.params:
-            return self.params[key]
         return DEFAULT_PARAMS[self.name][key]
 
 
-def make_policy(name: str, **overrides: float) -> PolicySpec:
-    return PolicySpec(name=name, params=dict(overrides))
+def make_policy(name: str) -> PolicySpec:
+    return PolicySpec(name)
 
 
-def make_mix(seed: int, choices: tuple[str, ...] = BUILTIN_NAMES) -> PolicySpec:
+def make_mix(seed: int) -> PolicySpec:
     """Pick one built-in policy uniformly from the episode seed."""
-    if not choices:
-        raise ValueError("cannot mix over an empty set of policies")
-    return make_policy(random.Random(seed).choice(list(choices)))
+    return make_policy(random.Random(seed).choice(BUILTIN_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +159,8 @@ def _rotate_toward(agent: AgentState, pos: tuple[float, float]) -> Optional[Acti
     dx, dy = pos[0] - agent.x, pos[1] - agent.y
     if dx == 0 and dy == 0:
         return None
-    bearing = math.atan2(dx, dy)
-    order = (Direction.N, Direction.E, Direction.S, Direction.W)
-
-    def gap(d: Direction) -> float:
-        raw = abs(bearing - d.angle) % (2 * math.pi)
-        return min(raw, 2 * math.pi - raw)
-
-    best = min(order, key=lambda d: (gap(d), order.index(d)))
-    steps_cw = (order.index(best) - order.index(agent.direction)) % 4
-    if steps_cw == 0:
-        return None
-    if steps_cw == 3:
-        return TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW]
-    return TARGETLESS_ACTIONS[ActionKind.ROTATE_CW]
+    turn = turn_toward(agent.direction, facing_toward(dx, dy))
+    return None if turn is None else TARGETLESS_ACTIONS[turn]
 
 
 def _guard_rank(state: WorldState, agent_id: int) -> int:
@@ -333,7 +301,7 @@ def _guard_action(
     if chosen is None:
         chosen = Action.noop()
     # P2 movement is slightly noisy
-    jitter = spec.params.get("jitter", DEFAULT_PARAMS[spec.name].get("jitter", 0.0))
+    jitter = DEFAULT_PARAMS[spec.name].get("jitter", 0.0)
     if jitter and chosen.kind in MOVE_KINDS and moves and rng.random() < jitter:
         options = sorted(moves.values(), key=lambda a: a.kind)
         chosen = options[rng.randrange(len(options))]

@@ -9,13 +9,38 @@ Copied unchanged from ``fortdefense.env`` (``EPS``, ``DIRECTION_INDEX``,
 ``fortdefense.features`` (``grid_center``, ``_fort_dist``,
 ``_agent_block``).  Tests compare the table-backed functions against them;
 nothing in the package imports this module.
+
+The three copies of the facing rule that ``env.facing_toward`` and
+``env.turn_toward`` replaced are kept the same way: ``_nearest_facing``
+from ``fortdefense.kr.goals``, ``_rotate_toward`` from
+``fortdefense.policies``, and ``AdHocController._fallback`` from
+``fortdefense.loop`` (dedented to a function that ignores ``self``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
-from fortdefense.env import AgentState, Direction, GridConfig
+from fortdefense.env import (
+    TARGETLESS_ACTIONS,
+    Action,
+    ActionKind,
+    AgentState,
+    Direction,
+    GridConfig,
+)
+from fortdefense.kr.beliefs import Belief, check_executable
+from fortdefense.kr.goals import nearest_living, pose_of
+from fortdefense.kr.ground import (
+    CCW,
+    CW,
+    DIR_OF_SYMBOL,
+    DIR_SYMBOLS,
+    GroundedDomain,
+    attacker_symbols,
+)
+from fortdefense.kr.lang import Atom
 
 EPS = 1e-9
 
@@ -95,3 +120,58 @@ def _agent_block(config: GridConfig, agent: AgentState) -> list[float]:
         float(DIRECTION_INDEX[agent.direction]),
         _fort_dist(config, agent.x, agent.y),
     ]
+
+
+def _nearest_facing(ax: float, ay: float) -> str:
+    """The grid direction best aligned with the bearing to (ax, ay)
+    relative to the origin; ties resolve in n, e, s, w order."""
+    best, best_err = "n", None
+    bearing = math.atan2(ax, ay)
+    for d in DIR_SYMBOLS:
+        vec = DIR_OF_SYMBOL[d]
+        err = abs(math.remainder(bearing - math.atan2(vec.dx, vec.dy), math.tau))
+        if best_err is None or err < best_err - 1e-12:
+            best, best_err = d, err
+    return best
+
+
+def _rotate_toward(agent: AgentState, pos: tuple[float, float]) -> Optional[Action]:
+    """One rotation step toward facing ``pos``, or None if already aligned."""
+    dx, dy = pos[0] - agent.x, pos[1] - agent.y
+    if dx == 0 and dy == 0:
+        return None
+    bearing = math.atan2(dx, dy)
+    order = (Direction.N, Direction.E, Direction.S, Direction.W)
+
+    def gap(d: Direction) -> float:
+        raw = abs(bearing - d.angle) % (2 * math.pi)
+        return min(raw, 2 * math.pi - raw)
+
+    best = min(order, key=lambda d: (gap(d), order.index(d)))
+    steps_cw = (order.index(best) - order.index(agent.direction)) % 4
+    if steps_cw == 0:
+        return None
+    if steps_cw == 3:
+        return TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW]
+    return TARGETLESS_ACTIONS[ActionKind.ROTATE_CW]
+
+
+def _fallback(self, belief: Belief, gdom: GroundedDomain) -> Atom:
+    """Face the nearest living attacker; noop when already facing (or
+    nothing to face, or rotation is blocked)."""
+    ah = gdom.ah_symbol
+    noop = Atom("noop", (ah,))
+    nearest = nearest_living(belief, ah, attacker_symbols(gdom.config))
+    if nearest is None:
+        return noop
+    ax, ay, d = pose_of(belief, ah)
+    tx, ty = nearest[1]
+    if (tx, ty) == (ax, ay):
+        return noop
+    want = _nearest_facing(tx - ax, ty - ay)
+    if want == d:
+        return noop
+    target = want if want in (CW[d], CCW[d]) else CW[d]
+    atom = Atom("rotate", (ah, target))
+    ok, _ = check_executable(belief, atom, gdom)
+    return atom if ok else noop

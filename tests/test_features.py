@@ -30,8 +30,6 @@ from fortdefense.features import (
     N_FEATURES,
     extract,
     pad_sentinel_block,
-    read_dataset,
-    write_dataset,
 )
 
 DIR_INDEX = {Direction.N: 0, Direction.E: 1, Direction.S: 2, Direction.W: 3}
@@ -290,21 +288,3 @@ def test_unknown_agent_raises():
     state = reset(GridConfig(), seed=2)
     with pytest.raises(KeyError):
         extract(state, 99, None)
-
-
-def test_csv_round_trip(tmp_path):
-    rows = []
-    for state, modeled, prev in random_states(20, seed=21):
-        vec = extract(state, modeled, prev)
-        label = int(vec[38]) % 8
-        rows.append((vec, label))
-    path = tmp_path / "data.csv"
-    write_dataset(path, rows)
-    X, y = read_dataset(path)
-    assert X.shape == (20, 39)
-    assert y.shape == (20,)
-    for i, (vec, label) in enumerate(rows):
-        np.testing.assert_allclose(X[i], vec, rtol=0, atol=0)
-        assert y[i] == label
-    header = path.read_text().splitlines()[0]
-    assert header.split(",") == list(FEATURE_NAMES) + ["action"]

@@ -4,8 +4,10 @@ The tables must give exactly what the formulas they replaced give: the
 property below compares every table-backed function with the slow copies in
 ``reference_geometry.py`` over random configurations, on and off the table
 span.  The other tests pin the tables' lifetime (one per configuration
-object, invisible to equality, hashing and serialization) and the enum
-attributes that replaced properties.
+object, invisible to equality, hashing and serialization), the enum
+attributes that replaced properties, and the one facing rule
+(``facing_toward``, ``turn_toward``) against the three copies of it that
+the goal rule, the scripted policies and the controller's fallback kept.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_geometry as ref
@@ -26,6 +29,7 @@ from fortdefense.env import (
     Direction,
     GridConfig,
     clear_shot,
+    facing_toward,
     fort_center,
     fort_distance,
     in_arc,
@@ -33,10 +37,15 @@ from fortdefense.env import (
     in_range,
     nearest_fort_cell,
     reset,
+    turn_toward,
 )
 from fortdefense.explain import _config_dict, load_traces, save_traces
 from fortdefense.features import _agent_block
-from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics
+from fortdefense.kr.beliefs import Belief
+from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics, ground
+from fortdefense.kr.lang import Atom
+from fortdefense.loop import AdHocController, load_domain
+from fortdefense.policies import _rotate_toward
 
 # Ranges and arcs that put a cell's distance or bearing (from a shooter
 # facing north) exactly on the ``+ EPS`` edge or inside the EPS margin:
@@ -205,3 +214,54 @@ def test_state_copy_is_equal_and_independent():
     assert all(a is not b for a, b in zip(clone.agents, state.agents))
     clone.agents[0].x += 1
     assert clone.agents[0] != state.agents[0]
+
+
+# ---------------------------------------------------------------------------
+# the facing rule
+# ---------------------------------------------------------------------------
+
+#: Every nonzero offset between two cells of a 40 x 40 grid, which holds
+#: every offset of each grid of side 5 to 40.
+_SPAN = 39
+_OFFSETS = [
+    (dx, dy)
+    for dx in range(-_SPAN, _SPAN + 1)
+    for dy in range(-_SPAN, _SPAN + 1)
+    if (dx, dy) != (0, 0)
+]
+
+
+def test_the_facing_rule_matches_the_goal_rule_and_policy_copies():
+    for dx, dy in _OFFSETS:
+        want = facing_toward(dx, dy)
+        assert SYMBOL_OF_DIR[want] == ref._nearest_facing(dx, dy), (dx, dy)
+        for facing in Direction:
+            agent = AgentState(0, AgentKind.GUARD, 0, 0, facing)
+            old = ref._rotate_toward(agent, (dx, dy))
+            turn = turn_toward(facing, want)
+            assert old == (None if turn is None else TARGETLESS_ACTIONS[turn])
+            assert _rotate_toward(agent, (dx, dy)) == old, (dx, dy, facing)
+    with pytest.raises(ValueError):
+        facing_toward(0, 0)
+
+
+def test_the_fallback_turn_matches_the_controller_copy():
+    config = GridConfig(width=_SPAN + 1, height=_SPAN + 1, n_guards=1, n_attackers=1)
+    gdom = ground(load_domain(), config)
+    chosen = set()
+    for dx, dy in _OFFSETS:
+        gx, gy = max(0, -dx), max(0, -dy)
+        for d in "nesw":
+            belief = Belief(
+                [
+                    Atom("in", ("guard0", gx, gy)),
+                    Atom("face", ("guard0", d)),
+                    Atom("in", ("attacker1", gx + dx, gy + dy)),
+                    Atom("face", ("attacker1", "n")),
+                ]
+            )
+            got = AdHocController._fallback(None, belief, gdom)
+            assert got == ref._fallback(None, belief, gdom), (dx, dy, d)
+            chosen.add((d, got.args[1:]))
+    # each facing met the noop and both quarter turns
+    assert len(chosen) == 12

@@ -17,11 +17,10 @@ from collections import deque
 from hypothesis import example, given, settings, strategies as st
 from reference_plan import reference_plan
 
-from fortdefense.env import KIND_FOR_DIRECTION, ActionKind, GridConfig
+from fortdefense.env import KIND_FOR_DIRECTION, ActionKind, GridConfig, facing_toward
 from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
 from fortdefense.kr.goals import (
     Goal,
-    _nearest_facing,
     compute_relevance,
     corridor_regions,
     nearest_living,
@@ -30,6 +29,7 @@ from fortdefense.kr.goals import (
 )
 from fortdefense.kr.ground import (
     DIR_OF_SYMBOL,
+    SYMBOL_OF_DIR,
     attacker_symbols,
     guard_symbols,
     ground,
@@ -159,7 +159,7 @@ def test_interception_plan_is_three_moves_then_shoot():
 def test_interception_plan_unchanged_under_granularity_restriction():
     config = GridConfig(n_guards=1, n_attackers=1)
     fine = {"r22", "r15", "r16", "r17"} | corridor_regions(config, (2, 14), (10, 14))
-    gdom = ground(shipped_domain(), config, fine_regions=fine)
+    gdom = restrict(ground(shipped_domain(), config), fine)
     b = belief_of(
         gdom,
         [("guard0", 2, 14, "e", True), ("attacker1", 10, 14, "w", True)],
@@ -326,7 +326,7 @@ _SHOOT = int(ActionKind.SHOOT)
 
 def _toward(a, b):
     """The grid direction from cell ``a`` that best points at cell ``b``."""
-    return _nearest_facing(b[0] - a[0], b[1] - a[1])
+    return SYMBOL_OF_DIR[facing_toward(b[0] - a[0], b[1] - a[1])]
 
 
 def _shoot_goal(target):

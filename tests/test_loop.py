@@ -531,10 +531,7 @@ def constant_model(kind: int):
 class TestOnlineModels:
     def test_cold_start_learns_a_model(self, slow_config):
         lib = ModelLibrary()
-        stats = run_games(
-            slow_config, "P1", 6, seed=31, ad_hoc=True, library=lib,
-            refit=True, refit_min=8,
-        )
+        stats = run_games(slow_config, "P1", 6, seed=31, ad_hoc=True, library=lib)
         assert lib.models, "no model learned from a cold start"
         assert set(lib.assignment) <= {1, 2, 3}
         assert any(e.pred_total > 0 for e in stats.episodes)

@@ -30,6 +30,7 @@ from fortdefense.models import (
     FFTree,
     ModelLibrary,
     StackedModel,
+    THETA_DEFAULT,
     _feature_splits,
     _rank_codes,
     accuracy,
@@ -273,24 +274,31 @@ def _library_with_fractions(agent, fractions):
 
 def test_keep_current_model_above_threshold():
     lib = _library_with_fractions(5, {0: 0.9, 1: 0.2})
-    decisions = select_or_flag(lib, theta=0.6)
+    decisions = select_or_flag(lib)
     assert decisions[5] == ("keep", 0)
 
 
 def test_switch_to_better_model():
     lib = _library_with_fractions(5, {0: 0.3, 1: 0.8})
-    decisions = select_or_flag(lib, theta=0.6)
+    decisions = select_or_flag(lib)
     assert decisions[5] == ("switch", 1)
 
 
 def test_switch_tie_goes_to_lowest_type_id():
     lib = _library_with_fractions(5, {0: 0.3, 1: 0.8, 2: 0.8})
-    assert select_or_flag(lib, theta=0.6)[5] == ("switch", 1)
+    assert select_or_flag(lib)[5] == ("switch", 1)
 
 
 def test_flag_new_model_when_all_below_threshold():
     lib = _library_with_fractions(5, {0: 0.2, 1: 0.2})
-    assert select_or_flag(lib, theta=0.6)[5] == ("flag_new_model", None)
+    assert select_or_flag(lib)[5] == ("flag_new_model", None)
+
+
+def test_agreement_exactly_at_the_threshold_keeps_the_model():
+    # the rule is ``>=``: 5 hits in a window of 10 is THETA_DEFAULT itself
+    assert THETA_DEFAULT == 0.5
+    lib = _library_with_fractions(5, {0: 0.5, 1: 0.9})
+    assert select_or_flag(lib)[5] == ("keep", 0)
 
 
 # ---------------------------------------------------------------------------

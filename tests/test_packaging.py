@@ -1,16 +1,25 @@
-"""The package metadata names only things that exist."""
+"""The package metadata names only things that exist, the benchmark's calls
+into the package still resolve, and no module imports a name it never
+uses."""
 
+import ast
 import importlib
+import inspect
 import pathlib
+import sys
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+from fortdefense import loop
+from fortdefense.kr.ground import ground
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "fortdefense"
 
 
 def project_table() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as f:
         return tomllib.load(f)["project"]
 
@@ -27,3 +36,87 @@ def test_the_declared_readme_exists():
         readme = readme.get("file")
     if readme is not None:
         assert (ROOT / readme).is_file()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's call surface (perfbench/ imports its modules by bare name)
+# ---------------------------------------------------------------------------
+
+
+def test_every_traced_layer_exists_and_the_patch_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    patch = tracing.layer_patch(tracing.Tracer())
+    assert patch.targets
+    originals = []
+    for owner, name, _ in patch.targets:
+        assert hasattr(owner, name), (owner, name)
+        originals.append(getattr(owner, name))
+    with patch:
+        for owner, name, wrapped in patch.targets:
+            assert getattr(owner, name) is wrapped, (owner, name)
+    for (owner, name, _), original in zip(patch.targets, originals):
+        assert getattr(owner, name) is original, (owner, name)
+
+
+def _benchmark_calls(name: str):
+    """(positional count, keyword names) of each call of ``name`` in
+    ``perfbench/workloads.py``: direct (``loop.run_games(...)``) or handed
+    to a timer as its first argument (``timed(loop.run_games, ...)``)."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+
+    def called(node) -> str:
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = [k.arg for k in node.keywords]
+        if called(node.func) == name:
+            yield len(node.args), keywords
+        elif node.args and called(node.args[0]) == name:
+            yield len(node.args) - 1, keywords
+
+
+@pytest.mark.parametrize("fn", [loop.run_games, ground], ids=lambda fn: fn.__name__)
+def test_the_benchmark_calls_bind_to_the_signature(fn):
+    calls = list(_benchmark_calls(fn.__name__))
+    assert calls, f"perfbench/workloads.py no longer calls {fn.__name__}"
+    signature = inspect.signature(fn)
+    for n_args, keywords in calls:
+        signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (``__future__`` aside) that appear nowhere
+    in it as a name."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "import csv\nfrom typing import Iterable, Optional\nx: Optional[int] = None\n"
+    assert unused_imports(source) == ["Iterable", "csv"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {
+        str(p.relative_to(PACKAGE)): names
+        for p in modules
+        if (names := unused_imports(p.read_text()))
+    }
+    assert unused == {}
