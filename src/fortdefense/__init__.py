@@ -6,36 +6,4 @@ language reasoner with a bounded planner, an explanation engine, and an
 experiment harness.
 """
 
-from fortdefense.env import (
-    Action,
-    ActionKind,
-    AgentKind,
-    AgentState,
-    Direction,
-    EpisodeResult,
-    GridConfig,
-    Outcome,
-    WorldState,
-    legal_actions,
-    reset,
-    step,
-    terminal,
-)
-
-__all__ = [
-    "Action",
-    "ActionKind",
-    "AgentKind",
-    "AgentState",
-    "Direction",
-    "EpisodeResult",
-    "GridConfig",
-    "Outcome",
-    "WorldState",
-    "legal_actions",
-    "reset",
-    "step",
-    "terminal",
-]
-
 __version__ = "0.1.0"

@@ -71,9 +71,6 @@ class Direction(Enum):
         return order[(order.index(self) - 1) % 4]
 
 
-DIRECTION_BY_NAME = {d.name: d for d in Direction}
-
-
 class ActionKind(IntEnum):
     """The eight primitive action kinds.
 

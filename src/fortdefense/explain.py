@@ -796,9 +796,7 @@ def _counterfactual_child(trace: EpisodeTrace, step: int, action: Atom) -> Belie
     gdom = trace.gdom
     exo = build_schedule(rec.belief, gdom, rec.predictions, 1)
     atoms = (action,) + (exo[0] if exo else ())
-    return progress(
-        rec.belief, atoms, gdom, on_blocked="drop", checked=frozenset((action,))
-    )
+    return progress(rec.belief, atoms, gdom, checked=frozenset((action,)))
 
 
 def why_not_chain(

@@ -49,11 +49,6 @@ BLOCK_FIELDS = ("x", "y", "dist_center", "bearing", "orient", "dist_fort")
 N_BLOCKS = 6
 N_FEATURES = N_BLOCKS * len(BLOCK_FIELDS) + 3
 
-_BLOCK_ROLES = ("self", "mate1", "mate2", "opp1", "opp2", "opp3")
-FEATURE_NAMES = tuple(
-    f"{role}_{field}" for role in _BLOCK_ROLES for field in BLOCK_FIELDS
-) + ("nearest_attacker_fort_dist", "attackers_down", "prev_action")
-
 #: Indices holding categorical values (orientation per block, previous
 #: action); models split these by equality rather than by threshold.
 CATEGORICAL_FEATURES = frozenset(

@@ -20,8 +20,9 @@ updated only where an inertial atom was added or removed
 (delete-and-rederive).  Both rest on one precondition: **the input belief
 is closed under the definitions and consistent with the state
 constraints** (:func:`validate` passes).  On the shipped domain every
-belief built by :func:`progress`, :func:`belief_from_world`,
-:func:`complete_initial` and the control loop's observation step is.
+belief built by :func:`progress`, by :func:`close_defined` over the
+positive literals of :func:`observe_world`, by :func:`complete_initial`
+and by the control loop's observation step is.
 ``tests/reference_beliefs.py`` keeps the from-scratch versions as the
 reference they are tested against.
 """
@@ -49,16 +50,6 @@ class InconsistencyError(Exception):
 
     def __init__(self, message: str, axiom_id: str = "", axiom_text: str = ""):
         super().__init__(message)
-        self.axiom_id = axiom_id
-        self.axiom_text = axiom_text
-
-
-class NotExecutableError(Exception):
-    """An action was progressed in a state forbidding it."""
-
-    def __init__(self, action: Atom, axiom_id: str = "", axiom_text: str = ""):
-        super().__init__(f"action {action} is not executable")
-        self.action = action
         self.axiom_id = axiom_id
         self.axiom_text = axiom_text
 
@@ -254,7 +245,6 @@ def progress(
     actions: Sequence[Atom],
     gdom: GroundedDomain,
     *,
-    on_blocked: str = "raise",
     checked: frozenset[Atom] = frozenset(),
     trace: Optional[list] = None,
 ) -> Belief:
@@ -269,26 +259,18 @@ def progress(
     arise; the defined fluents are updated from the change in inertial
     atoms (:func:`close_defined` with ``belief`` as parent).
 
-    ``on_blocked`` controls non-executable actions: "raise" aborts, "drop"
-    silently discards them (used for predicted exogenous actions that the
-    evolving plan search has made illegal).  Actions in ``checked`` skip
-    the executability test.  When ``trace`` is a list, a Provenance entry
-    is appended for every atom of the result (and every retraction), so
-    explanations can cite the axiom instances that fired.
+    An action that fails :func:`check_executable` does not occur and is
+    dropped (a predicted exogenous action that the evolving plan search
+    has made illegal).  Actions in ``checked`` skip the executability
+    test.  When ``trace`` is a list, a Provenance entry is appended for
+    every atom of the result (and every retraction), so explanations can
+    cite the axiom instances that fired.
     """
-    kept: list[Atom] = []
-    for action in actions:
-        if action in checked:
-            kept.append(action)
-            continue
-        ok, blocker = check_executable(belief, action, gdom)
-        if ok:
-            kept.append(action)
-        elif on_blocked == "drop":
-            continue
-        else:
-            rule, _ = blocker
-            raise NotExecutableError(action, rule.axiom_id, rule.text)
+    kept = [
+        action
+        for action in actions
+        if action in checked or check_executable(belief, action, gdom)[0]
+    ]
 
     # layer 1: direct effects
     tag: dict[Atom, int] = {}
@@ -472,16 +454,6 @@ def observe_world(state: WorldState, gdom: GroundedDomain) -> list[Literal]:
         obs.append(Literal(Atom("face", (sym, SYMBOL_OF_DIR[agent.direction])), True))
         obs.append(Literal(Atom("shot", (sym,)), not agent.alive))
     return obs
-
-
-def belief_from_world(
-    state: WorldState, gdom: GroundedDomain, extra_atoms: Iterable[Atom] = ()
-) -> Belief:
-    atoms = [
-        lit.atom for lit in observe_world(state, gdom) if lit.positive
-    ]
-    atoms.extend(extra_atoms)
-    return Belief(close_defined(atoms, gdom))
 
 
 # ---------------------------------------------------------------------------

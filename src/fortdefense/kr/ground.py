@@ -223,9 +223,6 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
         "next_to": Static("next_to", 4, table=next_to),
         "opposite_dir": Static("opposite_dir", 2, table=opposite),
         "component": Static("component", 3, table=component),
-        "next_to_region": Static(
-            "next_to_region", 2, table=region_adjacency(config)
-        ),
         "in_sight": Static("in_sight", 5, func=in_sight),
     }
 

@@ -220,11 +220,7 @@ def _search(
         if not ok:
             continue
         child = progress(
-            node,
-            (action,) + ctx.exo[depth],
-            gdom,
-            on_blocked="drop",
-            checked=frozenset((action,)),
+            node, (action,) + ctx.exo[depth], gdom, checked=frozenset((action,))
         )
         new_path = path + (action,)
         if goal_holds(child, ctx.goal):
@@ -289,10 +285,6 @@ def replay(
                 f"planned action {action} blocked at step {depth} by {rule.axiom_id}"
             )
         current = progress(
-            current,
-            (action,) + exo[depth],
-            gdom,
-            on_blocked="drop",
-            checked=frozenset((action,)),
+            current, (action,) + exo[depth], gdom, checked=frozenset((action,))
         )
     return current

@@ -18,11 +18,14 @@ Each tick the controller:
 Beliefs advance by progression through the actions that actually
 happened.  Cancelled moves simply do not happen (no atom), rotations are
 read off the post-state, and shots contribute an atom only when they
-hit.  The symbolic transition cannot express every outcome the simulator
-allows (e.g. chains of moves through just-vacated cells), so after each
-progression the belief is reconciled against the observation: on any
-mismatch it is rebuilt from the observed poses, carrying over the
-unobservable inertial atoms.
+hit.  After each progression the belief is checked against the
+observation; on any mismatch it is rebuilt from the observed poses,
+carrying over the unobservable inertial atoms.  On every path through
+this package the two agree: ``env.legal_actions`` and the domain's
+``exec:2`` forbid moves into occupied cells, so the one outcome the
+symbolic transition cannot express, a chain of moves through
+just-vacated cells, never arises.  The rebuild matters only to callers
+that feed ``env.step`` actions outside ``legal_actions``.
 
 Model bookkeeping runs alongside: agreement trackers (windows of
 ``models.WINDOW_DEFAULT`` = 30 ticks) are updated for every library model
@@ -37,7 +40,6 @@ dynamics in tests.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -248,9 +250,7 @@ def build_schedule(
         schedule.append(tuple(atoms))
         if atoms:
             try:
-                sim = progress(
-                    sim, atoms, gdom, on_blocked="drop", checked=frozenset(atoms)
-                )
+                sim = progress(sim, atoms, gdom, checked=frozenset(atoms))
             except InconsistencyError:
                 break  # freeze the remaining depths at the last simulated state
     return schedule
@@ -519,9 +519,7 @@ class AdHocController:
         trace: list[Provenance] = []
         new_belief: Optional[Belief] = None
         try:
-            new_belief = progress(
-                self.belief, atoms, self.gdom, on_blocked="drop", trace=trace
-            )
+            new_belief = progress(self.belief, atoms, self.gdom, trace=trace)
         except InconsistencyError:
             trace = []
         obs = observe_world(after, self.gdom)
@@ -682,8 +680,6 @@ class GameStats:
 
     episodes: list[EpisodeStats] = field(default_factory=list)
     records: list[EpisodeRecord] = field(default_factory=list)
-    act_ms: list[float] = field(default_factory=list)
-    observe_ms: list[float] = field(default_factory=list)
 
 
 def tick_rng(episode_seed: int, step_count: int, agent_id: int) -> random.Random:
@@ -737,9 +733,7 @@ def run_games(
                 if not agent.alive:
                     continue
                 if controller is not None and agent.id == controller.ah_id:
-                    t0 = time.perf_counter()
                     actions[agent.id] = controller.act(state)
-                    stats.act_ms.append((time.perf_counter() - t0) * 1000.0)
                     continue
                 rng = tick_rng(episode_seed, state.step_count, agent.id)
                 actions[agent.id] = policy_action(spec, state, agent.id, rng)
@@ -749,9 +743,7 @@ def run_games(
                     example_sink[role].append((vec, int(actions[agent.id].kind)))
             nxt, events = step(state, actions)
             if controller is not None:
-                t0 = time.perf_counter()
                 controller.observe(state, actions, nxt, events)
-                stats.observe_ms.append((time.perf_counter() - t0) * 1000.0)
             prev_action.update(actions)
             state = nxt
             result = terminal(state)

@@ -56,7 +56,7 @@ from fortdefense.env import (
 )
 
 BUILTIN_NAMES = ("B220", "B650", "B1240", "B1600")
-POLICY_NAMES = ("P1", "P2") + BUILTIN_NAMES + ("mix",)
+POLICY_NAMES = ("P1", "P2") + BUILTIN_NAMES
 
 #: Parameter table for the six concrete policies.  Distances in cells,
 #: steps in ticks, fractions in [0, 1].
@@ -80,7 +80,6 @@ DEFAULT_PARAMS: dict[str, dict[str, float]] = {
         drawn_radius=9,
         standoff_rows=13,
     ),
-    "mix": {},
 }
 
 
@@ -708,8 +707,6 @@ def policy_action(
     agent = state.get(agent_id)
     if not agent.alive:
         return Action.noop()
-    if spec.name == "mix":
-        raise ValueError("'mix' must be resolved per episode with make_mix(seed)")
     if agent.kind.is_guard:
         return _guard_action(spec, state, agent, rng)
     return _attacker_action(spec, state, agent, rng)

@@ -7,8 +7,9 @@ The reference queues every inherited atom as a constraint trigger and
 recomputes every defined fluent from scratch, and it solves each body
 literal by literal with a ``{Variable: value}`` dict.  Tests compare the
 package's delta-driven versions and compiled joins against it; nothing in
-the package imports it.  The only edit to the original text is
-``gdom.is_inertial(p)`` spelled as ``p in gdom.inertial_preds``.
+the package imports it.  The only edits to the original text are
+``gdom.is_inertial(p)`` spelled as ``p in gdom.inertial_preds`` and a
+blocked action always dropped, as ``progress`` drops it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from fortdefense.kr.beliefs import (
     Belief,
     InconsistencyError,
-    NotExecutableError,
     Provenance,
     check_executable,
 )
@@ -169,32 +169,22 @@ def reference_progress(
     actions: Sequence[Atom],
     gdom: GroundedDomain,
     *,
-    on_blocked: str = "raise",
     checked: frozenset[Atom] = frozenset(),
     trace: Optional[list] = None,
 ) -> Belief:
     """The belief after all of ``actions`` occur simultaneously.
 
-    ``on_blocked`` controls non-executable actions: "raise" aborts, "drop"
-    silently discards them (used for predicted exogenous actions that the
-    evolving plan search has made illegal).  Actions in ``checked`` skip
-    the executability test.  When ``trace`` is a list, a Provenance entry
-    is appended for every atom of the result (and every retraction), so
-    explanations can cite the axiom instances that fired.
+    An action that fails :func:`check_executable` does not occur and is
+    dropped (a predicted exogenous action that the evolving plan search
+    has made illegal).  Actions in ``checked`` skip the executability
+    test.  When ``trace`` is a list, a Provenance entry is appended for
+    every atom of the result (and every retraction), so explanations can
+    cite the axiom instances that fired.
     """
     kept: list[Atom] = []
     for action in actions:
-        if action in checked:
+        if action in checked or check_executable(belief, action, gdom)[0]:
             kept.append(action)
-            continue
-        ok, blocker = check_executable(belief, action, gdom)
-        if ok:
-            kept.append(action)
-        elif on_blocked == "drop":
-            continue
-        else:
-            rule, _ = blocker
-            raise NotExecutableError(action, rule.axiom_id, rule.text)
 
     # layer 1: direct effects
     tag: dict[Atom, int] = {}

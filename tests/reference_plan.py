@@ -54,11 +54,7 @@ def reference_plan(
             if not ok:
                 continue
             child = progress(
-                node,
-                (action,) + exo[depth],
-                gdom,
-                on_blocked="drop",
-                checked=frozenset((action,)),
+                node, (action,) + exo[depth], gdom, checked=frozenset((action,))
             )
             new_path = path + (action,)
             if goal_holds(child, goal):

@@ -26,7 +26,6 @@ from fortdefense.env import (
 )
 from fortdefense.features import (
     CATEGORICAL_FEATURES,
-    FEATURE_NAMES,
     N_FEATURES,
     extract,
     pad_sentinel_block,
@@ -125,8 +124,6 @@ def oracle_vector(state, modeled, prev_action):
 
 def test_layout_constants():
     assert N_FEATURES == 39
-    assert len(FEATURE_NAMES) == 39
-    assert len(set(FEATURE_NAMES)) == 39
     # orientation slot of each of the six agent blocks, plus previous action
     assert CATEGORICAL_FEATURES == frozenset({4, 10, 16, 22, 28, 34, 38})
 

@@ -26,8 +26,6 @@ from fortdefense.kr.beliefs import (
     Belief,
     HardInconsistencyError,
     InconsistencyError,
-    NotExecutableError,
-    belief_from_world,
     check_executable,
     close_defined,
     complete_initial,
@@ -198,9 +196,7 @@ def test_blocked_actions_cite_their_rule(action, axiom):
     ok, blocker = check_executable(b, action, gdom)
     assert not ok
     assert blocker[0].axiom_id == axiom
-    with pytest.raises(NotExecutableError) as err:
-        progress(b, (action,), gdom)
-    assert err.value.axiom_id == axiom
+    assert progress(b, (action,), gdom) == b  # a blocked action does not occur
 
 
 def test_dead_agents_cannot_act():
@@ -222,16 +218,9 @@ def test_blocked_exogenous_actions_can_be_dropped():
         [("guard0", 5, 5, "n", True), ("attacker1", 5, 6, "s", True)],
     )
     # predicted attacker move onto the guard's cell is illegal: dropped
-    b2 = progress(
-        b,
-        (Atom("agent_move", ("attacker1", 5, 5)),),
-        gdom,
-        on_blocked="drop",
-    )
+    b2 = progress(b, (Atom("agent_move", ("attacker1", 5, 5)),), gdom)
     assert Atom("in", ("attacker1", 5, 6)) in b2.atoms
     assert b2 == b
-    with pytest.raises(NotExecutableError):
-        progress(b, (Atom("agent_move", ("attacker1", 5, 5)),), gdom)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +304,12 @@ def test_progress_is_deterministic_under_input_order():
 # ---------------------------------------------------------------------------
 
 
+def observed_belief(state, gdom) -> Belief:
+    """The closed belief holding exactly what is observed of ``state``."""
+    positives = [lit.atom for lit in observe_world(state, gdom) if lit.positive]
+    return Belief(close_defined(positives, gdom))
+
+
 def test_observe_world_covers_every_agent():
     config = GridConfig()
     gdom = fort_gdom(config)
@@ -323,7 +318,7 @@ def test_observe_world_covers_every_agent():
     n_agents = config.n_guards + config.n_attackers
     assert len(obs) == 3 * n_agents
     assert sum(1 for lit in obs if not lit.positive) == n_agents  # -shot(...)
-    b = belief_from_world(state, gdom)
+    b = observed_belief(state, gdom)
     validate(b, gdom)
     for agent in state.agents:
         assert Atom("in", (f"guard{agent.id}" if agent.id < config.n_guards else
@@ -331,13 +326,13 @@ def test_observe_world_covers_every_agent():
                            agent.x, agent.y)) in b.atoms
 
 
-def test_belief_from_world_marks_dead_agents():
+def test_an_observed_belief_marks_dead_agents():
     config = GridConfig()
     gdom = fort_gdom(config)
     state = reset(config, seed=7)
     stale = state.copy()
     stale.agents[4].alive = False
-    b = belief_from_world(stale, gdom)
+    b = observed_belief(stale, gdom)
     assert Atom("shot", ("attacker2",)) in b.atoms
     assert Atom("agent_shot", ("attacker2",)) in b.atoms
     # corpse pose still recorded
@@ -461,9 +456,7 @@ def _outcome(fn, belief, actions, gdom, checked):
     None) of one progression."""
     trace: list = []
     try:
-        result = fn(
-            belief, actions, gdom, on_blocked="drop", checked=checked, trace=trace
-        )
+        result = fn(belief, actions, gdom, checked=checked, trace=trace)
     except InconsistencyError as err:
         return type(err), trace, None
     return result.atoms, trace, result

@@ -19,7 +19,7 @@ from fortdefense.kr.goals import (
     region_center,
     select_goal,
 )
-from fortdefense.kr.ground import ground, region_symbol_of
+from fortdefense.kr.ground import ground
 from fortdefense.kr.lang import Atom, Literal, parse_domain
 
 

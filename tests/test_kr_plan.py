@@ -9,7 +9,6 @@ action sequence on every instance.
 """
 
 import gc
-import importlib
 import math
 import sys
 from collections import deque
@@ -37,11 +36,9 @@ from fortdefense.kr.ground import (
     restrict,
 )
 from fortdefense.kr.lang import Atom, Literal, parse_domain
+import fortdefense.kr.plan as plan_module
 from fortdefense.kr.plan import candidate_actions, goal_bound, goal_holds, plan, replay
 from fortdefense.loop import build_schedule, predicted_cell
-
-# ``fortdefense.kr`` re-exports a function named ``plan``
-plan_module = importlib.import_module("fortdefense.kr.plan")
 
 
 def shipped_domain():
@@ -107,13 +104,7 @@ def oracle_bfs(belief, goal, gdom, horizon, schedule=()):
             ok, _ = check_executable(b, act, gdom)
             if not ok:
                 continue
-            nb = progress(
-                b,
-                (act,) + exo[len(path)],
-                gdom,
-                on_blocked="drop",
-                checked=frozenset((act,)),
-            )
+            nb = progress(b, (act,) + exo[len(path)], gdom, checked=frozenset((act,)))
             p2 = path + (act,)
             if all(nb.holds(l) for l in goal.literals):
                 return p2, True
@@ -487,9 +478,7 @@ def test_the_search_bound_is_consistent_and_admissible(instance, data):
         for action in candidate_actions(b, gdom):
             if not check_executable(b, action, gdom)[0]:
                 continue
-            child = progress(
-                b, (action,) + step, gdom, on_blocked="drop", checked=frozenset((action,))
-            )
+            child = progress(b, (action,) + step, gdom, checked=frozenset((action,)))
             assert h(b) <= 1 + h(child), (action, step)
             if goal_holds(child, goal):
                 assert h(child) == 0

@@ -15,7 +15,6 @@ import functools
 import hashlib
 import json
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from fortdefense.features import CATEGORICAL_FEATURES, N_FEATURES
 from fortdefense.loop import run_games
 from fortdefense.models import (
     AgreementTracker,
-    FFTree,
     ModelLibrary,
     StackedModel,
     THETA_DEFAULT,

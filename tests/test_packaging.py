@@ -6,7 +6,6 @@ import ast
 import importlib
 import inspect
 import pathlib
-import sys
 
 import pytest
 
@@ -92,6 +91,18 @@ def test_the_benchmark_calls_bind_to_the_signature(fn):
 # ---------------------------------------------------------------------------
 
 
+def test_every_module_is_the_attribute_of_its_package():
+    """A package that re-exports a function named like one of its modules
+    (``plan``, ``ground`` in ``fortdefense.kr``) hides that module."""
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    for path in modules:
+        name = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        parent, _, leaf = name.rpartition(".")
+        module = importlib.import_module(name)
+        assert getattr(importlib.import_module(parent), leaf) is module, name
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports (``__future__`` aside) that appear nowhere
     in it as a name."""
@@ -112,10 +123,10 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert modules
     unused = {
-        str(p.relative_to(PACKAGE)): names
+        str(p.relative_to(ROOT)): names
         for p in modules
         if (names := unused_imports(p.read_text()))
     }

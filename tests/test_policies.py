@@ -90,8 +90,9 @@ def test_spec_validation():
         PolicySpec(name="P9")
     with pytest.raises(ValueError):
         make_policy("P9")
+    # "mix" is resolved per episode by ``make_mix``; it names no policy
     with pytest.raises(ValueError):
-        policy_action(make_policy("mix"), reset(GridConfig(), 0), 1, random.Random(0))
+        make_policy("mix")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,6 @@ def test_dead_agent_noops_under_every_policy():
     ]
     state = make_state(config, agents)
     for name in POLICY_NAMES:
-        if name == "mix":
-            continue
         assert policy_action(make_policy(name), state, 0, random.Random(0)) == Action.noop()
 
 
