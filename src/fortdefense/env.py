@@ -12,13 +12,15 @@ sits at y = height - 1 and attackers start near y = 0.
 Geometry is tabulated per configuration.  ``config.geometry`` is a
 :class:`Geometry`, built on first use and kept on the frozen config: the
 range, arc and shot-cone tests per facing and offset, the weapon-range
-disk of offsets, and per cell the distance to and the nearest of the fort
-cells and the polar coordinates around the grid centre.  Every entry is
-the value of the formula it replaces (``_range_formula``, ``_arc_formula``
-...), so reading the table is bit-identical to evaluating the formula, and
-the public functions (``in_range``, ``in_arc``, ``in_cone``,
-``clear_shot``, ``fort_distance``, ``nearest_fort_cell``,
-``centre_polar``) fall back to the formula for inputs off the table.  The
+disk of offsets and each offset's walking distance to it (which the
+planner's search bound reads), and per cell the distance to and the
+nearest of the fort cells and the polar coordinates around the grid
+centre.  Each table that replaced a formula holds its values
+(``_range_formula``, ``_arc_formula`` ...), so reading the table is
+bit-identical to evaluating the formula, and the public functions
+(``in_range``, ``in_arc``, ``in_cone``, ``clear_shot``,
+``fort_distance``, ``nearest_fort_cell``, ``centre_polar``) fall back to
+the formula for inputs off the table.  The
 simulator (``legal_actions``, shot resolution in ``step``), the scripted
 policies, the feature extractor and the reasoner's ``in_sight`` static
 all read these tables.  They are keyed by configuration, never by world
@@ -452,6 +454,12 @@ class Geometry:
     * ``cone[facing]`` -- the set of offsets in range and in the arc: where
       a shooter so facing hits;
     * ``disk`` -- the in-range offsets, in ``(dx, dy)`` order;
+    * ``steps_to_disk[offset]`` -- the fewest 4-connected unit steps from
+      the offset to an offset of ``disk``, ``min(|dx - ox| + |dy - oy|)``
+      over ``disk``: how far a shooter must walk to bring a target at that
+      offset into range.  One breadth-first sweep out from ``disk`` fills
+      it; a shortest Manhattan path stays in the box spanned by its ends,
+      so the sweep need not leave the span;
     * ``fort_distance[cell]``, ``nearest_fort_cell[cell]`` -- Euclidean
       distance to the nearest fort cell, and that cell (ties to the least);
     * ``centre_polar[cell]`` -- ``(distance, bearing)`` of the cell around
@@ -470,6 +478,17 @@ class Geometry:
         offsets = [(dx, dy) for dx in range(1 - w, w) for dy in range(1 - h, h)]
         self.in_range = {o: _range_formula(config.shoot_range, *o) for o in offsets}
         self.disk = tuple(o for o in offsets if self.in_range[o])
+        self.steps_to_disk = dict.fromkeys(self.disk, 0)
+        frontier = self.disk
+        while frontier:
+            reached = []
+            for dx, dy in frontier:
+                n = self.steps_to_disk[dx, dy] + 1
+                for o in ((dx, dy + 1), (dx + 1, dy), (dx, dy - 1), (dx - 1, dy)):
+                    if o in self.in_range and o not in self.steps_to_disk:
+                        self.steps_to_disk[o] = n
+                        reached.append(o)
+            frontier = reached
         self.in_arc = tuple(
             frozenset(o for o in offsets if _arc_formula(config.shoot_arc_deg, facing, *o))
             for facing in Direction

@@ -29,19 +29,21 @@ search keyed the same way returns:
   lexicographic order, so the first visit of a key is its least path,
   provided no prefix of that path was pruned.
 - That proviso is why ``h`` must be consistent, not merely admissible:
-  ``h(node) <= 1 + h(child)`` for every guard action (Hart, Nilsson &
-  Raphael 1968).  Then a prefix at depth ``k`` with ``k + h > L`` forces
-  ``d + h > L`` on every key below it, so whatever pruning cuts is never
-  reached by any path within the bound.  A bound that is only admissible
-  can cut the least path to a key and let a later path claim it.
+  ``h(node, d) <= 1 + h(child, d + 1)`` for every guard action (Hart,
+  Nilsson & Raphael 1968).  Then a prefix at depth ``k`` with ``k + h > L``
+  forces ``d + h > L`` on every key below it, so whatever pruning cuts is
+  never reached by any path within the bound.  A bound that is only
+  admissible can cut the least path to a key and let a later path claim
+  it.
 - The goal is tested when a child is generated, as breadth-first search
   does, so a goal at depth ``L`` is found in iteration ``L`` and a plan
   as long as the horizon is still found.  Since ``h`` is 0 where the goal
   holds, no goal within the horizon is pruned, and no iteration before
   the least goal depth finds one.
 
-``h`` is the maximum, over the goal's literals, of a bound taken from the
-literal alone (0 for a literal that already holds), so counterfactual
+``h(belief, d)`` bounds the actions still needed from a node at depth
+``d``.  It is the maximum, over the goal's literals, of a bound taken from
+the literal alone (0 for a literal that already holds), so counterfactual
 replans in the explainer get it too:
 
 - ``agent_in(ah, R)``: the Manhattan distance from the guard's cell to
@@ -49,12 +51,25 @@ replans in the explainer get it too:
   changes ``in(ah, ...)``.
 - ``face(ah, D)``: 0, 1 or 2 quarter turns; the opposite facing needs
   two, since ``rotate`` turns one quarter.
-- ``shot(T)``: ``1 + ceil((dist(ah, T) - range) / 2)``, at least 1, with
-  the range test of the ``in_sight`` static.  ``shoot`` needs
-  ``in_sight`` at tick start, and the guard and ``T`` each move at most
-  one cell a tick, so the gap closes by at most 2 a tick.  When any
-  schedule step holds an ``agent_shoot(_, T)``, a teammate may hit ``T``
-  on any tick, and the bound is 1.
+- ``shot(T)``: the smaller of two terms, capped at ``horizon - d + 1``
+  (more than the actions left).  ``T`` moves only by its scheduled
+  ``agent_move``s, and a dropped move leaves it where it is, so at the
+  start of tick ``d + n - 1`` it stands on its current cell or on a cell
+  one of ``schedule[d .. d + n - 2]`` moves it to.
+
+  - Own shot: the least ``n`` such that one of those cells is within
+    ``n - 1`` Manhattan steps (``Geometry.steps_to_disk``) of the weapon
+    range around the guard.  ``shoot`` needs ``in_sight``, and so range,
+    at tick start, and the guard moves at most one 4-connected cell a
+    tick.
+  - Teammate shot: ``k - d + 1`` for the first depth ``k >= d`` whose
+    step holds an ``agent_shoot(_, T)``; nothing else causes ``shot(T)``.
+
+  Each term is consistent.  The child's cells of ``T`` are among the
+  node's, one tick later; the guard's cell moves by at most one step; a
+  scheduled shot one tick nearer is one action nearer.  The smaller of
+  two consistent bounds is consistent, and so is the cap, which falls by
+  one a tick.
 - Any other literal: 0.
 
 ``Plan.expanded`` counts node expansions summed over the iterations; a
@@ -63,11 +78,9 @@ goal the bound proves out of the horizon expands none.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from fortdefense.env import EPS
 from fortdefense.kr.beliefs import Belief, check_executable, progress
 from fortdefense.kr.goals import Goal, pose_of
 from fortdefense.kr.ground import (
@@ -117,14 +130,14 @@ def candidate_actions(belief: Belief, gdom: GroundedDomain) -> list[Atom]:
     return out
 
 
-Bound = Callable[[Belief], int]
+Bound = Callable[[Belief, int], int]
 
 
 def _literal_bound(
     lit: Literal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
 ) -> Optional[Bound]:
-    """One goal literal's lower bound on the plan length, or None where
-    it contributes 0 (see the module docstring)."""
+    """One goal literal's lower bound on the actions left from a belief at
+    a depth, or None where it contributes 0 (see the module docstring)."""
     ah = gdom.ah_symbol
     atom = lit.atom
     if not lit.positive:
@@ -135,7 +148,7 @@ def _literal_bound(
         x0, x1 = min(c[0] for c in cells), max(c[0] for c in cells)
         y0, y1 = min(c[1] for c in cells), max(c[1] for c in cells)
 
-        def to_region(belief: Belief) -> int:
+        def to_region(belief: Belief, depth: int) -> int:
             pose = pose_of(belief, ah)
             if pose is None:
                 return 0
@@ -147,7 +160,7 @@ def _literal_bound(
     if atom.pred == "face" and atom.args[0] == ah:
         want = atom.args[1]
 
-        def turns(belief: Belief) -> int:
+        def turns(belief: Belief, depth: int) -> int:
             pose = pose_of(belief, ah)
             if pose is None or pose[2] == want:
                 return 0
@@ -157,22 +170,43 @@ def _literal_bound(
 
     if atom.pred == "shot":
         target = atom.args[0]
-        if any(
-            a.pred == "agent_shoot" and a.args[1] == target
-            for step in schedule
+        horizon = len(schedule)
+        steps = gdom.config.geometry.steps_to_disk
+        shots = [
+            k
+            for k, step in enumerate(schedule)
+            if any(a.pred == "agent_shoot" and a.args[1] == target for a in step)
+        ]
+        cells = [
+            (k, a.args[1:])
+            for k, step in enumerate(schedule)
             for a in step
-        ):
-            return lambda belief: 0 if atom in belief.atoms else 1
-        reach = gdom.config.shoot_range + EPS
+            if a.pred == "agent_move" and a.args[0] == target
+        ]
+        # per depth d: the teammate term under the cap, and the target's
+        # scheduled cells as (the least n that can use it, cell), by n
+        caps = [
+            min([horizon + 1] + [k + 1 for k in shots if k >= d]) - d
+            for d in range(horizon + 1)
+        ]
+        moves = [
+            tuple((k - d + 2, c) for k, c in cells if k >= d)
+            for d in range(horizon + 1)
+        ]
 
-        def ticks_to_hit(belief: Belief) -> int:
+        def ticks_to_hit(belief: Belief, depth: int) -> int:
             if atom in belief.atoms:
                 return 0
             me, it = pose_of(belief, ah), pose_of(belief, target)
             if me is None or it is None:
                 return 1
-            gap = math.hypot(it[0] - me[0], it[1] - me[1]) - reach
-            return 1 + max(0, math.ceil(gap / 2))
+            x, y = me[0], me[1]
+            best = min(caps[depth], 1 + steps[it[0] - x, it[1] - y])
+            for least, (tx, ty) in moves[depth]:
+                if least >= best:
+                    break
+                best = min(best, max(least, 1 + steps[tx - x, ty - y]))
+            return best
 
         return ticks_to_hit
 
@@ -180,14 +214,15 @@ def _literal_bound(
 
 
 def goal_bound(
-    goal: Goal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]] = ()
+    goal: Goal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
 ) -> Bound:
-    """A consistent lower bound on the length of any plan from a belief to
-    the goal under the schedule: the largest of its literals' bounds."""
+    """A consistent lower bound on the actions left from a belief at a
+    depth to the goal: the largest of its literals' bounds.  ``schedule``
+    holds one step per depth, so its length is the horizon."""
     bounds = [
         b for lit in goal.literals if (b := _literal_bound(lit, gdom, schedule))
     ]
-    return lambda belief: max((b(belief) for b in bounds), default=0)
+    return lambda belief, depth: max((b(belief, depth) for b in bounds), default=0)
 
 
 @dataclass
@@ -225,7 +260,7 @@ def _search(
         new_path = path + (action,)
         if goal_holds(child, ctx.goal):
             return new_path
-        if depth + 1 >= limit or depth + 1 + ctx.h(child) > limit:
+        if depth + 1 >= limit or depth + 1 + ctx.h(child, depth + 1) > limit:
             continue
         key = (child.inertial_atoms(gdom), depth + 1)
         if key in visited:
@@ -258,7 +293,7 @@ def plan(
         exo.append(())
     ctx = _Search(goal, gdom, exo, goal_bound(goal, gdom, exo[:horizon]))
     root_key = (belief.inertial_atoms(gdom), 0)
-    for limit in range(max(1, ctx.h(belief)), horizon + 1):
+    for limit in range(max(1, ctx.h(belief, 0)), horizon + 1):
         found = _search(ctx, belief, (), limit, {root_key})
         if found is not None:
             return Plan(found, True, ctx.expanded)

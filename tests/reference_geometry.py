@@ -15,6 +15,10 @@ The three copies of the facing rule that ``env.facing_toward`` and
 from ``fortdefense.kr.goals``, ``_rotate_toward`` from
 ``fortdefense.policies``, and ``AdHocController._fallback`` from
 ``fortdefense.loop`` (dedented to a function that ignores ``self``).
+
+``Geometry.steps_to_disk`` replaced no formula, so ``steps_to_disk`` below
+is its definition by brute force instead: for each offset, the least
+Manhattan distance to an in-range offset.
 """
 
 from __future__ import annotations
@@ -88,6 +92,18 @@ def in_arc(
     bearing = math.atan2(dx, dy)
     half = math.radians(config.shoot_arc_deg) / 2
     return abs(wrap_angle(bearing - facing.angle)) <= half + EPS
+
+
+def steps_to_disk(config: GridConfig) -> dict[tuple[int, int], int]:
+    """``min(|dx - ox| + |dy - oy|)`` over the in-range offsets ``(ox, oy)``,
+    for every offset ``(dx, dy)`` between two cells of the grid."""
+    xs, ys = range(1 - config.width, config.width), range(1 - config.height, config.height)
+    disk = [(ox, oy) for ox in xs for oy in ys if in_range(config, 0, 0, ox, oy)]
+    return {
+        (dx, dy): min(abs(dx - ox) + abs(dy - oy) for ox, oy in disk)
+        for dx in xs
+        for dy in ys
+    }
 
 
 def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:

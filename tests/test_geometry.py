@@ -130,6 +130,20 @@ def test_tables_match_the_reference(config, data):
             assert _agent_block(config, agent) == ref._agent_block(config, agent)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        GridConfig(),
+        GridConfig(shoot_range=3.5),
+        GridConfig(shoot_arc_deg=180.0),
+        GridConfig(width=30, height=30),
+    ],
+    ids=["default", "range-3.5", "arc-180", "grid-30x30"],
+)
+def test_steps_to_disk_is_the_manhattan_distance_to_the_disk(config):
+    assert config.geometry.steps_to_disk == ref.steps_to_disk(config)
+
+
 def test_boundary_draws_reach_the_eps_edge():
     # the strategies above must really reach the edge they exist for
     assert math.hypot(3, 4) == (5.0 - EPS) + EPS

@@ -194,8 +194,8 @@ def test_unreachable_goal_fails_within_horizon():
     assert not result.success
     assert result.actions == ()
     assert not reference_plan(b, goal, gdom, horizon=2).success
-    # eight cells from a range-5 shooter: the bound needs 3 ticks, so no
-    # node is expanded
+    # eight cells from a range-5 shooter: the bound needs three steps into
+    # range and the shot, so no node is expanded
     assert result.expanded == 0
 
 
@@ -407,11 +407,12 @@ def planning_instances(draw):
     return b, goal, gdom, horizon, schedule
 
 
-def _encounter(target_kind, horizon):
-    """guard0 eight cells west of attacker1, both facing each other;
-    guard1 three cells north of attacker1, facing it; the rest far off."""
+def _encounter(target_kind, horizon, facing="e"):
+    """guard0 eight cells west of attacker1, both facing each other unless
+    guard0 gets another ``facing``; guard1 three cells north of attacker1,
+    facing it; the rest far off."""
     entries = [
-        ("guard0", 2, 10, "e", True),
+        ("guard0", 2, 10, facing, True),
         ("guard1", 10, 13, "s", True),
         ("guard2", 18, 1, "n", True),
         ("attacker1", 10, 10, "w", True),
@@ -426,11 +427,86 @@ def _encounter(target_kind, horizon):
     return b, _shoot_goal("attacker1"), _W0_GDOM, horizon, schedule
 
 
-# Two encounters the bound must get right, whatever the draw: guard1 hits
-# the target on the first tick, though guard0 alone needs three; the
-# target closes in, so guard0 fires on the third tick, not the fourth.
+def _b1600_decision(entries, kinds, fine_regions):
+    """A W0 decision as the controller made it against the B1600 team:
+    the tick-start belief, the goal of shooting attacker2, the grounding
+    restricted to ``fine_regions``, horizon 8, and the schedule built from
+    the predicted action kinds."""
+    b = belief_of(_W0_GDOM, entries)
+    gdom = restrict(_W0_GDOM, set(fine_regions))
+    kinds = {sym: int(kind) for sym, kind in kinds.items()}
+    return b, _shoot_goal("attacker2"), gdom, 8, build_schedule(b, gdom, kinds, 8)
+
+
+# B1600, episode seed 1, step 8: a 7-step plan; attacker2 walks south,
+# away from guard0.
+_B1600_SEED1_STEP8 = _b1600_decision(
+    [
+        ("guard0", 8, 16, "s", True),
+        ("guard1", 11, 14, "s", True),
+        ("guard2", 9, 15, "s", True),
+        ("attacker1", 8, 7, "n", True),
+        ("attacker2", 3, 10, "n", True),
+        ("attacker3", 15, 6, "n", True),
+    ],
+    {
+        "guard1": ActionKind.NOOP,
+        "guard2": ActionKind.MOVE_W,
+        "attacker1": ActionKind.NOOP,
+        "attacker2": ActionKind.MOVE_S,
+        "attacker3": ActionKind.NOOP,
+    },
+    ("r7", "r8", "r10", "r11", "r12", "r15", "r16", "r17", "r20", "r21", "r22"),
+)
+
+# B1600, episode seed 0, step 18: a 5-step plan against a target that
+# stays put.
+_B1600_SEED0_STEP18 = _b1600_decision(
+    [
+        ("guard0", 12, 8, "e", True),
+        ("guard1", 4, 13, "w", True),
+        ("guard2", 16, 17, "w", True),
+        ("attacker1", 0, 15, "n", True),
+        ("attacker2", 7, 3, "n", True),
+        ("attacker3", 16, 6, "n", False),
+    ],
+    {
+        "guard1": ActionKind.NOOP,
+        "guard2": ActionKind.NOOP,
+        "attacker1": ActionKind.NOOP,
+        "attacker2": ActionKind.NOOP,
+    },
+    ("r1", "r2", "r3", "r6", "r7", "r8", "r11", "r12", "r13", "r15", "r22"),
+)
+
+
+def _fleeing_target(horizon):
+    """guard0 faces west, away from attacker1 eight cells east of it, and
+    the schedule walks attacker1 one cell east a tick: guard0 needs three
+    steps to bring even the target's current cell into range."""
+    return _encounter({"attacker1": int(ActionKind.MOVE_E)}, horizon, facing="w")
+
+
+def _stray_teammate_shot(horizon):
+    """The head-on encounter, everyone else idle but guard2, out of range
+    of attacker1 and scheduled to shoot at it at depth 2 alone: a shot
+    that cannot land, which the bound counts at depth 2 only."""
+    b, goal, gdom, _, schedule = _encounter({}, horizon)
+    schedule[2] = (Atom("agent_shoot", ("guard2", "attacker1")),)
+    return b, goal, gdom, horizon, schedule
+
+
+# Encounters the bound must get right, whatever the draw: guard1 hits the
+# target on the first tick, though guard0 alone needs three; the target
+# closes in, so guard0 fires on the third tick, not the fourth; the target
+# flees, so no plan of three ticks exists; a teammate's shot at depth 2
+# misses, so guard0 fires on the fourth tick.  Then two recorded searches.
 @example(instance=_encounter({"guard1": int(ActionKind.SHOOT)}, horizon=1))
 @example(instance=_encounter({"attacker1": int(ActionKind.MOVE_W)}, horizon=3))
+@example(instance=_fleeing_target(horizon=3))
+@example(instance=_stray_teammate_shot(horizon=5))
+@example(instance=_B1600_SEED1_STEP8)
+@example(instance=_B1600_SEED0_STEP18)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(instance=planning_instances())
 def test_plan_matches_the_reference_and_the_oracle(instance):
@@ -465,26 +541,55 @@ def exogenous_steps(draw, belief):
     return tuple(step)
 
 
+def test_the_bound_cuts_the_fixed_searches():
+    """Nodes expanded on the fixed instances; the bound that ignored the
+    schedule expanded 146, 57, 1, 220 and 77.  The target that flees is
+    out of reach at every horizon."""
+    instances = {
+        "B1600 seed 1 step 8": _B1600_SEED1_STEP8,
+        "B1600 seed 0 step 18": _B1600_SEED0_STEP18,
+        "fleeing, horizon 3": _fleeing_target(horizon=3),
+        "fleeing, horizon 8": _fleeing_target(horizon=8),
+        "stray teammate shot": _stray_teammate_shot(horizon=5),
+    }
+    results = {name: plan(*instance) for name, instance in instances.items()}
+    assert {name: r.expanded for name, r in results.items()} == {
+        "B1600 seed 1 step 8": 13,
+        "B1600 seed 0 step 18": 25,
+        "fleeing, horizon 3": 0,
+        "fleeing, horizon 8": 45,
+        "stray teammate shot": 44,
+    }
+    assert [(r.success, len(r)) for r in results.values()] == [
+        (True, 7),
+        (True, 5),
+        (False, 0),
+        (False, 0),
+        (True, 4),
+    ]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(instance=planning_instances(), data=st.data())
 def test_the_search_bound_is_consistent_and_admissible(instance, data):
-    """``h(node) <= 1 + h(child)`` for every executable guard action under
-    every scheduled step and a random one, and ``h`` never exceeds the
-    least plan length."""
+    """``h(b, d) <= 1 + h(child, d + 1)`` at every depth ``d``, for every
+    executable guard action under ``schedule[d]``, with a random step
+    appended as one more scheduled depth; and ``h(b, 0)`` never exceeds
+    the least plan length."""
     b, goal, gdom, horizon, schedule = instance
     schedule = schedule + [data.draw(exogenous_steps(b))]
     h = goal_bound(goal, gdom, schedule)
-    for step in schedule:
+    for depth, step in enumerate(schedule):
         for action in candidate_actions(b, gdom):
             if not check_executable(b, action, gdom)[0]:
                 continue
             child = progress(b, (action,) + step, gdom, checked=frozenset((action,)))
-            assert h(b) <= 1 + h(child), (action, step)
+            assert h(b, depth) <= 1 + h(child, depth + 1), (action, depth, step)
             if goal_holds(child, goal):
-                assert h(child) == 0
+                assert h(child, depth + 1) == 0
     ref = reference_plan(b, goal, gdom, horizon=horizon, schedule=schedule)
     if ref.success:
-        assert h(b) <= len(ref.actions)
+        assert h(b, 0) <= len(ref.actions)
 
 
 def test_the_tracer_counts_every_planner_call(monkeypatch):

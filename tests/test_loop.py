@@ -647,14 +647,16 @@ GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0f
 # replanned steps, each replayed on the step's own restriction and rebuilt
 # schedule; it was the package planner's count until the search became
 # iterative deepening, whose count (summed over its iterations) is the
-# second pin.  The provenance pin, computed before progression became
-# delta-driven, is a sha256 over each step's provenance as the trace file
-# stores it (explain._step_dict's order, one JSON list per line).  The
+# second pin.  It fell from 25 to 21 when the shot bound began to read the
+# schedule: step 10's 4-step shot at a target that stays put expands 4
+# nodes, not 8, since the target no longer counts as closing in.  The
+# provenance pin, computed before progression became delta-driven, is a
+# sha256 over each step's provenance as the trace file stores it (explain._step_dict's order, one JSON list per line).  The
 # provenance is sorted before hashing because the in-memory order of the
 # "inherited" entries follows frozenset iteration, which changes with
 # PYTHONHASHSEED; the multiset of entries does not.
 GOLDEN_W0_P1_SEED0_EXPANDED = 316
-GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED = 25
+GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED = 21
 GOLDEN_W0_P1_SEED0_PROVENANCE = (
     "094217d9607c9fde0af048e1cd912a847eec209af7296aad907c996375abc127"
 )
