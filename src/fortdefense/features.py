@@ -23,13 +23,16 @@ frozen pose; their absence shows up in the not-alive count.
 
 A padding block is ``(-1, -1, diagonal, 0, 0, diagonal)``: impossible
 coordinates plus max-distance sentinels.
+
+:func:`extract` works per tick: one call gives every agent's vector in one
+state, building each agent's block once however many vectors hold it.
 """
 
 from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -77,31 +80,37 @@ def pad_sentinel_block(config: GridConfig) -> list[float]:
 
 
 def extract(
-    state: WorldState, modeled: int, prev_action: Optional[Action] = None
-) -> np.ndarray:
-    """The feature vector for one agent in one state.
+    state: WorldState, prev_actions: Mapping[int, Optional[Action]]
+) -> dict[int, np.ndarray]:
+    """Every agent's feature vector in one state, keyed by agent id.
 
-    Pure: identical inputs give identical vectors.  Raises ``KeyError``
-    when no agent has id ``modeled``.
+    ``prev_actions`` maps an agent id to its previous action; an id it
+    lacks, or maps to ``None``, reads as noop.  Each agent's block is built
+    once and shared by every vector that holds it.  Pure: identical inputs
+    give identical vectors; index the result to get one agent's vector.
     """
     config = state.config
-    me = state.get(modeled)
     by_id = sorted(state.agents, key=attrgetter("id"))
-    side = me.kind.is_guard
-    mates = [a for a in by_id if a.id != modeled and a.kind.is_guard is side]
-    opponents = [a for a in by_id if a.kind.is_guard is not side]
-    blocks = ([me] + mates + opponents)[:N_BLOCKS]
-    values: list[float] = []
-    for agent in blocks:
-        values += _agent_block(config, agent)
-    if len(blocks) < N_BLOCKS:
-        values += pad_sentinel_block(config) * (N_BLOCKS - len(blocks))
-
+    blocks = {a.id: _agent_block(config, a) for a in by_id}
+    side_ids = {
+        side: [a.id for a in by_id if a.kind.is_guard is side] for side in (True, False)
+    }
     attackers = [a for a in by_id if a.kind is AgentKind.ATTACKER]
     alive = [fort_distance(config, a.x, a.y) for a in attackers if a.alive]
     nearest = min(alive) if alive else grid_diagonal(config)
-    down = len(attackers) - len(alive)
-    prev = ActionKind.NOOP if prev_action is None else prev_action.kind
-    values += (nearest, float(down), float(int(prev)))
-    return np.array(values, dtype=float)
-
+    down = float(len(attackers) - len(alive))
+    pad = pad_sentinel_block(config)
+    vectors: dict[int, np.ndarray] = {}
+    for agent in by_id:
+        side = agent.kind.is_guard
+        mates = [i for i in side_ids[side] if i != agent.id]
+        order = ([agent.id] + mates + side_ids[not side])[:N_BLOCKS]
+        values: list[float] = []
+        for i in order:
+            values += blocks[i]
+        values += pad * (N_BLOCKS - len(order))
+        prev = prev_actions.get(agent.id)
+        kind = ActionKind.NOOP if prev is None else prev.kind
+        values += (nearest, down, float(int(kind)))
+        vectors[agent.id] = np.array(values, dtype=float)
+    return vectors

@@ -39,7 +39,6 @@ dynamics in tests.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -418,10 +417,11 @@ class AdHocController:
         predicted_next: dict[str, tuple[int, int]] = {}
         self._last_vec = {}
         self._last_preds = {}
+        vectors = extract(state, self._prev_action)
         for agent in sorted(state.agents, key=lambda a: a.id):
             if agent.id == self.ah_id or not agent.alive:
                 continue
-            vec = extract(state, agent.id, self._prev_action.get(agent.id))
+            vec = vectors[agent.id]
             self._last_vec[agent.id] = tuple(vec)
             assigned = lib.assignment.get(agent.id)
             kind = int(ActionKind.NOOP)
@@ -682,11 +682,11 @@ class GameStats:
     records: list[EpisodeRecord] = field(default_factory=list)
 
 
-def tick_rng(episode_seed: int, step_count: int, agent_id: int) -> random.Random:
-    """The per-(episode, tick, agent) random stream for scripted policies."""
-    return random.Random(
-        (episode_seed * 1_000_003 + step_count) * 1_000_003 + agent_id
-    )
+def tick_seed(episode_seed: int, step_count: int, agent_id: int) -> int:
+    """The seed of the per-(episode, tick, agent) random stream for
+    scripted policies; ``policy_action`` seeds the stream only where it
+    draws from it."""
+    return (episode_seed * 1_000_003 + step_count) * 1_000_003 + agent_id
 
 
 def run_games(
@@ -706,8 +706,11 @@ def run_games(
     with the controlled guard either knowledge-driven (``ad_hoc=True``) or
     scripted like its teammates (the baseline).
 
+    Each scripted agent acts through ``policy_action`` with its
+    :func:`tick_seed`, so a game is a function of ``seed`` alone.
     ``example_sink`` maps "guard"/"attacker" to lists that collect
-    ``(feature_vector, action_kind)`` pairs from every scripted agent.
+    ``(feature_vector, action_kind)`` pairs from every live scripted agent,
+    the vectors from one ``extract`` call per tick.
     """
     stats = GameStats()
     controller: Optional[AdHocController] = None
@@ -729,18 +732,20 @@ def run_games(
         result = terminal(state)
         while result is None:
             actions: dict[int, Action] = {}
+            vectors = extract(state, prev_action) if example_sink is not None else None
             for agent in state.agents:
                 if not agent.alive:
                     continue
                 if controller is not None and agent.id == controller.ah_id:
                     actions[agent.id] = controller.act(state)
                     continue
-                rng = tick_rng(episode_seed, state.step_count, agent.id)
-                actions[agent.id] = policy_action(spec, state, agent.id, rng)
-                if example_sink is not None:
+                seed_t = tick_seed(episode_seed, state.step_count, agent.id)
+                actions[agent.id] = policy_action(spec, state, agent.id, seed_t)
+                if vectors is not None:
                     role = "guard" if agent.kind.is_guard else "attacker"
-                    vec = extract(state, agent.id, prev_action.get(agent.id))
-                    example_sink[role].append((vec, int(actions[agent.id].kind)))
+                    example_sink[role].append(
+                        (vectors[agent.id], int(actions[agent.id].kind))
+                    )
             nxt, events = step(state, actions)
             if controller is not None:
                 controller.observe(state, actions, nxt, events)

@@ -240,7 +240,7 @@ def _spread_move(state: WorldState, agent: AgentState, legal: list[Action]) -> A
 
 
 def _guard_action(
-    spec: PolicySpec, state: WorldState, agent: AgentState, rng: random.Random
+    spec: PolicySpec, state: WorldState, agent: AgentState, seed: int
 ) -> Action:
     cfg = state.config
     legal = legal_actions(state, agent.id)
@@ -299,11 +299,14 @@ def _guard_action(
             chosen = _rotate_toward(agent, threat.pos)
     if chosen is None:
         chosen = Action.noop()
-    # P2 movement is slightly noisy
+    # P2 movement is slightly noisy; the only draw from a tick's stream, so
+    # the stream is seeded here and nowhere else
     jitter = DEFAULT_PARAMS[spec.name].get("jitter", 0.0)
-    if jitter and chosen.kind in MOVE_KINDS and moves and rng.random() < jitter:
-        options = sorted(moves.values(), key=lambda a: a.kind)
-        chosen = options[rng.randrange(len(options))]
+    if jitter and chosen.kind in MOVE_KINDS and moves:
+        rng = random.Random(seed)
+        if rng.random() < jitter:
+            options = sorted(moves.values(), key=lambda a: a.kind)
+            chosen = options[rng.randrange(len(options))]
     return chosen
 
 
@@ -363,9 +366,7 @@ def _lane_advance(
     return _advance(agent, moves, nearest_fort_cell(cfg, agent.x, agent.y), limit)
 
 
-def _attacker_action(
-    spec: PolicySpec, state: WorldState, agent: AgentState, rng: random.Random
-) -> Action:
+def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> Action:
     cfg = state.config
     legal = legal_actions(state, agent.id)
     moves = _legal_moves(legal)
@@ -697,16 +698,19 @@ def _attacker_action(
 
 
 def policy_action(
-    spec: PolicySpec, state: WorldState, agent_id: int, rng: random.Random
+    spec: PolicySpec, state: WorldState, agent_id: int, seed: int
 ) -> Action:
     """The scripted action for one agent this tick.
 
-    Pure in (spec, state, agent_id, rng-stream state); the returned action is
-    always in ``legal_actions(state, agent_id)``.  Dead agents noop.
+    ``seed`` seeds the agent's random stream for this tick
+    (``loop.tick_seed``); a policy builds the stream only where it draws
+    from it, which today is P2's guard jitter alone.  Pure in (spec, state,
+    agent_id, seed); the returned action is always in
+    ``legal_actions(state, agent_id)``.  Dead agents noop.
     """
     agent = state.get(agent_id)
     if not agent.alive:
         return Action.noop()
     if agent.kind.is_guard:
-        return _guard_action(spec, state, agent, rng)
-    return _attacker_action(spec, state, agent, rng)
+        return _guard_action(spec, state, agent, seed)
+    return _attacker_action(spec, state, agent)

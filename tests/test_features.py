@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fortdefense.env import (
     Action,
@@ -122,6 +123,50 @@ def oracle_vector(state, modeled, prev_action):
     return vec
 
 
+@st.composite
+def roster_states(draw):
+    """A state of a 3v3, 4v2, 2v4 or 4v4 roster on the default grid: agents
+    on distinct cells facing anywhere, some dead, guard 0 ad hoc or not;
+    plus a previous-action map that lacks some ids and maps others to
+    ``None`` or any action.  4v4 truncates to six blocks; 2v4 fills them
+    with a different mix of mates and opponents for each side."""
+    n_guards, n_attackers = draw(st.sampled_from([(3, 3), (4, 2), (2, 4), (4, 4)]))
+    config = GridConfig(n_guards=n_guards, n_attackers=n_attackers)
+    n = n_guards + n_attackers
+    cell = st.tuples(st.integers(0, config.width - 1), st.integers(0, config.height - 1))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    guard_kinds = [draw(st.sampled_from([AgentKind.AD_HOC_GUARD, AgentKind.GUARD]))]
+    guard_kinds += [AgentKind.GUARD] * (n_guards - 1)
+    agents = [
+        AgentState(
+            i,
+            guard_kinds[i] if i < n_guards else AgentKind.ATTACKER,
+            x,
+            y,
+            draw(st.sampled_from(list(Direction))),
+            draw(st.booleans()),
+        )
+        for i, (x, y) in enumerate(cells)
+    ]
+    action = st.sampled_from(
+        [Action(k) for k in ActionKind if k is not ActionKind.SHOOT]
+    ) | st.builds(Action.shoot, st.integers(0, n - 1))
+    prev = draw(st.dictionaries(st.integers(0, n - 1), st.none() | action))
+    return make_state(config, agents), prev
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(roster_states())
+def test_one_call_gives_every_agent_its_oracle_vector(case):
+    state, prev = case
+    vectors = extract(state, prev)
+    assert vectors.keys() == {a.id for a in state.agents}
+    for agent_id, vec in vectors.items():
+        want = oracle_vector(state, agent_id, prev.get(agent_id))
+        assert vec.shape == (N_FEATURES,)
+        np.testing.assert_allclose(vec, np.array(want), rtol=0, atol=1e-12)
+
+
 def test_layout_constants():
     assert N_FEATURES == 39
     # orientation slot of each of the six agent blocks, plus previous action
@@ -131,7 +176,7 @@ def test_layout_constants():
 def test_independent_recomputation_over_1000_states():
     checked = 0
     for state, modeled, prev in random_states(1000, seed=7):
-        got = extract(state, modeled, prev)
+        got = extract(state, {modeled: prev})[modeled]
         want = oracle_vector(state, modeled, prev)
         assert got.shape == (39,)
         np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
@@ -151,17 +196,17 @@ def test_center_singularity_distance_zero_angle_zero():
         AgentState(0, AgentKind.AD_HOC_GUARD, 2, 2, Direction.N),
         AgentState(1, AgentKind.ATTACKER, 0, 0, Direction.N),
     ]
-    vec = extract(make_state(config, agents), 0, None)
+    vec = extract(make_state(config, agents), {})[0]
     assert vec[2] == 0.0  # distance to center
     assert vec[3] == 0.0  # polar angle defined as 0 at the center
 
 
 def test_attackers_not_alive_count():
     state = reset(GridConfig(), seed=3)
-    assert extract(state, 0, None)[37] == 0.0
+    assert extract(state, {})[0][37] == 0.0
     state.attackers()[0].alive = False
     state.attackers()[2].alive = False
-    vec = extract(state, 0, None)
+    vec = extract(state, {})[0]
     assert vec[37] == 2.0
     assert 0 <= vec[37] <= state.config.n_attackers
 
@@ -171,7 +216,7 @@ def test_dead_agent_contributes_frozen_pose():
     victim = state.attackers()[1]
     vx, vy = victim.x, victim.y
     victim.alive = False
-    vec = extract(state, 0, None)
+    vec = extract(state, {})[0]
     # guard 0's opponents occupy blocks 3..5 ordered by id; victim is opp2
     base = 4 * 6
     assert vec[base] == float(vx)
@@ -182,7 +227,7 @@ def test_nearest_attacker_fort_distance_uses_alive_only():
     state = reset(GridConfig(), seed=5)
     cfg = state.config
     atts = state.attackers()
-    full = extract(state, 0, None)[36]
+    full = extract(state, {})[0][36]
     dists = sorted(
         min(math.hypot(a.x - fx, a.y - fy) for fx, fy in cfg.fort_cells) for a in atts
     )
@@ -192,11 +237,11 @@ def test_nearest_attacker_fort_distance_uses_alive_only():
         atts, key=lambda a: min(math.hypot(a.x - fx, a.y - fy) for fx, fy in cfg.fort_cells)
     )
     closest.alive = False
-    assert extract(state, 0, None)[36] == pytest.approx(dists[1])
+    assert extract(state, {})[0][36] == pytest.approx(dists[1])
     for a in atts:
         a.alive = False
     sentinel = math.hypot(cfg.width - 1, cfg.height - 1)
-    assert extract(state, 0, None)[36] == pytest.approx(sentinel)
+    assert extract(state, {})[0][36] == pytest.approx(sentinel)
 
 
 def test_padding_blocks_use_documented_sentinel():
@@ -208,7 +253,7 @@ def test_padding_blocks_use_documented_sentinel():
         n_attackers=1,
     )
     state = reset(config, seed=0)
-    vec = extract(state, 0, None)
+    vec = extract(state, {})[0]
     diag = math.hypot(6, 6)
     assert list(pad_sentinel_block(config)) == [-1.0, -1.0, diag, 0.0, 0.0, diag]
     # blocks: self, opponent, then four sentinel pads
@@ -249,8 +294,8 @@ def test_mirror_negates_bearing_and_swaps_east_west():
             m_prev = Action(kind_swap[prev.kind])
         else:
             m_prev = prev
-        v = extract(state, modeled, prev)
-        mv = extract(m_state, modeled, m_prev)
+        v = extract(state, {modeled: prev})[modeled]
+        mv = extract(m_state, {modeled: m_prev})[modeled]
         orient_swap = {0.0: 0.0, 1.0: 3.0, 2.0: 2.0, 3.0: 1.0}
         for b in range(6):
             base = b * 6
@@ -268,20 +313,22 @@ def test_mirror_negates_bearing_and_swaps_east_west():
 
 def test_extract_is_pure():
     state = reset(GridConfig(), seed=9)
-    a = extract(state, 2, Action(ActionKind.ROTATE_CW))
-    b = extract(state, 2, Action(ActionKind.ROTATE_CW))
-    assert np.array_equal(a, b)
+    prev = {2: Action(ActionKind.ROTATE_CW)}
+    a = extract(state, prev)
+    b = extract(state, prev)
+    assert a.keys() == b.keys() == {agent.id for agent in state.agents}
+    assert all(np.array_equal(a[i], b[i]) for i in a)
 
 
 def test_prev_action_encoding():
     state = reset(GridConfig(), seed=1)
-    assert extract(state, 0, None)[38] == float(int(ActionKind.NOOP))
+    assert extract(state, {})[0][38] == float(int(ActionKind.NOOP))
     for kind in ActionKind:
         act = Action.shoot(3) if kind is ActionKind.SHOOT else Action(kind)
-        assert extract(state, 0, act)[38] == float(int(kind))
+        assert extract(state, {0: act})[0][38] == float(int(kind))
 
 
 def test_unknown_agent_raises():
     state = reset(GridConfig(), seed=2)
     with pytest.raises(KeyError):
-        extract(state, 99, None)
+        extract(state, {})[99]

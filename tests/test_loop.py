@@ -47,7 +47,7 @@ from fortdefense.loop import (
     load_domain,
     predicted_cell,
     run_games,
-    tick_rng,
+    tick_seed,
 )
 from fortdefense.models import ModelLibrary, learn_stacked
 
@@ -365,8 +365,8 @@ def drive_episode(config, controller, seed, policy="P1"):
                 assert ok, f"controller chose blocked action: {blocker}"
                 actions[agent.id] = act
             else:
-                rng = tick_rng(seed, state.step_count, agent.id)
-                actions[agent.id] = policy_action(spec, state, agent.id, rng)
+                seed_t = tick_seed(seed, state.step_count, agent.id)
+                actions[agent.id] = policy_action(spec, state, agent.id, seed_t)
         nxt, events = step(state, actions)
         controller.observe(state, actions, nxt, events)
         for lit in observe_world(nxt, gdom):
@@ -575,11 +575,14 @@ class TestRunGames:
         assert len(stats.episodes) == 2
 
     def test_tick_rng_streams(self):
-        assert tick_rng(3, 5, 1).random() == random.Random(
+        def stream(*key):
+            return random.Random(tick_seed(*key)).random()
+
+        assert stream(3, 5, 1) == random.Random(
             (3 * 1_000_003 + 5) * 1_000_003 + 1
         ).random()
-        assert tick_rng(3, 5, 1).random() != tick_rng(3, 5, 2).random()
-        assert tick_rng(3, 5, 1).random() == tick_rng(3, 5, 1).random()
+        assert stream(3, 5, 1) != stream(3, 5, 2)
+        assert stream(3, 5, 1) == stream(3, 5, 1)
 
 
 # ---------------------------------------------------------------------------

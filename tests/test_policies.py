@@ -36,8 +36,8 @@ from fortdefense.policies import (
 )
 
 
-def agent_rng(seed: int, step_count: int, agent_id: int) -> random.Random:
-    return random.Random((seed * 1_000_003 + step_count) * 1_000_003 + agent_id)
+def agent_seed(seed: int, step_count: int, agent_id: int) -> int:
+    return (seed * 1_000_003 + step_count) * 1_000_003 + agent_id
 
 
 def make_state(config, agents, step_count=0) -> WorldState:
@@ -59,8 +59,8 @@ def run_episode(name: str, seed: int, on_tick=None, max_steps=100):
         joint = {}
         for agent in state.agents:
             if agent.alive:
-                rng = agent_rng(seed, state.step_count, agent.id)
-                joint[agent.id] = policy_action(spec, state, agent.id, rng)
+                seed_t = agent_seed(seed, state.step_count, agent.id)
+                joint[agent.id] = policy_action(spec, state, agent.id, seed_t)
         if on_tick is not None:
             on_tick(state, joint)
         state, _ = step(state, joint)
@@ -110,7 +110,7 @@ def test_p1_guard_beyond_radius_heads_home():
     assert fort_distance(config, guard.x, guard.y) > make_policy("P1").param(
         "guard_radius"
     )
-    act = policy_action(make_policy("P1"), state, 0, random.Random(0))
+    act = policy_action(make_policy("P1"), state, 0, 0)
     assert act.kind in MOVE_KINDS
     d = MOVE_KINDS[act.kind]
     after = fort_distance(config, guard.x + d.dx, guard.y + d.dy)
@@ -122,7 +122,7 @@ def test_p1_guard_shoots_attacker_in_range_and_arc():
     guard = AgentState(0, AgentKind.GUARD, 10, 18, Direction.S)
     attacker = AgentState(3, AgentKind.ATTACKER, 10, 14, Direction.N)
     state = make_state(config, [guard, attacker])
-    act = policy_action(make_policy("P1"), state, 0, random.Random(0))
+    act = policy_action(make_policy("P1"), state, 0, 0)
     assert act == Action.shoot(3)
 
 
@@ -141,7 +141,7 @@ def test_b1600_rear_attacker_advances_when_guard_drawn():
     assert fort_distance(config, drawn_guard.x, drawn_guard.y) > spec.param(
         "drawn_radius"
     )
-    act = policy_action(spec, state, 5, random.Random(0))
+    act = policy_action(spec, state, 5, 0)
     assert act.kind in MOVE_KINDS
     d = MOVE_KINDS[act.kind]
     after = fort_distance(config, rear.x + d.dx, rear.y + d.dy)
@@ -160,7 +160,7 @@ def test_b1600_rear_attacker_holds_at_standoff_when_guards_home():
     state = make_state(
         config, [home_guard, home_guard2, aggressor1, aggressor2, rear]
     )
-    act = policy_action(spec, state, 5, random.Random(0))
+    act = policy_action(spec, state, 5, 0)
     assert act == Action.noop()
 
 
@@ -172,7 +172,7 @@ def test_dead_agent_noops_under_every_policy():
     ]
     state = make_state(config, agents)
     for name in POLICY_NAMES:
-        assert policy_action(make_policy(name), state, 0, random.Random(0)) == Action.noop()
+        assert policy_action(make_policy(name), state, 0, 0) == Action.noop()
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +253,9 @@ def test_b1600_guards_may_exceed_b1240_radius():
     bait = AgentState(3, AgentKind.ATTACKER, 10, 3, Direction.N)
     far = AgentState(4, AgentKind.ATTACKER, 1, 1, Direction.N)
     state = make_state(config, [guard, bait, far])
-    act_1600 = policy_action(make_policy("B1600"), state, 0, random.Random(0))
+    act_1600 = policy_action(make_policy("B1600"), state, 0, 0)
     assert act_1600 == Action(ActionKind.MOVE_S)  # pursues outward
-    act_1240 = policy_action(make_policy("B1240"), state, 0, random.Random(0))
+    act_1240 = policy_action(make_policy("B1240"), state, 0, 0)
     assert act_1240 != Action(ActionKind.MOVE_S)
 
 
@@ -319,3 +319,45 @@ def _scripted_game_digest(policy: str, monkeypatch) -> str:
 @pytest.mark.parametrize("policy", sorted(GOLDEN_SCRIPTED_SEED1000))
 def test_golden_scripted_game(policy, monkeypatch):
     assert _scripted_game_digest(policy, monkeypatch) == GOLDEN_SCRIPTED_SEED1000[policy]
+
+
+# random() draws by P2's guard jitter in the seed-1000 games above; no other
+# policy draws from its tick streams.
+JITTER_DRAWS_SEED1000 = {"P2": 30}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_scripted_play_seeds_a_stream_only_to_draw(policy, monkeypatch):
+    counts = {"made": 0, "draws": 0}
+
+    class CountingRandom(random.Random):
+        counting = True
+
+        def __init__(self, *args):
+            self.counted = CountingRandom.counting
+            counts["made"] += self.counted
+            super().__init__(*args)
+
+        def random(self):
+            counts["draws"] += self.counted
+            return super().random()
+
+        def getrandbits(self, k):
+            # defined so that randrange keeps the base class's algorithm
+            return super().getrandbits(k)
+
+    real_reset = loop.reset
+
+    def uncounted_reset(*args, **kwargs):
+        CountingRandom.counting = False
+        try:
+            return real_reset(*args, **kwargs)
+        finally:
+            CountingRandom.counting = True
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    monkeypatch.setattr(loop, "reset", uncounted_reset)
+    sink = {"guard": [], "attacker": []}
+    loop.run_games(GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink)
+    draws = JITTER_DRAWS_SEED1000.get(policy, 0)
+    assert counts == {"made": draws, "draws": draws}
