@@ -11,7 +11,8 @@ sits at y = height - 1 and attackers start near y = 0.
 
 Geometry is tabulated per configuration.  ``config.geometry`` is a
 :class:`Geometry`, built on first use and kept on the frozen config: the
-range, arc and shot-cone tests per facing and offset, the weapon-range
+range, arc and shot-cone tests per facing and offset, the scripted
+attackers' danger cones and strike pockets per facing, the weapon-range
 disk of offsets and each offset's walking distance to it (which the
 planner's search bound reads), and per cell the distance to and the
 nearest of the fort cells and the polar coordinates around the grid
@@ -38,6 +39,11 @@ from enum import Enum, IntEnum
 from typing import Mapping, Optional, Union
 
 EPS = 1e-9
+
+#: How far past weapon range a danger cone (``Geometry.danger``) reaches: a
+#: shooter closes one step a tick, so a cell this much beyond its range
+#: may be in range next tick.
+DANGER_MARGIN = 1.5
 
 
 class Direction(Enum):
@@ -454,6 +460,14 @@ class Geometry:
     * ``cone[facing]`` -- the set of offsets in range and in the arc: where
       a shooter so facing hits;
     * ``disk`` -- the in-range offsets, in ``(dx, dy)`` order;
+    * ``danger[facing]`` -- the set of offsets in the facing's arc with
+      ``math.hypot(dx, dy) <= shoot_range + DANGER_MARGIN``: where a shooter
+      so facing may hit after one more closing step (the scripted
+      attackers' danger cones);
+    * ``pocket[facing]`` -- the set of offsets with ``math.hypot(dx, dy) <=
+      shoot_range``, with no ``EPS``, outside the facing's arc: where a
+      scripted hunter stands to shoot a target so facing that cannot
+      shoot back;
     * ``steps_to_disk[offset]`` -- the fewest 4-connected unit steps from
       the offset to an offset of ``disk``, ``min(|dx - ox| + |dy - oy|)``
       over ``disk``: how far a shooter must walk to bring a target at that
@@ -494,6 +508,18 @@ class Geometry:
             for facing in Direction
         )
         self.cone = tuple(arc.intersection(self.disk) for arc in self.in_arc)
+        reach = config.shoot_range + DANGER_MARGIN
+        self.danger = tuple(
+            frozenset(o for o in arc if math.hypot(*o) <= reach) for arc in self.in_arc
+        )
+        self.pocket = tuple(
+            frozenset(
+                o
+                for o in self.disk
+                if math.hypot(*o) <= config.shoot_range and o not in arc
+            )
+            for arc in self.in_arc
+        )
         cells = [(x, y) for x in range(w) for y in range(h)]
         forts = config.fort_cells
         self.fort_distance = {c: _fort_distance_formula(forts, *c) for c in cells}
@@ -569,27 +595,34 @@ def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
 
     Order: noop, moves N/E/S/W, rotations cw/ccw, shots by target id.
     Moves must stay on the grid and target an unoccupied cell (corpses
-    block).  Shots require a live enemy inside range and arc.  A dead agent
-    can only noop.
+    block).  Shots require a live enemy inside range and arc: with every
+    agent on the grid, one lookup in the shooter's ``Geometry.cone``.  A
+    dead agent can only noop.
     """
     agent = state.get(agent_id)
     if not agent.alive:
         return [Action.noop()]
+    config = state.config
+    x, y = agent.x, agent.y
     acts = [Action.noop()]
     occupied = state.occupied_cells()
     for kind, d in MOVE_KINDS.items():
-        nx, ny = agent.x + d.dx, agent.y + d.dy
-        if state.config.in_bounds(nx, ny) and (nx, ny) not in occupied:
+        nx, ny = x + d.dx, y + d.dy
+        on_grid = 0 <= nx < config.width and 0 <= ny < config.height
+        if on_grid and (nx, ny) not in occupied:
             acts.append(TARGETLESS_ACTIONS[kind])
     acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CW])
     acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW])
-    for other in sorted(state.agents, key=lambda a: a.id):
-        if (
-            other.alive
-            and other.kind.is_guard is not agent.kind.is_guard
-            and clear_shot(state.config, agent, other)
-        ):
-            acts.append(Action.shoot(other.id))
+    cone = config.geometry.cone[agent.direction.index]
+    is_guard = agent.kind.is_guard
+    targets = sorted(
+        other.id
+        for other in state.agents
+        if other.alive
+        and other.kind.is_guard is not is_guard
+        and (other.x - x, other.y - y) in cone
+    )
+    acts.extend(Action.shoot(t) for t in targets)
     return acts
 
 

@@ -27,8 +27,9 @@ Qualitative intents:
   guard is drawn out of position.
 
 Turns aim with the simulator's facing rule (``env.facing_toward`` and
-``env.turn_toward``).  Every returned action is drawn from
-``legal_actions``; a dead agent noops.
+``env.turn_toward``).  Danger cones and the B1600 hunters' strike pockets
+are lookups in ``GridConfig.geometry`` (``danger`` and ``pocket``).  Every
+returned action is drawn from ``legal_actions``; a dead agent noops.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def _guard_rank(state: WorldState, agent_id: int) -> int:
     return sorted(g.id for g in state.guards()).index(agent_id)
 
 
-def _attacker_ranks(state: WorldState) -> dict[int, int]:
+def _attacker_ranks(attackers: list[AgentState]) -> dict[int, int]:
     """Each attacker's rank among the attacker ids, dead ones included."""
-    ids = sorted(a.id for a in state.attackers())
+    ids = sorted(a.id for a in attackers)
     return {agent_id: rank for rank, agent_id in enumerate(ids)}
 
 
@@ -184,22 +185,40 @@ def _guard_anchor(cfg: GridConfig, spec: PolicySpec, rank: int, n: int) -> tuple
 
 
 def _covered(
-    cfg: GridConfig,
-    cell: tuple[int, int],
-    shooters: list[AgentState],
-    margin: float = 0.5,
+    cfg: GridConfig, cell: tuple[int, int], shooters: list[AgentState]
 ) -> bool:
-    """Whether any of ``shooters`` could fire on ``cell`` as currently aimed.
+    """Whether ``cell`` lies in the danger cone (``Geometry.danger``) of any
+    of ``shooters`` as currently aimed: whether one more closing step could
+    bring it under fire.  The cell and the shooters are on the grid.
 
     Facing only changes through explicit rotations, so a mover's firing arc
-    goes stale; cells outside every current arc-and-range cone are safe to
-    stand on this tick.
+    goes stale; cells outside every current danger cone are safe to stand
+    on this tick.
     """
-    return any(
-        _dist(cell, s.pos) <= cfg.shoot_range + margin
-        and in_arc(cfg, s.direction, s.x, s.y, cell[0], cell[1])
-        for s in shooters
-    )
+    danger = cfg.geometry.danger
+    x, y = cell
+    return any((x - s.x, y - s.y) in danger[s.direction.index] for s in shooters)
+
+
+def _strike_posts(
+    cfg: GridConfig, mark: AgentState, others: list[AgentState]
+) -> set[tuple[int, int]]:
+    """The cells from which ``mark`` can be shot without answer: the grid
+    cells of its strike pocket (``Geometry.pocket``: in weapon range of it,
+    outside its arc) that lie in no danger cone of ``others``."""
+    geometry = cfg.geometry
+    mx, my = mark.x, mark.y
+    posts = {
+        (mx + dx, my + dy)
+        for dx, dy in geometry.pocket[mark.direction.index]
+        if 0 <= mx + dx < cfg.width and 0 <= my + dy < cfg.height
+    }
+    for s in others:
+        sx, sy = s.x, s.y
+        posts.difference_update(
+            [(sx + dx, sy + dy) for dx, dy in geometry.danger[s.direction.index]]
+        )
+    return posts
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +390,10 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     legal = legal_actions(state, agent.id)
     moves = _legal_moves(legal)
     shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
-    ranks = _attacker_ranks(state)
+    attackers = state.attackers()
+    guards = [g for g in state.guards() if g.alive]
+    n_alive = sum(1 for a in attackers if a.alive)
+    ranks = _attacker_ranks(attackers)
     rank = ranks[agent.id]
     fort_goal = nearest_fort_cell(cfg, agent.x, agent.y)
     cx, _ = fort_center(cfg)
@@ -384,17 +406,12 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     n_aggressors = max(1, round(spec.param("aggression") * cfg.n_attackers)) if (
         spec.name == "B1600"
     ) else 0
-    aggressor_mode = (
-        rank < n_aggressors
-        and any(g.alive for g in state.guards())
-        and sum(1 for a in state.attackers() if a.alive) > 1
-    )
+    aggressor_mode = rank < n_aggressors and bool(guards) and n_alive > 1
     if not aggressor_mode:
         if shots:
             victim = min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))
             return shots[victim]
-        guards_alive = [g for g in state.guards() if g.alive]
-        if guards_alive and agent.y == cfg.height - 1 and agent.pos != fort_goal:
+        if guards and agent.y == cfg.height - 1 and agent.pos != fort_goal:
             rot = _rotate_toward(agent, fort_goal)
             if rot:
                 return rot
@@ -406,15 +423,11 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
         top = cfg.height - 1
         if agent.y >= top:
             wings = [
-                a
-                for a in state.attackers()
-                if a.alive and ranks[a.id] % 3 != centre_rank
+                a for a in attackers if a.alive and ranks[a.id] % 3 != centre_rank
             ]
             ready = all(a.y >= top for a in wings)
             crowded = any(
-                _dist(agent.pos, g.pos) <= cfg.shoot_range + 1.5
-                for g in state.guards()
-                if g.alive
+                _dist(agent.pos, g.pos) <= cfg.shoot_range + 1.5 for g in guards
             )
             if not ready and not crowded:
                 return Action.noop()
@@ -432,7 +445,6 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     if spec.name == "P2":
         if _in_spread_opening(spec, state, agent):
             return _spread_move(state, agent, legal)
-        guards = [g for g in state.guards() if g.alive]
         if shots:
             target = min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))
             return shots[target]
@@ -466,11 +478,9 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
         return _wing_advance(lane_x, centre_rank=0)
 
     if spec.name == "B1600":
-        attackers = sorted(a.id for a in state.attackers())
-        guards = [g for g in state.guards() if g.alive]
         # a cell is dangerous if a defender's current cone could cover it
         # after one more closing step (they move one cell a tick)
-        danger = lambda c: _covered(cfg, c, guards, margin=1.5)
+        danger = lambda c: _covered(cfg, c, guards)
 
         # retreat preference: get away from every pursuer, with a nudge
         # toward open ground so a flight never dead-ends in a corner
@@ -501,7 +511,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
             # while the fort is being breached
             runners_up = [
                 a
-                for a in state.attackers()
+                for a in attackers
                 if a.alive
                 and a.y >= cfg.height - 7
                 and ranks[a.id] >= n_aggressors
@@ -573,53 +583,35 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
                 ),
             ):
                 others = [g for g in guards if g.id != mark.id]
-
-                def strikeable(cell: tuple[int, int]) -> bool:
-                    return (
-                        _dist(cell, mark.pos) <= cfg.shoot_range
-                        and not in_arc(
-                            cfg, mark.direction, mark.x, mark.y, cell[0], cell[1]
-                        )
-                        and not _covered(cfg, cell, others, margin=1.5)
-                    )
-
-                aimed = _rotate_toward(agent, mark.pos) is None
-                if strikeable(agent.pos):
+                posts = _strike_posts(cfg, mark, others)
+                rot = _rotate_toward(agent, mark.pos)
+                if agent.pos in posts:
                     # inside the cone-free pocket: turn and the top-of-turn
                     # shot check fires
-                    rot = _rotate_toward(agent, mark.pos)
-                    if rot:
-                        return rot
-                    return Action.noop()
-                # every cell strikeable from lies in the weapon-range disk
-                posts = [
-                    (mark.x + dx, mark.y + dy)
-                    for dx, dy in cfg.geometry.disk
-                    if 0 <= mark.x + dx < cfg.width
-                    and 0 <= mark.y + dy < cfg.height
-                    and strikeable((mark.x + dx, mark.y + dy))
-                ]
+                    return rot or Action.noop()
                 if not posts:
                     continue
-                # with two hunters working the same mark, take opposite
-                # sides: one cone cannot cover a split bearing
-                mates = [
-                    a
-                    for a in state.attackers()
-                    if a.alive
-                    and a.id != agent.id
-                    and ranks[a.id] < n_aggressors
-                ]
-                spread = 0.5 if rank == 0 else 0.0
-                post = min(
-                    posts,
-                    key=lambda c: (
-                        _dist(agent.pos, c)
-                        - spread
-                        * min((_dist(c, m.pos) for m in mates), default=0.0),
-                        c,
-                    ),
-                )
+                aimed = rot is None
+                if rank == 0:
+                    # with two hunters working the same mark, take opposite
+                    # sides: one cone cannot cover a split bearing
+                    mates = [
+                        a
+                        for a in attackers
+                        if a.alive
+                        and a.id != agent.id
+                        and ranks[a.id] < n_aggressors
+                    ]
+                    post = min(
+                        posts,
+                        key=lambda c: (
+                            _dist(agent.pos, c)
+                            - 0.5 * min((_dist(c, m.pos) for m in mates), default=0.0),
+                            c,
+                        ),
+                    )
+                else:
+                    post = min(posts, key=lambda c: (_dist(agent.pos, c), c))
                 move_ok = lambda c: not danger(c) and (
                     aimed or _dist(c, mark.pos) > cfg.shoot_range
                 )
@@ -629,7 +621,6 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
                 if closer:
                     return closer
                 # parked on the rim: spend the wait turning toward the mark
-                rot = _rotate_toward(agent, mark.pos)
                 if rot:
                     return rot
                 break
@@ -637,14 +628,12 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
 
         # runner: wait at the standoff row while the hunters work, then
         # sneak up one edge once the defense is thinned or fully drawn out
-        aggressor_ids = set(attackers[:n_aggressors])
         aggressors_alive = any(
-            a.alive for a in state.attackers() if a.id in aggressor_ids
+            a.alive for a in attackers if ranks[a.id] < n_aggressors
         )
         drawn = not guards or all(
             fort_distance(cfg, g.x, g.y) > spec.param("drawn_radius") for g in guards
         )
-        n_alive = sum(1 for a in state.attackers() if a.alive)
         # in the last quarter of the game run flat out, cones or not:
         # the clock decides stalemates, and it decides them for the defense
         desperate = state.step_count >= 0.75 * cfg.max_steps

@@ -19,6 +19,15 @@ from ``fortdefense.kr.goals``, ``_rotate_toward`` from
 ``Geometry.steps_to_disk`` replaced no formula, so ``steps_to_disk`` below
 is its definition by brute force instead: for each offset, the least
 Manhattan distance to an in-range offset.
+
+The scripted attackers' cone tests and the simulator's action list as they
+were before they read ``Geometry.danger``, ``Geometry.pocket`` and
+``Geometry.cone`` are kept too: ``_covered`` from ``fortdefense.policies``;
+the B1600 hunter's ``strikeable`` and its ``posts`` scan from
+``policies._attacker_action``, as functions of the configuration, the mark
+and the other guards that they closed over (``posts`` returns the list the
+scan built); and ``legal_actions`` from ``fortdefense.env``, with
+``clear_shot`` as it was before the shot-cone table.
 """
 
 from __future__ import annotations
@@ -27,12 +36,14 @@ import math
 from typing import Optional
 
 from fortdefense.env import (
+    MOVE_KINDS,
     TARGETLESS_ACTIONS,
     Action,
     ActionKind,
     AgentState,
     Direction,
     GridConfig,
+    WorldState,
 )
 from fortdefense.kr.beliefs import Belief, check_executable
 from fortdefense.kr.goals import nearest_living, pose_of
@@ -191,3 +202,83 @@ def _fallback(self, belief: Belief, gdom: GroundedDomain) -> Atom:
     atom = Atom("rotate", (ah, target))
     ok, _ = check_executable(belief, atom, gdom)
     return atom if ok else noop
+
+
+def clear_shot(config: GridConfig, shooter: AgentState, target: AgentState) -> bool:
+    """Range-and-arc test between two agents at their current poses."""
+    return in_range(config, shooter.x, shooter.y, target.x, target.y) and in_arc(
+        config, shooter.direction, shooter.x, shooter.y, target.x, target.y
+    )
+
+
+def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
+    """All actions the agent may take this tick, in a fixed documented order.
+
+    Order: noop, moves N/E/S/W, rotations cw/ccw, shots by target id.
+    Moves must stay on the grid and target an unoccupied cell (corpses
+    block).  Shots require a live enemy inside range and arc.  A dead agent
+    can only noop.
+    """
+    agent = state.get(agent_id)
+    if not agent.alive:
+        return [Action.noop()]
+    acts = [Action.noop()]
+    occupied = state.occupied_cells()
+    for kind, d in MOVE_KINDS.items():
+        nx, ny = agent.x + d.dx, agent.y + d.dy
+        if state.config.in_bounds(nx, ny) and (nx, ny) not in occupied:
+            acts.append(TARGETLESS_ACTIONS[kind])
+    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CW])
+    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW])
+    for other in sorted(state.agents, key=lambda a: a.id):
+        if (
+            other.alive
+            and other.kind.is_guard is not agent.kind.is_guard
+            and clear_shot(state.config, agent, other)
+        ):
+            acts.append(Action.shoot(other.id))
+    return acts
+
+
+def _covered(
+    cfg: GridConfig,
+    cell: tuple[int, int],
+    shooters: list[AgentState],
+    margin: float = 0.5,
+) -> bool:
+    """Whether any of ``shooters`` could fire on ``cell`` as currently aimed.
+
+    Facing only changes through explicit rotations, so a mover's firing arc
+    goes stale; cells outside every current arc-and-range cone are safe to
+    stand on this tick.
+    """
+    return any(
+        _dist(cell, s.pos) <= cfg.shoot_range + margin
+        and in_arc(cfg, s.direction, s.x, s.y, cell[0], cell[1])
+        for s in shooters
+    )
+
+
+def strikeable(
+    cfg: GridConfig, mark: AgentState, others: list[AgentState], cell: tuple[int, int]
+) -> bool:
+    return (
+        _dist(cell, mark.pos) <= cfg.shoot_range
+        and not in_arc(
+            cfg, mark.direction, mark.x, mark.y, cell[0], cell[1]
+        )
+        and not _covered(cfg, cell, others, margin=1.5)
+    )
+
+
+def posts(
+    cfg: GridConfig, mark: AgentState, others: list[AgentState]
+) -> list[tuple[int, int]]:
+    # every cell strikeable from lies in the weapon-range disk
+    return [
+        (mark.x + dx, mark.y + dy)
+        for dx, dy in cfg.geometry.disk
+        if 0 <= mark.x + dx < cfg.width
+        and 0 <= mark.y + dy < cfg.height
+        and strikeable(cfg, mark, others, (mark.x + dx, mark.y + dy))
+    ]

@@ -1,9 +1,11 @@
 """Tests for the per-configuration geometry tables (``GridConfig.geometry``).
 
 The tables must give exactly what the formulas they replaced give: the
-property below compares every table-backed function with the slow copies in
-``reference_geometry.py`` over random configurations, on and off the table
-span.  The other tests pin the tables' lifetime (one per configuration
+properties below compare every table-backed function with the slow copies
+in ``reference_geometry.py`` over random configurations, on and off the
+table span, and the scripted attackers' danger cones and strike pockets
+and the simulator's action list over random states on them.  The other
+tests pin the tables' lifetime (one per configuration
 object, invisible to equality, hashing and serialization), the enum
 attributes that replaced properties, and the one facing rule
 (``facing_toward``, ``turn_toward``) against the three copies of it that
@@ -28,6 +30,7 @@ from fortdefense.env import (
     AgentState,
     Direction,
     GridConfig,
+    WorldState,
     clear_shot,
     facing_toward,
     fort_center,
@@ -35,6 +38,7 @@ from fortdefense.env import (
     in_arc,
     in_cone,
     in_range,
+    legal_actions,
     nearest_fort_cell,
     reset,
     turn_toward,
@@ -45,7 +49,7 @@ from fortdefense.kr.beliefs import Belief
 from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics, ground
 from fortdefense.kr.lang import Atom
 from fortdefense.loop import AdHocController, load_domain
-from fortdefense.policies import _rotate_toward
+from fortdefense.policies import _covered, _rotate_toward, _strike_posts
 
 # Ranges and arcs that put a cell's distance or bearing (from a shooter
 # facing north) exactly on the ``+ EPS`` edge or inside the EPS margin:
@@ -128,6 +132,78 @@ def test_tables_match_the_reference(config, data):
         for facing in Direction:
             agent = AgentState(0, AgentKind.GUARD, x, y, facing)
             assert _agent_block(config, agent) == ref._agent_block(config, agent)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=configs())
+def test_danger_and_pocket_tables_match_the_reference(config):
+    span = [
+        (dx, dy)
+        for dx in range(1 - config.width, config.width)
+        for dy in range(1 - config.height, config.height)
+    ]
+    for facing in Direction:
+        origin = AgentState(0, AgentKind.GUARD, 0, 0, facing)
+        danger = {o for o in span if ref._covered(config, o, [origin], margin=1.5)}
+        pocket = {o for o in span if ref.strikeable(config, origin, [], o)}
+        assert config.geometry.danger[facing.index] == danger, facing
+        assert config.geometry.pocket[facing.index] == pocket, facing
+
+
+ROSTERS = [(3, 3), (4, 2), (2, 4), (4, 4)]
+
+
+@st.composite
+def scripted_states(draw) -> WorldState:
+    """A state on a random configuration: one of ``ROSTERS``, agents on
+    distinct cells drawn half the time from the grid's edge rows and
+    columns (where strike pockets are clipped), any facings, corpses, guard
+    0 ad hoc or not, and the roster in any list order."""
+    n_guards, n_attackers = draw(st.sampled_from(ROSTERS))
+    config = dataclasses.replace(
+        draw(configs()), n_guards=n_guards, n_attackers=n_attackers
+    )
+    w, h = config.width, config.height
+    coord = lambda n: st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    n = n_guards + n_attackers
+    cells = draw(
+        st.lists(st.tuples(coord(w), coord(h)), min_size=n, max_size=n, unique=True)
+    )
+    ad_hoc = draw(st.booleans())
+    agents = []
+    for i, (x, y) in enumerate(cells):
+        if i >= n_guards:
+            kind = AgentKind.ATTACKER
+        elif i == 0 and ad_hoc:
+            kind = AgentKind.AD_HOC_GUARD
+        else:
+            kind = AgentKind.GUARD
+        facing = draw(st.sampled_from(list(Direction)))
+        agents.append(AgentState(i, kind, x, y, facing, alive=draw(st.booleans())))
+    agents = draw(st.permutations(agents))
+    zeros = {i: 0 for i in range(n)}
+    return WorldState(config, agents, 0, dict(zeros), dict(zeros))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=scripted_states())
+def test_scripted_geometry_matches_the_reference(state):
+    config = state.config
+    cells = [(x, y) for x in range(config.width) for y in range(config.height)]
+    guards = [a for a in state.agents if a.alive and a.kind.is_guard]
+    for cell in cells:
+        assert _covered(config, cell, guards) is ref._covered(
+            config, cell, guards, margin=1.5
+        ), cell
+    for mark in guards:
+        others = [g for g in guards if g.id != mark.id]
+        posts = _strike_posts(config, mark, others)
+        want = ref.posts(config, mark, others)
+        assert len(want) == len(posts) and set(want) == posts, mark.id
+        for cell in cells:
+            assert (cell in posts) is ref.strikeable(config, mark, others, cell)
+    for agent in state.agents:
+        assert legal_actions(state, agent.id) == ref.legal_actions(state, agent.id)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Policy behavior tests: pinned fixtures, legality, and team-shape
-invariants, plus the mix-selection frequency check."""
+invariants, the mix-selection frequency check, and a trajectory oracle
+that plays the table-backed cone tests against their slow copies."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import random
 
 import pytest
 
-from fortdefense import loop
+import reference_geometry as ref
+from fortdefense import loop, policies
 from fortdefense.env import (
     MOVE_KINDS,
     Action,
@@ -361,3 +363,50 @@ def test_scripted_play_seeds_a_stream_only_to_draw(policy, monkeypatch):
     loop.run_games(GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink)
     draws = JITTER_DRAWS_SEED1000.get(policy, 0)
     assert counts == {"made": draws, "draws": draws}
+
+
+# ---------------------------------------------------------------------------
+# trajectory oracle beyond the default configuration
+# ---------------------------------------------------------------------------
+
+ORACLE_CONFIGS = {
+    "range-3.5": GridConfig(shoot_range=3.5),
+    "arc-180": GridConfig(shoot_arc_deg=180.0),
+    "grid-30x30": GridConfig(width=30, height=30),
+    "4v4": GridConfig(n_guards=4, n_attackers=4),
+}
+
+
+def _scripted_trajectory(config, policy, monkeypatch):
+    """Every tick's state and joint action of one all-scripted game (episode
+    seed 1000), then its outcome and length."""
+    ticks = []
+    real_step = loop.step
+
+    def recording_step(state, actions):
+        ticks.append((state.copy(), dict(actions)))
+        return real_step(state, actions)
+
+    with monkeypatch.context() as m:
+        m.setattr(loop, "step", recording_step)
+        episode = loop.run_games(config, policy, 1, seed=1000, ad_hoc=False).episodes[0]
+    return ticks, episode.outcome, episode.steps
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS)
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_the_geometry_tables_keep_every_scripted_decision(policy, config, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(policies, "legal_actions", ref.legal_actions)
+        m.setattr(
+            policies,
+            "_covered",
+            lambda cfg, cell, shooters: ref._covered(cfg, cell, shooters, margin=1.5),
+        )
+        m.setattr(
+            policies,
+            "_strike_posts",
+            lambda cfg, mark, others: set(ref.posts(cfg, mark, others)),
+        )
+        want = _scripted_trajectory(config, policy, monkeypatch)
+    assert _scripted_trajectory(config, policy, monkeypatch) == want
