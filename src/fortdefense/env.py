@@ -18,10 +18,12 @@ planner's search bound reads), and per cell the distance to and the
 nearest of the fort cells and the polar coordinates around the grid
 centre.  Each table that replaced a formula holds its values
 (``_range_formula``, ``_arc_formula`` ...), so reading the table is
-bit-identical to evaluating the formula, and the public functions
-(``in_range``, ``in_arc``, ``in_cone``, ``clear_shot``,
-``fort_distance``, ``nearest_fort_cell``, ``centre_polar``) fall back to
-the formula for inputs off the table.  The
+bit-identical to evaluating the formula.  The public functions
+(``in_arc``, ``in_cone``, ``fort_distance``, ``nearest_fort_cell``,
+``centre_polar``) are one table read each and take cells of the grid,
+as every caller passes: agents' poses, move targets and the reasoner's
+coordinate sorts.  A cell off the grid is a ``KeyError`` in the cell
+tables.  The
 simulator (``legal_actions``, shot resolution in ``step``), the scripted
 policies, the feature extractor and the reasoner's ``in_sight`` static
 all read these tables.  They are keyed by configuration, never by world
@@ -484,7 +486,7 @@ class Geometry:
     Every value is a function of the configuration alone, which is frozen,
     so the tables can never go stale; nothing is keyed by a world state,
     whose agents move (and which tests edit in place).  The functions that
-    read the tables fall back to the formula for inputs off them.
+    read the tables take cells of the grid only.
     """
 
     def __init__(self, config: GridConfig) -> None:
@@ -533,23 +535,20 @@ class Geometry:
         )
 
 
-def fort_distance(config: GridConfig, x: float, y: float) -> float:
-    """Euclidean distance from (x, y) to the nearest fort cell."""
-    d = config.geometry.fort_distance.get((x, y))
-    return _fort_distance_formula(config.fort_cells, x, y) if d is None else d
+def fort_distance(config: GridConfig, x: int, y: int) -> float:
+    """Euclidean distance from the cell (x, y) to the nearest fort cell."""
+    return config.geometry.fort_distance[x, y]
 
 
 def nearest_fort_cell(config: GridConfig, x: int, y: int) -> tuple[int, int]:
-    """The fort cell nearest (x, y); ties go to the least cell."""
-    c = config.geometry.nearest_fort_cell.get((x, y))
-    return _nearest_fort_cell_formula(config.fort_cells, x, y) if c is None else c
+    """The fort cell nearest the cell (x, y); ties go to the least cell."""
+    return config.geometry.nearest_fort_cell[x, y]
 
 
-def centre_polar(config: GridConfig, x: float, y: float) -> tuple[float, float]:
-    """``(distance, bearing)`` of (x, y) around :func:`grid_center`; the
-    bearing is clockwise from north, 0 at the exact centre."""
-    polar = config.geometry.centre_polar.get((x, y))
-    return _centre_polar_formula(grid_center(config), x, y) if polar is None else polar
+def centre_polar(config: GridConfig, x: int, y: int) -> tuple[float, float]:
+    """``(distance, bearing)`` of the cell (x, y) around :func:`grid_center`;
+    the bearing is clockwise from north, 0 at the exact centre."""
+    return config.geometry.centre_polar[x, y]
 
 
 def fort_center(config: GridConfig) -> tuple[float, float]:
@@ -557,37 +556,20 @@ def fort_center(config: GridConfig) -> tuple[float, float]:
     return config.geometry.fort_center
 
 
-def in_range(config: GridConfig, sx: int, sy: int, tx: int, ty: int) -> bool:
-    hit = config.geometry.in_range.get((tx - sx, ty - sy))
-    return _range_formula(config.shoot_range, tx - sx, ty - sy) if hit is None else hit
-
-
 def in_arc(
     config: GridConfig, facing: Direction, sx: int, sy: int, tx: int, ty: int
 ) -> bool:
-    """Whether (tx, ty) lies inside the facing cone from (sx, sy).
-
-    The shooter's own cell is never in its arc.
-    """
-    geometry, offset = config.geometry, (tx - sx, ty - sy)
-    if offset in geometry.in_range:
-        return offset in geometry.in_arc[facing.index]
-    return _arc_formula(config.shoot_arc_deg, facing, *offset)
+    """Whether the cell (tx, ty) lies inside the facing cone from the cell
+    (sx, sy).  The shooter's own cell is never in its arc."""
+    return (tx - sx, ty - sy) in config.geometry.in_arc[facing.index]
 
 
 def in_cone(
     config: GridConfig, facing: Direction, sx: int, sy: int, tx: int, ty: int
 ) -> bool:
-    """Range-and-arc test: a shooter at (sx, sy) so facing hits (tx, ty)."""
-    geometry, offset = config.geometry, (tx - sx, ty - sy)
-    if offset in geometry.in_range:
-        return offset in geometry.cone[facing.index]
-    return in_range(config, sx, sy, tx, ty) and in_arc(config, facing, sx, sy, tx, ty)
-
-
-def clear_shot(config: GridConfig, shooter: AgentState, target: AgentState) -> bool:
-    """Range-and-arc test between two agents at their current poses."""
-    return in_cone(config, shooter.direction, shooter.x, shooter.y, target.x, target.y)
+    """Range-and-arc test: a shooter at the cell (sx, sy) so facing hits
+    the cell (tx, ty)."""
+    return (tx - sx, ty - sy) in config.geometry.cone[facing.index]
 
 
 def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
@@ -676,7 +658,9 @@ def step(
         shooter = by_id[agent_id]
         target = by_id[act.target]
         nxt.shots_fired[agent_id] += 1
-        hit = target.alive and clear_shot(state.config, shooter, target)
+        hit = target.alive and in_cone(
+            state.config, shooter.direction, shooter.x, shooter.y, target.x, target.y
+        )
         if hit:
             lethal.setdefault(target.id, []).append(agent_id)
         shot_pairs.append((agent_id, target.id, hit))

@@ -1106,8 +1106,9 @@ def _with_inertia(
 def answer_why_belief(trace: EpisodeTrace, literal: Literal, step: int) -> Answer:
     chain = why_belief_chain(trace, step, literal)
     query = Query("why_belief", None, literal, step)
-    kind = "why_belief" if literal.positive else "why_belief_negative"
-    text = render_chain(kind, {"step": str(step), "literal": str(literal)}, chain)
+    text = render_chain(
+        "why_belief", {"step": str(step), "literal": str(literal)}, chain
+    )
     return Answer(query, chain, _chain_literals(chain), text)
 
 

@@ -4,7 +4,9 @@ observations via consistency-restoring defaults.
 
 A belief is the set of ground atoms taken to be true (closed-world: every
 atom not in the set is false).  Only *inertial* fluents persist; *defined*
-fluents follow from the inertial ones through the definition rules.
+fluents follow from the inertial ones through the definition rules, whose
+bodies hold no defined fluent (``ground`` rejects a recursive definition),
+so one pass over the definitions closes a belief.
 Progression resolves each tick in layers:
 
 1. direct effects of the tick's actions (conflicts raise),
@@ -85,9 +87,6 @@ class Belief:
             self._inertial = cached
         return cached[1]
 
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.atoms
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Belief) and self.atoms == other.atoms
 
@@ -158,29 +157,18 @@ def close_defined(
     definition instance derived through a removed inertial atom (or
     through the absence of an added one) are dropped unless another
     instance still derives them; those derived through an added atom (or
-    the absence of a removed one) are added.  With no parent every atom
-    counts as added, and the closure is the least fixpoint of the rules
-    computed from scratch; recursive definitions (a defined fluent in a
-    definition body) always take that path.
+    the absence of a removed one) are added.  With no parent the closure
+    is computed from scratch, in one pass over the definitions: no
+    definition body holds a defined fluent (``ground`` rejects one), so
+    no derived atom can feed another definition.
     """
     inertial = frozenset(inertial_atoms)
     working = _index_of(inertial)
-    if parent is None or gdom.recursive_definitions:
+    if parent is None:
         out = set(inertial)
-        changed = True
-        while changed:
-            changed = False
-            for rule in gdom.definitions:
-                join = rule.unbound
-                derived = [join.head(env) for env in join.run(working, ())]
-                for atom in derived:
-                    bucket = working.setdefault(atom.pred, set())
-                    if atom not in bucket:
-                        bucket.add(atom)
-                        out.add(atom)
-                        changed = True
-            if not gdom.recursive_definitions:
-                break
+        for rule in gdom.definitions:
+            join = rule.unbound
+            out.update(join.head(env) for env in join.run(working, ()))
         return frozenset(out)
 
     before = parent.inertial_atoms(gdom)
@@ -491,8 +479,6 @@ def ground_defaults(
     pos = Belief(lit.atom for lit in observations if lit.positive)
     out: list[DefaultInstance] = []
     for rule in gdom.defaults:
-        if not rule.cr_allowed:
-            continue
         join = rule.unbound
         for env in join.run(pos.index, ()):
             inst = DefaultInstance(rule.axiom_id, rule.text, join.head(env))

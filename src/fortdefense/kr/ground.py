@@ -293,7 +293,6 @@ class CompiledRule:
     head: Optional[Literal]
     body: tuple[Literal, ...]
     residual: tuple[Literal, ...] = ()
-    cr_allowed: bool = False
     on_action: Optional[Join] = field(default=None, compare=False, repr=False)
     on_body: tuple[Optional[Join], ...] = field(default=(), compare=False, repr=False)
     on_head: Optional[Join] = field(default=None, compare=False, repr=False)
@@ -394,7 +393,6 @@ class GroundedDomain:
     statics: dict[str, Static]
     active_cells: frozenset[tuple[int, int]]
     fine_regions: frozenset[str]
-    horizon: int = 8
     fluent_decls: dict = field(default_factory=dict)
     causal_by_action: dict[str, list[CompiledRule]] = field(default_factory=dict)
     exec_by_action: dict[str, list[CompiledRule]] = field(default_factory=dict)
@@ -413,7 +411,6 @@ class GroundedDomain:
         default_factory=dict
     )
     inertial_preds: frozenset[str] = frozenset()
-    recursive_definitions: bool = False
     _sort_sets: dict[str, frozenset] = field(default_factory=dict)
 
     # -- sort helpers -------------------------------------------------------
@@ -472,13 +469,13 @@ def ground(
     granularity.
 
     Synthetic domains (tests, default-conflict fixtures) may instead pass
-    explicit ``sorts``/``statics``.
+    explicit ``sorts``/``statics``.  ``horizon`` only populates the
+    ``step`` sort.  A definition whose body holds a defined fluent is
+    rejected: the defined fluents are closed in one pass over the
+    definitions (:func:`~fortdefense.kr.beliefs.close_defined`).
     """
     if sorts is None:
-        if config is None:
-            sorts = {s.name: () for s in desc.sorts}
-        else:
-            sorts = populate_sorts(desc, config, horizon)
+        sorts = populate_sorts(desc, config, horizon)
     resolved_statics = dict(_BUILTIN_STATICS)
     if config is not None:
         resolved_statics.update(build_statics(config))
@@ -499,7 +496,6 @@ def ground(
         statics=resolved_statics,
         active_cells=active,
         fine_regions=fine,
-        horizon=horizon,
         fluent_decls=dict(desc.fluents),
     )
 
@@ -524,6 +520,13 @@ def ground(
         _infer_var_sorts(gdom, con.axiom_id, con.text, atoms)
         body = _order_body(con.body, gdom)
         if gdom.is_defined(con.head.atom.pred):
+            for lit in body:
+                if gdom.is_defined(lit.atom.pred):
+                    raise GroundingError(
+                        f"axiom {con.axiom_id} ({con.text}): defined fluent "
+                        f"{lit!r} in a definition body (recursive definitions "
+                        f"are not supported)"
+                    )
             _check_bindable(gdom, con.axiom_id, con.text, None, body, con.head)
             rule = _compiled(
                 gdom, CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
@@ -564,20 +567,11 @@ def ground(
         _infer_var_sorts(gdom, d.axiom_id, d.text, atoms)
         body = _order_body(d.body, gdom)
         _check_bindable(gdom, d.axiom_id, d.text, None, body, d.conclusion)
-        rule = CompiledRule(
-            d.axiom_id, d.text, "default", None, d.conclusion, body,
-            cr_allowed=d.cr_allowed,
-        )
+        rule = CompiledRule(d.axiom_id, d.text, "default", None, d.conclusion, body)
         gdom.defaults.append(_compiled(gdom, rule))
 
     gdom.inertial_preds = frozenset(
         p for p, d in desc.fluents.items() if d.kind == "inertial"
-    )
-    defined_preds = set(desc.fluents) - gdom.inertial_preds
-    gdom.recursive_definitions = any(
-        lit.atom.pred in defined_preds
-        for rule in gdom.definitions
-        for lit in rule.body
     )
     for rule in gdom.definitions:
         for i, lit in enumerate(rule.body):

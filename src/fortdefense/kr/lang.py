@@ -152,7 +152,6 @@ class InitialDefault:
     axiom_id: str
     conclusion: Literal
     body: tuple[Literal, ...]
-    cr_allowed: bool
     text: str
 
 
@@ -324,7 +323,6 @@ def parse_domain(text: str) -> DomainDescription:
                     f"default:{counters['default']}",
                     parse_literal(concl_text),
                     body,
-                    cr_allowed=True,
                     text=flat,
                 )
             )

@@ -102,9 +102,6 @@ class Plan:
     #: nodes expanded, summed over the deepening iterations
     expanded: int
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
 
 def goal_holds(belief: Belief, goal: Goal) -> bool:
     return all(belief.holds(lit) for lit in goal.literals)

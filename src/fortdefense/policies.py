@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from fortdefense.env import (
+    DANGER_MARGIN,
     MOVE_KINDS,
     TARGETLESS_ACTIONS,
     Action,
@@ -385,6 +386,13 @@ def _lane_advance(
     return _advance(agent, moves, nearest_fort_cell(cfg, agent.x, agent.y), limit)
 
 
+def _nearest_shot(
+    state: WorldState, agent: AgentState, shots: dict[int, Action]
+) -> Action:
+    """The shot at the nearest target, ties to the least id."""
+    return shots[min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))]
+
+
 def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> Action:
     cfg = state.config
     legal = legal_actions(state, agent.id)
@@ -409,8 +417,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     aggressor_mode = rank < n_aggressors and bool(guards) and n_alive > 1
     if not aggressor_mode:
         if shots:
-            victim = min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))
-            return shots[victim]
+            return _nearest_shot(state, agent, shots)
         if guards and agent.y == cfg.height - 1 and agent.pos != fort_goal:
             rot = _rotate_toward(agent, fort_goal)
             if rot:
@@ -427,7 +434,8 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
             ]
             ready = all(a.y >= top for a in wings)
             crowded = any(
-                _dist(agent.pos, g.pos) <= cfg.shoot_range + 1.5 for g in guards
+                _dist(agent.pos, g.pos) <= cfg.shoot_range + DANGER_MARGIN
+                for g in guards
             )
             if not ready and not crowded:
                 return Action.noop()
@@ -445,9 +453,6 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     if spec.name == "P2":
         if _in_spread_opening(spec, state, agent):
             return _spread_move(state, agent, legal)
-        if shots:
-            target = min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))
-            return shots[target]
         if guards:
             nearest = min(guards, key=lambda g: (_dist(agent.pos, g.pos), g.id))
             if _dist(agent.pos, nearest.pos) <= cfg.shoot_range:
@@ -501,10 +506,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
 
         if aggressor_mode:
             if shots:
-                victim = min(
-                    shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t)
-                )
-                return shots[victim]
+                return _nearest_shot(state, agent, shots)
             # once a teammate is climbing for its run, stop skirmishing:
             # charge the defender best placed to cut the run off and make it
             # fight us instead -- even a one-for-one trade is a bargain
@@ -546,7 +548,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
                         fort_distance(cfg, c[0], c[1]) - orbit
                     )
 
-                if gap < cfg.shoot_range + 1.5:
+                if gap < cfg.shoot_range + DANGER_MARGIN:
                     away = _move_reducing(
                         agent,
                         moves,

@@ -131,11 +131,8 @@ _TAG_NAME = {0: "direct", 1: "derived", 2: "inherited"}
 
 
 def reference_close_defined(inertial_atoms: Iterable[Atom], gdom: GroundedDomain) -> frozenset[Atom]:
-    """Inertial atoms plus the least fixpoint of the definition rules.
-
-    Non-recursive definition sets (no defined fluent in any definition
-    body) close in a single pass.
-    """
+    """Inertial atoms plus the least fixpoint of the definition rules,
+    iterated until no rule derives a new atom."""
     working: dict[str, set[Atom]] = {}
     out: list[Atom] = []
     for atom in inertial_atoms:
@@ -159,8 +156,6 @@ def reference_close_defined(inertial_atoms: Iterable[Atom], gdom: GroundedDomain
                     bucket.add(atom)
                     out.append(atom)
                     changed = True
-        if not gdom.recursive_definitions:
-            break
     return frozenset(out)
 
 

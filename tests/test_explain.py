@@ -2,7 +2,8 @@
 trips, the soundness re-check of why, why-belief and why-not answers, a
 golden digest of their texts, rejection of ill-formed actions and
 queries, the batch and interactive front ends, and the known faults
-pinned as expected failures."""
+pinned as expected failures.  The chain links that episode never reaches
+are checked on an episode with a failed search and on a built state."""
 
 import dataclasses
 import hashlib
@@ -13,7 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fortdefense.env import GridConfig
+from fortdefense.env import GridConfig, reset
 from fortdefense.explain import (
     EpisodeTrace,
     Query,
@@ -36,7 +37,7 @@ from fortdefense.kr.beliefs import Belief, check_executable, close_defined
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
-from fortdefense.loop import StepRecord
+from fortdefense.loop import AdHocController, StepRecord, run_games
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +345,92 @@ def test_repl_answers_reports_errors_and_stops_at_quit(trace):
     assert "error: step 999 is not in the trace" in text
     assert text.endswith("explain> ")
     assert inp.readline() == f"{good}\n"  # left unread
+
+
+# ---------------------------------------------------------------------------
+# chain links the W0 episode above never reaches
+# ---------------------------------------------------------------------------
+
+
+def _verified(trace, query: Query):
+    answer = answer_query(trace, query)
+    assert verify_answer(trace, answer), answer.text
+    return [inst.template for inst in answer.chain], answer.text
+
+
+def test_a_retracted_pose_is_explained_by_the_window_that_withdrew_it(trace):
+    ah = trace.gdom.ah_symbol
+    rec, gone = next(
+        (rec, p.atom)
+        for rec in trace.steps
+        for p in rec.provenance
+        if p.how == "retracted" and p.atom.pred == "in" and p.atom.args[0] == ah
+    )
+    literal = Literal(gone, False)
+    templates, text = _verified(trace, Query("why_belief", None, literal, rec.step + 1))
+    assert templates == ["clause_window"]
+    assert text.startswith(f"In step {rec.step + 1} I believed {literal} because it was")
+    assert f"withdrawn in step {rec.step} when in({ah}, " in text
+
+
+def test_a_never_held_negative_literal_is_a_closed_world_belief(trace):
+    literal = Literal(Atom("in", (trace.gdom.ah_symbol, 0, 0)), False)
+    step = trace.last_step
+    assert all(p.atom != literal.atom for rec in trace.steps for p in rec.provenance)
+    templates, text = _verified(trace, Query("why_belief", None, literal, step))
+    assert templates == ["clause_observation_negative"]
+    assert "never derived afterwards" in text
+
+
+@pytest.fixture(scope="module")
+def fallback_trace():
+    """An episode with a failed search: B220 from seed 1000, whose fifth
+    episode (seed 1004) finds no plan to shoot attacker2 in step 14."""
+    stats = run_games(GridConfig(), "B220", 5, seed=1000, collect_traces=True)
+    trace = EpisodeTrace.from_record(stats.records[4], GridConfig())
+    rec = trace.step(14)
+    assert (rec.fallback, rec.plan_actions, rec.goal.kind) == ("noop", (), "shoot_target")
+    return trace
+
+
+def test_a_fallback_step_cites_the_horizon(fallback_trace):
+    chosen = fallback_trace.step(14).chosen
+    templates, text = _verified(fallback_trace, Query("why_action", chosen, None, 14))
+    assert templates == ["clause_goal_shoot", "clause_horizon"]
+    assert text.endswith(
+        "no plan within horizon 8 achieved the goal, so I fell back to holding position."
+    )
+
+
+def test_an_alternative_with_no_plan_after_it_is_unreachable(fallback_trace):
+    action = Atom("move", (fallback_trace.gdom.ah_symbol, 10, 16))
+    templates, text = _verified(fallback_trace, Query("why_not_action", action, None, 14))
+    assert templates[-1] == "clause_counterfactual_unreachable"
+    assert text.endswith(
+        f"after {action} no plan within horizon 8 would have achieved the goal."
+    )
+
+
+def test_a_goal_that_already_holds_is_explained_as_satisfied():
+    # four guards hold the four fort-adjacent regions and every attacker
+    # is far to the south, so the goal is to face south, as guard0 does
+    config = GridConfig(n_guards=4)
+    state = reset(config, 0)
+    for guard, cell in zip(state.guards(), [(10, 18), (6, 18), (13, 18), (10, 14)]):
+        guard.x, guard.y = cell
+    assert all(a.y < 4 for a in state.attackers())
+    controller = AdHocController(config, refit=False, collect_trace=True)
+    controller.begin_episode(state)
+    controller.act(state)
+    trace = EpisodeTrace.from_record(controller.record, config)
+    rec = trace.step(1)
+    assert (rec.goal.kind, str(rec.chosen)) == ("hold_position", "noop(guard0)")
+    assert not rec.replanned
+    templates, text = _verified(trace, Query("why_action", rec.chosen, None, 1))
+    assert templates == ["clause_goal_hold", "clause_goal_satisfied"]
+    assert text.endswith(
+        "the goal condition face(guard0, s) already held, so nothing needed doing."
+    )
 
 
 @pytest.mark.xfail(

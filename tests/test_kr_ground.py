@@ -8,7 +8,7 @@ grid) and compared against the grounder's output.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fortdefense.env import Direction, GridConfig, clear_shot, AgentState, AgentKind
+from fortdefense.env import GridConfig, in_cone
 from fortdefense.kr.beliefs import Belief, progress
 from fortdefense.kr.ground import (
     CCW,
@@ -180,10 +180,8 @@ def test_in_sight_agrees_with_simulator_shot_test():
         (5, 5, "w", 1, 5),
     ]
     for sx, sy, d, tx, ty in cases:
-        shooter = AgentState(0, AgentKind.GUARD, sx, sy, DIR_OF_SYMBOL[d])
-        target = AgentState(1, AgentKind.ATTACKER, tx, ty, Direction.N)
-        assert in_sight.contains((sx, sy, d, tx, ty)) == clear_shot(
-            config, shooter, target
+        assert in_sight.contains((sx, sy, d, tx, ty)) == in_cone(
+            config, DIR_OF_SYMBOL[d], sx, sy, tx, ty
         )
 
 
@@ -348,3 +346,17 @@ def test_incompatible_variable_sorts_error():
     with pytest.raises(GroundingError) as err:
         ground(desc, sorts={"s": ("a",), "t": ("b",)})
     assert "incompatible" in str(err.value)
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negated"])
+def test_a_recursive_definition_is_rejected(sign):
+    # a defined fluent in a definition body, of either sign: one pass over
+    # the definitions could not close it, so grounding refuses it
+    desc = parse_domain(
+        "sort s. fluent inertial f(s). fluent defined g(s). fluent defined h(s). "
+        f"g(A) if f(A). h(A) if {sign}g(A), f(A)."
+    )
+    with pytest.raises(GroundingError) as err:
+        ground(desc, sorts={"s": ("a",)})
+    assert "constraint:2" in str(err.value)
+    assert "definition body" in str(err.value)

@@ -165,4 +165,3 @@ def test_shipped_domain_parses():
     assert d.fluents["in"].kind == "inertial"
     assert d.fluents["agent_in"].kind == "defined"
     assert len(d.defaults) == 1
-    assert d.defaults[0].cr_allowed

@@ -560,7 +560,7 @@ def test_the_bound_cuts_the_fixed_searches():
         "fleeing, horizon 8": 45,
         "stray teammate shot": 44,
     }
-    assert [(r.success, len(r)) for r in results.values()] == [
+    assert [(r.success, len(r.actions)) for r in results.values()] == [
         (True, 7),
         (True, 5),
         (False, 0),

@@ -1,6 +1,6 @@
 """The package metadata names only things that exist, the benchmark's calls
-into the package still resolve, and no module imports a name it never
-uses."""
+into the package still resolve, the shipped domain declares no vocabulary
+it never uses, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -84,6 +84,44 @@ def test_the_benchmark_calls_bind_to_the_signature(fn):
     signature = inspect.signature(fn)
     for n_args, keywords in calls:
         signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+# ---------------------------------------------------------------------------
+# the shipped domain's vocabulary
+# ---------------------------------------------------------------------------
+
+#: Declared vocabulary no axiom or signature uses, each with its reason.
+UNUSED_VOCABULARY = {
+    "sort step": "ground(horizon=) populates it, and perfbench/workloads.py "
+    "passes that keyword; it goes when the benchmark stops passing it",
+}
+
+
+def test_every_declared_sort_and_static_is_used():
+    """A sort is used when a signature or a body membership test names it,
+    or when it is the parent of a used sort; a static when some axiom body
+    tests it."""
+    desc = loop.load_domain()
+    bodies = [
+        lit.atom.pred
+        for group in (
+            [law.conditions for law in desc.causal_laws],
+            [con.body for con in desc.constraints],
+            [ex.conditions for ex in desc.executabilities],
+            [d.body for d in desc.defaults],
+        )
+        for body in group
+        for lit in body
+    ]
+    decls = [*desc.statics.values(), *desc.fluents.values(), *desc.actions.values()]
+    used = {s for decl in decls for s in decl.arg_sorts} | set(bodies)
+    parents = {sort.name: sort.parent for sort in desc.sorts}
+    for name in list(used):
+        while (name := parents.get(name)) is not None:
+            used.add(name)
+    unused = [f"sort {s.name}" for s in desc.sorts if s.name not in used]
+    unused += [f"static {name}" for name in desc.statics if name not in bodies]
+    assert unused == list(UNUSED_VOCABULARY)
 
 
 # ---------------------------------------------------------------------------
