@@ -14,21 +14,27 @@ Geometry is tabulated per configuration.  ``config.geometry`` is a
 range, arc and shot-cone tests per facing and offset, the scripted
 attackers' danger cones and strike pockets per facing, the weapon-range
 disk of offsets and each offset's walking distance to it (which the
-planner's search bound reads), and per cell the distance to and the
-nearest of the fort cells and the polar coordinates around the grid
-centre.  Each table that replaced a formula holds its values
-(``_range_formula``, ``_arc_formula`` ...), so reading the table is
-bit-identical to evaluating the formula.  The public functions
-(``in_arc``, ``in_cone``, ``fort_distance``, ``nearest_fort_cell``,
-``centre_polar``) are one table read each and take cells of the grid,
-as every caller passes: agents' poses, move targets and the reasoner's
-coordinate sorts.  A cell off the grid is a ``KeyError`` in the cell
-tables.  The
-simulator (``legal_actions``, shot resolution in ``step``), the scripted
+planner's search bound reads), per cell the distance to and the nearest
+of the fort cells, and per cell and facing the feature extractor's agent
+block (with the cell's polar coordinates around the grid centre).  Each
+table that replaced a formula holds its values (``_range_formula``,
+``_arc_formula`` ...), so reading the table is bit-identical to
+evaluating the formula.  The public functions (``in_arc``, ``in_cone``,
+``fort_distance``, ``nearest_fort_cell``) are one table read each and
+take cells of the grid, as every caller passes: agents' poses, move
+targets and the reasoner's coordinate sorts.  A cell off the grid is a
+``KeyError`` in the cell tables.  The simulator (``legal_actions``, shot resolution in ``step``), the scripted
 policies, the feature extractor and the reasoner's ``in_sight`` static
 all read these tables.  They are keyed by configuration, never by world
 state: a config is frozen, so its tables cannot go stale, while states
 change from tick to tick and tests edit them in place.
+
+What a tick shares is a :class:`Tick`: one immutable snapshot of a state,
+built per tick in one pass over its agents (agents by id, occupied cells,
+each side's live agents, the guard ids and attacker ranks, the attacker
+nearest the fort), which the legal-move rule (:meth:`Tick.legal_actions`),
+the scripted policies and the feature extractor read.  A snapshot is
+handed from call to call and never stored on a state.
 """
 
 from __future__ import annotations
@@ -38,7 +44,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Mapping, Optional, Union
+
+import numpy as np
 
 EPS = 1e-9
 
@@ -317,10 +326,6 @@ class WorldState:
                 return a
         raise KeyError(f"no agent with id {agent_id}")
 
-    def occupied_cells(self) -> set[tuple[int, int]]:
-        """Cells blocked for movement (live agents and corpses alike)."""
-        return {a.pos for a in self.agents}
-
     def guards(self) -> list[AgentState]:
         return [a for a in self.agents if a.kind.is_guard]
 
@@ -478,10 +483,16 @@ class Geometry:
       so the sweep need not leave the span;
     * ``fort_distance[cell]``, ``nearest_fort_cell[cell]`` -- Euclidean
       distance to the nearest fort cell, and that cell (ties to the least);
-    * ``centre_polar[cell]`` -- ``(distance, bearing)`` of the cell around
-      :func:`grid_center`, the bearing clockwise from north and 0 at the
-      exact centre;
-    * ``fort_center`` -- the mean of the fort cells.
+    * ``fort_center`` -- the mean of the fort cells;
+    * ``diagonal`` -- the longest distance between two cells,
+      ``math.hypot(width - 1, height - 1)``;
+    * ``blocks`` -- the feature extractor's agent blocks as a read-only
+      float array of six columns (``features.BLOCK_FIELDS``: ``x``, ``y``,
+      the distance and bearing around :func:`grid_center`, the bearing
+      clockwise from north and 0 at the exact centre, the facing index and
+      ``fort_distance``), one row per cell and facing, the row of ``(x, y)`` facing ``d`` at
+      ``(x * height + y) * 4 + d.index``; then the padding block ``(-1,
+      -1, diagonal, 0, 0, diagonal)`` as the last row, ``pad_row``.
 
     Every value is a function of the configuration alone, which is frozen,
     so the tables can never go stale; nothing is keyed by a world state,
@@ -526,13 +537,27 @@ class Geometry:
         forts = config.fort_cells
         self.fort_distance = {c: _fort_distance_formula(forts, *c) for c in cells}
         self.nearest_fort_cell = {c: _nearest_fort_cell_formula(forts, *c) for c in cells}
-        center = grid_center(config)
-        self.centre_polar = {c: _centre_polar_formula(center, *c) for c in cells}
         ordered = sorted(forts)
         self.fort_center = (
             sum(c[0] for c in ordered) / len(ordered),
             sum(c[1] for c in ordered) / len(ordered),
         )
+        self.diagonal = math.hypot(w - 1, h - 1)
+        center = grid_center(config)
+        # filled in place, one cell's row broadcast over its four facings,
+        # so no list of every row is ever built
+        self.pad_row = 4 * len(cells)
+        self.blocks = np.empty((self.pad_row + 1, 6))
+        per_facing = self.blocks[:-1].reshape(len(cells), 4, 6)
+        per_facing[:] = np.array(
+            [
+                (x, y, *_centre_polar_formula(center, x, y), 0, self.fort_distance[x, y])
+                for x, y in cells
+            ]
+        )[:, None, :]
+        per_facing[:, :, 4] = range(4)
+        self.blocks[-1] = (-1.0, -1.0, self.diagonal, 0.0, 0.0, self.diagonal)
+        self.blocks.flags.writeable = False
 
 
 def fort_distance(config: GridConfig, x: int, y: int) -> float:
@@ -543,12 +568,6 @@ def fort_distance(config: GridConfig, x: int, y: int) -> float:
 def nearest_fort_cell(config: GridConfig, x: int, y: int) -> tuple[int, int]:
     """The fort cell nearest the cell (x, y); ties go to the least cell."""
     return config.geometry.nearest_fort_cell[x, y]
-
-
-def centre_polar(config: GridConfig, x: int, y: int) -> tuple[float, float]:
-    """``(distance, bearing)`` of the cell (x, y) around :func:`grid_center`;
-    the bearing is clockwise from north, 0 at the exact centre."""
-    return config.geometry.centre_polar[x, y]
 
 
 def fort_center(config: GridConfig) -> tuple[float, float]:
@@ -572,40 +591,120 @@ def in_cone(
     return (tx - sx, ty - sy) in config.geometry.cone[facing.index]
 
 
-def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
-    """All actions the agent may take this tick, in a fixed documented order.
+_MOVE_STEPS = tuple(
+    (TARGETLESS_ACTIONS[kind], d.dx, d.dy) for kind, d in MOVE_KINDS.items()
+)
+_ROTATIONS = (
+    TARGETLESS_ACTIONS[ActionKind.ROTATE_CW],
+    TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW],
+)
 
-    Order: noop, moves N/E/S/W, rotations cw/ccw, shots by target id.
-    Moves must stay on the grid and target an unoccupied cell (corpses
-    block).  Shots require a live enemy inside range and arc: with every
-    agent on the grid, one lookup in the shooter's ``Geometry.cone``.  A
-    dead agent can only noop.
+
+class Tick:
+    """The facts every agent of one tick reads, taken from a state in one
+    pass over its agents.
+
+    * ``state`` -- the state itself;
+    * ``agents`` -- every agent, dead or alive, in id order;
+    * ``by_id`` -- agent id -> agent;
+    * ``occupied`` -- the cells that block a move, the live agents' and
+      the corpses', as a frozenset;
+    * ``live_guards``, ``live_attackers`` -- each side's live agents in id
+      order;
+    * ``guard_ids`` -- every guard's id, in order (a guard's rank is its
+      index);
+    * ``attacker_ranks`` -- each attacker's rank among the attacker ids,
+      dead ones included;
+    * ``threat`` -- the live attacker nearest the fort (``fort_distance``,
+      ties to the least id), or None when no attacker lives.
+
+    Immutable: its attributes cannot be rebound, and nobody mutates the
+    containers they hold.  A snapshot is a value of the tick it was taken
+    in, so it is passed to the calls that read it and never stored on the
+    state: states are mutable, and tests edit them in place.
     """
-    agent = state.get(agent_id)
-    if not agent.alive:
-        return [Action.noop()]
-    config = state.config
-    x, y = agent.x, agent.y
-    acts = [Action.noop()]
-    occupied = state.occupied_cells()
-    for kind, d in MOVE_KINDS.items():
-        nx, ny = x + d.dx, y + d.dy
-        on_grid = 0 <= nx < config.width and 0 <= ny < config.height
-        if on_grid and (nx, ny) not in occupied:
-            acts.append(TARGETLESS_ACTIONS[kind])
-    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CW])
-    acts.append(TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW])
-    cone = config.geometry.cone[agent.direction.index]
-    is_guard = agent.kind.is_guard
-    targets = sorted(
-        other.id
-        for other in state.agents
-        if other.alive
-        and other.kind.is_guard is not is_guard
-        and (other.x - x, other.y - y) in cone
+
+    __slots__ = (
+        "state",
+        "agents",
+        "by_id",
+        "occupied",
+        "live_guards",
+        "live_attackers",
+        "guard_ids",
+        "attacker_ranks",
+        "threat",
     )
-    acts.extend(Action.shoot(t) for t in targets)
-    return acts
+
+    def __init__(self, state: WorldState) -> None:
+        agents = tuple(sorted(state.agents, key=attrgetter("id")))
+        fort_distance = state.config.geometry.fort_distance
+        live_guards, live_attackers, guard_ids, attacker_ids = [], [], [], []
+        threat, threat_distance = None, math.inf
+        for a in agents:
+            if a.kind.is_guard:
+                guard_ids.append(a.id)
+                if a.alive:
+                    live_guards.append(a)
+            else:
+                attacker_ids.append(a.id)
+                if a.alive:
+                    live_attackers.append(a)
+                    d = fort_distance[a.x, a.y]
+                    if d < threat_distance:
+                        threat, threat_distance = a, d
+        init = object.__setattr__
+        init(self, "state", state)
+        init(self, "agents", agents)
+        init(self, "by_id", {a.id: a for a in agents})
+        init(self, "occupied", frozenset([a.pos for a in agents]))
+        init(self, "live_guards", tuple(live_guards))
+        init(self, "live_attackers", tuple(live_attackers))
+        init(self, "guard_ids", tuple(guard_ids))
+        init(self, "attacker_ranks", {i: rank for rank, i in enumerate(attacker_ids)})
+        init(self, "threat", threat)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a Tick is immutable; cannot set {name}")
+
+    def legal_actions(self, agent_id: int) -> list[Action]:
+        """All actions the agent may take this tick, in a fixed documented
+        order.
+
+        Order: noop, moves N/E/S/W, rotations cw/ccw, shots by target id.
+        Moves must stay on the grid and target an unoccupied cell (corpses
+        block).  Shots require a live enemy inside range and arc: with
+        every agent on the grid, one lookup in the shooter's
+        ``Geometry.cone``, taken over the live foes, which are in id order.
+        A dead agent can only noop.  The one implementation of the rule;
+        :func:`legal_actions` asks it of a fresh snapshot.
+        """
+        agent = self.by_id[agent_id]
+        noop = TARGETLESS_ACTIONS[ActionKind.NOOP]
+        if not agent.alive:
+            return [noop]
+        config = self.state.config
+        width, height = config.width, config.height
+        occupied = self.occupied
+        x, y = agent.x, agent.y
+        acts = [noop]
+        for act, dx, dy in _MOVE_STEPS:
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < width and 0 <= ny < height and (nx, ny) not in occupied:
+                acts.append(act)
+        acts += _ROTATIONS
+        cone = config.geometry.cone[agent.direction.index]
+        foes = self.live_attackers if agent.kind.is_guard else self.live_guards
+        for foe in foes:
+            if (foe.x - x, foe.y - y) in cone:
+                acts.append(Action.shoot(foe.id))
+        return acts
+
+
+def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
+    """:meth:`Tick.legal_actions` of the agent in ``state``: the same
+    actions, in the same order, for callers holding a state alone."""
+    return Tick(state).legal_actions(agent_id)
 
 
 def step(
@@ -644,6 +743,7 @@ def step(
                 f"agent {agent.id} shoots unknown target id {act.target}"
             )
         effective[agent.id] = act
+    order = sorted(effective)
 
     nxt = state.copy()
     nxt_by_id = {a.id: a for a in nxt.agents}
@@ -651,7 +751,7 @@ def step(
     # --- shots, simultaneously against tick-start poses ---
     lethal: dict[int, list[int]] = {}  # target id -> lethal shooter ids
     shot_pairs: list[tuple[int, int, bool]] = []
-    for agent_id in sorted(effective):
+    for agent_id in order:
         act = effective[agent_id]
         if act.kind is not ActionKind.SHOOT:
             continue
@@ -676,7 +776,7 @@ def step(
 
     # --- moves, for agents still alive after shot resolution ---
     dest: dict[int, tuple[int, int]] = {}
-    for agent_id in sorted(effective):
+    for agent_id in order:
         act = effective[agent_id]
         if act.kind not in MOVE_KINDS or agent_id in killed:
             continue
@@ -727,7 +827,7 @@ def step(
         nxt_by_id[agent_id].x, nxt_by_id[agent_id].y = nx_, ny_
 
     # --- rotations ---
-    for agent_id in sorted(effective):
+    for agent_id in order:
         act = effective[agent_id]
         if agent_id in killed:
             continue
@@ -747,14 +847,22 @@ def terminal(state: WorldState) -> Optional[EpisodeResult]:
     Checked in precedence order: an attacker stands on a fort cell; all
     attackers dead; all guards dead; step limit reached.
     """
-    attackers = state.attackers()
-    guards = state.guards()
+    fort_cells = state.config.fort_cells
+    on_fort = guards_live = attackers_live = False
+    for a in state.agents:
+        if not a.alive:
+            continue
+        if a.kind.is_guard:
+            guards_live = True
+        else:
+            attackers_live = True
+            on_fort = on_fort or (a.x, a.y) in fort_cells
     outcome = None
-    if any(a.alive and a.pos in state.config.fort_cells for a in attackers):
+    if on_fort:
         outcome = Outcome.ATTACKERS_WIN_FORT
-    elif not any(a.alive for a in attackers):
+    elif not attackers_live:
         outcome = Outcome.GUARDS_WIN_ELIMINATION
-    elif not any(g.alive for g in guards):
+    elif not guards_live:
         outcome = Outcome.ATTACKERS_WIN_ELIMINATION
     elif state.step_count >= state.config.max_steps:
         outcome = Outcome.GUARDS_WIN_TIMEOUT

@@ -746,10 +746,6 @@ def why_action_chain(
     gdom = trace.gdom
     ah = gdom.ah_symbol
     action = _with_agent(action, ah)
-    if rec.chosen is None:
-        raise TraceQueryError(
-            f"no action was executed in step {step} (the controlled guard was down)"
-        )
     if action != rec.chosen:
         raise TraceQueryError(
             f"the action executed in step {step} was {rec.chosen}, not {action};"

@@ -10,8 +10,8 @@ Layout (fixed, position-indexed by the model cues):
   bearing from north around the grid center (radians in (-pi, pi],
   0 at the exact center), orientation index (N=0, E=1, S=2, W=3), and
   Euclidean distance to the nearest fort cell.  The two distances and the
-  bearing are the simulator's (``env.centre_polar``, ``env.fort_distance``),
-  read from the configuration's geometry tables.
+  bearing are the simulator's, read from the configuration's geometry
+  tables.
 * Three globals: distance of the nearest *alive* attacker to the fort
   (grid diagonal when none is alive), number of attackers not alive, and
   the modeled agent's previous action kind (noop before the first step).
@@ -25,27 +25,21 @@ A padding block is ``(-1, -1, diagonal, 0, 0, diagonal)``: impossible
 coordinates plus max-distance sentinels.
 
 :func:`extract` works per tick: one call gives every agent's vector in one
-state, building each agent's block once however many vectors hold it.
+snapshot (:class:`env.Tick`).  The blocks come from the configuration's
+block table (``Geometry.blocks``, one row per cell and facing plus the
+padding row), gathered for every agent at once by one fancy index through
+the roster's block order (:func:`_block_order`), so a tick's vectors are the
+rows of one (agents x 39) matrix.
 """
 
 from __future__ import annotations
 
-import math
-from operator import attrgetter
+import functools
 from typing import Mapping, Optional
 
 import numpy as np
 
-from fortdefense.env import (
-    Action,
-    ActionKind,
-    AgentKind,
-    AgentState,
-    GridConfig,
-    WorldState,
-    centre_polar,
-    fort_distance,
-)
+from fortdefense.env import Action, ActionKind, Tick
 
 #: Entries per agent block and number of blocks.
 BLOCK_FIELDS = ("x", "y", "dist_center", "bearing", "orient", "dist_fort")
@@ -59,58 +53,61 @@ CATEGORICAL_FEATURES = frozenset(
 ) | {N_FEATURES - 1}
 
 
-def grid_diagonal(config: GridConfig) -> float:
-    """Longest possible distance between two cells; the padding sentinel."""
-    return math.hypot(config.width - 1, config.height - 1)
+@functools.lru_cache(maxsize=64)
+def _block_order(roster: tuple[tuple[int, bool], ...]) -> np.ndarray:
+    """Each agent's blocks as positions in the roster, read-only.
 
-
-def _agent_block(config: GridConfig, agent: AgentState) -> list[float]:
-    return [
-        float(agent.x),
-        float(agent.y),
-        *centre_polar(config, agent.x, agent.y),
-        float(agent.direction.index),
-        fort_distance(config, agent.x, agent.y),
-    ]
-
-
-def pad_sentinel_block(config: GridConfig) -> list[float]:
-    diag = grid_diagonal(config)
-    return [-1.0, -1.0, diag, 0.0, 0.0, diag]
+    ``roster`` is every agent's ``(id, is_guard)`` in id order.  Row ``i``
+    holds agent ``i``'s ``N_BLOCKS`` blocks: itself, its teammates, then
+    its opponents, each by ascending id, truncated to ``N_BLOCKS``; a
+    missing block is position ``len(roster)``, the padding block.
+    """
+    n = len(roster)
+    side = {
+        g: [i for i, (_, is_guard) in enumerate(roster) if is_guard is g]
+        for g in (True, False)
+    }
+    rows = []
+    for i, (_, is_guard) in enumerate(roster):
+        mates = [j for j in side[is_guard] if j != i]
+        order = ([i] + mates + side[not is_guard])[:N_BLOCKS]
+        rows.append(order + [n] * (N_BLOCKS - len(order)))
+    out = np.array(rows, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 def extract(
-    state: WorldState, prev_actions: Mapping[int, Optional[Action]]
+    tick: Tick, prev_actions: Mapping[int, Optional[Action]]
 ) -> dict[int, np.ndarray]:
-    """Every agent's feature vector in one state, keyed by agent id.
+    """Every agent's feature vector in one tick, keyed by agent id.
 
     ``prev_actions`` maps an agent id to its previous action; an id it
-    lacks, or maps to ``None``, reads as noop.  Each agent's block is built
-    once and shared by every vector that holds it.  Pure: identical inputs
-    give identical vectors; index the result to get one agent's vector.
+    lacks, or maps to ``None``, reads as noop.  The vectors are the rows
+    of one fresh (agents x 39) matrix: the blocks gathered from
+    ``Geometry.blocks`` by one fancy index, then the three globals.  Pure:
+    identical inputs give identical vectors; index the result to get one
+    agent's vector.
     """
-    config = state.config
-    by_id = sorted(state.agents, key=attrgetter("id"))
-    blocks = {a.id: _agent_block(config, a) for a in by_id}
-    side_ids = {
-        side: [a.id for a in by_id if a.kind.is_guard is side] for side in (True, False)
-    }
-    attackers = [a for a in by_id if a.kind is AgentKind.ATTACKER]
-    alive = [fort_distance(config, a.x, a.y) for a in attackers if a.alive]
-    nearest = min(alive) if alive else grid_diagonal(config)
-    down = float(len(attackers) - len(alive))
-    pad = pad_sentinel_block(config)
-    vectors: dict[int, np.ndarray] = {}
-    for agent in by_id:
-        side = agent.kind.is_guard
-        mates = [i for i in side_ids[side] if i != agent.id]
-        order = ([agent.id] + mates + side_ids[not side])[:N_BLOCKS]
-        values: list[float] = []
-        for i in order:
-            values += blocks[i]
-        values += pad * (N_BLOCKS - len(order))
-        prev = prev_actions.get(agent.id)
-        kind = ActionKind.NOOP if prev is None else prev.kind
-        values += (nearest, down, float(int(kind)))
-        vectors[agent.id] = np.array(values, dtype=float)
-    return vectors
+    geometry = tick.state.config.geometry
+    height = tick.state.config.height
+    agents = tick.agents
+    rows = [(a.x * height + a.y) * 4 + a.direction.index for a in agents]
+    rows.append(geometry.pad_row)
+    order = _block_order(tuple([(a.id, a.kind.is_guard) for a in agents]))
+    n = len(agents)
+    out = np.empty((n, N_FEATURES))
+    out[:, : N_FEATURES - 3] = geometry.blocks[np.take(rows, order)].reshape(n, -1)
+    threat = tick.threat
+    out[:, -3] = (
+        geometry.diagonal
+        if threat is None
+        else geometry.fort_distance[threat.x, threat.y]
+    )
+    out[:, -2] = len(tick.attacker_ranks) - len(tick.live_attackers)
+    noop = ActionKind.NOOP
+    out[:, -1] = [
+        noop if (prev := prev_actions.get(a.id)) is None else prev.kind
+        for a in agents
+    ]
+    return dict(zip([a.id for a in agents], out))

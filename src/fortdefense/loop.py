@@ -52,6 +52,7 @@ from fortdefense.env import (
     GridConfig,
     MOVE_KINDS,
     ShotEvent,
+    Tick,
     WorldState,
     facing_toward,
     reset,
@@ -104,7 +105,7 @@ from fortdefense.models import (
     predict_action,
     select_or_flag,
 )
-from fortdefense.policies import make_mix, make_policy, policy_action
+from fortdefense.policies import make_policy, policy_action
 
 DOMAIN_RESOURCE = "fort_attack.dom"
 
@@ -341,6 +342,8 @@ class AdHocController:
         """Decide the controlled guard's action for this tick."""
         if self.belief is None or self.record is None:
             raise RuntimeError("act before begin_episode")
+        if not state.get(self.ah_id).alive:
+            raise ValueError(f"act called for guard {self.ah_id}, which is down")
         belief = self.belief
         gdom = self.gdom
         ah = gdom.ah_symbol
@@ -354,12 +357,6 @@ class AdHocController:
 
         goal = select_goal(belief, gdom, predicted_next)
         record.goal = goal
-
-        if not state.get(self.ah_id).alive:
-            record.chosen = None
-            record.fallback = "dead"
-            self._finalize_act(record)
-            return Action.noop()
 
         if goal_holds(belief, goal):
             self._tail = []
@@ -417,7 +414,7 @@ class AdHocController:
         predicted_next: dict[str, tuple[int, int]] = {}
         self._last_vec = {}
         self._last_preds = {}
-        vectors = extract(state, self._prev_action)
+        vectors = extract(Tick(state), self._prev_action)
         for agent in sorted(state.agents, key=lambda a: a.id):
             if agent.id == self.ah_id or not agent.alive:
                 continue
@@ -706,11 +703,13 @@ def run_games(
     with the controlled guard either knowledge-driven (``ad_hoc=True``) or
     scripted like its teammates (the baseline).
 
-    Each scripted agent acts through ``policy_action`` with its
-    :func:`tick_seed`, so a game is a function of ``seed`` alone.
-    ``example_sink`` maps "guard"/"attacker" to lists that collect
-    ``(feature_vector, action_kind)`` pairs from every live scripted agent,
-    the vectors from one ``extract`` call per tick.
+    Each tick takes one snapshot of the state (``env.Tick``), which every
+    scripted agent's ``policy_action`` reads, with its :func:`tick_seed`,
+    so a game is a function of ``seed`` alone; ``step`` is called with the
+    state and the joint action alone.  ``example_sink`` maps
+    "guard"/"attacker" to lists that collect ``(feature_vector,
+    action_kind)`` pairs from every live scripted agent, the vectors
+    copied from the rows of one ``extract`` matrix per tick.
     """
     stats = GameStats()
     controller: Optional[AdHocController] = None
@@ -722,9 +721,9 @@ def run_games(
             refit=refit,
             collect_trace=collect_traces,
         )
+    spec = make_policy(policy)
     for episode in range(n_episodes):
         episode_seed = seed + episode
-        spec = make_mix(episode_seed) if policy == "mix" else make_policy(policy)
         state = reset(config, episode_seed, ad_hoc=ad_hoc)
         prev_action: dict[int, Action] = {}
         if controller is not None:
@@ -732,7 +731,8 @@ def run_games(
         result = terminal(state)
         while result is None:
             actions: dict[int, Action] = {}
-            vectors = extract(state, prev_action) if example_sink is not None else None
+            tick = Tick(state)
+            vectors = extract(tick, prev_action) if example_sink is not None else None
             for agent in state.agents:
                 if not agent.alive:
                     continue
@@ -740,11 +740,13 @@ def run_games(
                     actions[agent.id] = controller.act(state)
                     continue
                 seed_t = tick_seed(episode_seed, state.step_count, agent.id)
-                actions[agent.id] = policy_action(spec, state, agent.id, seed_t)
+                actions[agent.id] = policy_action(spec, tick, agent.id, seed_t)
                 if vectors is not None:
+                    # a copy, not a view: a view would keep the whole tick
+                    # matrix alive in the sink, dead agents' rows included
                     role = "guard" if agent.kind.is_guard else "attacker"
                     example_sink[role].append(
-                        (vectors[agent.id], int(actions[agent.id].kind))
+                        (vectors[agent.id].copy(), int(actions[agent.id].kind))
                     )
             nxt, events = step(state, actions)
             if controller is not None:

@@ -28,8 +28,10 @@ Qualitative intents:
 
 Turns aim with the simulator's facing rule (``env.facing_toward`` and
 ``env.turn_toward``).  Danger cones and the B1600 hunters' strike pockets
-are lookups in ``GridConfig.geometry`` (``danger`` and ``pocket``).  Every
-returned action is drawn from ``legal_actions``; a dead agent noops.
+are lookups in ``GridConfig.geometry`` (``danger`` and ``pocket``).  A
+decision reads the tick's shared facts (the sides, the ranks, the attacker
+nearest the fort) from its :class:`env.Tick`, and every returned action is
+drawn from ``Tick.legal_actions``; a dead agent noops.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ from fortdefense.env import (
     ActionKind,
     AgentState,
     GridConfig,
-    WorldState,
+    Tick,
     facing_toward,
     fort_center,
     fort_distance,
     in_arc,
-    legal_actions,
     nearest_fort_cell,
     turn_toward,
 )
@@ -101,11 +102,6 @@ class PolicySpec:
 
 def make_policy(name: str) -> PolicySpec:
     return PolicySpec(name)
-
-
-def make_mix(seed: int) -> PolicySpec:
-    """Pick one built-in policy uniformly from the episode seed."""
-    return make_policy(random.Random(seed).choice(BUILTIN_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +160,6 @@ def _rotate_toward(agent: AgentState, pos: tuple[float, float]) -> Optional[Acti
     return None if turn is None else TARGETLESS_ACTIONS[turn]
 
 
-def _guard_rank(state: WorldState, agent_id: int) -> int:
-    return sorted(g.id for g in state.guards()).index(agent_id)
-
-
-def _attacker_ranks(attackers: list[AgentState]) -> dict[int, int]:
-    """Each attacker's rank among the attacker ids, dead ones included."""
-    ids = sorted(a.id for a in attackers)
-    return {agent_id: rank for rank, agent_id in enumerate(ids)}
-
-
 def _clamp(v: int, lo: int, hi: int) -> int:
     return max(lo, min(hi, v))
 
@@ -227,23 +213,22 @@ def _strike_posts(
 # ---------------------------------------------------------------------------
 
 
-def _in_spread_opening(spec: PolicySpec, state: WorldState, agent: AgentState) -> bool:
+def _in_spread_opening(spec: PolicySpec, tick: Tick) -> bool:
+    """Whether the opening still runs: early enough, and no live guard has
+    a live attacker within weapon range."""
+    state = tick.state
     if state.step_count >= spec.param("spread_steps"):
         return False
-    team = [a for a in state.agents if a.alive and a.kind.is_guard is agent.kind.is_guard]
-    foes = [a for a in state.agents if a.alive and a.kind.is_guard is not agent.kind.is_guard]
-    for member in team:
-        for foe in foes:
-            if _dist(member.pos, foe.pos) <= state.config.shoot_range:
+    for guard in tick.live_guards:
+        for attacker in tick.live_attackers:
+            if _dist(guard.pos, attacker.pos) <= state.config.shoot_range:
                 return False
     return True
 
 
-def _spread_move(state: WorldState, agent: AgentState, legal: list[Action]) -> Action:
-    team = sorted(
-        (a for a in state.agents if a.alive and a.kind.is_guard is agent.kind.is_guard),
-        key=lambda a: (a.x, a.id),
-    )
+def _spread_move(tick: Tick, agent: AgentState, legal: list[Action]) -> Action:
+    side = tick.live_guards if agent.kind.is_guard else tick.live_attackers
+    team = sorted(side, key=lambda a: (a.x, a.id))
     moves = _legal_moves(legal)
     if agent.id == team[0].id:
         wanted = moves.get(ActionKind.MOVE_W)
@@ -259,20 +244,17 @@ def _spread_move(state: WorldState, agent: AgentState, legal: list[Action]) -> A
 # ---------------------------------------------------------------------------
 
 
-def _guard_action(
-    spec: PolicySpec, state: WorldState, agent: AgentState, seed: int
-) -> Action:
-    cfg = state.config
-    legal = legal_actions(state, agent.id)
+def _guard_action(spec: PolicySpec, tick: Tick, agent: AgentState, seed: int) -> Action:
+    cfg = tick.state.config
+    legal = tick.legal_actions(agent.id)
     moves = _legal_moves(legal)
     shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
-    enemies = [a for a in state.attackers() if a.alive]
-    if not enemies:
+    threat = tick.threat
+    if threat is None:
         return Action.noop()
-    if spec.name == "P2" and _in_spread_opening(spec, state, agent):
-        return _spread_move(state, agent, legal)
+    if spec.name == "P2" and _in_spread_opening(spec, tick):
+        return _spread_move(tick, agent, legal)
 
-    threat = min(enemies, key=lambda a: (fort_distance(cfg, a.x, a.y), a.id))
     radius = spec.param("guard_radius")
     in_band = None
     if spec.name == "B220":
@@ -284,8 +266,9 @@ def _guard_action(
         if threat.id in shots:
             return shots[threat.id]
     elif shots:
+        by_id = tick.by_id
         target = min(
-            shots, key=lambda t: (fort_distance(cfg, state.get(t).x, state.get(t).y), t)
+            shots, key=lambda t: (fort_distance(cfg, by_id[t].x, by_id[t].y), t)
         )
         return shots[target]
 
@@ -310,7 +293,7 @@ def _guard_action(
             chosen = _rotate_toward(agent, threat.pos)
     # idle: drift back to the anchor slot, pre-aimed at the threat
     if chosen is None:
-        anchor = _guard_anchor(cfg, spec, _guard_rank(state, agent.id), cfg.n_guards)
+        anchor = _guard_anchor(cfg, spec, tick.guard_ids.index(agent.id), cfg.n_guards)
         if _dist(agent.pos, anchor) > 1.5:
             chosen = _move_reducing(
                 agent, moves, key=lambda c: _dist(c, anchor), limit=in_band
@@ -386,22 +369,22 @@ def _lane_advance(
     return _advance(agent, moves, nearest_fort_cell(cfg, agent.x, agent.y), limit)
 
 
-def _nearest_shot(
-    state: WorldState, agent: AgentState, shots: dict[int, Action]
-) -> Action:
+def _nearest_shot(tick: Tick, agent: AgentState, shots: dict[int, Action]) -> Action:
     """The shot at the nearest target, ties to the least id."""
-    return shots[min(shots, key=lambda t: (_dist(agent.pos, state.get(t).pos), t))]
+    by_id = tick.by_id
+    return shots[min(shots, key=lambda t: (_dist(agent.pos, by_id[t].pos), t))]
 
 
-def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> Action:
+def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
+    state = tick.state
     cfg = state.config
-    legal = legal_actions(state, agent.id)
+    legal = tick.legal_actions(agent.id)
     moves = _legal_moves(legal)
     shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
-    attackers = state.attackers()
-    guards = [g for g in state.guards() if g.alive]
-    n_alive = sum(1 for a in attackers if a.alive)
-    ranks = _attacker_ranks(attackers)
+    attackers = tick.live_attackers
+    guards = tick.live_guards
+    n_alive = len(attackers)
+    ranks = tick.attacker_ranks
     rank = ranks[agent.id]
     fort_goal = nearest_fort_cell(cfg, agent.x, agent.y)
     cx, _ = fort_center(cfg)
@@ -417,7 +400,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
     aggressor_mode = rank < n_aggressors and bool(guards) and n_alive > 1
     if not aggressor_mode:
         if shots:
-            return _nearest_shot(state, agent, shots)
+            return _nearest_shot(tick, agent, shots)
         if guards and agent.y == cfg.height - 1 and agent.pos != fort_goal:
             rot = _rotate_toward(agent, fort_goal)
             if rot:
@@ -429,9 +412,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
         # stop waiting the moment a defender gets close
         top = cfg.height - 1
         if agent.y >= top:
-            wings = [
-                a for a in attackers if a.alive and ranks[a.id] % 3 != centre_rank
-            ]
+            wings = [a for a in attackers if ranks[a.id] % 3 != centre_rank]
             ready = all(a.y >= top for a in wings)
             crowded = any(
                 _dist(agent.pos, g.pos) <= cfg.shoot_range + DANGER_MARGIN
@@ -451,8 +432,8 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
         return _wing_advance(lane_x, centre_rank=1)
 
     if spec.name == "P2":
-        if _in_spread_opening(spec, state, agent):
-            return _spread_move(state, agent, legal)
+        if _in_spread_opening(spec, tick):
+            return _spread_move(tick, agent, legal)
         if guards:
             nearest = min(guards, key=lambda g: (_dist(agent.pos, g.pos), g.id))
             if _dist(agent.pos, nearest.pos) <= cfg.shoot_range:
@@ -506,7 +487,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
 
         if aggressor_mode:
             if shots:
-                return _nearest_shot(state, agent, shots)
+                return _nearest_shot(tick, agent, shots)
             # once a teammate is climbing for its run, stop skirmishing:
             # charge the defender best placed to cut the run off and make it
             # fight us instead -- even a one-for-one trade is a bargain
@@ -514,9 +495,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
             runners_up = [
                 a
                 for a in attackers
-                if a.alive
-                and a.y >= cfg.height - 7
-                and ranks[a.id] >= n_aggressors
+                if a.y >= cfg.height - 7 and ranks[a.id] >= n_aggressors
             ]
             if runners_up:
                 runner = runners_up[0]
@@ -600,9 +579,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
                     mates = [
                         a
                         for a in attackers
-                        if a.alive
-                        and a.id != agent.id
-                        and ranks[a.id] < n_aggressors
+                        if a.id != agent.id and ranks[a.id] < n_aggressors
                     ]
                     post = min(
                         posts,
@@ -630,9 +607,7 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
 
         # runner: wait at the standoff row while the hunters work, then
         # sneak up one edge once the defense is thinned or fully drawn out
-        aggressors_alive = any(
-            a.alive for a in attackers if ranks[a.id] < n_aggressors
-        )
+        aggressors_alive = any(ranks[a.id] < n_aggressors for a in attackers)
         drawn = not guards or all(
             fort_distance(cfg, g.x, g.y) > spec.param("drawn_radius") for g in guards
         )
@@ -688,20 +663,20 @@ def _attacker_action(spec: PolicySpec, state: WorldState, agent: AgentState) -> 
 # ---------------------------------------------------------------------------
 
 
-def policy_action(
-    spec: PolicySpec, state: WorldState, agent_id: int, seed: int
-) -> Action:
+def policy_action(spec: PolicySpec, tick: Tick, agent_id: int, seed: int) -> Action:
     """The scripted action for one agent this tick.
 
-    ``seed`` seeds the agent's random stream for this tick
-    (``loop.tick_seed``); a policy builds the stream only where it draws
-    from it, which today is P2's guard jitter alone.  Pure in (spec, state,
-    agent_id, seed); the returned action is always in
-    ``legal_actions(state, agent_id)``.  Dead agents noop.
+    ``tick`` is the snapshot of this tick's state (:class:`env.Tick`),
+    taken once and read by every agent's decision.  ``seed`` seeds the
+    agent's random stream for this tick (``loop.tick_seed``); a policy
+    builds the stream only where it draws from it, which today is P2's
+    guard jitter alone.  Pure in (spec, state, agent_id, seed); the
+    returned action is always in ``tick.legal_actions(agent_id)``.  Dead
+    agents noop.
     """
-    agent = state.get(agent_id)
+    agent = tick.by_id[agent_id]
     if not agent.alive:
         return Action.noop()
     if agent.kind.is_guard:
-        return _guard_action(spec, state, agent, seed)
-    return _attacker_action(spec, state, agent)
+        return _guard_action(spec, tick, agent, seed)
+    return _attacker_action(spec, tick, agent)

@@ -223,7 +223,7 @@ def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
     if not agent.alive:
         return [Action.noop()]
     acts = [Action.noop()]
-    occupied = state.occupied_cells()
+    occupied = {a.pos for a in state.agents}  # was WorldState.occupied_cells()
     for kind, d in MOVE_KINDS.items():
         nx, ny = agent.x + d.dx, agent.y + d.dy
         if state.config.in_bounds(nx, ny) and (nx, ny) not in occupied:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fortdefense import loop
 from fortdefense.env import (
     Action,
     ActionKind,
@@ -18,6 +19,7 @@ from fortdefense.env import (
     AgentState,
     Direction,
     GridConfig,
+    Tick,
     WorldState,
     default_fort_cells,
     legal_actions,
@@ -25,12 +27,8 @@ from fortdefense.env import (
     step,
     terminal,
 )
-from fortdefense.features import (
-    CATEGORICAL_FEATURES,
-    N_FEATURES,
-    extract,
-    pad_sentinel_block,
-)
+from fortdefense.features import CATEGORICAL_FEATURES, N_FEATURES, extract
+from fortdefense.policies import POLICY_NAMES
 
 DIR_INDEX = {Direction.N: 0, Direction.E: 1, Direction.S: 2, Direction.W: 3}
 
@@ -159,12 +157,42 @@ def roster_states(draw):
 @given(roster_states())
 def test_one_call_gives_every_agent_its_oracle_vector(case):
     state, prev = case
-    vectors = extract(state, prev)
+    vectors = extract(Tick(state), prev)
     assert vectors.keys() == {a.id for a in state.agents}
     for agent_id, vec in vectors.items():
         want = oracle_vector(state, agent_id, prev.get(agent_id))
         assert vec.shape == (N_FEATURES,)
         np.testing.assert_allclose(vec, np.array(want), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_every_example_of_a_scripted_game_is_its_oracle_vector(policy, monkeypatch):
+    """The example sink of one all-scripted game holds, for every live
+    agent of every tick, the oracle vector of the state it acted in."""
+    ticks = []
+    real_step = loop.step
+
+    def recording_step(state, actions):
+        ticks.append((state, dict(actions)))
+        return real_step(state, actions)
+
+    monkeypatch.setattr(loop, "step", recording_step)
+    sink = {"guard": [], "attacker": []}
+    loop.run_games(GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink)
+    want = {"guard": [], "attacker": []}
+    prev = {}
+    for state, actions in ticks:
+        for agent in state.agents:
+            if agent.alive:
+                role = "guard" if agent.kind.is_guard else "attacker"
+                vec = oracle_vector(state, agent.id, prev.get(agent.id))
+                want[role].append((vec, int(actions[agent.id].kind)))
+        prev.update(actions)
+    for role, examples in want.items():
+        assert len(sink[role]) == len(examples), role
+        for (got, kind), (vec, want_kind) in zip(sink[role], examples):
+            assert kind == want_kind
+            np.testing.assert_allclose(got, np.array(vec), rtol=0, atol=1e-12)
 
 
 def test_layout_constants():
@@ -176,7 +204,7 @@ def test_layout_constants():
 def test_independent_recomputation_over_1000_states():
     checked = 0
     for state, modeled, prev in random_states(1000, seed=7):
-        got = extract(state, {modeled: prev})[modeled]
+        got = extract(Tick(state), {modeled: prev})[modeled]
         want = oracle_vector(state, modeled, prev)
         assert got.shape == (39,)
         np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
@@ -196,17 +224,17 @@ def test_center_singularity_distance_zero_angle_zero():
         AgentState(0, AgentKind.AD_HOC_GUARD, 2, 2, Direction.N),
         AgentState(1, AgentKind.ATTACKER, 0, 0, Direction.N),
     ]
-    vec = extract(make_state(config, agents), {})[0]
+    vec = extract(Tick(make_state(config, agents)), {})[0]
     assert vec[2] == 0.0  # distance to center
     assert vec[3] == 0.0  # polar angle defined as 0 at the center
 
 
 def test_attackers_not_alive_count():
     state = reset(GridConfig(), seed=3)
-    assert extract(state, {})[0][37] == 0.0
+    assert extract(Tick(state), {})[0][37] == 0.0
     state.attackers()[0].alive = False
     state.attackers()[2].alive = False
-    vec = extract(state, {})[0]
+    vec = extract(Tick(state), {})[0]
     assert vec[37] == 2.0
     assert 0 <= vec[37] <= state.config.n_attackers
 
@@ -216,7 +244,7 @@ def test_dead_agent_contributes_frozen_pose():
     victim = state.attackers()[1]
     vx, vy = victim.x, victim.y
     victim.alive = False
-    vec = extract(state, {})[0]
+    vec = extract(Tick(state), {})[0]
     # guard 0's opponents occupy blocks 3..5 ordered by id; victim is opp2
     base = 4 * 6
     assert vec[base] == float(vx)
@@ -227,7 +255,7 @@ def test_nearest_attacker_fort_distance_uses_alive_only():
     state = reset(GridConfig(), seed=5)
     cfg = state.config
     atts = state.attackers()
-    full = extract(state, {})[0][36]
+    full = extract(Tick(state), {})[0][36]
     dists = sorted(
         min(math.hypot(a.x - fx, a.y - fy) for fx, fy in cfg.fort_cells) for a in atts
     )
@@ -237,11 +265,11 @@ def test_nearest_attacker_fort_distance_uses_alive_only():
         atts, key=lambda a: min(math.hypot(a.x - fx, a.y - fy) for fx, fy in cfg.fort_cells)
     )
     closest.alive = False
-    assert extract(state, {})[0][36] == pytest.approx(dists[1])
+    assert extract(Tick(state), {})[0][36] == pytest.approx(dists[1])
     for a in atts:
         a.alive = False
     sentinel = math.hypot(cfg.width - 1, cfg.height - 1)
-    assert extract(state, {})[0][36] == pytest.approx(sentinel)
+    assert extract(Tick(state), {})[0][36] == pytest.approx(sentinel)
 
 
 def test_padding_blocks_use_documented_sentinel():
@@ -253,9 +281,10 @@ def test_padding_blocks_use_documented_sentinel():
         n_attackers=1,
     )
     state = reset(config, seed=0)
-    vec = extract(state, {})[0]
+    vec = extract(Tick(state), {})[0]
     diag = math.hypot(6, 6)
-    assert list(pad_sentinel_block(config)) == [-1.0, -1.0, diag, 0.0, 0.0, diag]
+    pad = config.geometry.blocks[config.geometry.pad_row]
+    assert list(pad) == [-1.0, -1.0, diag, 0.0, 0.0, diag]
     # blocks: self, opponent, then four sentinel pads
     for b in range(2, 6):
         base = b * 6
@@ -294,8 +323,8 @@ def test_mirror_negates_bearing_and_swaps_east_west():
             m_prev = Action(kind_swap[prev.kind])
         else:
             m_prev = prev
-        v = extract(state, {modeled: prev})[modeled]
-        mv = extract(m_state, {modeled: m_prev})[modeled]
+        v = extract(Tick(state), {modeled: prev})[modeled]
+        mv = extract(Tick(m_state), {modeled: m_prev})[modeled]
         orient_swap = {0.0: 0.0, 1.0: 3.0, 2.0: 2.0, 3.0: 1.0}
         for b in range(6):
             base = b * 6
@@ -314,21 +343,21 @@ def test_mirror_negates_bearing_and_swaps_east_west():
 def test_extract_is_pure():
     state = reset(GridConfig(), seed=9)
     prev = {2: Action(ActionKind.ROTATE_CW)}
-    a = extract(state, prev)
-    b = extract(state, prev)
+    a = extract(Tick(state), prev)
+    b = extract(Tick(state), prev)
     assert a.keys() == b.keys() == {agent.id for agent in state.agents}
     assert all(np.array_equal(a[i], b[i]) for i in a)
 
 
 def test_prev_action_encoding():
     state = reset(GridConfig(), seed=1)
-    assert extract(state, {})[0][38] == float(int(ActionKind.NOOP))
+    assert extract(Tick(state), {})[0][38] == float(int(ActionKind.NOOP))
     for kind in ActionKind:
         act = Action.shoot(3) if kind is ActionKind.SHOOT else Action(kind)
-        assert extract(state, {0: act})[0][38] == float(int(kind))
+        assert extract(Tick(state), {0: act})[0][38] == float(int(kind))
 
 
 def test_unknown_agent_raises():
     state = reset(GridConfig(), seed=2)
     with pytest.raises(KeyError):
-        extract(state, {})[99]
+        extract(Tick(state), {})[99]

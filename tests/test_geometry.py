@@ -31,6 +31,7 @@ from fortdefense.env import (
     AgentState,
     Direction,
     GridConfig,
+    Tick,
     WorldState,
     facing_toward,
     fort_center,
@@ -43,7 +44,6 @@ from fortdefense.env import (
     turn_toward,
 )
 from fortdefense.explain import _config_dict, load_traces, save_traces
-from fortdefense.features import _agent_block
 from fortdefense.kr.beliefs import Belief
 from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics, ground
 from fortdefense.kr.lang import Atom
@@ -118,7 +118,9 @@ def test_tables_match_the_reference(config, data):
             assert nearest_fort_cell(config, x, y) == ref._nearest_fort_cell(config, (x, y))
             for facing in Direction:
                 agent = AgentState(0, AgentKind.GUARD, x, y, facing)
-                assert _agent_block(config, agent) == ref._agent_block(config, agent)
+                block = config.geometry.blocks[(x * h + y) * 4 + facing.index]
+                assert list(block) == ref._agent_block(config, agent), (x, y, facing)
+    assert config.geometry.pad_row == w * h * 4 == len(config.geometry.blocks) - 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -191,6 +193,31 @@ def test_scripted_geometry_matches_the_reference(state):
             assert (cell in posts) is ref.strikeable(config, mark, others, cell)
     for agent in state.agents:
         assert legal_actions(state, agent.id) == ref.legal_actions(state, agent.id)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=scripted_states())
+def test_one_snapshot_holds_the_roster_scans_and_every_agents_actions(state):
+    """One ``Tick`` serves every agent: its facts are the per-agent scans
+    it replaced, and its legal actions are the reference's."""
+    tick = Tick(state)
+    agents = sorted(state.agents, key=lambda a: a.id)
+    guards = [a for a in agents if a.kind.is_guard]
+    attackers = [a for a in agents if not a.kind.is_guard]
+    live_attackers = [a for a in attackers if a.alive]
+    assert tick.occupied == {a.pos for a in agents}
+    assert list(tick.live_guards) == [a for a in guards if a.alive]
+    assert list(tick.live_attackers) == live_attackers
+    assert list(tick.guard_ids) == [a.id for a in guards]
+    assert tick.attacker_ranks == {a.id: rank for rank, a in enumerate(attackers)}
+    threat = min(
+        live_attackers,
+        key=lambda a: (ref.fort_distance(state.config, a.x, a.y), a.id),
+        default=None,
+    )
+    assert tick.threat is threat
+    for agent in state.agents:
+        assert tick.legal_actions(agent.id) == ref.legal_actions(state, agent.id), agent.id
 
 
 @pytest.mark.parametrize(

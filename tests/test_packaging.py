@@ -3,13 +3,15 @@ into the package still resolve, the shipped domain declares no vocabulary
 it never uses, and no module imports a name it never uses."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
 
 import pytest
 
-from fortdefense import loop
+from fortdefense import env, loop
+from fortdefense.env import GridConfig, WorldState
 from fortdefense.kr.ground import ground
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -84,6 +86,39 @@ def test_the_benchmark_calls_bind_to_the_signature(fn):
     signature = inspect.signature(fn)
     for n_args, keywords in calls:
         signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def test_scripted_play_steps_with_two_arguments_and_stores_nothing_on_a_state(
+    monkeypatch,
+):
+    """The benchmark's ``StepRecorder`` stands in for ``loop.step`` with a
+    ``(state, actions)`` signature and keeps both states, which its checks
+    hand to ``env.legal_actions``; so ``run_games`` calls ``step`` with two
+    positional arguments, and no per-tick snapshot is left on a state."""
+    kept = []
+    real_step = loop.step
+
+    def two_argument_step(state, actions):
+        nxt, events = real_step(state, actions)
+        kept.extend((state, nxt))
+        return nxt, events
+
+    monkeypatch.setattr(loop, "step", two_argument_step)
+    sink = {"guard": [], "attacker": []}
+    loop.run_games(GridConfig(), "P1", 1, seed=1000, ad_hoc=False, example_sink=sink)
+    assert kept and sink["guard"] and sink["attacker"]
+    for state in kept:
+        assert isinstance(state, WorldState)
+        for obj in [state, *state.agents]:
+            assert vars(obj).keys() == {f.name for f in dataclasses.fields(obj)}, obj
+
+
+def test_the_checks_call_to_legal_actions_binds():
+    """``perfbench/checks.py`` asks ``legal_actions(state, agent_id)`` of
+    recorded states."""
+    inspect.signature(env.legal_actions).bind(None, None)
+    state = env.reset(GridConfig(), seed=0)
+    assert env.legal_actions(state, 0) == env.Tick(state).legal_actions(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Policy behavior tests: pinned fixtures, legality, and team-shape
-invariants, the mix-selection frequency check, and a trajectory oracle
-that plays the table-backed cone tests against their slow copies."""
+invariants, and a trajectory oracle that plays the table-backed cone tests
+and legal-move rule against their slow copies."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from fortdefense.env import (
     AgentState,
     Direction,
     GridConfig,
+    Tick,
     WorldState,
     fort_distance,
     legal_actions,
@@ -32,7 +33,6 @@ from fortdefense.policies import (
     BUILTIN_NAMES,
     POLICY_NAMES,
     PolicySpec,
-    make_mix,
     make_policy,
     policy_action,
 )
@@ -59,10 +59,11 @@ def run_episode(name: str, seed: int, on_tick=None, max_steps=100):
     state = reset(config, seed, ad_hoc=False)
     while terminal(state) is None:
         joint = {}
+        tick = Tick(state)
         for agent in state.agents:
             if agent.alive:
                 seed_t = agent_seed(seed, state.step_count, agent.id)
-                joint[agent.id] = policy_action(spec, state, agent.id, seed_t)
+                joint[agent.id] = policy_action(spec, tick, agent.id, seed_t)
         if on_tick is not None:
             on_tick(state, joint)
         state, _ = step(state, joint)
@@ -70,21 +71,8 @@ def run_episode(name: str, seed: int, on_tick=None, max_steps=100):
 
 
 # ---------------------------------------------------------------------------
-# mix selection
+# policy specs
 # ---------------------------------------------------------------------------
-
-
-def test_make_mix_is_deterministic():
-    assert make_mix(1234).name == make_mix(1234).name
-    assert make_mix(1234).name in BUILTIN_NAMES
-
-
-def test_make_mix_frequencies_near_uniform():
-    counts = {name: 0 for name in BUILTIN_NAMES}
-    for seed in range(10_000):
-        counts[make_mix(seed).name] += 1
-    for name, count in counts.items():
-        assert 0.23 <= count / 10_000 <= 0.27, (name, count)
 
 
 def test_spec_validation():
@@ -92,7 +80,7 @@ def test_spec_validation():
         PolicySpec(name="P9")
     with pytest.raises(ValueError):
         make_policy("P9")
-    # "mix" is resolved per episode by ``make_mix``; it names no policy
+    # only the six concrete policies are specs; there is no random mix
     with pytest.raises(ValueError):
         make_policy("mix")
 
@@ -112,7 +100,7 @@ def test_p1_guard_beyond_radius_heads_home():
     assert fort_distance(config, guard.x, guard.y) > make_policy("P1").param(
         "guard_radius"
     )
-    act = policy_action(make_policy("P1"), state, 0, 0)
+    act = policy_action(make_policy("P1"), Tick(state), 0, 0)
     assert act.kind in MOVE_KINDS
     d = MOVE_KINDS[act.kind]
     after = fort_distance(config, guard.x + d.dx, guard.y + d.dy)
@@ -124,7 +112,7 @@ def test_p1_guard_shoots_attacker_in_range_and_arc():
     guard = AgentState(0, AgentKind.GUARD, 10, 18, Direction.S)
     attacker = AgentState(3, AgentKind.ATTACKER, 10, 14, Direction.N)
     state = make_state(config, [guard, attacker])
-    act = policy_action(make_policy("P1"), state, 0, 0)
+    act = policy_action(make_policy("P1"), Tick(state), 0, 0)
     assert act == Action.shoot(3)
 
 
@@ -143,7 +131,7 @@ def test_b1600_rear_attacker_advances_when_guard_drawn():
     assert fort_distance(config, drawn_guard.x, drawn_guard.y) > spec.param(
         "drawn_radius"
     )
-    act = policy_action(spec, state, 5, 0)
+    act = policy_action(spec, Tick(state), 5, 0)
     assert act.kind in MOVE_KINDS
     d = MOVE_KINDS[act.kind]
     after = fort_distance(config, rear.x + d.dx, rear.y + d.dy)
@@ -162,7 +150,7 @@ def test_b1600_rear_attacker_holds_at_standoff_when_guards_home():
     state = make_state(
         config, [home_guard, home_guard2, aggressor1, aggressor2, rear]
     )
-    act = policy_action(spec, state, 5, 0)
+    act = policy_action(spec, Tick(state), 5, 0)
     assert act == Action.noop()
 
 
@@ -174,7 +162,7 @@ def test_dead_agent_noops_under_every_policy():
     ]
     state = make_state(config, agents)
     for name in POLICY_NAMES:
-        assert policy_action(make_policy(name), state, 0, 0) == Action.noop()
+        assert policy_action(make_policy(name), Tick(state), 0, 0) == Action.noop()
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +243,9 @@ def test_b1600_guards_may_exceed_b1240_radius():
     bait = AgentState(3, AgentKind.ATTACKER, 10, 3, Direction.N)
     far = AgentState(4, AgentKind.ATTACKER, 1, 1, Direction.N)
     state = make_state(config, [guard, bait, far])
-    act_1600 = policy_action(make_policy("B1600"), state, 0, 0)
+    act_1600 = policy_action(make_policy("B1600"), Tick(state), 0, 0)
     assert act_1600 == Action(ActionKind.MOVE_S)  # pursues outward
-    act_1240 = policy_action(make_policy("B1240"), state, 0, 0)
+    act_1240 = policy_action(make_policy("B1240"), Tick(state), 0, 0)
     assert act_1240 != Action(ActionKind.MOVE_S)
 
 
@@ -396,8 +384,14 @@ def _scripted_trajectory(config, policy, monkeypatch):
 @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS)
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_the_geometry_tables_keep_every_scripted_decision(policy, config, monkeypatch):
+    asked = []
+
+    def reference_legal_actions(tick, agent_id):
+        asked.append(agent_id)
+        return ref.legal_actions(tick.state, agent_id)
+
     with monkeypatch.context() as m:
-        m.setattr(policies, "legal_actions", ref.legal_actions)
+        m.setattr(Tick, "legal_actions", reference_legal_actions)
         m.setattr(
             policies,
             "_covered",
@@ -409,4 +403,6 @@ def test_the_geometry_tables_keep_every_scripted_decision(policy, config, monkey
             lambda cfg, mark, others: set(ref.posts(cfg, mark, others)),
         )
         want = _scripted_trajectory(config, policy, monkeypatch)
+    # the reference rule listed the actions of every scripted decision
+    assert len(asked) == sum(len(actions) for _, actions in want[0])
     assert _scripted_trajectory(config, policy, monkeypatch) == want
