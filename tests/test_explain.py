@@ -225,6 +225,45 @@ def test_why_and_why_not_texts_match_the_golden_digest(trace):
     assert (len(texts), digest) == GOLDEN_TEXTS
 
 
+#: (count, sha256) of the why-belief texts of ``why_belief_queries``, one
+#: per line, as rendered while the trace still stored each entry's axiom
+#: text and an entry for every inherited atom.
+GOLDEN_WHY_BELIEF_TEXTS = (
+    382,
+    "0f685c6967d7d19be5c88a6bcd41d1bdc9eb64a7701ad9a2a03cfbd1589b3bc6",
+)
+
+
+def why_belief_queries(trace):
+    """Per step: every atom of the belief as a positive literal, then every
+    atom of the previous step's belief gone at this step as a negative
+    literal, each group sorted by ``str``."""
+    previous = frozenset()
+    for rec in trace.steps:
+        atoms = rec.belief.atoms
+        for atom in sorted(atoms, key=str):
+            yield Query("why_belief", None, Literal(atom, True), rec.step)
+        for atom in sorted(previous - atoms, key=str):
+            yield Query("why_belief", None, Literal(atom, False), rec.step)
+        previous = atoms
+
+
+@pytest.mark.parametrize("reloaded", [False, True], ids=["recorded", "reloaded"])
+def test_why_belief_texts_match_the_golden_digest(w0_p1_record, tmp_path, reloaded):
+    trace = EpisodeTrace.from_record(w0_p1_record, GridConfig())
+    if reloaded:
+        path = tmp_path / "trace.jsonl"
+        save_traces([w0_p1_record], GridConfig(), path)
+        (trace,) = load_traces(path)
+    texts = []
+    for query in why_belief_queries(trace):
+        answer = answer_query(trace, query)
+        assert verify_answer(trace, answer), answer.text
+        texts.append(answer.text)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert (len(texts), digest) == GOLDEN_WHY_BELIEF_TEXTS
+
+
 def test_a_goal_the_rule_does_not_select_is_refused(trace):
     rec = trace.step(1)
     forged = dataclasses.replace(rec, goal=Goal("hold_position", None, ()))
