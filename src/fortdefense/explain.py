@@ -24,12 +24,15 @@ Every chain link is an axiom instance whose ground antecedents can be
 re-checked against the stored snapshots; the rendered text is produced
 from templates (shipped as a data file) filled only with material from
 the chain.  Traces serialize to JSON Lines with sorted keys and no
-timestamps, so identical runs give byte-identical files.
+timestamps, so identical runs give byte-identical files.  A provenance
+entry stores only its axiom's id; loading resolves it through the domain
+grounded from the trace's configuration, so rule text has one source.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -47,7 +50,7 @@ from fortdefense.kr.beliefs import (
     progress,
 )
 from fortdefense.kr.goals import Goal, select_goal
-from fortdefense.kr.ground import GroundedDomain, ground
+from fortdefense.kr.ground import CompiledRule, GroundedDomain, ground
 from fortdefense.kr.lang import (
     Atom,
     DomainSyntaxError,
@@ -63,7 +66,7 @@ from fortdefense.loop import (
     load_domain,
 )
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -313,26 +316,30 @@ class EpisodeTrace:
         )
 
 
-_HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2, "inherited": 3}
+_HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
 
 
 def _provenance_dict(p: Provenance) -> dict:
     return {
         "atom": str(p.atom),
         "how": p.how,
-        "axiom_id": p.axiom_id,
-        "axiom_text": p.axiom_text,
+        "axiom_id": p.rule.axiom_id,
         "action": "" if p.action is None else str(p.action),
         "support": [str(l) for l in p.support],
     }
 
 
-def _provenance_from_dict(d: dict, atom, literal) -> Provenance:
+def _provenance_from_dict(d: dict, atom, literal, rules: dict) -> Provenance:
+    rule = rules.get(d["axiom_id"])
+    if rule is None:
+        raise ValueError(
+            f"provenance of {d['atom']} cites {d['axiom_id']!r}, which is neither"
+            f" a causal law nor a state constraint of the trace's domain"
+        )
     return Provenance(
         atom=atom(d["atom"]),
         how=d["how"],
-        axiom_id=d["axiom_id"],
-        axiom_text=d["axiom_text"],
+        rule=rule,
         action=atom(d["action"]) if d["action"] else None,
         support=tuple(literal(s) for s in d["support"]),
     )
@@ -385,9 +392,10 @@ def _step_dict(rec: StepRecord) -> dict:
     }
 
 
-def _step_from_dict(d: dict, atom, literal) -> StepRecord:
+def _step_from_dict(d: dict, atom, literal, rules: dict) -> StepRecord:
     """A step record from its JSON form; ``atom`` and ``literal`` parse
-    one atom or literal string."""
+    one atom or literal string, and ``rules`` maps an axiom id to the
+    rule its provenance cites."""
     return StepRecord(
         step=d["step"],
         belief=Belief(atom(s) for s in d["belief"]),
@@ -409,7 +417,7 @@ def _step_from_dict(d: dict, atom, literal) -> StepRecord:
         fallback=d["fallback"],
         executed=tuple(atom(s) for s in d["executed"]),
         provenance=tuple(
-            _provenance_from_dict(p, atom, literal) for p in d["provenance"]
+            _provenance_from_dict(p, atom, literal, rules) for p in d["provenance"]
         ),
         reconciled=d["reconciled"],
     )
@@ -474,11 +482,14 @@ def _memo(parse):
 
 
 def load_traces(path) -> list[EpisodeTrace]:
-    """Read a JSONL trace file back into queryable traces."""
+    """Read a JSONL trace file back into queryable traces.  Each header's
+    configuration is grounded once; its causal laws and state constraints
+    resolve the axiom ids of the episode's provenance."""
     atom, literal = _memo(parse_atom), _memo(parse_literal)
     traces: list[EpisodeTrace] = []
     header: Optional[dict] = None
     steps: list[StepRecord] = []
+    rules: dict = {}
     with open(path) as f:
         for line in f:
             line = line.strip()
@@ -492,12 +503,15 @@ def load_traces(path) -> list[EpisodeTrace]:
                     )
                 header = d
                 steps = []
+                config = _config_from_dict(d["config"])
+                gdom = _gdom_for(config)
+                laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
+                rules = {rule.axiom_id: rule for rule in laws}
             elif d["type"] == "step":
-                steps.append(_step_from_dict(d, atom, literal))
+                steps.append(_step_from_dict(d, atom, literal, rules))
             elif d["type"] == "final":
                 if header is None:
                     raise ValueError("trace file has a final line before a header")
-                config = _config_from_dict(header["config"])
                 traces.append(
                     EpisodeTrace(
                         config=config,
@@ -513,6 +527,7 @@ def load_traces(path) -> list[EpisodeTrace]:
                         outcome=header["outcome"],
                         n_steps=header["n_steps"],
                         guards_win=header["guards_win"],
+                        gdom=gdom,
                     )
                 )
                 header = None
@@ -604,11 +619,36 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
     )
 
 
+def _rule_instance(
+    template: str,
+    rule: CompiledRule,
+    step: int,
+    antecedents: tuple[Literal, ...],
+    consequence: str,
+    *,
+    counterfactual: Optional[Atom] = None,
+    **slots: str,
+) -> AxiomInstance:
+    """A chain link that cites ``rule``: the rule's id and text fill the
+    ``axiom`` slot, and its ground antecedents the ``literals`` slot."""
+    slots["axiom"] = f"{rule.axiom_id} {rule.text}"
+    slots["literals"] = "; ".join(str(l) for l in antecedents) or "no conditions"
+    return AxiomInstance(
+        template=template,
+        axiom_id=rule.axiom_id,
+        axiom_text=rule.text,
+        step=step,
+        antecedents=antecedents,
+        consequence=consequence,
+        slots=tuple(sorted(slots.items())),
+        counterfactual=counterfactual,
+    )
+
+
 def _blocked_instance(
     trace: EpisodeTrace,
     step: int,
     action: Atom,
-    belief: Belief,
     blocker,
     *,
     template_prefix: str = "clause_blocked",
@@ -617,11 +657,7 @@ def _blocked_instance(
     """An executability-axiom instance from a check_executable blocker."""
     rule, binding = blocker
     antecedents = tuple(lit.substitute(binding) for lit in rule.body)
-    slots: dict[str, str] = {
-        "action": str(action),
-        "axiom": f"{rule.axiom_id} {rule.text}",
-        "literals": "; ".join(str(l) for l in antecedents),
-    }
+    slots = {"action": str(action)}
     template = template_prefix
     sight = next(
         (
@@ -647,15 +683,14 @@ def _blocked_instance(
         template = template_prefix + "_range"
     if counterfactual is not None:
         slots["enable"] = str(action)
-    return AxiomInstance(
-        template=template,
-        axiom_id=rule.axiom_id,
-        axiom_text=rule.text,
-        step=step,
-        antecedents=antecedents,
-        consequence=f"{action} not executable",
-        slots=tuple(sorted(slots.items())),
+    return _rule_instance(
+        template,
+        rule,
+        step,
+        antecedents,
+        f"{action} not executable",
         counterfactual=counterfactual,
+        **slots,
     )
 
 
@@ -764,7 +799,7 @@ def why_action_chain(
             ok, blocker = check_executable(rec.belief, enable, gdom)
             if not ok and blocker is not None:
                 chain.append(
-                    _blocked_instance(trace, step, enable, rec.belief, blocker)
+                    _blocked_instance(trace, step, enable, blocker)
                 )
         chain.append(_plan_instance(rec))
     return tuple(chain)
@@ -813,7 +848,7 @@ def why_not_chain(
     ok, blocker = check_executable(rec.belief, action, gdom)
     if not ok:
         return (
-            (_blocked_instance(trace, step, action, rec.belief, blocker),),
+            (_blocked_instance(trace, step, action, blocker),),
             False,
         )
     # legal but not chosen: one-step counterfactual against the recorded
@@ -830,7 +865,6 @@ def why_not_chain(
                     trace,
                     step,
                     enable,
-                    child,
                     blocker2,
                     template_prefix="clause_counterfactual",
                     counterfactual=action,
@@ -951,18 +985,7 @@ def _definition_instance(
         return None
     rule, binding = found
     antecedents = tuple(lit.substitute(binding) for lit in rule.body)
-    return AxiomInstance(
-        template="clause_definition",
-        axiom_id=rule.axiom_id,
-        axiom_text=rule.text,
-        step=step,
-        antecedents=antecedents,
-        consequence=str(atom),
-        slots=(
-            ("axiom", f"{rule.axiom_id} {rule.text}"),
-            ("literals", "; ".join(str(l) for l in antecedents)),
-        ),
-    )
+    return _rule_instance("clause_definition", rule, step, antecedents, str(atom))
 
 
 def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance]:
@@ -974,17 +997,8 @@ def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance
         if env is None:
             continue
         antecedents = tuple(lit.substitute(rule.on_head.binding(env)) for lit in rule.body)
-        return AxiomInstance(
-            template="clause_default",
-            axiom_id=rule.axiom_id,
-            axiom_text=rule.text,
-            step=1,
-            antecedents=antecedents,
-            consequence=str(atom),
-            slots=(
-                ("axiom_text", rule.text),
-                ("literals", "; ".join(str(l) for l in antecedents)),
-            ),
+        return _rule_instance(
+            "clause_default", rule, 1, antecedents, str(atom), axiom_text=rule.text
         )
     return None
 
@@ -1007,54 +1021,33 @@ def why_belief_chain(
     # scan transitions backwards for the change that set the literal
     for rec in reversed([r for r in trace.steps if r.step < step]):
         for p in rec.provenance:
-            if p.atom != atom:
+            # a retraction explains a negative literal, an addition a positive one
+            if p.atom != atom or (p.how == "retracted") == literal.positive:
                 continue
-            if p.how == "retracted" and not literal.positive:
-                inst = AxiomInstance(
-                    template="clause_window",
-                    axiom_id=p.axiom_id,
-                    axiom_text=p.axiom_text,
-                    step=rec.step + 1,
-                    antecedents=p.support,
-                    consequence=f"-{atom}",
-                    slots=(
-                        ("atom", str(atom)),
-                        ("axiom", f"{p.axiom_id} {p.axiom_text}"),
-                        ("literals", "; ".join(str(l) for l in p.support)),
-                        ("prev_step", str(rec.step)),
-                    ),
+            if p.how == "retracted":
+                inst = _rule_instance(
+                    "clause_window",
+                    p.rule,
+                    rec.step + 1,
+                    p.support,
+                    str(literal),
+                    prev_step=str(rec.step),
                 )
-                return _with_inertia(inst, rec.step + 1, step, literal)
-            if p.how == "direct" and literal.positive:
-                inst = AxiomInstance(
-                    template="clause_causal",
-                    axiom_id=p.axiom_id,
-                    axiom_text=p.axiom_text,
-                    step=rec.step,
-                    antecedents=p.support,
-                    consequence=str(atom),
-                    slots=(
-                        ("action", str(p.action)),
-                        ("axiom", f"{p.axiom_id} {p.axiom_text}"),
-                        ("literals", "; ".join(str(l) for l in p.support) or "no conditions"),
-                        ("prev_step", str(rec.step)),
-                    ),
+            elif p.how == "direct":
+                inst = _rule_instance(
+                    "clause_causal",
+                    p.rule,
+                    rec.step,
+                    p.support,
+                    str(literal),
+                    action=str(p.action),
+                    prev_step=str(rec.step),
                 )
-                return _with_inertia(inst, rec.step + 1, step, literal)
-            if p.how == "derived" and literal.positive:
-                inst = AxiomInstance(
-                    template="clause_definition",
-                    axiom_id=p.axiom_id,
-                    axiom_text=p.axiom_text,
-                    step=rec.step + 1,
-                    antecedents=p.support,
-                    consequence=str(atom),
-                    slots=(
-                        ("axiom", f"{p.axiom_id} {p.axiom_text}"),
-                        ("literals", "; ".join(str(l) for l in p.support)),
-                    ),
+            else:
+                inst = _rule_instance(
+                    "clause_definition", p.rule, rec.step + 1, p.support, str(literal)
                 )
-                return _with_inertia(inst, rec.step + 1, step, literal)
+            return _with_inertia(inst, rec.step + 1, step, literal)
     # unchanged since the initial state
     if literal.positive:
         inst = _default_instance(trace, atom)

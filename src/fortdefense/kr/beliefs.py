@@ -14,6 +14,10 @@ Progression resolves each tick in layers:
 3. inherited atoms carried by inertia, which yield silently to any
    constraint that retracts them.
 
+Its provenance cites the rule instance behind each atom of the first two
+layers and each retraction; an inherited atom needs no record, since it
+is whatever the result holds that the tick did not set.
+
 Progression works from the tick's change, not from the whole belief
 (semi-naive evaluation): state constraints are triggered by the direct
 and derived atoms, and by inherited atoms only for the constraints where
@@ -50,10 +54,9 @@ from fortdefense.kr.lang import Atom, Literal
 class InconsistencyError(Exception):
     """A constraint or effect conflict that inertia cannot absorb."""
 
-    def __init__(self, message: str, axiom_id: str = "", axiom_text: str = ""):
+    def __init__(self, message: str, axiom_id: str = ""):
         super().__init__(message)
         self.axiom_id = axiom_id
-        self.axiom_text = axiom_text
 
 
 class Belief:
@@ -214,12 +217,12 @@ _TAG_NAME = {0: "direct", 1: "derived", 2: "inherited"}
 
 @dataclass(frozen=True)
 class Provenance:
-    """Why one atom holds (or stopped holding) after a progression step."""
+    """Why one atom came to hold (or stopped holding) in a progression
+    step: the rule instance that set it."""
 
     atom: Atom
-    how: str  # "direct" | "derived" | "inherited" | "retracted"
-    axiom_id: str = ""
-    axiom_text: str = ""
+    how: str  # "direct" | "derived" | "retracted"
+    rule: CompiledRule  # the causal law or state constraint that fired
     action: Optional[Atom] = None
     support: tuple[Literal, ...] = ()  # ground body literals of the firing rule
 
@@ -251,8 +254,9 @@ def progress(
     dropped (a predicted exogenous action that the evolving plan search
     has made illegal).  Actions in ``checked`` skip the executability
     test.  When ``trace`` is a list, a Provenance entry is appended for
-    every atom of the result (and every retraction), so explanations can
-    cite the axiom instances that fired.
+    every atom the step sets or retracts, so explanations can cite the
+    axiom instances that fired; an atom of the result with no entry is
+    inherited by inertia.
     """
     kept = [
         action
@@ -272,32 +276,20 @@ def progress(
                 if rule.head.positive:
                     if atom in false_by:
                         raise InconsistencyError(
-                            f"direct effects conflict on {atom}",
-                            rule.axiom_id,
-                            rule.text,
+                            f"direct effects conflict on {atom}", rule.axiom_id
                         )
                     tag[atom] = _DIRECT
                     how = "direct"
                 else:
                     if tag.get(atom) == _DIRECT:
                         raise InconsistencyError(
-                            f"direct effects conflict on {atom}",
-                            rule.axiom_id,
-                            rule.text,
+                            f"direct effects conflict on {atom}", rule.axiom_id
                         )
                     false_by.add(atom)
                     how = "retracted"
                 if trace is not None:
-                    trace.append(
-                        Provenance(
-                            atom,
-                            how,
-                            rule.axiom_id,
-                            rule.text,
-                            action,
-                            _support(rule.body, join.binding(env)),
-                        )
-                    )
+                    support = _support(rule.body, join.binding(env))
+                    trace.append(Provenance(atom, how, rule, action, support))
 
     # layer 3 candidates: inertia
     inertial_preds = gdom.inertial_preds
@@ -335,23 +327,14 @@ def progress(
                         raise InconsistencyError(
                             f"derived atom {atom} contradicts a direct retraction",
                             rule.axiom_id,
-                            rule.text,
                         )
                     if atom not in tag:
                         tag[atom] = _DERIVED
                         working.setdefault(atom.pred, set()).add(atom)
                         queue.append(atom)
                         if trace is not None:
-                            trace.append(
-                                Provenance(
-                                    atom,
-                                    "derived",
-                                    rule.axiom_id,
-                                    rule.text,
-                                    None,
-                                    _support(rule.body, join.binding(env)),
-                                )
-                            )
+                            support = _support(rule.body, join.binding(env))
+                            trace.append(Provenance(atom, "derived", rule, None, support))
                     continue
                 body_inherited = trigger_tag == _INHERITED or any(
                     tag.get(scanned(env)) == _INHERITED for scanned in join.scanned
@@ -372,27 +355,16 @@ def progress(
                             f"constraint retracts {_TAG_NAME[tag[victim]]} "
                             f"atom {victim}",
                             rule.axiom_id,
-                            rule.text,
                         )
                     del tag[victim]
                     working[victim.pred].discard(victim)
                     if trace is not None:
-                        trace.append(
-                            Provenance(
-                                victim,
-                                "retracted",
-                                rule.axiom_id,
-                                rule.text,
-                                None,
-                                _support(rule.body + rule.residual, victims.binding(env2)),
-                            )
+                        support = _support(
+                            rule.body + rule.residual, victims.binding(env2)
                         )
+                        trace.append(Provenance(victim, "retracted", rule, None, support))
 
     inertial = frozenset(a for a in tag if a.pred in inertial_preds)
-    if trace is not None:
-        for atom, t in tag.items():
-            if t == _INHERITED:
-                trace.append(Provenance(atom, "inherited"))
     child = Belief(close_defined(inertial, gdom, belief))
     child._inertial = (inertial_preds, inertial)
     return child
@@ -408,17 +380,13 @@ def validate(belief: Belief, gdom: GroundedDomain) -> None:
                 head = join.head(env)
                 if head not in belief.atoms:
                     raise InconsistencyError(
-                        f"constraint requires missing atom {head}",
-                        rule.axiom_id,
-                        rule.text,
+                        f"constraint requires missing atom {head}", rule.axiom_id
                     )
                 continue
             for victim in index.get(rule.head.atom.pred, ()):
                 if join.then.first(index, victim, env) is not None:
                     raise InconsistencyError(
-                        f"constraint forbids atom {victim}",
-                        rule.axiom_id,
-                        rule.text,
+                        f"constraint forbids atom {victim}", rule.axiom_id
                     )
 
 

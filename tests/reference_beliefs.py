@@ -8,8 +8,10 @@ recomputes every defined fluent from scratch, and it solves each body
 literal by literal with a ``{Variable: value}`` dict.  Tests compare the
 package's delta-driven versions and compiled joins against it; nothing in
 the package imports it.  The only edits to the original text are
-``gdom.is_inertial(p)`` spelled as ``p in gdom.inertial_preds`` and a
-blocked action always dropped, as ``progress`` drops it.
+``gdom.is_inertial(p)`` spelled as ``p in gdom.inertial_preds``, a
+blocked action always dropped, as ``progress`` drops it, and provenance
+made as ``progress`` makes it: each entry cites its rule, and inherited
+atoms get none.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def reference_progress(
     dropped (a predicted exogenous action that the evolving plan search
     has made illegal).  Actions in ``checked`` skip the executability
     test.  When ``trace`` is a list, a Provenance entry is appended for
-    every atom of the result (and every retraction), so explanations can
-    cite the axiom instances that fired.
+    every atom the step sets or retracts, so explanations can cite the
+    axiom instances that fired.
     """
     kept: list[Atom] = []
     for action in actions:
@@ -196,7 +198,6 @@ def reference_progress(
                         raise InconsistencyError(
                             f"direct effects conflict on {atom}",
                             rule.axiom_id,
-                            rule.text,
                         )
                     tag[atom] = _DIRECT
                     if trace is not None:
@@ -204,8 +205,7 @@ def reference_progress(
                             Provenance(
                                 atom,
                                 "direct",
-                                rule.axiom_id,
-                                rule.text,
+                                rule,
                                 action,
                                 tuple(l.substitute(b2) for l in rule.body),
                             )
@@ -215,7 +215,6 @@ def reference_progress(
                         raise InconsistencyError(
                             f"direct effects conflict on {atom}",
                             rule.axiom_id,
-                            rule.text,
                         )
                     false_by[atom] = (rule, b2)
                     if trace is not None:
@@ -223,8 +222,7 @@ def reference_progress(
                             Provenance(
                                 atom,
                                 "retracted",
-                                rule.axiom_id,
-                                rule.text,
+                                rule,
                                 action,
                                 tuple(l.substitute(b2) for l in rule.body),
                             )
@@ -267,7 +265,6 @@ def reference_progress(
                         raise InconsistencyError(
                             f"derived atom {atom} contradicts a direct retraction",
                             rule.axiom_id,
-                            rule.text,
                         )
                     if atom not in tag:
                         tag[atom] = _DERIVED
@@ -278,8 +275,7 @@ def reference_progress(
                                 Provenance(
                                     atom,
                                     "derived",
-                                    rule.axiom_id,
-                                    rule.text,
+                                    rule,
                                     None,
                                     tuple(l.substitute(b2) for l in rule.body),
                                 )
@@ -303,7 +299,6 @@ def reference_progress(
                             f"constraint retracts {_TAG_NAME[tag[victim]]} "
                             f"atom {victim}",
                             rule.axiom_id,
-                            rule.text,
                         )
                     del tag[victim]
                     working[victim.pred].discard(victim)
@@ -312,8 +307,7 @@ def reference_progress(
                             Provenance(
                                 victim,
                                 "retracted",
-                                rule.axiom_id,
-                                rule.text,
+                                rule,
                                 None,
                                 tuple(
                                     l.substitute(b3)
@@ -323,8 +317,4 @@ def reference_progress(
                         )
 
     inertial_result = [a for a in tag if a.pred in gdom.inertial_preds]
-    if trace is not None:
-        for atom, t in tag.items():
-            if t == _INHERITED:
-                trace.append(Provenance(atom, "inherited"))
     return Belief(reference_close_defined(inertial_result, gdom))

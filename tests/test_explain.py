@@ -71,6 +71,38 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
     assert loaded.final_belief.atoms == w0_p1_record.final_belief.atoms
 
 
+def _as_version_1(lines: list) -> None:
+    lines[0]["version"] = 1
+
+
+def _citing_an_executability_condition(lines: list) -> None:
+    entry = next(p for d in lines if d["type"] == "step" for p in d["provenance"])
+    entry["axiom_id"] = "exec:1"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_as_version_1, "unsupported trace format version 1"),
+        (
+            _citing_an_executability_condition,
+            "'exec:1', which is neither a causal law nor a state constraint",
+        ),
+    ],
+    ids=["version-1", "unknown-axiom"],
+)
+def test_loading_refuses_a_file_this_format_cannot_read(
+    w0_p1_record, tmp_path, edit, message
+):
+    path = tmp_path / "trace.jsonl"
+    save_traces([w0_p1_record], GridConfig(), path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(lines)
+    path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+    with pytest.raises(ValueError, match=message):
+        load_traces(path)
+
+
 def test_every_config_field_round_trips():
     config = GridConfig(
         width=12,

@@ -465,13 +465,13 @@ def _outcome(fn, belief, actions, gdom, checked):
 def assert_progress_matches_reference(belief, steps, gdom, keeps_consistency=True):
     """Progress ``belief`` through each (actions, checked) step with both
     versions; atoms, exception types and provenance lists (order included)
-    must agree.  Both continue from the optimised result, so later steps
-    also cover a parent whose inertial atoms ``progress`` cached; equal
-    beliefs built apart may iterate their atoms in different orders, and
-    the inherited entries follow that order, so both get one object.
-    Without ``keeps_consistency`` (a domain whose progression may break a
-    constraint), the run stops at the first inconsistent result, which is
-    outside ``progress``'s precondition."""
+    must agree; neither records an inherited atom.  Both continue from the
+    optimised result, so later steps also cover a parent whose inertial
+    atoms ``progress`` cached; equal beliefs built apart may iterate their
+    atoms in different orders, which retractions can follow, so both get
+    one object.  Without ``keeps_consistency`` (a domain whose progression
+    may break a constraint), the run stops at the first inconsistent
+    result, which is outside ``progress``'s precondition."""
     for actions, checked in steps:
         fast_atoms, fast_trace, fast = _outcome(progress, belief, actions, gdom, checked)
         slow_atoms, slow_trace, _ = _outcome(

@@ -667,15 +667,17 @@ GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0f
 # second pin.  It fell from 25 to 21 when the shot bound began to read the
 # schedule: step 10's 4-step shot at a target that stays put expands 4
 # nodes, not 8, since the target no longer counts as closing in.  The
-# provenance pin, computed before progression became delta-driven, is a
-# sha256 over each step's provenance as the trace file stores it (explain._step_dict's order, one JSON list per line).  The
-# provenance is sorted before hashing because the in-memory order of the
-# "inherited" entries follows frozenset iteration, which changes with
-# PYTHONHASHSEED; the multiset of entries does not.
+# provenance pin is a sha256 over each step's provenance as the trace file
+# stores it (explain._step_dict's order, one JSON list per line), which
+# keeps it independent of the in-memory order.  It is the pin computed
+# before progression became delta-driven, over the same entries less the
+# "inherited" ones (an inherited atom is whatever the next belief holds
+# that the tick did not set) and less the axiom text, which the trace now
+# reads from the grounded domain through the axiom id.
 GOLDEN_W0_P1_SEED0_EXPANDED = 316
 GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED = 21
 GOLDEN_W0_P1_SEED0_PROVENANCE = (
-    "094217d9607c9fde0af048e1cd912a847eec209af7296aad907c996375abc127"
+    "328f2dc10fb719b1a646a2830238abd0692fa1b62589ca5c21d95e38e8bfceb5"
 )
 
 
