@@ -330,6 +330,7 @@ def _provenance_dict(p: Provenance) -> dict:
 
 
 def _provenance_from_dict(d: dict, atom, literal, rules: dict) -> Provenance:
+    _check_fields(d, "provenance entry")
     rule = rules.get(d["axiom_id"])
     if rule is None:
         raise ValueError(
@@ -392,10 +393,70 @@ def _step_dict(rec: StepRecord) -> dict:
     }
 
 
+_STR, _INT, _BOOL, _LIST, _DICT = (str,), (int,), (bool,), (list,), (dict,)
+
+#: The JSON types each field of a trace object may hold, by object.
+_FIELD_TYPES = {
+    "episode": {
+        "version": _INT,
+        "seed": _INT,
+        "policy": _STR,
+        "horizon": _INT,
+        "config": _DICT,
+        "completion_applied": _LIST,
+        "completion_retracted": _LIST,
+        "outcome": _STR,
+        "n_steps": _INT,
+        "guards_win": _BOOL,
+    },
+    "step": {
+        "step": _INT,
+        "belief": _LIST,
+        "goal": _DICT,
+        "predictions": _DICT,
+        "predicted_next": _DICT,
+        "fine_regions": _LIST,
+        "replanned": _BOOL,
+        "plan_success": _BOOL,
+        "plan_expanded": _INT,
+        "plan": _LIST,
+        "chosen": (str, type(None)),
+        "fallback": _STR,
+        "executed": _LIST,
+        "provenance": _LIST,
+        "reconciled": _BOOL,
+    },
+    "goal": {"kind": _STR, "target": (str, type(None)), "literals": _LIST},
+    "provenance entry": {
+        "atom": _STR,
+        "how": _STR,
+        "axiom_id": _STR,
+        "action": _STR,
+        "support": _LIST,
+    },
+    "final": {"belief": _LIST},
+}
+def _check_fields(d, kind: str) -> None:
+    """Raise a ValueError naming the first field of a ``kind`` object that
+    is missing or holds a JSON type the format does not give it."""
+    if type(d) is not dict:
+        raise ValueError(f"a {kind} is {type(d).__name__}, not an object")
+    for name, types in _FIELD_TYPES[kind].items():
+        if name not in d:
+            raise ValueError(f"missing field {name!r} in a {kind}")
+        if type(d[name]) not in types:
+            want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(
+                f"field {name!r} of a {kind} is {type(d[name]).__name__}, not {want}"
+            )
+
+
 def _step_from_dict(d: dict, atom, literal, rules: dict) -> StepRecord:
     """A step record from its JSON form; ``atom`` and ``literal`` parse
     one atom or literal string, and ``rules`` maps an axiom id to the
     rule its provenance cites."""
+    _check_fields(d, "step")
+    _check_fields(d["goal"], "goal")
     return StepRecord(
         step=d["step"],
         belief=Belief(atom(s) for s in d["belief"]),
@@ -484,53 +545,64 @@ def _memo(parse):
 def load_traces(path) -> list[EpisodeTrace]:
     """Read a JSONL trace file back into queryable traces.  Each header's
     configuration is grounded once; its causal laws and state constraints
-    resolve the axiom ids of the episode's provenance."""
+    resolve the axiom ids of the episode's provenance.  A line this format
+    cannot read (not JSON, a field missing or of the wrong type, an unknown
+    version or axiom id) raises a ValueError that names the file and line."""
     atom, literal = _memo(parse_atom), _memo(parse_literal)
     traces: list[EpisodeTrace] = []
     header: Optional[dict] = None
     steps: list[StepRecord] = []
     rules: dict = {}
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            if d["type"] == "episode":
-                if d.get("version") != TRACE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported trace format version {d.get('version')}"
+            try:
+                d = json.loads(line)
+                kind = d.get("type") if type(d) is dict else None
+                if kind == "episode":
+                    if d.get("version") != TRACE_FORMAT_VERSION:
+                        raise ValueError(
+                            f"unsupported trace format version {d.get('version')}"
+                        )
+                    _check_fields(d, "episode")
+                    header = d
+                    steps = []
+                    config = _config_from_dict(d["config"])
+                    gdom = _gdom_for(config)
+                    laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
+                    rules = {rule.axiom_id: rule for rule in laws}
+                elif kind not in ("step", "final"):
+                    raise ValueError("not an episode, step or final line")
+                elif header is None:
+                    raise ValueError(f"a {kind} line before an episode header")
+                elif kind == "step":
+                    steps.append(_step_from_dict(d, atom, literal, rules))
+                else:
+                    _check_fields(d, "final")
+                    traces.append(
+                        EpisodeTrace(
+                            config=config,
+                            seed=header["seed"],
+                            policy=header["policy"],
+                            horizon=header["horizon"],
+                            completion_applied=tuple(header["completion_applied"]),
+                            completion_retracted=tuple(header["completion_retracted"]),
+                            steps=steps,
+                            final_belief=Belief(atom(s) for s in d["belief"])
+                            if d["belief"]
+                            else None,
+                            outcome=header["outcome"],
+                            n_steps=header["n_steps"],
+                            guards_win=header["guards_win"],
+                            gdom=gdom,
+                        )
                     )
-                header = d
-                steps = []
-                config = _config_from_dict(d["config"])
-                gdom = _gdom_for(config)
-                laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
-                rules = {rule.axiom_id: rule for rule in laws}
-            elif d["type"] == "step":
-                steps.append(_step_from_dict(d, atom, literal, rules))
-            elif d["type"] == "final":
-                if header is None:
-                    raise ValueError("trace file has a final line before a header")
-                traces.append(
-                    EpisodeTrace(
-                        config=config,
-                        seed=header["seed"],
-                        policy=header["policy"],
-                        horizon=header["horizon"],
-                        completion_applied=tuple(header["completion_applied"]),
-                        completion_retracted=tuple(header["completion_retracted"]),
-                        steps=steps,
-                        final_belief=Belief(atom(s) for s in d["belief"])
-                        if d["belief"]
-                        else None,
-                        outcome=header["outcome"],
-                        n_steps=header["n_steps"],
-                        guards_win=header["guards_win"],
-                        gdom=gdom,
-                    )
-                )
-                header = None
+                    header = None
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+                reason = f"missing field {err}" if type(err) is KeyError else err
+                raise ValueError(f"{path}, line {number}: {reason}") from err
     return traces
 
 

@@ -31,6 +31,15 @@ positive literals of :func:`observe_world`, by :func:`complete_initial`
 and by the control loop's observation step is.
 ``tests/reference_beliefs.py`` keeps the from-scratch versions as the
 reference they are tested against.
+
+A step reads what its input belief already holds instead of rebuilding
+it: the input's predicate index (the inherited atoms, in the order the
+reference meets them), its cached inertial atoms (the change the
+definitions are updated from), and the grounding's compiled victim keys
+(a negative window looks up only the atoms its body binding can retract).
+The step's working valuation serves as the index of the defined-fluent
+update.  A belief also builds its pose table (:attr:`Belief.poses`) once,
+at first use, for the goal rules and the planner's bounds.
 """
 
 from __future__ import annotations
@@ -60,15 +69,17 @@ class InconsistencyError(Exception):
 
 
 class Belief:
-    """An immutable set of true ground atoms with a predicate index."""
+    """An immutable set of true ground atoms with a predicate index and a
+    pose table, each built once, at first use."""
 
-    __slots__ = ("atoms", "_index", "_inertial")
+    __slots__ = ("atoms", "_index", "_inertial", "_poses")
 
     def __init__(self, atoms: Iterable[Atom]):
         self.atoms: frozenset[Atom] = frozenset(atoms)
         self._index: Optional[dict[str, tuple[Atom, ...]]] = None
         # (inertial predicate set, inertial atoms) of the last lookup
         self._inertial: Optional[tuple[frozenset[str], frozenset[Atom]]] = None
+        self._poses: Optional[dict[str, tuple[int, int, str]]] = None
 
     @property
     def index(self) -> dict[str, tuple[Atom, ...]]:
@@ -78,6 +89,20 @@ class Belief:
                 idx.setdefault(atom.pred, []).append(atom)
             self._index = {p: tuple(v) for p, v in idx.items()}
         return self._index
+
+    @property
+    def poses(self) -> dict[str, tuple[int, int, str]]:
+        """(x, y, facing) by agent symbol, for each agent with an ``in`` and
+        a ``face`` atom; where an agent has several, the last in index
+        order counts."""
+        if self._poses is None:
+            index = self.index
+            cells = {a.args[0]: (a.args[1], a.args[2]) for a in index.get("in", ())}
+            faces = {a.args[0]: a.args[1] for a in index.get("face", ())}
+            self._poses = {
+                sym: (x, y, faces[sym]) for sym, (x, y) in cells.items() if sym in faces
+            }
+        return self._poses
 
     def holds(self, literal: Literal) -> bool:
         return (literal.atom in self.atoms) == literal.positive
@@ -112,22 +137,21 @@ def _index_of(atoms: Iterable[Atom]) -> dict[str, set[Atom]]:
 
 
 def _derived_by(
-    changed: Iterable[Atom],
-    positive: bool,
-    index: dict,
-    gdom: GroundedDomain,
-) -> set[Atom]:
-    """Heads of the definition instances that hold in ``index`` and use a
-    ``changed`` atom in a body literal of the given sign."""
-    out: set[Atom] = set()
+    changed: Iterable[Atom], index: dict, negated_index: dict, gdom: GroundedDomain
+) -> tuple[set[Atom], set[Atom]]:
+    """Heads of the definition instances that use a ``changed`` atom: (those
+    using it in a positive body literal that hold in ``index``, those using
+    it in a negated one that hold in ``negated_index``)."""
+    via_positive: set[Atom] = set()
+    via_negated: set[Atom] = set()
     for atom in changed:
         for rule, pos in gdom.definition_triggers.get(atom.pred, ()):
-            if rule.body[pos].positive != positive:
-                continue
             join = rule.on_body[pos]
-            for env in join.solve(index, atom):
-                out.add(join.head(env))
-    return out
+            if rule.body[pos].positive:
+                via_positive.update(map(join.head, join.solve(index, atom)))
+            else:
+                via_negated.update(map(join.head, join.solve(negated_index, atom)))
+    return via_positive, via_negated
 
 
 def derivation(
@@ -137,6 +161,8 @@ def derivation(
     as (rule, binding): definitions in order, each body's solutions in
     index order.  None when no instance does."""
     for rule in gdom.definitions:
+        if rule.head.atom.pred != atom.pred:
+            continue
         env = rule.on_head.first(index, atom)
         if env is not None:
             return rule, rule.on_head.binding(env)
@@ -151,23 +177,30 @@ def close_defined(
     inertial_atoms: Iterable[Atom],
     gdom: GroundedDomain,
     parent: Optional[Belief] = None,
+    *,
+    index: Optional[dict] = None,
 ) -> frozenset[Atom]:
     """Inertial atoms plus the defined atoms the definition rules derive
     from them.
 
     ``parent`` is a belief closed under the definitions; only the change
-    from its inertial atoms is then processed.  Defined atoms that some
-    definition instance derived through a removed inertial atom (or
-    through the absence of an added one) are dropped unless another
-    instance still derives them; those derived through an added atom (or
-    the absence of a removed one) are added.  With no parent the closure
-    is computed from scratch, in one pass over the definitions: no
-    definition body holds a defined fluent (``ground`` rejects one), so
-    no derived atom can feed another definition.
+    from its inertial atoms (its cached :meth:`Belief.inertial_atoms`) is
+    then processed.  Defined atoms that some definition instance derived
+    through a removed inertial atom (or through the absence of an added
+    one) are dropped unless another instance still derives them; those
+    derived through an added atom (or the absence of a removed one) are
+    added.  With no change the parent's atoms are returned as they are.
+    With no parent the closure is computed from scratch, in one pass over
+    the definitions: no definition body holds a defined fluent (``ground``
+    rejects one), so no derived atom can feed another definition.
+
+    ``index``, when given, is ``inertial_atoms`` by predicate, and is read
+    instead of being built again (:func:`progress` passes its working
+    valuation).
     """
     inertial = frozenset(inertial_atoms)
-    working = _index_of(inertial)
     if parent is None:
+        working = index if index is not None else _index_of(inertial)
         out = set(inertial)
         for rule in gdom.definitions:
             join = rule.unbound
@@ -179,19 +212,14 @@ def close_defined(
     added = inertial - before
     if not removed and not added:
         return parent.atoms
+    working = index if index is not None else _index_of(inertial)
     old_index = parent.index
-    stale = _derived_by(removed, True, old_index, gdom)
-    stale |= _derived_by(added, False, old_index, gdom)
-    fresh = _derived_by(added, True, working, gdom)
-    fresh |= _derived_by(removed, False, working, gdom)
-    atoms = set(parent.atoms)
-    atoms -= removed
-    atoms |= added
-    atoms -= {
-        a for a in stale if a not in fresh and not _derivable(a, working, gdom)
-    }
-    atoms |= fresh
-    return frozenset(atoms)
+    stale, fresh_by_removed = _derived_by(removed, old_index, working, gdom)
+    fresh, stale_by_added = _derived_by(added, working, old_index, gdom)
+    stale |= stale_by_added
+    fresh |= fresh_by_removed
+    dropped = [a for a in stale if a not in fresh and not _derivable(a, working, gdom)]
+    return parent.atoms.difference(removed, dropped).union(added, fresh)
 
 
 def check_executable(
@@ -211,8 +239,8 @@ def check_executable(
     return True, None
 
 
-_DIRECT, _DERIVED, _INHERITED = 0, 1, 2
-_TAG_NAME = {0: "direct", 1: "derived", 2: "inherited"}
+_DIRECT, _DERIVED = 0, 1
+_TAG_NAME = {_DIRECT: "direct", _DERIVED: "derived"}
 
 
 @dataclass(frozen=True)
@@ -231,6 +259,16 @@ def _support(body: tuple[Literal, ...], binding: dict) -> tuple[Literal, ...]:
     return tuple(lit.substitute(binding) for lit in body)
 
 
+def _rests_on_inherited(join, env: tuple, tag: dict, working: dict) -> bool:
+    """Whether a body atom the join scanned under ``env`` is inherited: in
+    the working valuation, but not set by the tick."""
+    for scanned in join.scanned:
+        atom = scanned(env)
+        if atom not in tag and atom in working.get(atom.pred, ()):
+            return True
+    return False
+
+
 def progress(
     belief: Belief,
     actions: Sequence[Atom],
@@ -243,12 +281,18 @@ def progress(
 
     ``belief`` must be closed under the definitions and consistent with the
     state constraints (see the module docstring); the result is closed.
-    The constraint closure is queued with the direct effects (sorted),
-    then the inherited atoms that can still trigger a constraint (none,
-    for a domain whose windows all have a negative head and positive
-    fluent bodies, like the shipped one), then derived atoms as they
-    arise; the defined fluents are updated from the change in inertial
-    atoms (:func:`close_defined` with ``belief`` as parent).
+    The working valuation holds, by predicate, the direct effects in the
+    order they were set and then the inherited atoms in ``belief``'s index
+    order, read from that index rather than rebuilt.  The constraint
+    closure is queued with the direct effects (sorted), then the inherited
+    atoms that can still trigger a constraint (none, for a domain whose
+    windows all have a negative head and positive fluent bodies, like the
+    shipped one), then derived atoms as they arise.  A negative window
+    looks its victims up by the head argument its body fixes
+    (:attr:`~fortdefense.kr.ground.Join.narrow`), and scans the head's
+    predicate where none is fixed.  The defined fluents are updated from the
+    change in inertial atoms (:func:`close_defined` with ``belief`` as
+    parent and the working valuation as index).
 
     An action that fails :func:`check_executable` does not occur and is
     dropped (a predicted exogenous action that the evolving plan search
@@ -264,7 +308,8 @@ def progress(
         if action in checked or check_executable(belief, action, gdom)[0]
     ]
 
-    # layer 1: direct effects
+    # layer 1: direct effects; `tag` holds the atoms the tick sets, and an
+    # atom of the working valuation that it lacks is inherited
     tag: dict[Atom, int] = {}
     false_by: set[Atom] = set()
     index = belief.index
@@ -291,81 +336,99 @@ def progress(
                     support = _support(rule.body, join.binding(env))
                     trace.append(Provenance(atom, how, rule, action, support))
 
-    # layer 3 candidates: inertia
+    # layer 3 candidates: the working valuation holds, by predicate, the
+    # direct effects in the order they were set, then the input's inertial
+    # atoms in its index order (as the reference adds them), less the
+    # direct retractions
     inertial_preds = gdom.inertial_preds
-    for atom in belief.atoms:
-        if atom.pred in inertial_preds and atom not in tag and atom not in false_by:
-            tag[atom] = _INHERITED
+    working: dict[str, set[Atom]] = {}
+    for atom in tag:
+        working.setdefault(atom.pred, set()).add(atom)
+    for pred, atoms in index.items():
+        if pred in inertial_preds:
+            if false_by:
+                atoms = [a for a in atoms if a not in false_by]
+            bucket = working.get(pred)
+            if bucket is None:
+                working[pred] = set(atoms)
+            else:
+                bucket.update(atoms)
 
     # layer 2: constraint closure over the candidate valuation
-    working = _index_of(tag)
 
     # direct/derived triggers are processed before inherited ones, so an
     # effect atom retracts the stale inherited pose rather than colliding
     # with it; a window instance whose body rests on an inherited atom
     # never overrides a direct or derived atom (inertia yields silently)
     live = gdom.inherited_window_triggers
-    queue: deque[Atom] = deque(
-        sorted((a for a, t in tag.items() if t == _DIRECT), key=str)
-    )
-    queue.extend(
-        sorted((a for a, t in tag.items() if t == _INHERITED and a.pred in live), key=str)
-    )
+    queue: deque[Atom] = deque(sorted(tag, key=str) if len(tag) > 1 else tag)
+    if live:
+        queue.extend(
+            sorted(
+                (
+                    a
+                    for pred in live
+                    if pred in inertial_preds
+                    for a in index.get(pred, ())
+                    if a not in tag and a not in false_by
+                ),
+                key=str,
+            )
+        )
     while queue:
         trigger = queue.popleft()
-        trigger_tag = tag.get(trigger)
-        if trigger_tag is None:
+        if trigger not in working[trigger.pred]:
             continue  # retracted since it was queued
-        triggers = live if trigger_tag == _INHERITED else gdom.window_triggers
-        for rule, pos in triggers.get(trigger.pred, ()):
+        inherited = trigger not in tag
+        for rule, pos in (live if inherited else gdom.window_triggers).get(trigger.pred, ()):
             join = rule.on_body[pos]
             # solutions are materialized because the loop mutates `working`
             for env in list(join.solve(working, trigger)):
                 if rule.head.positive:
                     atom = join.head(env)
-                    if atom in false_by and atom not in tag:
-                        raise InconsistencyError(
-                            f"derived atom {atom} contradicts a direct retraction",
-                            rule.axiom_id,
-                        )
-                    if atom not in tag:
+                    bucket = working.setdefault(atom.pred, set())
+                    if atom not in bucket:
+                        if atom in false_by:
+                            raise InconsistencyError(
+                                f"derived atom {atom} contradicts a direct retraction",
+                                rule.axiom_id,
+                            )
                         tag[atom] = _DERIVED
-                        working.setdefault(atom.pred, set()).add(atom)
+                        bucket.add(atom)
                         queue.append(atom)
                         if trace is not None:
                             support = _support(rule.body, join.binding(env))
                             trace.append(Provenance(atom, "derived", rule, None, support))
                     continue
-                body_inherited = trigger_tag == _INHERITED or any(
-                    tag.get(scanned(env)) == _INHERITED for scanned in join.scanned
-                )
-                # negative head: match the atoms currently true against the
-                # head and check the residual comparisons per match
+                body_inherited = inherited or _rests_on_inherited(join, env, tag, working)
+                # negative head: match the atoms currently true whose key
+                # argument the binding fixes against the head, and check the
+                # residual comparisons per match
                 victims = join.then
-                for victim in list(working.get(rule.head.atom.pred, ())):
-                    if victim not in tag:
-                        continue
+                bucket = working.get(rule.head.atom.pred, ())
+                for victim in victims.narrow(bucket, env):
+                    if victim not in bucket:
+                        continue  # retracted by an earlier match
                     env2 = victims.first(working, victim, env)
                     if env2 is None:
                         continue
-                    if tag[victim] in (_DIRECT, _DERIVED):
+                    set_by = tag.get(victim)
+                    if set_by is not None:
                         if body_inherited:
                             continue  # inertia yields; symmetric instance wins
                         raise InconsistencyError(
-                            f"constraint retracts {_TAG_NAME[tag[victim]]} "
-                            f"atom {victim}",
+                            f"constraint retracts {_TAG_NAME[set_by]} atom {victim}",
                             rule.axiom_id,
                         )
-                    del tag[victim]
-                    working[victim.pred].discard(victim)
+                    bucket.discard(victim)
                     if trace is not None:
                         support = _support(
                             rule.body + rule.residual, victims.binding(env2)
                         )
                         trace.append(Provenance(victim, "retracted", rule, None, support))
 
-    inertial = frozenset(a for a in tag if a.pred in inertial_preds)
-    child = Belief(close_defined(inertial, gdom, belief))
+    inertial = frozenset(itertools.chain.from_iterable(working.values()))
+    child = Belief(close_defined(inertial, gdom, belief, index=working))
     child._inertial = (inertial_preds, inertial)
     return child
 

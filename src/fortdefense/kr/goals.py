@@ -85,17 +85,10 @@ class Goal:
 
 
 def pose_of(belief, sym: str) -> Optional[tuple[int, int, str]]:
-    """(x, y, facing) of an agent symbol, or None if unknown."""
-    x = y = d = None
-    for atom in belief.index.get("in", ()):
-        if atom.args[0] == sym:
-            x, y = atom.args[1], atom.args[2]
-    for atom in belief.index.get("face", ()):
-        if atom.args[0] == sym:
-            d = atom.args[1]
-    if x is None or d is None:
-        return None
-    return x, y, d
+    """(x, y, facing) of an agent symbol, or None if the belief holds no
+    ``in`` or no ``face`` atom for it: a lookup in the belief's pose table
+    (:attr:`~fortdefense.kr.beliefs.Belief.poses`), built once a belief."""
+    return belief.poses.get(sym)
 
 
 def is_down(belief, sym: str) -> bool:

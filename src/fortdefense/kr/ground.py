@@ -27,7 +27,10 @@ of the contract (provenance and blockers depend on it): literals in body
 order, each predicate's atoms in the order of the index the join is given
 (a bound first argument is one more comparison, not a sub-index), static
 rows in sorted order, sort members in declared order.  A ``{Variable: value}`` dict is built only where a
-binding is rendered (:meth:`Join.binding`).
+binding is rendered (:meth:`Join.binding`).  A negative window looks its
+victims up by a key compiled here too (:attr:`Join.narrow`): of the head
+predicate's atoms, only those whose argument at the first position its
+body binding fixes has that value, still in index order.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from fortdefense.env import Direction, GridConfig, in_cone
 from fortdefense.kr.lang import (
+    Arg,
     Atom,
     DomainDescription,
     Literal,
@@ -734,6 +738,26 @@ def _instance(pred: str, build: Callable) -> Callable[[tuple], Atom]:
     return lambda env: Atom(pred, build(env))
 
 
+def _narrow(args: Sequence[Arg], slots: dict[Variable, int]):
+    """The atoms of a predicate that may unify with the entry pattern
+    ``args`` under a binding of ``slots``: those whose argument at the
+    pattern's first fixed position (a constant or a bound variable) has its
+    value, in their given order; all of them, as a list, where no argument
+    of the pattern is fixed."""
+    for pos, arg in enumerate(args):
+        if not isinstance(arg, Variable):
+            return lambda atoms, env: [a for a in atoms if a.args[pos] == arg]
+        if arg in slots:
+            slot = slots[arg]
+
+            def narrow(atoms, env):
+                value = env[slot]
+                return [a for a in atoms if a.args[pos] == value]
+
+            return narrow
+    return lambda atoms, env: list(atoms)
+
+
 def _matcher(pred: str, arity: int, key, want, same, new):
     """Unify an entry atom with the entry pattern under a binding: the
     extended binding, or None."""
@@ -806,14 +830,21 @@ class Join:
     the rule's head atom from a solution, where the body binds it;
     ``then`` is the continuation a negative window uses to match a victim
     against its head and check its residual; ``scanned`` builds the atoms
-    the positive fluent literals of the body matched.
+    the positive fluent literals of the body matched.  ``narrow`` keeps, of
+    a predicate's atoms and in their order, those whose argument at the
+    entry pattern's first fixed position (a constant, or a variable the
+    binding holds) has its value: every atom ``match`` can accept is among
+    them, so a negative window looks its victims up by that key.
     """
 
-    __slots__ = ("variables", "match", "head", "then", "scanned", "_tests", "_body")
+    __slots__ = (
+        "variables", "match", "narrow", "head", "then", "scanned", "_tests", "_body"
+    )
 
-    def __init__(self, variables, match, tests, body, head, scanned):
+    def __init__(self, variables, match, narrow, tests, body, head, scanned):
         self.variables: tuple[Variable, ...] = variables
         self.match: Optional[Callable[[Atom, tuple], Optional[tuple]]] = match
+        self.narrow: Optional[Callable[[Iterable[Atom], tuple], list[Atom]]] = narrow
         self.head: Optional[Callable[[tuple], Atom]] = head
         self.then: Optional[Join] = None
         self.scanned: tuple[Callable[[tuple], Atom], ...] = scanned
@@ -907,8 +938,9 @@ def compile_join(
     def terms(args) -> list[_Term]:
         return [(True, slots[a]) if isinstance(a, Variable) else (False, a) for a in args]
 
-    match = None
+    match = narrow = None
     if entry is not None:
+        narrow = _narrow(entry.args, slots)
         key, want, same, new = unify(entry.args)
         match = _matcher(entry.pred, len(entry.args), _take(key), want, same, new)
 
@@ -969,6 +1001,7 @@ def compile_join(
     join = Join(
         tuple(variables),
         match,
+        narrow,
         tuple(entry_tests),
         run,
         None if head is None else _instance(head.pred, _build(terms(head.args))),

@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,13 +72,46 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
     assert loaded.final_belief.atoms == w0_p1_record.final_belief.atoms
 
 
-def _as_version_1(lines: list) -> None:
+def _as_version_1(lines: list) -> int:
     lines[0]["version"] = 1
+    return 1
 
 
-def _citing_an_executability_condition(lines: list) -> None:
-    entry = next(p for d in lines if d["type"] == "step" for p in d["provenance"])
+def _first_provenance_entry(lines: list) -> tuple[int, dict]:
+    """(line number, entry) of the first provenance entry of the file."""
+    return next(
+        (number, p)
+        for number, d in enumerate(lines, 1)
+        if d["type"] == "step"
+        for p in d["provenance"]
+    )
+
+
+def _citing_an_executability_condition(lines: list) -> int:
+    number, entry = _first_provenance_entry(lines)
     entry["axiom_id"] = "exec:1"
+    return number
+
+
+def _without_support(lines: list) -> int:
+    number, entry = _first_provenance_entry(lines)
+    del entry["support"]
+    return number
+
+
+def _with_a_text_step_number(lines: list) -> int:
+    lines[2]["step"] = str(lines[2]["step"])
+    return 3
+
+
+def _with_a_goal_of_no_literals_field(lines: list) -> int:
+    del lines[4]["goal"]["literals"]
+    return 5
+
+
+def _with_a_config_missing_its_width(lines: list) -> int:
+    del lines[0]["config"]["width"]
+    return 1
 
 
 @pytest.mark.parametrize(
@@ -88,18 +122,32 @@ def _citing_an_executability_condition(lines: list) -> None:
             _citing_an_executability_condition,
             "'exec:1', which is neither a causal law nor a state constraint",
         ),
+        (_without_support, "missing field 'support' in a provenance entry"),
+        (_with_a_text_step_number, "field 'step' of a step is str, not int"),
+        (_with_a_goal_of_no_literals_field, "missing field 'literals' in a goal"),
+        (_with_a_config_missing_its_width, "missing field 'width'"),
     ],
-    ids=["version-1", "unknown-axiom"],
+    ids=[
+        "version-1",
+        "unknown-axiom",
+        "no-support",
+        "text-step",
+        "no-goal-literals",
+        "no-config-width",
+    ],
 )
 def test_loading_refuses_a_file_this_format_cannot_read(
     w0_p1_record, tmp_path, edit, message
 ):
+    """The W0 P1 seed-0 trace, saved and then broken by one edit, is
+    refused with a ValueError that names the broken line and the reason."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    edit(lines)
+    number = edit(lines)
     path.write_text("".join(json.dumps(d) + "\n" for d in lines))
-    with pytest.raises(ValueError, match=message):
+    broken_line = re.escape(f", line {number}: ") + ".*" + re.escape(message)
+    with pytest.raises(ValueError, match=broken_line):
         load_traces(path)
 
 

@@ -13,7 +13,7 @@ consistent beliefs, and every compiled join against the interpreted
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from reference_beliefs import (
     match_atom,
     reference_close_defined,
@@ -33,6 +33,7 @@ from fortdefense.kr.beliefs import (
     progress,
     validate,
 )
+from fortdefense.kr.goals import pose_of
 from fortdefense.kr.ground import (
     GroundedDomain,
     GroundingError,
@@ -563,6 +564,58 @@ def test_progress_matches_the_reference_on_the_shipped_domain(w0_gdom, atoms, st
     assert_progress_matches_reference(belief, steps, w0_gdom)
 
 
+def scanned_pose(belief, sym):
+    """(x, y, facing) of ``sym`` by scanning the belief's ``in`` and
+    ``face`` atoms, the last match of each in index order; None where
+    either is missing."""
+    x = y = d = None
+    for atom in belief.index.get("in", ()):
+        if atom.args[0] == sym:
+            x, y = atom.args[1], atom.args[2]
+    for atom in belief.index.get("face", ()):
+        if atom.args[0] == sym:
+            d = atom.args[1]
+    return None if x is None or d is None else (x, y, d)
+
+
+_POSE_ATOMS = st.one_of(
+    st.builds(lambda s, x, y: Atom("in", (s, x, y)), st.sampled_from(_W0_AGENTS), _COORD, _COORD),
+    st.builds(lambda s, d: Atom("face", (s, d)), st.sampled_from(_W0_AGENTS), _DIR),
+    st.builds(lambda s: Atom("shot", (s,)), st.sampled_from(_W0_AGENTS)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    loose=st.lists(_POSE_ATOMS, max_size=14),
+    atoms=w0_beliefs(),
+    steps=st.lists(w0_steps(), min_size=1, max_size=3),
+)
+def test_the_pose_table_equals_the_in_face_scan(w0_gdom, loose, atoms, steps):
+    """``pose_of`` reads the belief's pose table, which equals the scan it
+    replaced for every agent and an unknown symbol: on loose atoms (an
+    agent may have several cells or facings, or none), on closed beliefs
+    with dead and faceless agents, and on the beliefs ``progress`` builds
+    from them."""
+    beliefs = [Belief(loose), Belief(reference_close_defined(atoms, w0_gdom))]
+    for actions, checked in steps:
+        try:
+            beliefs.append(progress(beliefs[-1], actions, w0_gdom, checked=checked))
+        except InconsistencyError:
+            break
+    for belief in beliefs:
+        for sym in _W0_AGENTS + ("guard9",):
+            pose = scanned_pose(belief, sym)
+            assert pose_of(belief, sym) == pose
+            if pose is not None and Atom("shot", (sym,)) in belief.atoms:
+                event("a dead agent's pose")
+            if pose is None and any(a.args[0] == sym for a in belief.index.get("in", ())):
+                event("an agent with a cell and no facing")
+        assert set(belief.poses) == {s for s in _W0_AGENTS if scanned_pose(belief, s)}
+    if len(beliefs) > 2:
+        event("beliefs built by progress")
+
+
 POSITIVE_WINDOW = (
     "sort s. fluent inertial f(s). fluent inertial g(s). action a(s). "
     "a(X) causes f(X). g(X) if f(X)."
@@ -682,6 +735,88 @@ def test_progress_respects_a_non_symmetric_window(mixed_gdom):
     validate(progress(belief, (Atom("p", ("o2",)),), mixed_gdom), mixed_gdom)
 
 
+# MIXED with a window whose head is fully constant: its victim key is a
+# constant, where -k(X) if g(X), h(X) and -g(X) if k(X), -n(X) key on a
+# variable the body binds and -k(Y) if k(X), g(X), Y != X has no key
+# (its head variable is free until the victim is matched).
+KEYED = MIXED + "-n(o1) if k(X), g(X).\n"
+
+
+@pytest.fixture(scope="module")
+def keyed_gdom():
+    return ground(parse_domain(KEYED), sorts={"s": _S[:3]})
+
+
+def _victim_join(gdom, text):
+    """The negative window written ``text``, and its join entered by its
+    first body literal (whose ``then`` matches the victims)."""
+    (rule,) = [r for r in gdom.windows if r.text.rstrip(".") == text]
+    return rule, rule.on_body[0]
+
+
+@pytest.mark.parametrize(
+    "text, trigger, kept",
+    [
+        ("-n(o1) if k(X), g(X)", "k(o2)", ["n(o1)"]),
+        ("-k(X) if g(X), h(X)", "g(o2)", ["k(o2)"]),
+        ("-g(X) if k(X), -n(X)", "k(o3)", ["g(o3)"]),
+        ("-k(Y) if k(X), g(X), Y != X", "k(o2)", ["k(o1)", "k(o2)", "k(o3)"]),
+    ],
+    ids=["constant", "bound", "bound-negated-body", "free"],
+)
+def test_window_victims_are_looked_up_by_their_key(keyed_gdom, text, trigger, kept):
+    """A negative window narrows its head predicate's atoms to those whose
+    key argument (a constant, or a variable the body binds) has the key's
+    value, in their index order; a head whose arguments are all free until
+    the victim is matched keeps every atom."""
+    held = ("k(o1)", "k(o2)", "k(o3)", "g(o2)", "g(o3)", "h(o1)", "h(o2)", "n(o1)", "n(o2)")
+    index = Belief(parse_literal(t).atom for t in held).index
+    rule, join = _victim_join(keyed_gdom, text)
+    env = next(iter(join.solve(index, parse_literal(trigger).atom)))
+    bucket = index[rule.head.atom.pred]
+    narrowed = join.then.narrow(bucket, env)
+    assert narrowed == [a for a in bucket if str(a) in kept]
+
+
+@st.composite
+def keyed_inertial_atoms(draw):
+    """Random inertial atoms of KEYED that satisfy its windows: those of
+    MIXED, less n(o1) where some k and g meet, and less g(o1) where it
+    would then hold with k(o1)."""
+    atoms = set(draw(mixed_inertial_atoms()))
+    k = {a.args[0] for a in atoms if a.pred == "k"}
+    g = {a.args[0] for a in atoms if a.pred == "g"}
+    if k & g:
+        atoms.discard(Atom("n", ("o1",)))
+        if "o1" in k:
+            atoms.discard(Atom("g", ("o1",)))
+    return sorted(atoms, key=str)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    atoms=keyed_inertial_atoms(),
+    ticks=st.lists(
+        st.lists(
+            st.builds(
+                lambda p, o: Atom(p, (o,)), st.sampled_from("abcpq"), st.sampled_from(_S[:3])
+            ),
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+def test_progress_matches_the_reference_on_every_victim_key(keyed_gdom, atoms, ticks):
+    """Keyed victim lookup retracts, in the reference's order and with its
+    provenance, what the full scan of the head's predicate did: on heads
+    keyed by a constant, by a bound variable, and with no key."""
+    belief = Belief(reference_close_defined(atoms, keyed_gdom))
+    validate(belief, keyed_gdom)
+    steps = [(tuple(actions), frozenset()) for actions in ticks]
+    assert_progress_matches_reference(belief, steps, keyed_gdom, keeps_consistency=False)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     parent=st.frozensets(st.sampled_from(_MIXED_INERTIAL)),
@@ -749,8 +884,9 @@ def assert_joins_match_the_reference(gdom, belief, data):
     """Every compiled entry, entered by a random atom of its pattern, yields
     the bindings (in order) of the reference ``solve`` after
     ``match_atom``, builds the same head and scanned atoms, and its victim
-    continuation agrees with matching the substituted head; on the
-    belief's tuple index and on a set index."""
+    continuation agrees with matching the substituted head, its keyed
+    lookup dropping only atoms that head cannot match; on the belief's
+    tuple index and on a set index."""
     sets: dict = {}
     for a in belief.atoms:
         sets.setdefault(a.pred, set()).add(a)
@@ -781,6 +917,15 @@ def assert_joins_match_the_reference(gdom, belief, data):
                 if join.then is None:
                     continue
                 head = rule.head.atom.substitute(b)
+                # the keyed lookup keeps, in their order, every atom the
+                # victim pattern can match
+                bucket = list(index.get(head.pred, ()))
+                narrowed = join.then.narrow(bucket, env)
+                rest = iter(bucket)
+                assert all(victim in rest for victim in narrowed)
+                assert [v for v in narrowed if match_atom(head, v, b) is not None] == [
+                    v for v in bucket if match_atom(head, v, b) is not None
+                ]
                 for victim in [*index.get(head.pred, ()), _entry_atom(data, gdom, head, {})]:
                     b3 = match_atom(head, victim, b)
                     expected = [] if b3 is None else list(

@@ -5,6 +5,8 @@ Oracles here are computed from first principles (straight loops over the
 grid) and compared against the grounder's output.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from fortdefense.kr.ground import (
     CW,
     DIR_OF_SYMBOL,
     REGION_BLOCK,
+    GroundedDomain,
     GroundingError,
     Static,
     agent_symbol,
@@ -269,6 +272,34 @@ def test_restrict_keeps_the_cells_and_moves_of_its_regions(full_gdom, fine, x, y
         for a in candidate_actions(belief, full_gdom)
         if a.pred != "move" or (a.args[1], a.args[2]) in cells
     ]
+
+
+def compiled_parts(gdom):
+    """Every compiled rule of a grounding, and every join they hold (the
+    victim continuations included), in a fixed order."""
+    rules = [r for rs in gdom.causal_by_action.values() for r in rs]
+    rules += [r for rs in gdom.exec_by_action.values() for r in rs]
+    rules += gdom.windows + gdom.definitions + gdom.defaults
+    joins = []
+    for rule in rules:
+        for join in (rule.on_action, *rule.on_body, rule.on_head, rule.unbound):
+            while join is not None:
+                joins.append(join)
+                join = join.then
+    return rules, joins
+
+
+def test_restrict_shares_every_compiled_rule_and_join(full_gdom):
+    """A restriction, and a restriction of one, holds the very tables,
+    rules, joins and static-row caches of the grounding they view, so
+    nothing built at ``ground`` is rebuilt or cached again per tick."""
+    view = restrict(restrict(full_gdom, {"r0", "r5"}), {"r22"})
+    for f in dataclasses.fields(GroundedDomain):
+        if f.name not in ("active_cells", "fine_regions"):
+            assert getattr(view, f.name) is getattr(full_gdom, f.name), f.name
+    for mine, theirs in zip(compiled_parts(view), compiled_parts(full_gdom), strict=True):
+        assert len(mine) == len(theirs)
+        assert all(a is b for a, b in zip(mine, theirs))
 
 
 def test_restrict_needs_a_grid():

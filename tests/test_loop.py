@@ -12,7 +12,7 @@ import json
 import random
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from fortdefense.env import (
     Action,
@@ -483,6 +483,7 @@ def tick_events(before, actions, after, events):
     hits = {(e.shooter, e.target) for e in events if isinstance(e, ShotEvent) and e.hit}
     killed = {a.id for a in before.agents if a.alive and not after.get(a.id).alive}
     moves = {i: MOVE_KINDS[a.kind] for i, a in actions.items() if a.kind in MOVE_KINDS}
+    rotations = {i for i, a in actions.items() if a.kind in ROTATE_KINDS}
     dest = [
         (before.get(i).x + d.dx, before.get(i).y + d.dy)
         for i, d in moves.items()
@@ -494,25 +495,69 @@ def tick_events(before, actions, after, events):
         yield "contested cell"
     if moves.keys() & killed:
         yield "killed mover"
+    if rotations & killed:
+        yield "killed rotator"
 
 
-@settings(max_examples=40, deadline=None)
+ROTATE_KINDS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)
+
+
+@st.composite
+def mid_game_states(draw, config):
+    """A valid state of an episode under way: every agent, corpses too, on
+    a cell of its own, any facing, any agent down but one per side, no
+    living attacker on the fort, some steps left.  The agents crowd a
+    random window of the grid, so that shots and contested cells occur."""
+    n = config.n_guards + config.n_attackers
+    w, h = draw(st.integers(3, config.width)), draw(st.integers(3, config.height))
+    x0, y0 = draw(st.integers(0, config.width - w)), draw(st.integers(0, config.height - h))
+    cell = st.tuples(st.integers(x0, x0 + w - 1), st.integers(y0, y0 + h - 1))
+    cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    alive[draw(st.integers(0, config.n_guards - 1))] = True
+    alive[config.n_guards + draw(st.integers(0, config.n_attackers - 1))] = True
+    agents = [
+        AgentState(
+            i,
+            AgentKind.AD_HOC_GUARD if i == 0
+            else AgentKind.GUARD if i < config.n_guards
+            else AgentKind.ATTACKER,
+            x,
+            y,
+            draw(st.sampled_from(list(Direction))),
+            alive[i],
+        )
+        for i, (x, y) in enumerate(cells)
+    ]
+    state = make_state(config, agents, draw(st.integers(0, config.max_steps - 1)))
+    assume(terminal(state) is None)
+    return state
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     config_index=st.integers(0, len(AGREEMENT_CONFIGS) - 1),
-    seed=st.integers(0, 10_000),
+    mid_game=st.booleans(),
+    data=st.data(),
     choice_seed=st.integers(0, 2**32 - 1),
 )
 def test_the_symbolic_model_agrees_with_the_simulator(
-    agreement_gdoms, config_index, seed, choice_seed
+    agreement_gdoms, config_index, mid_game, data, choice_seed
 ):
-    """Random legal joint actions from a fresh episode: every atom that
-    describes the tick is executable in the belief (so ``progress`` drops
-    nothing), progressing through them reproduces the observation, and
-    the result satisfies every state constraint."""
+    """Random legal joint actions from a fresh episode or from a random
+    mid-game state, to the episode's end: every atom that describes the
+    tick is executable in the belief (so ``progress`` drops nothing),
+    progressing through them reproduces the observation, and the result
+    satisfies every state constraint."""
     config, gdom = AGREEMENT_CONFIGS[config_index], agreement_gdoms[config_index]
     choices = random.Random(choice_seed)
-    state = reset(config, seed)
+    if mid_game:
+        state = data.draw(mid_game_states(config), label="state")
+    else:
+        state = reset(config, data.draw(st.integers(0, 10_000), label="seed"))
+    event("from a mid-game state" if mid_game else "from reset")
     belief = belief_of(state, gdom)
+    validate(belief, gdom)
     while terminal(state) is None:
         actions = {
             a.id: choices.choice(legal_actions(state, a.id))
