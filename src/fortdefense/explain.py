@@ -50,7 +50,8 @@ from fortdefense.kr.beliefs import (
     progress,
 )
 from fortdefense.kr.goals import Goal, select_goal
-from fortdefense.kr.ground import CompiledRule, GroundedDomain, ground
+from fortdefense.kr.ground import CompiledRule, GroundedDomain
+from fortdefense.kr.ground import ground as _ground
 from fortdefense.kr.lang import (
     Atom,
     DomainSyntaxError,
@@ -63,8 +64,11 @@ from fortdefense.loop import (
     EpisodeRecord,
     StepRecord,
     build_schedule,
-    load_domain,
+    grounded_domain,
 )
+
+# the binding perfbench/tracing.py wraps; groundings come from loop
+ground = _ground
 
 TRACE_FORMAT_VERSION = 2
 TEMPLATE_RESOURCE = "explain_templates.txt"
@@ -247,15 +251,6 @@ def parse_query(text: str) -> Query:
 # trace container and JSONL serialization
 # ---------------------------------------------------------------------------
 
-_GDOM_CACHE: dict[GridConfig, GroundedDomain] = {}
-
-
-def _gdom_for(config: GridConfig) -> GroundedDomain:
-    if config not in _GDOM_CACHE:
-        _GDOM_CACHE[config] = ground(load_domain(), config)
-    return _GDOM_CACHE[config]
-
-
 @dataclass
 class EpisodeTrace:
     """An immutable, queryable episode trace."""
@@ -275,7 +270,7 @@ class EpisodeTrace:
 
     def __post_init__(self):
         if self.gdom is None:
-            self.gdom = _gdom_for(self.config)
+            self.gdom = grounded_domain(self.config)
 
     @classmethod
     def from_record(cls, record: EpisodeRecord, config: GridConfig) -> "EpisodeTrace":
@@ -570,7 +565,7 @@ def load_traces(path) -> list[EpisodeTrace]:
                     header = d
                     steps = []
                     config = _config_from_dict(d["config"])
-                    gdom = _gdom_for(config)
+                    gdom = grounded_domain(config)
                     laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
                     rules = {rule.axiom_id: rule for rule in laws}
                 elif kind not in ("step", "final"):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Term = Union[int, str]
 
@@ -56,24 +56,14 @@ class Variable:
 Arg = Union[Term, Variable]
 
 
-@dataclass(frozen=True, eq=False)
-class Atom:
+class Atom(NamedTuple):
+    """An immutable ``(pred, args)`` tuple, built and hashed at tuple speed
+    for the hot sets and dicts: its hash is ``hash((pred, args))``, and it
+    equals the bare ``(pred, args)`` tuple (so no set or dict should hold
+    both) but never a :class:`Literal`."""
+
     pred: str
     args: tuple[Arg, ...] = ()
-
-    def __post_init__(self):
-        # atoms live in hot sets and dicts; memoize the hash
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return (
-            self.__class__ is other.__class__
-            and self.pred == other.pred
-            and self.args == other.args
-        )
 
     def __repr__(self) -> str:
         if not self.args:

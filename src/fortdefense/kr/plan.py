@@ -3,7 +3,8 @@
 The search space is exact: nodes are beliefs (keyed by their inertial
 atoms plus depth, since predicted exogenous behavior varies by depth),
 edges are the controlled guard's executable ground actions, and each
-edge also applies that depth's scheduled exogenous actions.  The
+edge also applies that depth's scheduled exogenous actions, checked once
+per node: its children all progress through the ones it can execute.  The
 contract is a minimum-length plan; among equal-length plans the
 lexicographically first under the canonical action order wins:
 
@@ -247,13 +248,14 @@ def _search(
 ) -> Optional[tuple[Atom, ...]]:
     ctx.expanded += 1
     gdom, depth = ctx.gdom, len(path)
+    # the depth's scheduled actions, checked once for every child
+    exo = tuple(a for a in ctx.exo[depth] if check_executable(node, a, gdom)[0])
     for action in candidate_actions(node, gdom):
         ok, _ = check_executable(node, action, gdom)
         if not ok:
             continue
-        child = progress(
-            node, (action,) + ctx.exo[depth], gdom, checked=frozenset((action,))
-        )
+        actions = (action,) + exo
+        child = progress(node, actions, gdom, checked=frozenset(actions))
         new_path = path + (action,)
         if goal_holds(child, ctx.goal):
             return new_path
@@ -285,9 +287,7 @@ def plan(
     """
     if goal_holds(belief, goal):
         return Plan((), True, 0)
-    exo: list[tuple[Atom, ...]] = [tuple(step) for step in schedule]
-    while len(exo) < horizon:
-        exo.append(())
+    exo = [tuple(step) for step in schedule] + [()] * (horizon - len(schedule))
     ctx = _Search(goal, gdom, exo, goal_bound(goal, gdom, exo[:horizon]))
     root_key = (belief.inertial_atoms(gdom), 0)
     for limit in range(max(1, ctx.h(belief, 0)), horizon + 1):
@@ -305,9 +305,7 @@ def replay(
 ) -> Belief:
     """Progress a belief through a plan, enforcing executability of the
     planned actions (used to validate planner output)."""
-    exo: list[tuple[Atom, ...]] = [tuple(step) for step in schedule]
-    while len(exo) < len(actions):
-        exo.append(())
+    exo = [tuple(step) for step in schedule] + [()] * (len(actions) - len(schedule))
     current = belief
     for depth, action in enumerate(actions):
         ok, blocker = check_executable(current, action, gdom)

@@ -25,7 +25,10 @@ this package the two agree: ``env.legal_actions`` and the domain's
 ``exec:2`` forbid moves into occupied cells, so the one outcome the
 symbolic transition cannot express, a chain of moves through
 just-vacated cells, never arises.  The rebuild matters only to callers
-that feed ``env.step`` actions outside ``legal_actions``.
+that feed ``env.step`` actions outside ``legal_actions``.  Provenance
+is built only for a step record that is kept (``collect_trace`` on, the
+guard still acting), and the domain is grounded once per configuration
+and horizon (:func:`grounded_domain`).
 
 Model bookkeeping runs alongside: agreement trackers (windows of
 ``models.WINDOW_DEFAULT`` = 30 ticks) are updated for every library model
@@ -122,6 +125,17 @@ def load_domain_text() -> str:
 
 def load_domain() -> DomainDescription:
     return parse_domain(load_domain_text())
+
+
+_GROUNDED: dict[tuple[GridConfig, int], GroundedDomain] = {}
+
+
+def grounded_domain(config: GridConfig, horizon: int = 8) -> GroundedDomain:
+    """The packaged domain grounded against ``config``, once per ``(config,
+    horizon)``: every controller and trace on it shares the one grounding."""
+    if (config, horizon) not in _GROUNDED:
+        _GROUNDED[config, horizon] = ground(load_domain(), config, horizon=horizon)
+    return _GROUNDED[config, horizon]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +298,7 @@ class AdHocController:
         self.horizon = horizon
         self.refit = refit
         self.collect_trace = collect_trace
-        self.gdom = ground(load_domain(), config, horizon=horizon)
+        self.gdom = grounded_domain(config, horizon)
         self.ah_id = symbol_agent_id(config, self.gdom.ah_symbol)
         self.buffers: dict[int, list[tuple[tuple[float, ...], int]]] = {}
         self.reservoirs: dict[int, list[tuple[tuple[float, ...], int]]] = {}
@@ -513,12 +527,14 @@ class AdHocController:
         if self.belief is None:
             raise RuntimeError("observe before begin_episode")
         atoms = effective_atoms(self.config, before, actions, after, events, self.ah_id)
-        trace: list[Provenance] = []
+        kept = self.collect_trace and self._pending is not None
+        trace: Optional[list[Provenance]] = [] if kept else None
         new_belief: Optional[Belief] = None
         try:
             new_belief = progress(self.belief, atoms, self.gdom, trace=trace)
         except InconsistencyError:
-            trace = []
+            if trace is not None:
+                trace.clear()
         obs = observe_world(after, self.gdom)
         reconciled = new_belief is None or any(
             not new_belief.holds(lit) for lit in obs
@@ -535,7 +551,7 @@ class AdHocController:
         self.belief = new_belief
         if self._pending is not None:
             self._pending.executed = tuple(atoms)
-            self._pending.provenance = tuple(trace)
+            self._pending.provenance = tuple(trace or ())
             self._pending.reconciled = reconciled
             self._pending = None
         self._update_models(before, actions)

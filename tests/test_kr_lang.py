@@ -95,6 +95,40 @@ def test_substitute_and_ground_check():
     atom = Atom("p", (Variable("X"), 1))
     grounded = atom.substitute({Variable("X"): "a"})
     assert grounded == Atom("p", ("a", 1))
+    assert type(grounded) is Atom
+    # unbound variables stay; an atom without arguments is returned equal
+    assert Atom("q", (Variable("X"), Variable("Y"))).substitute(
+        {Variable("X"): 2}
+    ) == Atom("q", (2, Variable("Y")))
+    assert Atom("noop").substitute({Variable("X"): "a"}) == Atom("noop")
+
+
+def test_atom_is_an_immutable_value():
+    atom = Atom("in", ("guard0", 3, 4))
+    for name in ("pred", "args"):
+        with pytest.raises(AttributeError):
+            setattr(atom, name, "x")
+    # the hash every set and dict order rests on
+    assert hash(atom) == hash(("in", ("guard0", 3, 4)))
+    same = Atom("in", ("guard0", 3, 4))
+    assert same is not atom and same == atom and hash(same) == hash(atom)
+    assert {atom: 1}[same] == 1
+    assert atom != Atom("in", ("guard0", 3, 5)) and atom != Atom("at", atom.args)
+    assert Atom("noop") == Atom("noop", ())
+
+
+def test_atom_text():
+    assert str(Atom("in", ("guard0", 3, 4))) == "in(guard0, 3, 4)"
+    assert repr(Atom("in", ("guard0", 3, 4))) == "in(guard0, 3, 4)"
+    assert str(Atom("noop")) == repr(Atom("noop")) == "noop"
+    assert str(Atom("p", (Variable("X"), 1))) == "p(X, 1)"
+
+
+def test_an_atom_never_equals_a_literal():
+    atom = Atom("shot", ("attacker1",))
+    for lit in (Literal(atom), Literal(atom, positive=False)):
+        assert atom != lit and lit != atom
+        assert len({atom, lit}) == 2
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ action sequence on every instance.
 import gc
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 
 from hypothesis import example, given, settings, strategies as st
 from reference_plan import reference_plan
@@ -36,6 +36,7 @@ from fortdefense.kr.ground import (
     restrict,
 )
 from fortdefense.kr.lang import Atom, Literal, parse_domain
+import fortdefense.kr.beliefs as beliefs_module
 import fortdefense.kr.plan as plan_module
 from fortdefense.kr.plan import candidate_actions, goal_bound, goal_holds, plan, replay
 from fortdefense.loop import build_schedule, predicted_cell
@@ -255,6 +256,45 @@ def test_schedule_lets_the_planner_intercept_a_moving_target():
     assert moving.actions == oracle_actions
     final = replay(b, moving.actions, gdom, schedule=schedule)
     assert goal_holds(final, goal)
+
+
+def test_each_node_checks_its_scheduled_actions_once(monkeypatch):
+    """A depth's scheduled exogenous actions are checked once per expanded
+    node, against that node, not once for each of its children."""
+    _, gdom, b = interception_fixture()
+    goal = select_goal(b, gdom)
+    # attacker1 walks west toward the guard; it already faces west, so
+    # the scheduled turn west is refused at every node
+    turn = Atom("agent_rotate", ("attacker1", "w"))
+    schedule = [(Atom("agent_move", ("attacker1", 9 - k, 14)), turn) for k in range(8)]
+    assert not check_executable(b, turn, gdom)[0]
+    want = reference_plan(b, goal, gdom, horizon=8, schedule=schedule)
+
+    checked, expected = Counter(), Counter()
+    alive = []  # every node seen, so that no id is reused
+    check, search = beliefs_module.check_executable, plan_module._search
+
+    def counting_check(belief, action, gdom):
+        alive.append(belief)
+        checked[id(belief), action] += 1
+        return check(belief, action, gdom)
+
+    def counting_search(ctx, node, path, limit, visited):
+        alive.append(node)
+        for action in ctx.exo[len(path)]:
+            expected[id(node), action] += 1
+        return search(ctx, node, path, limit, visited)
+
+    monkeypatch.setattr(beliefs_module, "check_executable", counting_check)
+    monkeypatch.setattr(plan_module, "check_executable", counting_check)
+    monkeypatch.setattr(plan_module, "_search", counting_search)
+    got = plan(b, goal, gdom, horizon=8, schedule=schedule)
+    monkeypatch.undo()
+
+    scheduled = {a for step in schedule for a in step}
+    assert {k: n for k, n in checked.items() if k[1] in scheduled} == expected
+    assert set(expected.values()) == {1} and (id(b), turn) in expected
+    assert got.success and (got.actions, got.success) == (want.actions, want.success)
 
 
 def test_candidate_actions_follow_canonical_order():

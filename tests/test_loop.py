@@ -30,7 +30,8 @@ from fortdefense.env import (
     step,
     terminal,
 )
-from fortdefense.explain import _step_dict
+from fortdefense import loop
+from fortdefense.explain import EpisodeTrace, _step_dict
 from fortdefense.kr.beliefs import (
     Belief,
     check_executable,
@@ -429,6 +430,71 @@ class TestControllerLoop:
         replans = sum(s.replanned for s in steps)
         decisions = sum(1 for s in steps if s.chosen is not None)
         assert 0 < replans < decisions
+
+    def test_observe_builds_provenance_only_for_a_kept_record(
+        self, small_config, monkeypatch
+    ):
+        traces = []  # the trace each observation step hands to progress
+        observing = []
+        observe, progress = AdHocController.observe, loop.progress
+
+        def watched_observe(self, *args):
+            observing.append(True)
+            try:
+                return observe(self, *args)
+            finally:
+                observing.pop()
+
+        def watched_progress(*args, trace=None, **kwargs):
+            if observing:
+                traces.append(trace)
+            return progress(*args, trace=trace, **kwargs)
+
+        monkeypatch.setattr(AdHocController, "observe", watched_observe)
+        monkeypatch.setattr(loop, "progress", watched_progress)
+        # P1 seed 1: the ad hoc guard is down after two of the four ticks
+        stats = run_games(small_config, "P1", 1, seed=1, refit=False, collect_traces=True)
+        record = stats.records[0]
+        assert (len(record.steps), record.n_steps) == (2, 4)
+        assert [type(t) for t in traces] == [list, list, type(None), type(None)]
+        assert [s.provenance for s in record.steps] == [tuple(t) for t in traces[:2]]
+        assert all(s.provenance for s in record.steps)
+        traces.clear()
+        run_games(small_config, "P1", 1, seed=1, refit=False)
+        assert traces == [None] * 4
+
+    def test_one_grounding_per_config_and_horizon(self, monkeypatch):
+        config = GridConfig(width=9, height=9, n_guards=2, n_attackers=2, max_steps=33)
+        groundings = []
+        original = loop.ground
+
+        def counted(*args, **kwargs):
+            groundings.append(kwargs.get("horizon"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "ground", counted)
+        first = AdHocController(config)
+        second = AdHocController(config, refit=False)
+        trace = EpisodeTrace(
+            config=config,
+            seed=0,
+            policy="",
+            horizon=8,
+            completion_applied=(),
+            completion_retracted=(),
+            steps=[],
+            final_belief=None,
+            outcome="",
+            n_steps=0,
+            guards_win=False,
+        )
+        assert first.gdom is second.gdom is trace.gdom
+        assert groundings == [8]
+        short = AdHocController(config, horizon=5)
+        assert short.gdom is not first.gdom
+        assert short.gdom.sorts["step"] == tuple(range(6))
+        assert AdHocController(config, horizon=5).gdom is short.gdom
+        assert groundings == [8, 5]
 
     def test_shoot_translation_kills(self, small_config):
         # place the controlled guard with an attacker straight ahead in
