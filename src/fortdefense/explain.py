@@ -20,18 +20,22 @@ of reasons behind a decision or a belief:
   withdrew) it, the initial observation or initial default that assumed
   it, with inertia bridging the steps in between.
 
-Every chain link is an axiom instance whose ground antecedents can be
-re-checked against the stored snapshots; the rendered text is produced
-from templates (shipped as a data file) filled only with material from
-the chain.  Traces serialize to JSON Lines with sorted keys and no
-timestamps, so identical runs give byte-identical files.  A provenance
-entry stores only its axiom's id; loading resolves it through the domain
-grounded from the trace's configuration, so rule text has one source.
+A trace is the loop's episode record plus the configuration it was
+played on.  Every chain link is an axiom instance, made by one builder,
+whose ground antecedents can be re-checked against the stored snapshots;
+``answer_query`` is the one entry point, and renders the chain with
+templates (shipped as a data file) filled only with material from the
+chain.  Traces serialize to JSON Lines with sorted keys and no
+timestamps, so identical runs give byte-identical files; the header
+holds the record's own fields.  A provenance entry stores only its
+axiom's id; loading resolves it through the domain grounded from the
+trace's configuration, so rule text has one source.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -160,26 +164,21 @@ class Answer:
 # templates
 # ---------------------------------------------------------------------------
 
-_TEMPLATES: Optional[dict[str, str]] = None
-
-
+@functools.cache
 def load_templates() -> dict[str, str]:
-    global _TEMPLATES
-    if _TEMPLATES is None:
-        text = (
-            resources.files("fortdefense") / "data" / TEMPLATE_RESOURCE
-        ).read_text()
-        templates: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                continue
-            templates[key.strip()] = value.strip()
-        _TEMPLATES = templates
-    return _TEMPLATES
+    text = (
+        resources.files("fortdefense") / "data" / TEMPLATE_RESOURCE
+    ).read_text()
+    templates: dict[str, str] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            continue
+        templates[key.strip()] = value.strip()
+    return templates
 
 
 def render_chain(kind: str, top_slots: dict[str, str], chain: Sequence[AxiomInstance]) -> str:
@@ -252,20 +251,11 @@ def parse_query(text: str) -> Query:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EpisodeTrace:
-    """An immutable, queryable episode trace."""
+class EpisodeTrace(EpisodeRecord):
+    """An episode record with the configuration it was played on, grounded
+    once, to query."""
 
-    config: GridConfig
-    seed: int
-    policy: str
-    horizon: int
-    completion_applied: tuple[str, ...]
-    completion_retracted: tuple[str, ...]
-    steps: list[StepRecord]
-    final_belief: Optional[Belief]
-    outcome: str
-    n_steps: int
-    guards_win: bool
+    config: GridConfig = field(kw_only=True)
     gdom: GroundedDomain = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -274,19 +264,7 @@ class EpisodeTrace:
 
     @classmethod
     def from_record(cls, record: EpisodeRecord, config: GridConfig) -> "EpisodeTrace":
-        return cls(
-            config=config,
-            seed=record.seed,
-            policy=record.policy,
-            horizon=record.horizon,
-            completion_applied=record.completion_applied,
-            completion_retracted=record.completion_retracted,
-            steps=list(record.steps),
-            final_belief=record.final_belief,
-            outcome=record.outcome,
-            n_steps=record.n_steps,
-            guards_win=record.guards_win,
-        )
+        return cls(**vars(record), config=config)
 
     @property
     def last_step(self) -> int:
@@ -312,6 +290,14 @@ class EpisodeTrace:
 
 
 _HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
+
+#: The record fields an episode header holds; the steps and the final
+#: belief follow it on lines of their own.
+_HEADER_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(EpisodeRecord)
+    if f.name not in ("steps", "final_belief")
+)
 
 
 def _provenance_dict(p: Provenance) -> dict:
@@ -491,35 +477,15 @@ def save_traces(
 
     with open(path, "w") as f:
         for rec in records:
-            f.write(
-                dump(
-                    {
-                        "type": "episode",
-                        "version": TRACE_FORMAT_VERSION,
-                        "seed": rec.seed,
-                        "policy": rec.policy,
-                        "horizon": rec.horizon,
-                        "config": _config_dict(config),
-                        "completion_applied": list(rec.completion_applied),
-                        "completion_retracted": list(rec.completion_retracted),
-                        "outcome": rec.outcome,
-                        "n_steps": rec.n_steps,
-                        "guards_win": rec.guards_win,
-                    }
-                )
+            header = {name: getattr(rec, name) for name in _HEADER_FIELDS}
+            header.update(
+                type="episode", version=TRACE_FORMAT_VERSION, config=_config_dict(config)
             )
+            f.write(dump(header))
             for s in rec.steps:
                 f.write(dump(_step_dict(s)))
-            f.write(
-                dump(
-                    {
-                        "type": "final",
-                        "belief": []
-                        if rec.final_belief is None
-                        else sorted(str(a) for a in rec.final_belief.atoms),
-                    }
-                )
-            )
+            final = [] if rec.final_belief is None else rec.final_belief.atoms
+            f.write(dump({"type": "final", "belief": sorted(str(a) for a in final)}))
     return len(records)
 
 
@@ -542,11 +508,11 @@ def load_traces(path) -> list[EpisodeTrace]:
     configuration is grounded once; its causal laws and state constraints
     resolve the axiom ids of the episode's provenance.  A line this format
     cannot read (not JSON, a field missing or of the wrong type, an unknown
-    version or axiom id) raises a ValueError that names the file and line."""
+    version or axiom id) raises a ValueError that names the file and line,
+    as does an episode header that no final line closes."""
     atom, literal = _memo(parse_atom), _memo(parse_literal)
     traces: list[EpisodeTrace] = []
-    header: Optional[dict] = None
-    steps: list[StepRecord] = []
+    episode: Optional[dict] = None  # the open episode's trace fields so far
     rules: dict = {}
     with open(path) as f:
         for number, line in enumerate(f, 1):
@@ -557,47 +523,42 @@ def load_traces(path) -> list[EpisodeTrace]:
                 d = json.loads(line)
                 kind = d.get("type") if type(d) is dict else None
                 if kind == "episode":
+                    if episode is not None:
+                        raise ValueError(
+                            f"the episode header at line {opened} has no final line"
+                        )
                     if d.get("version") != TRACE_FORMAT_VERSION:
                         raise ValueError(
                             f"unsupported trace format version {d.get('version')}"
                         )
                     _check_fields(d, "episode")
-                    header = d
-                    steps = []
                     config = _config_from_dict(d["config"])
                     gdom = grounded_domain(config)
                     laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
                     rules = {rule.axiom_id: rule for rule in laws}
+                    opened = number
+                    episode = {
+                        name: tuple(value) if type(value) is list else value
+                        for name, value in d.items()
+                        if name in _HEADER_FIELDS
+                    }
+                    episode.update(config=config, gdom=gdom, steps=[])
                 elif kind not in ("step", "final"):
                     raise ValueError("not an episode, step or final line")
-                elif header is None:
+                elif episode is None:
                     raise ValueError(f"a {kind} line before an episode header")
                 elif kind == "step":
-                    steps.append(_step_from_dict(d, atom, literal, rules))
+                    episode["steps"].append(_step_from_dict(d, atom, literal, rules))
                 else:
                     _check_fields(d, "final")
-                    traces.append(
-                        EpisodeTrace(
-                            config=config,
-                            seed=header["seed"],
-                            policy=header["policy"],
-                            horizon=header["horizon"],
-                            completion_applied=tuple(header["completion_applied"]),
-                            completion_retracted=tuple(header["completion_retracted"]),
-                            steps=steps,
-                            final_belief=Belief(atom(s) for s in d["belief"])
-                            if d["belief"]
-                            else None,
-                            outcome=header["outcome"],
-                            n_steps=header["n_steps"],
-                            guards_win=header["guards_win"],
-                            gdom=gdom,
-                        )
-                    )
-                    header = None
+                    final = Belief(atom(s) for s in d["belief"]) if d["belief"] else None
+                    traces.append(EpisodeTrace(**episode, final_belief=final))
+                    episode = None
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
                 reason = f"missing field {err}" if type(err) is KeyError else err
                 raise ValueError(f"{path}, line {number}: {reason}") from err
+    if episode is not None:
+        raise ValueError(f"{path}, line {opened}: this episode header has no final line")
     return traces
 
 
@@ -629,6 +590,33 @@ def _cell_of(support: Sequence[Literal], sym: str) -> tuple:
         l.atom.args[1:]
         for l in support
         if l.atom.pred == "in" and l.atom.args[0] == sym
+    )
+
+
+def _link(
+    template: str,
+    axiom_text: str,
+    step: int,
+    consequence: str,
+    antecedents: tuple[Literal, ...] = (),
+    /,
+    *,
+    axiom_id: str = "",
+    counterfactual: Optional[Atom] = None,
+    **slots: str,
+) -> AxiomInstance:
+    """A chain link whose ``slots`` fill ``template``, stored in name
+    order.  The parameters are positional-only, so any name can be a slot
+    (the inertia link fills ``step``, the default link ``axiom_text``)."""
+    return AxiomInstance(
+        template,
+        axiom_id,
+        axiom_text,
+        step,
+        antecedents,
+        consequence,
+        tuple(sorted(slots.items())),
+        counterfactual,
     )
 
 
@@ -675,15 +663,7 @@ def _goal_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
         template, slots = "clause_goal_idle", {}
         axiom_text = "goal priority: hold position"
         consequence = "goal hold_position"
-    return AxiomInstance(
-        template=template,
-        axiom_id="",
-        axiom_text=axiom_text,
-        step=rec.step,
-        antecedents=goal.support,
-        consequence=consequence,
-        slots=tuple(sorted(slots.items())),
-    )
+    return _link(template, axiom_text, rec.step, consequence, goal.support, **slots)
 
 
 def _rule_instance(
@@ -692,23 +672,24 @@ def _rule_instance(
     step: int,
     antecedents: tuple[Literal, ...],
     consequence: str,
+    /,
     *,
     counterfactual: Optional[Atom] = None,
     **slots: str,
 ) -> AxiomInstance:
     """A chain link that cites ``rule``: the rule's id and text fill the
     ``axiom`` slot, and its ground antecedents the ``literals`` slot."""
-    slots["axiom"] = f"{rule.axiom_id} {rule.text}"
-    slots["literals"] = "; ".join(str(l) for l in antecedents) or "no conditions"
-    return AxiomInstance(
-        template=template,
+    return _link(
+        template,
+        rule.text,
+        step,
+        consequence,
+        antecedents,
         axiom_id=rule.axiom_id,
-        axiom_text=rule.text,
-        step=step,
-        antecedents=antecedents,
-        consequence=consequence,
-        slots=tuple(sorted(slots.items())),
         counterfactual=counterfactual,
+        axiom=f"{rule.axiom_id} {rule.text}",
+        literals="; ".join(str(l) for l in antecedents) or "no conditions",
+        **slots,
     )
 
 
@@ -773,24 +754,16 @@ def _describe_target(atom: Atom) -> str:
 
 def _plan_instance(rec: StepRecord) -> AxiomInstance:
     plan_strs = ", ".join(str(a) for a in rec.plan_actions)
+    template, slots = "clause_plan", {"plan": plan_strs, "action": str(rec.chosen)}
     if len(rec.plan_actions) > 1:
         template = "clause_plan_subgoal"
-        slots = {
-            "plan": plan_strs,
-            "action": str(rec.chosen),
-            "subgoal": _describe_target(rec.plan_actions[1]),
-        }
-    else:
-        template = "clause_plan"
-        slots = {"plan": plan_strs, "action": str(rec.chosen)}
-    return AxiomInstance(
-        template=template,
-        axiom_id="",
-        axiom_text="minimum-length plan for the selected goal",
-        step=rec.step,
-        antecedents=(),
-        consequence=f"plan [{plan_strs}]",
-        slots=tuple(sorted(slots.items())),
+        slots["subgoal"] = _describe_target(rec.plan_actions[1])
+    return _link(
+        template,
+        "minimum-length plan for the selected goal",
+        rec.step,
+        f"plan [{plan_strs}]",
+        **slots,
     )
 
 
@@ -800,28 +773,24 @@ def _horizon_instance(trace: EpisodeTrace, rec: StepRecord) -> AxiomInstance:
         if rec.fallback == "rotate"
         else "holding position"
     )
-    slots = {"horizon": str(trace.horizon), "fallback": fallback}
-    return AxiomInstance(
-        template="clause_horizon",
-        axiom_id="",
-        axiom_text="planning horizon exhausted without a plan",
-        step=rec.step,
-        antecedents=(),
-        consequence="fallback action",
-        slots=tuple(sorted(slots.items())),
+    return _link(
+        "clause_horizon",
+        "planning horizon exhausted without a plan",
+        rec.step,
+        "fallback action",
+        horizon=str(trace.horizon),
+        fallback=fallback,
     )
 
 
 def _goal_satisfied_instance(rec: StepRecord) -> AxiomInstance:
-    lits = "; ".join(str(l) for l in rec.goal.literals)
-    return AxiomInstance(
-        template="clause_goal_satisfied",
-        axiom_id="",
-        axiom_text="the selected goal already holds",
-        step=rec.step,
-        antecedents=tuple(rec.goal.literals),
-        consequence="goal satisfied",
-        slots=(("literals", lits),),
+    return _link(
+        "clause_goal_satisfied",
+        "the selected goal already holds",
+        rec.step,
+        "goal satisfied",
+        tuple(rec.goal.literals),
+        literals="; ".join(str(l) for l in rec.goal.literals),
     )
 
 
@@ -870,16 +839,6 @@ def why_action_chain(
                 )
         chain.append(_plan_instance(rec))
     return tuple(chain)
-
-
-def answer_why(trace: EpisodeTrace, action: Atom, step: int) -> Answer:
-    chain = why_action_chain(trace, step, action)
-    rec = trace.step(step)
-    query = Query("why_action", action, None, step)
-    text = render_chain(
-        "why_action", {"step": str(step), "action": str(rec.chosen)}, chain
-    )
-    return Answer(query, chain, _chain_literals(chain), text)
 
 
 # ---------------------------------------------------------------------------
@@ -951,55 +910,41 @@ def why_not_chain(
         after = len(replan.actions) if replan.success else None
     if after is None:
         chain.append(
-            AxiomInstance(
-                template="clause_counterfactual_unreachable",
-                axiom_id="",
-                axiom_text="no plan within the horizon after the counterfactual",
-                step=step,
-                antecedents=(),
-                consequence="goal unreachable after the action",
-                slots=(
-                    ("action", str(action)),
-                    ("horizon", str(trace.horizon)),
-                ),
+            _link(
+                "clause_counterfactual_unreachable",
+                "no plan within the horizon after the counterfactual",
+                step,
+                "goal unreachable after the action",
                 counterfactual=action,
+                action=str(action),
+                horizon=str(trace.horizon),
+            )
+        )
+    elif (delay := (1 + after) - remaining) > 0:
+        chain.append(
+            _link(
+                "clause_delay",
+                "the counterfactual delays the goal",
+                step,
+                f"delays the goal by {delay} step(s)",
+                counterfactual=action,
+                action=str(action),
+                delay=str(delay),
+                later=str(1 + after),
+                sooner=str(remaining),
             )
         )
     else:
-        delay = (1 + after) - remaining
-        if delay > 0:
-            chain.append(
-                AxiomInstance(
-                    template="clause_delay",
-                    axiom_id="",
-                    axiom_text="the counterfactual delays the goal",
-                    step=step,
-                    antecedents=(),
-                    consequence=f"delays the goal by {delay} step(s)",
-                    slots=(
-                        ("action", str(action)),
-                        ("delay", str(delay)),
-                        ("later", str(1 + after)),
-                        ("sooner", str(remaining)),
-                    ),
-                    counterfactual=action,
-                )
+        chain.append(
+            _link(
+                "clause_ordering",
+                "equal-length alternatives resolve by canonical order",
+                step,
+                "chosen action preferred by canonical order",
+                action=str(action),
+                chosen=str(rec.chosen),
             )
-        else:
-            chain.append(
-                AxiomInstance(
-                    template="clause_ordering",
-                    axiom_id="",
-                    axiom_text="equal-length alternatives resolve by canonical order",
-                    step=step,
-                    antecedents=(),
-                    consequence="chosen action preferred by canonical order",
-                    slots=(
-                        ("action", str(action)),
-                        ("chosen", str(rec.chosen)),
-                    ),
-                )
-            )
+        )
     return tuple(chain), True
 
 
@@ -1014,28 +959,6 @@ def well_formed_action(gdom: GroundedDomain, action: Atom) -> bool:
         and len(action.args) == len(decl.arg_sorts)
         and all(gdom.in_sort(a, s) for a, s in zip(action.args, decl.arg_sorts))
     )
-
-
-def answer_why_not(trace: EpisodeTrace, action: Atom, step: int) -> Answer:
-    chain, was_legal = why_not_chain(trace, step, action)
-    rec = trace.step(step)
-    full = _with_agent(action, trace.gdom.ah_symbol)
-    query = Query("why_not_action", action, None, step)
-    if was_legal:
-        text = render_chain(
-            "why_not_legal",
-            {
-                "step": str(step),
-                "action": str(full),
-                "chosen": str(rec.chosen),
-            },
-            chain,
-        )
-    else:
-        text = render_chain(
-            "why_not_illegal", {"step": str(step), "action": str(full)}, chain
-        )
-    return Answer(query, chain, _chain_literals(chain), text)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,24 +1043,16 @@ def why_belief_chain(
         inst = _default_instance(trace, atom)
         if inst is not None:
             return _with_inertia(inst, 1, step, literal)
-        inst = AxiomInstance(
-            template="clause_observation",
-            axiom_id="",
-            axiom_text="initial observation",
-            step=1,
-            antecedents=(literal,),
-            consequence=str(atom),
-            slots=(),
+        inst = _link(
+            "clause_observation", "initial observation", 1, str(atom), (literal,)
         )
         return _with_inertia(inst, 1, step, literal)
-    inst = AxiomInstance(
-        template="clause_observation_negative",
-        axiom_id="",
-        axiom_text="closed-world assumption over recorded facts",
-        step=step,
-        antecedents=(literal,),
-        consequence=f"-{atom}",
-        slots=(),
+    inst = _link(
+        "clause_observation_negative",
+        "closed-world assumption over recorded facts",
+        step,
+        f"-{atom}",
+        (literal,),
     )
     return (inst,)
 
@@ -1147,25 +1062,15 @@ def _with_inertia(
 ) -> tuple[AxiomInstance, ...]:
     if since >= step:
         return (inst,)
-    inertia = AxiomInstance(
-        template="clause_inertia",
-        axiom_id="",
-        axiom_text="inertia: fluents persist unless changed",
-        step=step,
-        antecedents=(literal,),
-        consequence=str(literal),
-        slots=(("step", str(step)),),
+    inertia = _link(
+        "clause_inertia",
+        "inertia: fluents persist unless changed",
+        step,
+        str(literal),
+        (literal,),
+        step=str(step),
     )
     return (inst, inertia)
-
-
-def answer_why_belief(trace: EpisodeTrace, literal: Literal, step: int) -> Answer:
-    chain = why_belief_chain(trace, step, literal)
-    query = Query("why_belief", None, literal, step)
-    text = render_chain(
-        "why_belief", {"step": str(step), "literal": str(literal)}, chain
-    )
-    return Answer(query, chain, _chain_literals(chain), text)
 
 
 # ---------------------------------------------------------------------------
@@ -1174,13 +1079,24 @@ def answer_why_belief(trace: EpisodeTrace, literal: Literal, step: int) -> Answe
 
 
 def answer_query(trace: EpisodeTrace, query: Union[Query, str]) -> Answer:
+    """Answer a query (or its text): build its chain, then render the
+    chain into the query kind's top-level template."""
     if isinstance(query, str):
         query = parse_query(query)
-    if query.kind == "why_action":
-        return answer_why(trace, query.action, query.step)
-    if query.kind == "why_not_action":
-        return answer_why_not(trace, query.action, query.step)
-    return answer_why_belief(trace, query.literal, query.step)
+    if query.kind == "why_belief":
+        chain = why_belief_chain(trace, query.step, query.literal)
+        kind, slots = "why_belief", {"literal": str(query.literal)}
+    else:
+        # a why chain holds only for the chosen action, which names the agent
+        slots = {"action": str(_with_agent(query.action, trace.gdom.ah_symbol))}
+        if query.kind == "why_action":
+            kind, chain = "why_action", why_action_chain(trace, query.step, query.action)
+        else:
+            chain, legal = why_not_chain(trace, query.step, query.action)
+            kind = "why_not_legal" if legal else "why_not_illegal"
+            slots["chosen"] = str(trace.step(query.step).chosen)
+    text = render_chain(kind, {"step": str(query.step), **slots}, chain)
+    return Answer(query, chain, _chain_literals(chain), text)
 
 
 def recheck_instance(trace: EpisodeTrace, inst: AxiomInstance) -> bool:

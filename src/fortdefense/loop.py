@@ -174,7 +174,10 @@ class StepRecord:
 
 @dataclass
 class EpisodeRecord:
-    """One episode's full decision trace."""
+    """One episode's full decision trace: a record per decision step, the
+    belief after the last one, and the episode's settings and outcome.
+    ``explain.EpisodeTrace`` adds only the configuration; a saved trace
+    keeps every other field on its episode header line."""
 
     seed: int
     policy: str

@@ -21,6 +21,7 @@ from fortdefense.explain import (
     Query,
     QueryParseError,
     TraceQueryError,
+    _FIELD_TYPES,
     _config_dict,
     _config_from_dict,
     _goal_instance,
@@ -38,7 +39,7 @@ from fortdefense.kr.beliefs import Belief, check_executable, close_defined
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
-from fortdefense.loop import AdHocController, StepRecord, run_games
+from fortdefense.loop import AdHocController, EpisodeRecord, StepRecord, run_games
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +57,36 @@ def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
 
 
 def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
+    """Every field of the episode record and of each step record comes back
+    as recorded (provenance as a set: saving sorts it), and the format's
+    field table names exactly the fields each saved line holds, so no
+    field is saved unchecked or dropped on load."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     (loaded,) = load_traces(path)
     assert loaded.config == GridConfig()
+    for f in dataclasses.fields(EpisodeRecord):
+        if f.name != "steps":
+            assert getattr(loaded, f.name) == getattr(w0_p1_record, f.name), f.name
     for got, want in zip(loaded.steps, w0_p1_record.steps, strict=True):
-        assert got.belief.atoms == want.belief.atoms
-        assert got.goal == want.goal
-        assert set(got.provenance) == set(want.provenance)
-        assert (got.plan_actions, got.chosen, got.executed) == (
-            want.plan_actions,
-            want.chosen,
-            want.executed,
-        )
-    assert loaded.final_belief.atoms == w0_p1_record.final_belief.atoms
+        for f in dataclasses.fields(StepRecord):
+            value, recorded = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "provenance":
+                value, recorded = set(value), set(recorded)
+            assert value == recorded, (want.step, f.name)
+    header, *steps, final = (json.loads(line) for line in path.read_text().splitlines())
+    saved = {
+        "episode": [header],
+        "step": steps,
+        "goal": [d["goal"] for d in steps],
+        "provenance entry": [p for d in steps for p in d["provenance"]],
+        "final": [final],
+    }
+    assert saved.keys() == _FIELD_TYPES.keys()
+    for kind, objects in saved.items():
+        assert objects, kind
+        for d in objects:
+            assert d.keys() - {"type"} == _FIELD_TYPES[kind].keys(), kind
 
 
 def _as_version_1(lines: list) -> int:
@@ -114,6 +131,16 @@ def _with_a_config_missing_its_width(lines: list) -> int:
     return 1
 
 
+def _cut_before_the_final_line(lines: list) -> int:
+    del lines[-1]
+    return 1
+
+
+def _with_a_second_header_before_the_final_line(lines: list) -> int:
+    lines.insert(-1, dict(lines[0]))
+    return len(lines) - 1
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -126,6 +153,11 @@ def _with_a_config_missing_its_width(lines: list) -> int:
         (_with_a_text_step_number, "field 'step' of a step is str, not int"),
         (_with_a_goal_of_no_literals_field, "missing field 'literals' in a goal"),
         (_with_a_config_missing_its_width, "missing field 'width'"),
+        (_cut_before_the_final_line, "this episode header has no final line"),
+        (
+            _with_a_second_header_before_the_final_line,
+            "the episode header at line 1 has no final line",
+        ),
     ],
     ids=[
         "version-1",
@@ -134,6 +166,8 @@ def _with_a_config_missing_its_width(lines: list) -> int:
         "text-step",
         "no-goal-literals",
         "no-config-width",
+        "no-final-line",
+        "header-before-final",
     ],
 )
 def test_loading_refuses_a_file_this_format_cannot_read(
@@ -342,6 +376,39 @@ def test_why_belief_texts_match_the_golden_digest(w0_p1_record, tmp_path, reload
         texts.append(answer.text)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (len(texts), digest) == GOLDEN_WHY_BELIEF_TEXTS
+
+
+def test_every_link_stores_its_slots_in_name_order_and_cites_a_domain_rule(trace):
+    """Over the answers behind both golden digests: each link's slots are in
+    name order, and a link with an axiom id cites a compiled rule of the
+    trace's domain (causal law, window, definition, executability
+    condition or default) whose text is the link's axiom text."""
+    gdom = trace.gdom
+    rules = {
+        rule.axiom_id: rule
+        for rule in itertools.chain(
+            *gdom.causal_by_action.values(),
+            gdom.windows,
+            gdom.definitions,
+            *gdom.exec_by_action.values(),
+            gdom.defaults,
+        )
+    }
+    queries = [Query("why_action", rec.chosen, None, rec.step) for rec in trace.steps]
+    queries += [
+        Query("why_not_action", action, None, step)
+        for step, action, _ in why_not_queries(trace)
+    ]
+    queries += why_belief_queries(trace)
+    cited = set()
+    for query in queries:
+        for link in answer_query(trace, query).chain:
+            names = [name for name, _ in link.slots]
+            assert names == sorted(names), link
+            if link.axiom_id:
+                assert rules[link.axiom_id].text == link.axiom_text, link
+                cited.add(rules[link.axiom_id].kind)
+    assert cited == {"causal", "window", "definition", "exec", "default"}
 
 
 def test_a_goal_the_rule_does_not_select_is_refused(trace):

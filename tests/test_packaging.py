@@ -1,6 +1,7 @@
 """The package metadata names only things that exist, the benchmark's calls
 into the package still resolve, the shipped domain declares no vocabulary
-it never uses, and no module imports a name it never uses."""
+it never uses, no module imports a name it never uses, and no module
+defines a private name it never reads."""
 
 import ast
 import dataclasses
@@ -204,3 +205,45 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(p.read_text()))
     }
     assert unused == {}
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names (``_x``, dunders aside) that a module
+    defines by ``def``, ``class`` or assignment and never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined |= {n.id for n in ast.walk(target) if type(n) is ast.Name}
+    names = [n for n in ast.walk(tree) if type(n) is ast.Name]
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    dunder = {n for n in defined if n.startswith("__") and n.endswith("__")}
+    return sorted({n for n in defined - dunder - read if n.startswith("_")})
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "def _orphan():\n    return _USED\n"
+        "_USED, _SPARE = 1, 2\n"
+        "class _Kept:\n    pass\n"
+        "KEPT = _Kept\n"
+        "__all__ = ['KEPT']\n"
+    )
+    assert unread_private_names(source) == ["_SPARE", "_orphan"]
+
+
+def test_no_module_defines_a_private_name_it_never_reads():
+    """Catches what a deletion leaves behind, such as a helper whose last
+    caller went."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    unread = {
+        str(p.relative_to(ROOT)): names
+        for p in modules
+        if (names := unread_private_names(p.read_text()))
+    }
+    assert unread == {}
