@@ -30,6 +30,10 @@ is built only for a step record that is kept (``collect_trace`` on, the
 guard still acting), and the domain is grounded once per configuration
 and horizon (:func:`grounded_domain`).
 
+Progression stops once the guard is down: a tick that starts with the
+guard down leaves the belief as it is, since no decision reads it again.
+The episode's final belief is therefore the one the last decision led to.
+
 Model bookkeeping runs alongside: agreement trackers (windows of
 ``models.WINDOW_DEFAULT`` = 30 ticks) are updated for every library model
 against each agent's observed action, the keep/switch/flag rule
@@ -37,7 +41,11 @@ against each agent's observed action, the keep/switch/flag rule
 reassigns models per agent, and a flagged agent triggers an incremental
 refit from that agent's example buffer once it holds ``WINDOW_DEFAULT``
 examples.  ``refit=False`` turns refitting off, which isolates the model
-dynamics in tests.
+dynamics in tests.  The bookkeeping goes on after the guard is down,
+though it has no new predictions to score, because the library outlives
+the episode: a refit at the tick the guard falls adds a type, and the
+keep/switch/flag rule of a later tick can assign it to another agent
+before the next episode starts.
 """
 
 from __future__ import annotations
@@ -177,7 +185,12 @@ class EpisodeRecord:
     """One episode's full decision trace: a record per decision step, the
     belief after the last one, and the episode's settings and outcome.
     ``explain.EpisodeTrace`` adds only the configuration; a saved trace
-    keeps every other field on its episode header line."""
+    keeps every other field on its episode header line.
+
+    ``final_belief`` is the belief at ``last_step + 1``: the last decision
+    step's belief progressed through what that tick executed (or rebuilt
+    from its observation), however many ticks the episode ran after the
+    guard went down."""
 
     seed: int
     policy: str
@@ -435,7 +448,7 @@ class AdHocController:
         for agent in sorted(state.agents, key=lambda a: a.id):
             if agent.id == self.ah_id or not agent.alive:
                 continue
-            vec = vectors[agent.id]
+            vec = vectors[agent.id].tolist()  # read once, as Python floats
             self._last_vec[agent.id] = tuple(vec)
             assigned = lib.assignment.get(agent.id)
             kind = int(ActionKind.NOOP)
@@ -525,10 +538,23 @@ class AdHocController:
         after: WorldState,
         events: Sequence[Event],
     ) -> None:
-        """Advance the belief through what actually happened and update the
-        model bookkeeping."""
+        """Advance the belief through what actually happened, while the
+        guard was up at the tick's start, and update the model bookkeeping."""
         if self.belief is None:
             raise RuntimeError("observe before begin_episode")
+        if before.get(self.ah_id).alive:
+            self._progress_belief(before, actions, after, events)
+        self._update_models(before, actions)
+        for agent_id, action in actions.items():
+            self._prev_action[agent_id] = action
+
+    def _progress_belief(
+        self,
+        before: WorldState,
+        actions: Mapping[int, Action],
+        after: WorldState,
+        events: Sequence[Event],
+    ) -> None:
         atoms = effective_atoms(self.config, before, actions, after, events, self.ah_id)
         kept = self.collect_trace and self._pending is not None
         trace: Optional[list[Provenance]] = [] if kept else None
@@ -557,9 +583,6 @@ class AdHocController:
             self._pending.provenance = tuple(trace or ())
             self._pending.reconciled = reconciled
             self._pending = None
-        self._update_models(before, actions)
-        for agent_id, action in actions.items():
-            self._prev_action[agent_id] = action
 
     def _update_models(
         self, before: WorldState, actions: Mapping[int, Action]

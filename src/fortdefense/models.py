@@ -33,10 +33,21 @@ feature column once, each column's distinct values a range of integer
 bins, and that one code table serves all eight trees.  A level's per-bin
 row and positive counts come from ``np.bincount``; the root's row counts
 are shared by the eight trees, and each later level subtracts the
-histogram of the rows the new cue exits.  One vectorized pass over the
-histograms scores every numeric boundary and every category of every
-feature, so a level costs a fixed number of array operations whatever the
-feature count, with the same floats as a per-feature sort-and-scan.
+histogram of the rows the new cue exits.  The trees grow a level at a
+time, and one vectorized pass over the histograms scores every numeric
+boundary and every category of every feature for every growing tree, so
+a level costs a fixed number of array operations whatever the feature
+and tree count, with the same floats as a per-feature sort-and-scan.
+The eight trees of a small refit grow together; on a large example set,
+where a tree's rows alone fill the :data:`_PAIR_BLOCK`, one at a time.
+Induction also yields each tree's votes on its training rows, which the
+combiner is fitted on.
+
+A stacked model predicts from a flat table built once per model: per
+tree, its cues as ``(feature, categorical, threshold, exit_side,
+exit_label)`` tuples and its final label, read against the row as Python
+floats.  The votes equal ``FFTree.predict``'s, walked through the same
+``CombinerNode.predict``.
 
 Agreement trackers keep a sliding window of :data:`WINDOW_DEFAULT` (30)
 prediction-matched-observation flags per (agent, model) pair; the windowed
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -72,6 +83,9 @@ FORMAT_VERSION = 1
 # so learning raises no process's peak memory.
 _HISTOGRAM_BLOCK = 512
 _RANK_BLOCK = 1 << 14
+# (tree, row) pairs that one level of joint induction handles: the eight
+# trees of a small refit learn together, those of a large set one by one.
+_PAIR_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +147,9 @@ def _majority(pos: int, total: int) -> int:
 def _balanced_accuracy(pos_l, n_l, pos_r, n_r, pos_total, n_total):
     """Balanced accuracy of the two-sided majority classifier (vectorized)."""
     neg_total = n_total - pos_total
-    maj_l = (2 * pos_l > n_l).astype(int)
-    maj_r = (2 * pos_r > n_r).astype(int)
-    correct_pos = np.where(maj_l == 1, pos_l, 0) + np.where(maj_r == 1, pos_r, 0)
-    correct_neg = np.where(maj_l == 0, n_l - pos_l, 0) + np.where(
-        maj_r == 0, n_r - pos_r, 0
-    )
+    maj_l, maj_r = 2 * pos_l > n_l, 2 * pos_r > n_r
+    correct_pos = np.where(maj_l, pos_l, 0) + np.where(maj_r, pos_r, 0)
+    correct_neg = np.where(maj_l, 0, n_l - pos_l) + np.where(maj_r, 0, n_r - pos_r)
     return (correct_pos / pos_total + correct_neg / neg_total) / 2
 
 
@@ -156,15 +167,21 @@ class _Bins:
     feature: np.ndarray  # per bin: its column
     counts: np.ndarray  # per bin: rows of the whole matrix in it
     categorical: np.ndarray  # per column: whether it is categorical
+    starts: np.ndarray  # per column: its first bin
 
-    def histogram(self, rows: np.ndarray) -> np.ndarray:
+    def histogram(self, rows: np.ndarray, owners=None, n_owners: int = 1) -> np.ndarray:
         """Per-bin counts of the rows indexed by ``rows``, gathered
-        ``_HISTOGRAM_BLOCK`` rows at a time to bound the bin-id copies."""
-        counts = np.zeros(len(self.values), dtype=np.int64)
+        ``_HISTOGRAM_BLOCK`` rows at a time to bound the bin-id copies.
+        With ``owners`` (one per row, each below ``n_owners``) the counts
+        are split by owner: one row of counts per owner."""
+        size = len(self.values)
+        counts = np.zeros(n_owners * size, dtype=np.int64)
         for start in range(0, len(rows), _HISTOGRAM_BLOCK):
             block = self.codes[rows[start : start + _HISTOGRAM_BLOCK]]
+            if n_owners > 1:
+                block = block + owners[start : start + _HISTOGRAM_BLOCK, None] * size
             counts += np.bincount(block.ravel(), minlength=len(counts))
-        return counts
+        return counts if owners is None else counts.reshape(n_owners, size)
 
 
 def _rank_codes(X: np.ndarray, categorical: frozenset[int]) -> _Bins:
@@ -175,101 +192,167 @@ def _rank_codes(X: np.ndarray, categorical: frozenset[int]) -> _Bins:
     values, counts, sizes = [], [], []
     step = max(1, _RANK_BLOCK // max(n_rows, 1))
     for lo in range(0, n_columns, step):
-        block = X[:, lo : lo + step]
-        order = np.argsort(block, axis=0, kind="stable")
-        ordered = np.take_along_axis(block, order, axis=0)
-        new = np.ones(block.shape, dtype=bool)  # a row opens a bin
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        np.put_along_axis(codes[:, lo : lo + step], order, np.cumsum(new, axis=0) - 1, axis=0)
-        opens = np.flatnonzero(new.T)  # column by column
-        values.append(ordered.T.ravel()[opens])
+        block = np.ascontiguousarray(X[:, lo : lo + step].T)  # a column a row
+        order = np.argsort(block, axis=1, kind="stable")
+        ordered = np.take_along_axis(block, order, axis=1)
+        new = np.ones(block.shape, dtype=bool)  # a value opens a bin
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+        np.put_along_axis(codes[:, lo : lo + step].T, order, np.cumsum(new, axis=1) - 1, axis=1)
+        opens = np.flatnonzero(new)  # column by column
+        values.append(ordered.ravel()[opens])
         counts.append(np.diff(opens, append=new.size))
-        sizes += new.sum(axis=0).tolist()
+        sizes += new.sum(axis=1).tolist()
     if sum(sizes) > 1 << 16:
         codes = codes.astype(np.int32)
-    codes += np.cumsum([0] + sizes[:-1]).astype(codes.dtype)
+    starts = np.cumsum([0] + sizes[:-1])
+    codes += starts.astype(codes.dtype)
     return _Bins(
         codes=codes,
         values=np.concatenate(values),
         feature=np.repeat(np.arange(n_columns), sizes),
         counts=np.concatenate(counts),
         categorical=np.isin(np.arange(n_columns), list(categorical)),
+        starts=starts,
     )
 
 
-def _feature_splits(bins: _Bins, count: np.ndarray, pos: np.ndarray, n: int, n_pos: int):
-    """Every feature's best split of the ``n`` rows (``n_pos`` positive)
-    whose per-bin histograms are ``count`` and ``pos``, scored in one pass.
+def _feature_splits(bins: _Bins, count: np.ndarray, pos: np.ndarray, n, n_pos):
+    """Every feature's best split for each of several trees, all scored in
+    one pass: row ``t`` of ``count`` and ``pos`` holds the per-bin
+    histograms of tree ``t``'s ``n[t]`` rows and of the ``n_pos[t]``
+    positive ones among them.  A single row of ``count`` is shared by
+    trees of the same rows (the root's).
 
-    Returns ``(features, accuracies, thresholds)``, ascending by feature,
-    for the features that have a split: a numeric boundary between two
-    values present among the rows, or a category not holding every row.
-    Within a feature the first maximum wins.
+    Returns per tree ``(features, accuracies, thresholds)``, ascending by
+    feature, for the features that have a split: a numeric boundary
+    between two values present among the rows, or a category not holding
+    every row.  Within a feature the first maximum wins.
     """
-    present = np.flatnonzero(count)
-    c, p, f = count[present], pos[present], bins.feature[present]
+    n, n_pos = np.asarray(n)[:, None], np.asarray(n_pos)[:, None]
+    # only the bins that hold a row of some tree
+    held = np.flatnonzero(count.any(axis=0))
+    count, pos, f, values = count[:, held], pos[:, held], bins.feature[held], bins.values[held]
+    starts, last = np.searchsorted(held, bins.starts), len(held) - 1
     cat = bins.categorical[f]
     # every column's bins hold all n rows, so a running count over the
-    # present bins, less n per earlier column, counts the rows <= a value
-    n_l = np.where(cat, c, np.cumsum(c) - f * n)
-    pos_l = np.where(cat, p, np.cumsum(p) - f * n_pos)
-    split = np.flatnonzero(n_l < n)
-    if not split.size:
-        return [], [], []
-    n_l, pos_l, f = n_l[split], pos_l[split], f[split]
+    # bins, less n per earlier column, counts the rows <= a value
+    n_count = n[: len(count)]
+    n_l = np.where(cat, count, np.cumsum(count, axis=1) - f * n_count)
+    pos_l = np.where(cat, pos, np.cumsum(pos, axis=1) - f * n_pos)
+    present = count > 0
     ba = _balanced_accuracy(pos_l, n_l, n_pos - pos_l, n - n_l, n_pos, n)
-    starts = np.flatnonzero(np.diff(f, prepend=-1))
-    best = np.maximum.reduceat(ba, starts)
-    hits = np.flatnonzero(ba == np.repeat(best, np.diff(starts, append=split.size)))
-    first = split[hits[np.searchsorted(hits, starts)]]
-    value = bins.values[present[first]]
-    # a numeric split's next present value is the next present bin
-    upper = bins.values[present[np.minimum(first + 1, present.size - 1)]]
-    thresholds = np.where(cat[first], value, (value + upper) / 2)
-    return f[starts].tolist(), best.tolist(), thresholds.tolist()
+    # an absent value, or no row on the right
+    np.copyto(ba, -1.0, where=~present | (n_l >= n_count))
+    best = np.maximum.reduceat(ba, starts, axis=1)
+    index = np.arange(last + 1)
+    first = np.minimum.reduceat(np.where(ba == best[:, f], index, last), starts, axis=1)
+    # a numeric split's upper value is that of the next present bin
+    following = np.minimum.accumulate(np.where(present, index, last)[:, ::-1], axis=1)[:, ::-1]
+    upper = np.take_along_axis(following, np.minimum(first + 1, last), axis=1)
+    value = values[first]
+    thresholds = np.where(bins.categorical, value, (value + values[upper]) / 2)
+    out = []
+    for accuracies, cuts in zip(best.tolist(), thresholds.tolist()):
+        split = [g for g, a in enumerate(accuracies) if a >= 0]
+        out.append((split, [accuracies[g] for g in split], [cuts[g] for g in split]))
+    return out
 
 
-def _learn_binned(
-    bins: _Bins, X: np.ndarray, y: np.ndarray, max_leaves: int, pos: np.ndarray
-) -> FFTree:
-    """FF-tree induction on the binary labels ``y`` of the rows ``bins``
-    codes; ``pos`` is the histogram of the positive rows."""
+def _cue_tests(bins: _Bins, X: np.ndarray, cues: dict, tree_of, row_of) -> np.ndarray:
+    """Each (tree, row) pair's outcome of its tree's new cue; ``cues`` maps
+    a tree to the cue's ``(feature, threshold)``."""
+    size = max(cues) + 1
+    feature, threshold = np.zeros(size, dtype=int), np.zeros(size)
+    categorical = np.zeros(size, dtype=bool)
+    for t, (f, cut) in cues.items():
+        feature[t], threshold[t], categorical[t] = f, cut, bins.categorical[f]
+    values, cuts = X[row_of, feature[tree_of]], threshold[tree_of]
+    if not categorical.any():
+        return values <= cuts
+    return np.where(categorical[tree_of], values == cuts, values <= cuts)
+
+
+def _learn_trees(
+    bins: _Bins, X: np.ndarray, labels: np.ndarray, max_leaves: int
+) -> tuple[list[FFTree], np.ndarray]:
+    """FF-tree induction, one tree per row of the boolean matrix ``labels``
+    (trees x rows of ``X``), all trees a level at a time: one
+    :func:`_feature_splits` pass scores every growing tree's level.
+
+    Returns the trees and their votes on the rows of ``X`` (trees x rows),
+    which induction knows: each row's exit label, or the tree's final
+    label for the rows no cue exits.
+    """
     if max_leaves < 2:
         raise ValueError("max_leaves must be at least 2")
-    count = bins.counts
-    remaining = np.arange(len(y))
-    n_pos = int(y.sum())
-    cues: list[Cue] = []
-    while len(cues) < max_leaves - 1 and 0 < n_pos < len(remaining):
-        n = len(remaining)
-        best = None  # (ba, feature, threshold)
-        for f, ba, threshold in zip(*_feature_splits(bins, count, pos, n, n_pos)):
-            if best is None or ba > best[0] + 1e-12:
-                best = (ba, f, threshold)
-        if best is None or best[0] <= 0.5 + 1e-12:
+    k, n_rows = labels.shape
+    n, n_pos = [n_rows] * k, labels.sum(axis=1).tolist()
+    cues: list[list[Cue]] = [[] for _ in range(k)]
+    votes = np.zeros((k, n_rows), dtype=np.int8)
+    # every tree's remaining rows, as (tree, row) pairs
+    tree_of, row_of = np.repeat(np.arange(k), n_rows), np.tile(np.arange(n_rows), k)
+    positive = labels.ravel()
+    count = bins.counts[None]  # the root's counts, shared by every tree
+    pos = bins.histogram(row_of[positive], tree_of[positive], k)
+    growing = [t for t in range(k) if 0 < n_pos[t] < n[t]]
+    holding = list(range(k))  # the trees with rows left
+    for depth in range(max_leaves):
+        chosen = {}  # tree -> (feature, threshold)
+        if growing and depth < max_leaves - 1:
+            splits = _feature_splits(
+                bins,
+                count[growing] if len(count) > 1 else count,
+                pos[growing],
+                [n[t] for t in growing],
+                [n_pos[t] for t in growing],
+            )
+            for t, found in zip(growing, splits):
+                best = None  # (ba, feature, threshold)
+                for f, ba, threshold in zip(*found):
+                    if best is None or ba > best[0] + 1e-12:
+                        best = (ba, f, threshold)
+                if best is not None and best[0] > 0.5 + 1e-12:
+                    chosen[t] = best[1:]
+        stopping = [t for t in holding if t not in chosen]
+        if stopping:
+            # the rows left to a tree that stops take its final label
+            final = np.full(k, -1)
+            for t in stopping:
+                final[t] = _majority(n_pos[t], n[t])
+            label = final[tree_of]
+            stop = label >= 0
+            votes[tree_of[stop], row_of[stop]] = label[stop]
+            stay = ~stop
+            tree_of, row_of, positive = tree_of[stay], row_of[stay], positive[stay]
+            holding = list(chosen)
+        if not chosen:
             break
-        _, f, threshold = best
-        is_cat = bool(bins.categorical[f])
-        vals = X[remaining, f]
-        test = (vals == threshold) if is_cat else (vals <= threshold)
-        n_t = int(test.sum())
-        pos_t = int(y[remaining[test]].sum())
-        n_f, pos_f = n - n_t, n_pos - pos_t
-        assert n_t > 0 and n_f > 0
-        exit_side = max(pos_t, n_t - pos_t) / n_t >= max(pos_f, n_f - pos_f) / n_f
-        if exit_side:
-            exit_label = _majority(pos_t, n_t)
-            n_pos = pos_f
-        else:
-            exit_label = _majority(pos_f, n_f)
-            n_pos = pos_t
-        cues.append(Cue(f, is_cat, threshold, exit_side, exit_label))
-        exits = test == exit_side
-        gone = remaining[exits]
-        remaining = remaining[~exits]
-        count = count - bins.histogram(gone)
-        pos = pos - bins.histogram(gone[y[gone] == 1])
-    return FFTree(tuple(cues), _majority(n_pos, len(remaining)))
+        test = _cue_tests(bins, X, chosen, tree_of, row_of)
+        n_true = np.bincount(tree_of[test], minlength=k).tolist()
+        pos_true = np.bincount(tree_of[test & positive], minlength=k).tolist()
+        exit_side, exit_label = np.zeros(k, dtype=bool), np.zeros(k, dtype=int)
+        for t, (f, cut) in chosen.items():
+            n_t, pos_t = n_true[t], pos_true[t]
+            n_f, pos_f = n[t] - n_t, n_pos[t] - pos_t
+            assert n_t > 0 and n_f > 0
+            side = max(pos_t, n_t - pos_t) / n_t >= max(pos_f, n_f - pos_f) / n_f
+            if side:
+                label, n[t], n_pos[t] = _majority(pos_t, n_t), n_f, pos_f
+            else:
+                label, n[t], n_pos[t] = _majority(pos_f, n_f), n_t, pos_t
+            cues[t].append(Cue(f, bool(bins.categorical[f]), cut, side, label))
+            exit_side[t], exit_label[t] = side, label
+        exits = test == exit_side[tree_of]
+        gone_tree, gone_row = tree_of[exits], row_of[exits]
+        votes[gone_tree, gone_row] = exit_label[gone_tree]
+        count = count - bins.histogram(gone_row, gone_tree, k)
+        gone_pos = positive[exits]
+        pos -= bins.histogram(gone_row[gone_pos], gone_tree[gone_pos], k)
+        stay = ~exits
+        tree_of, row_of, positive = tree_of[stay], row_of[stay], positive[stay]
+        growing = [t for t in chosen if 0 < n_pos[t] < n[t]]
+    trees = [FFTree(tuple(c), _majority(n_pos[t], n[t])) for t, c in enumerate(cues)]
+    return trees, votes
 
 
 def learn_ff_tree(
@@ -283,8 +366,8 @@ def learn_ff_tree(
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise ValueError("cannot learn from an empty example set")
-    bins = _rank_codes(X, categorical)
-    return _learn_binned(bins, X, y, max_leaves, bins.histogram(np.flatnonzero(y == 1)))
+    (tree,), _ = _learn_trees(_rank_codes(X, categorical), X, (y == 1)[None], max_leaves)
+    return tree
 
 
 def batch_predict(tree: FFTree, X: np.ndarray) -> np.ndarray:
@@ -324,37 +407,42 @@ class CombinerNode:
         return node.label
 
 
-def _entropy(counter: Counter) -> float:
-    total = sum(counter.values())
+def _entropy(counts: dict) -> float:
+    total = sum(counts.values())
     h = 0.0
-    for c in counter.values():
+    for c in counts.values():
         if c:
             p = c / total
             h -= p * math.log2(p)
     return h
 
 
-def _majority_action(counter: Counter) -> int:
-    return min(counter, key=lambda a: (-counter[a], a))
+def _majority_action(counts: dict) -> int:
+    return min(counts, key=lambda a: (-counts[a], a))
+
+
+def _add_counts(total: dict, counts: dict) -> None:
+    """Add ``counts`` into ``total``, a new action entered last (the
+    entropies sum in that order)."""
+    for a, c in counts.items():
+        total[a] = total.get(a, 0) + c
 
 
 def _build_combiner(groups: dict, available: tuple[int, ...], depth: int) -> CombinerNode:
-    """``groups`` maps vote tuples to Counters of true actions."""
-    total = Counter()
+    """``groups`` maps vote tuples to dicts of true-action counts."""
+    total: dict[int, int] = {}
     for c in groups.values():
-        total.update(c)
+        _add_counts(total, c)
     if len(total) == 1 or not available or depth == 0:
         return CombinerNode(label=_majority_action(total))
     n = sum(total.values())
     base = _entropy(total)
     best = None  # (gain, feature)
     for f in available:
-        side = {0: Counter(), 1: Counter()}
+        sides: tuple[dict, dict] = ({}, {})
         for votes, c in groups.items():
-            side[votes[f]].update(c)
-        cond = sum(
-            (sum(side[v].values()) / n) * _entropy(side[v]) for v in (0, 1) if side[v]
-        )
+            _add_counts(sides[votes[f]], c)
+        cond = sum((sum(side.values()) / n) * _entropy(side) for side in sides if side)
         gain = base - cond
         if best is None or gain > best[0] + 1e-12:
             best = (gain, f)
@@ -382,9 +470,35 @@ class StackedModel:
     trees: tuple[FFTree, ...]
     combiner: CombinerNode
     train_count: int
+    # per tree: its cues as (feature, categorical, threshold, exit_side,
+    # exit_label) tuples, and its final label
+    _table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = tuple(
+            (
+                tuple(
+                    (c.feature, c.categorical, c.threshold, c.exit_side, c.exit_label)
+                    for c in tree.cues
+                ),
+                tree.final_label,
+            )
+            for tree in self.trees
+        )
+        object.__setattr__(self, "_table", table)
 
     def predict(self, vec: Sequence[float]) -> int:
-        votes = tuple(tree.predict(vec) for tree in self.trees)
+        """Each tree's vote, as ``FFTree.predict`` gives it, walked through
+        the combiner; an ndarray row is read as Python floats."""
+        row = vec.tolist() if isinstance(vec, np.ndarray) else vec
+        votes = []
+        for cues, vote in self._table:
+            for f, categorical, threshold, exit_side, exit_label in cues:
+                value = row[f]
+                if ((value == threshold) if categorical else (value <= threshold)) == exit_side:
+                    vote = exit_label
+                    break
+            votes.append(vote)
         return self.combiner.predict(votes)
 
 
@@ -395,22 +509,22 @@ def learn_stacked(X: np.ndarray, y: np.ndarray, max_leaves: int = N_FEATURES) ->
     if len(y) == 0:
         raise ValueError("cannot learn from an empty example set")
     bins = _rank_codes(X, CATEGORICAL_FEATURES)
-    trees = tuple(
-        _learn_binned(
-            bins, X, (y == k).astype(int), max_leaves, bins.histogram(np.flatnonzero(y == k))
-        )
-        for k in range(N_ACTIONS)
-    )
-    votes = _votes(trees, X)
-    # the combiner's entropies sum in Counter order, so groups and their
+    labels = y == np.arange(N_ACTIONS)[:, None]
+    trees, votes = [], np.empty(labels.shape, dtype=np.int8)
+    step = max(1, _PAIR_BLOCK // len(y))
+    for lo in range(0, N_ACTIONS, step):
+        block, votes[lo : lo + step] = _learn_trees(bins, X, labels[lo : lo + step], max_leaves)
+        trees += block
+    votes = votes.T
+    # the combiner's entropies sum in insertion order, so groups and their
     # labels are entered in order of first appearance, as a row loop would
     pairs = (y << votes.shape[1]) + _vote_keys(votes)
     _, first, sizes = np.unique(pairs, return_index=True, return_counts=True)
-    groups: dict[tuple[int, ...], Counter] = {}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     for i, size in sorted(zip(first.tolist(), sizes.tolist())):
-        groups.setdefault(tuple(votes[i].tolist()), Counter())[int(y[i])] = size
+        groups.setdefault(tuple(votes[i].tolist()), {})[int(y[i])] = size
     combiner = _build_combiner(groups, tuple(range(N_ACTIONS)), N_ACTIONS)
-    return StackedModel(trees=trees, combiner=combiner, train_count=len(y))
+    return StackedModel(trees=tuple(trees), combiner=combiner, train_count=len(y))
 
 
 def predict_action(model: StackedModel, vec: Sequence[float]) -> int:
@@ -535,7 +649,7 @@ def incremental_update(
     combined = list(reservoir or []) + list(buffer)
     if not combined:
         raise ValueError("no examples to update from")
-    X = np.array([np.asarray(v, dtype=float) for v, _ in combined])
+    X = np.array([v for v, _ in combined], dtype=float)
     y = np.array([int(lab) for _, lab in combined], dtype=int)
     if model is None:
         return learn_stacked(X, y, max_leaves)

@@ -35,7 +35,7 @@ from fortdefense.explain import (
     verify_answer,
     well_formed_action,
 )
-from fortdefense.kr.beliefs import Belief, check_executable, close_defined
+from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
@@ -617,6 +617,19 @@ def test_a_goal_that_already_holds_is_explained_as_satisfied():
     assert text.endswith(
         "the goal condition face(guard0, s) already held, so nothing needed doing."
     )
+
+
+def test_the_belief_after_the_last_decision_is_the_final_belief(trace):
+    """The guard is down after step 12 of this 27-tick episode.  Its final
+    belief is the one its last decision led to, not the end-of-episode
+    world, so a why-belief query at step 13 is answered from it: attacker1
+    faced east only later in the episode."""
+    last = trace.steps[-1]
+    assert (last.step, trace.n_steps) == (12, 27)
+    assert trace.final_belief == progress(last.belief, last.executed, trace.gdom)
+    assert trace.belief_at(13) is trace.final_belief
+    with pytest.raises(TraceQueryError, match="at step 13 the belief was -agent_face"):
+        answer_query(trace, "why belief agent_face(attacker1, e) at step 13")
 
 
 @pytest.mark.xfail(

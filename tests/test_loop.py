@@ -1,10 +1,11 @@
 """Tests for the ad hoc control loop and episode runner.
 
-The central invariant: after every tick the controller's belief agrees
-exactly with the observable world (poses, facings, who is down), whether
-the update came from symbolic progression or from the observation
-reconciliation fallback.  Translation of simulator outcomes into action
-atoms is checked against hand-resolved scenarios.
+The central invariant: after every tick that the controlled guard starts
+alive, the controller's belief agrees exactly with the observable world
+(poses, facings, who is down), whether the update came from symbolic
+progression or from the observation reconciliation fallback; once the
+guard is down, the belief stays as it was.  Translation of simulator
+outcomes into action atoms is checked against hand-resolved scenarios.
 """
 
 import hashlib
@@ -51,7 +52,8 @@ from fortdefense.loop import (
     run_games,
     tick_seed,
 )
-from fortdefense.models import ModelLibrary, learn_stacked
+from fortdefense import models
+from fortdefense.models import ModelLibrary, learn_stacked, save_library
 
 import numpy as np
 from reference_plan import reference_plan
@@ -346,7 +348,8 @@ class TestPredictionHelpers:
 
 def drive_episode(config, controller, seed, policy="P1"):
     """Run one scripted-vs-controller episode, asserting the belief/world
-    agreement invariant every tick; returns the tick count."""
+    agreement invariant on every tick the guard starts alive, and that the
+    belief stays fixed from then on; returns the tick count."""
     from fortdefense.policies import make_policy, policy_action
 
     spec = make_policy(policy)
@@ -355,6 +358,8 @@ def drive_episode(config, controller, seed, policy="P1"):
     gdom = controller.gdom
     ticks = 0
     while terminal(state) is None:
+        was_up = state.get(controller.ah_id).alive
+        belief = controller.belief
         actions = {}
         tick = Tick(state)
         for agent in state.agents:
@@ -372,10 +377,13 @@ def drive_episode(config, controller, seed, policy="P1"):
                 actions[agent.id] = policy_action(spec, tick, agent.id, seed_t)
         nxt, events = step(state, actions)
         controller.observe(state, actions, nxt, events)
-        for lit in observe_world(nxt, gdom):
-            assert controller.belief.holds(lit), (
-                f"belief diverged from world on {lit} at tick {nxt.step_count}"
-            )
+        if was_up:
+            for lit in observe_world(nxt, gdom):
+                assert controller.belief.holds(lit), (
+                    f"belief diverged from world on {lit} at tick {nxt.step_count}"
+                )
+        else:
+            assert controller.belief is belief, f"belief moved at tick {nxt.step_count}"
         state = nxt
         ticks += 1
     return ticks
@@ -452,16 +460,17 @@ class TestControllerLoop:
 
         monkeypatch.setattr(AdHocController, "observe", watched_observe)
         monkeypatch.setattr(loop, "progress", watched_progress)
-        # P1 seed 1: the ad hoc guard is down after two of the four ticks
+        # P1 seed 1: the ad hoc guard is down after two of the four ticks,
+        # and the belief of a downed guard is not progressed
         stats = run_games(small_config, "P1", 1, seed=1, refit=False, collect_traces=True)
         record = stats.records[0]
         assert (len(record.steps), record.n_steps) == (2, 4)
-        assert [type(t) for t in traces] == [list, list, type(None), type(None)]
-        assert [s.provenance for s in record.steps] == [tuple(t) for t in traces[:2]]
+        assert [type(t) for t in traces] == [list, list]
+        assert [s.provenance for s in record.steps] == [tuple(t) for t in traces]
         assert all(s.provenance for s in record.steps)
         traces.clear()
         run_games(small_config, "P1", 1, seed=1, refit=False)
-        assert traces == [None] * 4
+        assert traces == [None] * 2
 
     def test_one_grounding_per_config_and_horizon(self, monkeypatch):
         config = GridConfig(width=9, height=9, n_guards=2, n_attackers=2, max_steps=33)
@@ -823,3 +832,93 @@ def test_golden_w0_episode_search_and_provenance(w0_p1_record):
     for s in steps:
         h.update(json.dumps(_step_dict(s)["provenance"], sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0_PROVENANCE
+
+
+# ---------------------------------------------------------------------------
+# W0 model bookkeeping and work counts
+# ---------------------------------------------------------------------------
+
+# One W0 pass as the benchmark's adhoc-w0 workload plays it: P1, B220 and
+# B1600, three episodes each from episode seed 0, horizon 8, each policy
+# from an empty library.  Per policy: each episode's (pred_correct,
+# pred_total), the library's model count, and the sha256 of the
+# ``save_library`` file after the block, which pins the refitted models,
+# the agreement trackers and the assignments.
+GOLDEN_W0_MODELS = {
+    "P1": (
+        [(0, 0), (0, 0), (26, 35)],
+        5,
+        "624983df62ec05c7a6b12f9719780a3dbca99eb611da9e978edb36a56a9e3ecf",
+    ),
+    "B220": (
+        [(0, 0), (0, 0), (27, 44)],
+        5,
+        "ad093593fa6f0d2515afc15aa3ef794208dc04c51bd5075f3405b6515fe66fbe",
+    ),
+    "B1600": (
+        [(0, 0), (4, 17), (59, 107)],
+        6,
+        "deedf4c049481f25b89dd665b08fe4036d155e5d8ee47a1497c756c3a997d175",
+    ),
+}
+
+# The same pass's work: refits (``learn_stacked`` calls), model predictions
+# (``loop.predict_action`` calls, one per live agent per library model per
+# decision) and belief progressions on the observation path (one per tick
+# the guard starts alive; build_schedule's are not counted).
+GOLDEN_W0_WORK = {"learn_stacked": 16, "predict_action": 1016, "observe_progress": 136}
+
+
+@pytest.fixture(scope="module")
+def w0_pass(tmp_path_factory):
+    """(per-policy bookkeeping, work counts) of one counted W0 pass."""
+    work = dict.fromkeys(GOLDEN_W0_WORK, 0)
+    observing = []
+    learn, predict = models.learn_stacked, loop.predict_action
+    progress_, observe = loop.progress, AdHocController.observe
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def watched_observe(self, *args):
+        observing.append(True)
+        try:
+            return observe(self, *args)
+        finally:
+            observing.pop()
+
+    def watched_progress(*args, **kwargs):
+        work["observe_progress"] += bool(observing)
+        return progress_(*args, **kwargs)
+
+    bookkeeping = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "learn_stacked", counted("learn_stacked", learn))
+        mp.setattr(loop, "predict_action", counted("predict_action", predict))
+        mp.setattr(loop, "progress", watched_progress)
+        mp.setattr(AdHocController, "observe", watched_observe)
+        for policy in GOLDEN_W0_MODELS:
+            library = ModelLibrary()
+            stats = run_games(GridConfig(), policy, 3, seed=0, library=library, horizon=8)
+            path = tmp_path_factory.mktemp("w0") / f"{policy}.json"
+            save_library(library, path)
+            bookkeeping[policy] = (
+                [(e.pred_correct, e.pred_total) for e in stats.episodes],
+                len(library.models),
+                hashlib.sha256(path.read_bytes()).hexdigest(),
+            )
+    return bookkeeping, work
+
+
+def test_golden_w0_model_bookkeeping(w0_pass):
+    bookkeeping, _ = w0_pass
+    assert bookkeeping == GOLDEN_W0_MODELS
+
+
+def test_golden_w0_work_counts(w0_pass):
+    _, work = w0_pass
+    assert work == GOLDEN_W0_WORK

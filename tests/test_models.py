@@ -8,7 +8,9 @@ Oracles used here:
 * recorded cue paths for prediction invariance under off-path mutations;
 * ``reference_models``, the argsort learner the histogram learner replaced,
   for equal trees, models and per-feature splits;
-* the per-row ``StackedModel.predict`` loop for batch prediction.
+* the per-row ``StackedModel.predict`` loop for batch prediction;
+* ``FFTree.predict`` votes walked through ``CombinerNode.predict`` for the
+  stacked model's flat cue table, on drawn models and rows.
 """
 
 import functools
@@ -26,6 +28,9 @@ from fortdefense.features import CATEGORICAL_FEATURES, N_FEATURES
 from fortdefense.loop import run_games
 from fortdefense.models import (
     AgreementTracker,
+    CombinerNode,
+    Cue,
+    FFTree,
     ModelLibrary,
     StackedModel,
     THETA_DEFAULT,
@@ -559,12 +564,12 @@ def test_every_feature_split_equals_the_argsort_scan(data, drawn):
     labels = y[rows]
     assume(len(rows) and 0 < labels.sum() < len(rows))
     bins = _rank_codes(X, categorical)
-    found = _feature_splits(
+    (found,) = _feature_splits(
         bins,
-        bins.histogram(rows),
-        bins.histogram(rows[labels == 1]),
-        len(rows),
-        int(labels.sum()),
+        bins.histogram(rows)[None],
+        bins.histogram(rows[labels == 1])[None],
+        [len(rows)],
+        [int(labels.sum())],
     )
     want = {}
     for f in range(X.shape[1]):
@@ -582,8 +587,8 @@ def test_feature_splits_keep_the_first_maximum():
     y = np.array([1, 0, 0, 1])
     bins = _rank_codes(X, frozenset({1}))
     rows = np.arange(4)
-    features, accuracies, thresholds = _feature_splits(
-        bins, bins.histogram(rows), bins.histogram(rows[y == 1]), 4, 2
+    ((features, accuracies, thresholds),) = _feature_splits(
+        bins, bins.histogram(rows)[None], bins.histogram(rows[y == 1])[None], [4], [2]
     )
     assert features == [0, 1]
     assert accuracies == [0.75, 0.75]
@@ -633,6 +638,60 @@ def test_batch_prediction_equals_the_row_loop_on_scripted_examples(role):
     assert accuracy(model, X[1::2], y[1::2]) == hits / len(y[1::2])
     assert batch_predict_action(model, X[:0]).tolist() == []
     assert accuracy(model, X[:0], y[:0]) == 0.0
+
+
+#: Cue thresholds and row values share a few levels, so that categorical
+#: cues match and numeric cues meet their threshold exactly.
+LEVELS = (-2.5, -0.0, 0.0, 1.0, 2.0, 3.5, 7.0)
+
+drawn_cues = st.builds(
+    Cue,
+    feature=st.integers(0, N_FEATURES - 1),
+    categorical=st.booleans(),
+    threshold=st.sampled_from(LEVELS) | st.floats(-10, 10),
+    exit_side=st.booleans(),
+    exit_label=st.integers(0, 1),
+)
+drawn_trees = st.builds(
+    FFTree, cues=st.lists(drawn_cues, max_size=5).map(tuple), final_label=st.integers(0, 1)
+)
+drawn_combiners = st.recursive(
+    st.builds(CombinerNode, label=st.integers(0, N_ACTIONS - 1)),
+    lambda nodes: st.builds(
+        CombinerNode, feature=st.integers(0, N_ACTIONS - 1), low=nodes, high=nodes
+    ),
+    max_leaves=16,
+)
+drawn_models = st.builds(
+    StackedModel,
+    trees=st.lists(drawn_trees, min_size=N_ACTIONS, max_size=N_ACTIONS).map(tuple),
+    combiner=drawn_combiners,
+    train_count=st.just(0),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    model=drawn_models,
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 8),
+    form=st.sampled_from((np.array, list, tuple)),
+)
+def test_the_flat_cue_table_predicts_as_the_trees_and_the_combiner(model, seed, n_rows, form):
+    """The stacked model's flat prediction equals each tree's vote walked
+    through the combiner, on an ndarray, list or tuple row, and equals
+    batch prediction over the rows."""
+    rng = np.random.default_rng(seed)
+    X = np.where(
+        rng.random((n_rows, N_FEATURES)) < 0.5,
+        rng.choice(LEVELS, (n_rows, N_FEATURES)),
+        rng.uniform(-10, 10, (n_rows, N_FEATURES)),
+    )
+    rows = X.tolist()
+    walked = [model.combiner.predict([t.predict(form(row)) for t in model.trees]) for row in rows]
+    assert [model.predict(form(row)) for row in rows] == walked
+    assert [predict_action(model, row) for row in X] == walked
+    assert batch_predict_action(model, X).tolist() == walked
 
 
 # ---------------------------------------------------------------------------
