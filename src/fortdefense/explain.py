@@ -74,7 +74,7 @@ from fortdefense.loop import (
 # the binding perfbench/tracing.py wraps; groundings come from loop
 ground = _ground
 
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -183,10 +183,14 @@ def load_templates() -> dict[str, str]:
 
 def render_chain(kind: str, top_slots: dict[str, str], chain: Sequence[AxiomInstance]) -> str:
     """Fill the top-level template for a query kind with the chain's
-    clauses; identical chains render identically."""
+    clauses; identical chains render identically.  A clause's ``axiom``
+    and ``axiom_text`` come from the link's own id and text."""
     templates = load_templates()
     clauses = "; ".join(
-        templates[inst.template].format(**dict(inst.slots)) for inst in chain
+        templates[i.template].format(
+            axiom=f"{i.axiom_id} {i.axiom_text}", axiom_text=i.axiom_text, **dict(i.slots)
+        )
+        for i in chain
     )
     return templates[kind].format(clauses=clauses, **top_slots)
 
@@ -607,7 +611,7 @@ def _link(
 ) -> AxiomInstance:
     """A chain link whose ``slots`` fill ``template``, stored in name
     order.  The parameters are positional-only, so any name can be a slot
-    (the inertia link fills ``step``, the default link ``axiom_text``)."""
+    (the inertia link fills ``step``)."""
     return AxiomInstance(
         template,
         axiom_id,
@@ -677,8 +681,8 @@ def _rule_instance(
     counterfactual: Optional[Atom] = None,
     **slots: str,
 ) -> AxiomInstance:
-    """A chain link that cites ``rule``: the rule's id and text fill the
-    ``axiom`` slot, and its ground antecedents the ``literals`` slot."""
+    """A chain link that cites ``rule`` (its id and text render as
+    ``axiom``); its ground antecedents fill the ``literals`` slot."""
     return _link(
         template,
         rule.text,
@@ -687,7 +691,6 @@ def _rule_instance(
         antecedents,
         axiom_id=rule.axiom_id,
         counterfactual=counterfactual,
-        axiom=f"{rule.axiom_id} {rule.text}",
         literals="; ".join(str(l) for l in antecedents) or "no conditions",
         **slots,
     )
@@ -950,14 +953,20 @@ def why_not_chain(
 
 def well_formed_action(gdom: GroundedDomain, action: Atom) -> bool:
     """Whether ``action`` is one of the controlled guard's ground actions:
-    a declared, non-exogenous action whose arguments are of its declared
-    sorts."""
+    a declared action whose first argument is the guard and whose
+    arguments are of their declared sorts, and which no executability
+    condition over statics alone rules out (a shot at a teammate)."""
     decl = gdom.desc.actions.get(action.pred)
     return (
         decl is not None
-        and not decl.exogenous
+        and action.args[:1] == (gdom.ah_symbol,)
         and len(action.args) == len(decl.arg_sorts)
         and all(gdom.in_sort(a, s) for a, s in zip(action.args, decl.arg_sorts))
+        and not any(
+            rule.on_action.first({}, action) is not None
+            for rule in gdom.exec_by_action.get(action.pred, ())
+            if all(lit.atom.pred in gdom.statics for lit in rule.body)
+        )
     )
 
 
@@ -987,9 +996,7 @@ def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance
         if env is None:
             continue
         antecedents = tuple(lit.substitute(rule.on_head.binding(env)) for lit in rule.body)
-        return _rule_instance(
-            "clause_default", rule, 1, antecedents, str(atom), axiom_text=rule.text
-        )
+        return _rule_instance("clause_default", rule, 1, antecedents, str(atom))
     return None
 
 

@@ -220,6 +220,9 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
         for y in range(config.height)
     ]
 
+    sides = (guard_symbols(config), attacker_symbols(config))
+    same_side = [(a, b) for side in sides for a in side for b in side]
+
     def in_sight(x1, y1, d, x2, y2) -> bool:
         return in_cone(config, DIR_OF_SYMBOL[d], x1, y1, x2, y2)
 
@@ -228,6 +231,7 @@ def build_statics(config: GridConfig) -> dict[str, Static]:
         "opposite_dir": Static("opposite_dir", 2, table=opposite),
         "component": Static("component", 3, table=component),
         "in_sight": Static("in_sight", 5, func=in_sight),
+        "same_side": Static("same_side", 2, table=same_side),
     }
 
 
@@ -252,7 +256,6 @@ def populate_sorts(
         "guard": guards,
         "attacker": attackers,
         "ah_agent": guards[:1],
-        "ext_agent": guards[1:] + attackers,
         "dir": DIR_SYMBOLS,
         "x_val": tuple(range(config.width)),
         "y_val": tuple(range(config.height)),

@@ -10,8 +10,7 @@ Declarations::
     static next_to(x_val, y_val, x_val, y_val).
     fluent inertial in(agent, x_val, y_val).
     fluent defined agent_in(agent, region).
-    action move(ah_agent, x_val, y_val).
-    exogenous action agent_move(ext_agent, x_val, y_val).
+    action move(agent, x_val, y_val).   % the first argument is the actor
 
 Axioms::
 
@@ -102,14 +101,7 @@ class SortDecl:
 class PredDecl:
     name: str
     arg_sorts: tuple[str, ...]
-    kind: str  # "static" | "inertial" | "defined"
-
-
-@dataclass(frozen=True)
-class ActionDecl:
-    name: str
-    arg_sorts: tuple[str, ...]
-    exogenous: bool = False
+    kind: str  # "static" | "inertial" | "defined" | "action"
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ class DomainDescription:
     sorts: list[SortDecl] = field(default_factory=list)
     statics: dict[str, PredDecl] = field(default_factory=dict)
     fluents: dict[str, PredDecl] = field(default_factory=dict)
-    actions: dict[str, ActionDecl] = field(default_factory=dict)
+    actions: dict[str, PredDecl] = field(default_factory=dict)
     causal_laws: list[CausalLaw] = field(default_factory=list)
     constraints: list[StateConstraint] = field(default_factory=list)
     executabilities: list[Executability] = field(default_factory=list)
@@ -281,11 +273,9 @@ def parse_domain(text: str) -> DomainDescription:
                 raise DomainSyntaxError(
                     f"fluent must be declared inertial or defined: {stmt!r}"
                 )
-        elif flat.startswith("exogenous action ") or flat.startswith("action "):
-            exo = flat.startswith("exogenous")
-            rest = flat.split("action ", 1)[1]
-            decl = _parse_signature(rest, "action", stmt)
-            desc.actions[decl.name] = ActionDecl(decl.name, decl.arg_sorts, exogenous=exo)
+        elif flat.startswith("action "):
+            decl = _parse_signature(flat[len("action ") :], "action", stmt)
+            desc.actions[decl.name] = decl
         elif flat.startswith("impossible "):
             rest = flat[len("impossible ") :]
             if " if " not in rest:

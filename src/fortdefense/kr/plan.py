@@ -54,7 +54,7 @@ replans in the explainer get it too:
   two, since ``rotate`` turns one quarter.
 - ``shot(T)``: the smaller of two terms, capped at ``horizon - d + 1``
   (more than the actions left).  ``T`` moves only by its scheduled
-  ``agent_move``s, and a dropped move leaves it where it is, so at the
+  ``move``s, and a dropped move leaves it where it is, so at the
   start of tick ``d + n - 1`` it stands on its current cell or on a cell
   one of ``schedule[d .. d + n - 2]`` moves it to.
 
@@ -64,7 +64,8 @@ replans in the explainer get it too:
     at tick start, and the guard moves at most one 4-connected cell a
     tick.
   - Teammate shot: ``k - d + 1`` for the first depth ``k >= d`` whose
-    step holds an ``agent_shoot(_, T)``; nothing else causes ``shot(T)``.
+    step holds a ``shoot(S, T)`` with ``S`` not the guard; nothing else
+    causes ``shot(T)``.
 
   Each term is consistent.  The child's cells of ``T`` are among the
   node's, one tick later; the guard's cell moves by at most one step; a
@@ -173,13 +174,13 @@ def _literal_bound(
         shots = [
             k
             for k, step in enumerate(schedule)
-            if any(a.pred == "agent_shoot" and a.args[1] == target for a in step)
+            if any(a.pred == "shoot" and a.args[0] != ah and a.args[1] == target for a in step)
         ]
         cells = [
             (k, a.args[1:])
             for k, step in enumerate(schedule)
             for a in step
-            if a.pred == "agent_move" and a.args[0] == target
+            if a.pred == "move" and a.args[0] == target
         ]
         # per depth d: the teammate term under the cap, and the target's
         # scheduled cells as (the least n that can use it, cell), by n

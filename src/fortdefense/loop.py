@@ -8,8 +8,8 @@ Each tick the controller:
 3. restricts the grounded domain to the relevant fine-grained regions,
 4. plans a minimum-length action sequence (iterative deepening under a
    consistent bound, see :mod:`fortdefense.kr.plan`) under a schedule of
-   predicted exogenous actions, reusing the previous plan while the goal
-   is unchanged and its next step stays executable, and
+   the other agents' predicted actions, reusing the previous plan while
+   the goal is unchanged and its next step stays executable, and
 5. executes the first planned action (falling back to a quarter turn
    toward the nearest attacker by the simulator's facing rule,
    ``env.facing_toward`` and ``env.turn_toward``, then to a noop, when no
@@ -57,7 +57,6 @@ from typing import Mapping, Optional, Sequence
 from fortdefense.env import (
     Action,
     ActionKind,
-    Direction,
     EpisodeResult,
     Event,
     GridConfig,
@@ -124,6 +123,7 @@ _OBSERVABLE_PREDS = frozenset({"in", "face", "shot"})
 _MOVE_DELTA_FOR_KIND = {
     int(kind): (direction.dx, direction.dy) for kind, direction in MOVE_KINDS.items()
 }
+_TURN_FOR_KIND = {int(ActionKind.ROTATE_CW): CW, int(ActionKind.ROTATE_CCW): CCW}
 
 
 def load_domain_text() -> str:
@@ -220,37 +220,36 @@ def predicted_cell(
     return nxt if config.in_bounds(*nxt) else pos
 
 
+def _step_atom(sym: str, pose: tuple[int, int, str], kind: int) -> Optional[Atom]:
+    """The move or quarter turn that action kind ``kind`` makes agent
+    ``sym`` take from ``pose`` = (x, y, facing), whoever the agent is;
+    None for a noop or a shot."""
+    x, y, d = pose
+    delta = _MOVE_DELTA_FOR_KIND.get(kind)
+    if delta is not None:
+        return Atom("move", (sym, x + delta[0], y + delta[1]))
+    turn = _TURN_FOR_KIND.get(kind)
+    return None if turn is None else Atom("rotate", (sym, turn[d]))
+
+
 def _exo_atom_for(
     belief: Belief, gdom: GroundedDomain, sym: str, kind: int
 ) -> Optional[Atom]:
-    """The exogenous action atom a predicted kind denotes at the current
-    simulated pose, or None when it is not expressible (noop, off the
-    active cells, no living target)."""
-    if is_down(belief, sym):
-        return None
+    """The action atom a predicted kind of agent ``sym`` denotes at its
+    current simulated pose, or None when it is not expressible (noop, off
+    the active cells, no living target)."""
     pose = pose_of(belief, sym)
-    if pose is None:
+    if is_down(belief, sym) or pose is None:
         return None
-    x, y, d = pose
-    kind = int(kind)
-    delta = _MOVE_DELTA_FOR_KIND.get(kind)
-    if delta is not None:
-        cell = (x + delta[0], y + delta[1])
-        if cell not in gdom.active_cells:
-            return None
-        return Atom("agent_move", (sym, cell[0], cell[1]))
-    if kind == int(ActionKind.ROTATE_CW):
-        return Atom("agent_rotate", (sym, CW[d]))
-    if kind == int(ActionKind.ROTATE_CCW):
-        return Atom("agent_rotate", (sym, CCW[d]))
-    if kind == int(ActionKind.SHOOT):
+    if int(kind) == int(ActionKind.SHOOT):
         guards = guard_symbols(gdom.config)
         pool = attacker_symbols(gdom.config) if sym in guards else guards
         nearest = nearest_living(belief, sym, pool)
-        if nearest is None:
-            return None
-        return Atom("agent_shoot", (sym, nearest[0]))
-    return None
+        return None if nearest is None else Atom("shoot", (sym, nearest[0]))
+    atom = _step_atom(sym, pose, int(kind))
+    if atom is not None and atom.pred == "move" and atom.args[1:] not in gdom.active_cells:
+        return None
+    return atom
 
 
 def build_schedule(
@@ -259,12 +258,13 @@ def build_schedule(
     predicted_kinds: Mapping[str, int],
     horizon: int,
 ) -> list[tuple[Atom, ...]]:
-    """Predicted exogenous actions per future depth.
+    """The other agents' predicted actions per future depth.
 
     Each agent is assumed to repeat its predicted action kind; the atoms
     are re-grounded against a simulated belief so moves track the
-    simulated positions, and predictions that become inexecutable (or
-    leave the fine-grained zone) drop out for that depth.
+    simulated positions, and predictions that are inexecutable in it (a
+    move into an occupied cell, a shot whose shooter cannot see its
+    target) or leave the fine-grained zone drop out for that depth.
     """
     schedule: list[tuple[Atom, ...]] = []
     sim = belief
@@ -508,25 +508,12 @@ class AdHocController:
     def _env_action(self, chosen: Atom, belief: Belief) -> Action:
         if chosen.pred == "noop":
             return Action.noop()
-        if chosen.pred == "move":
-            pose = pose_of(belief, self.gdom.ah_symbol)
-            assert pose is not None
-            dx, dy = chosen.args[1] - pose[0], chosen.args[2] - pose[1]
-            for direction in Direction:
-                if (direction.dx, direction.dy) == (dx, dy):
-                    return Action.move(direction)
-            raise ValueError(f"non-adjacent move target in {chosen}")
-        if chosen.pred == "rotate":
-            pose = pose_of(belief, self.gdom.ah_symbol)
-            assert pose is not None
-            kind = (
-                ActionKind.ROTATE_CW
-                if CW[pose[2]] == chosen.args[1]
-                else ActionKind.ROTATE_CCW
-            )
-            return Action(kind)
         if chosen.pred == "shoot":
             return Action.shoot(symbol_agent_id(self.config, chosen.args[1]))
+        pose = pose_of(belief, self.gdom.ah_symbol)
+        for kind in (*MOVE_KINDS, *_TURN_FOR_KIND):
+            if _step_atom(chosen.args[0], pose, int(kind)) == chosen:
+                return Action(ActionKind(kind))
         raise ValueError(f"untranslatable action {chosen}")
 
     # -- per-tick observation ------------------------------------------------
@@ -555,7 +542,7 @@ class AdHocController:
         after: WorldState,
         events: Sequence[Event],
     ) -> None:
-        atoms = effective_atoms(self.config, before, actions, after, events, self.ah_id)
+        atoms = effective_atoms(self.config, before, actions, after, events)
         kept = self.collect_trace and self._pending is not None
         trace: Optional[list[Provenance]] = [] if kept else None
         new_belief: Optional[Belief] = None
@@ -650,14 +637,12 @@ def effective_atoms(
     actions: Mapping[int, Action],
     after: WorldState,
     events: Sequence[Event],
-    ah_id: int,
 ) -> tuple[Atom, ...]:
-    """The ground action atoms describing what actually happened in a tick.
-
-    The controlled guard's actions use the guard's own action names;
-    everyone else's use the exogenous ``agent_*`` names.  Cancelled moves
-    and missed shots contribute nothing; rotations and moves are read off
-    the post-state so agents killed mid-tick contribute nothing either.
+    """The ground action atoms describing what actually happened in a tick,
+    one vocabulary for every agent: the first argument names the actor.
+    Cancelled moves and missed shots contribute nothing; a move or turn
+    counts only where the post-state shows the pose changed, so agents
+    killed mid-tick contribute nothing either.
     """
     hits = {
         (e.shooter, e.target)
@@ -670,22 +655,14 @@ def effective_atoms(
         if not agent.alive:
             continue
         action = actions[agent_id]
-        own = agent_id == ah_id
         sym = agent_symbol(config, agent_id)
         post = after.get(agent_id)
-        kind = action.kind
-        if int(kind) in _MOVE_DELTA_FOR_KIND:
-            if post.pos != agent.pos:
-                name = "move" if own else "agent_move"
-                atoms.append(Atom(name, (sym, post.x, post.y)))
-        elif kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
-            if post.direction != agent.direction:
-                name = "rotate" if own else "agent_rotate"
-                atoms.append(Atom(name, (sym, SYMBOL_OF_DIR[post.direction])))
-        elif kind is ActionKind.SHOOT:
+        if action.kind is ActionKind.SHOOT:
             if (agent_id, action.target) in hits:
-                name = "shoot" if own else "agent_shoot"
-                atoms.append(Atom(name, (sym, agent_symbol(config, action.target))))
+                atoms.append(Atom("shoot", (sym, agent_symbol(config, action.target))))
+        elif (post.pos, post.direction) != (agent.pos, agent.direction):
+            pose = (agent.x, agent.y, SYMBOL_OF_DIR[agent.direction])
+            atoms.append(_step_atom(sym, pose, int(action.kind)))
     return tuple(atoms)
 
 

@@ -139,7 +139,7 @@ def test_simultaneous_own_and_exogenous_actions():
         b,
         (
             Atom("move", ("guard0", 3, 14)),
-            Atom("agent_move", ("attacker1", 9, 14)),
+            Atom("move", ("attacker1", 9, 14)),
         ),
         gdom,
     )
@@ -149,22 +149,28 @@ def test_simultaneous_own_and_exogenous_actions():
     assert Atom("in", ("attacker1", 10, 14)) not in b2.atoms
 
 
-def test_exogenous_shot_needs_line_of_sight_condition():
+def test_an_out_of_sight_shot_is_refused_by_check_executable():
     gdom = fort_gdom()
     b = guard_belief(
         gdom,
         [("guard0", 5, 5, "n", True), ("attacker1", 5, 9, "s", True)],
     )
     # attacker fires facing south at the guard 4 cells below: in sight
-    b2 = progress(b, (Atom("agent_shoot", ("attacker1", "guard0")),), gdom)
+    shot = Atom("shoot", ("attacker1", "guard0"))
+    assert check_executable(b, shot, gdom) == (True, None)
+    b2 = progress(b, (shot,), gdom)
     assert Atom("shot", ("guard0",)) in b2.atoms
-    # same shot attempted while facing away has no effect (conditional law)
+    # the same shot while facing away is refused by the sight condition,
+    # the guard's own shots obey, and so does not occur
     b_away = guard_belief(
         gdom,
         [("guard0", 5, 5, "n", True), ("attacker1", 5, 9, "n", True)],
     )
-    b3 = progress(b_away, (Atom("agent_shoot", ("attacker1", "guard0")),), gdom)
+    ok, blocker = check_executable(b_away, shot, gdom)
+    assert not ok and blocker[0].axiom_id == "exec:9"
+    b3 = progress(b_away, (shot,), gdom)
     assert Atom("shot", ("guard0",)) not in b3.atoms
+    assert b3 == b_away
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +187,8 @@ def test_exogenous_shot_needs_line_of_sight_condition():
         (Atom("rotate", ("guard0", "s")), "exec:5"),  # opposite of n
         (Atom("shoot", ("guard0", "attacker2")), "exec:7"),  # target down
         (Atom("shoot", ("guard0", "attacker3")), "exec:9"),  # out of range
+        (Atom("shoot", ("guard0", "guard1")), "exec:10"),  # a teammate
+        (Atom("shoot", ("attacker1", "attacker2")), "exec:7"),  # another agent's
     ],
 )
 def test_blocked_actions_cite_their_rule(action, axiom):
@@ -219,7 +227,7 @@ def test_blocked_exogenous_actions_can_be_dropped():
         [("guard0", 5, 5, "n", True), ("attacker1", 5, 6, "s", True)],
     )
     # predicted attacker move onto the guard's cell is illegal: dropped
-    b2 = progress(b, (Atom("agent_move", ("attacker1", 5, 5)),), gdom)
+    b2 = progress(b, (Atom("move", ("attacker1", 5, 5)),), gdom)
     assert Atom("in", ("attacker1", 5, 6)) in b2.atoms
     assert b2 == b
 
@@ -289,8 +297,8 @@ def test_progress_is_deterministic_under_input_order():
     ]
     acts = (
         Atom("move", ("guard0", 3, 14)),
-        Atom("agent_move", ("attacker1", 9, 14)),
-        Atom("agent_rotate", ("attacker2", "e")),
+        Atom("move", ("attacker1", 9, 14)),
+        Atom("rotate", ("attacker2", "e")),
     )
     results = set()
     for perm in itertools.permutations(entries):
@@ -530,16 +538,16 @@ _OWN_ACTIONS = st.one_of(
 )
 _EXO_ACTIONS = st.one_of(
     st.builds(
-        lambda e, x, y: Atom("agent_move", (e, x, y)),
+        lambda e, x, y: Atom("move", (e, x, y)),
         st.sampled_from(_EXT_AGENTS),
         _COORD,
         _COORD,
     ),
     st.builds(
-        lambda e, d: Atom("agent_rotate", (e, d)), st.sampled_from(_EXT_AGENTS), _DIR
+        lambda e, d: Atom("rotate", (e, d)), st.sampled_from(_EXT_AGENTS), _DIR
     ),
     st.builds(
-        lambda e, a: Atom("agent_shoot", (e, a)),
+        lambda e, a: Atom("shoot", (e, a)),
         st.sampled_from(_EXT_AGENTS),
         st.sampled_from(_W0_AGENTS),
     ),

@@ -217,11 +217,11 @@ def test_default_grounding_sizes():
     assert len(gdom.active_cells) == config.width * config.height
     assert gdom.fine_regions == frozenset(all_region_symbols(config))
     assert len(gdom.sorts["agent"]) == n_agents
-    assert len(gdom.sorts["ext_agent"]) == n_agents - 1
     assert (len(gdom.sorts["x_val"]), len(gdom.sorts["y_val"])) == (20, 20)
     assert len(gdom.sorts["region"]) == 25
-    assert sum(len(r) for r in gdom.causal_by_action.values()) == 6
-    assert sum(len(r) for r in gdom.exec_by_action.values()) == 16
+    # move, rotate and shoot, each declared once for every agent
+    assert sum(len(r) for r in gdom.causal_by_action.values()) == 3
+    assert sum(len(r) for r in gdom.exec_by_action.values()) == 10
     assert (len(gdom.windows), len(gdom.definitions), len(gdom.defaults)) == (3, 3, 1)
 
 
@@ -312,7 +312,12 @@ def test_populate_sorts_partitions_agents():
     config = GridConfig()
     sorts = populate_sorts(shipped_domain(), config)
     assert sorts["ah_agent"] == ("guard0",)
-    assert set(sorts["ext_agent"]) == set(sorts["agent"]) - {"guard0"}
+    assert set(sorts["guard"]) | set(sorts["attacker"]) == set(sorts["agent"])
+    assert not set(sorts["guard"]) & set(sorts["attacker"])
+    # same_side pairs the agents of each side, each with itself too
+    assert build_statics(config)["same_side"].table == {
+        (a, b) for side in ("guard", "attacker") for a in sorts[side] for b in sorts[side]
+    }
     assert sorts["dir"] == ("n", "e", "s", "w")
     assert len(sorts["region"]) == 25
 

@@ -21,7 +21,7 @@ fluent inertial at(thing, thing).
 fluent inertial sealed(thing).
 fluent defined somewhere(thing).
 action put(thing, thing).
-exogenous action fall(thing).
+action fall(thing).
 
 put(A, B) causes at(A, B).
 fall(A) causes at(A, A) if heavy(A).
@@ -39,8 +39,8 @@ def test_mini_domain_statement_counts():
     assert set(d.statics) == {"heavy"}
     assert d.fluents["at"].kind == "inertial"
     assert d.fluents["somewhere"].kind == "defined"
-    assert d.actions["put"].exogenous is False
-    assert d.actions["fall"].exogenous is True
+    assert d.actions["put"].arg_sorts == ("thing", "thing")
+    assert d.actions["fall"].arg_sorts == ("thing",)
     assert len(d.causal_laws) == 2
     assert len(d.constraints) == 2
     assert len(d.executabilities) == 1
@@ -159,6 +159,7 @@ def test_an_atom_never_equals_a_literal():
         ),
         ("sort s. action a(s). impossible a(X).", "needs 'if'"),
         ("nonsense statement here.", "unrecognized"),
+        ("sort s. exogenous action a(s).", "unrecognized"),  # one vocabulary
         ("sort s. fluent inertial f(s,).", "empty argument"),
         ("sort s. fluent inertial f(%bad).", "bad"),
     ],
@@ -185,16 +186,12 @@ def test_shipped_domain_parses():
         resources.files("fortdefense").joinpath("data/fort_attack.dom").read_text()
     )
     d = parse_domain(text)
-    assert {a for a, decl in d.actions.items() if not decl.exogenous} == {
-        "move",
-        "rotate",
-        "shoot",
-        "noop",
-    }
-    assert {a for a, decl in d.actions.items() if decl.exogenous} == {
-        "agent_move",
-        "agent_rotate",
-        "agent_shoot",
+    # one vocabulary: each action once, its first argument the actor
+    assert {a: decl.arg_sorts for a, decl in d.actions.items()} == {
+        "move": ("agent", "x_val", "y_val"),
+        "rotate": ("agent", "dir"),
+        "shoot": ("agent", "agent"),
+        "noop": ("ah_agent",),
     }
     assert d.fluents["in"].kind == "inertial"
     assert d.fluents["agent_in"].kind == "defined"

@@ -244,7 +244,7 @@ def test_schedule_lets_the_planner_intercept_a_moving_target():
     goal = select_goal(b, gdom)
     assert goal.kind == "shoot_target"
     schedule = [
-        (Atom("agent_move", ("attacker1", 13 - k - 1, 5)),) for k in range(6)
+        (Atom("move", ("attacker1", 13 - k - 1, 5)),) for k in range(6)
     ]
     moving = plan(b, goal, gdom, horizon=8, schedule=schedule)
     static = plan(b, goal, gdom, horizon=8)
@@ -265,8 +265,8 @@ def test_each_node_checks_its_scheduled_actions_once(monkeypatch):
     goal = select_goal(b, gdom)
     # attacker1 walks west toward the guard; it already faces west, so
     # the scheduled turn west is refused at every node
-    turn = Atom("agent_rotate", ("attacker1", "w"))
-    schedule = [(Atom("agent_move", ("attacker1", 9 - k, 14)), turn) for k in range(8)]
+    turn = Atom("rotate", ("attacker1", "w"))
+    schedule = [(Atom("move", ("attacker1", 9 - k, 14)), turn) for k in range(8)]
     assert not check_executable(b, turn, gdom)[0]
     want = reference_plan(b, goal, gdom, horizon=8, schedule=schedule)
 
@@ -532,7 +532,7 @@ def _stray_teammate_shot(horizon):
     of attacker1 and scheduled to shoot at it at depth 2 alone: a shot
     that cannot land, which the bound counts at depth 2 only."""
     b, goal, gdom, _, schedule = _encounter({}, horizon)
-    schedule[2] = (Atom("agent_shoot", ("guard2", "attacker1")),)
+    schedule[2] = (Atom("shoot", ("guard2", "attacker1")),)
     return b, goal, gdom, horizon, schedule
 
 
@@ -570,13 +570,13 @@ def exogenous_steps(draw, belief):
             continue
         x, y, _ = pose
         options = [
-            [Atom("agent_rotate", (sym, draw(_DIR)))],
-            [Atom("agent_shoot", (sym, draw(st.sampled_from(_GUARDS + _ATTACKERS))))],
+            [Atom("rotate", (sym, draw(_DIR)))],
+            [Atom("shoot", (sym, draw(st.sampled_from(_GUARDS + _ATTACKERS))))],
             [],
         ]
         dx, dy = draw(st.sampled_from(((0, 1), (1, 0), (0, -1), (-1, 0))))
         if _W0.in_bounds(x + dx, y + dy):
-            options.append([Atom("agent_move", (sym, x + dx, y + dy))])
+            options.append([Atom("move", (sym, x + dx, y + dy))])
         step += draw(st.sampled_from(options))
     return tuple(step)
 

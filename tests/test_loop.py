@@ -41,7 +41,7 @@ from fortdefense.kr.beliefs import (
     progress,
     validate,
 )
-from fortdefense.kr.ground import ground, restrict
+from fortdefense.kr.ground import CCW, CW, SYMBOL_OF_DIR, agent_symbol, ground, restrict
 from fortdefense.kr.lang import Atom
 from fortdefense.loop import (
     AdHocController,
@@ -117,11 +117,11 @@ class TestEffectiveAtoms:
             3: Action.move(Direction.E),
         }
         nxt, events = step(state, actions)
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
         assert atoms == (
             Atom("move", ("guard0", 3, 5)),
-            Atom("agent_move", ("attacker1", 3, 2)),
-            Atom("agent_move", ("attacker2", 6, 1)),
+            Atom("move", ("attacker1", 3, 2)),
+            Atom("move", ("attacker2", 6, 1)),
         )
 
     def test_cancelled_move_contributes_nothing(self, small_config):
@@ -144,7 +144,7 @@ class TestEffectiveAtoms:
         }
         nxt, events = step(state, actions)
         assert nxt.get(2).pos == (4, 3)
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
         assert atoms == ()
 
     def test_chain_move_produces_both_atoms(self, small_config):
@@ -167,10 +167,10 @@ class TestEffectiveAtoms:
         }
         nxt, events = step(state, actions)
         assert nxt.get(1).pos == (4, 5) and nxt.get(2).pos == (4, 4)
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
         assert atoms == (
-            Atom("agent_move", ("guard1", 4, 5)),
-            Atom("agent_move", ("attacker1", 4, 4)),
+            Atom("move", ("guard1", 4, 5)),
+            Atom("move", ("attacker1", 4, 4)),
         )
 
     def test_hit_miss_and_killed_rotation(self, small_config):
@@ -196,8 +196,8 @@ class TestEffectiveAtoms:
         nxt, events = step(state, actions)
         assert not nxt.get(2).alive
         assert nxt.get(2).direction == Direction.N  # rotation suppressed
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
-        assert atoms == (Atom("agent_shoot", ("guard1", "attacker1")),)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
+        assert atoms == (Atom("shoot", ("guard1", "attacker1")),)
 
     def test_own_shot_and_rotation_atoms(self, small_config):
         state = make_state(
@@ -216,11 +216,11 @@ class TestEffectiveAtoms:
             3: Action(ActionKind.ROTATE_CW),
         }
         nxt, events = step(state, actions)
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
         assert atoms == (
             Atom("shoot", ("guard0", "attacker1")),
-            Atom("agent_rotate", ("guard1", "e")),
-            Atom("agent_rotate", ("attacker2", "s")),
+            Atom("rotate", ("guard1", "e")),
+            Atom("rotate", ("attacker2", "s")),
         )
 
     def test_dead_agents_contribute_nothing(self, small_config):
@@ -240,7 +240,7 @@ class TestEffectiveAtoms:
             3: Action.noop(),
         }
         nxt, events = step(state, actions)
-        atoms = effective_atoms(small_config, state, actions, nxt, events, 0)
+        atoms = effective_atoms(small_config, state, actions, nxt, events)
         assert atoms == ()
 
 
@@ -274,10 +274,10 @@ class TestPredictionHelpers:
             belief, small_gdom, {"attacker1": int(ActionKind.MOVE_N)}, 4
         )
         assert schedule == [
-            (Atom("agent_move", ("attacker1", 4, 4)),),
-            (Atom("agent_move", ("attacker1", 4, 5)),),
-            (Atom("agent_move", ("attacker1", 4, 6)),),
-            (Atom("agent_move", ("attacker1", 4, 7)),),
+            (Atom("move", ("attacker1", 4, 4)),),
+            (Atom("move", ("attacker1", 4, 5)),),
+            (Atom("move", ("attacker1", 4, 6)),),
+            (Atom("move", ("attacker1", 4, 7)),),
         ]
 
     def test_schedule_stops_at_the_wall(self, small_config, small_gdom):
@@ -295,7 +295,7 @@ class TestPredictionHelpers:
             belief, small_gdom, {"attacker2": int(ActionKind.MOVE_S)}, 3
         )
         assert schedule == [
-            (Atom("agent_move", ("attacker2", 3, 0)),),
+            (Atom("move", ("attacker2", 3, 0)),),
             (),
             (),
         ]
@@ -316,7 +316,7 @@ class TestPredictionHelpers:
         schedule = build_schedule(
             belief, small_gdom, {"attacker1": int(ActionKind.SHOOT)}, 1
         )
-        assert schedule == [(Atom("agent_shoot", ("attacker1", "guard1")),)]
+        assert schedule == [(Atom("shoot", ("attacker1", "guard1")),)]
 
     def test_schedule_skips_dead_and_noop(self, small_config, small_gdom):
         state = make_state(
@@ -339,6 +339,54 @@ class TestPredictionHelpers:
             2,
         )
         assert schedule == [(), ()]
+
+    def test_schedule_drops_a_shot_the_shooter_cannot_see(
+        self, small_config, small_gdom
+    ):
+        # attacker1 faces south, away from guard1 three cells north of it
+        state = make_state(
+            small_config,
+            [
+                AgentState(0, AgentKind.AD_HOC_GUARD, 1, 6, Direction.S),
+                AgentState(1, AgentKind.GUARD, 4, 6, Direction.S),
+                AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.S),
+                AgentState(3, AgentKind.ATTACKER, 6, 0, Direction.N),
+            ],
+        )
+        belief = belief_of(state, small_gdom)
+        shot = Atom("shoot", ("attacker1", "guard1"))
+        ok, blocker = check_executable(belief, shot, small_gdom)
+        assert not ok and blocker[0].axiom_id == "exec:9"  # the sight condition
+        schedule = build_schedule(
+            belief, small_gdom, {"attacker1": int(ActionKind.SHOOT)}, 3
+        )
+        assert schedule == [(), (), ()]
+
+    def test_schedule_keeps_the_shot_once_the_target_comes_into_sight(
+        self, small_config, small_gdom
+    ):
+        # attacker1 at (4, 1) faces north; guard1, its nearest guard, walks
+        # north from (1, 2) and enters the arc at (1, 4), two ticks on: the
+        # shot is scheduled from that depth, and it lands, so guard1 is
+        # down (it neither moves nor is shot at) after it
+        state = make_state(
+            small_config,
+            [
+                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(1, AgentKind.GUARD, 1, 2, Direction.E),
+                AgentState(2, AgentKind.ATTACKER, 4, 1, Direction.N),
+                AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.N),
+            ],
+        )
+        belief = belief_of(state, small_gdom)
+        kinds = {"attacker1": int(ActionKind.SHOOT), "guard1": int(ActionKind.MOVE_N)}
+        schedule = build_schedule(belief, small_gdom, kinds, 4)
+        assert schedule == [
+            (Atom("move", ("guard1", 1, 3)),),
+            (Atom("move", ("guard1", 1, 4)),),
+            (Atom("shoot", ("attacker1", "guard1")), Atom("move", ("guard1", 1, 5))),
+            (),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +688,7 @@ def test_the_symbolic_model_agrees_with_the_simulator(
             if a.alive
         }
         after, events = step(state, actions)
-        atoms = effective_atoms(config, state, actions, after, events, 0)
+        atoms = effective_atoms(config, state, actions, after, events)
         for atom in atoms:
             ok, blocker = check_executable(belief, atom, gdom)
             assert ok, (atom, blocker and blocker[0].axiom_id, state.step_count)
@@ -651,6 +699,60 @@ def test_the_symbolic_model_agrees_with_the_simulator(
         for name in tick_events(state, actions, after, events):
             event(name)
         state = after
+
+
+def candidate_atoms(state, agent):
+    """An agent's candidate action atoms, each with the simulator action it
+    denotes: a move to each neighbouring cell of the grid, both quarter
+    turns, and a shot at every other agent, dead or alive."""
+    config = state.config
+    sym, facing = agent_symbol(config, agent.id), SYMBOL_OF_DIR[agent.direction]
+    out = {
+        Atom("move", (sym, agent.x + d.dx, agent.y + d.dy)): Action.move(d)
+        for d in Direction
+        if config.in_bounds(agent.x + d.dx, agent.y + d.dy)
+    }
+    out[Atom("rotate", (sym, CW[facing]))] = Action(ActionKind.ROTATE_CW)
+    out[Atom("rotate", (sym, CCW[facing]))] = Action(ActionKind.ROTATE_CCW)
+    for other in state.agents:
+        if other.id != agent.id:
+            out[Atom("shoot", (sym, agent_symbol(config, other.id)))] = Action.shoot(other.id)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_index=st.integers(0, len(AGREEMENT_CONFIGS) - 1), data=st.data())
+def test_the_model_refuses_exactly_the_actions_the_simulator_refuses(
+    agreement_gdoms, config_index, data
+):
+    """From a random mid-game state, for every living agent, the guard and
+    everyone else alike: of its candidate atoms, ``check_executable`` on the
+    full grid admits exactly the agent's non-noop ``Tick.legal_actions``.
+    A shot at an unseen target, a teammate or a corpse is refused."""
+    config, gdom = AGREEMENT_CONFIGS[config_index], agreement_gdoms[config_index]
+    state = data.draw(mid_game_states(config), label="state")
+    belief = belief_of(state, gdom)
+    tick = Tick(state)
+    for agent in state.agents:
+        if not agent.alive:
+            continue
+        candidates = candidate_atoms(state, agent)
+        admitted = {
+            action
+            for atom, action in candidates.items()
+            if check_executable(belief, atom, gdom)[0]
+        }
+        legal = set(tick.legal_actions(agent.id)) - {Action.noop()}
+        assert admitted == legal, (agent.id, admitted ^ legal)
+        for action in candidates.values():
+            if action.kind is ActionKind.SHOOT and action not in legal:
+                target = state.get(action.target)
+                if not target.alive:
+                    event("a shot at a corpse refused")
+                elif target.kind.is_guard == agent.kind.is_guard:
+                    event("a shot at a teammate refused")
+                else:
+                    event("a shot out of sight refused")
 
 
 # ---------------------------------------------------------------------------
@@ -793,11 +895,15 @@ GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0f
 # before progression became delta-driven, over the same entries less the
 # "inherited" ones (an inherited atom is whatever the next belief holds
 # that the tick did not set) and less the axiom text, which the trace now
-# reads from the grounded domain through the axiom id.
+# reads from the grounded domain through the axiom id.  It was re-pinned
+# when the domain declared each action once: the other agents' entries
+# cite ``move``/``rotate``/``shoot`` and causal:1-3, and step 12's shot at
+# guard0 has no support, since its sight test is an executability
+# condition now, not a condition of the causal law.
 GOLDEN_W0_P1_SEED0_EXPANDED = 316
 GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED = 21
 GOLDEN_W0_P1_SEED0_PROVENANCE = (
-    "328f2dc10fb719b1a646a2830238abd0692fa1b62589ca5c21d95e38e8bfceb5"
+    "c1d3d47c832eec3ce1eaa672536455ac067303785bccd5d2f0ba8b3aee9612bd"
 )
 
 

@@ -1,7 +1,7 @@
 """The package metadata names only things that exist, the benchmark's calls
 into the package still resolve, the shipped domain declares no vocabulary
-it never uses, no module imports a name it never uses, and no module
-defines a private name it never reads."""
+it never uses and no action twice, no module imports a name it never uses,
+and no module defines a private name it never reads."""
 
 import ast
 import dataclasses
@@ -158,6 +158,17 @@ def test_every_declared_sort_and_static_is_used():
     unused = [f"sort {s.name}" for s in desc.sorts if s.name not in used]
     unused += [f"static {name}" for name in desc.statics if name not in bodies]
     assert unused == list(UNUSED_VOCABULARY)
+
+
+def test_no_two_actions_cause_the_same_fluent():
+    """Each action is declared once, for every agent that performs it, so
+    no fluent is the head of two actions' causal laws: a second copy of an
+    action for other agents (an ``agent_move`` beside ``move``) fails."""
+    desc = loop.load_domain()
+    causes: dict[str, set[str]] = {}
+    for law in desc.causal_laws:
+        causes.setdefault(law.effect.atom.pred, set()).add(law.action.pred)
+    assert {fluent: sorted(a) for fluent, a in causes.items() if len(a) > 1} == {}
 
 
 # ---------------------------------------------------------------------------
