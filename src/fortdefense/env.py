@@ -14,27 +14,31 @@ Geometry is tabulated per configuration.  ``config.geometry`` is a
 range, arc and shot-cone tests per facing and offset, the scripted
 attackers' danger cones and strike pockets per facing, the weapon-range
 disk of offsets and each offset's walking distance to it (which the
-planner's search bound reads), per cell the distance to and the nearest
-of the fort cells, and per cell and facing the feature extractor's agent
-block (with the cell's polar coordinates around the grid centre).  Each
-table that replaced a formula holds its values (``_range_formula``,
-``_arc_formula`` ...), so reading the table is bit-identical to
-evaluating the formula.  The public functions (``in_arc``, ``in_cone``,
-``fort_distance``, ``nearest_fort_cell``) are one table read each and
-take cells of the grid, as every caller passes: agents' poses, move
-targets and the reasoner's coordinate sorts.  A cell off the grid is a
-``KeyError`` in the cell tables.  The simulator (``legal_actions``, shot resolution in ``step``), the scripted
-policies, the feature extractor and the reasoner's ``in_sight`` static
-all read these tables.  They are keyed by configuration, never by world
-state: a config is frozen, so its tables cannot go stale, while states
-change from tick to tick and tests edit them in place.
+planner's search bound reads), per cell its on-grid moves and the distance
+to and the nearest of the fort cells, and per cell and facing the feature
+extractor's agent block (with the cell's polar coordinates around the grid
+centre).  Each table that replaced a formula holds its values
+(``_range_formula``, ``_arc_formula`` ...), so reading the table is
+bit-identical to evaluating the formula.  The public functions
+(``in_arc``, ``in_cone``, ``fort_distance``, ``nearest_fort_cell``) are
+one table read each and take cells of the grid, as every caller passes:
+agents' poses, move targets and the reasoner's coordinate sorts.  A cell
+off the grid is a ``KeyError`` in the cell tables.  The simulator (legal
+moves and shots, shot resolution in ``step``), the scripted policies, the
+feature extractor and the reasoner's ``in_sight`` static all read these
+tables.  They are keyed by configuration, never by world state: a config
+is frozen, so its tables cannot go stale, while states change from tick to
+tick and tests edit them in place.
 
 What a tick shares is a :class:`Tick`: one immutable snapshot of a state,
 built per tick in one pass over its agents (agents by id, occupied cells,
 each side's live agents, the guard ids and attacker ranks, the attacker
-nearest the fort), which the legal-move rule (:meth:`Tick.legal_actions`),
-the scripted policies and the feature extractor read.  A snapshot is
-handed from call to call and never stored on a state.
+nearest the fort), which the legal-move rule (:meth:`Tick.legal_actions`,
+or its parts :meth:`Tick.moves` and :meth:`Tick.shots`), the scripted
+policies and the feature extractor read.  The per-tick facts that every
+scripted attacker shares (:meth:`Tick.danger`, :meth:`Tick.strike_posts`)
+are built on first use and live as long as the snapshot, which is handed
+from call to call and never stored on a state or in a module.
 """
 
 from __future__ import annotations
@@ -82,12 +86,14 @@ class Direction(Enum):
         self.index = round(self.angle / (math.pi / 2)) % 4
 
     def clockwise(self) -> "Direction":
-        order = (Direction.N, Direction.E, Direction.S, Direction.W)
-        return order[(order.index(self) + 1) % 4]
+        return _FACINGS[(self.index + 1) % 4]
 
     def counterclockwise(self) -> "Direction":
-        order = (Direction.N, Direction.E, Direction.S, Direction.W)
-        return order[(order.index(self) - 1) % 4]
+        return _FACINGS[(self.index - 1) % 4]
+
+
+#: The facings by ``Direction.index``, clockwise from north.
+_FACINGS = (Direction.N, Direction.E, Direction.S, Direction.W)
 
 
 class ActionKind(IntEnum):
@@ -140,7 +146,7 @@ class Action:
 
     @staticmethod
     def shoot(target: int) -> "Action":
-        return Action(ActionKind.SHOOT, target)
+        return SHOT_ACTIONS[target]
 
 
 #: One shared instance per target-less kind (noop, the four moves, the two
@@ -148,6 +154,17 @@ class Action:
 TARGETLESS_ACTIONS = {
     kind: Action(kind) for kind in ActionKind if kind is not ActionKind.SHOOT
 }
+
+
+class _ShotActions(dict):
+    def __missing__(self, target: int) -> Action:
+        act = self[target] = Action(ActionKind.SHOOT, target)
+        return act
+
+
+#: ``SHOT_ACTIONS[t]`` is ``Action.shoot(t)``: one shared shot per target,
+#: made on first use, which stands for every shot at ``t``.
+SHOT_ACTIONS = _ShotActions()
 
 
 class AgentKind(Enum):
@@ -481,6 +498,8 @@ class Geometry:
       offset into range.  One breadth-first sweep out from ``disk`` fills
       it; a shortest Manhattan path stays in the box spanned by its ends,
       so the sweep need not leave the span;
+    * ``exits[cell]`` -- the moves that keep an agent on the cell on the
+      grid, each with its target cell, in N, E, S, W order;
     * ``fort_distance[cell]``, ``nearest_fort_cell[cell]`` -- Euclidean
       distance to the nearest fort cell, and that cell (ties to the least);
     * ``fort_center`` -- the mean of the fort cells;
@@ -534,6 +553,14 @@ class Geometry:
             for arc in self.in_arc
         )
         cells = [(x, y) for x in range(w) for y in range(h)]
+        self.exits = {
+            (x, y): tuple(
+                (act, (x + dx, y + dy))
+                for act, dx, dy in _MOVE_STEPS
+                if 0 <= x + dx < w and 0 <= y + dy < h
+            )
+            for x, y in cells
+        }
         forts = config.fort_cells
         self.fort_distance = {c: _fort_distance_formula(forts, *c) for c in cells}
         self.nearest_fort_cell = {c: _nearest_fort_cell_formula(forts, *c) for c in cells}
@@ -618,10 +645,18 @@ class Tick:
     * ``threat`` -- the live attacker nearest the fort (``fort_distance``,
       ties to the least id), or None when no attacker lives.
 
-    Immutable: its attributes cannot be rebound, and nobody mutates the
-    containers they hold.  A snapshot is a value of the tick it was taken
-    in, so it is passed to the calls that read it and never stored on the
-    state: states are mutable, and tests edit them in place.
+    The rest is computed on demand: per agent and call, :meth:`moves` and
+    :meth:`shots`, the parts of :meth:`legal_actions` a scripted decision
+    chooses from; per tick, on first use, the live guards' danger cones
+    (:meth:`danger`) and each mark's :meth:`strike_posts`, which all the
+    scripted attackers of the tick share and which a snapshot that no
+    attacker reads never builds.
+
+    Immutable: its public attributes cannot be rebound, nobody mutates the
+    containers they hold, and the per-tick views fill private slots once.
+    A snapshot is a value of the tick it was taken in, so it is passed to
+    the calls that read it and never stored on the state, and its views die
+    with it: states are mutable, and tests edit them in place.
     """
 
     __slots__ = (
@@ -634,20 +669,25 @@ class Tick:
         "guard_ids",
         "attacker_ranks",
         "threat",
+        "_danger",
+        "_posts",
     )
 
     def __init__(self, state: WorldState) -> None:
         agents = tuple(sorted(state.agents, key=attrgetter("id")))
         fort_distance = state.config.geometry.fort_distance
-        live_guards, live_attackers, guard_ids, attacker_ids = [], [], [], []
+        by_id, cells, attacker_ranks = {}, [], {}
+        live_guards, live_attackers, guard_ids = [], [], []
         threat, threat_distance = None, math.inf
         for a in agents:
+            by_id[a.id] = a
+            cells.append((a.x, a.y))
             if a.kind.is_guard:
                 guard_ids.append(a.id)
                 if a.alive:
                     live_guards.append(a)
             else:
-                attacker_ids.append(a.id)
+                attacker_ranks[a.id] = len(attacker_ranks)
                 if a.alive:
                     live_attackers.append(a)
                     d = fort_distance[a.x, a.y]
@@ -656,49 +696,91 @@ class Tick:
         init = object.__setattr__
         init(self, "state", state)
         init(self, "agents", agents)
-        init(self, "by_id", {a.id: a for a in agents})
-        init(self, "occupied", frozenset([a.pos for a in agents]))
+        init(self, "by_id", by_id)
+        init(self, "occupied", frozenset(cells))
         init(self, "live_guards", tuple(live_guards))
         init(self, "live_attackers", tuple(live_attackers))
         init(self, "guard_ids", tuple(guard_ids))
-        init(self, "attacker_ranks", {i: rank for rank, i in enumerate(attacker_ids)})
+        init(self, "attacker_ranks", attacker_ranks)
         init(self, "threat", threat)
+        init(self, "_danger", None)
+        init(self, "_posts", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"a Tick is immutable; cannot set {name}")
+
+    def moves(self, agent_id: int) -> list[tuple[Action, tuple[int, int]]]:
+        """The agent's legal moves with their target cells, in N, E, S, W
+        order: the cell's ``Geometry.exits`` into cells that are not
+        occupied (corpses block).  Empty for a dead agent."""
+        agent = self.by_id[agent_id]
+        if not agent.alive:
+            return []
+        occupied = self.occupied
+        exits = self.state.config.geometry.exits[agent.x, agent.y]
+        return [move for move in exits if move[1] not in occupied]
+
+    def shots(self, agent_id: int) -> dict[int, Action]:
+        """The agent's legal shots by target id, in id order: at each live
+        foe inside range and arc, with every agent on the grid one lookup
+        in the shooter's ``Geometry.cone``; each the shared
+        ``SHOT_ACTIONS[target]``.  Empty for a dead agent."""
+        agent = self.by_id[agent_id]
+        if not agent.alive:
+            return {}
+        x, y = agent.x, agent.y
+        cone = self.state.config.geometry.cone[agent.direction.index]
+        foes = self.live_attackers if agent.kind.is_guard else self.live_guards
+        return {f.id: SHOT_ACTIONS[f.id] for f in foes if (f.x - x, f.y - y) in cone}
 
     def legal_actions(self, agent_id: int) -> list[Action]:
         """All actions the agent may take this tick, in a fixed documented
         order.
 
-        Order: noop, moves N/E/S/W, rotations cw/ccw, shots by target id.
-        Moves must stay on the grid and target an unoccupied cell (corpses
-        block).  Shots require a live enemy inside range and arc: with
-        every agent on the grid, one lookup in the shooter's
-        ``Geometry.cone``, taken over the live foes, which are in id order.
-        A dead agent can only noop.  The one implementation of the rule;
+        Order: noop, the actions of :meth:`moves` (N/E/S/W), rotations
+        cw/ccw, the actions of :meth:`shots` (by target id).  A dead agent
+        can only noop.  The one implementation of the rule;
         :func:`legal_actions` asks it of a fresh snapshot.
         """
-        agent = self.by_id[agent_id]
         noop = TARGETLESS_ACTIONS[ActionKind.NOOP]
-        if not agent.alive:
+        if not self.by_id[agent_id].alive:
             return [noop]
-        config = self.state.config
-        width, height = config.width, config.height
-        occupied = self.occupied
-        x, y = agent.x, agent.y
-        acts = [noop]
-        for act, dx, dy in _MOVE_STEPS:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height and (nx, ny) not in occupied:
-                acts.append(act)
-        acts += _ROTATIONS
-        cone = config.geometry.cone[agent.direction.index]
-        foes = self.live_attackers if agent.kind.is_guard else self.live_guards
-        for foe in foes:
-            if (foe.x - x, foe.y - y) in cone:
-                acts.append(Action.shoot(foe.id))
-        return acts
+        moves = [act for act, _ in self.moves(agent_id)]
+        return [noop, *moves, *_ROTATIONS, *self.shots(agent_id).values()]
+
+    def danger(self) -> frozenset[tuple[int, int]]:
+        """The cells in the danger cone (``Geometry.danger``) of a live
+        guard as currently aimed: where one more closing step could bring
+        an attacker under fire.  Facing only changes through explicit
+        rotations, so a mover's firing arc goes stale; cells outside every
+        current danger cone are safe to stand on this tick.  Built on the
+        first call and kept for the life of the snapshot."""
+        cells = self._danger
+        if cells is None:
+            cones = self.state.config.geometry.danger
+            guards = [(g.x, g.y, cones[g.direction.index]) for g in self.live_guards]
+            cells = frozenset([(x + i, y + j) for x, y, cone in guards for i, j in cone])
+            object.__setattr__(self, "_danger", cells)
+        return cells
+
+    def strike_posts(self, mark: AgentState) -> frozenset[tuple[int, int]]:
+        """The cells from which the live guard ``mark`` can be shot without
+        answer: the grid cells of its strike pocket (``Geometry.pocket``:
+        in weapon range of it, outside its arc) outside :meth:`danger`.
+        The mark's own cone lies in its arc, so these are the other guards'
+        cones.  Built on the first call per mark and kept for the life of
+        the snapshot."""
+        posts = self._posts.get(mark.id)
+        if posts is None:
+            config = self.state.config
+            x, y = mark.x, mark.y
+            pocket = [
+                (x + dx, y + dy)
+                for dx, dy in config.geometry.pocket[mark.direction.index]
+                if 0 <= x + dx < config.width and 0 <= y + dy < config.height
+            ]
+            posts = self._posts[mark.id] = frozenset(pocket).difference(self.danger())
+        return posts
 
 
 def legal_actions(state: WorldState, agent_id: int) -> list[Action]:
@@ -720,10 +802,13 @@ def step(
     then resolve simultaneously: moves into cells of non-moving agents
     cancel, pairwise swaps cancel, and when several movers contest one cell
     the lowest agent id wins.  Off-grid or self-targeted moves downgrade to
-    holds with a warning event.
+    holds with a warning event.  The cancellations repeat in rounds, each
+    walking the movers in id order, until one cancels nothing: without
+    conflicts, the common case, after one.  ``state`` is left as it was.
     """
     if terminal(state) is not None:
         raise ValueError("cannot step a terminal state")
+    config = state.config
     by_id = {a.id: a for a in state.agents}
     for agent_id in actions:
         if agent_id not in by_id:
@@ -743,102 +828,98 @@ def step(
                 f"agent {agent.id} shoots unknown target id {act.target}"
             )
         effective[agent.id] = act
-    order = sorted(effective)
 
-    nxt = state.copy()
-    nxt_by_id = {a.id: a for a in nxt.agents}
-
-    # --- shots, simultaneously against tick-start poses ---
+    # --- one pass in id order: shots against tick-start poses, each
+    # mover's start and target cells, each turner's new facing ---
+    shots_fired, shots_hit = dict(state.shots_fired), dict(state.shots_hit)
+    cone = config.geometry.cone
     lethal: dict[int, list[int]] = {}  # target id -> lethal shooter ids
     shot_pairs: list[tuple[int, int, bool]] = []
-    for agent_id in order:
-        act = effective[agent_id]
-        if act.kind is not ActionKind.SHOOT:
-            continue
-        shooter = by_id[agent_id]
-        target = by_id[act.target]
-        nxt.shots_fired[agent_id] += 1
-        hit = target.alive and in_cone(
-            state.config, shooter.direction, shooter.x, shooter.y, target.x, target.y
-        )
-        if hit:
-            lethal.setdefault(target.id, []).append(agent_id)
-        shot_pairs.append((agent_id, target.id, hit))
+    steps: list[tuple[int, tuple[int, int], int, int]] = []
+    turns: dict[int, Direction] = {}
+    for agent_id in sorted(effective):
+        kind = effective[agent_id].kind
+        agent = by_id[agent_id]
+        if kind is ActionKind.SHOOT:
+            target = by_id[effective[agent_id].target]
+            shots_fired[agent_id] += 1
+            hit = target.alive and (
+                (target.x - agent.x, target.y - agent.y) in cone[agent.direction.index]
+            )
+            if hit:
+                lethal.setdefault(target.id, []).append(agent_id)
+            shot_pairs.append((agent_id, target.id, hit))
+        elif kind in MOVE_KINDS:
+            d = MOVE_KINDS[kind]
+            steps.append((agent_id, (agent.x, agent.y), agent.x + d.dx, agent.y + d.dy))
+        elif kind is ActionKind.ROTATE_CW:
+            turns[agent_id] = agent.direction.clockwise()
+        elif kind is ActionKind.ROTATE_CCW:
+            turns[agent_id] = agent.direction.counterclockwise()
     credited_for = {target: max(shooters) for target, shooters in lethal.items()}
     for shooter_id, target_id, hit in shot_pairs:
         was_credited = hit and credited_for.get(target_id) == shooter_id
         if was_credited:
-            nxt.shots_hit[shooter_id] += 1
+            shots_hit[shooter_id] += 1
         events.append(ShotEvent(shooter_id, target_id, hit, credited=was_credited))
     killed = set(lethal)
-    for tid in killed:
-        nxt_by_id[tid].alive = False
 
-    # --- moves, for agents still alive after shot resolution ---
+    # --- moves, for agents still alive after shot resolution; ``dest`` is
+    # filled in id order, and deleting from it keeps that order ---
     dest: dict[int, tuple[int, int]] = {}
-    for agent_id in order:
-        act = effective[agent_id]
-        if act.kind not in MOVE_KINDS or agent_id in killed:
+    start: dict[int, tuple[int, int]] = {}
+    for agent_id, here, x, y in steps:
+        if agent_id in killed:
             continue
-        agent = by_id[agent_id]
-        d = MOVE_KINDS[act.kind]
-        target_cell = (agent.x + d.dx, agent.y + d.dy)
-        if not state.config.in_bounds(*target_cell):
+        if not config.in_bounds(x, y):
             events.append(IgnoredAction(agent_id, "off-grid move resolved as hold"))
             continue
-        dest[agent_id] = target_cell
-
-    pos = {a.id: a.pos for a in state.agents}
-    stationary_cells = {pos[i] for i in pos if i not in dest}
-    while True:
+        dest[agent_id], start[agent_id] = (x, y), here
+    stationary_cells = {(a.x, a.y) for a in state.agents if a.id not in dest}
+    while dest:
         changed = False
         # moves into cells held by non-movers cancel
-        for m in sorted(dest):
+        for m in list(dest):
             if dest[m] in stationary_cells:
-                stationary_cells.add(pos[m])
+                stationary_cells.add(start[m])
                 del dest[m]
                 changed = True
-        # pairwise swaps cancel
-        movers = sorted(dest)
-        for i, m1 in enumerate(movers):
-            if m1 not in dest:
-                continue
-            for m2 in movers[i + 1 :]:
-                if m2 not in dest:
-                    continue
-                if dest[m1] == pos[m2] and dest[m2] == pos[m1]:
-                    stationary_cells.add(pos[m1])
-                    stationary_cells.add(pos[m2])
-                    del dest[m1], dest[m2]
-                    changed = True
-                    break
+        # pairwise swaps cancel; a mover's one possible partner is the mover
+        # standing on its target cell
+        standing = {start[m]: m for m in dest}
+        for m1 in list(dest):
+            m2 = standing.get(dest.get(m1))
+            if m2 in dest and dest[m2] == start[m1]:
+                stationary_cells.add(start[m1])
+                stationary_cells.add(start[m2])
+                del dest[m1], dest[m2]
+                changed = True
         # several movers into one cell: lowest id wins
         by_cell: dict[tuple[int, int], list[int]] = {}
-        for m in sorted(dest):
-            by_cell.setdefault(dest[m], []).append(m)
-        for cell, group in sorted(by_cell.items()):
+        for m, cell in dest.items():
+            by_cell.setdefault(cell, []).append(m)
+        for group in by_cell.values():
             for loser in group[1:]:
-                stationary_cells.add(pos[loser])
+                stationary_cells.add(start[loser])
                 del dest[loser]
                 changed = True
         if not changed:
             break
-    for agent_id, (nx_, ny_) in dest.items():
-        nxt_by_id[agent_id].x, nxt_by_id[agent_id].y = nx_, ny_
 
-    # --- rotations ---
-    for agent_id in order:
-        act = effective[agent_id]
-        if agent_id in killed:
-            continue
-        a = nxt_by_id[agent_id]
-        if act.kind is ActionKind.ROTATE_CW:
-            a.direction = a.direction.clockwise()
-        elif act.kind is ActionKind.ROTATE_CCW:
-            a.direction = a.direction.counterclockwise()
-
-    nxt.step_count += 1
-    return nxt, events
+    # --- the next state: the killed fall where they stood ---
+    agents = []
+    for a in state.agents:
+        i = a.id
+        if i in killed:
+            agents.append(AgentState(i, a.kind, a.x, a.y, a.direction, False))
+        else:
+            x, y = dest.get(i) or (a.x, a.y)
+            facing = turns.get(i, a.direction)
+            agents.append(AgentState(i, a.kind, x, y, facing, a.alive))
+    return (
+        WorldState(config, agents, state.step_count + 1, shots_fired, shots_hit),
+        events,
+    )
 
 
 def terminal(state: WorldState) -> Optional[EpisodeResult]:

@@ -27,7 +27,7 @@ coordinates plus max-distance sentinels.
 :func:`extract` works per tick: one call gives every agent's vector in one
 snapshot (:class:`env.Tick`).  The blocks come from the configuration's
 block table (``Geometry.blocks``, one row per cell and facing plus the
-padding row), gathered for every agent at once by one fancy index through
+padding row), gathered for every agent at once by one ``take`` through
 the roster's block order (:func:`_block_order`), so a tick's vectors are the
 rows of one (agents x 39) matrix.
 """
@@ -54,21 +54,19 @@ CATEGORICAL_FEATURES = frozenset(
 
 
 @functools.lru_cache(maxsize=64)
-def _block_order(roster: tuple[tuple[int, bool], ...]) -> np.ndarray:
+def _block_order(sides: tuple[bool, ...]) -> np.ndarray:
     """Each agent's blocks as positions in the roster, read-only.
 
-    ``roster`` is every agent's ``(id, is_guard)`` in id order.  Row ``i``
-    holds agent ``i``'s ``N_BLOCKS`` blocks: itself, its teammates, then
-    its opponents, each by ascending id, truncated to ``N_BLOCKS``; a
-    missing block is position ``len(roster)``, the padding block.
+    ``sides`` holds every agent's ``is_guard``, in id order: all the block
+    order depends on.  Row ``i`` holds agent ``i``'s ``N_BLOCKS`` blocks:
+    itself, its teammates, then its opponents, each by ascending id,
+    truncated to ``N_BLOCKS``; a missing block is position ``len(sides)``,
+    the padding block.
     """
-    n = len(roster)
-    side = {
-        g: [i for i, (_, is_guard) in enumerate(roster) if is_guard is g]
-        for g in (True, False)
-    }
+    n = len(sides)
+    side = {g: [i for i, s in enumerate(sides) if s is g] for g in (True, False)}
     rows = []
-    for i, (_, is_guard) in enumerate(roster):
+    for i, is_guard in enumerate(sides):
         mates = [j for j in side[is_guard] if j != i]
         order = ([i] + mates + side[not is_guard])[:N_BLOCKS]
         rows.append(order + [n] * (N_BLOCKS - len(order)))
@@ -85,26 +83,23 @@ def extract(
     ``prev_actions`` maps an agent id to its previous action; an id it
     lacks, or maps to ``None``, reads as noop.  The vectors are the rows
     of one fresh (agents x 39) matrix: the blocks gathered from
-    ``Geometry.blocks`` by one fancy index, then the three globals.  Pure:
-    identical inputs give identical vectors; index the result to get one
-    agent's vector.
+    ``Geometry.blocks`` by one ``take`` through the roster's block order,
+    then the three globals.  Pure: identical inputs give identical vectors;
+    index the result to get one agent's vector.
     """
     geometry = tick.state.config.geometry
     height = tick.state.config.height
     agents = tick.agents
-    rows = [(a.x * height + a.y) * 4 + a.direction.index for a in agents]
-    rows.append(geometry.pad_row)
-    order = _block_order(tuple([(a.id, a.kind.is_guard) for a in agents]))
     n = len(agents)
+    rows = [(a.x * height + a.y) * 4 + a.direction.index for a in agents]
+    rows = np.array(rows + [geometry.pad_row])
+    order = _block_order(tuple([a.kind.is_guard for a in agents]))
     out = np.empty((n, N_FEATURES))
-    out[:, : N_FEATURES - 3] = geometry.blocks[np.take(rows, order)].reshape(n, -1)
-    threat = tick.threat
-    out[:, -3] = (
-        geometry.diagonal
-        if threat is None
-        else geometry.fort_distance[threat.x, threat.y]
-    )
-    out[:, -2] = len(tick.attacker_ranks) - len(tick.live_attackers)
+    blocks = geometry.blocks.take(rows.take(order), axis=0)
+    out[:, : N_FEATURES - 3] = blocks.reshape(n, -1)
+    t = tick.threat
+    nearest = geometry.diagonal if t is None else geometry.fort_distance[t.x, t.y]
+    out[:, -3:-1] = (nearest, len(tick.attacker_ranks) - len(tick.live_attackers))
     noop = ActionKind.NOOP
     out[:, -1] = [
         noop if (prev := prev_actions.get(a.id)) is None else prev.kind

@@ -27,11 +27,13 @@ Qualitative intents:
   guard is drawn out of position.
 
 Turns aim with the simulator's facing rule (``env.facing_toward`` and
-``env.turn_toward``).  Danger cones and the B1600 hunters' strike pockets
-are lookups in ``GridConfig.geometry`` (``danger`` and ``pocket``).  A
-decision reads the tick's shared facts (the sides, the ranks, the attacker
-nearest the fort) from its :class:`env.Tick`, and every returned action is
-drawn from ``Tick.legal_actions``; a dead agent noops.
+``env.turn_toward``).  A decision reads from its :class:`env.Tick` the
+tick's shared facts (the sides, the ranks, the attacker nearest the fort),
+its moves and shots (``Tick.moves``, ``Tick.shots``), the danger cones
+(``Tick.danger``) and the B1600 hunters' strike posts, both built once a
+tick for every attacker; every returned action is one of
+``Tick.legal_actions``, and a dead agent noops.  Distances are
+``math.hypot`` of coordinates, each neighbour's taken once a decision.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from fortdefense.env import (
     Tick,
     facing_toward,
     fort_center,
-    fort_distance,
     in_arc,
     nearest_fort_cell,
     turn_toward,
@@ -109,46 +110,33 @@ def make_policy(name: str) -> PolicySpec:
 # ---------------------------------------------------------------------------
 
 
-def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def _legal_moves(legal: list[Action]) -> dict[ActionKind, Action]:
-    return {a.kind: a for a in legal if a.kind in MOVE_KINDS}
+def _pick(here: float, scored: list, allow_equal: bool) -> Optional[Action]:
+    """The move of least value among ``scored``'s ``(move, value)`` pairs
+    that improves on ``here``, the agent's own cell's value: strictly unless
+    ``allow_equal``; ties go to the first."""
+    best: Optional[Action] = None
+    best_val = here + (1e-9 if allow_equal else -1e-9)
+    for act, val in scored:
+        if val < best_val - 1e-12:
+            best, best_val = act, val
+    return best
 
 
 def _move_reducing(
     agent: AgentState,
-    moves: dict[ActionKind, Action],
+    moves: list[tuple[Action, tuple[int, int]]],
     key: Callable[[tuple[int, int]], float],
     limit: Optional[Callable[[tuple[int, int]], bool]] = None,
     allow_equal: bool = False,
 ) -> Optional[Action]:
-    """The legal move minimizing ``key`` of the destination cell.
+    """The legal move (of ``Tick.moves``) minimizing ``key`` of the
+    destination cell, among those ``limit`` admits.
 
     Only strictly improving moves are returned unless ``allow_equal``;
     ties go to the first of N, E, S, W.
     """
-    here = key(agent.pos)
-    best: Optional[Action] = None
-    best_val = here + (1e-9 if allow_equal else -1e-9)
-    for kind in (
-        ActionKind.MOVE_N,
-        ActionKind.MOVE_E,
-        ActionKind.MOVE_S,
-        ActionKind.MOVE_W,
-    ):
-        act = moves.get(kind)
-        if act is None:
-            continue
-        d = MOVE_KINDS[kind]
-        cell = (agent.x + d.dx, agent.y + d.dy)
-        if limit is not None and not limit(cell):
-            continue
-        val = key(cell)
-        if val < best_val - 1e-12:
-            best, best_val = act, val
-    return best
+    scored = [(act, key(cell)) for act, cell in moves if limit is None or limit(cell)]
+    return _pick(key((agent.x, agent.y)), scored, allow_equal)
 
 
 def _rotate_toward(agent: AgentState, pos: tuple[float, float]) -> Optional[Action]:
@@ -171,43 +159,6 @@ def _guard_anchor(cfg: GridConfig, spec: PolicySpec, rank: int, n: int) -> tuple
     return (_clamp(round(cx + offset), 0, cfg.width - 1), cfg.height - 2)
 
 
-def _covered(
-    cfg: GridConfig, cell: tuple[int, int], shooters: list[AgentState]
-) -> bool:
-    """Whether ``cell`` lies in the danger cone (``Geometry.danger``) of any
-    of ``shooters`` as currently aimed: whether one more closing step could
-    bring it under fire.  The cell and the shooters are on the grid.
-
-    Facing only changes through explicit rotations, so a mover's firing arc
-    goes stale; cells outside every current danger cone are safe to stand
-    on this tick.
-    """
-    danger = cfg.geometry.danger
-    x, y = cell
-    return any((x - s.x, y - s.y) in danger[s.direction.index] for s in shooters)
-
-
-def _strike_posts(
-    cfg: GridConfig, mark: AgentState, others: list[AgentState]
-) -> set[tuple[int, int]]:
-    """The cells from which ``mark`` can be shot without answer: the grid
-    cells of its strike pocket (``Geometry.pocket``: in weapon range of it,
-    outside its arc) that lie in no danger cone of ``others``."""
-    geometry = cfg.geometry
-    mx, my = mark.x, mark.y
-    posts = {
-        (mx + dx, my + dy)
-        for dx, dy in geometry.pocket[mark.direction.index]
-        if 0 <= mx + dx < cfg.width and 0 <= my + dy < cfg.height
-    }
-    for s in others:
-        sx, sy = s.x, s.y
-        posts.difference_update(
-            [(sx + dx, sy + dy) for dx, dy in geometry.danger[s.direction.index]]
-        )
-    return posts
-
-
 # ---------------------------------------------------------------------------
 # opening spread (P2): flank agents diverge along x, middles hold
 # ---------------------------------------------------------------------------
@@ -221,22 +172,24 @@ def _in_spread_opening(spec: PolicySpec, tick: Tick) -> bool:
         return False
     for guard in tick.live_guards:
         for attacker in tick.live_attackers:
-            if _dist(guard.pos, attacker.pos) <= state.config.shoot_range:
+            gap = math.hypot(guard.x - attacker.x, guard.y - attacker.y)
+            if gap <= state.config.shoot_range:
                 return False
     return True
 
 
-def _spread_move(tick: Tick, agent: AgentState, legal: list[Action]) -> Action:
+def _spread_move(
+    tick: Tick, agent: AgentState, moves: list[tuple[Action, tuple[int, int]]]
+) -> Action:
     side = tick.live_guards if agent.kind.is_guard else tick.live_attackers
     team = sorted(side, key=lambda a: (a.x, a.id))
-    moves = _legal_moves(legal)
     if agent.id == team[0].id:
-        wanted = moves.get(ActionKind.MOVE_W)
+        wanted = ActionKind.MOVE_W
     elif agent.id == team[-1].id:
-        wanted = moves.get(ActionKind.MOVE_E)
+        wanted = ActionKind.MOVE_E
     else:
-        wanted = None  # middles hold so pairwise distances cannot shrink
-    return wanted or Action.noop()
+        return Action.noop()  # middles hold so pairwise distances cannot shrink
+    return next((act for act, _ in moves if act.kind is wanted), Action.noop())
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +199,14 @@ def _spread_move(tick: Tick, agent: AgentState, legal: list[Action]) -> Action:
 
 def _guard_action(spec: PolicySpec, tick: Tick, agent: AgentState, seed: int) -> Action:
     cfg = tick.state.config
-    legal = tick.legal_actions(agent.id)
-    moves = _legal_moves(legal)
-    shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
+    fort_distance = cfg.geometry.fort_distance
+    moves = tick.moves(agent.id)
+    shots = tick.shots(agent.id)
     threat = tick.threat
     if threat is None:
         return Action.noop()
     if spec.name == "P2" and _in_spread_opening(spec, tick):
-        return _spread_move(tick, agent, legal)
+        return _spread_move(tick, agent, moves)
 
     radius = spec.param("guard_radius")
     in_band = None
@@ -267,39 +220,34 @@ def _guard_action(spec: PolicySpec, tick: Tick, agent: AgentState, seed: int) ->
             return shots[threat.id]
     elif shots:
         by_id = tick.by_id
-        target = min(
-            shots, key=lambda t: (fort_distance(cfg, by_id[t].x, by_id[t].y), t)
-        )
+        target = min(shots, key=lambda t: (fort_distance[by_id[t].x, by_id[t].y], t))
         return shots[target]
 
     chosen: Optional[Action] = None
+    tx, ty = threat.x, threat.y
+    gap = math.hypot(agent.x - tx, agent.y - ty)
     # aim at the threat whenever it is within weapon range
-    if _dist(agent.pos, threat.pos) <= cfg.shoot_range:
-        chosen = _rotate_toward(agent, threat.pos)
+    if gap <= cfg.shoot_range:
+        chosen = _rotate_toward(agent, (tx, ty))
     # leash: strayed beyond the radius -> strictly reduce fort distance
-    if chosen is None and fort_distance(cfg, agent.x, agent.y) > radius:
-        chosen = _move_reducing(
-            agent, moves, key=lambda c: fort_distance(cfg, *c), limit=in_band
-        )
+    if chosen is None and fort_distance[agent.x, agent.y] > radius:
+        chosen = _move_reducing(agent, moves, fort_distance.__getitem__, in_band)
     # engage: close on the threat while staying leashed
-    if chosen is None and _dist(agent.pos, threat.pos) <= spec.param("engage_range"):
-        leash = lambda c: fort_distance(cfg, *c) <= radius and (
-            in_band is None or in_band(c)
-        )
+    if chosen is None and gap <= spec.param("engage_range"):
+        leash = lambda c: fort_distance[c] <= radius and (in_band is None or in_band(c))
         chosen = _move_reducing(
-            agent, moves, key=lambda c: _dist(c, threat.pos), limit=leash
+            agent, moves, key=lambda c: math.hypot(c[0] - tx, c[1] - ty), limit=leash
         )
         if chosen is None:
-            chosen = _rotate_toward(agent, threat.pos)
+            chosen = _rotate_toward(agent, (tx, ty))
     # idle: drift back to the anchor slot, pre-aimed at the threat
     if chosen is None:
-        anchor = _guard_anchor(cfg, spec, tick.guard_ids.index(agent.id), cfg.n_guards)
-        if _dist(agent.pos, anchor) > 1.5:
-            chosen = _move_reducing(
-                agent, moves, key=lambda c: _dist(c, anchor), limit=in_band
-            )
+        ax, ay = _guard_anchor(cfg, spec, tick.guard_ids.index(agent.id), cfg.n_guards)
+        if math.hypot(agent.x - ax, agent.y - ay) > 1.5:
+            home = lambda c: math.hypot(c[0] - ax, c[1] - ay)
+            chosen = _move_reducing(agent, moves, key=home, limit=in_band)
         if chosen is None:
-            chosen = _rotate_toward(agent, threat.pos)
+            chosen = _rotate_toward(agent, (tx, ty))
     if chosen is None:
         chosen = Action.noop()
     # P2 movement is slightly noisy; the only draw from a tick's stream, so
@@ -308,8 +256,7 @@ def _guard_action(spec: PolicySpec, tick: Tick, agent: AgentState, seed: int) ->
     if jitter and chosen.kind in MOVE_KINDS and moves:
         rng = random.Random(seed)
         if rng.random() < jitter:
-            options = sorted(moves.values(), key=lambda a: a.kind)
-            chosen = options[rng.randrange(len(options))]
+            chosen = moves[rng.randrange(len(moves))][0]
     return chosen
 
 
@@ -320,23 +267,24 @@ def _guard_action(spec: PolicySpec, tick: Tick, agent: AgentState, seed: int) ->
 
 def _advance(
     agent: AgentState,
-    moves: dict[ActionKind, Action],
+    moves: list[tuple[Action, tuple[int, int]]],
     goal: tuple[int, int],
     limit: Optional[Callable[[tuple[int, int]], bool]] = None,
 ) -> Action:
     """Move toward ``goal``, preferring ``limit``-approved cells.
 
     Falls back to unrestricted progress, then to sideways (equal-distance)
-    steps, rather than standing still.
+    steps, rather than standing still.  Each cell's distance to the goal,
+    and each ``limit`` verdict, is taken once for all four attempts.
     """
-    key = lambda c: _dist(c, goal)
-    attempts = (
-        [(limit, False), (limit, True), (None, False), (None, True)]
-        if limit is not None
-        else [(None, False), (None, True)]
-    )
-    for lim, eq in attempts:
-        act = _move_reducing(agent, moves, key=key, limit=lim, allow_equal=eq)
+    gx, gy = goal
+    here = math.hypot(agent.x - gx, agent.y - gy)
+    scored = [(act, math.hypot(x - gx, y - gy)) for act, (x, y) in moves]
+    attempts = [scored]
+    if limit is not None:
+        attempts.insert(0, [s for s, (_, cell) in zip(scored, moves) if limit(cell)])
+    for options in attempts:
+        act = _pick(here, options, False) or _pick(here, options, True)
         if act is not None:
             return act
     return Action.noop()
@@ -345,7 +293,7 @@ def _advance(
 def _lane_advance(
     cfg: GridConfig,
     agent: AgentState,
-    moves: dict[ActionKind, Action],
+    moves: list[tuple[Action, tuple[int, int]]],
     lane_x: int,
     slide_row: Optional[int] = None,
     approach_row: Optional[int] = None,
@@ -372,21 +320,25 @@ def _lane_advance(
 def _nearest_shot(tick: Tick, agent: AgentState, shots: dict[int, Action]) -> Action:
     """The shot at the nearest target, ties to the least id."""
     by_id = tick.by_id
-    return shots[min(shots, key=lambda t: (_dist(agent.pos, by_id[t].pos), t))]
+    x, y = agent.x, agent.y
+    return shots[
+        min(shots, key=lambda t: (math.hypot(x - by_id[t].x, y - by_id[t].y), t))
+    ]
 
 
 def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
     state = tick.state
     cfg = state.config
-    legal = tick.legal_actions(agent.id)
-    moves = _legal_moves(legal)
-    shots = {a.target: a for a in legal if a.kind is ActionKind.SHOOT}
+    fort_distance = cfg.geometry.fort_distance
+    moves = tick.moves(agent.id)
+    shots = tick.shots(agent.id)
     attackers = tick.live_attackers
     guards = tick.live_guards
     n_alive = len(attackers)
     ranks = tick.attacker_ranks
     rank = ranks[agent.id]
-    fort_goal = nearest_fort_cell(cfg, agent.x, agent.y)
+    x, y = agent.x, agent.y
+    fort_goal = nearest_fort_cell(cfg, x, y)
     cx, _ = fort_center(cfg)
 
     slide_row = cfg.attacker_band_rows + rank
@@ -401,7 +353,7 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
     if not aggressor_mode:
         if shots:
             return _nearest_shot(tick, agent, shots)
-        if guards and agent.y == cfg.height - 1 and agent.pos != fort_goal:
+        if guards and y == cfg.height - 1 and (x, y) != fort_goal:
             rot = _rotate_toward(agent, fort_goal)
             if rot:
                 return rot
@@ -411,11 +363,11 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
         # wing is also on the top row, then both close in simultaneously;
         # stop waiting the moment a defender gets close
         top = cfg.height - 1
-        if agent.y >= top:
+        if y >= top:
             wings = [a for a in attackers if ranks[a.id] % 3 != centre_rank]
             ready = all(a.y >= top for a in wings)
             crowded = any(
-                _dist(agent.pos, g.pos) <= cfg.shoot_range + DANGER_MARGIN
+                math.hypot(x - g.x, y - g.y) <= cfg.shoot_range + DANGER_MARGIN
                 for g in guards
             )
             if not ready and not crowded:
@@ -433,11 +385,11 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
 
     if spec.name == "P2":
         if _in_spread_opening(spec, tick):
-            return _spread_move(tick, agent, legal)
+            return _spread_move(tick, agent, moves)
         if guards:
-            nearest = min(guards, key=lambda g: (_dist(agent.pos, g.pos), g.id))
-            if _dist(agent.pos, nearest.pos) <= cfg.shoot_range:
-                rot = _rotate_toward(agent, nearest.pos)
+            nearest = min(guards, key=lambda g: (math.hypot(x - g.x, y - g.y), g.id))
+            if math.hypot(x - nearest.x, y - nearest.y) <= cfg.shoot_range:
+                rot = _rotate_toward(agent, (nearest.x, nearest.y))
                 if rot:
                     return rot
         return _advance(agent, moves, (round(cx), cfg.height - 1))
@@ -466,17 +418,17 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
     if spec.name == "B1600":
         # a cell is dangerous if a defender's current cone could cover it
         # after one more closing step (they move one cell a tick)
-        danger = lambda c: _covered(cfg, c, guards)
+        danger = tick.danger().__contains__
 
         # retreat preference: get away from every pursuer, with a nudge
         # toward open ground so a flight never dead-ends in a corner
         def retreat_key(c: tuple[int, int]) -> float:
             room = min(c[0], cfg.width - 1 - c[0], c[1], cfg.height - 1 - c[1])
-            return -min(_dist(c, g.pos) for g in guards) - 0.3 * room
+            return -min(math.hypot(c[0] - g.x, c[1] - g.y) for g in guards) - 0.3 * room
 
         def dodge() -> Optional[Action]:
             # a firing cone is closing over us: sidestep out of it
-            if not guards or not danger(agent.pos):
+            if not guards or not danger((x, y)):
                 return None
             return _move_reducing(
                 agent,
@@ -500,17 +452,19 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
             if runners_up:
                 runner = runners_up[0]
                 gate = nearest_fort_cell(cfg, runner.x, runner.y)
-                blocker = min(guards, key=lambda g: (_dist(g.pos, gate), g.id))
-                return _advance(agent, moves, blocker.pos)
+                gx, gy = gate
+                to_gate = lambda g: (math.hypot(g.x - gx, g.y - gy), g.id)
+                blocker = min(guards, key=to_gate)
+                return _advance(agent, moves, (blocker.x, blocker.y))
 
-            nearest = min(guards, key=lambda g: (_dist(agent.pos, g.pos), g.id))
+            nearest = min(guards, key=lambda g: (math.hypot(x - g.x, y - g.y), g.id))
+            nx, ny = nearest.x, nearest.y
             flee = dodge()
             if flee:
                 return flee
-            gap = _dist(agent.pos, nearest.pos)
+            gap = math.hypot(x - nx, y - ny)
             all_home = all(
-                fort_distance(cfg, g.x, g.y) <= spec.param("drawn_radius")
-                for g in guards
+                fort_distance[g.x, g.y] <= spec.param("drawn_radius") for g in guards
             )
             if rank == 0 and len(guards) > 1 and not all_home:
                 # bait: hover beyond weapon range of the closest defender so
@@ -523,9 +477,7 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
                 orbit = spec.param("guard_radius") + 2
 
                 def bait_key(c: tuple[int, int]) -> float:
-                    return retreat_key(c) + 0.4 * abs(
-                        fort_distance(cfg, c[0], c[1]) - orbit
-                    )
+                    return retreat_key(c) + 0.4 * abs(fort_distance[c] - orbit)
 
                 if gap < cfg.shoot_range + DANGER_MARGIN:
                     away = _move_reducing(
@@ -540,12 +492,12 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
                     closer = _move_reducing(
                         agent,
                         moves,
-                        key=lambda c: _dist(c, nearest.pos),
+                        key=lambda c: math.hypot(c[0] - nx, c[1] - ny),
                         limit=lambda c: not danger(c),
                     )
                     if closer:
                         return closer
-                rot = _rotate_toward(agent, nearest.pos)
+                rot = _rotate_toward(agent, (nx, ny))
                 if rot:
                     return rot
                 return Action.noop()
@@ -558,15 +510,15 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
             for mark in sorted(
                 guards,
                 key=lambda g: (
-                    in_arc(cfg, g.direction, g.x, g.y, agent.x, agent.y),
-                    _dist(agent.pos, g.pos),
+                    in_arc(cfg, g.direction, g.x, g.y, x, y),
+                    math.hypot(x - g.x, y - g.y),
                     g.id,
                 ),
             ):
-                others = [g for g in guards if g.id != mark.id]
-                posts = _strike_posts(cfg, mark, others)
-                rot = _rotate_toward(agent, mark.pos)
-                if agent.pos in posts:
+                posts = tick.strike_posts(mark)
+                mx, my = mark.x, mark.y
+                rot = _rotate_toward(agent, (mx, my))
+                if (x, y) in posts:
                     # inside the cone-free pocket: turn and the top-of-turn
                     # shot check fires
                     return rot or Action.noop()
@@ -581,22 +533,20 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
                         for a in attackers
                         if a.id != agent.id and ranks[a.id] < n_aggressors
                     ]
-                    post = min(
+                    apart = lambda c: min(
+                        [math.hypot(c[0] - m.x, c[1] - m.y) for m in mates], default=0.0
+                    )
+                    px, py = min(
                         posts,
-                        key=lambda c: (
-                            _dist(agent.pos, c)
-                            - 0.5 * min((_dist(c, m.pos) for m in mates), default=0.0),
-                            c,
-                        ),
+                        key=lambda c: (math.hypot(x - c[0], y - c[1]) - 0.5 * apart(c), c),
                     )
                 else:
-                    post = min(posts, key=lambda c: (_dist(agent.pos, c), c))
+                    px, py = min(posts, key=lambda c: (math.hypot(x - c[0], y - c[1]), c))
                 move_ok = lambda c: not danger(c) and (
-                    aimed or _dist(c, mark.pos) > cfg.shoot_range
+                    aimed or math.hypot(c[0] - mx, c[1] - my) > cfg.shoot_range
                 )
-                closer = _move_reducing(
-                    agent, moves, key=lambda c: _dist(c, post), limit=move_ok
-                )
+                to_post = lambda c: math.hypot(c[0] - px, c[1] - py)
+                closer = _move_reducing(agent, moves, key=to_post, limit=move_ok)
                 if closer:
                     return closer
                 # parked on the rim: spend the wait turning toward the mark
@@ -609,7 +559,7 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
         # sneak up one edge once the defense is thinned or fully drawn out
         aggressors_alive = any(ranks[a.id] < n_aggressors for a in attackers)
         drawn = not guards or all(
-            fort_distance(cfg, g.x, g.y) > spec.param("drawn_radius") for g in guards
+            fort_distance[g.x, g.y] > spec.param("drawn_radius") for g in guards
         )
         # in the last quarter of the game run flat out, cones or not:
         # the clock decides stalemates, and it decides them for the defense
@@ -627,21 +577,21 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
         ):
             top = cfg.height - 1
             if not guards:
-                lane_x = 1 if agent.x <= cx else cfg.width - 2
-            elif agent.x <= 3:
+                lane_x = 1 if x <= cx else cfg.width - 2
+            elif x <= 3:
                 # already committed to the west wall: no second thoughts,
                 # flip-flopping mid-run walks straight back into the pursuit
                 lane_x = 1
-            elif agent.x >= cfg.width - 4:
+            elif x >= cfg.width - 4:
                 lane_x = cfg.width - 2
             else:
                 lane_x = max(
                     (1, cfg.width - 2),
-                    key=lambda x: min(_dist((x, top), g.pos) for g in guards),
+                    key=lambda lx: min(math.hypot(lx - g.x, top - g.y) for g in guards),
                 )
             # head straight for the top corner of the chosen edge (every
             # step closes on the fort), then along the top row to it
-            goal = fort_goal if agent.y == top else (lane_x, top)
+            goal = fort_goal if y == top else (lane_x, top)
             return _advance(
                 agent,
                 moves,
@@ -649,10 +599,9 @@ def _attacker_action(spec: PolicySpec, tick: Tick, agent: AgentState) -> Action:
                 limit=None if desperate else (lambda c: not danger(c)),
             )
         standoff_row = cfg.height - 1 - int(spec.param("standoff_rows"))
-        if agent.y < standoff_row:
-            return _advance(
-                agent, moves, (agent.x, standoff_row), limit=lambda c: not danger(c)
-            )
+        if y < standoff_row:
+            safe = lambda c: not danger(c)
+            return _advance(agent, moves, (x, standoff_row), limit=safe)
         return Action.noop()
 
     raise AssertionError(f"unhandled policy {spec.name}")

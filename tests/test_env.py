@@ -2,7 +2,10 @@
 
 The movement-conflict and hit-geometry expectations are checked against
 independent oracles implemented here: conflict resolution against a
-subset-feasibility search, geometry against a dot-product cone test.
+subset-feasibility search, geometry against a dot-product cone test.  The
+whole tick is checked against ``reference_step.py``, the copy of ``step``
+from before its conflict rounds were restructured, on drawn ticks that
+reach every kind of conflict.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
+
+import reference_step
 
 from fortdefense.env import (
     Action,
@@ -598,8 +603,15 @@ _FREE_CELLS = [
 @st.composite
 def valid_states(draw):
     """Non-terminal states: distinct cells off the fort, any facings, and
-    any agents down as long as each side keeps a living agent."""
-    cells = draw(st.permutations(_FREE_CELLS))[:_N_AGENTS]
+    any agents down as long as each side keeps a living agent.  Three
+    times in four the agents crowd into one 3 x 3 window (often on an
+    edge), so that their moves and shots meet."""
+    pool = _FREE_CELLS
+    if draw(st.integers(0, 3)):
+        x0 = draw(st.integers(0, PROPERTY_CONFIG.width - 3))
+        y0 = draw(st.integers(0, PROPERTY_CONFIG.height - 3))
+        pool = [(x, y) for x, y in _FREE_CELLS if 0 <= x - x0 < 3 and 0 <= y - y0 < 3]
+    cells = draw(st.permutations(pool))[:_N_AGENTS]
     alive = [draw(st.booleans()) for _ in range(_N_AGENTS)]
     alive[draw(st.integers(0, PROPERTY_CONFIG.n_guards - 1))] = True
     alive[draw(st.integers(PROPERTY_CONFIG.n_guards, _N_AGENTS - 1))] = True
@@ -622,12 +634,121 @@ def valid_states(draw):
 @st.composite
 def joint_actions(draw, state):
     """One action per living agent; dead agents sometimes get one too (it
-    is dropped with a warning)."""
-    return {
-        a.id: draw(_ACTIONS)
-        for a in state.agents
-        if a.alive or draw(st.integers(0, 3)) == 0
-    }
+    is dropped with a warning).  Each action comes from one of: all
+    actions, the shots at another agent, and the moves onto another agent's
+    cell (a swap, a chain of movers or a move into a corpse) or next to it
+    (a cell that a second mover may contest).  One time in four, two live
+    agents shoot each other."""
+    joint = {}
+    for a in state.agents:
+        if not a.alive and draw(st.integers(0, 3)) != 0:
+            continue
+        shots = [Action.shoot(b.id) for b in state.agents if b.id != a.id]
+        moves = [
+            Action(kind)
+            for kind, (dx, dy) in list(MOVE_DELTAS.items())[1:]
+            if any(
+                abs(a.x + dx - b.x) + abs(a.y + dy - b.y) <= 1
+                for b in state.agents
+                if b.id != a.id
+            )
+        ]
+        aimed = [st.sampled_from(shots)] + ([st.sampled_from(moves)] if moves else [])
+        joint[a.id] = draw(st.one_of(_ACTIONS, *aimed))
+    # now and then two live agents duel: each shoots the other
+    live = [a.id for a in state.agents if a.alive]
+    if draw(st.integers(0, 3)) == 0:
+        s, t = draw(st.permutations(live))[:2]
+        joint[s], joint[t] = Action.shoot(t), Action.shoot(s)
+    return joint
+
+
+@st.composite
+def steps(draw):
+    """A valid state and a joint action for it."""
+    state = draw(valid_states())
+    return state, draw(joint_actions(state))
+
+
+def _step_cases(state, joint) -> set[str]:
+    """The cases of ``STEP_CASES`` that a drawn tick holds."""
+    by_id = {a.id: a for a in state.agents}
+    moves = {}  # live mover id -> (start cell, target cell)
+    for a in state.agents:
+        act = joint.get(a.id)
+        if a.alive and act is not None and MOVE_DELTAS.get(act.kind):
+            dx, dy = MOVE_DELTAS[act.kind]
+            moves[a.id] = ((a.x, a.y), (a.x + dx, a.y + dy))
+    targets = [to for _, to in moves.values()]
+    cases = set()
+    if len(set(targets)) < len(targets):
+        cases.add("contested cell")
+    for m1, (start1, to1) in moves.items():
+        for m2, (start2, to2) in moves.items():
+            if m1 != m2 and to1 == start2:
+                cases.add("swap" if to2 == start1 else "chain")
+    if {(a.x, a.y) for a in state.agents if not a.alive} & set(targets):
+        cases.add("move into a corpse")
+    if any(not PROPERTY_CONFIG.in_bounds(*to) for to in targets):
+        cases.add("off-grid move")
+    if any(not a.alive and a.id in joint for a in state.agents):
+        cases.add("action for a dead agent")
+
+    def hits(s, t):
+        act, shooter, target = joint.get(s), by_id[s], by_id[t]
+        return (
+            shooter.alive
+            and target.alive
+            and act == Action.shoot(t)
+            and cone_oracle(
+                shooter.direction,
+                target.x - shooter.x,
+                target.y - shooter.y,
+                PROPERTY_CONFIG.shoot_range,
+                PROPERTY_CONFIG.shoot_arc_deg,
+            )
+        )
+
+    if any(hits(s, t) and hits(t, s) for s in by_id for t in by_id if s < t):
+        cases.add("mutual shots")
+    return cases
+
+
+STEP_CASES = [
+    "contested cell",
+    "swap",
+    "chain",
+    "move into a corpse",
+    "off-grid move",
+    "action for a dead agent",
+    "mutual shots",
+]
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_the_step_draw_reaches_every_case(case):
+    find(
+        steps(),
+        lambda drawn: case in _step_cases(*drawn),
+        settings=settings(
+            max_examples=2000, derandomize=True, database=None, phases=[Phase.generate]
+        ),
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(drawn=steps())
+def test_step_matches_the_reference_step(drawn):
+    """The step gives the reference copy's next state (counters included)
+    and its events in the same order, and leaves its input as it was."""
+    state, joint = drawn
+    before = state.copy()
+    nxt, events = step(state, joint)
+    assert state == before
+    want_nxt, want_events = reference_step.step(state, joint)
+    assert nxt == want_nxt
+    assert events == want_events
+    assert not {id(a) for a in nxt.agents} & {id(a) for a in state.agents}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -3,9 +3,10 @@
 The tables must give exactly what the formulas they replaced give: the
 properties below compare every table-backed function with the slow copies
 in ``reference_geometry.py`` over random configurations, on every cell of
-the grid (the functions take cells of the grid only), and the scripted
-attackers' danger cones and strike pockets and the simulator's action
-list over random states on them.  The other
+the grid (the functions take cells of the grid only), and the tick's
+views over random states on them: the danger cells and strike posts that
+the scripted attackers share, each agent's moves and shots (which must
+partition the simulator's action list) and that list itself.  The other
 tests pin the tables' lifetime (one per configuration
 object, invisible to equality, hashing and serialization), the enum
 attributes that replaced properties, and the one facing rule
@@ -24,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 import reference_geometry as ref
 from fortdefense.env import (
     EPS,
+    MOVE_KINDS,
+    SHOT_ACTIONS,
     TARGETLESS_ACTIONS,
     Action,
     ActionKind,
@@ -48,7 +51,7 @@ from fortdefense.kr.beliefs import Belief
 from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics, ground
 from fortdefense.kr.lang import Atom
 from fortdefense.loop import AdHocController, load_domain
-from fortdefense.policies import _covered, _rotate_toward, _strike_posts
+from fortdefense.policies import _rotate_toward
 
 # Ranges and arcs that put a cell's distance or bearing (from a shooter
 # facing north) exactly on the ``+ EPS`` edge or inside the EPS margin:
@@ -177,22 +180,51 @@ def scripted_states(draw) -> WorldState:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(state=scripted_states())
 def test_scripted_geometry_matches_the_reference(state):
+    """The tick's danger and strike-post views are the copies' cone tests
+    over the live guards, on every cell of the grid."""
     config = state.config
     cells = [(x, y) for x in range(config.width) for y in range(config.height)]
     guards = [a for a in state.agents if a.alive and a.kind.is_guard]
+    tick = Tick(state)
+    danger = tick.danger()
     for cell in cells:
-        assert _covered(config, cell, guards) is ref._covered(
-            config, cell, guards, margin=1.5
-        ), cell
-    for mark in guards:
+        want = ref._covered(config, cell, guards, margin=1.5)
+        assert (cell in danger) is want, cell
+    assert tick.danger() is danger  # built once
+    for mark in sorted(guards, key=lambda g: g.id):
         others = [g for g in guards if g.id != mark.id]
-        posts = _strike_posts(config, mark, others)
+        posts = tick.strike_posts(mark)
         want = ref.posts(config, mark, others)
         assert len(want) == len(posts) and set(want) == posts, mark.id
+        assert tick.strike_posts(mark) is posts  # built once per mark
         for cell in cells:
             assert (cell in posts) is ref.strikeable(config, mark, others, cell)
     for agent in state.agents:
         assert legal_actions(state, agent.id) == ref.legal_actions(state, agent.id)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=scripted_states())
+def test_the_move_and_shot_views_partition_the_legal_actions(state):
+    """Each agent's moves and shots are the legal actions between the
+    noop and the rotations and after the rotations, in order: the moves
+    with their target cells, the shots keyed by target and shared."""
+    tick = Tick(state)
+    noop = TARGETLESS_ACTIONS[ActionKind.NOOP]
+    cw, ccw = ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW
+    turns = [TARGETLESS_ACTIONS[cw], TARGETLESS_ACTIONS[ccw]]
+    for agent in state.agents:
+        legal = tick.legal_actions(agent.id)
+        moves, shots = tick.moves(agent.id), tick.shots(agent.id)
+        if not agent.alive:
+            assert (legal, moves, shots) == ([noop], [], {})
+            continue
+        assert legal == [noop, *[act for act, _ in moves], *turns, *shots.values()]
+        for act, cell in moves:
+            d = MOVE_KINDS[act.kind]
+            assert cell == (agent.x + d.dx, agent.y + d.dy)
+        for target, act in shots.items():
+            assert act is SHOT_ACTIONS[target] and act.target == target
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -307,6 +339,17 @@ def test_targetless_actions_are_shared_and_equal_fresh_ones():
         assert act == Action(kind) and hash(act) == hash(Action(kind))
     assert Action.noop() is TARGETLESS_ACTIONS[ActionKind.NOOP]
     assert Action.move(Direction.E) is TARGETLESS_ACTIONS[ActionKind.MOVE_E]
+
+
+def test_shot_actions_are_shared_and_equal_fresh_ones():
+    for target in [0, 1, 5, 40, 7, 0]:
+        act = Action.shoot(target)
+        fresh = Action(ActionKind.SHOOT, target)
+        assert act is SHOT_ACTIONS[target] is Action.shoot(target)
+        assert act == fresh and hash(act) == hash(fresh) and act.target == target
+    with pytest.raises(ValueError):
+        Action.shoot(None)
+    assert None not in SHOT_ACTIONS
 
 
 def test_state_copy_is_equal_and_independent():

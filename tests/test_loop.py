@@ -388,6 +388,38 @@ class TestPredictionHelpers:
             (),
         ]
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="kr.beliefs.progress applies the move of an agent that a "
+        "simultaneous shot kills, which env.step does not (the FOUND line on "
+        "the corpse's move in CHANGES.md)",
+    )
+    def test_progress_leaves_a_mover_shot_this_tick_where_it_fell(
+        self, small_config, small_gdom
+    ):
+        # the depth-2 state of the schedule above: guard1 has walked to
+        # (1, 4), into attacker1's arc, and moves on as the shot lands
+        state = make_state(
+            small_config,
+            [
+                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(1, AgentKind.GUARD, 1, 4, Direction.E),
+                AgentState(2, AgentKind.ATTACKER, 4, 1, Direction.N),
+                AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.N),
+            ],
+        )
+        joint = {0: Action.noop(), 2: Action.shoot(1), 3: Action.noop()}
+        nxt, _ = step(state, {**joint, 1: Action(ActionKind.MOVE_N)})
+        assert not nxt.get(1).alive and (nxt.get(1).x, nxt.get(1).y) == (1, 4)
+        after = progress(
+            belief_of(state, small_gdom),
+            (Atom("shoot", ("attacker1", "guard1")), Atom("move", ("guard1", 1, 5))),
+            small_gdom,
+        )
+        assert Atom("shot", ("guard1",)) in after.atoms
+        assert Atom("in", ("guard1", 1, 4)) in after.atoms
+
 
 # ---------------------------------------------------------------------------
 # the controller in closed loop with the simulator

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import reference_geometry as ref
-from fortdefense import loop, policies
+from fortdefense import loop
 from fortdefense.env import (
     MOVE_KINDS,
     Action,
@@ -311,6 +311,48 @@ def test_golden_scripted_game(policy, monkeypatch):
     assert _scripted_game_digest(policy, monkeypatch) == GOLDEN_SCRIPTED_SEED1000[policy]
 
 
+# The work of each seed-1000 game above: its ticks, and per tick one
+# snapshot (``env.Tick``, counted wherever it is built), one ``extract``
+# call and one ``step`` call.  A second snapshot of a tick, or a second
+# pass of the features, shows here.
+GOLDEN_SCRIPTED_WORK = {
+    "P1": 34,
+    "P2": 25,
+    "B220": 36,
+    "B650": 33,
+    "B1240": 25,
+    "B1600": 40,
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GOLDEN_SCRIPTED_WORK))
+def test_golden_scripted_work(policy, monkeypatch):
+    work = dict.fromkeys(("Tick", "extract", "step"), 0)
+    snapshot = Tick.__init__
+
+    def counted_snapshot(self, state):
+        work["Tick"] += 1
+        snapshot(self, state)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            work[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Tick, "__init__", counted_snapshot)
+    monkeypatch.setattr(loop, "extract", counted("extract", loop.extract))
+    monkeypatch.setattr(loop, "step", counted("step", loop.step))
+    sink = {"guard": [], "attacker": []}
+    stats = loop.run_games(
+        GridConfig(), policy, 1, seed=1000, ad_hoc=False, example_sink=sink
+    )
+    ticks = stats.episodes[0].steps
+    assert ticks == GOLDEN_SCRIPTED_WORK[policy]
+    assert work == dict.fromkeys(work, ticks)
+
+
 # random() draws by P2's guard jitter in the seed-1000 games above; no other
 # policy draws from its tick streams.
 JITTER_DRAWS_SEED1000 = {"P2": 30}
@@ -384,25 +426,54 @@ def _scripted_trajectory(config, policy, monkeypatch):
 @pytest.mark.parametrize("config", ORACLE_CONFIGS.values(), ids=ORACLE_CONFIGS)
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_the_geometry_tables_keep_every_scripted_decision(policy, config, monkeypatch):
-    asked = []
+    """A decision reads its moves, its shots, the danger cones and the
+    strike posts from the tick's views; played once through the slow
+    copies of the rules they replaced, every game stays the same."""
+    asked = {"moves": [], "shots": [], "covered": 0, "posts": 0}
 
-    def reference_legal_actions(tick, agent_id):
-        asked.append(agent_id)
-        return ref.legal_actions(tick.state, agent_id)
+    def reference_moves(tick, agent_id):
+        asked["moves"].append(agent_id)
+        agent = tick.by_id[agent_id]
+        return [
+            (act, (agent.x + d.dx, agent.y + d.dy))
+            for act in ref.legal_actions(tick.state, agent_id)
+            if (d := MOVE_KINDS.get(act.kind))
+        ]
+
+    def reference_shots(tick, agent_id):
+        asked["shots"].append(agent_id)
+        return {
+            act.target: act
+            for act in ref.legal_actions(tick.state, agent_id)
+            if act.kind is ActionKind.SHOOT
+        }
+
+    class ReferenceDanger:
+        """Answers ``cell in tick.danger()`` with the copy's cone test."""
+
+        def __init__(self, tick):
+            self.tick = tick
+
+        def __contains__(self, cell):
+            asked["covered"] += 1
+            guards = list(self.tick.live_guards)
+            return ref._covered(self.tick.state.config, cell, guards, margin=1.5)
+
+    def reference_posts(tick, mark):
+        asked["posts"] += 1
+        others = [g for g in tick.live_guards if g.id != mark.id]
+        return set(ref.posts(tick.state.config, mark, others))
 
     with monkeypatch.context() as m:
-        m.setattr(Tick, "legal_actions", reference_legal_actions)
-        m.setattr(
-            policies,
-            "_covered",
-            lambda cfg, cell, shooters: ref._covered(cfg, cell, shooters, margin=1.5),
-        )
-        m.setattr(
-            policies,
-            "_strike_posts",
-            lambda cfg, mark, others: set(ref.posts(cfg, mark, others)),
-        )
+        m.setattr(Tick, "moves", reference_moves)
+        m.setattr(Tick, "shots", reference_shots)
+        m.setattr(Tick, "danger", lambda tick: ReferenceDanger(tick))
+        m.setattr(Tick, "strike_posts", reference_posts)
         want = _scripted_trajectory(config, policy, monkeypatch)
-    # the reference rule listed the actions of every scripted decision
-    assert len(asked) == sum(len(actions) for _, actions in want[0])
+    # the reference rules listed the moves and the shots of every scripted
+    # decision, and B1600's attackers asked the reference cone tests
+    decisions = sorted(i for _, actions in want[0] for i in actions)
+    assert sorted(asked["moves"]) == sorted(asked["shots"]) == decisions
+    if policy == "B1600":
+        assert asked["covered"] and asked["posts"]
     assert _scripted_trajectory(config, policy, monkeypatch) == want
