@@ -26,24 +26,27 @@ whose ground antecedents can be re-checked against the stored snapshots;
 ``answer_query`` is the one entry point, and renders the chain with
 templates (shipped as a data file) filled only with material from the
 chain.  Traces serialize to JSON Lines with sorted keys and no
-timestamps, so identical runs give byte-identical files; the header
-holds the record's own fields.  A provenance entry stores only its
-axiom's id; loading resolves it through the domain grounded from the
-trace's configuration, so rule text has one source.
+timestamps, so identical runs give byte-identical files.  The format is
+declared once, in codec tables of one row per JSON key (``_HEADER``,
+``_STEP``, ``_FINAL`` and the objects they nest), which ``save_traces``
+and ``load_traces`` walk.  A provenance entry stores only its axiom's id;
+loading resolves it through the domain grounded from the trace's
+configuration, so rule text has one source.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from fortdefense.env import GridConfig
 from fortdefense.kr.beliefs import (
@@ -295,178 +298,201 @@ class EpisodeTrace(EpisodeRecord):
 
 _HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
 
-#: The record fields an episode header holds; the steps and the final
-#: belief follow it on lines of their own.
-_HEADER_FIELDS = tuple(
-    f.name
-    for f in dataclasses.fields(EpisodeRecord)
-    if f.name not in ("steps", "final_belief")
+
+#: How a field saves: the JSON types it may hold, its value's JSON form,
+#: and the value back from that form and the file's reader (by default,
+#: the JSON value itself).
+_Codec = namedtuple(
+    "_Codec", "types encode decode", defaults=(lambda value: value, lambda value, reader: value)
 )
 
 
-def _provenance_dict(p: Provenance) -> dict:
-    return {
-        "atom": str(p.atom),
-        "how": p.how,
-        "axiom_id": p.rule.axiom_id,
-        "action": "" if p.action is None else str(p.action),
-        "support": [str(l) for l in p.support],
-    }
+#: A saved object: its name in messages, the constructor of its decoded
+#: attributes, a (key, attribute, *codec) row per field, its constant keys.
+_Object = namedtuple("_Object", "name make rows framing")
 
 
-def _provenance_from_dict(d: dict, atom, literal, rules: dict) -> Provenance:
-    _check_fields(d, "provenance entry")
-    rule = rules.get(d["axiom_id"])
-    if rule is None:
-        raise ValueError(
-            f"provenance of {d['atom']} cites {d['axiom_id']!r}, which is neither"
-            f" a causal law nor a state constraint of the trace's domain"
-        )
-    return Provenance(
-        atom=atom(d["atom"]),
-        how=d["how"],
-        rule=rule,
-        action=atom(d["action"]) if d["action"] else None,
-        support=tuple(literal(s) for s in d["support"]),
-    )
+def _object(name: str, make: Callable, *rows: tuple, **framing) -> _Object:
+    """Rows are given as (key, codec), or (key, codec, attribute) when the
+    attribute is named otherwise."""
+    rows = tuple((key, a[0] if a else key, *codec) for key, codec, *a in rows)
+    return _Object(name, make, rows, framing)
 
 
-def _config_dict(config: GridConfig) -> dict:
-    """Every field of the configuration, the fort cells as a sorted list."""
-    d = {f.name: getattr(config, f.name) for f in dataclasses.fields(GridConfig)}
-    d["fort_cells"] = sorted([x, y] for (x, y) in config.fort_cells)
+def _encode(obj: _Object, value) -> dict:
+    d = {key: encode(getattr(value, attr)) for key, attr, _, encode, _ in obj.rows}
+    d.update(obj.framing)
     return d
 
 
-def _config_from_dict(d: dict) -> GridConfig:
-    values = {f.name: d[f.name] for f in dataclasses.fields(GridConfig)}
-    values["fort_cells"] = frozenset((x, y) for x, y in d["fort_cells"])
-    return GridConfig(**values)
-
-
-def _step_dict(rec: StepRecord) -> dict:
-    prov = sorted(
-        (_provenance_dict(p) for p in rec.provenance),
-        key=lambda d: (
-            _HOW_ORDER.get(d["how"], 9),
-            d["atom"],
-            d["axiom_id"],
-            d["action"],
-        ),
-    )
-    return {
-        "type": "step",
-        "step": rec.step,
-        "belief": sorted(str(a) for a in rec.belief.atoms),
-        "goal": {
-            "kind": rec.goal.kind,
-            "target": rec.goal.target,
-            "literals": [str(l) for l in rec.goal.literals],
-        },
-        "predictions": {k: int(v) for k, v in rec.predictions.items()},
-        "predicted_next": {k: list(v) for k, v in rec.predicted_next.items()},
-        "fine_regions": list(rec.fine_regions),
-        "replanned": rec.replanned,
-        "plan_success": rec.plan_success,
-        "plan_expanded": rec.plan_expanded,
-        "plan": [str(a) for a in rec.plan_actions],
-        "chosen": None if rec.chosen is None else str(rec.chosen),
-        "fallback": rec.fallback,
-        "executed": [str(a) for a in rec.executed],
-        "provenance": prov,
-        "reconciled": rec.reconciled,
-    }
-
-
-_STR, _INT, _BOOL, _LIST, _DICT = (str,), (int,), (bool,), (list,), (dict,)
-
-#: The JSON types each field of a trace object may hold, by object.
-_FIELD_TYPES = {
-    "episode": {
-        "version": _INT,
-        "seed": _INT,
-        "policy": _STR,
-        "horizon": _INT,
-        "config": _DICT,
-        "completion_applied": _LIST,
-        "completion_retracted": _LIST,
-        "outcome": _STR,
-        "n_steps": _INT,
-        "guards_win": _BOOL,
-    },
-    "step": {
-        "step": _INT,
-        "belief": _LIST,
-        "goal": _DICT,
-        "predictions": _DICT,
-        "predicted_next": _DICT,
-        "fine_regions": _LIST,
-        "replanned": _BOOL,
-        "plan_success": _BOOL,
-        "plan_expanded": _INT,
-        "plan": _LIST,
-        "chosen": (str, type(None)),
-        "fallback": _STR,
-        "executed": _LIST,
-        "provenance": _LIST,
-        "reconciled": _BOOL,
-    },
-    "goal": {"kind": _STR, "target": (str, type(None)), "literals": _LIST},
-    "provenance entry": {
-        "atom": _STR,
-        "how": _STR,
-        "axiom_id": _STR,
-        "action": _STR,
-        "support": _LIST,
-    },
-    "final": {"belief": _LIST},
-}
-def _check_fields(d, kind: str) -> None:
-    """Raise a ValueError naming the first field of a ``kind`` object that
-    is missing or holds a JSON type the format does not give it."""
+def _decode(obj: _Object, d, reader):
+    """The value a saved object holds.  Its constant keys, then each row's
+    key, JSON type and decoding, are checked in order; the first failure
+    raises a ValueError that names the object and the field."""
     if type(d) is not dict:
-        raise ValueError(f"a {kind} is {type(d).__name__}, not an object")
-    for name, types in _FIELD_TYPES[kind].items():
-        if name not in d:
-            raise ValueError(f"missing field {name!r} in a {kind}")
-        if type(d[name]) not in types:
+        raise ValueError(f"{obj.name} is {type(d).__name__}, not an object")
+    for key, want in obj.framing.items():
+        if type(d.get(key)) is not type(want) or d[key] != want:
+            raise ValueError(f"unsupported trace format {key} {d.get(key)!r}")
+    values = {}
+    for key, attr, types, _, decode in obj.rows:
+        if key not in d:
+            raise ValueError(f"missing field {key!r} in {obj.name}")
+        value = d[key]
+        if type(value) not in types:
             want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise ValueError(
-                f"field {name!r} of a {kind} is {type(d[name]).__name__}, not {want}"
+                f"field {key!r} of {obj.name} is {type(value).__name__}, not {want}"
             )
+        try:
+            values[attr] = decode(value, reader)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"field {key!r} of {obj.name}: {err}") from err
+    return obj.make(**values)
 
 
-def _step_from_dict(d: dict, atom, literal, rules: dict) -> StepRecord:
-    """A step record from its JSON form; ``atom`` and ``literal`` parse
-    one atom or literal string, and ``rules`` maps an axiom id to the
-    rule its provenance cites."""
-    _check_fields(d, "step")
-    _check_fields(d["goal"], "goal")
-    return StepRecord(
-        step=d["step"],
-        belief=Belief(atom(s) for s in d["belief"]),
-        goal=Goal(
-            d["goal"]["kind"],
-            d["goal"]["target"],
-            tuple(literal(s) for s in d["goal"]["literals"]),
-        ),
-        predictions={k: int(v) for k, v in d["predictions"].items()},
-        predicted_next={
-            k: (v[0], v[1]) for k, v in d["predicted_next"].items()
-        },
-        fine_regions=tuple(d["fine_regions"]),
-        replanned=d["replanned"],
-        plan_success=d["plan_success"],
-        plan_expanded=d["plan_expanded"],
-        plan_actions=tuple(atom(s) for s in d["plan"]),
-        chosen=None if d["chosen"] is None else atom(d["chosen"]),
-        fallback=d["fallback"],
-        executed=tuple(atom(s) for s in d["executed"]),
-        provenance=tuple(
-            _provenance_from_dict(p, atom, literal, rules) for p in d["provenance"]
-        ),
-        reconciled=d["reconciled"],
+def _optional(codec: _Codec, none) -> _Codec:
+    """``codec`` for a value that may be None, which saves as ``none``."""
+    return _Codec(
+        tuple(dict.fromkeys(codec.types + (type(none),))),
+        lambda value: none if value is None else codec.encode(value),
+        lambda value, reader: None if value == none else codec.decode(value, reader),
     )
+
+
+def _nested(obj: _Object) -> _Codec:
+    return _Codec((dict,), functools.partial(_encode, obj), functools.partial(_decode, obj))
+
+
+def _mapping(encode: Callable, decode: Callable) -> _Codec:
+    """A JSON object whose values each save by ``encode`` and load by ``decode``."""
+    return _Codec(
+        (dict,),
+        lambda m: {k: encode(v) for k, v in m.items()},
+        lambda m, reader: {k: decode(v) for k, v in m.items()},
+    )
+
+
+def _cited_rule(axiom_id: str, reader) -> CompiledRule:
+    if axiom_id not in reader.rules:
+        raise ValueError(
+            f"cites {axiom_id!r}, which is neither a causal law nor a state"
+            " constraint of the trace's domain"
+        )
+    return reader.rules[axiom_id]
+
+
+def _texts(items) -> list[str]:
+    return [str(x) for x in items]
+
+
+_INT, _STR, _BOOL = _Codec((int,)), _Codec((str,)), _Codec((bool,))
+_FLOAT = _Codec((float, int))  # a whole number may be written without a fraction
+_STRS = _Codec((list,), decode=lambda value, reader: tuple(value))
+_ATOM = _Codec((str,), str, lambda value, reader: reader.atom(value))
+_ATOMS = _Codec((list,), _texts, lambda value, reader: tuple(map(reader.atom, value)))
+_LITERALS = _Codec((list,), _texts, lambda value, reader: tuple(map(reader.literal, value)))
+_BELIEF = _Codec(
+    (list,),
+    lambda belief: sorted(str(a) for a in belief.atoms),
+    lambda value, reader: Belief(map(reader.atom, value)),
+)
+
+# The trace format, each saved object once.  A provenance entry cites its
+# rule by axiom id and saves a missing action as ""; a step saves a
+# missing chosen action as null.
+
+_CONFIG = _object(
+    "a config",
+    GridConfig,
+    ("width", _INT),
+    ("height", _INT),
+    (
+        "fort_cells",
+        _Codec(
+            (list,),
+            lambda cells: sorted([x, y] for x, y in cells),
+            lambda value, reader: frozenset((x, y) for x, y in value),
+        ),
+    ),
+    ("n_guards", _INT),
+    ("n_attackers", _INT),
+    ("shoot_range", _FLOAT),
+    ("shoot_arc_deg", _FLOAT),
+    ("max_steps", _INT),
+)
+
+_HEADER = _object(
+    "an episode header",
+    dict,
+    ("seed", _INT),
+    ("policy", _STR),
+    ("horizon", _INT),
+    ("config", _nested(_CONFIG)),
+    ("completion_applied", _STRS),
+    ("completion_retracted", _STRS),
+    ("outcome", _STR),
+    ("n_steps", _INT),
+    ("guards_win", _BOOL),
+    type="episode",
+    version=TRACE_FORMAT_VERSION,
+)
+
+_GOAL = _object(
+    "a goal",
+    Goal,
+    ("kind", _STR),
+    ("target", _optional(_STR, None)),
+    ("literals", _LITERALS),
+)
+
+_PROVENANCE = _object(
+    "a provenance entry",
+    Provenance,
+    ("atom", _ATOM),
+    ("how", _STR),
+    ("axiom_id", _Codec((str,), lambda rule: rule.axiom_id, _cited_rule), "rule"),
+    ("action", _optional(_ATOM, "")),
+    ("support", _LITERALS),
+)
+
+_STEP = _object(
+    "a step",
+    StepRecord,
+    ("step", _INT),
+    ("belief", _BELIEF),
+    ("goal", _nested(_GOAL)),
+    ("predictions", _mapping(int, int)),
+    ("predicted_next", _mapping(list, lambda cell: (cell[0], cell[1]))),
+    ("fine_regions", _STRS),
+    ("replanned", _BOOL),
+    ("plan_success", _BOOL),
+    ("plan_expanded", _INT),
+    ("plan", _ATOMS, "plan_actions"),
+    ("chosen", _optional(_ATOM, None)),
+    ("fallback", _STR),
+    ("executed", _ATOMS),
+    (
+        "provenance",
+        # saved in one order, whatever the order in memory
+        _Codec(
+            (list,),
+            lambda entries: sorted(
+                (_encode(_PROVENANCE, p) for p in entries),
+                key=lambda d: (
+                    _HOW_ORDER.get(d["how"], 9), d["atom"], d["axiom_id"], d["action"]
+                ),
+            ),
+            lambda value, reader: tuple(_decode(_PROVENANCE, d, reader) for d in value),
+        ),
+    ),
+    ("reconciled", _BOOL),
+    type="step",
+)
+
+_FINAL = _object(
+    "a final line", dict, ("belief", _optional(_BELIEF, []), "final_belief"), type="final"
+)
 
 
 def save_traces(
@@ -481,43 +507,27 @@ def save_traces(
 
     with open(path, "w") as f:
         for rec in records:
-            header = {name: getattr(rec, name) for name in _HEADER_FIELDS}
-            header.update(
-                type="episode", version=TRACE_FORMAT_VERSION, config=_config_dict(config)
-            )
-            f.write(dump(header))
+            # the header holds the record's own fields and the configuration given
+            f.write(dump(_encode(_HEADER, SimpleNamespace(**{**vars(rec), "config": config}))))
             for s in rec.steps:
-                f.write(dump(_step_dict(s)))
-            final = [] if rec.final_belief is None else rec.final_belief.atoms
-            f.write(dump({"type": "final", "belief": sorted(str(a) for a in final)}))
+                f.write(dump(_encode(_STEP, s)))
+            f.write(dump(_encode(_FINAL, rec)))
     return len(records)
-
-
-def _memo(parse):
-    """``parse`` reading each distinct string once: a trace repeats the same
-    belief atoms at every step."""
-    parsed: dict = {}
-
-    def lookup(text: str):
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse(text)
-        return value
-
-    return lookup
 
 
 def load_traces(path) -> list[EpisodeTrace]:
     """Read a JSONL trace file back into queryable traces.  Each header's
     configuration is grounded once; its causal laws and state constraints
     resolve the axiom ids of the episode's provenance.  A line this format
-    cannot read (not JSON, a field missing or of the wrong type, an unknown
-    version or axiom id) raises a ValueError that names the file and line,
-    as does an episode header that no final line closes."""
-    atom, literal = _memo(parse_atom), _memo(parse_literal)
+    cannot read raises a ValueError that names the file, the line and the
+    reason, as does an episode header that no final line closes."""
+    # each distinct atom or literal is parsed once: a trace repeats the
+    # same belief atoms at every step
+    reader = SimpleNamespace(
+        atom=functools.cache(parse_atom), literal=functools.cache(parse_literal), rules={}
+    )
     traces: list[EpisodeTrace] = []
     episode: Optional[dict] = None  # the open episode's trace fields so far
-    rules: dict = {}
     with open(path) as f:
         for number, line in enumerate(f, 1):
             line = line.strip()
@@ -531,36 +541,23 @@ def load_traces(path) -> list[EpisodeTrace]:
                         raise ValueError(
                             f"the episode header at line {opened} has no final line"
                         )
-                    if d.get("version") != TRACE_FORMAT_VERSION:
-                        raise ValueError(
-                            f"unsupported trace format version {d.get('version')}"
-                        )
-                    _check_fields(d, "episode")
-                    config = _config_from_dict(d["config"])
-                    gdom = grounded_domain(config)
+                    episode = _decode(_HEADER, d, reader)
+                    gdom = grounded_domain(episode["config"])
                     laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
-                    rules = {rule.axiom_id: rule for rule in laws}
+                    reader.rules = {rule.axiom_id: rule for rule in laws}
+                    episode.update(gdom=gdom, steps=[])
                     opened = number
-                    episode = {
-                        name: tuple(value) if type(value) is list else value
-                        for name, value in d.items()
-                        if name in _HEADER_FIELDS
-                    }
-                    episode.update(config=config, gdom=gdom, steps=[])
                 elif kind not in ("step", "final"):
                     raise ValueError("not an episode, step or final line")
                 elif episode is None:
                     raise ValueError(f"a {kind} line before an episode header")
                 elif kind == "step":
-                    episode["steps"].append(_step_from_dict(d, atom, literal, rules))
+                    episode["steps"].append(_decode(_STEP, d, reader))
                 else:
-                    _check_fields(d, "final")
-                    final = Belief(atom(s) for s in d["belief"]) if d["belief"] else None
-                    traces.append(EpisodeTrace(**episode, final_belief=final))
+                    traces.append(EpisodeTrace(**episode, **_decode(_FINAL, d, reader)))
                     episode = None
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as err:
-                reason = f"missing field {err}" if type(err) is KeyError else err
-                raise ValueError(f"{path}, line {number}: {reason}") from err
+                raise ValueError(f"{path}, line {number}: {err}") from err
     if episode is not None:
         raise ValueError(f"{path}, line {opened}: this episode header has no final line")
     return traces

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -668,29 +668,11 @@ def incremental_update(
 
 
 def _tree_to_dict(tree: FFTree) -> dict:
-    return {
-        "cues": [
-            {
-                "feature": c.feature,
-                "categorical": c.categorical,
-                "threshold": c.threshold,
-                "exit_side": c.exit_side,
-                "exit_label": c.exit_label,
-            }
-            for c in tree.cues
-        ],
-        "final_label": tree.final_label,
-    }
+    return {"cues": [asdict(c) for c in tree.cues], "final_label": tree.final_label}
 
 
 def _tree_from_dict(d: dict) -> FFTree:
-    return FFTree(
-        tuple(
-            Cue(c["feature"], c["categorical"], c["threshold"], c["exit_side"], c["exit_label"])
-            for c in d["cues"]
-        ),
-        d["final_label"],
-    )
+    return FFTree(tuple(Cue(**c) for c in d["cues"]), d["final_label"])
 
 
 def _node_to_dict(node: CombinerNode) -> dict:

@@ -21,9 +21,14 @@ from fortdefense.explain import (
     Query,
     QueryParseError,
     TraceQueryError,
-    _FIELD_TYPES,
-    _config_dict,
-    _config_from_dict,
+    _CONFIG,
+    _FINAL,
+    _GOAL,
+    _HEADER,
+    _PROVENANCE,
+    _STEP,
+    _decode,
+    _encode,
     _goal_instance,
     answer_query,
     load_traces,
@@ -35,7 +40,7 @@ from fortdefense.explain import (
     verify_answer,
     well_formed_action,
 )
-from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
+from fortdefense.kr.beliefs import Belief, Provenance, check_executable, close_defined, progress
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
@@ -45,6 +50,21 @@ from fortdefense.loop import AdHocController, EpisodeRecord, StepRecord, run_gam
 @pytest.fixture(scope="module")
 def trace(w0_p1_record):
     return EpisodeTrace.from_record(w0_p1_record, GridConfig())
+
+
+# The size and sha256 of ``save_traces([w0_p1_record], GridConfig(), path)``:
+# the trace format's bytes, pinned so that a change to how the format is
+# written cannot move them unnoticed.
+GOLDEN_W0_P1_SEED0_TRACE_BYTES = 29_231
+GOLDEN_W0_P1_SEED0_TRACE = "2934a191ce904a2d278c4c11cb8611236347b56cc3703384af516fd2f18bd38d"
+
+
+def test_golden_w0_trace_bytes(w0_p1_record, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save_traces([w0_p1_record], GridConfig(), path)
+    data = path.read_bytes()
+    assert len(data) == GOLDEN_W0_P1_SEED0_TRACE_BYTES
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_W0_P1_SEED0_TRACE
 
 
 def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
@@ -58,9 +78,7 @@ def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
 
 def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
     """Every field of the episode record and of each step record comes back
-    as recorded (provenance as a set: saving sorts it), and the format's
-    field table names exactly the fields each saved line holds, so no
-    field is saved unchecked or dropped on load."""
+    as recorded (provenance as a set: saving sorts it)."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     (loaded,) = load_traces(path)
@@ -74,19 +92,29 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
             if f.name == "provenance":
                 value, recorded = set(value), set(recorded)
             assert value == recorded, (want.step, f.name)
-    header, *steps, final = (json.loads(line) for line in path.read_text().splitlines())
-    saved = {
-        "episode": [header],
-        "step": steps,
-        "goal": [d["goal"] for d in steps],
-        "provenance entry": [p for d in steps for p in d["provenance"]],
-        "final": [final],
-    }
-    assert saved.keys() == _FIELD_TYPES.keys()
-    for kind, objects in saved.items():
-        assert objects, kind
-        for d in objects:
-            assert d.keys() - {"type"} == _FIELD_TYPES[kind].keys(), kind
+
+
+@pytest.mark.parametrize(
+    "record, tables, unsaved, added",
+    [
+        (StepRecord, [_STEP], set(), set()),
+        (Provenance, [_PROVENANCE], set(), set()),
+        (GridConfig, [_CONFIG], set(), set()),
+        (EpisodeRecord, [_HEADER, _FINAL], {"steps"}, {"config"}),
+        (Goal, [_GOAL], {"support", "comparison"}, set()),
+    ],
+    ids=["StepRecord", "Provenance", "GridConfig", "EpisodeRecord", "Goal"],
+)
+def test_every_record_field_has_exactly_one_codec_row(record, tables, unsaved, added):
+    """A field added to a record but not to the trace codec fails here: each
+    saved field of the record is the attribute of exactly one row of the
+    tables that save it, and no other row names an attribute, but for the
+    configuration that a header adds.  Steps are saved a line each, and a
+    goal's support and comparison are not saved: replaying the goal rule
+    gives them."""
+    attributes = [attr for table in tables for _, attr, *_ in table.rows]
+    fields = {f.name for f in dataclasses.fields(record)} - unsaved
+    assert sorted(attributes) == sorted(fields | added)
 
 
 def _as_version_1(lines: list) -> int:
@@ -131,6 +159,21 @@ def _with_a_config_missing_its_width(lines: list) -> int:
     return 1
 
 
+def _with_a_text_config_width(lines: list) -> int:
+    lines[0]["config"]["width"] = "20"
+    return 1
+
+
+def _with_a_number_for_a_belief_atom(lines: list) -> int:
+    lines[1]["belief"][0] = 7
+    return 2
+
+
+def _with_a_predicted_cell_of_one_coordinate(lines: list) -> int:
+    lines[1]["predicted_next"]["attacker1"] = [1]
+    return 2
+
+
 def _cut_before_the_final_line(lines: list) -> int:
     del lines[-1]
     return 1
@@ -153,6 +196,15 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
         (_with_a_text_step_number, "field 'step' of a step is str, not int"),
         (_with_a_goal_of_no_literals_field, "missing field 'literals' in a goal"),
         (_with_a_config_missing_its_width, "missing field 'width'"),
+        (_with_a_text_config_width, "field 'width' of a config is str, not int"),
+        (
+            _with_a_number_for_a_belief_atom,
+            "field 'belief' of a step: 'int' object has no attribute 'strip'",
+        ),
+        (
+            _with_a_predicted_cell_of_one_coordinate,
+            "field 'predicted_next' of a step: list index out of range",
+        ),
         (_cut_before_the_final_line, "this episode header has no final line"),
         (
             _with_a_second_header_before_the_final_line,
@@ -166,6 +218,9 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
         "text-step",
         "no-goal-literals",
         "no-config-width",
+        "text-config-width",
+        "number-belief-atom",
+        "one-coordinate-cell",
         "no-final-line",
         "header-before-final",
     ],
@@ -185,6 +240,22 @@ def test_loading_refuses_a_file_this_format_cannot_read(
         load_traces(path)
 
 
+def test_a_whole_number_in_a_float_config_field_round_trips(w0_p1_record, tmp_path):
+    """A float field of the configuration also reads a JSON whole number,
+    and the file saves back byte for byte."""
+    path, again = tmp_path / "trace.jsonl", tmp_path / "again.jsonl"
+    save_traces([w0_p1_record], GridConfig(), path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[0]["config"]["shoot_range"] = 5
+    path.write_text(
+        "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in lines)
+    )
+    (loaded,) = load_traces(path)
+    assert loaded.config == GridConfig(shoot_range=5.0)
+    save_traces([loaded], loaded.config, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_every_config_field_round_trips():
     config = GridConfig(
         width=12,
@@ -196,10 +267,10 @@ def test_every_config_field_round_trips():
         shoot_arc_deg=120.0,
         max_steps=60,
     )
-    d = _config_dict(config)
+    d = _encode(_CONFIG, config)
     assert set(d) == {f.name for f in dataclasses.fields(GridConfig)}
     assert d["fort_cells"] == [[5, 8], [6, 8]]
-    assert _config_from_dict(json.loads(json.dumps(d))) == config
+    assert _decode(_CONFIG, json.loads(json.dumps(d)), None) == config
 
 
 def test_every_why_verifies(trace):

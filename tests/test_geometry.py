@@ -46,7 +46,7 @@ from fortdefense.env import (
     reset,
     turn_toward,
 )
-from fortdefense.explain import _config_dict, load_traces, save_traces
+from fortdefense.explain import _CONFIG, _encode, load_traces, save_traces
 from fortdefense.kr.beliefs import Belief
 from fortdefense.kr.ground import SYMBOL_OF_DIR, build_statics, ground
 from fortdefense.kr.lang import Atom
@@ -305,9 +305,9 @@ def test_built_tables_leave_equality_and_hashing_alone():
 
 def test_config_round_trip_ignores_the_tables(w0_p1_record, tmp_path):
     config = GridConfig()
-    fresh = _config_dict(config)
+    fresh = _encode(_CONFIG, config)
     config.geometry
-    assert _config_dict(config) == fresh
+    assert _encode(_CONFIG, config) == fresh
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     save_traces([w0_p1_record], config, first)
     loaded = load_traces(first)

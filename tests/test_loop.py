@@ -32,7 +32,7 @@ from fortdefense.env import (
     terminal,
 )
 from fortdefense import loop
-from fortdefense.explain import EpisodeTrace, _step_dict
+from fortdefense.explain import _STEP, EpisodeTrace, _encode
 from fortdefense.kr.beliefs import (
     Belief,
     check_executable,
@@ -922,7 +922,7 @@ GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0f
 # schedule: step 10's 4-step shot at a target that stays put expands 4
 # nodes, not 8, since the target no longer counts as closing in.  The
 # provenance pin is a sha256 over each step's provenance as the trace file
-# stores it (explain._step_dict's order, one JSON list per line), which
+# stores it (the order of explain's step codec, one JSON list per line), which
 # keeps it independent of the in-memory order.  It is the pin computed
 # before progression became delta-driven, over the same entries less the
 # "inherited" ones (an inherited atom is whatever the next belief holds
@@ -968,7 +968,7 @@ def test_golden_w0_episode_search_and_provenance(w0_p1_record):
     assert sum(s.plan_expanded for s in steps) == GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED
     h = hashlib.sha256()
     for s in steps:
-        h.update(json.dumps(_step_dict(s)["provenance"], sort_keys=True).encode() + b"\n")
+        h.update(json.dumps(_encode(_STEP, s)["provenance"], sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0_PROVENANCE
 
 
