@@ -223,15 +223,16 @@ class GridConfig:
             object.__setattr__(self, "fort_cells", frozenset(self.fort_cells))
 
     def validate(self) -> None:
-        if self.width < 5 or self.height < 5:
-            raise ConfigError("grid must be at least 5x5")
-        if self.n_guards < 1 or self.n_attackers < 1:
-            raise ConfigError("need at least one guard and one attacker")
+        """Raise a ConfigError, whose message names the field at fault, for
+        a configuration no game can be played on."""
+        for name, least in (("width", 5), ("height", 5), ("n_guards", 1), ("n_attackers", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
         if not self.fort_cells:
-            raise ConfigError("fort must contain at least one cell")
+            raise ConfigError("fort_cells must hold at least one cell")
         for (x, y) in self.fort_cells:
             if not self.in_bounds(x, y):
-                raise ConfigError(f"fort cell {(x, y)} out of bounds")
+                raise ConfigError(f"fort_cells: cell {(x, y)} out of bounds")
         if self.shoot_range <= 0:
             raise ConfigError("shoot_range must be positive")
         if not 0 < self.shoot_arc_deg <= 360:
@@ -239,9 +240,9 @@ class GridConfig:
         if self.max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
         if self.n_guards > len(self._guard_spawn_cells()):
-            raise ConfigError("not enough cells adjacent to the fort for guards")
+            raise ConfigError("n_guards: not enough cells adjacent to the fort for guards")
         if self.n_attackers > len(self._attacker_spawn_cells()):
-            raise ConfigError("not enough spawn-band cells for attackers")
+            raise ConfigError("n_attackers: not enough spawn-band cells for attackers")
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height

@@ -1,9 +1,9 @@
 """Execution traces and why / why-not / why-belief question answering.
 
 An episode trace records, per tick, the tick-start belief, the selected
-goal, the plan, the executed action, and the provenance of every belief
-change.  Queries over a trace are answered by reconstructing the chain
-of reasons behind a decision or a belief:
+goal, the plan and the executed action.  Queries over a trace are
+answered by reconstructing the chain of reasons behind a decision or a
+belief:
 
 * **why <action> in step i** — the goal conditions that selected the
   goal (the goal rule is replayed on the step's belief and predictions,
@@ -15,10 +15,10 @@ of reasons behind a decision or a belief:
   a one-step counterfactual: the action is simulated against the
   recorded predictions and the goal condition it violates or delays is
   reported.
-* **why belief <literal> at step i** — the recorded provenance of the
-  belief: the causal law or state constraint that established (or
-  withdrew) it, the initial observation or initial default that assumed
-  it, with inertia bridging the steps in between.
+* **why belief <literal> at step i** — the provenance of the belief,
+  replayed from the earlier steps: the causal law or state constraint
+  that established (or withdrew) it, the initial observation or initial
+  default that assumed it, with inertia bridging the steps in between.
 
 A trace is the loop's episode record plus the configuration it was
 played on.  Every chain link is an axiom instance, made by one builder,
@@ -29,15 +29,16 @@ chain.  Traces serialize to JSON Lines with sorted keys and no
 timestamps, so identical runs give byte-identical files.  The format is
 declared once, in codec tables of one row per JSON key (``_HEADER``,
 ``_STEP``, ``_FINAL`` and the objects they nest), which ``save_traces``
-and ``load_traces`` walk.  A provenance entry stores only its axiom's id;
-loading resolves it through the domain grounded from the trace's
-configuration, so rule text has one source.
+and ``load_traces`` walk.  Provenance is not saved: a trace replays each
+step's progression, from its belief and executed atoms, through the
+domain grounded from its configuration (:class:`EpisodeTrace`), so a
+recorded and a loaded trace cite the same rule instances, in
+``progress``'s order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
@@ -51,13 +52,14 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from fortdefense.env import GridConfig
 from fortdefense.kr.beliefs import (
     Belief,
+    InconsistencyError,
     Provenance,
     check_executable,
     derivation,
     progress,
 )
 from fortdefense.kr.goals import Goal, select_goal
-from fortdefense.kr.ground import CompiledRule, GroundedDomain
+from fortdefense.kr.ground import CompiledRule, GroundedDomain, GroundingError
 from fortdefense.kr.ground import ground as _ground
 from fortdefense.kr.lang import (
     Atom,
@@ -77,7 +79,7 @@ from fortdefense.loop import (
 # the binding perfbench/tracing.py wraps; groundings come from loop
 ground = _ground
 
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -260,14 +262,29 @@ def parse_query(text: str) -> Query:
 @dataclass
 class EpisodeTrace(EpisodeRecord):
     """An episode record with the configuration it was played on, grounded
-    once, to query."""
+    once, to query.  ``provenance`` maps each step to the rule instances
+    behind its transition, derived once, when the trace is built: the
+    step's progression replayed from its belief and executed atoms, with
+    no entries where that progression is inconsistent (the loop then
+    rebuilt the belief from its observation)."""
 
     config: GridConfig = field(kw_only=True)
     gdom: GroundedDomain = field(repr=False, default=None)
+    provenance: dict[int, tuple[Provenance, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.gdom is None:
             self.gdom = grounded_domain(self.config)
+        self.provenance = {}
+        for rec in self.steps:
+            entries: list[Provenance] = []
+            try:
+                progress(rec.belief, rec.executed, self.gdom, trace=entries)
+            except InconsistencyError:
+                entries = []
+            except GroundingError as err:  # an action the domain does not declare
+                raise ValueError(f"step {rec.step} cannot be replayed: {err}") from err
+            self.provenance[rec.step] = tuple(entries)
 
     @classmethod
     def from_record(cls, record: EpisodeRecord, config: GridConfig) -> "EpisodeTrace":
@@ -294,9 +311,6 @@ class EpisodeTrace(EpisodeRecord):
         raise TraceQueryError(
             f"no belief snapshot for step {i} (steps 1..{self.last_step})"
         )
-
-
-_HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
 
 
 #: How a field saves: the JSON types it may hold, its value's JSON form,
@@ -373,15 +387,6 @@ def _mapping(encode: Callable, decode: Callable) -> _Codec:
     )
 
 
-def _cited_rule(axiom_id: str, reader) -> CompiledRule:
-    if axiom_id not in reader.rules:
-        raise ValueError(
-            f"cites {axiom_id!r}, which is neither a causal law nor a state"
-            " constraint of the trace's domain"
-        )
-    return reader.rules[axiom_id]
-
-
 def _texts(items) -> list[str]:
     return [str(x) for x in items]
 
@@ -398,13 +403,20 @@ _BELIEF = _Codec(
     lambda value, reader: Belief(map(reader.atom, value)),
 )
 
-# The trace format, each saved object once.  A provenance entry cites its
-# rule by axiom id and saves a missing action as ""; a step saves a
-# missing chosen action as null.
+def _valid_config(**fields) -> GridConfig:
+    """The configuration of decoded fields; one that ``GridConfig.validate``
+    refuses raises its ConfigError, which names the field at fault."""
+    config = GridConfig(**fields)
+    config.validate()
+    return config
+
+
+# The trace format, each saved object once.  A step saves a missing chosen
+# action as null.
 
 _CONFIG = _object(
     "a config",
-    GridConfig,
+    _valid_config,
     ("width", _INT),
     ("height", _INT),
     (
@@ -446,16 +458,6 @@ _GOAL = _object(
     ("literals", _LITERALS),
 )
 
-_PROVENANCE = _object(
-    "a provenance entry",
-    Provenance,
-    ("atom", _ATOM),
-    ("how", _STR),
-    ("axiom_id", _Codec((str,), lambda rule: rule.axiom_id, _cited_rule), "rule"),
-    ("action", _optional(_ATOM, "")),
-    ("support", _LITERALS),
-)
-
 _STEP = _object(
     "a step",
     StepRecord,
@@ -472,20 +474,6 @@ _STEP = _object(
     ("chosen", _optional(_ATOM, None)),
     ("fallback", _STR),
     ("executed", _ATOMS),
-    (
-        "provenance",
-        # saved in one order, whatever the order in memory
-        _Codec(
-            (list,),
-            lambda entries: sorted(
-                (_encode(_PROVENANCE, p) for p in entries),
-                key=lambda d: (
-                    _HOW_ORDER.get(d["how"], 9), d["atom"], d["axiom_id"], d["action"]
-                ),
-            ),
-            lambda value, reader: tuple(_decode(_PROVENANCE, d, reader) for d in value),
-        ),
-    ),
     ("reconciled", _BOOL),
     type="step",
 )
@@ -517,14 +505,16 @@ def save_traces(
 
 def load_traces(path) -> list[EpisodeTrace]:
     """Read a JSONL trace file back into queryable traces.  Each header's
-    configuration is grounded once; its causal laws and state constraints
-    resolve the axiom ids of the episode's provenance.  A line this format
-    cannot read raises a ValueError that names the file, the line and the
-    reason, as does an episode header that no final line closes."""
+    configuration must pass ``GridConfig.validate``, and is grounded once;
+    an episode's final line builds its trace, which replays the steps'
+    provenance through that grounding.  A line this format cannot read
+    raises a ValueError that names the file, the line and the reason, as
+    does an episode header that no final line closes, and a final line
+    whose episode executes an action the domain does not declare."""
     # each distinct atom or literal is parsed once: a trace repeats the
     # same belief atoms at every step
     reader = SimpleNamespace(
-        atom=functools.cache(parse_atom), literal=functools.cache(parse_literal), rules={}
+        atom=functools.cache(parse_atom), literal=functools.cache(parse_literal)
     )
     traces: list[EpisodeTrace] = []
     episode: Optional[dict] = None  # the open episode's trace fields so far
@@ -542,10 +532,7 @@ def load_traces(path) -> list[EpisodeTrace]:
                             f"the episode header at line {opened} has no final line"
                         )
                     episode = _decode(_HEADER, d, reader)
-                    gdom = grounded_domain(episode["config"])
-                    laws = itertools.chain(*gdom.causal_by_action.values(), gdom.windows)
-                    reader.rules = {rule.axiom_id: rule for rule in laws}
-                    episode.update(gdom=gdom, steps=[])
+                    episode.update(gdom=grounded_domain(episode["config"]), steps=[])
                     opened = number
                 elif kind not in ("step", "final"):
                     raise ValueError("not an episode, step or final line")
@@ -1014,7 +1001,7 @@ def why_belief_chain(
         raise TraceQueryError(f"no defining axiom derives {atom}")
     # scan transitions backwards for the change that set the literal
     for rec in reversed([r for r in trace.steps if r.step < step]):
-        for p in rec.provenance:
+        for p in trace.provenance[rec.step]:
             # a retraction explains a negative literal, an addition a positive one
             if p.atom != atom or (p.how == "retracted") == literal.positive:
                 continue

@@ -25,10 +25,11 @@ this package the two agree: ``env.legal_actions`` and the domain's
 ``exec:2`` forbid moves into occupied cells, so the one outcome the
 symbolic transition cannot express, a chain of moves through
 just-vacated cells, never arises.  The rebuild matters only to callers
-that feed ``env.step`` actions outside ``legal_actions``.  Provenance
-is built only for a step record that is kept (``collect_trace`` on, the
-guard still acting), and the domain is grounded once per configuration
-and horizon (:func:`grounded_domain`).
+that feed ``env.step`` actions outside ``legal_actions``.  Progression
+here records no provenance: a step record keeps the tick-start belief
+and the executed atoms, from which the explainer replays it
+(``explain.EpisodeTrace``).  The domain is grounded once per
+configuration and horizon (:func:`grounded_domain`).
 
 Progression stops once the guard is down: a tick that starts with the
 guard down leaves the belief as it is, since no decision reads it again.
@@ -74,7 +75,6 @@ from fortdefense.features import extract
 from fortdefense.kr.beliefs import (
     Belief,
     InconsistencyError,
-    Provenance,
     check_executable,
     close_defined,
     complete_initial,
@@ -155,8 +155,10 @@ def grounded_domain(config: GridConfig, horizon: int = 8) -> GroundedDomain:
 class StepRecord:
     """Everything the controller saw, decided, and learned in one tick.
 
-    ``belief`` is the tick-start belief; ``executed`` and ``provenance``
-    describe the transition into the next tick's belief.  Steps are
+    ``belief`` is the tick-start belief and ``executed`` the action atoms
+    that took it to the next tick's belief; the provenance of that
+    transition follows from the two, and is replayed rather than kept
+    (``explain.EpisodeTrace``).  Steps are
     1-indexed.  ``plan_expanded`` is the search's ``Plan.expanded`` on a
     replanned step: nodes expanded, summed over the deepening iterations
     (0 when no search ran, or when the bound put the goal beyond the
@@ -176,7 +178,6 @@ class StepRecord:
     chosen: Optional[Atom] = None
     fallback: str = ""
     executed: tuple[Atom, ...] = ()
-    provenance: tuple[Provenance, ...] = ()
     reconciled: bool = False
 
 
@@ -543,14 +544,10 @@ class AdHocController:
         events: Sequence[Event],
     ) -> None:
         atoms = effective_atoms(self.config, before, actions, after, events)
-        kept = self.collect_trace and self._pending is not None
-        trace: Optional[list[Provenance]] = [] if kept else None
-        new_belief: Optional[Belief] = None
         try:
-            new_belief = progress(self.belief, atoms, self.gdom, trace=trace)
+            new_belief: Optional[Belief] = progress(self.belief, atoms, self.gdom)
         except InconsistencyError:
-            if trace is not None:
-                trace.clear()
+            new_belief = None
         obs = observe_world(after, self.gdom)
         reconciled = new_belief is None or any(
             not new_belief.holds(lit) for lit in obs
@@ -567,7 +564,6 @@ class AdHocController:
         self.belief = new_belief
         if self._pending is not None:
             self._pending.executed = tuple(atoms)
-            self._pending.provenance = tuple(trace or ())
             self._pending.reconciled = reconciled
             self._pending = None
 

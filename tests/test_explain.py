@@ -25,7 +25,6 @@ from fortdefense.explain import (
     _FINAL,
     _GOAL,
     _HEADER,
-    _PROVENANCE,
     _STEP,
     _decode,
     _encode,
@@ -40,7 +39,7 @@ from fortdefense.explain import (
     verify_answer,
     well_formed_action,
 )
-from fortdefense.kr.beliefs import Belief, Provenance, check_executable, close_defined, progress
+from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
@@ -54,9 +53,11 @@ def trace(w0_p1_record):
 
 # The size and sha256 of ``save_traces([w0_p1_record], GridConfig(), path)``:
 # the trace format's bytes, pinned so that a change to how the format is
-# written cannot move them unnoticed.
-GOLDEN_W0_P1_SEED0_TRACE_BYTES = 29_231
-GOLDEN_W0_P1_SEED0_TRACE = "2934a191ce904a2d278c4c11cb8611236347b56cc3703384af516fd2f18bd38d"
+# written cannot move them unnoticed.  Re-pinned at format version 4, which
+# saves no provenance (each step's is replayed on load): 29,231 bytes,
+# sha256 2934a191..., at version 3.
+GOLDEN_W0_P1_SEED0_TRACE_BYTES = 16_754
+GOLDEN_W0_P1_SEED0_TRACE = "a78deda4992c43f45b25715e59b9d114b561c567d4a00d2a1c872e731a9d0a22"
 
 
 def test_golden_w0_trace_bytes(w0_p1_record, tmp_path):
@@ -78,7 +79,7 @@ def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
 
 def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
     """Every field of the episode record and of each step record comes back
-    as recorded (provenance as a set: saving sorts it)."""
+    as recorded."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     (loaded,) = load_traces(path)
@@ -88,30 +89,28 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
             assert getattr(loaded, f.name) == getattr(w0_p1_record, f.name), f.name
     for got, want in zip(loaded.steps, w0_p1_record.steps, strict=True):
         for f in dataclasses.fields(StepRecord):
-            value, recorded = getattr(got, f.name), getattr(want, f.name)
-            if f.name == "provenance":
-                value, recorded = set(value), set(recorded)
-            assert value == recorded, (want.step, f.name)
+            assert getattr(got, f.name) == getattr(want, f.name), (want.step, f.name)
 
 
 @pytest.mark.parametrize(
     "record, tables, unsaved, added",
     [
         (StepRecord, [_STEP], set(), set()),
-        (Provenance, [_PROVENANCE], set(), set()),
+        (EpisodeTrace, [_HEADER, _FINAL], {"steps", "gdom", "provenance"}, set()),
         (GridConfig, [_CONFIG], set(), set()),
         (EpisodeRecord, [_HEADER, _FINAL], {"steps"}, {"config"}),
         (Goal, [_GOAL], {"support", "comparison"}, set()),
     ],
-    ids=["StepRecord", "Provenance", "GridConfig", "EpisodeRecord", "Goal"],
+    ids=["StepRecord", "EpisodeTrace", "GridConfig", "EpisodeRecord", "Goal"],
 )
 def test_every_record_field_has_exactly_one_codec_row(record, tables, unsaved, added):
     """A field added to a record but not to the trace codec fails here: each
     saved field of the record is the attribute of exactly one row of the
     tables that save it, and no other row names an attribute, but for the
-    configuration that a header adds.  Steps are saved a line each, and a
-    goal's support and comparison are not saved: replaying the goal rule
-    gives them."""
+    configuration that a header adds to an episode record.  Steps are saved
+    a line each.  Derived, not saved: a trace's grounding (from its
+    configuration) and its provenance (each step's progression replayed),
+    and a goal's support and comparison (the goal rule replayed)."""
     attributes = [attr for table in tables for _, attr, *_ in table.rows]
     fields = {f.name for f in dataclasses.fields(record)} - unsaved
     assert sorted(attributes) == sorted(fields | added)
@@ -120,28 +119,6 @@ def test_every_record_field_has_exactly_one_codec_row(record, tables, unsaved, a
 def _as_version_1(lines: list) -> int:
     lines[0]["version"] = 1
     return 1
-
-
-def _first_provenance_entry(lines: list) -> tuple[int, dict]:
-    """(line number, entry) of the first provenance entry of the file."""
-    return next(
-        (number, p)
-        for number, d in enumerate(lines, 1)
-        if d["type"] == "step"
-        for p in d["provenance"]
-    )
-
-
-def _citing_an_executability_condition(lines: list) -> int:
-    number, entry = _first_provenance_entry(lines)
-    entry["axiom_id"] = "exec:1"
-    return number
-
-
-def _without_support(lines: list) -> int:
-    number, entry = _first_provenance_entry(lines)
-    del entry["support"]
-    return number
 
 
 def _with_a_text_step_number(lines: list) -> int:
@@ -174,6 +151,21 @@ def _with_a_predicted_cell_of_one_coordinate(lines: list) -> int:
     return 2
 
 
+def _config_edit(key, value):
+    def edit(lines: list) -> int:
+        lines[0]["config"][key] = value
+        return 1
+
+    return edit
+
+
+def _executing_an_undeclared_action(lines: list) -> int:
+    """Step 3 executes ``fly(guard0)``; replay refuses it at the final line,
+    where the episode's trace is built."""
+    lines[3]["executed"].append("fly(guard0)")
+    return len(lines)
+
+
 def _cut_before_the_final_line(lines: list) -> int:
     del lines[-1]
     return 1
@@ -188,11 +180,6 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
     "edit, message",
     [
         (_as_version_1, "unsupported trace format version 1"),
-        (
-            _citing_an_executability_condition,
-            "'exec:1', which is neither a causal law nor a state constraint",
-        ),
-        (_without_support, "missing field 'support' in a provenance entry"),
         (_with_a_text_step_number, "field 'step' of a step is str, not int"),
         (_with_a_goal_of_no_literals_field, "missing field 'literals' in a goal"),
         (_with_a_config_missing_its_width, "missing field 'width'"),
@@ -205,6 +192,20 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
             _with_a_predicted_cell_of_one_coordinate,
             "field 'predicted_next' of a step: list index out of range",
         ),
+        (_config_edit("width", 3), "field 'config' of an episode header: width must be"),
+        (_config_edit("n_guards", 0), "field 'config' of an episode header: n_guards must be"),
+        (
+            _config_edit("shoot_range", -1.0),
+            "field 'config' of an episode header: shoot_range must be",
+        ),
+        (
+            _config_edit("fort_cells", [[50, 50]]),
+            "field 'config' of an episode header: fort_cells: cell (50, 50) out of bounds",
+        ),
+        (
+            _executing_an_undeclared_action,
+            "step 3 cannot be replayed: unknown action fly(guard0)",
+        ),
         (_cut_before_the_final_line, "this episode header has no final line"),
         (
             _with_a_second_header_before_the_final_line,
@@ -213,14 +214,17 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
     ],
     ids=[
         "version-1",
-        "unknown-axiom",
-        "no-support",
         "text-step",
         "no-goal-literals",
         "no-config-width",
         "text-config-width",
         "number-belief-atom",
         "one-coordinate-cell",
+        "narrow-config",
+        "no-guards",
+        "negative-range",
+        "fort-off-grid",
+        "undeclared-action",
         "no-final-line",
         "header-before-final",
     ],
@@ -628,7 +632,7 @@ def test_a_retracted_pose_is_explained_by_the_window_that_withdrew_it(trace):
     rec, gone = next(
         (rec, p.atom)
         for rec in trace.steps
-        for p in rec.provenance
+        for p in trace.provenance[rec.step]
         if p.how == "retracted" and p.atom.pred == "in" and p.atom.args[0] == ah
     )
     literal = Literal(gone, False)
@@ -641,7 +645,9 @@ def test_a_retracted_pose_is_explained_by_the_window_that_withdrew_it(trace):
 def test_a_never_held_negative_literal_is_a_closed_world_belief(trace):
     literal = Literal(Atom("in", (trace.gdom.ah_symbol, 0, 0)), False)
     step = trace.last_step
-    assert all(p.atom != literal.atom for rec in trace.steps for p in rec.provenance)
+    assert all(
+        p.atom != literal.atom for entries in trace.provenance.values() for p in entries
+    )
     templates, text = _verified(trace, Query("why_belief", None, literal, step))
     assert templates == ["clause_observation_negative"]
     assert "never derived afterwards" in text

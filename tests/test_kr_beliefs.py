@@ -460,12 +460,13 @@ def test_hard_inconsistency_when_observations_conflict():
 # ---------------------------------------------------------------------------
 
 
-def _outcome(fn, belief, actions, gdom, checked):
+def _outcome(fn, belief, actions, gdom, checked, traced=True):
     """(atoms or exception type, provenance list, resulting belief or
-    None) of one progression."""
+    None) of one progression; untraced, it passes ``trace=None`` and the
+    list stays empty."""
     trace: list = []
     try:
-        result = fn(belief, actions, gdom, checked=checked, trace=trace)
+        result = fn(belief, actions, gdom, checked=checked, trace=trace if traced else None)
     except InconsistencyError as err:
         return type(err), trace, None
     return result.atoms, trace, result
@@ -474,15 +475,19 @@ def _outcome(fn, belief, actions, gdom, checked):
 def assert_progress_matches_reference(belief, steps, gdom, keeps_consistency=True):
     """Progress ``belief`` through each (actions, checked) step with both
     versions; atoms, exception types and provenance lists (order included)
-    must agree; neither records an inherited atom.  Both continue from the
-    optimised result, so later steps also cover a parent whose inertial
-    atoms ``progress`` cached; equal beliefs built apart may iterate their
-    atoms in different orders, which retractions can follow, so both get
-    one object.  Without ``keeps_consistency`` (a domain whose progression
+    must agree; neither records an inherited atom.  ``progress`` without a
+    trace, as the control loop calls it, must give the atoms or exception
+    type it gives with one, as the explainer replays it.  Both continue
+    from the optimised result, so later steps also cover a parent whose
+    inertial atoms ``progress`` cached; equal beliefs built apart may
+    iterate their atoms in different orders, which retractions can follow,
+    so both get one object.  Without ``keeps_consistency`` (a domain whose progression
     may break a constraint), the run stops at the first inconsistent
     result, which is outside ``progress``'s precondition."""
     for actions, checked in steps:
         fast_atoms, fast_trace, fast = _outcome(progress, belief, actions, gdom, checked)
+        untraced_atoms, _, _ = _outcome(progress, belief, actions, gdom, checked, traced=False)
+        assert untraced_atoms == fast_atoms
         slow_atoms, slow_trace, _ = _outcome(
             reference_progress, belief, actions, gdom, checked
         )

@@ -32,7 +32,7 @@ from fortdefense.env import (
     terminal,
 )
 from fortdefense import loop
-from fortdefense.explain import _STEP, EpisodeTrace, _encode
+from fortdefense.explain import EpisodeTrace, load_traces, save_traces
 from fortdefense.kr.beliefs import (
     Belief,
     check_executable,
@@ -519,10 +519,14 @@ class TestControllerLoop:
         decisions = sum(1 for s in steps if s.chosen is not None)
         assert 0 < replans < decisions
 
-    def test_observe_builds_provenance_only_for_a_kept_record(
-        self, small_config, monkeypatch
+    def test_observation_keeps_no_provenance_and_a_trace_replays_it(
+        self, small_config, w0_p1_record, tmp_path, monkeypatch
     ):
-        traces = []  # the trace each observation step hands to progress
+        """The observation step progresses without a trace, whether or not
+        traces are collected; a trace replays each step's provenance, and
+        a recorded and a saved-then-loaded trace replay the same entries in
+        the same order."""
+        traces = []  # the trace= each observation step hands to progress
         observing = []
         observe, progress = AdHocController.observe, loop.progress
 
@@ -533,24 +537,31 @@ class TestControllerLoop:
             finally:
                 observing.pop()
 
-        def watched_progress(*args, trace=None, **kwargs):
+        def watched_progress(*args, **kwargs):
             if observing:
-                traces.append(trace)
-            return progress(*args, trace=trace, **kwargs)
+                traces.append(kwargs.get("trace"))
+            return progress(*args, **kwargs)
 
         monkeypatch.setattr(AdHocController, "observe", watched_observe)
         monkeypatch.setattr(loop, "progress", watched_progress)
         # P1 seed 1: the ad hoc guard is down after two of the four ticks,
         # and the belief of a downed guard is not progressed
-        stats = run_games(small_config, "P1", 1, seed=1, refit=False, collect_traces=True)
-        record = stats.records[0]
+        for collect_traces in (False, True):
+            traces.clear()
+            stats = run_games(
+                small_config, "P1", 1, seed=1, refit=False, collect_traces=collect_traces
+            )
+            assert traces == [None] * 2
+        (record,) = stats.records
         assert (len(record.steps), record.n_steps) == (2, 4)
-        assert [type(t) for t in traces] == [list, list]
-        assert [s.provenance for s in record.steps] == [tuple(t) for t in traces]
-        assert all(s.provenance for s in record.steps)
-        traces.clear()
-        run_games(small_config, "P1", 1, seed=1, refit=False)
-        assert traces == [None] * 2
+        assert all(EpisodeTrace.from_record(record, small_config).provenance.values())
+
+        recorded = EpisodeTrace.from_record(w0_p1_record, GridConfig())
+        path = tmp_path / "trace.jsonl"
+        save_traces([w0_p1_record], GridConfig(), path)
+        (loaded,) = load_traces(path)
+        assert list(recorded.provenance) == [s.step for s in w0_p1_record.steps]
+        assert loaded.provenance == recorded.provenance
 
     def test_one_grounding_per_config_and_horizon(self, monkeypatch):
         config = GridConfig(width=9, height=9, n_guards=2, n_attackers=2, max_steps=33)
@@ -921,13 +932,14 @@ GOLDEN_W0_P1_SEED0 = "5c98a84ccad93ed77d3364bd2e7e57ac23c005e66ea498bb4b01534f0f
 # second pin.  It fell from 25 to 21 when the shot bound began to read the
 # schedule: step 10's 4-step shot at a target that stays put expands 4
 # nodes, not 8, since the target no longer counts as closing in.  The
-# provenance pin is a sha256 over each step's provenance as the trace file
-# stores it (the order of explain's step codec, one JSON list per line), which
-# keeps it independent of the in-memory order.  It is the pin computed
-# before progression became delta-driven, over the same entries less the
-# "inherited" ones (an inherited atom is whatever the next belief holds
-# that the tick did not set) and less the axiom text, which the trace now
-# reads from the grounded domain through the axiom id.  It was re-pinned
+# provenance pin is a sha256 over each step's provenance, replayed by
+# ``EpisodeTrace``, as a version-3 trace file stored it (``v3_provenance``,
+# one JSON list per line), which keeps it independent of the in-memory
+# order; the file has saved no provenance since version 4.  It is the pin
+# computed before progression became delta-driven, over the same entries
+# less the "inherited" ones (an inherited atom is whatever the next belief
+# holds that the tick did not set) and less the axiom text (an entry cites
+# its rule by axiom id alone).  It was re-pinned
 # when the domain declared each action once: the other agents' entries
 # cite ``move``/``rotate``/``shoot`` and causal:1-3, and step 12's shot at
 # guard0 has no support, since its sight test is an executability
@@ -952,6 +964,28 @@ def test_golden_w0_episode_decisions(w0_p1_record):
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0
 
 
+_HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
+
+
+def v3_provenance(entries) -> list[dict]:
+    """Provenance entries as a version-3 trace file saved them: each as a
+    JSON object that cites its rule by axiom id and a missing action as "",
+    sorted by how, atom, axiom id and action."""
+    rows = [
+        {
+            "atom": str(p.atom),
+            "how": p.how,
+            "axiom_id": p.rule.axiom_id,
+            "action": "" if p.action is None else str(p.action),
+            "support": [str(l) for l in p.support],
+        }
+        for p in entries
+    ]
+    return sorted(
+        rows, key=lambda d: (_HOW_ORDER[d["how"]], d["atom"], d["axiom_id"], d["action"])
+    )
+
+
 def test_golden_w0_episode_search_and_provenance(w0_p1_record):
     steps = w0_p1_record.steps
     gdom = ground(load_domain(), GridConfig(), horizon=8)
@@ -966,9 +1000,11 @@ def test_golden_w0_episode_search_and_provenance(w0_p1_record):
         reference_expanded += ref.expanded
     assert reference_expanded == GOLDEN_W0_P1_SEED0_EXPANDED
     assert sum(s.plan_expanded for s in steps) == GOLDEN_W0_P1_SEED0_DEEPENING_EXPANDED
+    provenance = EpisodeTrace.from_record(w0_p1_record, GridConfig()).provenance
     h = hashlib.sha256()
     for s in steps:
-        h.update(json.dumps(_encode(_STEP, s)["provenance"], sort_keys=True).encode() + b"\n")
+        entries = v3_provenance(provenance[s.step])
+        h.update(json.dumps(entries, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0_PROVENANCE
 
 
