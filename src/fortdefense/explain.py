@@ -266,7 +266,8 @@ class EpisodeTrace(EpisodeRecord):
     behind its transition, derived once, when the trace is built: the
     step's progression replayed from its belief and executed atoms, with
     no entries where that progression is inconsistent (the loop then
-    rebuilt the belief from its observation)."""
+    rebuilt the belief from its observation).  ``steps`` becomes a tuple
+    then, so no step can join the trace without its provenance."""
 
     config: GridConfig = field(kw_only=True)
     gdom: GroundedDomain = field(repr=False, default=None)
@@ -275,6 +276,7 @@ class EpisodeTrace(EpisodeRecord):
     def __post_init__(self):
         if self.gdom is None:
             self.gdom = grounded_domain(self.config)
+        self.steps = tuple(self.steps)
         self.provenance = {}
         for rec in self.steps:
             entries: list[Provenance] = []

@@ -19,23 +19,33 @@ Grounding then compiles each body into a :class:`Join` for every way the
 reasoner enters it: by the action (causal laws, executability), by an
 atom of one body literal (window and definition triggers), by the head
 (re-deriving a defined atom, a negative window's victim with its
-residual), and unbound (closure from scratch, validation, defaults).  A
-join binds variables to integer *slots* of a tuple, and each argument of
-each literal is worked out once, at grounding: bind a new slot, compare
-with a bound slot, or compare with a constant.  Enumeration order is part
-of the contract (provenance and blockers depend on it): literals in body
-order, each predicate's atoms in the order of the index the join is given
-(a bound first argument is one more comparison, not a sub-index), static
-rows in sorted order, sort members in declared order.  A ``{Variable: value}`` dict is built only where a
-binding is rendered (:meth:`Join.binding`).  A negative window looks its
-victims up by a key compiled here too (:attr:`Join.narrow`): of the head
-predicate's atoms, only those whose argument at the first position its
-body binding fixes has that value, still in index order.
+residual), and unbound (closure from scratch, validation, defaults).
+Each argument of each literal is worked out once, at grounding: bind a
+new variable, compare with a bound one, or compare with a constant.  From
+that, :func:`ground` generates Python source for the entry functions the
+reasoner calls each join through (``solve`` for causal laws and
+triggers, ``first`` for executability, re-derivation and victims, ``run``
+unbound, ``match`` for a default's conclusion), all in one source
+compiled once per grounding; a restriction shares them.  A generated
+function holds a variable per slot (``s0, s1, ...``) and one ``for``
+loop per enumerating literal with its comparisons and tests inline.
+Every value of the domain or the configuration (a predicate, a constant,
+a table, a function) enters that code as a name bound to it, never as
+source text.  Enumeration order is part of the contract (provenance and
+blockers depend on it): literals in body order, each predicate's atoms in
+the order of the index the join is given (a bound first argument is one
+more comparison, not a sub-index), static rows in sorted order, sort
+members in declared order.  A ``{Variable: value}`` dict is built only
+where a binding is rendered (:meth:`Join.binding`).  A negative window
+looks its victims up by a key compiled here too (:attr:`Join.narrow`): of
+the head predicate's atoms, only those whose argument at the first
+position its body binding fixes has that value, still in index order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import linecache
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -513,14 +523,14 @@ def ground(
             raise GroundingError(f"no relation provided for declared static {name!r}")
 
     # --- compile axioms ----------------------------------------------------
+    wanted: list[tuple[Join, str]] = []
     for law in desc.causal_laws:
         atoms = [law.action, law.effect.atom] + [l.atom for l in law.conditions]
         _infer_var_sorts(gdom, law.axiom_id, law.text, atoms)
         body = _order_body(law.conditions, gdom)
         _check_bindable(gdom, law.axiom_id, law.text, law.action, body, law.effect)
-        rule = _compiled(
-            gdom, CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
-        )
+        rule = CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
+        rule = _compiled(gdom, rule, wanted)
         gdom.causal_by_action.setdefault(law.action.pred, []).append(rule)
     for con in desc.constraints:
         atoms = [con.head.atom] + [l.atom for l in con.body]
@@ -535,9 +545,8 @@ def ground(
                         f"are not supported)"
                     )
             _check_bindable(gdom, con.axiom_id, con.text, None, body, con.head)
-            rule = _compiled(
-                gdom, CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
-            )
+            rule = CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
+            rule = _compiled(gdom, rule, wanted)
             gdom.definitions.append(rule)
         else:
             # negative inertial heads bind remaining variables against the
@@ -555,7 +564,7 @@ def ground(
                 rule = CompiledRule(
                     con.axiom_id, con.text, "window", None, con.head, pre, residual
                 )
-            rule = _compiled(gdom, rule)
+            rule = _compiled(gdom, rule, wanted)
             gdom.windows.append(rule)
             for i, lit in enumerate(rule.body):
                 if lit.positive and lit.atom.pred in gdom.fluent_decls:
@@ -565,9 +574,8 @@ def ground(
         _infer_var_sorts(gdom, ex.axiom_id, ex.text, atoms)
         body = _order_body(ex.conditions, gdom)
         _check_bindable(gdom, ex.axiom_id, ex.text, ex.action, body, None)
-        rule = _compiled(
-            gdom, CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
-        )
+        rule = CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
+        rule = _compiled(gdom, rule, wanted)
         gdom.exec_by_action.setdefault(ex.action.pred, []).append(rule)
     for d in desc.defaults:
         atoms = [d.conclusion.atom] + [l.atom for l in d.body]
@@ -575,7 +583,7 @@ def ground(
         body = _order_body(d.body, gdom)
         _check_bindable(gdom, d.axiom_id, d.text, None, body, d.conclusion)
         rule = CompiledRule(d.axiom_id, d.text, "default", None, d.conclusion, body)
-        gdom.defaults.append(_compiled(gdom, rule))
+        gdom.defaults.append(_compiled(gdom, rule, wanted))
 
     gdom.inertial_preds = frozenset(
         p for p, d in desc.fluents.items() if d.kind == "inertial"
@@ -607,15 +615,27 @@ def ground(
         ]
         if live:
             gdom.inherited_window_triggers[pred] = live
+    _generate(wanted)
     return gdom
 
 
-def _compiled(gdom: GroundedDomain, rule: CompiledRule) -> CompiledRule:
-    """``rule`` with its body compiled for each way it is entered."""
+def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list) -> CompiledRule:
+    """``rule`` with its body compiled for each way it is entered; each
+    join goes on ``wanted`` with the entry function the reasoner calls it
+    through, and its victim continuation with ``first``."""
+
+    def join(way: str, function: str, body, entry=None, **out) -> Join:
+        made = compile_join(gdom, body, entry, name=f"{rule.axiom_id} {way}", **out)
+        wanted.append((made, function))
+        if made.then is not None:
+            wanted.append((made.then, "first"))
+        return made
+
     head = rule.head.atom if rule.head is not None else None
     if rule.kind in ("causal", "exec"):
+        function = "solve" if rule.kind == "causal" else "first"
         return dataclasses.replace(
-            rule, on_action=compile_join(gdom, rule.body, rule.action, head=head)
+            rule, on_action=join("on_action", function, rule.body, rule.action, head=head)
         )
     if rule.kind == "window" and not rule.head.positive:
         out = {"then": (head, rule.residual)}
@@ -626,17 +646,18 @@ def _compiled(gdom: GroundedDomain, rule: CompiledRule) -> CompiledRule:
     if rule.kind in ("window", "definition"):
         # windows are triggered by positive fluent literals, definitions by any
         on_body = tuple(
-            compile_join(gdom, rule.body[:i] + rule.body[i + 1 :], lit.atom, **out)
+            join(f"on_body[{i}]", "solve", rule.body[:i] + rule.body[i + 1 :], lit.atom, **out)
             if lit.atom.pred in gdom.fluent_decls
             and (lit.positive or rule.kind == "definition")
             else None
             for i, lit in enumerate(rule.body)
         )
     if rule.kind in ("definition", "default"):
-        on_head = compile_join(gdom, rule.body, head)
-    return dataclasses.replace(
-        rule, on_body=on_body, on_head=on_head, unbound=compile_join(gdom, rule.body, **out)
-    )
+        # a definition re-derives its head; explanation matches a default's
+        function = "first" if rule.kind == "definition" else "match"
+        on_head = join("on_head", function, rule.body, head)
+    unbound = join("unbound", "run", rule.body, **out)
+    return dataclasses.replace(rule, on_body=on_body, on_head=on_head, unbound=unbound)
 
 
 def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomain:
@@ -681,8 +702,6 @@ def _check_bindable(
             )
 
 
-
-
 # ---------------------------------------------------------------------------
 # compiled joins
 # ---------------------------------------------------------------------------
@@ -690,51 +709,28 @@ def _check_bindable(
 #: One argument of a tuple built from a binding: (True, slot) or (False, constant).
 _Term = tuple[bool, object]
 
+#: The parameters of each entry function a join can be generated with.
+_SIGNATURES = {
+    "match": "atom, env=()", "run": "index, env",
+    "solve": "index, atom, env=()", "first": "index, atom, env=()",
+}
 
-def _take(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A function picking ``positions`` out of a tuple, as a tuple."""
-    positions = tuple(positions)
-    start = positions[0] if positions else 0
-    if positions == tuple(range(start, start + len(positions))):
-        return itemgetter(slice(start, start + len(positions)))
-    return itemgetter(*positions)
+#: The builtin comparisons, written inline.
+_OPERATORS = {"neq": "!=", "eq": "=="}
 
 
 def _build(terms: Sequence[_Term]) -> Callable[[tuple], tuple]:
     """A function building the tuple of ``terms`` from a binding."""
     terms = tuple(terms)
-    if all(is_slot for is_slot, _ in terms):
-        return _take([slot for _, slot in terms])
-    if not any(is_slot for is_slot, _ in terms):
-        constant = tuple(value for _, value in terms)
+    slots = [v for is_slot, v in terms if is_slot]
+    if not slots:
+        constant = tuple(v for _, v in terms)
         return lambda env: constant
-    return lambda env: tuple(env[v] if is_slot else v for is_slot, v in terms)
-
-
-def _same(pairs: Sequence[tuple[int, int]]) -> Optional[Callable[[tuple], bool]]:
-    """A test that the argument pairs of a repeated variable agree."""
-    if not pairs:
-        return None
-    return lambda args: all(args[i] == args[j] for i, j in pairs)
-
-
-def _fail(message: str) -> Callable:
-    def test(index, env):
-        raise GroundingError(message)
-
-    return test
-
-
-def _absent(pred: str, build: Callable) -> Callable:
-    return lambda index, env: Atom(pred, build(env)) not in index.get(pred, ())
-
-
-def _member(values: frozenset, build: Callable, positive: bool) -> Callable:
-    return lambda index, env: (build(env) in values) == positive
-
-
-def _holds(func: Callable, build: Callable, positive: bool) -> Callable:
-    return lambda index, env: bool(func(*build(env))) == positive
+    if len(slots) < len(terms):
+        return lambda env: tuple(env[v] if is_slot else v for is_slot, v in terms)
+    if slots == list(range(slots[0], slots[0] + len(slots))):
+        return itemgetter(slice(slots[0], slots[0] + len(slots)))
+    return itemgetter(*slots)
 
 
 def _instance(pred: str, build: Callable) -> Callable[[tuple], Atom]:
@@ -761,64 +757,39 @@ def _narrow(args: Sequence[Arg], slots: dict[Variable, int]):
     return lambda atoms, env: list(atoms)
 
 
-def _matcher(pred: str, arity: int, key, want, same, new):
-    """Unify an entry atom with the entry pattern under a binding: the
-    extended binding, or None."""
-
-    def match(atom: Atom, env: tuple = ()) -> Optional[tuple]:
-        args = atom.args
-        if (
-            atom.pred != pred
-            or len(args) != arity
-            or key(args) != want(env)
-            or (same is not None and not same(args))
-        ):
-            return None
-        return env + new(args)
-
-    return match
+def _tuple(names: Iterable[str]) -> str:
+    """The source of the tuple of ``names``."""
+    names = list(names)
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
 
 
-def _extend(candidates, want, same, bind, tests, then):
-    """One enumerating literal: every candidate argument tuple whose key
-    equals ``want(env)`` and whose repeated variables agree extends the
-    binding by its ``bind`` positions; the extension passes ``tests`` and
-    goes on to ``then`` (the next enumerating literal), or is a solution.
-    ``candidates(index, want)`` yields the argument tuples with that key,
-    in index order."""
-
-    def run(index, env):
-        for args in candidates(index, want(env)):
-            if same is not None and not same(args):
-                continue
-            out = env + bind(args)
-            for test in tests:
-                if not test(index, out):
-                    break
-            else:
-                if then is None:
-                    yield out
-                else:
-                    yield from then(index, out)
-
-    return run
-
-
-def _scan(pred: str, key: Callable):
-    """Candidates from the atoms of ``pred`` in ``index``, in index order."""
-
-    def candidates(index, want):
-        for atom in index.get(pred, ()):
-            args = atom.args
-            if key(args) == want:
-                yield args
-
-    return candidates
-
-
-def _lookup(rows: dict):
-    """Candidates from a static's rows keyed by their bound positions."""
-    return lambda index, want: rows.get(want, ())
+def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
+    """Compile the entry functions ``wanted`` names, as ``(join, entry)``,
+    from one source: a factory per join takes the join's values as its
+    arguments and returns its entry functions.  A function's file name
+    (``<join exec:7 on_action>``) names the axiom and the way its body is
+    entered; :mod:`linecache` holds the join's functions under it, so a
+    traceback or a profile shows the generated line."""
+    entries: dict[Join, dict[str, list[str]]] = {}
+    for join, entry in wanted:
+        entries.setdefault(join, {})[entry] = join._source(entry)
+    lines: list[str] = []
+    for k, (join, functions) in enumerate(entries.items()):
+        lines.append(f"def join{k}({', '.join(f'v{i}' for i in range(len(join._values)))}):")
+        for text in functions.values():
+            lines += ["    " + line for line in text]
+        lines.append(f"    return {_tuple(functions)}")
+    namespace = {"Atom": Atom, "GroundingError": GroundingError}
+    exec(compile("\n".join(lines), "<joins>", "exec"), namespace)
+    for k, (join, functions) in enumerate(entries.items()):
+        filename = f"<join {join.name}>"
+        made = namespace[f"join{k}"](*join._values)
+        for (entry, text), fn in zip(functions.items(), made):
+            start = len(join._lines) + 1
+            fn.__code__ = fn.__code__.replace(co_filename=filename, co_firstlineno=start)
+            join._lines += [line + "\n" for line in text]
+            setattr(join, entry, fn)
+        linecache.cache[filename] = (0, None, join._lines, filename)
 
 
 class Join:
@@ -827,63 +798,85 @@ class Join:
     A binding is a tuple of values, one per *slot*; ``variables`` names the
     slot of each position, in the order the join binds them: the slots of
     the binding it continues, then the new variables of the entry atom,
-    then those of each body literal.  ``match`` unifies an entry atom with
-    the entry pattern under a binding; ``run`` enumerates the extensions of
-    a binding under which the body holds, in index order.  ``head`` builds
-    the rule's head atom from a solution, where the body binds it;
-    ``then`` is the continuation a negative window uses to match a victim
-    against its head and check its residual; ``scanned`` builds the atoms
-    the positive fluent literals of the body matched.  ``narrow`` keeps, of
-    a predicate's atoms and in their order, those whose argument at the
-    entry pattern's first fixed position (a constant, or a variable the
-    binding holds) has its value: every atom ``match`` can accept is among
-    them, so a negative window looks its victims up by that key.
+    then those of each body literal.  The entry functions are generated
+    (see :func:`_generate`): ``match(atom, env=())`` unifies an entry atom
+    with the entry pattern under a binding and returns the extended
+    binding, or None; ``solve(index, atom, env=())`` yields the solutions
+    after entering with ``atom``, in index order, and ``first`` returns
+    the first, or None; ``run(index, env)`` yields the extensions of a
+    binding that holds the entry's slots.  A join without an entry pattern
+    has ``match``, ``solve``, ``first`` and ``narrow`` None.
+
+    ``head`` builds the rule's head atom from a solution, where the body
+    binds it; ``then`` is the continuation a negative window uses to match
+    a victim against its head and check its residual; ``scanned`` builds
+    the atoms the positive fluent literals of the body matched.  ``narrow``
+    keeps, of a predicate's atoms and in their order, those whose argument
+    at the entry pattern's first fixed position (a constant, or a variable
+    the binding holds) has its value: every atom ``match`` accepts is
+    among them, so a negative window looks its victims up by that key.
     """
 
     __slots__ = (
-        "variables", "match", "narrow", "head", "then", "scanned", "_tests", "_body"
+        "name", "variables", "match", "narrow", "head", "then", "scanned", "run", "solve",
+        "first", "_values", "_prefix", "_given", "_match", "_body", "_lines",
     )
 
-    def __init__(self, variables, match, narrow, tests, body, head, scanned):
+    def __init__(self, name, variables, values, prefix, given, match, body):
+        self.name: str = name  # the axiom and the way its body is entered
         self.variables: tuple[Variable, ...] = variables
-        self.match: Optional[Callable[[Atom, tuple], Optional[tuple]]] = match
-        self.narrow: Optional[Callable[[Iterable[Atom], tuple], list[Atom]]] = narrow
-        self.head: Optional[Callable[[tuple], Atom]] = head
+        self.narrow: Optional[Callable[[Iterable[Atom], tuple], list[Atom]]] = None
+        self.head: Optional[Callable[[tuple], Atom]] = None
         self.then: Optional[Join] = None
-        self.scanned: tuple[Callable[[tuple], Atom], ...] = scanned
-        self._tests = tests  # before the first enumerating literal
-        self._body = body  # from the first enumerating literal on, or None
+        self.scanned: tuple[Callable[[tuple], Atom], ...] = ()
+        self._values = values  # what the generated source names v0, v1, ...
+        self._prefix = prefix  # slots of the binding the join continues
+        self._given = given  # slots bound before the body: those and the entry's
+        self._match = match  # (kind, source) items unifying the entry atom
+        self._body = body  # (kind, source) items of the body's loops and tests
+        self._lines: list[str] = []  # the source of the functions generated so far
+        if match is None:
+            self.match = self.solve = self.first = None
 
-    def run(self, index: dict, env: tuple) -> Iterator[tuple]:
-        for test in self._tests:
-            if not test(index, env):
-                return iter(())
-        if self._body is None:
-            return iter((env,))
-        return self._body(index, env)
-
-    def solve(self, index: dict, atom: Atom, env: tuple = ()) -> Iterator[tuple]:
-        """The solutions after entering with ``atom`` under ``env``."""
-        env = self.match(atom, env)
-        if env is None:
-            return iter(())
-        return self.run(index, env)
-
-    def first(self, index: dict, atom: Atom, env: tuple = ()) -> Optional[tuple]:
-        """The first solution after entering with ``atom``, or None."""
-        env = self.match(atom, env)
-        if env is None:
-            return None
-        for test in self._tests:
-            if not test(index, env):
-                return None
-        if self._body is None:
-            return env
-        return next(self._body(index, env), None)
+    def __getattr__(self, entry: str):
+        # an entry function the grounding has no caller for, or one of a
+        # join compiled on its own, is generated at its first use
+        if entry not in _SIGNATURES:
+            raise AttributeError(entry)
+        _generate([(self, entry)])
+        return getattr(self, entry)
 
     def binding(self, env: tuple) -> dict:
         """The ``{Variable: value}`` form of a binding, for rendering."""
         return dict(zip(self.variables, env))
+
+    def _source(self, entry: str) -> list[str]:
+        """The lines of the entry function ``entry``: the binding it is
+        given unpacked into slot variables (``s0, s1, ...``), the entry atom
+        unified (but by ``run``), one loop per enumerating body literal with
+        its tests inline (but in ``match``), and the binding yielded
+        (``run``, ``solve``) or returned (``match``, ``first``)."""
+        given = self._given if entry == "run" else self._prefix
+        items = [("do", f"{_tuple(f's{i}' for i in range(given))} = env")] if given else []
+        if entry != "run":
+            items += self._match
+        if entry != "match":
+            items += self._body
+        lines = [f"def {entry}({_SIGNATURES[entry]}):"]
+        depth = 1
+        for kind, text in items:
+            pad = "    " * depth
+            if kind == "for":
+                lines.append(f"{pad}{text}:")
+                depth += 1
+            elif kind == "if":
+                lines += [f"{pad}if {text}:", f"{pad}    {'continue' if depth > 1 else 'return'}"]
+            else:
+                lines.append(pad + text)
+        done = "yield" if entry in ("run", "solve") else "return"
+        out = self._given if entry == "match" else len(self.variables)
+        lines.append(f"{'    ' * depth}{done} {_tuple(f's{i}' for i in range(out))}")
+        return lines
 
 
 def compile_join(
@@ -894,46 +887,57 @@ def compile_join(
     prefix: Sequence[Variable] = (),
     head: Optional[Atom] = None,
     then: Optional[tuple[Atom, Sequence[Literal]]] = None,
+    name: str = "body",
 ) -> Join:
     """Compile ``body``, evaluated in order after unifying ``entry``, for a
     binding of ``prefix``.
 
-    Each literal becomes an enumerating step (a positive fluent scans its
-    predicate's atoms, an unbound sort atom its members, a partly bound
-    table static its rows) or a test of a fully bound literal.  Arguments
+    Each literal becomes a loop (a positive fluent over its predicate's
+    atoms, an unbound sort atom over its members, a partly bound table
+    static over its rows) or a test of a fully bound literal.  Arguments
     are worked out here once: a variable already bound is compared with
     its slot, a constant with itself, a new variable is bound.  Literals
     that cannot be evaluated (a negated literal with unbound arguments, a
     computed static with free ones, a symbol without a relation) compile
-    to a step that raises :class:`GroundingError` when it is reached.
-    ``head`` compiles a builder of the head atom; ``then`` = (head
+    to a statement that raises :class:`GroundingError` when it is reached.
+    Each value the source uses (a predicate, a constant, a table, a
+    function, an error message) is one of the join's values, ``v0, v1,
+    ...``.  ``head`` compiles a builder of the head atom; ``then`` = (head
     pattern, residual) compiles the victim continuation of a negative
-    window.
+    window; ``name`` names the join's functions' file.
     """
     variables: list[Variable] = list(prefix)
     slots = {v: i for i, v in enumerate(variables)}
+    values: list = []
+    named: dict[int, str] = {}
 
-    def unify(args):
-        """(the positions compared, the values they must have, the test of
-        repeated new variables, the positions bound)."""
-        key, want, same, new = [], [], [], []
-        first: dict[Variable, int] = {}
+    def value(obj) -> str:
+        if id(obj) not in named:
+            named[id(obj)] = f"v{len(values)}"
+            values.append(obj)
+        return named[id(obj)]
+
+    def term(arg) -> str:
+        return f"s{slots[arg]}" if isinstance(arg, Variable) else value(arg)
+
+    def unify(args, looked_up=False):
+        """(the positions of ``args`` bound beforehand, the target list
+        unpacking ``args``, the tests on it): a new variable is bound to
+        its slot; any other argument is compared with its value, but where
+        a row lookup has matched it already."""
+        key = [i for i, a in enumerate(args) if not isinstance(a, Variable) or a in slots]
+        targets, tests = [], []
         for i, a in enumerate(args):
-            if not isinstance(a, Variable):
-                key.append(i)
-                want.append((False, a))
-            elif a in slots:
-                key.append(i)
-                want.append((True, slots[a]))
-            elif a in first:
-                same.append((first[a], i))
+            if isinstance(a, Variable) and a not in slots:
+                slots[a] = len(variables)
+                variables.append(a)
+                targets.append(term(a))
+            elif looked_up and i in key:
+                targets.append("_")
             else:
-                first[a] = i
-                new.append(i)
-        for i in new:
-            slots[args[i]] = len(variables)
-            variables.append(args[i])
-        return tuple(key), _build(want), _same(same), _take(new)
+                targets.append(f"a{i}")
+                tests.append(("if", f"a{i} != {term(a)}"))
+        return key, _tuple(targets), tests
 
     def bound(args) -> bool:
         return all(not isinstance(a, Variable) or a in slots for a in args)
@@ -944,73 +948,67 @@ def compile_join(
     match = narrow = None
     if entry is not None:
         narrow = _narrow(entry.args, slots)
-        key, want, same, new = unify(entry.args)
-        match = _matcher(entry.pred, len(entry.args), _take(key), want, same, new)
+        _, target, tests = unify(entry.args)
+        pred, arity = value(entry.pred), value(len(entry.args))
+        match = [("if", f"atom.pred != {pred} or len(atom.args) != {arity}")]
+        match += [("do", f"{target} = atom.args"), *tests]
+    given = len(variables)
 
-    entry_tests: list = []  # the tests before the first enumerating literal
-    tests = entry_tests  # the tests after the latest one
-    steps: list = []  # (candidates, want, same, new, tests) per enumerating literal
+    steps: list[tuple[str, str]] = []
     scanned = []
-
-    def enumerate_by(candidates, want, same, new):
-        nonlocal tests
-        tests = []
-        steps.append((candidates, want, same, new, tests))
-
     for lit in body:
         pred, args = lit.atom.pred, lit.atom.args
+        test = "not in" if lit.positive else "in"  # rejects a binding
+        error = None
         if pred in gdom.fluent_decls:
             if lit.positive:
-                key, want, same, new = unify(args)
-                enumerate_by(_scan(pred, _take(key)), want, same, new)
+                _, target, tests = unify(args)
+                steps += [("for", f"for _, {target} in index.get({value(pred)}, ())"), *tests]
                 scanned.append(_instance(pred, _build(terms(args))))
             elif bound(args):
-                tests.append(_absent(pred, _build(terms(args))))
+                atom = f"Atom({value(pred)}, {_tuple(map(term, args))})"
+                steps.append(("if", f"{atom} in index.get({value(pred)}, ())"))
             else:
-                tests.append(_fail(f"negated fluent {lit!r} evaluated with unbound arguments"))
+                error = f"negated fluent {lit!r} evaluated with unbound arguments"
         elif pred in gdom.sorts and len(args) == 1:
-            members = gdom.sorts.get(pred, ())
+            members = gdom.sorts[pred]
             if bound(args):
-                values = frozenset((v,) for v in members)
-                tests.append(_member(values, _build(terms(args)), lit.positive))
+                steps.append(("if", f"{term(args[0])} {test} {value(frozenset(members))}"))
             elif lit.positive:
-                _, want, _, new = unify(args)
-                enumerate_by(_lookup({(): tuple((v,) for v in members)}), want, None, new)
+                unify(args)
+                steps.append(("for", f"for {term(args[0])} in {value(members)}"))
             else:
-                tests.append(_fail(f"negated sort atom {lit!r} with unbound argument"))
+                error = f"negated sort atom {lit!r} with unbound argument"
         else:
             static = gdom.statics.get(pred)
             if static is None:
-                tests.append(_fail(f"no relation for symbol {pred!r} in {lit!r}"))
+                error = f"no relation for symbol {pred!r} in {lit!r}"
+            elif bound(args) and static.table is not None:
+                steps.append(("if", f"{_tuple(map(term, args))} {test} {value(static.table)}"))
             elif bound(args):
-                build = _build(terms(args))
-                if static.table is not None:
-                    tests.append(_member(static.table, build, lit.positive))
+                if static is _BUILTIN_STATICS.get(pred):
+                    holds = f"({term(args[0])} {_OPERATORS[pred]} {term(args[1])})"
                 else:
-                    tests.append(_holds(static.func, build, lit.positive))
+                    holds = f"{value(static.func)}({', '.join(map(term, args))})"
+                steps.append(("if", f"not {holds}" if lit.positive else holds))
             elif not lit.positive:
-                tests.append(_fail(f"negated static {lit!r} with unbound arguments"))
+                error = f"negated static {lit!r} with unbound arguments"
             elif static.table is None:
-                tests.append(
-                    _fail(f"computed static {static.name!r} cannot enumerate free arguments")
-                )
+                error = f"computed static {static.name!r} cannot enumerate free arguments"
             else:
-                key, want, same, new = unify(args)
-                enumerate_by(_lookup(static.rows(key)), want, same, new)
+                key, target, tests = unify(args, looked_up=True)
+                rows = value(static.rows(tuple(key)))
+                want = _tuple(term(args[i]) for i in key)
+                steps += [("for", f"for {target} in {rows}.get({want}, ())"), *tests]
+        if error is not None:
+            steps.append(("do", f"raise GroundingError({value(error)})"))
 
-    run = None
-    for candidates, want, same, new, after in reversed(steps):
-        run = _extend(candidates, want, same, new, tuple(after), run)
-    join = Join(
-        tuple(variables),
-        match,
-        narrow,
-        tuple(entry_tests),
-        run,
-        None if head is None else _instance(head.pred, _build(terms(head.args))),
-        tuple(scanned),
-    )
+    build_head = None if head is None else _instance(head.pred, _build(terms(head.args)))
+    join = Join(name, tuple(variables), values, len(prefix), given, match, steps)
+    join.narrow, join.head, join.scanned = narrow, build_head, tuple(scanned)
     if then is not None:
         victim, residual = then
-        join.then = compile_join(gdom, residual, victim, prefix=join.variables)
+        join.then = compile_join(
+            gdom, residual, victim, prefix=join.variables, name=f"{name} then"
+        )
     return join

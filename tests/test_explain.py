@@ -43,7 +43,13 @@ from fortdefense.kr.beliefs import Belief, check_executable, close_defined, prog
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
-from fortdefense.loop import AdHocController, EpisodeRecord, StepRecord, run_games
+from fortdefense.loop import (
+    AdHocController,
+    EpisodeRecord,
+    StepRecord,
+    grounded_domain,
+    run_games,
+)
 
 
 @pytest.fixture(scope="module")
@@ -497,7 +503,7 @@ def test_every_link_stores_its_slots_in_name_order_and_cites_a_domain_rule(trace
 def test_a_goal_the_rule_does_not_select_is_refused(trace):
     rec = trace.step(1)
     forged = dataclasses.replace(rec, goal=Goal("hold_position", None, ()))
-    tampered = dataclasses.replace(trace, steps=[forged] + trace.steps[1:])
+    tampered = dataclasses.replace(trace, steps=(forged, *trace.steps[1:]))
     with pytest.raises(TraceQueryError, match="goal rule replayed at step 1"):
         answer_query(tampered, Query("why_action", rec.chosen, None, 1))
 
@@ -541,6 +547,12 @@ def test_a_goal_the_rule_does_not_select_is_refused(trace):
 def test_goal_clauses_render_the_replayed_support(entries, predicted, template, slots):
     n_guards = sum(sym.startswith("guard") for sym, *_ in entries)
     config = GridConfig(n_guards=n_guards, n_attackers=len(entries) - n_guards)
+    gdom = grounded_domain(config)
+    atoms = [Atom("in", (sym, x, y)) for sym, x, y, _, _ in entries]
+    atoms += [Atom("face", (sym, d)) for sym, _, _, d, _ in entries]
+    atoms += [Atom("shot", (sym,)) for sym, *_, alive in entries if not alive]
+    belief = Belief(close_defined(atoms, gdom))
+    goal = select_goal(belief, gdom, predicted)
     trace = EpisodeTrace(
         config=config,
         seed=0,
@@ -548,18 +560,13 @@ def test_goal_clauses_render_the_replayed_support(entries, predicted, template, 
         horizon=8,
         completion_applied=(),
         completion_retracted=(),
-        steps=[],
+        steps=[StepRecord(1, belief, goal, predicted_next=predicted)],
         final_belief=None,
         outcome="",
         n_steps=0,
         guards_win=False,
     )
-    atoms = [Atom("in", (sym, x, y)) for sym, x, y, _, _ in entries]
-    atoms += [Atom("face", (sym, d)) for sym, _, _, d, _ in entries]
-    atoms += [Atom("shot", (sym,)) for sym, *_, alive in entries if not alive]
-    belief = Belief(close_defined(atoms, trace.gdom))
-    goal = select_goal(belief, trace.gdom, predicted)
-    trace.steps.append(StepRecord(1, belief, goal, predicted_next=predicted))
+    assert trace.gdom is gdom
     inst = _goal_instance(trace, trace.steps[0])
     assert inst.template == template
     if template.startswith("clause_goal_shoot"):
@@ -567,6 +574,21 @@ def test_goal_clauses_render_the_replayed_support(entries, predicted, template, 
     assert dict(inst.slots) == slots
     assert inst.antecedents == goal.support
     assert recheck_instance(trace, inst)
+
+
+def test_a_trace_holds_the_steps_it_was_built_with(w0_p1_record):
+    """A trace's steps are fixed when it is built, so each step a
+    why-belief reaches back through has its replayed provenance: none can
+    be appended without one."""
+    trace = EpisodeTrace.from_record(w0_p1_record, GridConfig())
+    assert isinstance(trace.steps, tuple)
+    assert list(trace.provenance) == [s.step for s in trace.steps]
+    empty = EpisodeTrace(**{**vars(w0_p1_record), "steps": []}, config=GridConfig())
+    with pytest.raises(AttributeError):
+        empty.steps.extend(w0_p1_record.steps)
+    answer = answer_query(trace, "why belief -in(guard0, 12, 19) at step 3")
+    assert answer.text.startswith("In step 3 I believed -in(guard0, 12, 19) because")
+    assert verify_answer(trace, answer)
 
 
 @pytest.mark.parametrize(

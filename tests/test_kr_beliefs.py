@@ -10,7 +10,11 @@ consistent beliefs, and every compiled join against the interpreted
 ``match_atom``/``solve`` kept there.
 """
 
+import io
 import itertools
+import linecache
+import tokenize
+import traceback
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -894,12 +898,12 @@ def _entry_atom(data, gdom, pattern, index):
 
 
 def assert_joins_match_the_reference(gdom, belief, data):
-    """Every compiled entry, entered by a random atom of its pattern, yields
-    the bindings (in order) of the reference ``solve`` after
-    ``match_atom``, builds the same head and scanned atoms, and its victim
-    continuation agrees with matching the substituted head, its keyed
-    lookup dropping only atoms that head cannot match; on the belief's
-    tuple index and on a set index."""
+    """Every compiled entry, entered by a random atom of its pattern, unifies
+    it as ``match_atom`` does, yields the bindings (in order) of the
+    reference ``solve`` after ``match_atom``, builds the same head and
+    scanned atoms, and its victim continuation agrees with matching the
+    substituted head, its keyed lookup dropping only atoms that head
+    cannot match; on the belief's tuple index and on a set index."""
     sets: dict = {}
     for a in belief.atoms:
         sets.setdefault(a.pred, set()).add(a)
@@ -913,6 +917,10 @@ def assert_joins_match_the_reference(gdom, belief, data):
                 atom = _entry_atom(data, gdom, pattern, index)
                 got = _solutions(lambda: list(join.solve(index, atom)))
                 binding = match_atom(pattern, atom, {})
+                matched = join.match(atom)
+                assert (matched is None) == (binding is None), (rule.text, atom)
+                if matched is not None:
+                    assert join.binding(matched) == binding, (rule.text, atom)
             want = [] if binding is None else _solutions(
                 lambda: list(solve(gdom, index, body, binding))
             )
@@ -977,6 +985,17 @@ fluent inertial g(s, s).
 """
 
 
+def unevaluable_gdom():
+    return ground(
+        parse_domain(UNEVALUABLE),
+        sorts={"s": ("a", "b", "c")},
+        statics={
+            "q": Static("q", 1, func=lambda v: v != "b"),
+            "t": Static("t", 2, table=[("a", "b"), ("b", "c"), ("a", "c")]),
+        },
+    )
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -994,14 +1013,7 @@ fluent inertial g(s, s).
 def test_compiled_joins_raise_the_reference_errors(body):
     """Literals that cannot be evaluated raise the reference's
     GroundingError when they are reached, and only then."""
-    gdom = ground(
-        parse_domain(UNEVALUABLE),
-        sorts={"s": ("a", "b", "c")},
-        statics={
-            "q": Static("q", 1, func=lambda v: v != "b"),
-            "t": Static("t", 2, table=[("a", "b"), ("b", "c"), ("a", "c")]),
-        },
-    )
+    gdom = unevaluable_gdom()
     lits = tuple(parse_literal(text) for text in body)
     entry = Atom("f", (Variable("X"),))
     join = compile_join(gdom, lits, entry)
@@ -1014,3 +1026,102 @@ def test_compiled_joins_raise_the_reference_errors(body):
                 lambda: list(solve(gdom, index, lits, match_atom(entry, atom, {})))
             )
             assert got == want
+
+
+# MIXED with a table static over values that are awkward in source text:
+# quotes, a backslash and a newline.
+QUOTED = MIXED + """
+static t(s, s).
+fluent defined r(s, s).
+r(X, Y) if f(X), t(X, Y), -t(Y, X).
+"""
+_QUOTED = ('o"1', "o'2\\", "o\n3")
+
+
+@pytest.fixture(scope="module")
+def quoted_gdom():
+    a, b, c = _QUOTED
+    rows = [(a, b), (b, c), (a, c), (c, c)]
+    return ground(parse_domain(QUOTED), sorts={"s": _QUOTED}, statics={"t": Static("t", 2, rows)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(atoms=mixed_inertial_atoms(), data=st.data())
+def test_compiled_joins_match_the_reference_engine_on_quoted_values(
+    quoted_gdom, atoms, data
+):
+    rename = dict(zip(_S[:3], _QUOTED))
+    atoms = [Atom(a.pred, tuple(rename[v] for v in a.args)) for a in atoms]
+    belief = Belief(reference_close_defined(atoms, quoted_gdom))
+    validate(belief, quoted_gdom)
+    assert_joins_match_the_reference(quoted_gdom, belief, data)
+
+
+def _generated_sources(gdom):
+    """The source of every entry function of every join of ``gdom``, by
+    the function's file name."""
+    sources = {}
+    for _, join, _, _ in compiled_entries(gdom):
+        while join is not None:
+            names = ("run",) if join.match is None else ("match", "run", "solve", "first")
+            for name in names:
+                filename = getattr(join, name).__code__.co_filename
+                sources[filename] = "".join(linecache.getlines(filename))
+            join = join.then
+    return sources
+
+
+@pytest.mark.parametrize("which", ["shipped", "quoted"])
+def test_generated_source_holds_no_value_of_the_domain(w0_gdom, quoted_gdom, which):
+    """Predicates, constants, sort members and table rows are bound to
+    names of the generated source, never written into it: the source holds
+    no string or number literal at all."""
+    gdom = w0_gdom if which == "shipped" else quoted_gdom
+    values = set(gdom.fluent_decls) | set(gdom.statics)
+    values |= {v for members in gdom.sorts.values() for v in members}
+    values |= {v for s in gdom.statics.values() for row in s.table or () for v in row}
+    sources = _generated_sources(gdom)
+    assert sources
+    for filename, source in sources.items():
+        assert source, filename
+        kinds = {t.type for t in tokenize.generate_tokens(io.StringIO(source).readline)}
+        assert not kinds & {tokenize.STRING, tokenize.NUMBER}, filename
+        assert not [v for v in values if isinstance(v, str) and repr(v) in source]
+
+
+def test_each_generated_function_is_named_for_its_axiom_and_entry(w0_gdom):
+    """A generated function's file is its join's, named for the axiom and
+    the way its body is entered, and its first line there is its ``def``."""
+    (causal, *_) = w0_gdom.causal_by_action["move"]
+    (window, *_) = w0_gdom.windows
+    (definition, *_) = w0_gdom.definitions
+    (default,) = w0_gdom.defaults
+    (*_, blocker) = w0_gdom.exec_by_action["shoot"]
+    expected = [
+        (causal.on_action.solve, f"<join {causal.axiom_id} on_action>"),
+        (blocker.on_action.first, f"<join {blocker.axiom_id} on_action>"),
+        (window.on_body[0].solve, f"<join {window.axiom_id} on_body[0]>"),
+        (window.on_body[0].then.first, f"<join {window.axiom_id} on_body[0] then>"),
+        (window.unbound.run, f"<join {window.axiom_id} unbound>"),
+        (definition.on_head.first, f"<join {definition.axiom_id} on_head>"),
+        (default.on_head.match, f"<join {default.axiom_id} on_head>"),
+    ]
+    assert blocker.axiom_id == "exec:10"
+    for fn, filename in expected:
+        assert fn.__code__.co_filename == filename
+        assert linecache.getline(filename, fn.__code__.co_firstlineno).lstrip().startswith(
+            f"def {fn.__name__}("
+        )
+
+
+def test_a_grounding_error_shows_its_generated_line():
+    gdom = unevaluable_gdom()
+    lits = (parse_literal("g(X, Y)"), parse_literal("-f(Z)"))
+    join = compile_join(gdom, lits, Atom("f", (Variable("X"),)), name="probe")
+    index = Belief([Atom("g", ("a", "b"))]).index
+    assert list(join.solve(index, Atom("f", ("b",)))) == []  # -f(Z) is not reached
+    with pytest.raises(GroundingError, match="unbound arguments") as info:
+        list(join.solve(index, Atom("f", ("a",))))
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<join probe>"' in text
+    assert "raise GroundingError(" in text

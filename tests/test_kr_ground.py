@@ -10,8 +10,17 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fortdefense.env import GridConfig, in_cone
-from fortdefense.kr.beliefs import Belief, progress
+from fortdefense.env import GridConfig, in_cone, reset
+from fortdefense.explain import EpisodeTrace, answer_query
+from fortdefense.kr import ground as ground_module
+from fortdefense.kr.beliefs import (
+    Belief,
+    check_executable,
+    complete_initial,
+    observe_world,
+    progress,
+    validate,
+)
 from fortdefense.kr.ground import (
     CCW,
     CW,
@@ -37,6 +46,7 @@ from fortdefense.kr.ground import (
 )
 from fortdefense.kr.lang import Atom, parse_domain
 from fortdefense.kr.plan import candidate_actions
+from fortdefense.loop import grounded_domain, run_games
 
 MINI_GRID = """
 sort agent.
@@ -300,6 +310,42 @@ def test_restrict_shares_every_compiled_rule_and_join(full_gdom):
     for mine, theirs in zip(compiled_parts(view), compiled_parts(full_gdom), strict=True):
         assert len(mine) == len(theirs)
         assert all(a is b for a, b in zip(mine, theirs))
+
+
+def test_restrictions_and_cache_hits_compile_no_join(monkeypatch):
+    """The joins are compiled once, by ``ground``: restrictions share the
+    grounding's generated functions, a cached grounding is not compiled
+    again, and reasoning and explaining through them compile nothing."""
+    config = GridConfig(width=9, height=9, n_guards=2, n_attackers=2, max_steps=6)
+    gdom = grounded_domain(config, 8)
+    compiled = []
+    generate = ground_module._generate
+    monkeypatch.setattr(
+        ground_module, "_generate", lambda wanted: compiled.append(wanted) or generate(wanted)
+    )
+    regions = all_region_symbols(config)
+    views = [restrict(gdom, regions[k : k + 2]) for k in range(10)]
+    assert grounded_domain(config, 8) is gdom
+    state = reset(config, 0)
+    belief = complete_initial(observe_world(state, gdom), gdom).belief
+    for view in views:
+        for action in candidate_actions(belief, view):
+            check_executable(belief, action, view)
+        validate(progress(belief, candidate_actions(belief, view)[:1], view, trace=[]), view)
+    (record,) = run_games(config, "P1", 1, seed=0, horizon=8, collect_traces=True).records
+    trace = EpisodeTrace.from_record(record, config)
+    held = trace.step(1).belief.atoms
+    asked = [a for a in sorted(held, key=str) if a.pred in ("agent_in", "spread_attack")]
+    assert {a.pred for a in asked} == {"agent_in", "spread_attack"}
+    for literal in [*asked, "-in(guard0, 0, 0)"]:
+        answer_query(trace, f"why belief {literal} at step 1")
+    assert compiled == []
+    for view in views:
+        for mine, theirs in zip(compiled_parts(view)[0], compiled_parts(gdom)[0], strict=True):
+            if mine.kind == "exec":
+                assert mine.on_action.first is theirs.on_action.first
+            if mine.unbound is not None:
+                assert mine.unbound.run is theirs.unbound.run
 
 
 def test_restrict_needs_a_grid():

@@ -582,7 +582,7 @@ class TestControllerLoop:
             horizon=8,
             completion_applied=(),
             completion_retracted=(),
-            steps=[],
+            steps=(),
             final_belief=None,
             outcome="",
             n_steps=0,
