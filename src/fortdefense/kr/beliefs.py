@@ -262,8 +262,7 @@ def _support(body: tuple[Literal, ...], binding: dict) -> tuple[Literal, ...]:
 def _rests_on_inherited(join, env: tuple, tag: dict, working: dict) -> bool:
     """Whether a body atom the join scanned under ``env`` is inherited: in
     the working valuation, but not set by the tick."""
-    for scanned in join.scanned:
-        atom = scanned(env)
+    for atom in join.scanned(env):
         if atom not in tag and atom in working.get(atom.pred, ()):
             return True
     return False

@@ -24,8 +24,8 @@ explainer replays the rule and renders that evidence.
 
 Relevance decides which regions are grounded at cell granularity: the
 controlled guard's region, the fort regions, every region holding or
-about to hold a living attacker, plus caller-supplied extras (the goal
-region and a connecting corridor, so plans can route between them).
+about to hold a living attacker, plus the goal's region and a corridor
+from the guard to the goal, so plans can route between them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from fortdefense.env import GridConfig, facing_toward
 from fortdefense.kr.ground import (
@@ -264,19 +264,33 @@ def corridor_regions(config, a: Cell, b: Cell) -> frozenset[str]:
 
 def compute_relevance(
     belief,
+    goal: Goal,
     predicted_next: Optional[Mapping[str, Cell]],
     gdom: GroundedDomain,
-    extra: Iterable[str] = (),
 ) -> frozenset[str]:
     """The regions needing cell-level grounding (the fine regions); every
     other region stays coarse.  Relevance is positional: current and
-    predicted next cells, never predicted action kinds."""
+    predicted next cells, never predicted action kinds.  A goal with an
+    anchor (a shoot target's cell, or the first cell of a region to
+    occupy) adds the corridor from the controlled guard to it, and an
+    occupy goal its region, so plans can route between them."""
     config = gdom.config
-    fine: set[str] = set(extra)
-    fine |= fort_region_symbols(config)
+    fine: set[str] = set(fort_region_symbols(config))
     pose = pose_of(belief, gdom.ah_symbol)
+    anchor: Optional[Cell] = None
+    if goal.kind == "shoot_target" and goal.target is not None:
+        tpose = pose_of(belief, goal.target)
+        if tpose is not None:
+            anchor = (tpose[0], tpose[1])
+    elif goal.kind == "occupy_region" and goal.target is not None:
+        fine.add(goal.target)
+        cells = region_cells(config, goal.target)
+        if cells:
+            anchor = cells[0]
     if pose is not None:
         fine.add(region_symbol_of(config, pose[0], pose[1]))
+        if anchor is not None:
+            fine |= corridor_regions(config, (pose[0], pose[1]), anchor)
     for sym, (tx, ty) in living_attackers(belief, gdom):
         fine.add(region_symbol_of(config, tx, ty))
         if predicted_next and sym in predicted_next:

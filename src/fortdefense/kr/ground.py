@@ -21,38 +21,42 @@ atom of one body literal (window and definition triggers), by the head
 (re-deriving a defined atom, a negative window's victim with its
 residual), and unbound (closure from scratch, validation, defaults).
 Each argument of each literal is worked out once, at grounding: bind a
-new variable, compare with a bound one, or compare with a constant.  From
-that, :func:`ground` generates Python source for the entry functions the
-reasoner calls each join through (``solve`` for causal laws and
+new variable, compare with a bound one, or compare with a constant.  That
+compile is also the one bindability check: a body that reaches a literal
+with arguments it cannot bind, or leaves a head variable unbound, is a
+grounding error that names the axiom.  From it, :func:`ground` generates
+Python source for every member of a join the reasoner reads: the entry
+function it calls the join through (``solve`` for causal laws and
 triggers, ``first`` for executability, re-derivation and victims, ``run``
-unbound, ``match`` for a default's conclusion), all in one source
-compiled once per grounding; a restriction shares them.  A generated
-function holds a variable per slot (``s0, s1, ...``) and one ``for``
-loop per enumerating literal with its comparisons and tests inline.
-Every value of the domain or the configuration (a predicate, a constant,
-a table, a function) enters that code as a name bound to it, never as
-source text.  Enumeration order is part of the contract (provenance and
-blockers depend on it): literals in body order, each predicate's atoms in
-the order of the index the join is given (a bound first argument is one
-more comparison, not a sub-index), static rows in sorted order, sort
-members in declared order.  A ``{Variable: value}`` dict is built only
-where a binding is rendered (:meth:`Join.binding`).  A negative window
-looks its victims up by a key compiled here too (:attr:`Join.narrow`): of
-the head predicate's atoms, only those whose argument at the first
-position its body binding fixes has that value, still in index order.
+unbound, ``match`` for a default's conclusion), ``head`` where the body
+binds the head, and on a negative window's triggers ``scanned`` and the
+victims' ``narrow``.  All of it is one source compiled once per
+grounding; a restriction shares it.  A generated function holds a
+variable per slot (``s0, s1, ...``) and one ``for`` loop per enumerating
+literal with its comparisons and tests inline.  Every value of the
+domain or the configuration (a predicate, a constant, a table, a
+function) enters that code as a name bound to it, never as source text.
+Enumeration order is part of the contract (provenance and blockers
+depend on it): literals in body order, each predicate's atoms in the
+order of the index the join is given (a bound first argument is one more
+comparison, not a sub-index), static rows in sorted order, sort members
+in declared order.  A ``{Variable: value}`` dict is built only where a
+binding is rendered (:meth:`Join.binding`).  A negative window looks its
+victims up by a key (:attr:`Join.narrow`): of the head predicate's atoms,
+only those whose argument at the first position its body binding fixes
+has that value, still in index order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import linecache
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from fortdefense.env import Direction, GridConfig, in_cone
 from fortdefense.kr.lang import (
-    Arg,
     Atom,
     DomainDescription,
     Literal,
@@ -333,11 +337,13 @@ def _order_body(body: tuple[Literal, ...], gdom: "GroundedDomain") -> tuple[Lite
 
 
 def _split_residual(
-    body: tuple[Literal, ...], head: Literal, gdom: "GroundedDomain"
+    body: tuple[Literal, ...], gdom: "GroundedDomain"
 ) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
-    """Split an ordered body into the prefix solvable before binding the
-    head and the residual that needs head variables."""
-    head_vars = {v.name for v in _vars_of(head.atom)}
+    """Split a negative window's ordered body into the prefix solvable
+    before its head is bound and the residual: the computed or negated
+    literals that read a variable the prefix leaves unbound, tested once a
+    victim has bound the head.  A residual literal that the head does not
+    bind either is reported when the victim continuation is compiled."""
     bound: set[str] = set()
     pre: list[Literal] = []
     residual: list[Literal] = []
@@ -348,10 +354,6 @@ def _split_residual(
             bound |= names
         else:
             residual.append(lit)
-    for lit in residual:
-        names = {v.name for v in _vars_of(lit.atom)}
-        if not names <= bound | head_vars:
-            return tuple(pre), None  # caller reports the failure
     return tuple(pre), tuple(residual)
 
 
@@ -467,10 +469,17 @@ class GroundedDomain:
         return vals[0] if vals else None
 
 
+@functools.cache
+def _cells_by_region(config: GridConfig) -> dict[str, tuple[tuple[int, int], ...]]:
+    """Each region's cells, by symbol; built once per configuration."""
+    return {r: region_cells(config, r) for r in all_region_symbols(config)}
+
+
 def _active_cells(
     config: GridConfig, fine: frozenset[str]
 ) -> frozenset[tuple[int, int]]:
-    return frozenset(cell for r in fine for cell in region_cells(config, r))
+    cells = _cells_by_region(config)
+    return frozenset().union(*(cells[r] for r in fine))
 
 
 def ground(
@@ -528,7 +537,6 @@ def ground(
         atoms = [law.action, law.effect.atom] + [l.atom for l in law.conditions]
         _infer_var_sorts(gdom, law.axiom_id, law.text, atoms)
         body = _order_body(law.conditions, gdom)
-        _check_bindable(gdom, law.axiom_id, law.text, law.action, body, law.effect)
         rule = CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
         rule = _compiled(gdom, rule, wanted)
         gdom.causal_by_action.setdefault(law.action.pred, []).append(rule)
@@ -544,7 +552,6 @@ def ground(
                         f"{lit!r} in a definition body (recursive definitions "
                         f"are not supported)"
                     )
-            _check_bindable(gdom, con.axiom_id, con.text, None, body, con.head)
             rule = CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
             rule = _compiled(gdom, rule, wanted)
             gdom.definitions.append(rule)
@@ -552,15 +559,9 @@ def ground(
             # negative inertial heads bind remaining variables against the
             # current belief; positive inertial heads must bind from the body
             if con.head.positive:
-                _check_bindable(gdom, con.axiom_id, con.text, None, body, con.head)
                 rule = CompiledRule(con.axiom_id, con.text, "window", None, con.head, body)
             else:
-                pre, residual = _split_residual(body, con.head, gdom)
-                if residual is None:
-                    raise GroundingError(
-                        f"axiom {con.axiom_id} ({con.text}): body variables "
-                        f"unreachable from fluents, statics, or the head"
-                    )
+                pre, residual = _split_residual(body, gdom)
                 rule = CompiledRule(
                     con.axiom_id, con.text, "window", None, con.head, pre, residual
                 )
@@ -573,7 +574,6 @@ def ground(
         atoms = [ex.action] + [l.atom for l in ex.conditions]
         _infer_var_sorts(gdom, ex.axiom_id, ex.text, atoms)
         body = _order_body(ex.conditions, gdom)
-        _check_bindable(gdom, ex.axiom_id, ex.text, ex.action, body, None)
         rule = CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
         rule = _compiled(gdom, rule, wanted)
         gdom.exec_by_action.setdefault(ex.action.pred, []).append(rule)
@@ -581,7 +581,6 @@ def ground(
         atoms = [d.conclusion.atom] + [l.atom for l in d.body]
         _infer_var_sorts(gdom, d.axiom_id, d.text, atoms)
         body = _order_body(d.body, gdom)
-        _check_bindable(gdom, d.axiom_id, d.text, None, body, d.conclusion)
         rule = CompiledRule(d.axiom_id, d.text, "default", None, d.conclusion, body)
         gdom.defaults.append(_compiled(gdom, rule, wanted))
 
@@ -620,33 +619,44 @@ def ground(
 
 
 def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list) -> CompiledRule:
-    """``rule`` with its body compiled for each way it is entered; each
-    join goes on ``wanted`` with the entry function the reasoner calls it
-    through, and its victim continuation with ``first``."""
+    """``rule`` with its body compiled for each way it is entered.  Each
+    join goes on ``wanted`` with the members the reasoner reads: its entry
+    function, ``head`` where the body binds the head, and on a negative
+    window's triggers ``scanned``; a victim continuation goes with
+    ``first``, and with ``narrow`` behind a trigger.  A join whose body
+    cannot be bound (see :func:`compile_join`) is a grounding error that
+    names the axiom."""
 
-    def join(way: str, function: str, body, entry=None, **out) -> Join:
+    def join(way: str, reads: tuple, body, entry=None, victims=("first",), **out) -> Join:
         made = compile_join(gdom, body, entry, name=f"{rule.axiom_id} {way}", **out)
-        wanted.append((made, function))
-        if made.then is not None:
-            wanted.append((made.then, "first"))
+        if out.get("head") is not None:
+            reads += ("head",)
+        for part, members in ((made, reads), (made.then, victims)):
+            if part is None:
+                continue
+            if part.unbindable is not None:
+                raise GroundingError(f"axiom {rule.axiom_id} ({rule.text}): {part.unbindable}")
+            wanted.extend((part, member) for member in members)
         return made
 
     head = rule.head.atom if rule.head is not None else None
     if rule.kind in ("causal", "exec"):
-        function = "solve" if rule.kind == "causal" else "first"
+        reads = ("solve",) if rule.kind == "causal" else ("first",)
         return dataclasses.replace(
-            rule, on_action=join("on_action", function, rule.body, rule.action, head=head)
+            rule, on_action=join("on_action", reads, rule.body, rule.action, head=head)
         )
-    if rule.kind == "window" and not rule.head.positive:
-        out = {"then": (head, rule.residual)}
-    else:
-        out = {"head": head}
+    negative = rule.kind == "window" and not rule.head.positive
+    out = {"then": (head, rule.residual)} if negative else {"head": head}
     on_body: tuple[Optional[Join], ...] = ()
     on_head = None
     if rule.kind in ("window", "definition"):
         # windows are triggered by positive fluent literals, definitions by any
+        reads = ("solve", "scanned") if negative else ("solve",)
         on_body = tuple(
-            join(f"on_body[{i}]", "solve", rule.body[:i] + rule.body[i + 1 :], lit.atom, **out)
+            join(
+                f"on_body[{i}]", reads, rule.body[:i] + rule.body[i + 1 :], lit.atom,
+                victims=("first", "narrow"), **out,
+            )
             if lit.atom.pred in gdom.fluent_decls
             and (lit.positive or rule.kind == "definition")
             else None
@@ -654,9 +664,9 @@ def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list) -> Compile
         )
     if rule.kind in ("definition", "default"):
         # a definition re-derives its head; explanation matches a default's
-        function = "first" if rule.kind == "definition" else "match"
-        on_head = join("on_head", function, rule.body, head)
-    unbound = join("unbound", "run", rule.body, **out)
+        reads = ("first",) if rule.kind == "definition" else ("match",)
+        on_head = join("on_head", reads, rule.body, head)
+    unbound = join("unbound", ("run",), rule.body, **out)
     return dataclasses.replace(rule, on_body=on_body, on_head=on_head, unbound=unbound)
 
 
@@ -672,89 +682,19 @@ def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomai
     )
 
 
-def _check_bindable(
-    gdom: GroundedDomain,
-    axiom_id: str,
-    text: str,
-    action: Optional[Atom],
-    body: tuple[Literal, ...],
-    head: Optional[Literal],
-) -> None:
-    """Verify evaluation can bind every variable when it is needed."""
-    bound: set[str] = set()
-    if action is not None:
-        bound |= {v.name for v in _vars_of(action)}
-    for lit in body:
-        names = {v.name for v in _vars_of(lit.atom)}
-        stage = _literal_stage(lit, gdom)
-        if stage == 2 and not names <= bound:
-            raise GroundingError(
-                f"axiom {axiom_id} ({text}): cannot bind {sorted(names - bound)} "
-                f"before evaluating {lit!r}"
-            )
-        bound |= names
-    if head is not None:
-        names = {v.name for v in _vars_of(head.atom)}
-        if not names <= bound:
-            raise GroundingError(
-                f"axiom {axiom_id} ({text}): head variable(s) "
-                f"{sorted(names - bound)} not bound by the body"
-            )
-
-
 # ---------------------------------------------------------------------------
 # compiled joins
 # ---------------------------------------------------------------------------
 
-#: One argument of a tuple built from a binding: (True, slot) or (False, constant).
-_Term = tuple[bool, object]
-
-#: The parameters of each entry function a join can be generated with.
+#: The parameters of each member a join can be generated with.
 _SIGNATURES = {
     "match": "atom, env=()", "run": "index, env",
     "solve": "index, atom, env=()", "first": "index, atom, env=()",
+    "head": "env", "scanned": "env", "narrow": "atoms, env=()",
 }
 
 #: The builtin comparisons, written inline.
 _OPERATORS = {"neq": "!=", "eq": "=="}
-
-
-def _build(terms: Sequence[_Term]) -> Callable[[tuple], tuple]:
-    """A function building the tuple of ``terms`` from a binding."""
-    terms = tuple(terms)
-    slots = [v for is_slot, v in terms if is_slot]
-    if not slots:
-        constant = tuple(v for _, v in terms)
-        return lambda env: constant
-    if len(slots) < len(terms):
-        return lambda env: tuple(env[v] if is_slot else v for is_slot, v in terms)
-    if slots == list(range(slots[0], slots[0] + len(slots))):
-        return itemgetter(slice(slots[0], slots[0] + len(slots)))
-    return itemgetter(*slots)
-
-
-def _instance(pred: str, build: Callable) -> Callable[[tuple], Atom]:
-    return lambda env: Atom(pred, build(env))
-
-
-def _narrow(args: Sequence[Arg], slots: dict[Variable, int]):
-    """The atoms of a predicate that may unify with the entry pattern
-    ``args`` under a binding of ``slots``: those whose argument at the
-    pattern's first fixed position (a constant or a bound variable) has its
-    value, in their given order; all of them, as a list, where no argument
-    of the pattern is fixed."""
-    for pos, arg in enumerate(args):
-        if not isinstance(arg, Variable):
-            return lambda atoms, env: [a for a in atoms if a.args[pos] == arg]
-        if arg in slots:
-            slot = slots[arg]
-
-            def narrow(atoms, env):
-                value = env[slot]
-                return [a for a in atoms if a.args[pos] == value]
-
-            return narrow
-    return lambda atoms, env: list(atoms)
 
 
 def _tuple(names: Iterable[str]) -> str:
@@ -764,9 +704,9 @@ def _tuple(names: Iterable[str]) -> str:
 
 
 def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
-    """Compile the entry functions ``wanted`` names, as ``(join, entry)``,
-    from one source: a factory per join takes the join's values as its
-    arguments and returns its entry functions.  A function's file name
+    """Compile the members ``wanted`` names, as ``(join, member)``, from
+    one source: a factory per join takes the join's values as its
+    arguments and returns its functions.  A function's file name
     (``<join exec:7 on_action>``) names the axiom and the way its body is
     entered; :mod:`linecache` holds the join's functions under it, so a
     traceback or a profile shows the generated line."""
@@ -798,71 +738,68 @@ class Join:
     A binding is a tuple of values, one per *slot*; ``variables`` names the
     slot of each position, in the order the join binds them: the slots of
     the binding it continues, then the new variables of the entry atom,
-    then those of each body literal.  The entry functions are generated
-    (see :func:`_generate`): ``match(atom, env=())`` unifies an entry atom
-    with the entry pattern under a binding and returns the extended
-    binding, or None; ``solve(index, atom, env=())`` yields the solutions
-    after entering with ``atom``, in index order, and ``first`` returns
-    the first, or None; ``run(index, env)`` yields the extensions of a
-    binding that holds the entry's slots.  A join without an entry pattern
-    has ``match``, ``solve``, ``first`` and ``narrow`` None.
+    then those of each body literal.  Every member that reads a binding is
+    a generated function (see :func:`_generate`):
 
-    ``head`` builds the rule's head atom from a solution, where the body
-    binds it; ``then`` is the continuation a negative window uses to match
-    a victim against its head and check its residual; ``scanned`` builds
-    the atoms the positive fluent literals of the body matched.  ``narrow``
-    keeps, of a predicate's atoms and in their order, those whose argument
-    at the entry pattern's first fixed position (a constant, or a variable
-    the binding holds) has its value: every atom ``match`` accepts is
-    among them, so a negative window looks its victims up by that key.
+    - ``match(atom, env=())`` unifies an entry atom with the entry pattern
+      under a binding and returns the extended binding, or None;
+    - ``solve(index, atom, env=())`` yields the solutions after entering
+      with ``atom``, in index order, and ``first(index, atom, env=())``
+      returns the first, or None; ``run(index, env)`` yields the
+      extensions of a binding that holds the entry's slots;
+    - ``head(env)`` builds the rule's head atom from a solution;
+    - ``scanned(env)`` returns the tuple of atoms the positive fluent
+      literals of the body matched in a solution;
+    - ``narrow(atoms, env=())`` keeps, as a list and in their order, those
+      of a predicate's atoms whose argument at the entry pattern's first
+      fixed position (a constant, or a variable the binding holds) has its
+      value: every atom ``match`` accepts is among them, so a negative
+      window looks its victims up by that key.
+
+    A join without an entry pattern has ``match``, ``solve`` and ``first``
+    None, one compiled without a head has ``head`` None, and one that is
+    not a victim continuation has ``narrow`` None.  ``then`` is the victim
+    continuation of a negative window: it matches a victim against the
+    head and checks the residual.  ``unbindable`` says why the body cannot
+    be bound in this order, or is None (see :func:`compile_join`).
     """
 
     __slots__ = (
-        "name", "variables", "match", "narrow", "head", "then", "scanned", "run", "solve",
-        "first", "_values", "_prefix", "_given", "_match", "_body", "_lines",
+        "name", "variables", "then", "unbindable", *_SIGNATURES, "_values", "_members", "_lines"
     )
 
-    def __init__(self, name, variables, values, prefix, given, match, body):
+    def __init__(self, name, variables, values, members, unbindable):
         self.name: str = name  # the axiom and the way its body is entered
         self.variables: tuple[Variable, ...] = variables
-        self.narrow: Optional[Callable[[Iterable[Atom], tuple], list[Atom]]] = None
-        self.head: Optional[Callable[[tuple], Atom]] = None
         self.then: Optional[Join] = None
-        self.scanned: tuple[Callable[[tuple], Atom], ...] = ()
+        self.unbindable: Optional[str] = unbindable
         self._values = values  # what the generated source names v0, v1, ...
-        self._prefix = prefix  # slots of the binding the join continues
-        self._given = given  # slots bound before the body: those and the entry's
-        self._match = match  # (kind, source) items unifying the entry atom
-        self._body = body  # (kind, source) items of the body's loops and tests
+        self._members = members  # by member: (slots it is given, items, last statement)
         self._lines: list[str] = []  # the source of the functions generated so far
-        if match is None:
-            self.match = self.solve = self.first = None
+        for member in _SIGNATURES.keys() - members.keys():
+            setattr(self, member, None)
 
-    def __getattr__(self, entry: str):
-        # an entry function the grounding has no caller for, or one of a
-        # join compiled on its own, is generated at its first use
-        if entry not in _SIGNATURES:
-            raise AttributeError(entry)
-        _generate([(self, entry)])
-        return getattr(self, entry)
+    def __getattr__(self, member: str):
+        # a member the grounding has no caller for, or one of a join
+        # compiled on its own, is generated at its first use
+        if member not in _SIGNATURES:
+            raise AttributeError(member)
+        _generate([(self, member)])
+        return getattr(self, member)
 
     def binding(self, env: tuple) -> dict:
         """The ``{Variable: value}`` form of a binding, for rendering."""
         return dict(zip(self.variables, env))
 
-    def _source(self, entry: str) -> list[str]:
-        """The lines of the entry function ``entry``: the binding it is
-        given unpacked into slot variables (``s0, s1, ...``), the entry atom
-        unified (but by ``run``), one loop per enumerating body literal with
-        its tests inline (but in ``match``), and the binding yielded
-        (``run``, ``solve``) or returned (``match``, ``first``)."""
-        given = self._given if entry == "run" else self._prefix
-        items = [("do", f"{_tuple(f's{i}' for i in range(given))} = env")] if given else []
-        if entry != "run":
-            items += self._match
-        if entry != "match":
-            items += self._body
-        lines = [f"def {entry}({_SIGNATURES[entry]}):"]
+    def _source(self, member: str) -> list[str]:
+        """The lines of ``member``: the slots of the binding it is given
+        unpacked into slot variables (``s0, s1, ...``), its items (a
+        ``for`` loop nests what follows, an ``if`` test rejects the binding,
+        a statement is written as it is), and its last statement."""
+        given, items, last = self._members[member]
+        if given:
+            items = [("do", f"{_tuple(f's{i}' for i in range(given))} = env"), *items]
+        lines = [f"def {member}({_SIGNATURES[member]}):"]
         depth = 1
         for kind, text in items:
             pad = "    " * depth
@@ -873,9 +810,7 @@ class Join:
                 lines += [f"{pad}if {text}:", f"{pad}    {'continue' if depth > 1 else 'return'}"]
             else:
                 lines.append(pad + text)
-        done = "yield" if entry in ("run", "solve") else "return"
-        out = self._given if entry == "match" else len(self.variables)
-        lines.append(f"{'    ' * depth}{done} {_tuple(f's{i}' for i in range(out))}")
+        lines.append("    " * depth + last)
         return lines
 
 
@@ -884,7 +819,7 @@ def compile_join(
     body: Sequence[Literal],
     entry: Optional[Atom] = None,
     *,
-    prefix: Sequence[Variable] = (),
+    prefix: Optional[Sequence[Variable]] = None,
     head: Optional[Atom] = None,
     then: Optional[tuple[Atom, Sequence[Literal]]] = None,
     name: str = "body",
@@ -896,18 +831,29 @@ def compile_join(
     atoms, an unbound sort atom over its members, a partly bound table
     static over its rows) or a test of a fully bound literal.  Arguments
     are worked out here once: a variable already bound is compared with
-    its slot, a constant with itself, a new variable is bound.  Literals
-    that cannot be evaluated (a negated literal with unbound arguments, a
-    computed static with free ones, a symbol without a relation) compile
-    to a statement that raises :class:`GroundingError` when it is reached.
-    Each value the source uses (a predicate, a constant, a table, a
+    its slot, a constant with itself, a new variable is bound.  Each value
+    the source uses (a predicate, a constant, a position, a table, a
     function, an error message) is one of the join's values, ``v0, v1,
-    ...``.  ``head`` compiles a builder of the head atom; ``then`` = (head
+    ...``.  The join holds the source of each of its members (see
+    :class:`Join`), generated when :func:`_generate` is given it or at its
+    first use: ``head`` where a ``head`` atom is given, ``narrow`` where
+    the join continues a ``prefix`` from an entry atom.  ``then`` = (head
     pattern, residual) compiles the victim continuation of a negative
-    window; ``name`` names the join's functions' file.
+    window, which continues the body's binding; ``name`` names the join's
+    functions' file.
+
+    This is the one place bindability is checked.  A literal reached with
+    arguments it needs bound still unbound (a negated literal, a computed
+    static, or a symbol without a relation) compiles to a statement that
+    raises :class:`GroundingError` when it is reached, and a head variable
+    the body leaves unbound to a ``head`` that raises; the first of them
+    is recorded as ``unbindable``, which :func:`ground` reports for the
+    axiom.  A symbol without a relation whose arguments are all bound
+    fails only where it is reached.
     """
-    variables: list[Variable] = list(prefix)
+    variables: list[Variable] = list(prefix or ())
     slots = {v: i for i, v in enumerate(variables)}
+    continued = len(variables)
     values: list = []
     named: dict[int, str] = {}
 
@@ -939,19 +885,28 @@ def compile_join(
                 tests.append(("if", f"a{i} != {term(a)}"))
         return key, _tuple(targets), tests
 
+    def free(args) -> list[str]:
+        return sorted({a.name for a in args if isinstance(a, Variable) and a not in slots})
+
     def bound(args) -> bool:
-        return all(not isinstance(a, Variable) or a in slots for a in args)
+        return not free(args)
 
-    def terms(args) -> list[_Term]:
-        return [(True, slots[a]) if isinstance(a, Variable) else (False, a) for a in args]
+    def instance(atom: Atom) -> str:
+        return f"Atom({value(atom.pred)}, {_tuple(map(term, atom.args))})"
 
-    match = narrow = None
+    members: dict[str, tuple[int, list, str]] = {}
+    problems: list[str] = []
     if entry is not None:
-        narrow = _narrow(entry.args, slots)
-        _, target, tests = unify(entry.args)
+        key, target, tests = unify(entry.args)
         pred, arity = value(entry.pred), value(len(entry.args))
         match = [("if", f"atom.pred != {pred} or len(atom.args) != {arity}")]
         match += [("do", f"{target} = atom.args"), *tests]
+        if prefix is not None:
+            kept = "list(atoms)"
+            if key:
+                pos = key[0]
+                kept = f"[a for a in atoms if a.args[{value(pos)}] == {term(entry.args[pos])}]"
+            members["narrow"] = (continued, [], f"return {kept}")
     given = len(variables)
 
     steps: list[tuple[str, str]] = []
@@ -964,19 +919,18 @@ def compile_join(
             if lit.positive:
                 _, target, tests = unify(args)
                 steps += [("for", f"for _, {target} in index.get({value(pred)}, ())"), *tests]
-                scanned.append(_instance(pred, _build(terms(args))))
+                scanned.append(instance(lit.atom))
             elif bound(args):
-                atom = f"Atom({value(pred)}, {_tuple(map(term, args))})"
-                steps.append(("if", f"{atom} in index.get({value(pred)}, ())"))
+                steps.append(("if", f"{instance(lit.atom)} in index.get({value(pred)}, ())"))
             else:
                 error = f"negated fluent {lit!r} evaluated with unbound arguments"
         elif pred in gdom.sorts and len(args) == 1:
-            members = gdom.sorts[pred]
+            sort = gdom.sorts[pred]
             if bound(args):
-                steps.append(("if", f"{term(args[0])} {test} {value(frozenset(members))}"))
+                steps.append(("if", f"{term(args[0])} {test} {value(frozenset(sort))}"))
             elif lit.positive:
                 unify(args)
-                steps.append(("for", f"for {term(args[0])} in {value(members)}"))
+                steps.append(("for", f"for {term(args[0])} in {value(sort)}"))
             else:
                 error = f"negated sort atom {lit!r} with unbound argument"
         else:
@@ -1002,10 +956,21 @@ def compile_join(
                 steps += [("for", f"for {target} in {rows}.get({want}, ())"), *tests]
         if error is not None:
             steps.append(("do", f"raise GroundingError({value(error)})"))
-
-    build_head = None if head is None else _instance(head.pred, _build(terms(head.args)))
-    join = Join(name, tuple(variables), values, len(prefix), given, match, steps)
-    join.narrow, join.head, join.scanned = narrow, build_head, tuple(scanned)
+            if unbound := free(args):
+                problems.append(f"cannot bind {unbound} before evaluating {lit!r}")
+    solution = _tuple(f"s{i}" for i in range(len(variables)))
+    members["run"] = (given, steps, f"yield {solution}")
+    if entry is not None:
+        members["match"] = (continued, match, f"return {_tuple(f's{i}' for i in range(given))}")
+        members["solve"] = (continued, match + steps, f"yield {solution}")
+        members["first"] = (continued, match + steps, f"return {solution}")
+    members["scanned"] = (len(variables) if scanned else 0, [], f"return {_tuple(scanned)}")
+    if head is not None and (unbound := free(head.args)):
+        problems.append(f"head variable(s) {unbound} not bound by the body")
+        members["head"] = (0, [], f"raise GroundingError({value(problems[-1])})")
+    elif head is not None:
+        members["head"] = (len(variables), [], f"return {instance(head)}")
+    join = Join(name, tuple(variables), values, members, problems[0] if problems else None)
     if then is not None:
         victim, residual = then
         join.then = compile_join(

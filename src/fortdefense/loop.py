@@ -84,11 +84,9 @@ from fortdefense.kr.beliefs import (
 from fortdefense.kr.goals import (
     Goal,
     compute_relevance,
-    corridor_regions,
     is_down,
     nearest_living,
     pose_of,
-    region_cells,
     select_goal,
 )
 from fortdefense.kr.ground import (
@@ -397,7 +395,7 @@ class AdHocController:
             self._finalize_act(record)
             return self._env_action(chosen, belief)
 
-        fine = self._fine_regions(belief, goal, predicted_next, gdom)
+        fine = compute_relevance(belief, goal, predicted_next, gdom)
         record.fine_regions = tuple(sorted(fine))
         gdom_t = restrict(gdom, fine)
 
@@ -462,29 +460,6 @@ class AdHocController:
             sym = agent_symbol(self.config, agent.id)
             predicted_next[sym] = predicted_cell(self.config, agent.pos, kind)
         return predictions, predicted_next
-
-    def _fine_regions(
-        self,
-        belief: Belief,
-        goal: Goal,
-        predicted_next: Mapping[str, tuple[int, int]],
-        gdom: GroundedDomain,
-    ) -> frozenset[str]:
-        extra: set[str] = set()
-        pose = pose_of(belief, gdom.ah_symbol)
-        anchor: Optional[tuple[int, int]] = None
-        if goal.kind == "shoot_target" and goal.target is not None:
-            tpose = pose_of(belief, goal.target)
-            if tpose is not None:
-                anchor = (tpose[0], tpose[1])
-        elif goal.kind == "occupy_region" and goal.target is not None:
-            extra.add(goal.target)
-            cells = region_cells(self.config, goal.target)
-            if cells:
-                anchor = cells[0]
-        if pose is not None and anchor is not None:
-            extra |= corridor_regions(self.config, (pose[0], pose[1]), anchor)
-        return compute_relevance(belief, predicted_next, gdom, extra=extra)
 
     def _fallback(self, belief: Belief, gdom: GroundedDomain) -> Atom:
         """Face the nearest living attacker; noop when already facing (or

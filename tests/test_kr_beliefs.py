@@ -15,6 +15,7 @@ import itertools
 import linecache
 import tokenize
 import traceback
+import types
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -930,11 +931,11 @@ def assert_joins_match_the_reference(gdom, belief, data):
             for env, b in zip(got, want):
                 if join.head is not None:
                     assert join.head(env) == rule.head.atom.substitute(b)
-                assert [scan(env) for scan in join.scanned] == [
+                assert join.scanned(env) == tuple(
                     lit.atom.substitute(b)
                     for lit in body
                     if lit.positive and lit.atom.pred in gdom.fluent_decls
-                ]
+                )
                 if join.then is None:
                     continue
                 head = rule.head.atom.substitute(b)
@@ -1057,17 +1058,29 @@ def test_compiled_joins_match_the_reference_engine_on_quoted_values(
     assert_joins_match_the_reference(quoted_gdom, belief, data)
 
 
-def _generated_sources(gdom):
-    """The source of every entry function of every join of ``gdom``, by
-    the function's file name."""
-    sources = {}
+#: Every member of a join that is a generated function.
+_MEMBERS = ("match", "run", "solve", "first", "head", "scanned", "narrow")
+
+
+def _joins(gdom):
+    """Every join of ``gdom``, the victim continuations included."""
+    out = []
     for _, join, _, _ in compiled_entries(gdom):
         while join is not None:
-            names = ("run",) if join.match is None else ("match", "run", "solve", "first")
-            for name in names:
+            out.append(join)
+            join = join.then
+    return out
+
+
+def _generated_sources(gdom):
+    """The source of every member of every join of ``gdom``, by the
+    function's file name."""
+    sources = {}
+    for join in _joins(gdom):
+        for name in _MEMBERS:
+            if getattr(join, name) is not None:
                 filename = getattr(join, name).__code__.co_filename
                 sources[filename] = "".join(linecache.getlines(filename))
-            join = join.then
     return sources
 
 
@@ -1089,22 +1102,31 @@ def test_generated_source_holds_no_value_of_the_domain(w0_gdom, quoted_gdom, whi
         assert not [v for v in values if isinstance(v, str) and repr(v) in source]
 
 
-def test_each_generated_function_is_named_for_its_axiom_and_entry(w0_gdom):
+def test_each_generated_function_is_named_for_its_axiom_and_entry():
     """A generated function's file is its join's, named for the axiom and
-    the way its body is entered, and its first line there is its ``def``."""
-    (causal, *_) = w0_gdom.causal_by_action["move"]
-    (window, *_) = w0_gdom.windows
-    (definition, *_) = w0_gdom.definitions
-    (default,) = w0_gdom.defaults
-    (*_, blocker) = w0_gdom.exec_by_action["shoot"]
+    the way its body is entered, and its first line there is its ``def``.
+    Every member of every join is such a function, never a lambda or an
+    ``itemgetter``; only a victim continuation has a ``narrow``; and a
+    second grounding generates the same source for every join."""
+    gdom = fort_gdom()  # the file of a join holds the last grounding's source
+    (causal, *_) = gdom.causal_by_action["move"]
+    (window, *_) = gdom.windows
+    (definition, *_) = gdom.definitions
+    (default,) = gdom.defaults
+    (*_, blocker) = gdom.exec_by_action["shoot"]
     expected = [
         (causal.on_action.solve, f"<join {causal.axiom_id} on_action>"),
+        (causal.on_action.head, f"<join {causal.axiom_id} on_action>"),
         (blocker.on_action.first, f"<join {blocker.axiom_id} on_action>"),
         (window.on_body[0].solve, f"<join {window.axiom_id} on_body[0]>"),
+        (window.on_body[0].scanned, f"<join {window.axiom_id} on_body[0]>"),
         (window.on_body[0].then.first, f"<join {window.axiom_id} on_body[0] then>"),
+        (window.on_body[0].then.narrow, f"<join {window.axiom_id} on_body[0] then>"),
         (window.unbound.run, f"<join {window.axiom_id} unbound>"),
         (definition.on_head.first, f"<join {definition.axiom_id} on_head>"),
+        (definition.unbound.head, f"<join {definition.axiom_id} unbound>"),
         (default.on_head.match, f"<join {default.axiom_id} on_head>"),
+        (default.unbound.head, f"<join {default.axiom_id} unbound>"),
     ]
     assert blocker.axiom_id == "exec:10"
     for fn, filename in expected:
@@ -1112,6 +1134,24 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry(w0_gdom):
         assert linecache.getline(filename, fn.__code__.co_firstlineno).lstrip().startswith(
             f"def {fn.__name__}("
         )
+    joins = _joins(gdom)
+    victims = [join.then for join in joins if join.then is not None]
+    assert victims
+    for join in joins:
+        assert (join.narrow is not None) == any(join is v for v in victims), join.name
+        for name in _MEMBERS:
+            fn = getattr(join, name)
+            if fn is not None:
+                assert type(fn) is types.FunctionType and fn.__name__ == name, join.name
+                assert fn.__code__.co_filename == f"<join {join.name}>"
+
+    def sources():
+        names = [join.name for join in _joins(fort_gdom())]
+        return {name: linecache.getlines(f"<join {name}>") for name in names}
+
+    first = sources()
+    assert all(first.values())
+    assert sources() == first
 
 
 def test_a_grounding_error_shows_its_generated_line():

@@ -31,6 +31,10 @@ def shipped_domain():
     )
 
 
+#: A goal that adds no region to the relevant ones.
+HOLD = Goal("hold_position", None, ())
+
+
 def make_gdom(config):
     return ground(shipped_domain(), config)
 
@@ -208,7 +212,7 @@ def test_relevance_marks_positional_regions_fine():
             ("attacker2", 0, 0, "n", False),  # dead: not relevant
         ],
     )
-    fine = compute_relevance(b, {"attacker1": (9, 14)}, gdom)
+    fine = compute_relevance(b, HOLD, {"attacker1": (9, 14)}, gdom)
     assert fine == frozenset({"r15", "r17", "r22"})
 
 
@@ -221,9 +225,29 @@ def test_relevance_extra_regions_and_corridor():
     )
     corridor = corridor_regions(config, (2, 14), (10, 14))
     assert corridor == frozenset({"r15", "r16", "r17"})
-    fine = compute_relevance(b, None, gdom, extra=corridor)
+    fine = corridor | compute_relevance(b, HOLD, None, gdom)
     assert corridor <= fine
     assert "r22" in fine  # fort stays fine
+
+
+def test_relevance_adds_the_corridor_to_the_goal():
+    """A shoot goal adds the corridor from the guard to its target's cell;
+    an occupy goal adds its region and the corridor to the region's first
+    cell; a hold goal adds neither."""
+    config = GridConfig(n_guards=1, n_attackers=1)
+    gdom = make_gdom(config)
+    b = belief_of(
+        gdom,
+        [("guard0", 2, 14, "e", True), ("attacker1", 10, 14, "w", True)],
+    )
+    positional = compute_relevance(b, HOLD, None, gdom)
+    assert positional == frozenset({"r15", "r17", "r22"})
+    shoot = Goal("shoot_target", "attacker1", ())
+    assert compute_relevance(b, shoot, None, gdom) == positional | {"r16"}
+    occupy = Goal("occupy_region", "r5", ())  # first cell (0, 4)
+    expected = positional | corridor_regions(config, (2, 14), (0, 4)) | {"r5"}
+    assert compute_relevance(b, occupy, None, gdom) == expected
+    assert {"r5", "r10"} <= expected
 
 
 def test_predicted_cell_region_joins_fine_set():
@@ -233,8 +257,8 @@ def test_predicted_cell_region_joins_fine_set():
         gdom,
         [("guard0", 0, 0, "n", True), ("attacker1", 4, 0, "w", True)],
     )
-    fine_without = compute_relevance(b, None, gdom)
-    fine_with = compute_relevance(b, {"attacker1": (3, 0)}, gdom)
+    fine_without = compute_relevance(b, HOLD, None, gdom)
+    fine_with = compute_relevance(b, HOLD, {"attacker1": (3, 0)}, gdom)
     assert "r0" in fine_with and "r1" in fine_with
     assert fine_without <= fine_with
 

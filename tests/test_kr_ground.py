@@ -442,3 +442,56 @@ def test_a_recursive_definition_is_rejected(sign):
         ground(desc, sorts={"s": ("a",)})
     assert "constraint:2" in str(err.value)
     assert "definition body" in str(err.value)
+
+
+UNBINDABLE = """
+sort s.
+static q(s).
+fluent inertial f(s).
+fluent inertial g(s).
+fluent defined d(s).
+action act(s).
+"""
+
+#: Each rule kind, its axiom id, and its text around a body literal.
+_RULE_KINDS = {
+    "causal": ("causal:1", "act(A) causes f({head}) if g(A){body}."),
+    "exec": ("exec:1", "impossible act(A) if g(A){body}."),
+    "definition": ("constraint:1", "d({head}) if g(A){body}."),
+    "positive-window": ("constraint:1", "f({head}) if g(A){body}."),
+    "negative-window-residual": ("constraint:1", "-f(A) if g(A){body}."),
+    "default": ("default:1", "initial default f({head}) if g(A){body}."),
+}
+
+#: Each unevaluable shape: (head argument, extra body, what the error names).
+_UNBINDABLE_SHAPES = {
+    "negated-fluent": ("A", ", -f(B)", "-f(B)"),
+    "negated-sort-atom": ("A", ", -s(B)", "-s(B)"),
+    "computed-static": ("A", ", q(B)", "q(B)"),
+    "neq": ("A", ", B != A, q(B)", "neq(B, A)"),
+    "head-variable": ("B", "", "head variable(s) ['B']"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [
+        (kind, shape)
+        for kind in _RULE_KINDS
+        for shape in _UNBINDABLE_SHAPES
+        # the body of an executability binds no head, and a victim binds
+        # a negative window's head
+        if shape != "head-variable" or kind not in ("exec", "negative-window-residual")
+    ],
+)
+def test_an_unbindable_rule_is_rejected_at_grounding(kind, shape):
+    """``ground`` itself refuses a rule whose body, in its evaluation order,
+    reaches a literal it cannot evaluate, or leaves a head variable
+    unbound, naming the axiom and the literal."""
+    axiom_id, text = _RULE_KINDS[kind]
+    head, body, named = _UNBINDABLE_SHAPES[shape]
+    desc = parse_domain(UNBINDABLE + text.format(head=head, body=body))
+    with pytest.raises(GroundingError) as err:
+        ground(desc, sorts={"s": ("o1", "o2")}, statics={"q": Static("q", 1, func=bool)})
+    assert f"axiom {axiom_id} (" in str(err.value)
+    assert named in str(err.value)

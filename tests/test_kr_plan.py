@@ -439,9 +439,8 @@ def planning_instances(draw):
         gdom = _W0_GDOM
     else:
         extra = corridor_regions(_W0, (gx, gy), near)
-        gdom = restrict(
-            _W0_GDOM, compute_relevance(b, predicted_next, _W0_GDOM, extra=extra)
-        )
+        hold = Goal("hold_position", None, ())
+        gdom = restrict(_W0_GDOM, extra | compute_relevance(b, hold, predicted_next, _W0_GDOM))
     horizon = draw(st.integers(1, 6))
     schedule = build_schedule(b, gdom, kinds, horizon)
     return b, goal, gdom, horizon, schedule
