@@ -556,9 +556,9 @@ class Geometry:
         cells = [(x, y) for x in range(w) for y in range(h)]
         self.exits = {
             (x, y): tuple(
-                (act, (x + dx, y + dy))
-                for act, dx, dy in _MOVE_STEPS
-                if 0 <= x + dx < w and 0 <= y + dy < h
+                (TARGETLESS_ACTIONS[kind], (x + d.dx, y + d.dy))
+                for kind, d in MOVE_KINDS.items()
+                if 0 <= x + d.dx < w and 0 <= y + d.dy < h
             )
             for x, y in cells
         }
@@ -619,9 +619,6 @@ def in_cone(
     return (tx - sx, ty - sy) in config.geometry.cone[facing.index]
 
 
-_MOVE_STEPS = tuple(
-    (TARGETLESS_ACTIONS[kind], d.dx, d.dy) for kind, d in MOVE_KINDS.items()
-)
 _ROTATIONS = (
     TARGETLESS_ACTIONS[ActionKind.ROTATE_CW],
     TARGETLESS_ACTIONS[ActionKind.ROTATE_CCW],

@@ -29,11 +29,11 @@ chain.  Traces serialize to JSON Lines with sorted keys and no
 timestamps, so identical runs give byte-identical files.  The format is
 declared once, in codec tables of one row per JSON key (``_HEADER``,
 ``_STEP``, ``_FINAL`` and the objects they nest), which ``save_traces``
-and ``load_traces`` walk.  Provenance is not saved: a trace replays each
-step's progression, from its belief and executed atoms, through the
-domain grounded from its configuration (:class:`EpisodeTrace`), so a
-recorded and a loaded trace cite the same rule instances, in
-``progress``'s order.
+and ``load_traces`` walk.  A trace replays each step's progression, from
+its belief and executed atoms, through the domain grounded from its
+configuration (:class:`EpisodeTrace`), to the step's provenance and the
+next step's belief; neither is saved where that replay gives it, so a
+step saves a belief only first and after a ``reconciled`` step.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from fortdefense.loop import (
 # the binding perfbench/tracing.py wraps; groundings come from loop
 ground = _ground
 
-TRACE_FORMAT_VERSION = 4
+TRACE_FORMAT_VERSION = 5
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -262,12 +262,12 @@ def parse_query(text: str) -> Query:
 @dataclass
 class EpisodeTrace(EpisodeRecord):
     """An episode record with the configuration it was played on, grounded
-    once, to query.  ``provenance`` maps each step to the rule instances
-    behind its transition, derived once, when the trace is built: the
-    step's progression replayed from its belief and executed atoms, with
-    no entries where that progression is inconsistent (the loop then
-    rebuilt the belief from its observation).  ``steps`` becomes a tuple
-    then, so no step can join the trace without its provenance."""
+    once, to query.  When the trace is built, each step's progression is
+    replayed from its belief and executed atoms: ``provenance`` maps the
+    step to the rule instances behind it (none where it is inconsistent),
+    and a next step without a belief (a loaded one) takes its result, unless
+    the step was ``reconciled`` (the loop rebuilt the next belief from its
+    observation).  ``steps`` becomes a tuple then, so no step joins later."""
 
     config: GridConfig = field(kw_only=True)
     gdom: GroundedDomain = field(repr=False, default=None)
@@ -278,14 +278,21 @@ class EpisodeTrace(EpisodeRecord):
             self.gdom = grounded_domain(self.config)
         self.steps = tuple(self.steps)
         self.provenance = {}
+        replayed = None  # the belief the previous step's replay gives, if any
         for rec in self.steps:
+            if rec.belief is None:
+                if replayed is None:
+                    raise ValueError(f"step {rec.step} has no belief and no replay gives it")
+                rec.belief = replayed
             entries: list[Provenance] = []
             try:
-                progress(rec.belief, rec.executed, self.gdom, trace=entries)
+                replayed = progress(rec.belief, rec.executed, self.gdom, trace=entries)
             except InconsistencyError:
-                entries = []
+                replayed, entries = None, []
             except GroundingError as err:  # an action the domain does not declare
                 raise ValueError(f"step {rec.step} cannot be replayed: {err}") from err
+            if rec.reconciled:  # the loop rebuilt the next belief from its observation
+                replayed = None
             self.provenance[rec.step] = tuple(entries)
 
     @classmethod
@@ -414,7 +421,7 @@ def _valid_config(**fields) -> GridConfig:
 
 
 # The trace format, each saved object once.  A step saves a missing chosen
-# action as null.
+# action, and a belief that replay gives (see ``save_traces``), as null.
 
 _CONFIG = _object(
     "a config",
@@ -464,7 +471,7 @@ _STEP = _object(
     "a step",
     StepRecord,
     ("step", _INT),
-    ("belief", _BELIEF),
+    ("belief", _optional(_BELIEF, None)),
     ("goal", _nested(_GOAL)),
     ("predictions", _mapping(int, int)),
     ("predicted_next", _mapping(list, lambda cell: (cell[0], cell[1]))),
@@ -499,8 +506,11 @@ def save_traces(
         for rec in records:
             # the header holds the record's own fields and the configuration given
             f.write(dump(_encode(_HEADER, SimpleNamespace(**{**vars(rec), "config": config}))))
+            replayed = False  # whether the step's belief is the replay of the one before
             for s in rec.steps:
-                f.write(dump(_encode(_STEP, s)))
+                saved = SimpleNamespace(**{**vars(s), "belief": None}) if replayed else s
+                f.write(dump(_encode(_STEP, saved)))
+                replayed = not s.reconciled
             f.write(dump(_encode(_FINAL, rec)))
     return len(records)
 

@@ -37,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 from fortdefense.env import GridConfig, facing_toward
 from fortdefense.kr.ground import (
+    REGION_BLOCK,
     SYMBOL_OF_DIR,
     GroundedDomain,
     attacker_symbols,
@@ -252,14 +253,13 @@ def _idle(belief, config: GridConfig) -> Goal:
 
 def corridor_regions(config, a: Cell, b: Cell) -> frozenset[str]:
     """Regions overlapping the bounding box of two cells — a coarse
-    connecting corridor that keeps plan routes inside fine zones."""
+    connecting corridor that keeps plan routes inside fine zones.  Each is
+    named once, by its cell of least coordinates."""
     x0, x1 = sorted((a[0], b[0]))
     y0, y1 = sorted((a[1], b[1]))
-    out = set()
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            out.add(region_symbol_of(config, x, y))
-    return frozenset(out)
+    xs = range(x0 - x0 % REGION_BLOCK, x1 + 1, REGION_BLOCK)
+    ys = range(y0 - y0 % REGION_BLOCK, y1 + 1, REGION_BLOCK)
+    return frozenset(region_symbol_of(config, x, y) for x in xs for y in ys)
 
 
 def compute_relevance(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import linecache
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -221,11 +222,7 @@ class Static:
 def build_statics(config: GridConfig) -> dict[str, Static]:
     """The fort-defense static relations, derived from the configuration."""
     next_to = [
-        (x, y, x + dx, y + dy)
-        for x in range(config.width)
-        for y in range(config.height)
-        for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0))
-        if config.in_bounds(x + dx, y + dy)
+        (x, y, *cell) for (x, y), exits in config.geometry.exits.items() for _, cell in exits
     ]
     opposite = [("n", "s"), ("s", "n"), ("e", "w"), ("w", "e")]
     component = [
@@ -533,12 +530,13 @@ def ground(
 
     # --- compile axioms ----------------------------------------------------
     wanted: list[tuple[Join, str]] = []
+    compiled = functools.partial(_compiled, gdom, wanted=wanted, grounding=next(_GROUNDINGS))
     for law in desc.causal_laws:
         atoms = [law.action, law.effect.atom] + [l.atom for l in law.conditions]
         _infer_var_sorts(gdom, law.axiom_id, law.text, atoms)
         body = _order_body(law.conditions, gdom)
         rule = CompiledRule(law.axiom_id, law.text, "causal", law.action, law.effect, body)
-        rule = _compiled(gdom, rule, wanted)
+        rule = compiled(rule)
         gdom.causal_by_action.setdefault(law.action.pred, []).append(rule)
     for con in desc.constraints:
         atoms = [con.head.atom] + [l.atom for l in con.body]
@@ -553,7 +551,7 @@ def ground(
                         f"are not supported)"
                     )
             rule = CompiledRule(con.axiom_id, con.text, "definition", None, con.head, body)
-            rule = _compiled(gdom, rule, wanted)
+            rule = compiled(rule)
             gdom.definitions.append(rule)
         else:
             # negative inertial heads bind remaining variables against the
@@ -565,7 +563,7 @@ def ground(
                 rule = CompiledRule(
                     con.axiom_id, con.text, "window", None, con.head, pre, residual
                 )
-            rule = _compiled(gdom, rule, wanted)
+            rule = compiled(rule)
             gdom.windows.append(rule)
             for i, lit in enumerate(rule.body):
                 if lit.positive and lit.atom.pred in gdom.fluent_decls:
@@ -575,14 +573,14 @@ def ground(
         _infer_var_sorts(gdom, ex.axiom_id, ex.text, atoms)
         body = _order_body(ex.conditions, gdom)
         rule = CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
-        rule = _compiled(gdom, rule, wanted)
+        rule = compiled(rule)
         gdom.exec_by_action.setdefault(ex.action.pred, []).append(rule)
     for d in desc.defaults:
         atoms = [d.conclusion.atom] + [l.atom for l in d.body]
         _infer_var_sorts(gdom, d.axiom_id, d.text, atoms)
         body = _order_body(d.body, gdom)
         rule = CompiledRule(d.axiom_id, d.text, "default", None, d.conclusion, body)
-        gdom.defaults.append(_compiled(gdom, rule, wanted))
+        gdom.defaults.append(compiled(rule))
 
     gdom.inertial_preds = frozenset(
         p for p, d in desc.fluents.items() if d.kind == "inertial"
@@ -618,17 +616,20 @@ def ground(
     return gdom
 
 
-def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list) -> CompiledRule:
+_GROUNDINGS = itertools.count(1)  # numbers the process's groundings, for their joins' names
+
+
+def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list, grounding: int):
     """``rule`` with its body compiled for each way it is entered.  Each
     join goes on ``wanted`` with the members the reasoner reads: its entry
     function, ``head`` where the body binds the head, and on a negative
     window's triggers ``scanned``; a victim continuation goes with
     ``first``, and with ``narrow`` behind a trigger.  A join whose body
     cannot be bound (see :func:`compile_join`) is a grounding error that
-    names the axiom."""
+    names the axiom.  A join's name gives the grounding, the axiom and the way in."""
 
     def join(way: str, reads: tuple, body, entry=None, victims=("first",), **out) -> Join:
-        made = compile_join(gdom, body, entry, name=f"{rule.axiom_id} {way}", **out)
+        made = compile_join(gdom, body, entry, name=f"#{grounding} {rule.axiom_id} {way}", **out)
         if out.get("head") is not None:
             reads += ("head",)
         for part, members in ((made, reads), (made.then, victims)):
@@ -706,9 +707,9 @@ def _tuple(names: Iterable[str]) -> str:
 def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
     """Compile the members ``wanted`` names, as ``(join, member)``, from
     one source: a factory per join takes the join's values as its
-    arguments and returns its functions.  A function's file name
-    (``<join exec:7 on_action>``) names the axiom and the way its body is
-    entered; :mod:`linecache` holds the join's functions under it, so a
+    arguments and returns its functions.  A function's file name is its
+    join's (``<join #3 exec:7 on_action>``, for the third grounding of the
+    process); :mod:`linecache` holds the join's functions under it, so a
     traceback or a profile shows the generated line."""
     entries: dict[Join, dict[str, list[str]]] = {}
     for join, entry in wanted:
@@ -769,7 +770,7 @@ class Join:
     )
 
     def __init__(self, name, variables, values, members, unbindable):
-        self.name: str = name  # the axiom and the way its body is entered
+        self.name: str = name  # the grounding, the axiom and the way its body is entered
         self.variables: tuple[Variable, ...] = variables
         self.then: Optional[Join] = None
         self.unbindable: Optional[str] = unbindable

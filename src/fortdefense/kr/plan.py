@@ -94,8 +94,6 @@ from fortdefense.kr.ground import (
 )
 from fortdefense.kr.lang import Atom, Literal
 
-_MOVE_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # n, e, s, w order
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -119,10 +117,9 @@ def candidate_actions(belief: Belief, gdom: GroundedDomain) -> list[Atom]:
         out.append(Atom("shoot", (ah, sym)))
     if pose is not None:
         x, y, d = pose
-        for dx, dy in _MOVE_DELTAS:
-            tx, ty = x + dx, y + dy
-            if (tx, ty) in gdom.active_cells:
-                out.append(Atom("move", (ah, tx, ty)))
+        for _, cell in gdom.config.geometry.exits[x, y]:
+            if cell in gdom.active_cells:
+                out.append(Atom("move", (ah, *cell)))
         out.append(Atom("rotate", (ah, CW[d])))
         out.append(Atom("rotate", (ah, CCW[d])))
     out.append(Atom("noop", (ah,)))

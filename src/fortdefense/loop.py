@@ -27,9 +27,9 @@ symbolic transition cannot express, a chain of moves through
 just-vacated cells, never arises.  The rebuild matters only to callers
 that feed ``env.step`` actions outside ``legal_actions``.  Progression
 here records no provenance: a step record keeps the tick-start belief
-and the executed atoms, from which the explainer replays it
-(``explain.EpisodeTrace``).  The domain is grounded once per
-configuration and horizon (:func:`grounded_domain`).
+and the executed atoms, from which a trace replays it and the next
+belief where it was not rebuilt (``explain.EpisodeTrace``).  The domain
+is grounded once per configuration and horizon (:func:`grounded_domain`).
 
 Progression stops once the guard is down: a tick that starts with the
 guard down leaves the belief as it is, since no decision reads it again.
@@ -118,9 +118,6 @@ from fortdefense.policies import make_policy, policy_action
 DOMAIN_RESOURCE = "fort_attack.dom"
 
 _OBSERVABLE_PREDS = frozenset({"in", "face", "shot"})
-_MOVE_DELTA_FOR_KIND = {
-    int(kind): (direction.dx, direction.dy) for kind, direction in MOVE_KINDS.items()
-}
 _TURN_FOR_KIND = {int(ActionKind.ROTATE_CW): CW, int(ActionKind.ROTATE_CCW): CCW}
 
 
@@ -154,9 +151,9 @@ class StepRecord:
     """Everything the controller saw, decided, and learned in one tick.
 
     ``belief`` is the tick-start belief and ``executed`` the action atoms
-    that took it to the next tick's belief; the provenance of that
-    transition follows from the two, and is replayed rather than kept
-    (``explain.EpisodeTrace``).  Steps are
+    that took it to the next tick's belief unless ``reconciled`` (rebuilt
+    from the observation); a trace replays, rather than keeps, the
+    provenance and that next belief (``explain.EpisodeTrace``).  Steps are
     1-indexed.  ``plan_expanded`` is the search's ``Plan.expanded`` on a
     replanned step: nodes expanded, summed over the deepening iterations
     (0 when no search ran, or when the bound put the goal beyond the
@@ -208,15 +205,9 @@ class EpisodeRecord:
 # ---------------------------------------------------------------------------
 
 
-def predicted_cell(
-    config: GridConfig, pos: tuple[int, int], kind: int
-) -> tuple[int, int]:
+def predicted_cell(config: GridConfig, pos: tuple[int, int], kind: int) -> tuple[int, int]:
     """Where an agent at ``pos`` ends up if its predicted kind executes."""
-    delta = _MOVE_DELTA_FOR_KIND.get(int(kind))
-    if delta is None:
-        return pos
-    nxt = (pos[0] + delta[0], pos[1] + delta[1])
-    return nxt if config.in_bounds(*nxt) else pos
+    return next((cell for move, cell in config.geometry.exits[pos] if move.kind == kind), pos)
 
 
 def _step_atom(sym: str, pose: tuple[int, int, str], kind: int) -> Optional[Atom]:
@@ -224,9 +215,9 @@ def _step_atom(sym: str, pose: tuple[int, int, str], kind: int) -> Optional[Atom
     ``sym`` take from ``pose`` = (x, y, facing), whoever the agent is;
     None for a noop or a shot."""
     x, y, d = pose
-    delta = _MOVE_DELTA_FOR_KIND.get(kind)
-    if delta is not None:
-        return Atom("move", (sym, x + delta[0], y + delta[1]))
+    direction = MOVE_KINDS.get(kind)
+    if direction is not None:
+        return Atom("move", (sym, x + direction.dx, y + direction.dy))
     turn = _TURN_FOR_KIND.get(kind)
     return None if turn is None else Atom("rotate", (sym, turn[d]))
 

@@ -15,7 +15,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fortdefense.env import GridConfig, reset
+from fortdefense.env import (
+    Action,
+    AgentKind,
+    AgentState,
+    Direction,
+    EpisodeResult,
+    GridConfig,
+    Outcome,
+    WorldState,
+    reset,
+    step,
+)
 from fortdefense.explain import (
     EpisodeTrace,
     Query,
@@ -39,7 +50,13 @@ from fortdefense.explain import (
     verify_answer,
     well_formed_action,
 )
-from fortdefense.kr.beliefs import Belief, check_executable, close_defined, progress
+from fortdefense.kr.beliefs import (
+    Belief,
+    check_executable,
+    close_defined,
+    observe_world,
+    progress,
+)
 from fortdefense.kr.goals import Goal, select_goal
 from fortdefense.kr.lang import Atom, Literal
 from fortdefense.kr.plan import candidate_actions
@@ -59,19 +76,24 @@ def trace(w0_p1_record):
 
 # The size and sha256 of ``save_traces([w0_p1_record], GridConfig(), path)``:
 # the trace format's bytes, pinned so that a change to how the format is
-# written cannot move them unnoticed.  Re-pinned at format version 4, which
-# saves no provenance (each step's is replayed on load): 29,231 bytes,
-# sha256 2934a191..., at version 3.
-GOLDEN_W0_P1_SEED0_TRACE_BYTES = 16_754
-GOLDEN_W0_P1_SEED0_TRACE = "a78deda4992c43f45b25715e59b9d114b561c567d4a00d2a1c872e731a9d0a22"
+# written cannot move them unnoticed.  Re-pinned at format version 5, whose
+# steps save no belief a replay gives: 16,754 bytes, sha256 a78deda4..., at
+# version 4, which saved every step's belief; 29,231 bytes, sha256
+# 2934a191..., at version 3, which also saved provenance.
+GOLDEN_W0_P1_SEED0_TRACE_BYTES = 9_824
+GOLDEN_W0_P1_SEED0_TRACE = "248fd8c6579843a9b4b5671829bd9627dbabb2adcf4bd79a5583ee12eca594e0"
 
 
 def test_golden_w0_trace_bytes(w0_p1_record, tmp_path):
+    """The pinned bytes, in which the episode's first step is the only step
+    line that holds a belief: the loop rebuilt none of its beliefs."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     data = path.read_bytes()
     assert len(data) == GOLDEN_W0_P1_SEED0_TRACE_BYTES
     assert hashlib.sha256(data).hexdigest() == GOLDEN_W0_P1_SEED0_TRACE
+    steps = [d for d in map(json.loads, data.splitlines()) if d["type"] == "step"]
+    assert [d["step"] for d in steps if d["belief"] is not None] == [1]
 
 
 def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
@@ -96,6 +118,54 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
     for got, want in zip(loaded.steps, w0_p1_record.steps, strict=True):
         for f in dataclasses.fields(StepRecord):
             assert getattr(got, f.name) == getattr(want, f.name), (want.step, f.name)
+
+
+def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path):
+    """A chain move (guard1 leaves (4, 4) as attacker1 enters it) makes the
+    loop rebuild the next belief from its observation.  The trace saves the
+    first step's belief and the rebuilt one, and replays the rest; loading
+    gives back every field, and saves back byte for byte."""
+    config = GridConfig(width=8, height=8, n_guards=2, n_attackers=2, max_steps=60)
+    agents = [
+        AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+        AgentState(1, AgentKind.GUARD, 4, 4, Direction.W),
+        AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
+        AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
+    ]
+    no_shots = dict.fromkeys(range(4), 0)
+    states = [WorldState(config, agents, 0, no_shots, dict(no_shots))]
+    controller = AdHocController(config, refit=False, collect_trace=True)
+    controller.begin_episode(states[0], seed=0, policy="chain")
+    chain = {1: Action.move(Direction.N), 2: Action.move(Direction.N)}
+    for others in (chain, {}, {}):
+        state = states[-1]
+        actions = {i: others.get(i, Action.noop()) for i in range(4)}
+        actions[0] = controller.act(state)
+        after, events = step(state, actions)
+        controller.observe(state, actions, after, events)
+        states.append(after)
+    # the episode is cut after three ticks
+    record = controller.finish_episode(
+        EpisodeResult(Outcome.GUARDS_WIN_TIMEOUT, 3, state.shots_fired, state.shots_hit)
+    )
+    assert [s.reconciled for s in record.steps] == [True, False, False]
+    observed = observe_world(states[1], controller.gdom)
+    assert all(record.steps[1].belief.holds(lit) for lit in observed)
+
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_traces([record], config, first)
+    lines = [json.loads(line) for line in first.read_text().splitlines()]
+    assert [d["belief"] is not None for d in lines[1:]] == [True, True, False, True]
+    (loaded,) = load_traces(first)
+    for f in dataclasses.fields(EpisodeRecord):
+        if f.name != "steps":
+            assert getattr(loaded, f.name) == getattr(record, f.name), f.name
+    for got, want in zip(loaded.steps, record.steps, strict=True):
+        for f in dataclasses.fields(StepRecord):
+            assert getattr(got, f.name) == getattr(want, f.name), (want.step, f.name)
+    assert loaded.provenance == EpisodeTrace.from_record(record, config).provenance
+    save_traces([loaded], config, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -172,6 +242,20 @@ def _executing_an_undeclared_action(lines: list) -> int:
     return len(lines)
 
 
+def _with_no_belief_on_the_first_step(lines: list) -> int:
+    """Step 1 has no step before it to replay; the trace is built, and the
+    gap found, at the final line."""
+    lines[1]["belief"] = None
+    return len(lines)
+
+
+def _with_no_belief_after_a_rebuilt_one(lines: list) -> int:
+    """Step 3 is marked rebuilt from its observation, so no replay gives
+    step 4's belief, which the file does not save."""
+    lines[3]["reconciled"] = True
+    return len(lines)
+
+
 def _cut_before_the_final_line(lines: list) -> int:
     del lines[-1]
     return 1
@@ -212,6 +296,11 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
             _executing_an_undeclared_action,
             "step 3 cannot be replayed: unknown action fly(guard0)",
         ),
+        (_with_no_belief_on_the_first_step, "step 1 has no belief and no replay gives it"),
+        (
+            _with_no_belief_after_a_rebuilt_one,
+            "step 4 has no belief and no replay gives it",
+        ),
         (_cut_before_the_final_line, "this episode header has no final line"),
         (
             _with_a_second_header_before_the_final_line,
@@ -231,6 +320,8 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
         "negative-range",
         "fort-off-grid",
         "undeclared-action",
+        "no-first-belief",
+        "no-belief-after-rebuild",
         "no-final-line",
         "header-before-final",
     ],

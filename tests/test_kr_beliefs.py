@@ -13,6 +13,7 @@ consistent beliefs, and every compiled join against the interpreted
 import io
 import itertools
 import linecache
+import re
 import tokenize
 import traceback
 import types
@@ -1102,52 +1103,71 @@ def test_generated_source_holds_no_value_of_the_domain(w0_gdom, quoted_gdom, whi
         assert not [v for v in values if isinstance(v, str) and repr(v) in source]
 
 
+def _reads_its_own_def(fn) -> bool:
+    """Whether the line ``linecache`` holds at ``fn``'s first line is its
+    ``def``."""
+    line = linecache.getline(fn.__code__.co_filename, fn.__code__.co_firstlineno)
+    return line.lstrip().startswith(f"def {fn.__name__}(")
+
+
 def test_each_generated_function_is_named_for_its_axiom_and_entry():
-    """A generated function's file is its join's, named for the axiom and
-    the way its body is entered, and its first line there is its ``def``.
-    Every member of every join is such a function, never a lambda or an
-    ``itemgetter``; only a victim continuation has a ``narrow``; and a
+    """A generated function's file is its join's, named for the grounding,
+    the axiom and the way its body is entered, and its first line there is
+    its ``def``, also when an earlier grounding has joins of the same axiom
+    ids.  Every member of every join is such a function, never a lambda or
+    an ``itemgetter``; only a victim continuation has a ``narrow``; and a
     second grounding generates the same source for every join."""
-    gdom = fort_gdom()  # the file of a join holds the last grounding's source
+    mixed = ground(parse_domain(MIXED), sorts={"s": _S[:3]})
+    mixed_functions = [
+        getattr(join, name) for join in _joins(mixed) for name in _MEMBERS
+        if getattr(join, name) is not None
+    ]
+    gdom = fort_gdom()
     (causal, *_) = gdom.causal_by_action["move"]
     (window, *_) = gdom.windows
     (definition, *_) = gdom.definitions
     (default,) = gdom.defaults
     (*_, blocker) = gdom.exec_by_action["shoot"]
+    grounding = causal.on_action.name.split()[0]
+    assert re.fullmatch(r"#\d+", grounding)
+    assert mixed.windows[0].on_body[0].name.split()[0] != grounding
     expected = [
-        (causal.on_action.solve, f"<join {causal.axiom_id} on_action>"),
-        (causal.on_action.head, f"<join {causal.axiom_id} on_action>"),
-        (blocker.on_action.first, f"<join {blocker.axiom_id} on_action>"),
-        (window.on_body[0].solve, f"<join {window.axiom_id} on_body[0]>"),
-        (window.on_body[0].scanned, f"<join {window.axiom_id} on_body[0]>"),
-        (window.on_body[0].then.first, f"<join {window.axiom_id} on_body[0] then>"),
-        (window.on_body[0].then.narrow, f"<join {window.axiom_id} on_body[0] then>"),
-        (window.unbound.run, f"<join {window.axiom_id} unbound>"),
-        (definition.on_head.first, f"<join {definition.axiom_id} on_head>"),
-        (definition.unbound.head, f"<join {definition.axiom_id} unbound>"),
-        (default.on_head.match, f"<join {default.axiom_id} on_head>"),
-        (default.unbound.head, f"<join {default.axiom_id} unbound>"),
+        (causal.on_action.solve, f"{causal.axiom_id} on_action"),
+        (causal.on_action.head, f"{causal.axiom_id} on_action"),
+        (blocker.on_action.first, f"{blocker.axiom_id} on_action"),
+        (window.on_body[0].solve, f"{window.axiom_id} on_body[0]"),
+        (window.on_body[0].scanned, f"{window.axiom_id} on_body[0]"),
+        (window.on_body[0].then.first, f"{window.axiom_id} on_body[0] then"),
+        (window.on_body[0].then.narrow, f"{window.axiom_id} on_body[0] then"),
+        (window.unbound.run, f"{window.axiom_id} unbound"),
+        (definition.on_head.first, f"{definition.axiom_id} on_head"),
+        (definition.unbound.head, f"{definition.axiom_id} unbound"),
+        (default.on_head.match, f"{default.axiom_id} on_head"),
+        (default.unbound.head, f"{default.axiom_id} unbound"),
     ]
     assert blocker.axiom_id == "exec:10"
-    for fn, filename in expected:
-        assert fn.__code__.co_filename == filename
-        assert linecache.getline(filename, fn.__code__.co_firstlineno).lstrip().startswith(
-            f"def {fn.__name__}("
-        )
+    for fn, name in expected:
+        assert fn.__code__.co_filename == f"<join {grounding} {name}>"
+        assert _reads_its_own_def(fn), name
     joins = _joins(gdom)
     victims = [join.then for join in joins if join.then is not None]
     assert victims
     for join in joins:
         assert (join.narrow is not None) == any(join is v for v in victims), join.name
+        assert join.name.startswith(f"{grounding} "), join.name
         for name in _MEMBERS:
             fn = getattr(join, name)
             if fn is not None:
                 assert type(fn) is types.FunctionType and fn.__name__ == name, join.name
                 assert fn.__code__.co_filename == f"<join {join.name}>"
+    # the joins ground first still read their own lines
+    assert mixed_functions and all(map(_reads_its_own_def, mixed_functions))
 
     def sources():
-        names = [join.name for join in _joins(fort_gdom())]
-        return {name: linecache.getlines(f"<join {name}>") for name in names}
+        return {
+            join.name.split(" ", 1)[1]: linecache.getlines(f"<join {join.name}>")
+            for join in _joins(fort_gdom())
+        }
 
     first = sources()
     assert all(first.values())

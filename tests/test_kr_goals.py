@@ -1,7 +1,9 @@
 """Goal-priority rule, its support, and relevance-driven granularity."""
 
+import itertools
 import math
 
+import pytest
 from hypothesis import given, settings
 from test_kr_plan import _W0_GDOM, w0_situations
 
@@ -19,7 +21,7 @@ from fortdefense.kr.goals import (
     region_center,
     select_goal,
 )
-from fortdefense.kr.ground import ground
+from fortdefense.kr.ground import ground, region_symbol_of
 from fortdefense.kr.lang import Atom, Literal, parse_domain
 
 
@@ -248,6 +250,25 @@ def test_relevance_adds_the_corridor_to_the_goal():
     expected = positional | corridor_regions(config, (2, 14), (0, 4)) | {"r5"}
     assert compute_relevance(b, occupy, None, gdom) == expected
     assert {"r5", "r10"} <= expected
+
+
+@pytest.mark.parametrize(
+    "config", [GridConfig(), GridConfig(width=10, height=7)], ids=["20x20", "10x7"]
+)
+def test_the_corridor_is_every_region_a_cell_of_the_box_is_in(config):
+    """On every box of the grid, given by either pair of opposite corners,
+    ``corridor_regions`` is the set of the regions of the box's cells, also
+    where ``REGION_BLOCK`` does not divide the grid (10 by 7)."""
+    symbol = {
+        (x, y): region_symbol_of(config, x, y)
+        for x in range(config.width)
+        for y in range(config.height)
+    }
+    for x0, x1 in itertools.combinations_with_replacement(range(config.width), 2):
+        for y0, y1 in itertools.combinations_with_replacement(range(config.height), 2):
+            per_cell = {symbol[x, y] for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+            assert corridor_regions(config, (x0, y0), (x1, y1)) == per_cell
+            assert corridor_regions(config, (x1, y0), (x0, y1)) == per_cell
 
 
 def test_predicted_cell_region_joins_fine_set():
