@@ -953,22 +953,3 @@ def terminal(state: WorldState) -> Optional[EpisodeResult]:
         shots_fired=dict(state.shots_fired),
         shots_hit=dict(state.shots_hit),
     )
-
-
-def state_to_dict(state: WorldState) -> dict:
-    """JSON-friendly snapshot with deterministic ordering."""
-    return {
-        "step": state.step_count,
-        "agents": [
-            {
-                "id": a.id,
-                "kind": a.kind.value,
-                "x": a.x,
-                "y": a.y,
-                "dir": a.direction.name,
-                "alive": a.alive,
-            }
-            for a in sorted(state.agents, key=lambda a: a.id)
-        ],
-    }
-

@@ -32,8 +32,9 @@ declared once, in codec tables of one row per JSON key (``_HEADER``,
 and ``load_traces`` walk.  A trace replays each step's progression, from
 its belief and executed atoms, through the domain grounded from its
 configuration (:class:`EpisodeTrace`), to the step's provenance and the
-next step's belief; neither is saved where that replay gives it, so a
-step saves a belief only first and after a ``reconciled`` step.
+next step's belief (the last step's to the final belief); neither is
+saved where that replay gives it, so a belief is saved only on the first
+step and after a ``reconciled`` step, the last one's on the final line.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from fortdefense.loop import (
 # the binding perfbench/tracing.py wraps; groundings come from loop
 ground = _ground
 
-TRACE_FORMAT_VERSION = 5
+TRACE_FORMAT_VERSION = 6
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -265,9 +266,10 @@ class EpisodeTrace(EpisodeRecord):
     once, to query.  When the trace is built, each step's progression is
     replayed from its belief and executed atoms: ``provenance`` maps the
     step to the rule instances behind it (none where it is inconsistent),
-    and a next step without a belief (a loaded one) takes its result, unless
-    the step was ``reconciled`` (the loop rebuilt the next belief from its
-    observation).  ``steps`` becomes a tuple then, so no step joins later."""
+    and a next step without a belief (a loaded one) takes its result, as
+    does a missing final belief after the last step, unless the step was
+    ``reconciled`` (the loop rebuilt the next belief from its observation).
+    ``steps`` becomes a tuple then, so no step joins later."""
 
     config: GridConfig = field(kw_only=True)
     gdom: GroundedDomain = field(repr=False, default=None)
@@ -294,6 +296,10 @@ class EpisodeTrace(EpisodeRecord):
             if rec.reconciled:  # the loop rebuilt the next belief from its observation
                 replayed = None
             self.provenance[rec.step] = tuple(entries)
+        if self.final_belief is None and self.steps:
+            if replayed is None:
+                raise ValueError("the final belief is missing and no replay gives it")
+            self.final_belief = replayed
 
     @classmethod
     def from_record(cls, record: EpisodeRecord, config: GridConfig) -> "EpisodeTrace":
@@ -420,8 +426,8 @@ def _valid_config(**fields) -> GridConfig:
     return config
 
 
-# The trace format, each saved object once.  A step saves a missing chosen
-# action, and a belief that replay gives (see ``save_traces``), as null.
+# The trace format, each saved object once.  A missing chosen action, and a
+# belief that replay gives (see ``save_traces``), save as null.
 
 _CONFIG = _object(
     "a config",
@@ -488,7 +494,7 @@ _STEP = _object(
 )
 
 _FINAL = _object(
-    "a final line", dict, ("belief", _optional(_BELIEF, []), "final_belief"), type="final"
+    "a final line", dict, ("belief", _optional(_BELIEF, None), "final_belief"), type="final"
 )
 
 
@@ -506,12 +512,13 @@ def save_traces(
         for rec in records:
             # the header holds the record's own fields and the configuration given
             f.write(dump(_encode(_HEADER, SimpleNamespace(**{**vars(rec), "config": config}))))
-            replayed = False  # whether the step's belief is the replay of the one before
+            replayed = False  # whether the belief next saved is the replay of the step before
             for s in rec.steps:
                 saved = SimpleNamespace(**{**vars(s), "belief": None}) if replayed else s
                 f.write(dump(_encode(_STEP, saved)))
                 replayed = not s.reconciled
-            f.write(dump(_encode(_FINAL, rec)))
+            final = SimpleNamespace(final_belief=None) if replayed else rec
+            f.write(dump(_encode(_FINAL, final)))
     return len(records)
 
 
@@ -522,7 +529,8 @@ def load_traces(path) -> list[EpisodeTrace]:
     provenance through that grounding.  A line this format cannot read
     raises a ValueError that names the file, the line and the reason, as
     does an episode header that no final line closes, and a final line
-    whose episode executes an action the domain does not declare."""
+    whose episode executes an action the domain does not declare, or whose
+    null belief no replay gives."""
     # each distinct atom or literal is parsed once: a trace repeats the
     # same belief atoms at every step
     reader = SimpleNamespace(

@@ -51,8 +51,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import linecache
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -530,7 +530,7 @@ def ground(
 
     # --- compile axioms ----------------------------------------------------
     wanted: list[tuple[Join, str]] = []
-    compiled = functools.partial(_compiled, gdom, wanted=wanted, grounding=next(_GROUNDINGS))
+    compiled = functools.partial(_compiled, gdom, wanted=wanted)
     for law in desc.causal_laws:
         atoms = [law.action, law.effect.atom] + [l.atom for l in law.conditions]
         _infer_var_sorts(gdom, law.axiom_id, law.text, atoms)
@@ -616,20 +616,17 @@ def ground(
     return gdom
 
 
-_GROUNDINGS = itertools.count(1)  # numbers the process's groundings, for their joins' names
-
-
-def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list, grounding: int):
+def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list):
     """``rule`` with its body compiled for each way it is entered.  Each
     join goes on ``wanted`` with the members the reasoner reads: its entry
     function, ``head`` where the body binds the head, and on a negative
     window's triggers ``scanned``; a victim continuation goes with
     ``first``, and with ``narrow`` behind a trigger.  A join whose body
     cannot be bound (see :func:`compile_join`) is a grounding error that
-    names the axiom.  A join's name gives the grounding, the axiom and the way in."""
+    names the axiom.  A join's name gives the axiom and the way in."""
 
     def join(way: str, reads: tuple, body, entry=None, victims=("first",), **out) -> Join:
-        made = compile_join(gdom, body, entry, name=f"#{grounding} {rule.axiom_id} {way}", **out)
+        made = compile_join(gdom, body, entry, name=f"{rule.axiom_id} {way}", **out)
         if out.get("head") is not None:
             reads += ("head",)
         for part, members in ((made, reads), (made.then, victims)):
@@ -707,10 +704,11 @@ def _tuple(names: Iterable[str]) -> str:
 def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
     """Compile the members ``wanted`` names, as ``(join, member)``, from
     one source: a factory per join takes the join's values as its
-    arguments and returns its functions.  A function's file name is its
-    join's (``<join #3 exec:7 on_action>``, for the third grounding of the
-    process); :mod:`linecache` holds the join's functions under it, so a
-    traceback or a profile shows the generated line."""
+    arguments and returns its functions.  Each function has a file of its
+    own, named for its join, its member and a checksum of its source
+    (``<join exec:7 on_action first 1a2b3c4d>``), which :mod:`linecache`
+    holds, so a traceback or a profile shows the generated line.  The same
+    function from any grounding shares that one file."""
     entries: dict[Join, dict[str, list[str]]] = {}
     for join, entry in wanted:
         entries.setdefault(join, {})[entry] = join._source(entry)
@@ -723,14 +721,14 @@ def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
     namespace = {"Atom": Atom, "GroundingError": GroundingError}
     exec(compile("\n".join(lines), "<joins>", "exec"), namespace)
     for k, (join, functions) in enumerate(entries.items()):
-        filename = f"<join {join.name}>"
         made = namespace[f"join{k}"](*join._values)
         for (entry, text), fn in zip(functions.items(), made):
-            start = len(join._lines) + 1
-            fn.__code__ = fn.__code__.replace(co_filename=filename, co_firstlineno=start)
-            join._lines += [line + "\n" for line in text]
+            source = [line + "\n" for line in text]
+            checksum = zlib.crc32("".join(source).encode())
+            filename = f"<join {join.name} {entry} {checksum:08x}>"
+            fn.__code__ = fn.__code__.replace(co_filename=filename, co_firstlineno=1)
+            linecache.cache[filename] = (0, None, source, filename)
             setattr(join, entry, fn)
-        linecache.cache[filename] = (0, None, join._lines, filename)
 
 
 class Join:
@@ -765,18 +763,15 @@ class Join:
     be bound in this order, or is None (see :func:`compile_join`).
     """
 
-    __slots__ = (
-        "name", "variables", "then", "unbindable", *_SIGNATURES, "_values", "_members", "_lines"
-    )
+    __slots__ = ("name", "variables", "then", "unbindable", *_SIGNATURES, "_values", "_members")
 
     def __init__(self, name, variables, values, members, unbindable):
-        self.name: str = name  # the grounding, the axiom and the way its body is entered
+        self.name: str = name  # the axiom and the way its body is entered
         self.variables: tuple[Variable, ...] = variables
         self.then: Optional[Join] = None
         self.unbindable: Optional[str] = unbindable
         self._values = values  # what the generated source names v0, v1, ...
         self._members = members  # by member: (slots it is given, items, last statement)
-        self._lines: list[str] = []  # the source of the functions generated so far
         for member in _SIGNATURES.keys() - members.keys():
             setattr(self, member, None)
 

@@ -26,10 +26,11 @@ this package the two agree: ``env.legal_actions`` and the domain's
 symbolic transition cannot express, a chain of moves through
 just-vacated cells, never arises.  The rebuild matters only to callers
 that feed ``env.step`` actions outside ``legal_actions``.  Progression
-here records no provenance: a step record keeps the tick-start belief
-and the executed atoms, from which a trace replays it and the next
-belief where it was not rebuilt (``explain.EpisodeTrace``).  The domain
-is grounded once per configuration and horizon (:func:`grounded_domain`).
+here records no provenance: every tick appends a step record to the
+episode record, which keeps the tick-start belief and the executed
+atoms, from which a trace replays it and the next belief where it was
+not rebuilt (``explain.EpisodeTrace``).  The domain is grounded once per
+configuration (:func:`grounded_domain`), whatever the horizon.
 
 Progression stops once the guard is down: a tick that starts with the
 guard down leaves the belief as it is, since no decision reads it again.
@@ -130,15 +131,17 @@ def load_domain() -> DomainDescription:
     return parse_domain(load_domain_text())
 
 
-_GROUNDED: dict[tuple[GridConfig, int], GroundedDomain] = {}
+_GROUNDED: dict[GridConfig, GroundedDomain] = {}
 
 
-def grounded_domain(config: GridConfig, horizon: int = 8) -> GroundedDomain:
-    """The packaged domain grounded against ``config``, once per ``(config,
-    horizon)``: every controller and trace on it shares the one grounding."""
-    if (config, horizon) not in _GROUNDED:
-        _GROUNDED[config, horizon] = ground(load_domain(), config, horizon=horizon)
-    return _GROUNDED[config, horizon]
+def grounded_domain(config: GridConfig) -> GroundedDomain:
+    """The packaged domain grounded against ``config``, once per
+    configuration: every controller, of any horizon, and every trace on it
+    shares the one grounding (the horizon fills only the ``step`` sort,
+    which no axiom reads)."""
+    if config not in _GROUNDED:
+        _GROUNDED[config] = ground(load_domain(), config)
+    return _GROUNDED[config]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +300,12 @@ class AdHocController:
         *,
         horizon: int = 8,
         refit: bool = True,
-        collect_trace: bool = False,
     ):
         self.config = config
         self.library = library if library is not None else ModelLibrary()
         self.horizon = horizon
         self.refit = refit
-        self.collect_trace = collect_trace
-        self.gdom = grounded_domain(config, horizon)
+        self.gdom = grounded_domain(config)
         self.ah_id = symbol_agent_id(config, self.gdom.ah_symbol)
         self.buffers: dict[int, list[tuple[tuple[float, ...], int]]] = {}
         self.reservoirs: dict[int, list[tuple[tuple[float, ...], int]]] = {}
@@ -370,10 +371,8 @@ class AdHocController:
         record = StepRecord(step=state.step_count + 1, belief=belief, goal=None)
 
         predictions, predicted_next = self._predict(state)
-        record.predictions = {
-            agent_symbol(self.config, aid): kind for aid, kind in predictions.items()
-        }
-        record.predicted_next = dict(predicted_next)
+        record.predictions = predictions
+        record.predicted_next = predicted_next
 
         goal = select_goal(belief, gdom, predicted_next)
         record.goal = goal
@@ -395,11 +394,7 @@ class AdHocController:
             ok, _ = check_executable(belief, self._tail[0], gdom)
             reuse = ok
         if not reuse:
-            kinds_by_sym = {
-                agent_symbol(self.config, aid): kind
-                for aid, kind in predictions.items()
-            }
-            schedule = build_schedule(belief, gdom_t, kinds_by_sym, self.horizon)
+            schedule = build_schedule(belief, gdom_t, predictions, self.horizon)
             result = search_plan(
                 belief, goal, gdom_t, horizon=self.horizon, schedule=schedule
             )
@@ -421,16 +416,15 @@ class AdHocController:
 
     def _finalize_act(self, record: StepRecord) -> None:
         self._pending = record
-        if self.collect_trace and self.record is not None:
-            self.record.steps.append(record)
+        self.record.steps.append(record)
 
     def _predict(
         self, state: WorldState
-    ) -> tuple[dict[int, int], dict[str, tuple[int, int]]]:
+    ) -> tuple[dict[str, int], dict[str, tuple[int, int]]]:
         """Assigned-model action-kind predictions for live external agents,
-        plus the implied next cells (keyed by agent symbol)."""
+        plus the implied next cells, both keyed by agent symbol."""
         lib = self.library
-        predictions: dict[int, int] = {}
+        predictions: dict[str, int] = {}
         predicted_next: dict[str, tuple[int, int]] = {}
         self._last_vec = {}
         self._last_preds = {}
@@ -438,8 +432,8 @@ class AdHocController:
         for agent in sorted(state.agents, key=lambda a: a.id):
             if agent.id == self.ah_id or not agent.alive:
                 continue
-            vec = vectors[agent.id].tolist()  # read once, as Python floats
-            self._last_vec[agent.id] = tuple(vec)
+            vec = tuple(vectors[agent.id].tolist())  # read once, as Python floats
+            self._last_vec[agent.id] = vec
             assigned = lib.assignment.get(agent.id)
             kind = int(ActionKind.NOOP)
             for tid in sorted(lib.models):
@@ -447,8 +441,8 @@ class AdHocController:
                 self._last_preds[(agent.id, tid)] = pred
                 if tid == assigned:
                     kind = pred
-            predictions[agent.id] = kind
             sym = agent_symbol(self.config, agent.id)
+            predictions[sym] = kind
             predicted_next[sym] = predicted_cell(self.config, agent.pos, kind)
         return predictions, predicted_next
 
@@ -691,17 +685,12 @@ def run_games(
     "guard"/"attacker" to lists that collect ``(feature_vector,
     action_kind)`` pairs from every live scripted agent, the vectors
     copied from the rows of one ``extract`` matrix per tick.
+    ``collect_traces`` keeps each episode's record in ``stats.records``.
     """
     stats = GameStats()
     controller: Optional[AdHocController] = None
     if ad_hoc:
-        controller = AdHocController(
-            config,
-            library,
-            horizon=horizon,
-            refit=refit,
-            collect_trace=collect_traces,
-        )
+        controller = AdHocController(config, library, horizon=horizon, refit=refit)
     spec = make_policy(policy)
     for episode in range(n_episodes):
         episode_seed = seed + episode

@@ -33,7 +33,6 @@ from fortdefense.env import (
     WorldState,
     legal_actions,
     reset,
-    state_to_dict,
     step,
     terminal,
 )
@@ -423,7 +422,7 @@ def test_reset_spawn_layout():
         assert a.direction is Direction.N
     # same seed, same spawn; the ad hoc flag only changes agent 0's kind
     again = reset(config, seed=42)
-    assert state_to_dict(again) == state_to_dict(state)
+    assert again == state
     plain = reset(config, seed=42, ad_hoc=False)
     assert all(g.kind is AgentKind.GUARD for g in plain.guards())
 
@@ -486,13 +485,11 @@ def test_off_grid_move_holds_with_warning():
 
 def test_step_does_not_mutate_input_state():
     state = reset(GridConfig(), seed=11)
-    before = state_to_dict(state)
-    fired_before = dict(state.shots_fired)
+    before = state.copy()
     joint = {a.id: Action(ActionKind.MOVE_S) for a in state.guards()}
     joint.update({a.id: Action(ActionKind.MOVE_N) for a in state.attackers()})
     step(state, joint)
-    assert state_to_dict(state) == before
-    assert state.shots_fired == fired_before
+    assert state == before
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +561,7 @@ def test_fixed_script_is_deterministic():
     def run():
         rng = random.Random(99)
         state = reset(config, seed=5)
-        snapshots = [state_to_dict(state)]
+        snapshots = [state]
         while terminal(state) is None:
             joint = {}
             for agent in state.agents:
@@ -572,7 +569,7 @@ def test_fixed_script_is_deterministic():
                     options = legal_actions(state, agent.id)
                     joint[agent.id] = options[rng.randrange(len(options))]
             state, _ = step(state, joint)
-            snapshots.append(state_to_dict(state))
+            snapshots.append(state)
         return snapshots
 
     assert run() == run()

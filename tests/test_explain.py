@@ -76,24 +76,28 @@ def trace(w0_p1_record):
 
 # The size and sha256 of ``save_traces([w0_p1_record], GridConfig(), path)``:
 # the trace format's bytes, pinned so that a change to how the format is
-# written cannot move them unnoticed.  Re-pinned at format version 5, whose
-# steps save no belief a replay gives: 16,754 bytes, sha256 a78deda4..., at
-# version 4, which saved every step's belief; 29,231 bytes, sha256
-# 2934a191..., at version 3, which also saved provenance.
-GOLDEN_W0_P1_SEED0_TRACE_BYTES = 9_824
-GOLDEN_W0_P1_SEED0_TRACE = "248fd8c6579843a9b4b5671829bd9627dbabb2adcf4bd79a5583ee12eca594e0"
+# written cannot move them unnoticed.  Re-pinned at format version 6, whose
+# final line saves no belief a replay gives: 9,824 bytes, sha256
+# 248fd8c6..., at version 5, whose steps saved none; 16,754 bytes, sha256
+# a78deda4..., at version 4, which saved every step's belief; 29,231 bytes,
+# sha256 2934a191..., at version 3, which also saved provenance.
+GOLDEN_W0_P1_SEED0_TRACE_BYTES = 9_153
+GOLDEN_W0_P1_SEED0_TRACE = "59820fbfaf9f56d72166e75a02b182d0b06df3be51c39508480716b145a1d560"
 
 
 def test_golden_w0_trace_bytes(w0_p1_record, tmp_path):
-    """The pinned bytes, in which the episode's first step is the only step
-    line that holds a belief: the loop rebuilt none of its beliefs."""
+    """The pinned bytes, in which the episode's first step is the only line
+    that holds a belief: the loop rebuilt none of its beliefs, so the final
+    line saves null too."""
     path = tmp_path / "trace.jsonl"
     save_traces([w0_p1_record], GridConfig(), path)
     data = path.read_bytes()
     assert len(data) == GOLDEN_W0_P1_SEED0_TRACE_BYTES
     assert hashlib.sha256(data).hexdigest() == GOLDEN_W0_P1_SEED0_TRACE
-    steps = [d for d in map(json.loads, data.splitlines()) if d["type"] == "step"]
+    lines = list(map(json.loads, data.splitlines()))
+    steps = [d for d in lines if d["type"] == "step"]
     assert [d["step"] for d in steps if d["belief"] is not None] == [1]
+    assert lines[-1] == {"type": "final", "belief": None}
 
 
 def test_save_load_save_is_byte_identical(w0_p1_record, tmp_path):
@@ -120,11 +124,18 @@ def test_loading_gives_back_the_recorded_values(w0_p1_record, tmp_path):
             assert getattr(got, f.name) == getattr(want, f.name), (want.step, f.name)
 
 
-def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path):
+@pytest.mark.parametrize(
+    "ticks, saved",
+    [(3, [True, True, False, False]), (1, [True, True])],
+    ids=["three-ticks", "cut-after-the-rebuild"],
+)
+def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path, ticks, saved):
     """A chain move (guard1 leaves (4, 4) as attacker1 enters it) makes the
     loop rebuild the next belief from its observation.  The trace saves the
-    first step's belief and the rebuilt one, and replays the rest; loading
-    gives back every field, and saves back byte for byte."""
+    first step's belief and the rebuilt one, on the next step line or, when
+    the episode is cut right after that tick, on the final line, and
+    replays the rest; loading gives back every field, and saves back byte
+    for byte."""
     config = GridConfig(width=8, height=8, n_guards=2, n_attackers=2, max_steps=60)
     agents = [
         AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
@@ -134,28 +145,29 @@ def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path):
     ]
     no_shots = dict.fromkeys(range(4), 0)
     states = [WorldState(config, agents, 0, no_shots, dict(no_shots))]
-    controller = AdHocController(config, refit=False, collect_trace=True)
+    controller = AdHocController(config, refit=False)
     controller.begin_episode(states[0], seed=0, policy="chain")
     chain = {1: Action.move(Direction.N), 2: Action.move(Direction.N)}
-    for others in (chain, {}, {}):
+    for others in (chain, {}, {})[:ticks]:
         state = states[-1]
         actions = {i: others.get(i, Action.noop()) for i in range(4)}
         actions[0] = controller.act(state)
         after, events = step(state, actions)
         controller.observe(state, actions, after, events)
         states.append(after)
-    # the episode is cut after three ticks
+    # the episode is cut after ``ticks`` ticks
     record = controller.finish_episode(
-        EpisodeResult(Outcome.GUARDS_WIN_TIMEOUT, 3, state.shots_fired, state.shots_hit)
+        EpisodeResult(Outcome.GUARDS_WIN_TIMEOUT, ticks, state.shots_fired, state.shots_hit)
     )
-    assert [s.reconciled for s in record.steps] == [True, False, False]
+    assert [s.reconciled for s in record.steps] == [True, False, False][:ticks]
     observed = observe_world(states[1], controller.gdom)
-    assert all(record.steps[1].belief.holds(lit) for lit in observed)
+    beliefs = [s.belief for s in record.steps] + [record.final_belief]
+    assert all(beliefs[1].holds(lit) for lit in observed)
 
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     save_traces([record], config, first)
     lines = [json.loads(line) for line in first.read_text().splitlines()]
-    assert [d["belief"] is not None for d in lines[1:]] == [True, True, False, True]
+    assert [d["belief"] is not None for d in lines[1:]] == saved
     (loaded,) = load_traces(first)
     for f in dataclasses.fields(EpisodeRecord):
         if f.name != "steps":
@@ -256,6 +268,13 @@ def _with_no_belief_after_a_rebuilt_one(lines: list) -> int:
     return len(lines)
 
 
+def _with_no_final_belief_after_a_rebuilt_one(lines: list) -> int:
+    """The last step is marked rebuilt from its observation, so no replay
+    gives the final belief, which the file does not save."""
+    lines[-2]["reconciled"] = True
+    return len(lines)
+
+
 def _cut_before_the_final_line(lines: list) -> int:
     del lines[-1]
     return 1
@@ -301,6 +320,10 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
             _with_no_belief_after_a_rebuilt_one,
             "step 4 has no belief and no replay gives it",
         ),
+        (
+            _with_no_final_belief_after_a_rebuilt_one,
+            "the final belief is missing and no replay gives it",
+        ),
         (_cut_before_the_final_line, "this episode header has no final line"),
         (
             _with_a_second_header_before_the_final_line,
@@ -322,6 +345,7 @@ def _with_a_second_header_before_the_final_line(lines: list) -> int:
         "undeclared-action",
         "no-first-belief",
         "no-belief-after-rebuild",
+        "no-final-belief-after-rebuild",
         "no-final-line",
         "header-before-final",
     ],
@@ -803,7 +827,7 @@ def test_a_goal_that_already_holds_is_explained_as_satisfied():
     for guard, cell in zip(state.guards(), [(10, 18), (6, 18), (13, 18), (10, 14)]):
         guard.x, guard.y = cell
     assert all(a.y < 4 for a in state.attackers())
-    controller = AdHocController(config, refit=False, collect_trace=True)
+    controller = AdHocController(config, refit=False)
     controller.begin_episode(state)
     controller.act(state)
     trace = EpisodeTrace.from_record(controller.record, config)

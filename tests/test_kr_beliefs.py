@@ -17,6 +17,7 @@ import re
 import tokenize
 import traceback
 import types
+import zlib
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -1110,13 +1111,19 @@ def _reads_its_own_def(fn) -> bool:
     return line.lstrip().startswith(f"def {fn.__name__}(")
 
 
+def _join_files():
+    """The file names :mod:`linecache` holds generated functions under."""
+    return {name for name in linecache.cache if name.startswith("<join ")}
+
+
 def test_each_generated_function_is_named_for_its_axiom_and_entry():
-    """A generated function's file is its join's, named for the grounding,
-    the axiom and the way its body is entered, and its first line there is
-    its ``def``, also when an earlier grounding has joins of the same axiom
-    ids.  Every member of every join is such a function, never a lambda or
-    an ``itemgetter``; only a victim continuation has a ``narrow``; and a
-    second grounding generates the same source for every join."""
+    """A generated function's file is its own, named for its join (the
+    axiom and the way its body is entered), its member and a checksum of
+    its source, and holds only its lines, its ``def`` first; so the joins
+    an earlier grounding made with the same axiom ids still read their own.
+    Every member of every join is such a function, never a lambda or an
+    ``itemgetter``; only a victim continuation has a ``narrow``; and
+    grounding the shipped domain again files no new source."""
     mixed = ground(parse_domain(MIXED), sorts={"s": _S[:3]})
     mixed_functions = [
         getattr(join, name) for join in _joins(mixed) for name in _MEMBERS
@@ -1128,50 +1135,45 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry():
     (definition, *_) = gdom.definitions
     (default,) = gdom.defaults
     (*_, blocker) = gdom.exec_by_action["shoot"]
-    grounding = causal.on_action.name.split()[0]
-    assert re.fullmatch(r"#\d+", grounding)
-    assert mixed.windows[0].on_body[0].name.split()[0] != grounding
     expected = [
-        (causal.on_action.solve, f"{causal.axiom_id} on_action"),
-        (causal.on_action.head, f"{causal.axiom_id} on_action"),
-        (blocker.on_action.first, f"{blocker.axiom_id} on_action"),
-        (window.on_body[0].solve, f"{window.axiom_id} on_body[0]"),
-        (window.on_body[0].scanned, f"{window.axiom_id} on_body[0]"),
-        (window.on_body[0].then.first, f"{window.axiom_id} on_body[0] then"),
-        (window.on_body[0].then.narrow, f"{window.axiom_id} on_body[0] then"),
-        (window.unbound.run, f"{window.axiom_id} unbound"),
-        (definition.on_head.first, f"{definition.axiom_id} on_head"),
-        (definition.unbound.head, f"{definition.axiom_id} unbound"),
-        (default.on_head.match, f"{default.axiom_id} on_head"),
-        (default.unbound.head, f"{default.axiom_id} unbound"),
+        (causal.on_action.solve, f"{causal.axiom_id} on_action solve"),
+        (causal.on_action.head, f"{causal.axiom_id} on_action head"),
+        (blocker.on_action.first, f"{blocker.axiom_id} on_action first"),
+        (window.on_body[0].solve, f"{window.axiom_id} on_body[0] solve"),
+        (window.on_body[0].scanned, f"{window.axiom_id} on_body[0] scanned"),
+        (window.on_body[0].then.first, f"{window.axiom_id} on_body[0] then first"),
+        (window.on_body[0].then.narrow, f"{window.axiom_id} on_body[0] then narrow"),
+        (window.unbound.run, f"{window.axiom_id} unbound run"),
+        (definition.on_head.first, f"{definition.axiom_id} on_head first"),
+        (definition.unbound.head, f"{definition.axiom_id} unbound head"),
+        (default.on_head.match, f"{default.axiom_id} on_head match"),
+        (default.unbound.head, f"{default.axiom_id} unbound head"),
     ]
     assert blocker.axiom_id == "exec:10"
     for fn, name in expected:
-        assert fn.__code__.co_filename == f"<join {grounding} {name}>"
-        assert _reads_its_own_def(fn), name
+        assert re.fullmatch(f"<join {re.escape(name)} [0-9a-f]{{8}}>", fn.__code__.co_filename)
     joins = _joins(gdom)
     victims = [join.then for join in joins if join.then is not None]
     assert victims
+    functions = list(mixed_functions)
     for join in joins:
         assert (join.narrow is not None) == any(join is v for v in victims), join.name
-        assert join.name.startswith(f"{grounding} "), join.name
         for name in _MEMBERS:
             fn = getattr(join, name)
             if fn is not None:
                 assert type(fn) is types.FunctionType and fn.__name__ == name, join.name
-                assert fn.__code__.co_filename == f"<join {join.name}>"
-    # the joins ground first still read their own lines
-    assert mixed_functions and all(map(_reads_its_own_def, mixed_functions))
-
-    def sources():
-        return {
-            join.name.split(" ", 1)[1]: linecache.getlines(f"<join {join.name}>")
-            for join in _joins(fort_gdom())
-        }
-
-    first = sources()
-    assert all(first.values())
-    assert sources() == first
+                functions.append(fn)
+    assert mixed_functions and len(functions) > len(mixed_functions)
+    for fn in functions:
+        filename = fn.__code__.co_filename
+        source = "".join(linecache.getlines(filename))
+        assert fn.__code__.co_firstlineno == 1 and _reads_its_own_def(fn), filename
+        assert source.count("\ndef ") == 0, filename  # its own lines only
+        assert filename.endswith(f" {zlib.crc32(source.encode()):08x}>"), filename
+    filed = _join_files()
+    again = fort_gdom()
+    assert _join_files() == filed
+    assert again.causal_by_action["move"][0].on_action.solve is not causal.on_action.solve
 
 
 def test_a_grounding_error_shows_its_generated_line():
@@ -1183,5 +1185,5 @@ def test_a_grounding_error_shows_its_generated_line():
     with pytest.raises(GroundingError, match="unbound arguments") as info:
         list(join.solve(index, Atom("f", ("a",))))
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<join probe>"' in text
+    assert 'File "<join probe solve ' in text
     assert "raise GroundingError(" in text

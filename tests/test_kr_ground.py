@@ -317,7 +317,7 @@ def test_restrictions_and_cache_hits_compile_no_join(monkeypatch):
     grounding's generated functions, a cached grounding is not compiled
     again, and reasoning and explaining through them compile nothing."""
     config = GridConfig(width=9, height=9, n_guards=2, n_attackers=2, max_steps=6)
-    gdom = grounded_domain(config, 8)
+    gdom = grounded_domain(config)
     compiled = []
     generate = ground_module._generate
     monkeypatch.setattr(
@@ -325,7 +325,7 @@ def test_restrictions_and_cache_hits_compile_no_join(monkeypatch):
     )
     regions = all_region_symbols(config)
     views = [restrict(gdom, regions[k : k + 2]) for k in range(10)]
-    assert grounded_domain(config, 8) is gdom
+    assert grounded_domain(config) is gdom
     state = reset(config, 0)
     belief = complete_initial(observe_world(state, gdom), gdom).belief
     for view in views:

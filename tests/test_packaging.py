@@ -1,13 +1,15 @@
 """The package metadata names only things that exist, the benchmark's calls
 into the package still resolve, the shipped domain declares no vocabulary
 it never uses and no action twice, no module imports a name it never uses,
-and no module defines a private name it never reads."""
+no module defines a private name it never reads, and no public name goes
+unread by the package and the benchmark."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
 import pathlib
+from typing import Iterable
 
 import pytest
 
@@ -218,18 +220,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-def unread_private_names(source: str) -> list[str]:
-    """Module-level private names (``_x``, dunders aside) that a module
-    defines by ``def``, ``class`` or assignment and never reads."""
-    tree = ast.parse(source)
+def defined_names(source: str) -> set[str]:
+    """The names a module defines at module level by ``def``, ``class`` or
+    assignment."""
     defined = set()
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 defined |= {n.id for n in ast.walk(target) if type(n) is ast.Name}
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names (``_x``, dunders aside) that a module
+    defines by ``def``, ``class`` or assignment and never reads."""
+    tree = ast.parse(source)
+    defined = defined_names(source)
     names = [n for n in ast.walk(tree) if type(n) is ast.Name]
     read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
     dunder = {n for n in defined if n.startswith("__") and n.endswith("__")}
@@ -258,3 +267,59 @@ def test_no_module_defines_a_private_name_it_never_reads():
         if (names := unread_private_names(p.read_text()))
     }
     assert unread == {}
+
+
+def names_read(sources: Iterable[str]) -> set[str]:
+    """Every name the sources read: as a name, as an attribute, or by
+    importing it."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if type(node) is ast.Name and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif type(node) is ast.Attribute and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif type(node) is ast.ImportFrom:
+                read |= {a.name for a in node.names}
+    return read
+
+
+def unread_public_names(source: str, read: set[str]) -> list[str]:
+    """Module-level public names that a module defines by ``def``,
+    ``class`` or assignment and that are not among the names ``read``."""
+    return sorted(n for n in defined_names(source) - read if not n.startswith("_"))
+
+
+def test_unread_public_names_are_found():
+    defining = (
+        "def orphan():\n    return USED\n"
+        "USED, SPARE = 1, 2\n"
+        "class Kept:\n    pass\n"
+        "def imported():\n    pass\n"
+        "def _private():\n    pass\n"
+    )
+    reader = "from m import imported\nimport m\nm.Kept()\n"
+    assert unread_public_names(defining, names_read([defining, reader])) == ["SPARE", "orphan"]
+
+
+#: Public names kept with no reader in the package or the benchmark, and why.
+UNREAD_PUBLIC = {
+    # the why/why-not REPL that reads saved traces back (ROADMAP, "Observability")
+    "src/fortdefense/explain.py": ["repl", "run_batch"],
+    # the single-tree learner the reference property of the stacked learner checks
+    "src/fortdefense/models.py": ["learn_ff_tree"],
+}
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmark():
+    """Catches a public function, class or constant that nothing calls any
+    more, which the private-name check cannot see."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    read = names_read(p.read_text() for p in modules + sorted(PERFBENCH.glob("*.py")))
+    unread = {
+        str(p.relative_to(ROOT)): names
+        for p in modules
+        if (names := unread_public_names(p.read_text(), read))
+    }
+    assert unread == UNREAD_PUBLIC
