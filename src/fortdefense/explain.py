@@ -16,9 +16,10 @@ belief:
   recorded predictions and the goal condition it violates or delays is
   reported.
 * **why belief <literal> at step i** — the provenance of the belief,
-  replayed from the earlier steps: the causal law or state constraint
-  that established (or withdrew) it, the initial observation or initial
-  default that assumed it, with inertia bridging the steps in between.
+  replayed from the earlier steps: the causal law that established it,
+  the causal law or state constraint that withdrew it, or the initial
+  observation or initial default that assumed it, with inertia bridging
+  the steps in between.
 
 A trace is the loop's episode record plus the configuration it was
 played on.  Every chain link is an axiom instance, made by one builder,
@@ -1034,7 +1035,7 @@ def why_belief_chain(
                     str(literal),
                     prev_step=str(rec.step),
                 )
-            elif p.how == "direct":
+            else:
                 inst = _rule_instance(
                     "clause_causal",
                     p.rule,
@@ -1043,10 +1044,6 @@ def why_belief_chain(
                     str(literal),
                     action=str(p.action),
                     prev_step=str(rec.step),
-                )
-            else:
-                inst = _rule_instance(
-                    "clause_definition", p.rule, rec.step + 1, p.support, str(literal)
                 )
             return _with_inertia(inst, rec.step + 1, step, literal)
     # unchanged since the initial state

@@ -7,28 +7,34 @@ atom not in the set is false).  Only *inertial* fluents persist; *defined*
 fluents follow from the inertial ones through the definition rules, whose
 bodies hold no defined fluent (``ground`` rejects a recursive definition),
 so one pass over the definitions closes a belief.
-Progression resolves each tick in layers:
+
+Every state constraint on an inertial fluent (a *window*) is a uniqueness
+constraint, ``-p(H) if p(B), c1, ..., cn`` ("an agent occupies one cell",
+"an agent holds one facing"), and its instances come in mirror pairs:
+where ``p(h)`` is retracted because ``p(b)`` holds, ``p(b)`` is retracted
+because ``p(h)`` holds (``ground`` rejects any other shape).  Progression
+resolves each tick in two layers:
 
 1. direct effects of the tick's actions (conflicts raise),
-2. constraint-derived consequences (conflicts with direct effects raise),
-3. inherited atoms carried by inertia, which yield silently to any
-   constraint that retracts them.
+2. inherited atoms carried by inertia.
 
-Its provenance cites the rule instance behind each atom of the first two
-layers and each retraction; an inherited atom needs no record, since it
-is whatever the result holds that the tick did not set.
+The direct atoms are the only triggers the windows need: each retracts
+the inherited atoms it conflicts with, and a conflict with another direct
+atom raises.  Two inherited atoms cannot conflict, since they held
+together in the input.  So the result satisfies every window (or the
+step raises), whatever the domain.  Provenance cites the rule instance
+behind each direct atom and each retraction; an inherited atom needs no
+record, since it is whatever the result holds that the tick did not set.
 
-Progression works from the tick's change, not from the whole belief
-(semi-naive evaluation): state constraints are triggered by the direct
-and derived atoms, and by inherited atoms only for the constraints where
-an inherited atom can still make a difference; defined fluents are
-updated only where an inertial atom was added or removed
-(delete-and-rederive).  Both rest on one precondition: **the input belief
-is closed under the definitions and consistent with the state
-constraints** (:func:`validate` passes).  On the shipped domain every
-belief built by :func:`progress`, by :func:`close_defined` over the
-positive literals of :func:`observe_world`, by :func:`complete_initial`
-and by the control loop's observation step is.
+Progression works from the tick's change: the windows are triggered by
+the direct atoms alone, and defined fluents are updated only where an
+inertial atom was added or removed (delete-and-rederive).  Both rest on
+one precondition: **the
+input belief is closed under the definitions and consistent with the
+windows** (:func:`validate` passes).  On the shipped domain every belief
+built by :func:`close_defined` over the positive literals of
+:func:`observe_world`, by :func:`complete_initial` and by the control
+loop's observation step is, and :func:`progress` keeps it so.
 ``tests/reference_beliefs.py`` keeps the from-scratch versions as the
 reference they are tested against.
 
@@ -36,16 +42,15 @@ A step reads what its input belief already holds instead of rebuilding
 it: the input's predicate index (the inherited atoms, in the order the
 reference meets them), its cached inertial atoms (the change the
 definitions are updated from), and the grounding's compiled victim keys
-(a negative window looks up only the atoms its body binding can retract).
-The step's working valuation serves as the index of the defined-fluent
-update.  A belief also builds its pose table (:attr:`Belief.poses`) once,
-at first use, for the goal rules and the planner's bounds.
+(a window looks up only the atoms its trigger can retract).  The step's
+working valuation serves as the index of the defined-fluent update.  A
+belief also builds its pose table (:attr:`Belief.poses`) once, at first
+use, for the goal rules and the planner's bounds.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -239,17 +244,15 @@ def check_executable(
     return True, None
 
 
-_DIRECT, _DERIVED = 0, 1
-_TAG_NAME = {_DIRECT: "direct", _DERIVED: "derived"}
-
-
 @dataclass(frozen=True)
 class Provenance:
     """Why one atom came to hold (or stopped holding) in a progression
-    step: the rule instance that set it."""
+    step: the rule instance that set it.  ``how`` is "direct" for a causal
+    law's effect and "retracted" for a causal law's negative effect or a
+    window's retraction."""
 
     atom: Atom
-    how: str  # "direct" | "derived" | "retracted"
+    how: str  # "direct" | "retracted"
     rule: CompiledRule  # the causal law or state constraint that fired
     action: Optional[Atom] = None
     support: tuple[Literal, ...] = ()  # ground body literals of the firing rule
@@ -257,15 +260,6 @@ class Provenance:
 
 def _support(body: tuple[Literal, ...], binding: dict) -> tuple[Literal, ...]:
     return tuple(lit.substitute(binding) for lit in body)
-
-
-def _rests_on_inherited(join, env: tuple, tag: dict, working: dict) -> bool:
-    """Whether a body atom the join scanned under ``env`` is inherited: in
-    the working valuation, but not set by the tick."""
-    for atom in join.scanned(env):
-        if atom not in tag and atom in working.get(atom.pred, ()):
-            return True
-    return False
 
 
 def progress(
@@ -279,19 +273,17 @@ def progress(
     """The belief after all of ``actions`` occur simultaneously.
 
     ``belief`` must be closed under the definitions and consistent with the
-    state constraints (see the module docstring); the result is closed.
-    The working valuation holds, by predicate, the direct effects in the
-    order they were set and then the inherited atoms in ``belief``'s index
-    order, read from that index rather than rebuilt.  The constraint
-    closure is queued with the direct effects (sorted), then the inherited
-    atoms that can still trigger a constraint (none, for a domain whose
-    windows all have a negative head and positive fluent bodies, like the
-    shipped one), then derived atoms as they arise.  A negative window
-    looks its victims up by the head argument its body fixes
-    (:attr:`~fortdefense.kr.ground.Join.narrow`), and scans the head's
-    predicate where none is fixed.  The defined fluents are updated from the
-    change in inertial atoms (:func:`close_defined` with ``belief`` as
-    parent and the working valuation as index).
+    windows (see the module docstring); the result is too, or the step
+    raises :class:`InconsistencyError`.  The working valuation holds, by
+    predicate, the direct effects in the order they were set and then the
+    inherited atoms in ``belief``'s index order, read from that index
+    rather than rebuilt.  Each direct atom, in sorted order, triggers the
+    windows on its predicate; a window looks its victims up by the head
+    argument its trigger fixes (:attr:`~fortdefense.kr.ground.Join.narrow`),
+    and scans the head's predicate where none is fixed.  The defined
+    fluents are updated from the change in inertial atoms
+    (:func:`close_defined` with ``belief`` as parent and the working
+    valuation as index).
 
     An action that fails :func:`check_executable` does not occur and is
     dropped (a predicted exogenous action that the evolving plan search
@@ -307,9 +299,9 @@ def progress(
         if action in checked or check_executable(belief, action, gdom)[0]
     ]
 
-    # layer 1: direct effects; `tag` holds the atoms the tick sets, and an
-    # atom of the working valuation that it lacks is inherited
-    tag: dict[Atom, int] = {}
+    # layer 1: the direct effects, in the order they are set; an atom of
+    # the working valuation that is not among them is inherited
+    direct: dict[Atom, None] = {}
     false_by: set[Atom] = set()
     index = belief.index
     for action in kept:
@@ -322,10 +314,10 @@ def progress(
                         raise InconsistencyError(
                             f"direct effects conflict on {atom}", rule.axiom_id
                         )
-                    tag[atom] = _DIRECT
+                    direct[atom] = None
                     how = "direct"
                 else:
-                    if tag.get(atom) == _DIRECT:
+                    if atom in direct:
                         raise InconsistencyError(
                             f"direct effects conflict on {atom}", rule.axiom_id
                         )
@@ -335,13 +327,12 @@ def progress(
                     support = _support(rule.body, join.binding(env))
                     trace.append(Provenance(atom, how, rule, action, support))
 
-    # layer 3 candidates: the working valuation holds, by predicate, the
-    # direct effects in the order they were set, then the input's inertial
-    # atoms in its index order (as the reference adds them), less the
-    # direct retractions
+    # layer 2: the working valuation holds, by predicate, the direct
+    # effects, then the input's inertial atoms in its index order (as the
+    # reference adds them), less the direct retractions
     inertial_preds = gdom.inertial_preds
     working: dict[str, set[Atom]] = {}
-    for atom in tag:
+    for atom in direct:
         working.setdefault(atom.pred, set()).add(atom)
     for pred, atoms in index.items():
         if pred in inertial_preds:
@@ -353,78 +344,28 @@ def progress(
             else:
                 bucket.update(atoms)
 
-    # layer 2: constraint closure over the candidate valuation
-
-    # direct/derived triggers are processed before inherited ones, so an
-    # effect atom retracts the stale inherited pose rather than colliding
-    # with it; a window instance whose body rests on an inherited atom
-    # never overrides a direct or derived atom (inertia yields silently)
-    live = gdom.inherited_window_triggers
-    queue: deque[Atom] = deque(sorted(tag, key=str) if len(tag) > 1 else tag)
-    if live:
-        queue.extend(
-            sorted(
-                (
-                    a
-                    for pred in live
-                    if pred in inertial_preds
-                    for a in index.get(pred, ())
-                    if a not in tag and a not in false_by
-                ),
-                key=str,
-            )
-        )
-    while queue:
-        trigger = queue.popleft()
-        if trigger not in working[trigger.pred]:
-            continue  # retracted since it was queued
-        inherited = trigger not in tag
-        for rule, pos in (live if inherited else gdom.window_triggers).get(trigger.pred, ()):
+    # the windows: each direct atom retracts the inherited atoms it
+    # conflicts with, and a conflict with another direct atom raises
+    for trigger in sorted(direct, key=str) if len(direct) > 1 else direct:
+        bucket = working[trigger.pred]
+        for rule, pos in gdom.window_triggers.get(trigger.pred, ()):
             join = rule.on_body[pos]
-            # solutions are materialized because the loop mutates `working`
-            for env in list(join.solve(working, trigger)):
-                if rule.head.positive:
-                    atom = join.head(env)
-                    bucket = working.setdefault(atom.pred, set())
-                    if atom not in bucket:
-                        if atom in false_by:
-                            raise InconsistencyError(
-                                f"derived atom {atom} contradicts a direct retraction",
-                                rule.axiom_id,
-                            )
-                        tag[atom] = _DERIVED
-                        bucket.add(atom)
-                        queue.append(atom)
-                        if trace is not None:
-                            support = _support(rule.body, join.binding(env))
-                            trace.append(Provenance(atom, "derived", rule, None, support))
+            env = join.first(working, trigger)
+            if env is None:
+                continue
+            victims = join.then
+            for victim in victims.narrow(bucket, env):
+                env2 = victims.first(working, victim, env)
+                if env2 is None:
                     continue
-                body_inherited = inherited or _rests_on_inherited(join, env, tag, working)
-                # negative head: match the atoms currently true whose key
-                # argument the binding fixes against the head, and check the
-                # residual comparisons per match
-                victims = join.then
-                bucket = working.get(rule.head.atom.pred, ())
-                for victim in victims.narrow(bucket, env):
-                    if victim not in bucket:
-                        continue  # retracted by an earlier match
-                    env2 = victims.first(working, victim, env)
-                    if env2 is None:
-                        continue
-                    set_by = tag.get(victim)
-                    if set_by is not None:
-                        if body_inherited:
-                            continue  # inertia yields; symmetric instance wins
-                        raise InconsistencyError(
-                            f"constraint retracts {_TAG_NAME[set_by]} atom {victim}",
-                            rule.axiom_id,
-                        )
-                    bucket.discard(victim)
-                    if trace is not None:
-                        support = _support(
-                            rule.body + rule.residual, victims.binding(env2)
-                        )
-                        trace.append(Provenance(victim, "retracted", rule, None, support))
+                if victim in direct:
+                    raise InconsistencyError(
+                        f"constraint retracts direct atom {victim}", rule.axiom_id
+                    )
+                bucket.discard(victim)
+                if trace is not None:
+                    support = _support(rule.body + rule.residual, victims.binding(env2))
+                    trace.append(Provenance(victim, "retracted", rule, None, support))
 
     inertial = frozenset(itertools.chain.from_iterable(working.values()))
     child = Belief(close_defined(inertial, gdom, belief, index=working))
@@ -433,18 +374,11 @@ def progress(
 
 
 def validate(belief: Belief, gdom: GroundedDomain) -> None:
-    """Raise if any window constraint instance is violated in the belief."""
+    """Raise if any window instance is violated in the belief."""
     index = belief.index
     for rule in gdom.windows:
         join = rule.unbound
         for env in join.run(index, ()):
-            if rule.head.positive:
-                head = join.head(env)
-                if head not in belief.atoms:
-                    raise InconsistencyError(
-                        f"constraint requires missing atom {head}", rule.axiom_id
-                    )
-                continue
             for victim in index.get(rule.head.atom.pred, ()):
                 if join.then.first(index, victim, env) is not None:
                     raise InconsistencyError(

@@ -15,23 +15,31 @@ the belief index), then enumerable statics and sort-membership atoms,
 then computed or negated literals, which must be fully bound by that
 point.  Violations are grounding errors that name the axiom.
 
+A state constraint whose head is an inertial fluent (a *window*) must be
+a uniqueness constraint, ``-p(H) if p(B), c1, ..., cn``: each ``ci`` is a
+``!=`` or ``==`` comparison, and swapping ``H`` and ``B`` position by
+position is a consistent renaming (a constant pairs only with itself, a
+variable with one partner) that leaves the set of comparisons as it is.
+Every instance then has its mirror image, on which progression rests
+(:mod:`fortdefense.kr.beliefs`); any other shape is a grounding error.
+
 Grounding then compiles each body into a :class:`Join` for every way the
 reasoner enters it: by the action (causal laws, executability), by an
 atom of one body literal (window and definition triggers), by the head
-(re-deriving a defined atom, a negative window's victim with its
-residual), and unbound (closure from scratch, validation, defaults).
-Each argument of each literal is worked out once, at grounding: bind a
-new variable, compare with a bound one, or compare with a constant.  That
-compile is also the one bindability check: a body that reaches a literal
-with arguments it cannot bind, or leaves a head variable unbound, is a
+(re-deriving a defined atom, a window's victim with its residual), and
+unbound (closure from scratch, validation, defaults).  Each argument of
+each literal is worked out once, at grounding: bind a new variable,
+compare with a bound one, or compare with a constant.  That compile is
+also the one bindability check: a body that reaches a literal with
+arguments it cannot bind, or leaves a head variable unbound, is a
 grounding error that names the axiom.  From it, :func:`ground` generates
 Python source for every member of a join the reasoner reads: the entry
 function it calls the join through (``solve`` for causal laws and
-triggers, ``first`` for executability, re-derivation and victims, ``run``
-unbound, ``match`` for a default's conclusion), ``head`` where the body
-binds the head, and on a negative window's triggers ``scanned`` and the
-victims' ``narrow``.  All of it is one source compiled once per
-grounding; a restriction shares it.  A generated function holds a
+definition triggers, ``first`` for executability, window triggers,
+re-derivation and victims, ``run`` unbound, ``match`` for a default's
+conclusion), ``head`` where the body binds the head, and the victims'
+``narrow``.  All of it is one source compiled once per grounding; a
+restriction shares it.  A generated function holds a
 variable per slot (``s0, s1, ...``) and one ``for`` loop per enumerating
 literal with its comparisons and tests inline.  Every value of the
 domain or the configuration (a predicate, a constant, a table, a
@@ -41,8 +49,8 @@ depend on it): literals in body order, each predicate's atoms in the
 order of the index the join is given (a bound first argument is one more
 comparison, not a sub-index), static rows in sorted order, sort members
 in declared order.  A ``{Variable: value}`` dict is built only where a
-binding is rendered (:meth:`Join.binding`).  A negative window looks its
-victims up by a key (:attr:`Join.narrow`): of the head predicate's atoms,
+binding is rendered (:meth:`Join.binding`).  A window looks its victims
+up by a key (:attr:`Join.narrow`): of the head predicate's atoms,
 only those whose argument at the first position its body binding fixes
 has that value, still in index order.
 """
@@ -52,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import linecache
+import types
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -289,10 +298,10 @@ class CompiledRule:
     constraint), the conclusion (default), or None (executability).
     ``action`` is the triggering action pattern where applicable.
 
-    For constraints with a negative head, ``body`` holds only the literals
-    evaluable before the head is bound; ``residual`` holds the rest
-    (typically comparisons over head variables), checked per candidate
-    atom matched against the head pattern.
+    For a window (a uniqueness constraint), ``body`` holds only the
+    literals evaluable before the head is bound; ``residual`` holds the
+    rest (the comparisons over head variables), checked per candidate atom
+    matched against the head pattern.
 
     The body is compiled once for each way it is entered (see
     :class:`Join`): ``on_action`` by the action (causal laws and
@@ -301,7 +310,7 @@ class CompiledRule:
     triggers; None where no trigger enters); ``on_head`` by the head
     (re-deriving a defined atom, matching a default's conclusion); and
     ``unbound`` from nothing (closure from scratch, validation, defaults).
-    A negative window's body joins end in the victim continuation.
+    A window's body joins end in the victim continuation.
     """
 
     axiom_id: str
@@ -336,11 +345,9 @@ def _order_body(body: tuple[Literal, ...], gdom: "GroundedDomain") -> tuple[Lite
 def _split_residual(
     body: tuple[Literal, ...], gdom: "GroundedDomain"
 ) -> tuple[tuple[Literal, ...], tuple[Literal, ...]]:
-    """Split a negative window's ordered body into the prefix solvable
-    before its head is bound and the residual: the computed or negated
-    literals that read a variable the prefix leaves unbound, tested once a
-    victim has bound the head.  A residual literal that the head does not
-    bind either is reported when the victim continuation is compiled."""
+    """Split a window's ordered body into the prefix solvable before its
+    head is bound and the residual: the comparisons that read a variable
+    the prefix leaves unbound, tested once a victim has bound the head."""
     bound: set[str] = set()
     pre: list[Literal] = []
     residual: list[Literal] = []
@@ -352,6 +359,28 @@ def _split_residual(
         else:
             residual.append(lit)
     return tuple(pre), tuple(residual)
+
+
+def _not_unique(head: Literal, body: Sequence[Literal]) -> Optional[str]:
+    """Why the window ``head if body`` is not a uniqueness constraint (see
+    the module docstring), or None."""
+    if head.positive:
+        return "its head is positive"
+    literals = [lit for lit in body if lit.atom.pred not in _OPERATORS]
+    if len(literals) != 1 or literals[0].atom.pred != head.atom.pred:
+        return f"its body must hold one {head.atom.pred} literal besides comparisons"
+    if not all(lit.positive for lit in body):
+        return "its body holds a negated literal"
+    swap: dict = {}
+    for h, b in zip(head.atom.args, literals[0].atom.args):
+        if h != b and not (isinstance(h, Variable) and isinstance(b, Variable)):
+            return f"{h!r} pairs with {b!r}, and a constant pairs only with itself"
+        if swap.setdefault(h, b) != b or swap.setdefault(b, h) != h:
+            return "swapping its head and body literal is not a renaming"
+    comparisons = {(c.atom.pred, frozenset(c.atom.args)) for c in body if c not in literals}
+    if {(op, frozenset(swap.get(a, a) for a in args)) for op, args in comparisons} != comparisons:
+        return "swapping its head and body literal changes its comparisons"
+    return None
 
 
 def _vars_of(atom: Atom) -> set[Variable]:
@@ -415,13 +444,9 @@ class GroundedDomain:
     windows: list[CompiledRule] = field(default_factory=list)
     definitions: list[CompiledRule] = field(default_factory=list)
     defaults: list[CompiledRule] = field(default_factory=list)
-    #: (window, body position) for each positive fluent body literal, by
-    #: predicate: the constraints a direct or derived atom triggers
+    #: (window, position of its one fluent body literal), by predicate:
+    #: the constraints a direct atom triggers
     window_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(default_factory=dict)
-    #: the subset an inherited atom still triggers (see ``ground``)
-    inherited_window_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(
-        default_factory=dict
-    )
     #: (definition, body position) for each fluent body literal, by predicate
     definition_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(
         default_factory=dict
@@ -495,7 +520,8 @@ def ground(
     explicit ``sorts``/``statics``.  ``horizon`` only populates the
     ``step`` sort.  A definition whose body holds a defined fluent is
     rejected: the defined fluents are closed in one pass over the
-    definitions (:func:`~fortdefense.kr.beliefs.close_defined`).
+    definitions (:func:`~fortdefense.kr.beliefs.close_defined`).  So is a
+    window that is not a uniqueness constraint (:func:`_not_unique`).
     """
     if sorts is None:
         sorts = populate_sorts(desc, config, horizon)
@@ -554,20 +580,18 @@ def ground(
             rule = compiled(rule)
             gdom.definitions.append(rule)
         else:
-            # negative inertial heads bind remaining variables against the
-            # current belief; positive inertial heads must bind from the body
-            if con.head.positive:
-                rule = CompiledRule(con.axiom_id, con.text, "window", None, con.head, body)
-            else:
-                pre, residual = _split_residual(body, gdom)
-                rule = CompiledRule(
-                    con.axiom_id, con.text, "window", None, con.head, pre, residual
+            problem = _not_unique(con.head, con.body)
+            if problem is not None:
+                raise GroundingError(
+                    f"axiom {con.axiom_id} ({con.text}): not a uniqueness constraint "
+                    f"-p(H) if p(B), c1, ..., cn: {problem}"
                 )
+            pre, residual = _split_residual(body, gdom)
+            rule = CompiledRule(con.axiom_id, con.text, "window", None, con.head, pre, residual)
             rule = compiled(rule)
             gdom.windows.append(rule)
-            for i, lit in enumerate(rule.body):
-                if lit.positive and lit.atom.pred in gdom.fluent_decls:
-                    gdom.window_triggers.setdefault(lit.atom.pred, []).append((rule, i))
+            # the fluent literal comes first in evaluation order
+            gdom.window_triggers.setdefault(con.head.atom.pred, []).append((rule, 0))
     for ex in desc.executabilities:
         atoms = [ex.action] + [l.atom for l in ex.conditions]
         _infer_var_sorts(gdom, ex.axiom_id, ex.text, atoms)
@@ -589,29 +613,6 @@ def ground(
         for i, lit in enumerate(rule.body):
             if lit.atom.pred in gdom.fluent_decls:
                 gdom.definition_triggers.setdefault(lit.atom.pred, []).append((rule, i))
-    # On a consistent input, an instance of a negative-head window whose
-    # fluent literals are all positive and none derivable by a positive-head
-    # window changes nothing when an inherited atom triggers it: its body
-    # either rests on inherited atoms alone, which held together with any
-    # inherited victim in the input, or contains a direct atom, whose
-    # trigger ran first and found the same instance.  A negated literal can
-    # open an instance without any trigger, and a derived body atom is
-    # queued after the inherited ones, so inherited atoms still trigger
-    # those windows and positive-head ones.
-    derivable = {r.head.atom.pred for r in gdom.windows if r.head.positive}
-    for pred, entries in gdom.window_triggers.items():
-        live = [
-            (rule, pos)
-            for rule, pos in entries
-            if rule.head.positive
-            or any(
-                lit.atom.pred in gdom.fluent_decls
-                and (not lit.positive or lit.atom.pred in derivable)
-                for lit in rule.body + rule.residual
-            )
-        ]
-        if live:
-            gdom.inherited_window_triggers[pred] = live
     _generate(wanted)
     return gdom
 
@@ -619,11 +620,11 @@ def ground(
 def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list):
     """``rule`` with its body compiled for each way it is entered.  Each
     join goes on ``wanted`` with the members the reasoner reads: its entry
-    function, ``head`` where the body binds the head, and on a negative
-    window's triggers ``scanned``; a victim continuation goes with
-    ``first``, and with ``narrow`` behind a trigger.  A join whose body
-    cannot be bound (see :func:`compile_join`) is a grounding error that
-    names the axiom.  A join's name gives the axiom and the way in."""
+    function and ``head`` where the body binds the head; a victim
+    continuation goes with ``first``, and with ``narrow`` behind a
+    trigger.  A join whose body cannot be bound (see
+    :func:`compile_join`) is a grounding error that names the axiom.  A
+    join's name gives the axiom and the way in."""
 
     def join(way: str, reads: tuple, body, entry=None, victims=("first",), **out) -> Join:
         made = compile_join(gdom, body, entry, name=f"{rule.axiom_id} {way}", **out)
@@ -643,20 +644,19 @@ def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list):
         return dataclasses.replace(
             rule, on_action=join("on_action", reads, rule.body, rule.action, head=head)
         )
-    negative = rule.kind == "window" and not rule.head.positive
-    out = {"then": (head, rule.residual)} if negative else {"head": head}
+    window = rule.kind == "window"
+    out = {"then": (head, rule.residual)} if window else {"head": head}
     on_body: tuple[Optional[Join], ...] = ()
     on_head = None
     if rule.kind in ("window", "definition"):
-        # windows are triggered by positive fluent literals, definitions by any
-        reads = ("solve", "scanned") if negative else ("solve",)
+        # each fluent body literal is a trigger
+        reads = ("first",) if window else ("solve",)
         on_body = tuple(
             join(
                 f"on_body[{i}]", reads, rule.body[:i] + rule.body[i + 1 :], lit.atom,
                 victims=("first", "narrow"), **out,
             )
             if lit.atom.pred in gdom.fluent_decls
-            and (lit.positive or rule.kind == "definition")
             else None
             for i, lit in enumerate(rule.body)
         )
@@ -688,7 +688,7 @@ def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomai
 _SIGNATURES = {
     "match": "atom, env=()", "run": "index, env",
     "solve": "index, atom, env=()", "first": "index, atom, env=()",
-    "head": "env", "scanned": "env", "narrow": "atoms, env=()",
+    "head": "env", "narrow": "atoms, env=()",
 }
 
 #: The builtin comparisons, written inline.
@@ -707,8 +707,9 @@ def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
     arguments and returns its functions.  Each function has a file of its
     own, named for its join, its member and a checksum of its source
     (``<join exec:7 on_action first 1a2b3c4d>``), which :mod:`linecache`
-    holds, so a traceback or a profile shows the generated line.  The same
-    function from any grounding shares that one file."""
+    holds, so a traceback or a profile shows the generated line; so does
+    the code nested in it (a list comprehension's), filed with it.  The
+    same function from any grounding shares that one file."""
     entries: dict[Join, dict[str, list[str]]] = {}
     for join, entry in wanted:
         entries.setdefault(join, {})[entry] = join._source(entry)
@@ -726,9 +727,21 @@ def _generate(wanted: Iterable[tuple[Join, str]]) -> None:
             source = [line + "\n" for line in text]
             checksum = zlib.crc32("".join(source).encode())
             filename = f"<join {join.name} {entry} {checksum:08x}>"
-            fn.__code__ = fn.__code__.replace(co_filename=filename, co_firstlineno=1)
+            fn.__code__ = _refiled(fn.__code__, filename, fn.__code__.co_firstlineno - 1)
             linecache.cache[filename] = (0, None, source, filename)
             setattr(join, entry, fn)
+
+
+def _refiled(code: types.CodeType, filename: str, shift: int) -> types.CodeType:
+    """``code`` and the code objects nested in it, filed under
+    ``filename`` with every first line moved up by ``shift``."""
+    consts = tuple(
+        _refiled(c, filename, shift) if isinstance(c, types.CodeType) else c
+        for c in code.co_consts
+    )
+    return code.replace(
+        co_filename=filename, co_firstlineno=code.co_firstlineno - shift, co_consts=consts
+    )
 
 
 class Join:
@@ -747,19 +760,17 @@ class Join:
       returns the first, or None; ``run(index, env)`` yields the
       extensions of a binding that holds the entry's slots;
     - ``head(env)`` builds the rule's head atom from a solution;
-    - ``scanned(env)`` returns the tuple of atoms the positive fluent
-      literals of the body matched in a solution;
     - ``narrow(atoms, env=())`` keeps, as a list and in their order, those
       of a predicate's atoms whose argument at the entry pattern's first
       fixed position (a constant, or a variable the binding holds) has its
-      value: every atom ``match`` accepts is among them, so a negative
-      window looks its victims up by that key.
+      value: every atom ``match`` accepts is among them, so a window looks
+      its victims up by that key.
 
     A join without an entry pattern has ``match``, ``solve`` and ``first``
     None, one compiled without a head has ``head`` None, and one that is
     not a victim continuation has ``narrow`` None.  ``then`` is the victim
-    continuation of a negative window: it matches a victim against the
-    head and checks the residual.  ``unbindable`` says why the body cannot
+    continuation of a window: it matches a victim against the head and
+    checks the residual.  ``unbindable`` says why the body cannot
     be bound in this order, or is None (see :func:`compile_join`).
     """
 
@@ -834,8 +845,8 @@ def compile_join(
     :class:`Join`), generated when :func:`_generate` is given it or at its
     first use: ``head`` where a ``head`` atom is given, ``narrow`` where
     the join continues a ``prefix`` from an entry atom.  ``then`` = (head
-    pattern, residual) compiles the victim continuation of a negative
-    window, which continues the body's binding; ``name`` names the join's
+    pattern, residual) compiles the victim continuation of a window,
+    which continues the body's binding; ``name`` names the join's
     functions' file.
 
     This is the one place bindability is checked.  A literal reached with
@@ -906,7 +917,6 @@ def compile_join(
     given = len(variables)
 
     steps: list[tuple[str, str]] = []
-    scanned = []
     for lit in body:
         pred, args = lit.atom.pred, lit.atom.args
         test = "not in" if lit.positive else "in"  # rejects a binding
@@ -915,7 +925,6 @@ def compile_join(
             if lit.positive:
                 _, target, tests = unify(args)
                 steps += [("for", f"for _, {target} in index.get({value(pred)}, ())"), *tests]
-                scanned.append(instance(lit.atom))
             elif bound(args):
                 steps.append(("if", f"{instance(lit.atom)} in index.get({value(pred)}, ())"))
             else:
@@ -960,7 +969,6 @@ def compile_join(
         members["match"] = (continued, match, f"return {_tuple(f's{i}' for i in range(given))}")
         members["solve"] = (continued, match + steps, f"yield {solution}")
         members["first"] = (continued, match + steps, f"return {solution}")
-    members["scanned"] = (len(variables) if scanned else 0, [], f"return {_tuple(scanned)}")
     if head is not None and (unbound := free(head.args)):
         problems.append(f"head variable(s) {unbound} not bound by the body")
         members["head"] = (0, [], f"raise GroundingError({value(problems[-1])})")

@@ -20,12 +20,19 @@ happened.  Cancelled moves simply do not happen (no atom), rotations are
 read off the post-state, and shots contribute an atom only when they
 hit.  After each progression the belief is checked against the
 observation; on any mismatch it is rebuilt from the observed poses,
-carrying over the unobservable inertial atoms.  On every path through
-this package the two agree: ``env.legal_actions`` and the domain's
-``exec:2`` forbid moves into occupied cells, so the one outcome the
-symbolic transition cannot express, a chain of moves through
-just-vacated cells, never arises.  The rebuild matters only to callers
-that feed ``env.step`` actions outside ``legal_actions``.  Progression
+carrying over the unobservable inertial atoms.  On this observation path
+the two agree: ``env.legal_actions`` and the domain's ``exec:2`` forbid
+moves into occupied cells, so the one outcome the symbolic transition
+cannot express there, a chain of moves through just-vacated cells, never
+arises, and the rebuild matters only to callers that feed ``env.step``
+actions outside ``legal_actions``.  On the *intended* atoms that
+:func:`build_schedule` and the planner progress, the transition is not
+``env.step``'s: two moves into one cell (a contested cell) both succeed,
+where ``env.step`` gives the cell to the lowest agent id; an agent that
+a shot of the same tick kills still moves or turns, where ``env.step``
+leaves it where it fell; and a move into a cell whose occupant leaves it
+in the same tick (a chain move) is refused, where ``env.step`` lets it
+through.  Progression
 here records no provenance: every tick appends a step record to the
 episode record, which keeps the tick-start belief and the executed
 atoms, from which a trace replays it and the next belief where it was

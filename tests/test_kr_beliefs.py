@@ -243,21 +243,25 @@ def test_blocked_exogenous_actions_can_be_dropped():
 # effect conflicts and window interactions
 # ---------------------------------------------------------------------------
 
+# f is a functional fluent: a(X) and b(X) give X two values at once.
 CONFLICT = """
 sort s.
-fluent inertial f(s).
-fluent inertial g(s).
+sort v.
+fluent inertial f(s, v).
 action a(s).
 action b(s).
-a(X) causes f(X).
-b(X) causes g(X).
--f(X) if g(X).
+a(X) causes f(X, one).
+b(X) causes f(X, two).
+-f(X, V1) if f(X, V2), V1 != V2.
 """
 
 
+def conflict_gdom():
+    return ground(parse_domain(CONFLICT), sorts={"s": ("o",), "v": ("one", "two")})
+
+
 def test_window_retracting_a_direct_effect_is_an_inconsistency():
-    desc = parse_domain(CONFLICT)
-    gdom = ground(desc, sorts={"s": ("o",)})
+    gdom = conflict_gdom()
     b = Belief(close_defined([], gdom))
     with pytest.raises(InconsistencyError) as err:
         progress(b, (Atom("a", ("o",)), Atom("b", ("o",))), gdom)
@@ -265,12 +269,11 @@ def test_window_retracting_a_direct_effect_is_an_inconsistency():
 
 
 def test_window_silently_retracts_inherited_atoms():
-    desc = parse_domain(CONFLICT)
-    gdom = ground(desc, sorts={"s": ("o",)})
-    b = Belief([Atom("f", ("o",))])
+    gdom = conflict_gdom()
+    b = Belief([Atom("f", ("o", "one"))])
     b2 = progress(b, (Atom("b", ("o",)),), gdom)
-    assert Atom("g", ("o",)) in b2.atoms
-    assert Atom("f", ("o",)) not in b2.atoms  # inertia yields to the window
+    assert Atom("f", ("o", "two")) in b2.atoms
+    assert Atom("f", ("o", "one")) not in b2.atoms  # inertia yields to the window
 
 
 def test_direct_effect_conflict_raises():
@@ -282,16 +285,6 @@ def test_direct_effect_conflict_raises():
     b = Belief([])
     with pytest.raises(InconsistencyError):
         progress(b, (Atom("a", ("o",)), Atom("b", ("o",))), gdom)
-
-
-def test_positive_window_derives_support():
-    desc = parse_domain(
-        "sort s. fluent inertial f(s). fluent inertial g(s). action a(s). "
-        "a(X) causes f(X). g(X) if f(X)."
-    )
-    gdom = ground(desc, sorts={"s": ("o",)})
-    b2 = progress(Belief([]), (Atom("a", ("o",)),), gdom)
-    assert Atom("g", ("o",)) in b2.atoms
 
 
 def test_progress_is_deterministic_under_input_order():
@@ -390,73 +383,79 @@ def test_completion_respects_negative_observations():
     assert Atom("spread_attack", ("attacker1",)) in result.belief.atoms
 
 
+# Two defaults give each item two colours, which the functional window
+# forbids: one of each pair must be retracted.
 PAIRED = """
 sort item.
-fluent inertial on(item).
-fluent inertial bad(item).
-initial default on(I) if item(I).
--on(i1) if on(i2).
--on(i3) if on(i4), on(i5).
+sort hue.
+fluent inertial colour(item, hue).
+initial default colour(I, red) if item(I).
+initial default colour(I, blue) if item(I).
+-colour(I, H1) if colour(I, H2), H1 != H2.
 """
+_ITEMS = ("i1", "i2", "i3")
 
 
-def brute_force_completion(observed_neg, forbidden):
-    """Minimal retraction by exhaustive subset search over six instances.
+def paired_gdom():
+    return ground(parse_domain(PAIRED), sorts={"item": _ITEMS, "hue": ("red", "blue")})
 
-    ``forbidden`` is a list of (victim, support_set): victim must be off
-    whenever all supports are on.  Returns the lexicographically first
-    minimal drop set as a tuple of item names.
-    """
-    items = [f"i{k}" for k in range(1, 7)]
-    n = len(items)
+
+def brute_force_completion(denied):
+    """Minimal retraction by exhaustive subset search over the six default
+    instances, in their sorted order (every red one, then every blue one,
+    each by item): kept conclusions may give no item two colours and may
+    not be ``denied``.  Returns the lexicographically first minimal drop
+    set as (item, hue) pairs."""
+    instances = [(i, hue) for hue in ("red", "blue") for i in _ITEMS]
+    n = len(instances)
     for size in range(n + 1):
         for drop in itertools.combinations(range(n), size):
-            kept = {items[i] for i in range(n) if i not in drop}
-            kept -= set()
-            if kept & observed_neg:
-                continue
-            ok = all(
-                not (set(support) <= kept and victim in kept)
-                for victim, support in forbidden
-            )
-            if ok:
-                return tuple(items[i] for i in drop)
+            kept = [instances[i] for i in range(n) if i not in drop]
+            items = [item for item, _ in kept]
+            if len(set(items)) == len(items) and not set(kept) & denied:
+                return tuple(instances[i] for i in drop)
     return None
 
 
 def test_completion_matches_brute_force_on_the_paired_fixture():
-    desc = parse_domain(PAIRED)
-    gdom = ground(desc, sorts={"item": tuple(f"i{k}" for k in range(1, 7))})
-    forbidden = [("i1", {"i2"}), ("i3", {"i4", "i5"})]
-    for neg in [set(), {"i2"}, {"i4"}, {"i1", "i3"}, {"i6"}]:
-        obs = [Literal(Atom("on", (i,)), False) for i in sorted(neg)]
+    gdom = paired_gdom()
+    for denied in [
+        set(),
+        {("i2", "blue")},
+        {("i1", "red"), ("i3", "red")},
+        {("i1", "red"), ("i1", "blue")},
+        {("i3", "red"), ("i1", "blue")},
+    ]:
+        obs = [Literal(Atom("colour", pair), False) for pair in sorted(denied)]
         result = complete_initial(obs, gdom)
-        dropped = tuple(inst.conclusion.args[0] for inst in result.retracted)
+        dropped = tuple(inst.conclusion.args for inst in result.retracted)
         # defaults whose conclusion is directly denied are retracted too
-        oracle = brute_force_completion(neg, forbidden)
-        assert dropped == oracle, (neg, dropped, oracle)
+        oracle = brute_force_completion(denied)
+        assert dropped == oracle, (denied, dropped, oracle)
         validate(result.belief, gdom)
 
 
 def test_completion_minimality_prefers_fewest_retractions():
-    desc = parse_domain(PAIRED)
-    gdom = ground(desc, sorts={"item": tuple(f"i{k}" for k in range(1, 7))})
-    result = complete_initial([], gdom)
-    # dropping i1 alone satisfies both windows (i3 stays: needs i4 AND i5...
-    # which both hold, so the second window needs a drop among {i3,i4,i5})
-    assert len(result.retracted) == 2
-    dropped = {inst.conclusion.args[0] for inst in result.retracted}
-    assert dropped == {"i1", "i3"}  # lexicographically least minimal pair
+    result = complete_initial([], paired_gdom())
+    # one instance per item must go, and the lexicographically least
+    # minimal set is the first three: every red one
+    assert [inst.conclusion for inst in result.retracted] == [
+        Atom("colour", (i, "red")) for i in _ITEMS
+    ]
+    assert {inst.conclusion for inst in result.applied} == {
+        Atom("colour", (i, "blue")) for i in _ITEMS
+    }
 
 
 def test_hard_inconsistency_when_observations_conflict():
     desc = parse_domain(
-        "sort item. fluent inertial on(item). -on(i1) if on(i2)."
+        "sort item. sort hue. fluent inertial colour(item, hue). "
+        "-colour(I, H1) if colour(I, H2), H1 != H2."
     )
-    gdom = ground(desc, sorts={"item": ("i1", "i2")})
+    gdom = ground(desc, sorts={"item": ("i1",), "hue": ("red", "blue")})
     obs = [
-        Literal(Atom("on", ("i1",)), True),
-        Literal(Atom("on", ("i2",)), True),
+        Literal(Atom("colour", ("i1", "red")), True),
+        Literal(Atom("colour", ("i1", "blue")), True),
     ]
     with pytest.raises(HardInconsistencyError):
         complete_initial(obs, gdom)
@@ -479,18 +478,16 @@ def _outcome(fn, belief, actions, gdom, checked, traced=True):
     return result.atoms, trace, result
 
 
-def assert_progress_matches_reference(belief, steps, gdom, keeps_consistency=True):
+def assert_progress_matches_reference(belief, steps, gdom):
     """Progress ``belief`` through each (actions, checked) step with both
     versions; atoms, exception types and provenance lists (order included)
     must agree; neither records an inherited atom.  ``progress`` without a
     trace, as the control loop calls it, must give the atoms or exception
-    type it gives with one, as the explainer replays it.  Both continue
-    from the optimised result, so later steps also cover a parent whose
-    inertial atoms ``progress`` cached; equal beliefs built apart may
-    iterate their atoms in different orders, which retractions can follow,
-    so both get one object.  Without ``keeps_consistency`` (a domain whose progression
-    may break a constraint), the run stops at the first inconsistent
-    result, which is outside ``progress``'s precondition."""
+    type it gives with one, as the explainer replays it.  Every result
+    satisfies the windows.  Both continue from the optimised result, so
+    later steps also cover a parent whose inertial atoms ``progress``
+    cached; equal beliefs built apart may iterate their atoms in different
+    orders, which retractions can follow, so both get one object."""
     for actions, checked in steps:
         fast_atoms, fast_trace, fast = _outcome(progress, belief, actions, gdom, checked)
         untraced_atoms, _, _ = _outcome(progress, belief, actions, gdom, checked, traced=False)
@@ -502,12 +499,7 @@ def assert_progress_matches_reference(belief, steps, gdom, keeps_consistency=Tru
         assert fast_trace == slow_trace
         if fast is None:
             return
-        try:
-            validate(fast, gdom)
-        except InconsistencyError:
-            if keeps_consistency:
-                raise
-            return
+        validate(fast, gdom)
         belief = fast
 
 
@@ -636,45 +628,24 @@ def test_the_pose_table_equals_the_in_face_scan(w0_gdom, loose, atoms, steps):
         event("beliefs built by progress")
 
 
-POSITIVE_WINDOW = (
-    "sort s. fluent inertial f(s). fluent inertial g(s). action a(s). "
-    "a(X) causes f(X). g(X) if f(X)."
-)
-_S = ("o1", "o2", "o3", "o4")
+_S = ("o1", "o2", "o3")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    f=st.frozensets(st.sampled_from(_S)),
-    g=st.frozensets(st.sampled_from(_S)),
-    acts=st.lists(st.sampled_from(_S), max_size=3),
-)
-def test_progress_matches_the_reference_on_a_positive_window(f, g, acts):
-    gdom = ground(parse_domain(POSITIVE_WINDOW), sorts={"s": _S})
-    # consistent: g holds wherever f does
-    atoms = [Atom("f", (o,)) for o in f] + [Atom("g", (o,)) for o in f | g]
-    actions = tuple(Atom("a", (o,)) for o in acts)
-    belief = Belief(reference_close_defined(atoms, gdom))
-    validate(belief, gdom)
-    assert_progress_matches_reference(belief, [(actions, frozenset())], gdom)
-
-
-# Every rule shape the delta code tells apart: a positive window (h from f),
-# a negative window whose body holds an atom a positive window derives (h),
-# one with a negated body literal (which a removed n opens), and one with
-# positive, underivable body literals (the only shape inherited atoms no
-# longer trigger); definitions with a negated literal, with two fluent
-# literals, and with heads derived many ways.  Progressing a(o1) and q(o1)
-# from g(o1), k(o1), n(o1) makes the second and third windows race for
-# k(o1) and g(o1); the reference's outcome needs inherited g(o1) to trigger
-# the second one.
+# Every window key and definition shape the delta code tells apart: a
+# window with no victim key (k holds at most one atom), one keyed by the
+# variable its body binds at the head's first position, with a comparison
+# evaluated before the victim (v is functional except at o3), and one
+# keyed at its second position (no two v share a second argument); direct
+# effects that add and remove atoms of a windowed fluent; definitions with
+# a negated literal, with two fluent literals, and with heads derived many
+# ways.
 MIXED = """
 sort s.
 fluent inertial f(s).
 fluent inertial g(s).
 fluent inertial h(s).
 fluent inertial k(s).
-fluent inertial n(s).
+fluent inertial v(s, s).
 fluent defined d(s).
 fluent defined e(s, s).
 fluent defined m(s).
@@ -683,93 +654,87 @@ action b(s).
 action c(s).
 action p(s).
 action q(s).
+action r(s, s).
 a(X) causes f(X).
 b(X) causes g(X).
 c(X) causes -h(X).
 p(X) causes k(X).
-q(X) causes -n(X).
-h(X) if f(X).
--k(X) if g(X), h(X).
--g(X) if k(X), -n(X).
--k(Y) if k(X), g(X), Y != X.
+q(X) causes -v(X, X).
+r(X, Y) causes v(X, Y).
+-k(Y) if k(X), Y != X.
+-v(X, Y1) if v(X, Y2), Y1 != Y2, X != o3.
+-v(X1, Y) if v(X2, Y), X1 != X2.
 d(X) if f(X), -g(X).
 e(X, Y) if k(X), h(Y).
 m(X) if h(X), k(Y).
 m(X) if f(X).
 """
-_MIXED_INERTIAL = tuple(Atom(p, (o,)) for p in "fghkn" for o in _S[:3])
+_MIXED_INERTIAL = tuple(Atom(p, (o,)) for p in "fghk" for o in _S) + tuple(
+    Atom("v", (x, y)) for x in _S for y in _S
+)
 
 
 @pytest.fixture(scope="module")
 def mixed_gdom():
-    return ground(parse_domain(MIXED), sorts={"s": _S[:3]})
+    return ground(parse_domain(MIXED), sorts={"s": _S})
+
+
+def _functional(pairs, free=()):
+    """The pairs, in sorted order, kept while no kept pair shares their
+    second argument, nor their first unless it is in ``free``."""
+    firsts, seconds, kept = set(), set(), []
+    for x, y in sorted(pairs):
+        if y not in seconds and (x in free or x not in firsts):
+            kept.append((x, y))
+            firsts.add(x)
+            seconds.add(y)
+    return kept
 
 
 @st.composite
 def mixed_inertial_atoms(draw):
-    """Random inertial atoms of MIXED that satisfy its windows: h covers f,
-    no k where g and h hold, no g where k holds without n, and k is a
-    single atom wherever it meets g."""
-    objs = st.frozensets(st.sampled_from(_S[:3]))
-    f, g, h, k, n = (draw(objs) for _ in range(5))
-    h |= f
-    k -= g & h
-    g -= k - n
-    if k & g:
-        k = {min(k & g)}
-    return [Atom(p, (o,)) for p, os in zip("fghkn", (f, g, h, k, n)) for o in os]
+    """Random inertial atoms of MIXED that satisfy its windows: at most
+    one k, and v functional but at o3, and injective."""
+    objs = st.frozensets(st.sampled_from(_S))
+    f, g, h, k = (draw(objs) for _ in range(4))
+    k = set(sorted(k)[:1])
+    pairs = draw(st.frozensets(st.tuples(st.sampled_from(_S), st.sampled_from(_S))))
+    atoms = [Atom(p, (o,)) for p, os in zip("fghk", (f, g, h, k)) for o in os]
+    return atoms + [Atom("v", pair) for pair in _functional(pairs, free=("o3",))]
+
+
+#: One tick: up to three actions of MIXED's.
+_MIXED_TICK = st.lists(
+    st.one_of(
+        st.builds(lambda p, o: Atom(p, (o,)), st.sampled_from("abcpq"), st.sampled_from(_S)),
+        st.builds(lambda x, y: Atom("r", (x, y)), st.sampled_from(_S), st.sampled_from(_S)),
+    ),
+    max_size=3,
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    atoms=mixed_inertial_atoms(),
-    ticks=st.lists(
-        st.lists(
-            st.builds(
-                lambda p, o: Atom(p, (o,)), st.sampled_from("abcpq"), st.sampled_from(_S[:3])
-            ),
-            max_size=3,
-        ),
-        min_size=1,
-        max_size=2,
-    ),
-)
+@given(atoms=mixed_inertial_atoms(), ticks=st.lists(_MIXED_TICK, min_size=1, max_size=2))
 def test_progress_matches_the_reference_on_every_rule_shape(mixed_gdom, atoms, ticks):
     belief = Belief(reference_close_defined(atoms, mixed_gdom))
     validate(belief, mixed_gdom)
     steps = [(tuple(actions), frozenset()) for actions in ticks]
-    assert_progress_matches_reference(belief, steps, mixed_gdom, keeps_consistency=False)
+    assert_progress_matches_reference(belief, steps, mixed_gdom)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InconsistencyError,
-    reason="progress keeps a direct victim of a non-symmetric window whose body "
-    "rests on inherited atoms (the FOUND line on kr.beliefs.progress in CHANGES.md)",
-)
-def test_progress_respects_a_non_symmetric_window(mixed_gdom):
-    """p(o2) causes k(o2), which -k(X) if g(X), h(X) forbids while the
-    inherited g(o2) and h(o2) hold; no symmetric instance retracts them."""
-    belief = Belief(close_defined([Atom(p, ("o2",)) for p in "ghnf"], mixed_gdom))
-    validate(belief, mixed_gdom)
-    validate(progress(belief, (Atom("p", ("o2",)),), mixed_gdom), mixed_gdom)
-
-
-# MIXED with a window whose head is fully constant: its victim key is a
-# constant, where -k(X) if g(X), h(X) and -g(X) if k(X), -n(X) key on a
-# variable the body binds and -k(Y) if k(X), g(X), Y != X has no key
-# (its head variable is free until the victim is matched).
-KEYED = MIXED + "-n(o1) if k(X), g(X).\n"
+# MIXED with a window whose victim key is a constant: v is functional at o3
+# too.
+KEYED = MIXED + "-v(o3, Y1) if v(o3, Y2), Y1 != Y2.\n"
 
 
 @pytest.fixture(scope="module")
 def keyed_gdom():
-    return ground(parse_domain(KEYED), sorts={"s": _S[:3]})
+    return ground(parse_domain(KEYED), sorts={"s": _S})
 
 
 def _victim_join(gdom, text):
-    """The negative window written ``text``, and its join entered by its
-    first body literal (whose ``then`` matches the victims)."""
+    """The window written ``text``, and its join entered by its first body
+    literal (whose ``then`` matches the victims)."""
     (rule,) = [r for r in gdom.windows if r.text.rstrip(".") == text]
     return rule, rule.on_body[0]
 
@@ -777,22 +742,22 @@ def _victim_join(gdom, text):
 @pytest.mark.parametrize(
     "text, trigger, kept",
     [
-        ("-n(o1) if k(X), g(X)", "k(o2)", ["n(o1)"]),
-        ("-k(X) if g(X), h(X)", "g(o2)", ["k(o2)"]),
-        ("-g(X) if k(X), -n(X)", "k(o3)", ["g(o3)"]),
-        ("-k(Y) if k(X), g(X), Y != X", "k(o2)", ["k(o1)", "k(o2)", "k(o3)"]),
+        ("-v(o3, Y1) if v(o3, Y2), Y1 != Y2", "v(o3, o2)", ["v(o3, o1)", "v(o3, o2)"]),
+        ("-v(X, Y1) if v(X, Y2), Y1 != Y2, X != o3", "v(o2, o1)", ["v(o2, o1)"]),
+        ("-v(X1, Y) if v(X2, Y), X1 != X2", "v(o1, o2)", ["v(o1, o2)", "v(o3, o2)"]),
+        ("-k(Y) if k(X), Y != X", "k(o2)", ["k(o1)", "k(o2)", "k(o3)"]),
     ],
-    ids=["constant", "bound", "bound-negated-body", "free"],
+    ids=["constant", "bound", "bound-second-position", "free"],
 )
 def test_window_victims_are_looked_up_by_their_key(keyed_gdom, text, trigger, kept):
-    """A negative window narrows its head predicate's atoms to those whose
-    key argument (a constant, or a variable the body binds) has the key's
-    value, in their index order; a head whose arguments are all free until
-    the victim is matched keeps every atom."""
-    held = ("k(o1)", "k(o2)", "k(o3)", "g(o2)", "g(o3)", "h(o1)", "h(o2)", "n(o1)", "n(o2)")
+    """A window narrows its head predicate's atoms to those whose key
+    argument (a constant, or a variable the body binds; the first such
+    position) has the key's value, in their index order; a head whose
+    arguments are all free until the victim is matched keeps every atom."""
+    held = ("k(o1)", "k(o2)", "k(o3)", "v(o1, o2)", "v(o2, o1)", "v(o3, o1)", "v(o3, o2)")
     index = Belief(parse_literal(t).atom for t in held).index
     rule, join = _victim_join(keyed_gdom, text)
-    env = next(iter(join.solve(index, parse_literal(trigger).atom)))
+    env = join.first(index, parse_literal(trigger).atom)
     bucket = index[rule.head.atom.pred]
     narrowed = join.then.narrow(bucket, env)
     assert narrowed == [a for a in bucket if str(a) in kept]
@@ -801,32 +766,14 @@ def test_window_victims_are_looked_up_by_their_key(keyed_gdom, text, trigger, ke
 @st.composite
 def keyed_inertial_atoms(draw):
     """Random inertial atoms of KEYED that satisfy its windows: those of
-    MIXED, less n(o1) where some k and g meet, and less g(o1) where it
-    would then hold with k(o1)."""
-    atoms = set(draw(mixed_inertial_atoms()))
-    k = {a.args[0] for a in atoms if a.pred == "k"}
-    g = {a.args[0] for a in atoms if a.pred == "g"}
-    if k & g:
-        atoms.discard(Atom("n", ("o1",)))
-        if "o1" in k:
-            atoms.discard(Atom("g", ("o1",)))
-    return sorted(atoms, key=str)
+    MIXED, with v functional at o3 too."""
+    atoms = draw(mixed_inertial_atoms())
+    pairs = _functional(a.args for a in atoms if a.pred == "v")
+    return [a for a in atoms if a.pred != "v"] + [Atom("v", pair) for pair in pairs]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    atoms=keyed_inertial_atoms(),
-    ticks=st.lists(
-        st.lists(
-            st.builds(
-                lambda p, o: Atom(p, (o,)), st.sampled_from("abcpq"), st.sampled_from(_S[:3])
-            ),
-            max_size=3,
-        ),
-        min_size=1,
-        max_size=2,
-    ),
-)
+@given(atoms=keyed_inertial_atoms(), ticks=st.lists(_MIXED_TICK, min_size=1, max_size=2))
 def test_progress_matches_the_reference_on_every_victim_key(keyed_gdom, atoms, ticks):
     """Keyed victim lookup retracts, in the reference's order and with its
     provenance, what the full scan of the head's predicate did: on heads
@@ -834,7 +781,7 @@ def test_progress_matches_the_reference_on_every_victim_key(keyed_gdom, atoms, t
     belief = Belief(reference_close_defined(atoms, keyed_gdom))
     validate(belief, keyed_gdom)
     steps = [(tuple(actions), frozenset()) for actions in ticks]
-    assert_progress_matches_reference(belief, steps, keyed_gdom, keeps_consistency=False)
+    assert_progress_matches_reference(belief, steps, keyed_gdom)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -903,8 +850,8 @@ def _entry_atom(data, gdom, pattern, index):
 def assert_joins_match_the_reference(gdom, belief, data):
     """Every compiled entry, entered by a random atom of its pattern, unifies
     it as ``match_atom`` does, yields the bindings (in order) of the
-    reference ``solve`` after ``match_atom``, builds the same head and
-    scanned atoms, and its victim continuation agrees with matching the
+    reference ``solve`` after ``match_atom``, builds the same head atom,
+    and its victim continuation agrees with matching the
     substituted head, its keyed lookup dropping only atoms that head
     cannot match; on the belief's tuple index and on a set index."""
     sets: dict = {}
@@ -933,11 +880,6 @@ def assert_joins_match_the_reference(gdom, belief, data):
             for env, b in zip(got, want):
                 if join.head is not None:
                     assert join.head(env) == rule.head.atom.substitute(b)
-                assert join.scanned(env) == tuple(
-                    lit.atom.substitute(b)
-                    for lit in body
-                    if lit.positive and lit.atom.pred in gdom.fluent_decls
-                )
                 if join.then is None:
                     continue
                 head = rule.head.atom.substitute(b)
@@ -1049,11 +991,11 @@ def quoted_gdom():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(atoms=mixed_inertial_atoms(), data=st.data())
+@given(atoms=keyed_inertial_atoms(), data=st.data())
 def test_compiled_joins_match_the_reference_engine_on_quoted_values(
     quoted_gdom, atoms, data
 ):
-    rename = dict(zip(_S[:3], _QUOTED))
+    rename = dict(zip(_S, _QUOTED))
     atoms = [Atom(a.pred, tuple(rename[v] for v in a.args)) for a in atoms]
     belief = Belief(reference_close_defined(atoms, quoted_gdom))
     validate(belief, quoted_gdom)
@@ -1061,7 +1003,7 @@ def test_compiled_joins_match_the_reference_engine_on_quoted_values(
 
 
 #: Every member of a join that is a generated function.
-_MEMBERS = ("match", "run", "solve", "first", "head", "scanned", "narrow")
+_MEMBERS = ("match", "run", "solve", "first", "head", "narrow")
 
 
 def _joins(gdom):
@@ -1116,15 +1058,25 @@ def _join_files():
     return {name for name in linecache.cache if name.startswith("<join ")}
 
 
+def _nested_code(code):
+    """The code objects nested in ``code``, at any depth."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield const
+            yield from _nested_code(const)
+
+
 def test_each_generated_function_is_named_for_its_axiom_and_entry():
     """A generated function's file is its own, named for its join (the
     axiom and the way its body is entered), its member and a checksum of
     its source, and holds only its lines, its ``def`` first; so the joins
     an earlier grounding made with the same axiom ids still read their own.
     Every member of every join is such a function, never a lambda or an
-    ``itemgetter``; only a victim continuation has a ``narrow``; and
-    grounding the shipped domain again files no new source."""
-    mixed = ground(parse_domain(MIXED), sorts={"s": _S[:3]})
+    ``itemgetter``, and the code nested in it (a ``narrow``'s list
+    comprehension) is filed with it, at a line that file holds; only a
+    victim continuation has a ``narrow``; and grounding the shipped domain
+    again files no new source."""
+    mixed = ground(parse_domain(MIXED), sorts={"s": _S})
     mixed_functions = [
         getattr(join, name) for join in _joins(mixed) for name in _MEMBERS
         if getattr(join, name) is not None
@@ -1139,8 +1091,7 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry():
         (causal.on_action.solve, f"{causal.axiom_id} on_action solve"),
         (causal.on_action.head, f"{causal.axiom_id} on_action head"),
         (blocker.on_action.first, f"{blocker.axiom_id} on_action first"),
-        (window.on_body[0].solve, f"{window.axiom_id} on_body[0] solve"),
-        (window.on_body[0].scanned, f"{window.axiom_id} on_body[0] scanned"),
+        (window.on_body[0].first, f"{window.axiom_id} on_body[0] first"),
         (window.on_body[0].then.first, f"{window.axiom_id} on_body[0] then first"),
         (window.on_body[0].then.narrow, f"{window.axiom_id} on_body[0] then narrow"),
         (window.unbound.run, f"{window.axiom_id} unbound run"),
@@ -1170,6 +1121,10 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry():
         assert fn.__code__.co_firstlineno == 1 and _reads_its_own_def(fn), filename
         assert source.count("\ndef ") == 0, filename  # its own lines only
         assert filename.endswith(f" {zlib.crc32(source.encode()):08x}>"), filename
+        for code in _nested_code(fn.__code__):
+            assert code.co_filename == filename, (filename, code.co_name)
+            assert linecache.getline(filename, code.co_firstlineno).strip(), filename
+    assert any(_nested_code(window.on_body[0].then.narrow.__code__))
     filed = _join_files()
     again = fort_gdom()
     assert _join_files() == filed

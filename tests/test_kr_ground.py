@@ -487,11 +487,81 @@ _UNBINDABLE_SHAPES = {
 def test_an_unbindable_rule_is_rejected_at_grounding(kind, shape):
     """``ground`` itself refuses a rule whose body, in its evaluation order,
     reaches a literal it cannot evaluate, or leaves a head variable
-    unbound, naming the axiom and the literal."""
+    unbound, naming the axiom and the literal.  A window (a state
+    constraint on an inertial fluent) is refused for its shape before its
+    body is compiled: no uniqueness constraint is unbindable."""
     axiom_id, text = _RULE_KINDS[kind]
     head, body, named = _UNBINDABLE_SHAPES[shape]
     desc = parse_domain(UNBINDABLE + text.format(head=head, body=body))
     with pytest.raises(GroundingError) as err:
         ground(desc, sorts={"s": ("o1", "o2")}, statics={"q": Static("q", 1, func=bool)})
     assert f"axiom {axiom_id} (" in str(err.value)
+    if "window" in kind:
+        named = "not a uniqueness constraint"
     assert named in str(err.value)
+
+
+SHAPES = """
+sort s.
+static t(s, s).
+fluent inertial g(s).
+fluent inertial h(s).
+fluent inertial k(s).
+fluent inertial n(s).
+fluent inertial w(s, s).
+"""
+
+def ground_shape(text):
+    return ground(
+        parse_domain(SHAPES + text),
+        sorts={"s": ("o1", "o2")},
+        statics={"t": Static("t", 2, table=[])},
+    )
+
+
+#: Windows that are not uniqueness constraints, and what the error says.
+_NOT_UNIQUE = {
+    "positive-head": ("k(X) if g(X).", "positive"),
+    "two-fluent-literals": ("-k(X) if g(X), h(X).", "one k literal"),
+    "negated-fluent-literal": ("-g(X) if g(Y), -n(X), X != Y.", "one g literal"),
+    "negated-own-literal": ("-k(X) if -k(Y), X != Y.", "negated"),
+    "another-predicate": ("-n(o1) if k(X).", "one n literal"),
+    "static-literal": ("-w(X, Y1) if w(X, Y2), t(Y1, Y2).", "one w literal"),
+    "asymmetric-comparison": ("-k(X) if k(Y), X != o1.", "changes its comparisons"),
+    "mismatched-constants": ("-w(o1, X) if w(o2, Y), X != Y.", "'o1' pairs with 'o2'"),
+    "constant-and-variable": ("-k(o1) if k(X), X != o1.", "'o1' pairs with X"),
+    "non-involutive-swap": ("-w(X, Y) if w(Y, Z), X != Z.", "not a renaming"),
+}
+
+
+@pytest.mark.parametrize("shape", _NOT_UNIQUE)
+def test_a_window_that_is_not_a_uniqueness_constraint_is_rejected(shape):
+    """A state constraint on an inertial fluent must read ``-p(H) if p(B),
+    c1, ..., cn`` with comparisons ``ci`` that swapping ``H`` and ``B``
+    (a consistent renaming) leaves as they are; ``ground`` refuses any
+    other shape, naming the axiom and what is wrong with it."""
+    text, reason = _NOT_UNIQUE[shape]
+    with pytest.raises(GroundingError) as err:
+        ground_shape(text)
+    assert f"axiom constraint:1 ({text.rstrip('.')})" in str(err.value)
+    assert "not a uniqueness constraint" in str(err.value)
+    assert reason in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-w(X, Y1) if w(X, Y2), Y1 != Y2.",
+        "-w(X1, Y) if w(X2, Y), X1 != X2.",
+        "-w(o1, Y1) if w(o1, Y2), Y1 != Y2.",
+        "-w(X, Y) if w(Y, X), X != Y.",
+        "-w(X1, Y1) if w(X2, Y2), X1 == X2, Y1 != Y2.",
+        "-k(X) if k(Y), X != Y, X != o1, Y != o1.",
+    ],
+)
+def test_a_uniqueness_constraint_grounds_with_one_trigger(text):
+    gdom = ground_shape(text)
+    (window,) = gdom.windows
+    pred = window.head.atom.pred
+    assert gdom.window_triggers == {pred: [(window, 0)]}
+    assert window.body[0].atom.pred == pred

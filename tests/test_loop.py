@@ -54,6 +54,7 @@ from fortdefense.loop import (
 )
 from fortdefense import models
 from fortdefense.models import ModelLibrary, learn_stacked, save_library
+from fortdefense.policies import POLICY_NAMES
 
 import numpy as np
 from reference_plan import reference_plan
@@ -963,7 +964,7 @@ def test_golden_w0_episode_decisions(w0_p1_record):
     assert h.hexdigest() == GOLDEN_W0_P1_SEED0
 
 
-_HOW_ORDER = {"direct": 0, "derived": 1, "retracted": 2}
+_HOW_ORDER = {"direct": 0, "retracted": 1}
 
 
 def v3_provenance(entries) -> list[dict]:
@@ -1095,3 +1096,89 @@ def test_golden_w0_model_bookkeeping(w0_pass):
 def test_golden_w0_work_counts(w0_pass):
     _, work = w0_pass
     assert work == GOLDEN_W0_WORK
+
+
+# ---------------------------------------------------------------------------
+# the W1 quality ledger
+# ---------------------------------------------------------------------------
+
+
+# W1's quality ledger (see ``w1_ledger``), pinned per policy.  All six
+# policies together: 51/72 wins, 0/72 ad hoc survival, 1,261 decisions,
+# 846 searches, 3,060 nodes, 3,414 of 5,125 predictions correct.
+GOLDEN_ADHOC_W1 = {
+    "P1": {
+        "wins": 9, "survived": 0, "predictions": 715, "correct": 534,
+        "decisions": 173, "searches": 117, "nodes": 485, "failed": 1, "fallbacks": 1,
+        "decision_hash": "77e6612d96b2773d3915171aa2a2a349eca5723ade0be3f87f4e4ffcba1a952c",
+    },
+    "P2": {
+        "wins": 4, "survived": 0, "predictions": 765, "correct": 439,
+        "decisions": 185, "searches": 124, "nodes": 268, "failed": 0, "fallbacks": 0,
+        "decision_hash": "2f41c499ca887a9980b0467f1011ba1411befefd8ef21ddb73392379165a8f82",
+    },
+    "B220": {
+        "wins": 9, "survived": 0, "predictions": 720, "correct": 620,
+        "decisions": 175, "searches": 114, "nodes": 531, "failed": 1, "fallbacks": 1,
+        "decision_hash": "bfd1b8240b960a0e1c2ef986cf6fde223416a671c6e909bc3dddc41fc1160e00",
+    },
+    "B650": {
+        "wins": 12, "survived": 0, "predictions": 956, "correct": 716,
+        "decisions": 224, "searches": 148, "nodes": 478, "failed": 0, "fallbacks": 0,
+        "decision_hash": "95af3127da0fa72f4939169e8867e4594122e9d9dc5ead4dafc633d4593f8791",
+    },
+    "B1240": {
+        "wins": 12, "survived": 0, "predictions": 728, "correct": 514,
+        "decisions": 176, "searches": 112, "nodes": 329, "failed": 0, "fallbacks": 0,
+        "decision_hash": "dd56122b6ba34dac9540252eea15f7cab9968ee66a2bfb7dff0dd0bc71092eda",
+    },
+    "B1600": {
+        "wins": 5, "survived": 0, "predictions": 1241, "correct": 591,
+        "decisions": 328, "searches": 231, "nodes": 969, "failed": 0, "fallbacks": 0,
+        "decision_hash": "74b19ad8366b5029ad325c687ef717b309cb18f1bb42c6dad80f7718c7ef2a86",
+    },
+}
+
+
+def w1_ledger() -> dict:
+    """W1: every policy, 12 episodes each from episode seed 1000 on
+    ``GridConfig()``, horizon 8, each policy from an empty library.  Per
+    policy: team wins and episodes the ad hoc guard ends alive; its
+    decisions, searches (replanned steps), nodes expanded, failed searches
+    and fallbacks; online predictions made and correct; and a sha256 over
+    every decision's ``policy|seed|step|goal kind:target|chosen atom``,
+    one per line.  A change that moves a decision moves the hash; print
+    the table anew with::
+
+        cd tests && PYTHONPATH=../src python -c \\
+            "import pprint, test_loop; pprint.pprint(test_loop.w1_ledger(), sort_dicts=False)"
+    """
+    ledger = {}
+    for policy in POLICY_NAMES:
+        stats = run_games(
+            GridConfig(), policy, 12, seed=1000, library=ModelLibrary(), horizon=8,
+            collect_traces=True,
+        )
+        steps = [s for rec in stats.records for s in rec.steps]
+        h = hashlib.sha256()
+        for rec in stats.records:
+            for s in rec.steps:
+                item = f"{policy}|{rec.seed}|{s.step}|{s.goal.kind}:{s.goal.target}|{s.chosen}"
+                h.update(item.encode() + b"\n")
+        ledger[policy] = {
+            "wins": sum(e.guards_win for e in stats.episodes),
+            "survived": sum(e.adhoc_alive for e in stats.episodes),
+            "decisions": len(steps),
+            "searches": sum(s.replanned for s in steps),
+            "nodes": sum(s.plan_expanded for s in steps),
+            "failed": sum(s.replanned and not s.plan_success for s in steps),
+            "fallbacks": sum(bool(s.fallback) for s in steps),
+            "predictions": sum(e.pred_total for e in stats.episodes),
+            "correct": sum(e.pred_correct for e in stats.episodes),
+            "decision_hash": h.hexdigest(),
+        }
+    return ledger
+
+
+def test_golden_adhoc_w1_ledger():
+    assert w1_ledger() == GOLDEN_ADHOC_W1

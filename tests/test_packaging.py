@@ -1,8 +1,9 @@
 """The package metadata names only things that exist, the benchmark's calls
 into the package still resolve, the shipped domain declares no vocabulary
 it never uses and no action twice, no module imports a name it never uses,
-no module defines a private name it never reads, and no public name goes
-unread by the package and the benchmark."""
+no module defines a private name it never reads, no public name goes
+unread by the package and the benchmark, and the rule engine generates no
+join member that nothing reads."""
 
 import ast
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 
 from fortdefense import env, loop
 from fortdefense.env import GridConfig, WorldState
+from fortdefense.kr import ground as ground_module
 from fortdefense.kr.ground import ground
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -323,3 +325,27 @@ def test_every_public_name_is_read_by_the_package_or_the_benchmark():
         if (names := unread_public_names(p.read_text(), read))
     }
     assert unread == UNREAD_PUBLIC
+
+
+def attributes_read(sources: Iterable[str]) -> set[str]:
+    """Every name the sources read as an attribute."""
+    return {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if type(node) is ast.Attribute and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_attributes_read_are_found():
+    source = "for env in join.solve(index, atom):\n    join.then.first = env\nx.head(env)\n"
+    assert attributes_read([source]) == {"solve", "then", "head"}
+
+
+def test_every_generated_join_member_is_read():
+    """A member ``kr/ground.py`` generates for each join (``_SIGNATURES``)
+    is one more function per join that grounding compiles; some module
+    other than the generator's must read it."""
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "ground.py")
+    read = attributes_read(p.read_text() for p in modules)
+    assert sorted(set(ground_module._SIGNATURES) - read) == []
