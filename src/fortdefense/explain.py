@@ -18,8 +18,7 @@ belief:
 * **why belief <literal> at step i** — the provenance of the belief,
   replayed from the earlier steps: the causal law that established it,
   the causal law or state constraint that withdrew it, or the initial
-  observation or initial default that assumed it, with inertia bridging
-  the steps in between.
+  observation that held it, with inertia bridging the steps in between.
 
 A trace is the loop's episode record plus the configuration it was
 played on.  Every chain link is an axiom instance, made by one builder,
@@ -81,7 +80,7 @@ from fortdefense.loop import (
 # the binding perfbench/tracing.py wraps; groundings come from loop
 ground = _ground
 
-TRACE_FORMAT_VERSION = 6
+TRACE_FORMAT_VERSION = 7
 TEMPLATE_RESOURCE = "explain_templates.txt"
 
 GRAMMAR = (
@@ -191,12 +190,10 @@ def load_templates() -> dict[str, str]:
 def render_chain(kind: str, top_slots: dict[str, str], chain: Sequence[AxiomInstance]) -> str:
     """Fill the top-level template for a query kind with the chain's
     clauses; identical chains render identically.  A clause's ``axiom``
-    and ``axiom_text`` come from the link's own id and text."""
+    comes from the link's own id and text."""
     templates = load_templates()
     clauses = "; ".join(
-        templates[i.template].format(
-            axiom=f"{i.axiom_id} {i.axiom_text}", axiom_text=i.axiom_text, **dict(i.slots)
-        )
+        templates[i.template].format(axiom=f"{i.axiom_id} {i.axiom_text}", **dict(i.slots))
         for i in chain
     )
     return templates[kind].format(clauses=clauses, **top_slots)
@@ -457,8 +454,6 @@ _HEADER = _object(
     ("policy", _STR),
     ("horizon", _INT),
     ("config", _nested(_CONFIG)),
-    ("completion_applied", _STRS),
-    ("completion_retracted", _STRS),
     ("outcome", _STR),
     ("n_steps", _INT),
     ("guards_win", _BOOL),
@@ -992,19 +987,6 @@ def _definition_instance(
     return _rule_instance("clause_definition", rule, step, antecedents, str(atom))
 
 
-def _default_instance(trace: EpisodeTrace, atom: Atom) -> Optional[AxiomInstance]:
-    if str(atom) not in trace.completion_applied:
-        return None
-    gdom = trace.gdom
-    for rule in gdom.defaults:
-        env = rule.on_head.match(atom)
-        if env is None:
-            continue
-        antecedents = tuple(lit.substitute(rule.on_head.binding(env)) for lit in rule.body)
-        return _rule_instance("clause_default", rule, 1, antecedents, str(atom))
-    return None
-
-
 def why_belief_chain(
     trace: EpisodeTrace, step: int, literal: Literal
 ) -> tuple[AxiomInstance, ...]:
@@ -1048,9 +1030,6 @@ def why_belief_chain(
             return _with_inertia(inst, rec.step + 1, step, literal)
     # unchanged since the initial state
     if literal.positive:
-        inst = _default_instance(trace, atom)
-        if inst is not None:
-            return _with_inertia(inst, 1, step, literal)
         inst = _link(
             "clause_observation", "initial observation", 1, str(atom), (literal,)
         )

@@ -1,6 +1,6 @@
 """Belief states and their dynamics: progression through actions, defined
-fluent closure, executability checks, and completion of partial initial
-observations via consistency-restoring defaults.
+fluent closure, executability checks, and the literals observed of a
+world state.
 
 A belief is the set of ground atoms taken to be true (closed-world: every
 atom not in the set is false).  Only *inertial* fluents persist; *defined*
@@ -33,8 +33,7 @@ one precondition: **the
 input belief is closed under the definitions and consistent with the
 windows** (:func:`validate` passes).  On the shipped domain every belief
 built by :func:`close_defined` over the positive literals of
-:func:`observe_world`, by :func:`complete_initial` and by the control
-loop's observation step is, and :func:`progress` keeps it so.
+:func:`observe_world` is, and :func:`progress` keeps it so.
 ``tests/reference_beliefs.py`` keeps the from-scratch versions as the
 reference they are tested against.
 
@@ -395,8 +394,8 @@ def observe_world(state: WorldState, gdom: GroundedDomain) -> list[Literal]:
     """Ground literals observed from the world at the current tick.
 
     Dead agents contribute their frozen pose (corpses still block cells)
-    plus a ``shot`` atom; ``spread_attack`` is never observable and is the
-    target of initial-default completion.
+    plus a ``shot`` atom.  Every inertial fluent of the shipped domain is
+    observed: each agent's ``in``, ``face`` and ``shot``.
     """
     config = gdom.config
     obs: list[Literal] = []
@@ -406,100 +405,3 @@ def observe_world(state: WorldState, gdom: GroundedDomain) -> list[Literal]:
         obs.append(Literal(Atom("face", (sym, SYMBOL_OF_DIR[agent.direction])), True))
         obs.append(Literal(Atom("shot", (sym,)), not agent.alive))
     return obs
-
-
-# ---------------------------------------------------------------------------
-# initial-state completion via consistency-restoring defaults
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DefaultInstance:
-    """A ground instance of an initial default."""
-
-    axiom_id: str
-    text: str
-    conclusion: Atom
-
-    def __repr__(self) -> str:
-        return f"{self.axiom_id}[{self.conclusion}]"
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    belief: Belief
-    applied: tuple[DefaultInstance, ...]
-    retracted: tuple[DefaultInstance, ...]
-
-
-class HardInconsistencyError(InconsistencyError):
-    """Observations conflict even with every default retracted."""
-
-
-def ground_defaults(
-    observations: Sequence[Literal], gdom: GroundedDomain
-) -> list[DefaultInstance]:
-    """All ground default instances whose bodies hold in the observations."""
-    pos = Belief(lit.atom for lit in observations if lit.positive)
-    out: list[DefaultInstance] = []
-    for rule in gdom.defaults:
-        join = rule.unbound
-        for env in join.run(pos.index, ()):
-            inst = DefaultInstance(rule.axiom_id, rule.text, join.head(env))
-            if inst not in out:
-                out.append(inst)
-    out.sort(key=lambda i: (i.axiom_id, str(i.conclusion)))
-    return out
-
-
-def _consistent_completion(
-    observations: Sequence[Literal],
-    kept: Sequence[DefaultInstance],
-    gdom: GroundedDomain,
-) -> Optional[Belief]:
-    """The completed belief, or None if constraints or observations fail."""
-    atoms = {lit.atom for lit in observations if lit.positive}
-    negatives = {lit.atom for lit in observations if not lit.positive}
-    for inst in kept:
-        if inst.conclusion in negatives:
-            return None
-        atoms.add(inst.conclusion)
-    if atoms & negatives:
-        return None
-    belief = Belief(close_defined(atoms, gdom))
-    for neg in negatives:
-        if neg in belief.atoms:
-            return None
-    try:
-        validate(belief, gdom)
-    except InconsistencyError:
-        return None
-    return belief
-
-
-def complete_initial(
-    observations: Sequence[Literal], gdom: GroundedDomain
-) -> CompletionResult:
-    """Complete partial initial observations with initial defaults.
-
-    Every ground default whose body holds is applied unless doing so is
-    inconsistent; consistency is restored by retracting a minimal set of
-    default instances (smallest cardinality, ties by lexicographically
-    least combination in the sorted instance order).
-    """
-    instances = ground_defaults(observations, gdom)
-    n = len(instances)
-    for k in range(n + 1):
-        for drop in itertools.combinations(range(n), k):
-            dropped = set(drop)
-            kept = [inst for i, inst in enumerate(instances) if i not in dropped]
-            belief = _consistent_completion(observations, kept, gdom)
-            if belief is not None:
-                return CompletionResult(
-                    belief=belief,
-                    applied=tuple(kept),
-                    retracted=tuple(instances[i] for i in drop),
-                )
-    raise HardInconsistencyError(
-        "observations are inconsistent under every default retraction"
-    )

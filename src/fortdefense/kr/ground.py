@@ -27,7 +27,7 @@ Grounding then compiles each body into a :class:`Join` for every way the
 reasoner enters it: by the action (causal laws, executability), by an
 atom of one body literal (window and definition triggers), by the head
 (re-deriving a defined atom, a window's victim with its residual), and
-unbound (closure from scratch, validation, defaults).  Each argument of
+unbound (closure from scratch, validation).  Each argument of
 each literal is worked out once, at grounding: bind a new variable,
 compare with a bound one, or compare with a constant.  That compile is
 also the one bindability check: a body that reaches a literal with
@@ -36,14 +36,14 @@ grounding error that names the axiom.  From it, :func:`ground` generates
 Python source for every member of a join the reasoner reads: the entry
 function it calls the join through (``solve`` for causal laws and
 definition triggers, ``first`` for executability, window triggers,
-re-derivation and victims, ``run`` unbound, ``match`` for a default's
-conclusion), ``head`` where the body binds the head, and the victims'
-``narrow``.  All of it is one source compiled once per grounding; a
-restriction shares it.  A generated function holds a
-variable per slot (``s0, s1, ...``) and one ``for`` loop per enumerating
-literal with its comparisons and tests inline.  Every value of the
-domain or the configuration (a predicate, a constant, a table, a
-function) enters that code as a name bound to it, never as source text.
+re-derivation and victims, ``run`` unbound), ``head`` where the body
+binds the head, and the victims' ``narrow``.  All of it is one source
+compiled once per grounding; a restriction shares it.  A generated
+function holds a variable per slot (``s0, s1, ...``) and one ``for``
+loop per enumerating literal with its comparisons and tests inline.
+Every value of the domain or the configuration (a predicate, a
+constant, a table, a function) enters that code as a name bound to it,
+never as source text.
 Enumeration order is part of the contract (provenance and blockers
 depend on it): literals in body order, each predicate's atoms in the
 order of the index the join is given (a bound first argument is one more
@@ -270,11 +270,9 @@ def populate_sorts(
     desc: DomainDescription, config: GridConfig, horizon: int = 8
 ) -> dict[str, tuple[Term, ...]]:
     guards = guard_symbols(config)
-    attackers = attacker_symbols(config)
     known: dict[str, tuple[Term, ...]] = {
-        "agent": guards + attackers,
+        "agent": guards + attacker_symbols(config),
         "guard": guards,
-        "attacker": attackers,
         "ah_agent": guards[:1],
         "dir": DIR_SYMBOLS,
         "x_val": tuple(range(config.width)),
@@ -295,7 +293,7 @@ class CompiledRule:
     """One axiom with an evaluation-ordered body.
 
     ``head`` is the effect (causal law), the constrained literal (state
-    constraint), the conclusion (default), or None (executability).
+    constraint), or None (executability).
     ``action`` is the triggering action pattern where applicable.
 
     For a window (a uniqueness constraint), ``body`` holds only the
@@ -308,14 +306,14 @@ class CompiledRule:
     executability conditions); ``on_body[i]`` by an atom of body literal
     ``i``, the rest of the body following in order (window and definition
     triggers; None where no trigger enters); ``on_head`` by the head
-    (re-deriving a defined atom, matching a default's conclusion); and
-    ``unbound`` from nothing (closure from scratch, validation, defaults).
+    (re-deriving a defined atom); and ``unbound`` from nothing (closure
+    from scratch, validation).
     A window's body joins end in the victim continuation.
     """
 
     axiom_id: str
     text: str
-    kind: str  # "causal" | "window" | "definition" | "exec" | "default"
+    kind: str  # "causal" | "window" | "definition" | "exec"
     action: Optional[Atom]
     head: Optional[Literal]
     body: tuple[Literal, ...]
@@ -443,7 +441,6 @@ class GroundedDomain:
     exec_by_action: dict[str, list[CompiledRule]] = field(default_factory=dict)
     windows: list[CompiledRule] = field(default_factory=list)
     definitions: list[CompiledRule] = field(default_factory=list)
-    defaults: list[CompiledRule] = field(default_factory=list)
     #: (window, position of its one fluent body literal), by predicate:
     #: the constraints a direct atom triggers
     window_triggers: dict[str, list[tuple[CompiledRule, int]]] = field(default_factory=dict)
@@ -516,8 +513,8 @@ def ground(
     region at cell granularity; :func:`restrict` gives a view at a coarser
     granularity.
 
-    Synthetic domains (tests, default-conflict fixtures) may instead pass
-    explicit ``sorts``/``statics``.  ``horizon`` only populates the
+    Synthetic domains (tests) may instead pass explicit
+    ``sorts``/``statics``.  ``horizon`` only populates the
     ``step`` sort.  A definition whose body holds a defined fluent is
     rejected: the defined fluents are closed in one pass over the
     definitions (:func:`~fortdefense.kr.beliefs.close_defined`).  So is a
@@ -599,12 +596,6 @@ def ground(
         rule = CompiledRule(ex.axiom_id, ex.text, "exec", ex.action, None, body)
         rule = compiled(rule)
         gdom.exec_by_action.setdefault(ex.action.pred, []).append(rule)
-    for d in desc.defaults:
-        atoms = [d.conclusion.atom] + [l.atom for l in d.body]
-        _infer_var_sorts(gdom, d.axiom_id, d.text, atoms)
-        body = _order_body(d.body, gdom)
-        rule = CompiledRule(d.axiom_id, d.text, "default", None, d.conclusion, body)
-        gdom.defaults.append(compiled(rule))
 
     gdom.inertial_preds = frozenset(
         p for p, d in desc.fluents.items() if d.kind == "inertial"
@@ -660,10 +651,9 @@ def _compiled(gdom: GroundedDomain, rule: CompiledRule, wanted: list):
             else None
             for i, lit in enumerate(rule.body)
         )
-    if rule.kind in ("definition", "default"):
-        # a definition re-derives its head; explanation matches a default's
-        reads = ("first",) if rule.kind == "definition" else ("match",)
-        on_head = join("on_head", reads, rule.body, head)
+    if rule.kind == "definition":
+        # a definition re-derives its head
+        on_head = join("on_head", ("first",), rule.body, head)
     unbound = join("unbound", ("run",), rule.body, **out)
     return dataclasses.replace(rule, on_body=on_body, on_head=on_head, unbound=unbound)
 
@@ -686,7 +676,7 @@ def restrict(gdom: GroundedDomain, fine_regions: Iterable[str]) -> GroundedDomai
 
 #: The parameters of each member a join can be generated with.
 _SIGNATURES = {
-    "match": "atom, env=()", "run": "index, env",
+    "run": "index, env",
     "solve": "index, atom, env=()", "first": "index, atom, env=()",
     "head": "env", "narrow": "atoms, env=()",
 }
@@ -753,25 +743,24 @@ class Join:
     then those of each body literal.  Every member that reads a binding is
     a generated function (see :func:`_generate`):
 
-    - ``match(atom, env=())`` unifies an entry atom with the entry pattern
-      under a binding and returns the extended binding, or None;
-    - ``solve(index, atom, env=())`` yields the solutions after entering
-      with ``atom``, in index order, and ``first(index, atom, env=())``
-      returns the first, or None; ``run(index, env)`` yields the
-      extensions of a binding that holds the entry's slots;
+    - ``solve(index, atom, env=())`` unifies an entry atom with the entry
+      pattern under a binding and yields the solutions that extend it, in
+      index order, and ``first(index, atom, env=())`` returns the first,
+      or None; ``run(index, env)`` yields the extensions of a binding
+      that holds the entry's slots;
     - ``head(env)`` builds the rule's head atom from a solution;
     - ``narrow(atoms, env=())`` keeps, as a list and in their order, those
       of a predicate's atoms whose argument at the entry pattern's first
       fixed position (a constant, or a variable the binding holds) has its
-      value: every atom ``match`` accepts is among them, so a window looks
-      its victims up by that key.
+      value: every atom that unifies with the pattern is among them, so a
+      window looks its victims up by that key.
 
-    A join without an entry pattern has ``match``, ``solve`` and ``first``
-    None, one compiled without a head has ``head`` None, and one that is
-    not a victim continuation has ``narrow`` None.  ``then`` is the victim
+    A join without an entry pattern has ``solve`` and ``first`` None, one
+    compiled without a head has ``head`` None, and one that is not a
+    victim continuation has ``narrow`` None.  ``then`` is the victim
     continuation of a window: it matches a victim against the head and
-    checks the residual.  ``unbindable`` says why the body cannot
-    be bound in this order, or is None (see :func:`compile_join`).
+    checks the residual.  ``unbindable`` says why the body cannot be bound
+    in this order, or is None (see :func:`compile_join`).
     """
 
     __slots__ = ("name", "variables", "then", "unbindable", *_SIGNATURES, "_values", "_members")
@@ -906,8 +895,8 @@ def compile_join(
     if entry is not None:
         key, target, tests = unify(entry.args)
         pred, arity = value(entry.pred), value(len(entry.args))
-        match = [("if", f"atom.pred != {pred} or len(atom.args) != {arity}")]
-        match += [("do", f"{target} = atom.args"), *tests]
+        entered = [("if", f"atom.pred != {pred} or len(atom.args) != {arity}")]
+        entered += [("do", f"{target} = atom.args"), *tests]
         if prefix is not None:
             kept = "list(atoms)"
             if key:
@@ -966,9 +955,8 @@ def compile_join(
     solution = _tuple(f"s{i}" for i in range(len(variables)))
     members["run"] = (given, steps, f"yield {solution}")
     if entry is not None:
-        members["match"] = (continued, match, f"return {_tuple(f's{i}' for i in range(given))}")
-        members["solve"] = (continued, match + steps, f"yield {solution}")
-        members["first"] = (continued, match + steps, f"return {solution}")
+        members["solve"] = (continued, entered + steps, f"yield {solution}")
+        members["first"] = (continued, entered + steps, f"return {solution}")
     if head is not None and (unbound := free(head.args)):
         problems.append(f"head variable(s) {unbound} not bound by the body")
         members["head"] = (0, [], f"raise GroundingError({value(problems[-1])})")

@@ -19,7 +19,6 @@ Axioms::
     -in(R, X1, Y1) if in(R, X2, Y2), X1 != X2.         % state constraint
     agent_in(A, G) if in(A, X, Y), component(X, Y, G). % defined-fluent rule
     impossible move(R, X, Y) if in(A, X, Y).           % executability
-    initial default spread_attack(A) if attacker(A).   % CR-retractable
 
 Terms are integers, lowercase symbols, or capitalized variables.  ``-``
 negates a literal; ``X != Y`` is shorthand for the built-in static
@@ -129,14 +128,6 @@ class Executability:
     text: str
 
 
-@dataclass(frozen=True)
-class InitialDefault:
-    axiom_id: str
-    conclusion: Literal
-    body: tuple[Literal, ...]
-    text: str
-
-
 @dataclass
 class DomainDescription:
     sorts: list[SortDecl] = field(default_factory=list)
@@ -146,7 +137,6 @@ class DomainDescription:
     causal_laws: list[CausalLaw] = field(default_factory=list)
     constraints: list[StateConstraint] = field(default_factory=list)
     executabilities: list[Executability] = field(default_factory=list)
-    defaults: list[InitialDefault] = field(default_factory=list)
 
     def sort_names(self) -> set[str]:
         return {s.name for s in self.sorts}
@@ -240,7 +230,7 @@ def parse_domain(text: str) -> DomainDescription:
     """Parse the full domain language; raises DomainSyntaxError with the
     offending statement on any malformed input."""
     desc = DomainDescription()
-    counters = {"causal": 0, "constraint": 0, "exec": 0, "default": 0}
+    counters = {"causal": 0, "constraint": 0, "exec": 0}
 
     # strip comments, join lines, split on statement-terminating periods
     stripped = "\n".join(line.split("%", 1)[0] for line in text.splitlines())
@@ -288,22 +278,6 @@ def parse_domain(text: str) -> DomainDescription:
                     parse_atom(act_text),
                     _split_body(body_text),
                     flat,
-                )
-            )
-        elif flat.startswith("initial default "):
-            rest = flat[len("initial default ") :]
-            if " if " in rest:
-                concl_text, body_text = rest.split(" if ", 1)
-                body = _split_body(body_text)
-            else:
-                concl_text, body = rest, ()
-            counters["default"] += 1
-            desc.defaults.append(
-                InitialDefault(
-                    f"default:{counters['default']}",
-                    parse_literal(concl_text),
-                    body,
-                    text=flat,
                 )
             )
         elif " causes " in flat:
@@ -381,9 +355,3 @@ def _validate(desc: DomainDescription) -> None:
             raise DomainSyntaxError(f"executability on non-action: {ex.text}")
         for lit in ex.conditions:
             check_atom(lit.atom, ex.text)
-    for d in desc.defaults:
-        check_atom(d.conclusion.atom, d.text, allow_sort_membership=False)
-        if desc.fluent_kind(d.conclusion.atom.pred) != "inertial":
-            raise DomainSyntaxError(f"default conclusion must be inertial: {d.text}")
-        for lit in d.body:
-            check_atom(lit.atom, d.text)

@@ -19,8 +19,10 @@ Beliefs advance by progression through the actions that actually
 happened.  Cancelled moves simply do not happen (no atom), rotations are
 read off the post-state, and shots contribute an atom only when they
 hit.  After each progression the belief is checked against the
-observation; on any mismatch it is rebuilt from the observed poses,
-carrying over the unobservable inertial atoms.  On this observation path
+observation; on any mismatch it is rebuilt from the observation, as the
+episode's first belief is: the observation closed under the definitions
+(:func:`observed_belief`; every inertial fluent is observed, so the
+rebuild keeps nothing of the old belief).  On this observation path
 the two agree: ``env.legal_actions`` and the domain's ``exec:2`` forbid
 moves into occupied cells, so the one outcome the symbolic transition
 cannot express there, a chain of moves through just-vacated cells, never
@@ -85,7 +87,6 @@ from fortdefense.kr.beliefs import (
     InconsistencyError,
     check_executable,
     close_defined,
-    complete_initial,
     observe_world,
     progress,
 )
@@ -125,7 +126,6 @@ from fortdefense.policies import make_policy, policy_action
 
 DOMAIN_RESOURCE = "fort_attack.dom"
 
-_OBSERVABLE_PREDS = frozenset({"in", "face", "shot"})
 _TURN_FOR_KIND = {int(ActionKind.ROTATE_CW): CW, int(ActionKind.ROTATE_CCW): CCW}
 
 
@@ -149,6 +149,13 @@ def grounded_domain(config: GridConfig) -> GroundedDomain:
     if config not in _GROUNDED:
         _GROUNDED[config] = ground(load_domain(), config)
     return _GROUNDED[config]
+
+
+def observed_belief(state: WorldState, gdom: GroundedDomain) -> Belief:
+    """The belief in what is observed of ``state``: the positive literals
+    of its observation closed under the definitions."""
+    positives = [lit.atom for lit in observe_world(state, gdom) if lit.positive]
+    return Belief(close_defined(positives, gdom))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +208,6 @@ class EpisodeRecord:
     seed: int
     policy: str
     horizon: int = 8
-    completion_applied: tuple[str, ...] = ()
-    completion_retracted: tuple[str, ...] = ()
     steps: list[StepRecord] = field(default_factory=list)
     final_belief: Optional[Belief] = None
     outcome: str = ""
@@ -331,17 +336,8 @@ class AdHocController:
     # -- episode lifecycle ---------------------------------------------------
 
     def begin_episode(self, state: WorldState, *, seed: int = 0, policy: str = "") -> None:
-        completion = complete_initial(observe_world(state, self.gdom), self.gdom)
-        self.belief = completion.belief
-        self.record = EpisodeRecord(
-            seed=seed,
-            policy=policy,
-            horizon=self.horizon,
-            completion_applied=tuple(str(inst.conclusion) for inst in completion.applied),
-            completion_retracted=tuple(
-                str(inst.conclusion) for inst in completion.retracted
-            ),
-        )
+        self.belief = observed_belief(state, self.gdom)
+        self.record = EpisodeRecord(seed=seed, policy=policy, horizon=self.horizon)
         self._tail = []
         self._goal = None
         self._prev_action = {}
@@ -515,19 +511,11 @@ class AdHocController:
             new_belief: Optional[Belief] = progress(self.belief, atoms, self.gdom)
         except InconsistencyError:
             new_belief = None
-        obs = observe_world(after, self.gdom)
         reconciled = new_belief is None or any(
-            not new_belief.holds(lit) for lit in obs
+            not new_belief.holds(lit) for lit in observe_world(after, self.gdom)
         )
         if reconciled:
-            source = new_belief if new_belief is not None else self.belief
-            carried = [
-                a for a in source.atoms
-                if a.pred in self.gdom.inertial_preds
-                and a.pred not in _OBSERVABLE_PREDS
-            ]
-            positives = [lit.atom for lit in obs if lit.positive]
-            new_belief = Belief(close_defined(positives + carried, self.gdom))
+            new_belief = observed_belief(after, self.gdom)
         self.belief = new_belief
         if self._pending is not None:
             self._pending.executed = tuple(atoms)

@@ -76,13 +76,15 @@ def trace(w0_p1_record):
 
 # The size and sha256 of ``save_traces([w0_p1_record], GridConfig(), path)``:
 # the trace format's bytes, pinned so that a change to how the format is
-# written cannot move them unnoticed.  Re-pinned at format version 6, whose
-# final line saves no belief a replay gives: 9,824 bytes, sha256
+# written cannot move them unnoticed.  Re-pinned at format version 7, whose
+# header has no completion fields and whose first belief holds no
+# ``spread_attack`` atom: 9,153 bytes, sha256 59820fbf..., at version 6,
+# whose final line saves no belief a replay gives; 9,824 bytes, sha256
 # 248fd8c6..., at version 5, whose steps saved none; 16,754 bytes, sha256
 # a78deda4..., at version 4, which saved every step's belief; 29,231 bytes,
 # sha256 2934a191..., at version 3, which also saved provenance.
-GOLDEN_W0_P1_SEED0_TRACE_BYTES = 9_153
-GOLDEN_W0_P1_SEED0_TRACE = "59820fbfaf9f56d72166e75a02b182d0b06df3be51c39508480716b145a1d560"
+GOLDEN_W0_P1_SEED0_TRACE_BYTES = 8_942
+GOLDEN_W0_P1_SEED0_TRACE = "bfd9c7b6fbd6f45b369c9a0c02e08868a03ac95cee46e59294cdb66a8549957a"
 
 
 def test_golden_w0_trace_bytes(w0_p1_record, tmp_path):
@@ -544,9 +546,12 @@ def test_why_and_why_not_texts_match_the_golden_digest(trace):
 #: per line.  Re-pinned when the domain declared each action once: the 34
 #: texts that cited another agent's move or turn now cite ``move`` and
 #: ``rotate`` (``causal:1`` and ``causal:2``), and no other text changed.
+#: Re-pinned when the domain dropped ``spread_attack`` and its initial
+#: default: the 36 texts about it went (382 texts, sha256 b98c6f96...), and
+#: the other 346 stayed byte-identical.
 GOLDEN_WHY_BELIEF_TEXTS = (
-    382,
-    "b98c6f967983df4323e65be0494978068fe569b036c4b0d3502b86d19fa68786",
+    346,
+    "7ba04d9653b53feeeb26a7ae23e54314b6b1bf50d0ab56bfb740794ddbe3bc8f",
 )
 
 
@@ -584,7 +589,7 @@ def test_every_link_stores_its_slots_in_name_order_and_cites_a_domain_rule(trace
     """Over the answers behind both golden digests: each link's slots are in
     name order, and a link with an axiom id cites a compiled rule of the
     trace's domain (causal law, window, definition, executability
-    condition or default) whose text is the link's axiom text, and which
+    condition) whose text is the link's axiom text, and which
     its ``to_dict`` carries once: the clause takes it from the link."""
     gdom = trace.gdom
     rules = {
@@ -594,7 +599,6 @@ def test_every_link_stores_its_slots_in_name_order_and_cites_a_domain_rule(trace
             gdom.windows,
             gdom.definitions,
             *gdom.exec_by_action.values(),
-            gdom.defaults,
         )
     }
     queries = [Query("why_action", rec.chosen, None, rec.step) for rec in trace.steps]
@@ -612,7 +616,7 @@ def test_every_link_stores_its_slots_in_name_order_and_cites_a_domain_rule(trace
                 assert rules[link.axiom_id].text == link.axiom_text, link
                 assert json.dumps(link.to_dict()).count(link.axiom_text) == 1, link
                 cited.add(rules[link.axiom_id].kind)
-    assert cited == {"causal", "window", "definition", "exec", "default"}
+    assert cited == {"causal", "window", "definition", "exec"}
 
 
 def test_a_goal_the_rule_does_not_select_is_refused(trace):
@@ -673,8 +677,6 @@ def test_goal_clauses_render_the_replayed_support(entries, predicted, template, 
         seed=0,
         policy="",
         horizon=8,
-        completion_applied=(),
-        completion_retracted=(),
         steps=[StepRecord(1, belief, goal, predicted_next=predicted)],
         final_belief=None,
         outcome="",

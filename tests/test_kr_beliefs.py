@@ -1,10 +1,7 @@
 """Belief progression, executability, window retraction, defined-fluent
-closure, and consistency-restoring initial completion.
+closure, and the observation of a world state.
 
-The completion tests include a brute-force oracle: every subset of ground
-default instances is enumerated and the minimal consistent retraction is
-computed independently, then compared with the engine's answer.  The
-delta-driven ``progress`` and ``close_defined`` are checked against the
+The delta-driven ``progress`` and ``close_defined`` are checked against the
 from-scratch versions in ``reference_beliefs.py`` on random closed,
 consistent beliefs, and every compiled join against the interpreted
 ``match_atom``/``solve`` kept there.
@@ -31,11 +28,9 @@ from reference_beliefs import (
 from fortdefense.env import GridConfig, reset
 from fortdefense.kr.beliefs import (
     Belief,
-    HardInconsistencyError,
     InconsistencyError,
     check_executable,
     close_defined,
-    complete_initial,
     observe_world,
     progress,
     validate,
@@ -48,7 +43,7 @@ from fortdefense.kr.ground import (
     compile_join,
     ground,
 )
-from fortdefense.kr.lang import Atom, Literal, Variable, parse_domain, parse_literal
+from fortdefense.kr.lang import Atom, Variable, parse_domain, parse_literal
 
 
 def shipped_domain():
@@ -348,117 +343,14 @@ def test_an_observed_belief_marks_dead_agents():
     assert Atom("in", ("attacker2", stale.agents[4].x, stale.agents[4].y)) in b.atoms
 
 
-# ---------------------------------------------------------------------------
-# initial completion with consistency-restoring defaults
-# ---------------------------------------------------------------------------
-
-
-def test_completion_applies_all_defaults_when_consistent():
+def test_every_inertial_fluent_is_observed():
+    """The control loop rebuilds a belief from its observation alone, so
+    an inertial fluent the observation did not report would be dropped by
+    every rebuild."""
     config = GridConfig()
     gdom = fort_gdom(config)
-    state = reset(config, seed=3)
-    obs = observe_world(state, gdom)
-    result = complete_initial(obs, gdom)
-    assert result.retracted == ()
-    applied = {inst.conclusion for inst in result.applied}
-    assert applied == {
-        Atom("spread_attack", ("attacker1",)),
-        Atom("spread_attack", ("attacker2",)),
-        Atom("spread_attack", ("attacker3",)),
-    }
-    for atom in applied:
-        assert atom in result.belief.atoms
-
-
-def test_completion_respects_negative_observations():
-    config = GridConfig()
-    gdom = fort_gdom(config)
-    state = reset(config, seed=3)
-    obs = observe_world(state, gdom)
-    obs.append(Literal(Atom("spread_attack", ("attacker2",)), False))
-    result = complete_initial(obs, gdom)
-    retracted = {inst.conclusion for inst in result.retracted}
-    assert retracted == {Atom("spread_attack", ("attacker2",))}
-    assert Atom("spread_attack", ("attacker2",)) not in result.belief.atoms
-    assert Atom("spread_attack", ("attacker1",)) in result.belief.atoms
-
-
-# Two defaults give each item two colours, which the functional window
-# forbids: one of each pair must be retracted.
-PAIRED = """
-sort item.
-sort hue.
-fluent inertial colour(item, hue).
-initial default colour(I, red) if item(I).
-initial default colour(I, blue) if item(I).
--colour(I, H1) if colour(I, H2), H1 != H2.
-"""
-_ITEMS = ("i1", "i2", "i3")
-
-
-def paired_gdom():
-    return ground(parse_domain(PAIRED), sorts={"item": _ITEMS, "hue": ("red", "blue")})
-
-
-def brute_force_completion(denied):
-    """Minimal retraction by exhaustive subset search over the six default
-    instances, in their sorted order (every red one, then every blue one,
-    each by item): kept conclusions may give no item two colours and may
-    not be ``denied``.  Returns the lexicographically first minimal drop
-    set as (item, hue) pairs."""
-    instances = [(i, hue) for hue in ("red", "blue") for i in _ITEMS]
-    n = len(instances)
-    for size in range(n + 1):
-        for drop in itertools.combinations(range(n), size):
-            kept = [instances[i] for i in range(n) if i not in drop]
-            items = [item for item, _ in kept]
-            if len(set(items)) == len(items) and not set(kept) & denied:
-                return tuple(instances[i] for i in drop)
-    return None
-
-
-def test_completion_matches_brute_force_on_the_paired_fixture():
-    gdom = paired_gdom()
-    for denied in [
-        set(),
-        {("i2", "blue")},
-        {("i1", "red"), ("i3", "red")},
-        {("i1", "red"), ("i1", "blue")},
-        {("i3", "red"), ("i1", "blue")},
-    ]:
-        obs = [Literal(Atom("colour", pair), False) for pair in sorted(denied)]
-        result = complete_initial(obs, gdom)
-        dropped = tuple(inst.conclusion.args for inst in result.retracted)
-        # defaults whose conclusion is directly denied are retracted too
-        oracle = brute_force_completion(denied)
-        assert dropped == oracle, (denied, dropped, oracle)
-        validate(result.belief, gdom)
-
-
-def test_completion_minimality_prefers_fewest_retractions():
-    result = complete_initial([], paired_gdom())
-    # one instance per item must go, and the lexicographically least
-    # minimal set is the first three: every red one
-    assert [inst.conclusion for inst in result.retracted] == [
-        Atom("colour", (i, "red")) for i in _ITEMS
-    ]
-    assert {inst.conclusion for inst in result.applied} == {
-        Atom("colour", (i, "blue")) for i in _ITEMS
-    }
-
-
-def test_hard_inconsistency_when_observations_conflict():
-    desc = parse_domain(
-        "sort item. sort hue. fluent inertial colour(item, hue). "
-        "-colour(I, H1) if colour(I, H2), H1 != H2."
-    )
-    gdom = ground(desc, sorts={"item": ("i1",), "hue": ("red", "blue")})
-    obs = [
-        Literal(Atom("colour", ("i1", "red")), True),
-        Literal(Atom("colour", ("i1", "blue")), True),
-    ]
-    with pytest.raises(HardInconsistencyError):
-        complete_initial(obs, gdom)
+    obs = observe_world(reset(config, seed=7), gdom)
+    assert {lit.atom.pred for lit in obs} == gdom.inertial_preds
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +411,8 @@ _DIR = st.sampled_from("nesw")
 @st.composite
 def w0_beliefs(draw):
     """Random inertial atoms of constraint-consistent beliefs of the shipped
-    domain: each agent has at most one cell and one facing, may be shot,
-    and each attacker may be on a spread attack."""
+    domain: each agent has at most one cell and one facing, and may be
+    shot."""
     atoms = []
     for sym in _W0_AGENTS:
         if draw(st.integers(0, 9)):  # an agent may lack a pose atom
@@ -529,8 +421,6 @@ def w0_beliefs(draw):
             atoms.append(Atom("face", (sym, draw(_DIR))))
         if draw(st.integers(0, 3)) == 0:
             atoms.append(Atom("shot", (sym,)))
-        if sym.startswith("attacker") and draw(st.booleans()):
-            atoms.append(Atom("spread_attack", (sym,)))
     return atoms
 
 
@@ -806,7 +696,7 @@ def compiled_entries(gdom):
     after matching the pattern) for every compiled entry of every rule."""
     rules = [r for rs in gdom.causal_by_action.values() for r in rs]
     rules += [r for rs in gdom.exec_by_action.values() for r in rs]
-    rules += gdom.windows + gdom.definitions + gdom.defaults
+    rules += gdom.windows + gdom.definitions
     out = []
     for rule in rules:
         if rule.on_action is not None:
@@ -848,9 +738,10 @@ def _entry_atom(data, gdom, pattern, index):
 
 
 def assert_joins_match_the_reference(gdom, belief, data):
-    """Every compiled entry, entered by a random atom of its pattern, unifies
-    it as ``match_atom`` does, yields the bindings (in order) of the
-    reference ``solve`` after ``match_atom``, builds the same head atom,
+    """Every compiled entry, entered by a random atom of its pattern,
+    yields the bindings (in order) of the reference ``solve`` after
+    ``match_atom`` (so it unifies the atom as ``match_atom`` does), and
+    ``first`` the first of them; it builds the same head atom,
     and its victim continuation agrees with matching the
     substituted head, its keyed lookup dropping only atoms that head
     cannot match; on the belief's tuple index and on a set index."""
@@ -867,10 +758,6 @@ def assert_joins_match_the_reference(gdom, belief, data):
                 atom = _entry_atom(data, gdom, pattern, index)
                 got = _solutions(lambda: list(join.solve(index, atom)))
                 binding = match_atom(pattern, atom, {})
-                matched = join.match(atom)
-                assert (matched is None) == (binding is None), (rule.text, atom)
-                if matched is not None:
-                    assert join.binding(matched) == binding, (rule.text, atom)
             want = [] if binding is None else _solutions(
                 lambda: list(solve(gdom, index, body, binding))
             )
@@ -1003,7 +890,7 @@ def test_compiled_joins_match_the_reference_engine_on_quoted_values(
 
 
 #: Every member of a join that is a generated function.
-_MEMBERS = ("match", "run", "solve", "first", "head", "narrow")
+_MEMBERS = ("run", "solve", "first", "head", "narrow")
 
 
 def _joins(gdom):
@@ -1085,7 +972,6 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry():
     (causal, *_) = gdom.causal_by_action["move"]
     (window, *_) = gdom.windows
     (definition, *_) = gdom.definitions
-    (default,) = gdom.defaults
     (*_, blocker) = gdom.exec_by_action["shoot"]
     expected = [
         (causal.on_action.solve, f"{causal.axiom_id} on_action solve"),
@@ -1097,8 +983,6 @@ def test_each_generated_function_is_named_for_its_axiom_and_entry():
         (window.unbound.run, f"{window.axiom_id} unbound run"),
         (definition.on_head.first, f"{definition.axiom_id} on_head first"),
         (definition.unbound.head, f"{definition.axiom_id} unbound head"),
-        (default.on_head.match, f"{default.axiom_id} on_head match"),
-        (default.unbound.head, f"{default.axiom_id} unbound head"),
     ]
     assert blocker.axiom_id == "exec:10"
     for fn, name in expected:

@@ -16,8 +16,6 @@ from fortdefense.kr import ground as ground_module
 from fortdefense.kr.beliefs import (
     Belief,
     check_executable,
-    complete_initial,
-    observe_world,
     progress,
     validate,
 )
@@ -46,7 +44,7 @@ from fortdefense.kr.ground import (
 )
 from fortdefense.kr.lang import Atom, parse_domain
 from fortdefense.kr.plan import candidate_actions
-from fortdefense.loop import grounded_domain, run_games
+from fortdefense.loop import grounded_domain, observed_belief, run_games
 
 MINI_GRID = """
 sort agent.
@@ -232,7 +230,7 @@ def test_default_grounding_sizes():
     # move, rotate and shoot, each declared once for every agent
     assert sum(len(r) for r in gdom.causal_by_action.values()) == 3
     assert sum(len(r) for r in gdom.exec_by_action.values()) == 10
-    assert (len(gdom.windows), len(gdom.definitions), len(gdom.defaults)) == (3, 3, 1)
+    assert (len(gdom.windows), len(gdom.definitions)) == (3, 3)
 
 
 def guard_at(x, y, d="n") -> Belief:
@@ -289,7 +287,7 @@ def compiled_parts(gdom):
     victim continuations included), in a fixed order."""
     rules = [r for rs in gdom.causal_by_action.values() for r in rs]
     rules += [r for rs in gdom.exec_by_action.values() for r in rs]
-    rules += gdom.windows + gdom.definitions + gdom.defaults
+    rules += gdom.windows + gdom.definitions
     joins = []
     for rule in rules:
         for join in (rule.on_action, *rule.on_body, rule.on_head, rule.unbound):
@@ -327,7 +325,7 @@ def test_restrictions_and_cache_hits_compile_no_join(monkeypatch):
     views = [restrict(gdom, regions[k : k + 2]) for k in range(10)]
     assert grounded_domain(config) is gdom
     state = reset(config, 0)
-    belief = complete_initial(observe_world(state, gdom), gdom).belief
+    belief = observed_belief(state, gdom)
     for view in views:
         for action in candidate_actions(belief, view):
             check_executable(belief, action, view)
@@ -335,8 +333,8 @@ def test_restrictions_and_cache_hits_compile_no_join(monkeypatch):
     (record,) = run_games(config, "P1", 1, seed=0, horizon=8, collect_traces=True).records
     trace = EpisodeTrace.from_record(record, config)
     held = trace.step(1).belief.atoms
-    asked = [a for a in sorted(held, key=str) if a.pred in ("agent_in", "spread_attack")]
-    assert {a.pred for a in asked} == {"agent_in", "spread_attack"}
+    asked = [a for a in sorted(held, key=str) if a.pred == "agent_in"]
+    assert asked
     for literal in [*asked, "-in(guard0, 0, 0)"]:
         answer_query(trace, f"why belief {literal} at step 1")
     assert compiled == []
@@ -357,12 +355,13 @@ def test_restrict_needs_a_grid():
 def test_populate_sorts_partitions_agents():
     config = GridConfig()
     sorts = populate_sorts(shipped_domain(), config)
+    guards, attackers = guard_symbols(config), attacker_symbols(config)
     assert sorts["ah_agent"] == ("guard0",)
-    assert set(sorts["guard"]) | set(sorts["attacker"]) == set(sorts["agent"])
-    assert not set(sorts["guard"]) & set(sorts["attacker"])
+    assert sorts["guard"] == guards
+    assert sorts["agent"] == guards + attackers
     # same_side pairs the agents of each side, each with itself too
     assert build_statics(config)["same_side"].table == {
-        (a, b) for side in ("guard", "attacker") for a in sorts[side] for b in sorts[side]
+        (a, b) for side in (guards, attackers) for a in side for b in side
     }
     assert sorts["dir"] == ("n", "e", "s", "w")
     assert len(sorts["region"]) == 25
@@ -370,10 +369,10 @@ def test_populate_sorts_partitions_agents():
 
 def test_subsort_relation():
     gdom = ground(shipped_domain(), GridConfig())
-    assert gdom.is_subsort("attacker", "agent")
+    assert gdom.is_subsort("guard", "agent")
     assert gdom.is_subsort("ah_agent", "agent")
     assert gdom.is_subsort("ah_agent", "guard")
-    assert not gdom.is_subsort("guard", "attacker")
+    assert not gdom.is_subsort("guard", "ah_agent")
     assert not gdom.is_subsort("agent", "guard")
 
 
@@ -460,7 +459,6 @@ _RULE_KINDS = {
     "definition": ("constraint:1", "d({head}) if g(A){body}."),
     "positive-window": ("constraint:1", "f({head}) if g(A){body}."),
     "negative-window-residual": ("constraint:1", "-f(A) if g(A){body}."),
-    "default": ("default:1", "initial default f({head}) if g(A){body}."),
 }
 
 #: Each unevaluable shape: (head argument, extra body, what the error names).

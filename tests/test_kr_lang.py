@@ -28,7 +28,6 @@ fall(A) causes at(A, A) if heavy(A).
 -at(A, B1) if at(A, B2), B1 != B2.
 somewhere(A) if at(A, B).
 impossible put(A, B) if at(A, B).
-initial default sealed(A) if box(A).
 """
 
 
@@ -44,7 +43,6 @@ def test_mini_domain_statement_counts():
     assert len(d.causal_laws) == 2
     assert len(d.constraints) == 2
     assert len(d.executabilities) == 1
-    assert len(d.defaults) == 1
 
 
 def test_axiom_ids_are_stable_and_sequential():
@@ -52,7 +50,6 @@ def test_axiom_ids_are_stable_and_sequential():
     assert [l.axiom_id for l in d.causal_laws] == ["causal:1", "causal:2"]
     assert [c.axiom_id for c in d.constraints] == ["constraint:1", "constraint:2"]
     assert d.executabilities[0].axiom_id == "exec:1"
-    assert d.defaults[0].axiom_id == "default:1"
     # each axiom remembers its source text
     assert d.causal_laws[0].text == "put(A, B) causes at(A, B)"
 
@@ -153,9 +150,11 @@ def test_an_atom_never_equals_a_literal():
             "sort s. static p(s). p(X) if p(X).",
             "head must be a fluent",
         ),
+        # there is no initial default form: it reads as a constraint whose
+        # head is not an atom
         (
-            "sort s. fluent defined d(s). initial default d(x).",
-            "must be inertial",
+            "sort s. fluent inertial f(s). initial default f(X) if s(X).",
+            "bad atom 'initial default f(X)'",
         ),
         ("sort s. action a(s). impossible a(X).", "needs 'if'"),
         ("nonsense statement here.", "unrecognized"),
@@ -195,4 +194,3 @@ def test_shipped_domain_parses():
     }
     assert d.fluents["in"].kind == "inertial"
     assert d.fluents["agent_in"].kind == "defined"
-    assert len(d.defaults) == 1

@@ -80,7 +80,7 @@ def oracle_candidates(belief, gdom):
         if atom.pred == "face" and atom.args[0] == ah:
             d = atom.args[1]
     acts = []
-    for sym in sorted(gdom.sorts["attacker"], key=lambda s: int(s[8:])):
+    for sym in sorted(attacker_symbols(gdom.config), key=lambda s: int(s[8:])):
         acts.append(Atom("shoot", (ah, sym)))
     for tx, ty in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if (tx, ty) in gdom.active_cells:

@@ -584,8 +584,6 @@ class TestControllerLoop:
             seed=0,
             policy="",
             horizon=8,
-            completion_applied=(),
-            completion_retracted=(),
             steps=(),
             final_belief=None,
             outcome="",
@@ -1105,39 +1103,53 @@ def test_golden_w0_work_counts(w0_pass):
 
 # W1's quality ledger (see ``w1_ledger``), pinned per policy.  All six
 # policies together: 51/72 wins, 0/72 ad hoc survival, 1,261 decisions,
-# 846 searches, 3,060 nodes, 3,414 of 5,125 predictions correct.
+# 846 searches, 3,060 nodes, 3,414 of 5,125 predictions correct, 72 deaths
+# at 1,261 decision steps in all (the guard dies in every episode, so
+# ``death_ticks`` equals ``decisions``), 54 of them trades.
 GOLDEN_ADHOC_W1 = {
     "P1": {
         "wins": 9, "survived": 0, "predictions": 715, "correct": 534,
         "decisions": 173, "searches": 117, "nodes": 485, "failed": 1, "fallbacks": 1,
+        "death_ticks": 173, "trades": 8,
         "decision_hash": "77e6612d96b2773d3915171aa2a2a349eca5723ade0be3f87f4e4ffcba1a952c",
     },
     "P2": {
         "wins": 4, "survived": 0, "predictions": 765, "correct": 439,
         "decisions": 185, "searches": 124, "nodes": 268, "failed": 0, "fallbacks": 0,
+        "death_ticks": 185, "trades": 9,
         "decision_hash": "2f41c499ca887a9980b0467f1011ba1411befefd8ef21ddb73392379165a8f82",
     },
     "B220": {
         "wins": 9, "survived": 0, "predictions": 720, "correct": 620,
         "decisions": 175, "searches": 114, "nodes": 531, "failed": 1, "fallbacks": 1,
+        "death_ticks": 175, "trades": 6,
         "decision_hash": "bfd1b8240b960a0e1c2ef986cf6fde223416a671c6e909bc3dddc41fc1160e00",
     },
     "B650": {
         "wins": 12, "survived": 0, "predictions": 956, "correct": 716,
         "decisions": 224, "searches": 148, "nodes": 478, "failed": 0, "fallbacks": 0,
+        "death_ticks": 224, "trades": 11,
         "decision_hash": "95af3127da0fa72f4939169e8867e4594122e9d9dc5ead4dafc633d4593f8791",
     },
     "B1240": {
         "wins": 12, "survived": 0, "predictions": 728, "correct": 514,
         "decisions": 176, "searches": 112, "nodes": 329, "failed": 0, "fallbacks": 0,
+        "death_ticks": 176, "trades": 10,
         "decision_hash": "dd56122b6ba34dac9540252eea15f7cab9968ee66a2bfb7dff0dd0bc71092eda",
     },
     "B1600": {
         "wins": 5, "survived": 0, "predictions": 1241, "correct": 591,
         "decisions": 328, "searches": 231, "nodes": 969, "failed": 0, "fallbacks": 0,
+        "death_ticks": 328, "trades": 10,
         "decision_hash": "74b19ad8366b5029ad325c687ef717b309cb18f1bb42c6dad80f7718c7ef2a86",
     },
 }
+
+
+def _trade(executed) -> bool:
+    """Whether ``executed`` holds both a shot by ``guard0`` and one at it."""
+    shots = [a.args for a in executed if a.pred == "shoot"]
+    return any(by == "guard0" for by, _ in shots) and any(at == "guard0" for _, at in shots)
 
 
 def w1_ledger() -> dict:
@@ -1145,7 +1157,10 @@ def w1_ledger() -> dict:
     ``GridConfig()``, horizon 8, each policy from an empty library.  Per
     policy: team wins and episodes the ad hoc guard ends alive; its
     decisions, searches (replanned steps), nodes expanded, failed searches
-    and fallbacks; online predictions made and correct; and a sha256 over
+    and fallbacks; over the episodes in which it dies, the sum of their
+    last decision steps (``death_ticks``) and how many end on a step whose
+    executed atoms hold both a shot by ``guard0`` and a shot at it
+    (``trades``); online predictions made and correct; and a sha256 over
     every decision's ``policy|seed|step|goal kind:target|chosen atom``,
     one per line.  A change that moves a decision moves the hash; print
     the table anew with::
@@ -1160,6 +1175,11 @@ def w1_ledger() -> dict:
             collect_traces=True,
         )
         steps = [s for rec in stats.records for s in rec.steps]
+        deaths = [
+            rec.steps[-1]
+            for rec, e in zip(stats.records, stats.episodes, strict=True)
+            if not e.adhoc_alive
+        ]
         h = hashlib.sha256()
         for rec in stats.records:
             for s in rec.steps:
@@ -1173,6 +1193,8 @@ def w1_ledger() -> dict:
             "nodes": sum(s.plan_expanded for s in steps),
             "failed": sum(s.replanned and not s.plan_success for s in steps),
             "fallbacks": sum(bool(s.fallback) for s in steps),
+            "death_ticks": sum(s.step for s in deaths),
+            "trades": sum(_trade(s.executed) for s in deaths),
             "predictions": sum(e.pred_total for e in stats.episodes),
             "correct": sum(e.pred_correct for e in stats.episodes),
             "decision_hash": h.hexdigest(),
