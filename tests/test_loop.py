@@ -32,6 +32,7 @@ from fortdefense.env import (
     terminal,
 )
 from fortdefense import loop
+import fortdefense.kr.plan as plan_module
 from fortdefense.explain import EpisodeTrace, load_traces, save_traces
 from fortdefense.kr.beliefs import (
     Belief,
@@ -1036,9 +1037,17 @@ GOLDEN_W0_MODELS = {
 
 # The same pass's work: refits (``learn_stacked`` calls), model predictions
 # (``loop.predict_action`` calls, one per live agent per library model per
-# decision) and belief progressions on the observation path (one per tick
-# the guard starts alive; build_schedule's are not counted).
-GOLDEN_W0_WORK = {"learn_stacked": 16, "predict_action": 1016, "observe_progress": 136}
+# decision), belief progressions on the observation path (one per tick
+# the guard starts alive; build_schedule's are not counted), and the
+# planner's search work: nodes expanded (the sum of ``Plan.expanded``)
+# and belief progressions (``kr.plan.progress`` calls).
+GOLDEN_W0_WORK = {
+    "learn_stacked": 16,
+    "predict_action": 1016,
+    "observe_progress": 136,
+    "plan_nodes": 291,
+    "plan_progress": 914,
+}
 
 
 @pytest.fixture(scope="module")
@@ -1048,6 +1057,7 @@ def w0_pass(tmp_path_factory):
     observing = []
     learn, predict = models.learn_stacked, loop.predict_action
     progress_, observe = loop.progress, AdHocController.observe
+    search = loop.search_plan
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -1067,12 +1077,19 @@ def w0_pass(tmp_path_factory):
         work["observe_progress"] += bool(observing)
         return progress_(*args, **kwargs)
 
+    def counted_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        work["plan_nodes"] += result.expanded
+        return result
+
     bookkeeping = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "learn_stacked", counted("learn_stacked", learn))
         mp.setattr(loop, "predict_action", counted("predict_action", predict))
         mp.setattr(loop, "progress", watched_progress)
         mp.setattr(AdHocController, "observe", watched_observe)
+        mp.setattr(loop, "search_plan", counted_search)
+        mp.setattr(plan_module, "progress", counted("plan_progress", plan_module.progress))
         for policy in GOLDEN_W0_MODELS:
             library = ModelLibrary()
             stats = run_games(GridConfig(), policy, 3, seed=0, library=library, horizon=8)
