@@ -13,8 +13,9 @@ Geometry is tabulated per configuration.  ``config.geometry`` is a
 :class:`Geometry`, built on first use and kept on the frozen config: the
 range, arc and shot-cone tests per facing and offset, the scripted
 attackers' danger cones and strike pockets per facing, the weapon-range
-disk of offsets and each offset's walking distance to it (which the
-planner's search bound reads), per cell its on-grid moves and the distance
+disk of offsets, per facing and offset the fewest moves and quarter turns
+that bring a target into the shot cone (which the planner's search bound
+reads), per cell its on-grid moves and the distance
 to and the nearest of the fort cells, and per cell and facing the feature
 extractor's agent block (with the cell's polar coordinates around the grid
 centre).  Each table that replaced a formula holds its values
@@ -467,6 +468,25 @@ def _centre_polar_formula(center: tuple[float, float], x: float, y: float):
     return dist, 0.0 if dist == 0 else math.atan2(dx, dy)
 
 
+def _steps_to(cone: frozenset[tuple[int, int]], w: int, h: int) -> np.ndarray:
+    """``min(|dx - ox| + |dy - oy|)`` over the cone's offsets ``(ox, oy)``,
+    for every offset of the span, as a ``(2w - 1, 2h - 1)`` array indexed
+    from ``(1 - w, 1 - h)``; ``2 * (w + h)`` everywhere for an empty cone.
+
+    The L1 distance transform is separable: along each axis in turn, an
+    entry becomes ``min(d[j] + |i - j|)`` over the line, a running minimum
+    of ``d[j] - j`` forward and of ``d[j] + j`` backward."""
+    dist = np.full((2 * w - 1, 2 * h - 1), 2 * (w + h))
+    for dx, dy in cone:
+        dist[dx + w - 1, dy + h - 1] = 0
+    for axis in (0, 1):
+        i = np.arange(dist.shape[axis]).reshape((-1, 1) if axis == 0 else (1, -1))
+        forward = np.minimum.accumulate(dist - i, axis=axis) + i
+        backward = np.flip(np.minimum.accumulate(np.flip(dist + i, axis), axis=axis), axis) - i
+        dist = np.minimum(forward, backward)
+    return dist
+
+
 class Geometry:
     """The geometric rules of one :class:`GridConfig`, tabulated.
 
@@ -493,12 +513,19 @@ class Geometry:
       shoot_range``, with no ``EPS``, outside the facing's arc: where a
       scripted hunter stands to shoot a target so facing that cannot
       shoot back;
-    * ``steps_to_disk[offset]`` -- the fewest 4-connected unit steps from
-      the offset to an offset of ``disk``, ``min(|dx - ox| + |dy - oy|)``
-      over ``disk``: how far a shooter must walk to bring a target at that
-      offset into range.  One breadth-first sweep out from ``disk`` fills
-      it; a shortest Manhattan path stays in the box spanned by its ends,
-      so the sweep need not leave the span;
+    * ``steps_to_sight[facing][i]`` -- the fewest unit moves plus quarter
+      turns that bring a target at an offset into the cone of a shooter
+      facing ``facing``, stored flat: the offset ``(dx, dy)`` at ``i = (dx
+      + width - 1) * (2 * height - 1) + dy + height - 1``.  An entry is the
+      least, over the final facings ``f``, of the turns from ``facing`` to
+      ``f`` (0, 1 or 2) plus ``min(|dx - ox| + |dy - oy|)`` over
+      ``cone[f]``.  An L1 distance transform of each cone over the span
+      (a running minimum each way along each axis) gives the second term;
+      a shortest Manhattan path stays in the box spanned by its ends, so
+      the transform need not leave the span.  Where no cone holds an
+      offset (a weapon range under one cell), no target ever comes into
+      sight, and every entry is ``2 * (width + height)``, more than any
+      entry otherwise;
     * ``exits[cell]`` -- the moves that keep an agent on the cell on the
       grid, each with its target cell, in N, E, S, W order;
     * ``fort_distance[cell]``, ``nearest_fort_cell[cell]`` -- Euclidean
@@ -525,22 +552,20 @@ class Geometry:
         offsets = [(dx, dy) for dx in range(1 - w, w) for dy in range(1 - h, h)]
         self.in_range = {o: _range_formula(config.shoot_range, *o) for o in offsets}
         self.disk = tuple(o for o in offsets if self.in_range[o])
-        self.steps_to_disk = dict.fromkeys(self.disk, 0)
-        frontier = self.disk
-        while frontier:
-            reached = []
-            for dx, dy in frontier:
-                n = self.steps_to_disk[dx, dy] + 1
-                for o in ((dx, dy + 1), (dx + 1, dy), (dx, dy - 1), (dx - 1, dy)):
-                    if o in self.in_range and o not in self.steps_to_disk:
-                        self.steps_to_disk[o] = n
-                        reached.append(o)
-            frontier = reached
         self.in_arc = tuple(
             frozenset(o for o in offsets if _arc_formula(config.shoot_arc_deg, facing, *o))
             for facing in Direction
         )
         self.cone = tuple(arc.intersection(self.disk) for arc in self.in_arc)
+        to_cone = [_steps_to(cone, w, h) for cone in self.cone]
+        self.steps_to_sight = tuple(
+            tuple(
+                np.minimum.reduce([to_cone[(f + t) % 4] + min(t, 4 - t) for t in range(4)])
+                .ravel()
+                .tolist()
+            )
+            for f in range(4)
+        )
         reach = config.shoot_range + DANGER_MARGIN
         self.danger = tuple(
             frozenset(o for o in arc if math.hypot(*o) <= reach) for arc in self.in_arc

@@ -269,6 +269,9 @@ _BUILTIN_STATICS = {
 def populate_sorts(
     desc: DomainDescription, config: GridConfig, horizon: int = 8
 ) -> dict[str, tuple[Term, ...]]:
+    """Each declared sort's members on the grid configuration; a declared
+    sort the configuration cannot populate is a :class:`GroundingError`
+    naming it, since every rule over it would silently match nothing."""
     guards = guard_symbols(config)
     known: dict[str, tuple[Term, ...]] = {
         "agent": guards + attacker_symbols(config),
@@ -280,7 +283,10 @@ def populate_sorts(
         "region": all_region_symbols(config),
         "step": tuple(range(horizon + 1)),
     }
-    return {s.name: known.get(s.name, ()) for s in desc.sorts}
+    unknown = [s.name for s in desc.sorts if s.name not in known]
+    if unknown:
+        raise GroundingError(f"sort {unknown[0]}: no members on a grid configuration")
+    return {s.name: known[s.name] for s in desc.sorts}
 
 
 # ---------------------------------------------------------------------------

@@ -53,25 +53,31 @@ replans in the explainer get it too:
 - ``face(ah, D)``: 0, 1 or 2 quarter turns; the opposite facing needs
   two, since ``rotate`` turns one quarter.
 - ``shot(T)``: the smaller of two terms, capped at ``horizon - d + 1``
-  (more than the actions left).  ``T`` moves only by its scheduled
-  ``move``s, and a dropped move leaves it where it is, so at the
-  start of tick ``d + n - 1`` it stands on its current cell or on a cell
-  one of ``schedule[d .. d + n - 2]`` moves it to.
+  (more than the actions left).  An agent moves only by its scheduled
+  ``move``s and turns only by its scheduled ``rotate``s, and a dropped
+  action leaves it as it is, so at the start of tick ``k`` it stands on
+  its cell at ``d`` or on a cell one of ``schedule[d .. k - 1]`` moves it
+  to, with the like facings.
 
-  - Own shot: the least ``n`` such that one of those cells is within
-    ``n - 1`` Manhattan steps (``Geometry.steps_to_disk``) of the weapon
-    range around the guard.  ``shoot`` needs ``in_sight``, and so range,
-    at tick start, and the guard moves at most one 4-connected cell a
-    tick.
+  - Own shot: the least ``n`` such that one of the cells ``T`` can stand
+    on at the start of tick ``d + n - 1`` is within ``n - 1`` unit moves
+    and quarter turns (``Geometry.steps_to_sight`` at the guard's
+    facing) of the guard's cone.  ``shoot`` needs ``in_sight``, and so
+    the target in the cone, at tick start, and each tick the guard moves
+    at most one 4-connected cell or turns one quarter.
   - Teammate shot: ``k - d + 1`` for the first depth ``k >= d`` whose
-    step holds a ``shoot(S, T)`` with ``S`` not the guard; nothing else
-    causes ``shot(T)``.
+    step holds a ``shoot(S, T)`` that can land: ``S`` is not the guard,
+    and some pose ``S`` can hold at ``k`` (counted from the root) has a
+    cell ``T`` can hold at ``k`` in its cone, or the root holds no pose
+    for one of them; nothing else causes ``shot(T)``.
 
   Each term is consistent.  The child's cells of ``T`` are among the
-  node's, one tick later; the guard's cell moves by at most one step; a
-  scheduled shot one tick nearer is one action nearer.  The smaller of
-  two consistent bounds is consistent, and so is the cap, which falls by
-  one a tick.
+  node's, one tick later; the guard's move or turn changes the table's
+  entry by at most one, the table being the exact cost of moves and
+  quarter turns on an empty grid; the teammate term depends on the depth
+  alone, and a scheduled shot one tick nearer is one action nearer.  The
+  smaller of two consistent bounds is consistent, and so is the cap,
+  which falls by one a tick.
 - Any other literal: 0.
 
 ``Plan.expanded`` counts node expansions summed over the iterations; a
@@ -83,11 +89,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from fortdefense.env import in_cone
 from fortdefense.kr.beliefs import Belief, check_executable, progress
 from fortdefense.kr.goals import Goal, pose_of
 from fortdefense.kr.ground import (
     CCW,
     CW,
+    DIR_OF_SYMBOL,
+    DIR_SYMBOLS,
     GroundedDomain,
     attacker_symbols,
     region_cells,
@@ -130,7 +139,7 @@ Bound = Callable[[Belief, int], int]
 
 
 def _literal_bound(
-    lit: Literal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
+    lit: Literal, root: Belief, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
 ) -> Optional[Bound]:
     """One goal literal's lower bound on the actions left from a belief at
     a depth, or None where it contributes 0 (see the module docstring)."""
@@ -167,20 +176,51 @@ def _literal_bound(
     if atom.pred == "shot":
         target = atom.args[0]
         horizon = len(schedule)
-        steps = gdom.config.geometry.steps_to_disk
+        config = gdom.config
+        sight = {
+            d: config.geometry.steps_to_sight[DIR_OF_SYMBOL[d].index] for d in DIR_SYMBOLS
+        }
+        # Geometry.steps_to_sight's flat index of an offset is the index of
+        # the target's cell less the guard's, plus ``origin``
+        stride = 2 * config.height - 1
+        origin = (config.width - 1) * stride + config.height - 1
+
+        def held(sym: str, pred: str, k: int, now: tuple) -> set[tuple]:
+            """What ``sym`` can hold at depth ``k``: ``now`` or the target
+            of one of its ``pred`` actions scheduled before ``k``."""
+            return {now} | {
+                a.args[1:] for step in schedule[:k] for a in step
+                if a.pred == pred and a.args[0] == sym
+            }
+
+        def can_land(shooter: str, k: int) -> bool:
+            s, t = pose_of(root, shooter), pose_of(root, target)
+            if s is None or t is None:
+                return True
+            return any(
+                in_cone(config, DIR_OF_SYMBOL[d], x, y, tx, ty)
+                for x, y in held(shooter, "move", k, s[:2])
+                for (d,) in held(shooter, "rotate", k, s[2:])
+                for tx, ty in held(target, "move", k, t[:2])
+            )
+
         shots = [
             k
             for k, step in enumerate(schedule)
-            if any(a.pred == "shoot" and a.args[0] != ah and a.args[1] == target for a in step)
+            if any(
+                a.pred == "shoot" and a.args[0] != ah and a.args[1] == target
+                and can_land(a.args[0], k)
+                for a in step
+            )
         ]
         cells = [
-            (k, a.args[1:])
+            (k, a.args[1] * stride + a.args[2])
             for k, step in enumerate(schedule)
             for a in step
             if a.pred == "move" and a.args[0] == target
         ]
         # per depth d: the teammate term under the cap, and the target's
-        # scheduled cells as (the least n that can use it, cell), by n
+        # scheduled cells as (the least n that can use it, cell index), by n
         caps = [
             min([horizon + 1] + [k + 1 for k in shots if k >= d]) - d
             for d in range(horizon + 1)
@@ -196,12 +236,12 @@ def _literal_bound(
             me, it = pose_of(belief, ah), pose_of(belief, target)
             if me is None or it is None:
                 return 1
-            x, y = me[0], me[1]
-            best = min(caps[depth], 1 + steps[it[0] - x, it[1] - y])
-            for least, (tx, ty) in moves[depth]:
+            row, base = sight[me[2]], origin - me[0] * stride - me[1]
+            best = min(caps[depth], 1 + row[base + it[0] * stride + it[1]])
+            for least, c in moves[depth]:
                 if least >= best:
                     break
-                best = min(best, max(least, 1 + steps[tx - x, ty - y]))
+                best = min(best, max(least, 1 + row[base + c]))
             return best
 
         return ticks_to_hit
@@ -210,13 +250,14 @@ def _literal_bound(
 
 
 def goal_bound(
-    goal: Goal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
+    root: Belief, goal: Goal, gdom: GroundedDomain, schedule: Sequence[Sequence[Atom]]
 ) -> Bound:
     """A consistent lower bound on the actions left from a belief at a
-    depth to the goal: the largest of its literals' bounds.  ``schedule``
-    holds one step per depth, so its length is the horizon."""
+    depth to the goal, for a search from ``root``: the largest of its
+    literals' bounds.  ``schedule`` holds one step per depth, so its length
+    is the horizon."""
     bounds = [
-        b for lit in goal.literals if (b := _literal_bound(lit, gdom, schedule))
+        b for lit in goal.literals if (b := _literal_bound(lit, root, gdom, schedule))
     ]
     return lambda belief, depth: max((b(belief, depth) for b in bounds), default=0)
 
@@ -286,7 +327,7 @@ def plan(
     if goal_holds(belief, goal):
         return Plan((), True, 0)
     exo = [tuple(step) for step in schedule] + [()] * (horizon - len(schedule))
-    ctx = _Search(goal, gdom, exo, goal_bound(goal, gdom, exo[:horizon]))
+    ctx = _Search(goal, gdom, exo, goal_bound(belief, goal, gdom, exo[:horizon]))
     root_key = (belief.inertial_atoms(gdom), 0)
     for limit in range(max(1, ctx.h(belief, 0)), horizon + 1):
         found = _search(ctx, belief, (), limit, {root_key})

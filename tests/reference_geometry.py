@@ -16,9 +16,11 @@ from ``fortdefense.kr.goals``, ``_rotate_toward`` from
 ``fortdefense.policies``, and ``AdHocController._fallback`` from
 ``fortdefense.loop`` (dedented to a function that ignores ``self``).
 
-``Geometry.steps_to_disk`` replaced no formula, so ``steps_to_disk`` below
-is its definition by brute force instead: for each offset, the least
-Manhattan distance to an in-range offset.
+``Geometry.steps_to_sight`` replaced no formula, so ``steps_to_sight``
+below is its definition by brute force instead: for each facing and
+offset, the least over the final facings of the quarter turns to it plus
+the Manhattan distance to an offset of its cone, every pair of offsets
+compared.
 
 The scripted attackers' cone tests and the simulator's action list as they
 were before they read ``Geometry.danger``, ``Geometry.pocket`` and
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import math
 from typing import Optional
+
+import numpy as np
 
 from fortdefense.env import (
     MOVE_KINDS,
@@ -105,16 +109,33 @@ def in_arc(
     return abs(wrap_angle(bearing - facing.angle)) <= half + EPS
 
 
-def steps_to_disk(config: GridConfig) -> dict[tuple[int, int], int]:
-    """``min(|dx - ox| + |dy - oy|)`` over the in-range offsets ``(ox, oy)``,
-    for every offset ``(dx, dy)`` between two cells of the grid."""
-    xs, ys = range(1 - config.width, config.width), range(1 - config.height, config.height)
-    disk = [(ox, oy) for ox in xs for oy in ys if in_range(config, 0, 0, ox, oy)]
-    return {
-        (dx, dy): min(abs(dx - ox) + abs(dy - oy) for ox, oy in disk)
-        for dx in xs
-        for dy in ys
-    }
+def steps_to_sight(config: GridConfig) -> tuple[tuple[int, ...], ...]:
+    """Per facing, for every offset ``(dx, dy)`` between two cells of the
+    grid in ``(dx, dy)`` order: the least, over the final facings ``f``,
+    of the quarter turns to ``f`` plus ``|dx - ox| + |dy - oy|`` over the
+    offsets ``(ox, oy)`` in range and in ``f``'s arc; ``2 * (width +
+    height)`` where no facing has such an offset."""
+    w, h = config.width, config.height
+    offsets = np.array([(dx, dy) for dx in range(1 - w, w) for dy in range(1 - h, h)])
+    near = []
+    for f in Direction:
+        cone = np.array(
+            [
+                (ox, oy)
+                for ox, oy in offsets.tolist()
+                if in_range(config, 0, 0, ox, oy) and in_arc(config, f, 0, 0, ox, oy)
+            ]
+        ).reshape(-1, 2)
+        apart = np.abs(offsets[:, None, :] - cone[None, :, :]).sum(axis=2)
+        near.append(apart.min(axis=1) if len(cone) else np.full(len(offsets), np.inf))
+    turns = {0: 0, 1: 1, 2: 2, 3: 1}
+    table = []
+    for facing in Direction:
+        best = np.min(
+            [near[f.index] + turns[(f.index - facing.index) % 4] for f in Direction], axis=0
+        )
+        table.append(tuple(int(v) if v < np.inf else 2 * (w + h) for v in best))
+    return tuple(table)
 
 
 def _dist(a: tuple[float, float], b: tuple[float, float]) -> float:

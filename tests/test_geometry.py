@@ -6,7 +6,9 @@ in ``reference_geometry.py`` over random configurations, on every cell of
 the grid (the functions take cells of the grid only), and the tick's
 views over random states on them: the danger cells and strike posts that
 the scripted attackers share, each agent's moves and shots (which must
-partition the simulator's action list) and that list itself.  The other
+partition the simulator's action list) and that list itself.  The
+planner's shot table, which replaced no formula, is compared with its
+brute-force definition the same way.  The other
 tests pin the tables' lifetime (one per configuration
 object, invisible to equality, hashing and serialization), the enum
 attributes that replaced properties, and the one facing rule
@@ -20,7 +22,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_geometry as ref
 from fortdefense.env import (
@@ -252,18 +254,14 @@ def test_one_snapshot_holds_the_roster_scans_and_every_agents_actions(state):
         assert tick.legal_actions(agent.id) == ref.legal_actions(state, agent.id), agent.id
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        GridConfig(),
-        GridConfig(shoot_range=3.5),
-        GridConfig(shoot_arc_deg=180.0),
-        GridConfig(width=30, height=30),
-    ],
-    ids=["default", "range-3.5", "arc-180", "grid-30x30"],
-)
-def test_steps_to_disk_is_the_manhattan_distance_to_the_disk(config):
-    assert config.geometry.steps_to_disk == ref.steps_to_disk(config)
+@example(config=GridConfig())
+@example(config=GridConfig(shoot_range=3.5))
+@example(config=GridConfig(shoot_arc_deg=180.0))
+@example(config=GridConfig(width=30, height=30))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=configs())
+def test_steps_to_sight_is_the_fewest_moves_and_turns_into_the_cone(config):
+    assert config.geometry.steps_to_sight == ref.steps_to_sight(config)
 
 
 def test_boundary_draws_reach_the_eps_edge():

@@ -58,11 +58,12 @@ go(A, X, Y) causes in(A, X, Y).
 """
 
 
-def shipped_domain():
+def shipped_domain(extra=""):
+    """The shipped domain, with ``extra`` statements appended."""
     from importlib import resources
 
     return parse_domain(
-        resources.files("fortdefense").joinpath("data/fort_attack.dom").read_text()
+        resources.files("fortdefense").joinpath("data/fort_attack.dom").read_text() + extra
     )
 
 
@@ -365,6 +366,12 @@ def test_populate_sorts_partitions_agents():
     }
     assert sorts["dir"] == ("n", "e", "s", "w")
     assert len(sorts["region"]) == 25
+
+
+def test_a_sort_the_grid_cannot_populate_is_refused():
+    with pytest.raises(GroundingError) as err:
+        ground(shipped_domain("\nsort attacker < agent.\n"), GridConfig())
+    assert "sort attacker" in str(err.value)
 
 
 def test_subsort_relation():

@@ -466,20 +466,20 @@ def _encounter(target_kind, horizon, facing="e"):
     return b, _shoot_goal("attacker1"), _W0_GDOM, horizon, schedule
 
 
-def _b1600_decision(entries, kinds, fine_regions):
-    """A W0 decision as the controller made it against the B1600 team:
-    the tick-start belief, the goal of shooting attacker2, the grounding
+def _recorded_decision(entries, kinds, fine_regions, target="attacker2"):
+    """A decision as the controller made it on ``GridConfig()``: the
+    tick-start belief, the goal of shooting ``target``, the grounding
     restricted to ``fine_regions``, horizon 8, and the schedule built from
     the predicted action kinds."""
     b = belief_of(_W0_GDOM, entries)
     gdom = restrict(_W0_GDOM, set(fine_regions))
     kinds = {sym: int(kind) for sym, kind in kinds.items()}
-    return b, _shoot_goal("attacker2"), gdom, 8, build_schedule(b, gdom, kinds, 8)
+    return b, _shoot_goal(target), gdom, 8, build_schedule(b, gdom, kinds, 8)
 
 
-# B1600, episode seed 1, step 8: a 7-step plan; attacker2 walks south,
-# away from guard0.
-_B1600_SEED1_STEP8 = _b1600_decision(
+# W0's B1600 episodes (adhoc-w0), seed 1, step 8: a 7-step plan;
+# attacker2 walks south, away from guard0.
+_B1600_SEED1_STEP8 = _recorded_decision(
     [
         ("guard0", 8, 16, "s", True),
         ("guard1", 11, 14, "s", True),
@@ -498,9 +498,9 @@ _B1600_SEED1_STEP8 = _b1600_decision(
     ("r7", "r8", "r10", "r11", "r12", "r15", "r16", "r17", "r20", "r21", "r22"),
 )
 
-# B1600, episode seed 0, step 18: a 5-step plan against a target that
-# stays put.
-_B1600_SEED0_STEP18 = _b1600_decision(
+# W0's B1600 episodes, seed 0, step 18: a 5-step plan against a target
+# that stays put.
+_B1600_SEED0_STEP18 = _recorded_decision(
     [
         ("guard0", 12, 8, "e", True),
         ("guard1", 4, 13, "w", True),
@@ -518,6 +518,110 @@ _B1600_SEED0_STEP18 = _b1600_decision(
     ("r1", "r2", "r3", "r6", "r7", "r8", "r11", "r12", "r13", "r15", "r22"),
 )
 
+# W1's one failed search (``test_loop.w1_ledger``), alike against P1 and
+# B220 at seed 1004, step 14: attacker2 stands eight cells south of
+# guard0, which faces it, and walks west; no plan at any horizon.
+_W1_SEED1004_STEP14 = _recorded_decision(
+    [
+        ("guard0", 10, 15, "s", True),
+        ("guard1", 9, 18, "s", True),
+        ("guard2", 11, 18, "s", True),
+        ("attacker1", 8, 4, "n", True),
+        ("attacker2", 10, 7, "n", True),
+        ("attacker3", 13, 6, "n", True),
+    ],
+    {
+        "guard1": ActionKind.NOOP,
+        "guard2": ActionKind.NOOP,
+        "attacker1": ActionKind.MOVE_W,
+        "attacker2": ActionKind.MOVE_W,
+        "attacker3": ActionKind.MOVE_E,
+    },
+    ("r6", "r7", "r8", "r12", "r17", "r22"),
+)
+
+# W1's four largest successful searches, all against B1600.  Seed 1007,
+# step 7: a 7-step plan, six moves and the shot.
+_W1_B1600_SEED1007_STEP7 = _recorded_decision(
+    [
+        ("guard0", 12, 13, "s", True),
+        ("guard1", 9, 14, "s", True),
+        ("guard2", 12, 15, "s", True),
+        ("attacker1", 5, 8, "n", True),
+        ("attacker2", 8, 8, "n", True),
+        ("attacker3", 7, 6, "n", True),
+    ],
+    {
+        "guard1": ActionKind.MOVE_E,
+        "guard2": ActionKind.MOVE_S,
+        "attacker1": ActionKind.MOVE_S,
+        "attacker2": ActionKind.MOVE_S,
+        "attacker3": ActionKind.NOOP,
+    },
+    ("r6", "r7", "r11", "r12", "r13", "r17", "r18", "r22"),
+)
+
+# Seed 1009, step 23: an 8-step plan, as long as the horizon; guard1 and
+# attacker1 are down.
+_W1_B1600_SEED1009_STEP23 = _recorded_decision(
+    [
+        ("guard0", 9, 7, "e", True),
+        ("guard1", 7, 14, "w", False),
+        ("guard2", 14, 10, "s", True),
+        ("attacker1", 3, 12, "e", False),
+        ("attacker2", 15, 3, "w", True),
+        ("attacker3", 18, 6, "n", True),
+    ],
+    {
+        "guard2": ActionKind.MOVE_E,
+        "attacker2": ActionKind.MOVE_E,
+        "attacker3": ActionKind.MOVE_S,
+    },
+    ("r2", "r3", "r4", "r7", "r8", "r9", "r22"),
+)
+
+# Seed 1003, step 9: a 7-step plan straight south.
+_W1_B1600_SEED1003_STEP9 = _recorded_decision(
+    [
+        ("guard0", 12, 14, "s", True),
+        ("guard1", 12, 15, "s", True),
+        ("guard2", 10, 15, "s", True),
+        ("attacker1", 7, 8, "n", True),
+        ("attacker2", 15, 8, "n", True),
+        ("attacker3", 14, 6, "n", True),
+    ],
+    {
+        "guard1": ActionKind.NOOP,
+        "guard2": ActionKind.MOVE_E,
+        "attacker1": ActionKind.MOVE_S,
+        "attacker2": ActionKind.MOVE_S,
+        "attacker3": ActionKind.NOOP,
+    },
+    ("r6", "r8", "r11", "r13", "r18", "r22"),
+)
+
+# Seed 1005, step 14: a 6-step plan at attacker1 that ends in a turn
+# south, away from guard0's facing east.
+_W1_B1600_SEED1005_STEP14 = _recorded_decision(
+    [
+        ("guard0", 12, 12, "e", True),
+        ("guard1", 11, 13, "s", True),
+        ("guard2", 16, 12, "s", True),
+        ("attacker1", 10, 7, "n", True),
+        ("attacker2", 16, 6, "n", True),
+        ("attacker3", 9, 6, "n", True),
+    ],
+    {
+        "guard1": ActionKind.MOVE_S,
+        "guard2": ActionKind.MOVE_S,
+        "attacker1": ActionKind.MOVE_S,
+        "attacker2": ActionKind.MOVE_S,
+        "attacker3": ActionKind.NOOP,
+    },
+    ("r7", "r8", "r9", "r12", "r13", "r17", "r18", "r22"),
+    target="attacker1",
+)
+
 
 def _fleeing_target(horizon):
     """guard0 faces west, away from attacker1 eight cells east of it, and
@@ -529,7 +633,7 @@ def _fleeing_target(horizon):
 def _stray_teammate_shot(horizon):
     """The head-on encounter, everyone else idle but guard2, out of range
     of attacker1 and scheduled to shoot at it at depth 2 alone: a shot
-    that cannot land, which the bound counts at depth 2 only."""
+    that cannot land, which the bound does not count."""
     b, goal, gdom, _, schedule = _encounter({}, horizon)
     schedule[2] = (Atom("shoot", ("guard2", "attacker1")),)
     return b, goal, gdom, horizon, schedule
@@ -539,13 +643,19 @@ def _stray_teammate_shot(horizon):
 # target on the first tick, though guard0 alone needs three; the target
 # closes in, so guard0 fires on the third tick, not the fourth; the target
 # flees, so no plan of three ticks exists; a teammate's shot at depth 2
-# misses, so guard0 fires on the fourth tick.  Then two recorded searches.
+# misses, so guard0 fires on the fourth tick.  Then seven recorded
+# searches: two from W0 and W1's failed one and four largest.
 @example(instance=_encounter({"guard1": int(ActionKind.SHOOT)}, horizon=1))
 @example(instance=_encounter({"attacker1": int(ActionKind.MOVE_W)}, horizon=3))
 @example(instance=_fleeing_target(horizon=3))
 @example(instance=_stray_teammate_shot(horizon=5))
 @example(instance=_B1600_SEED1_STEP8)
 @example(instance=_B1600_SEED0_STEP18)
+@example(instance=_W1_SEED1004_STEP14)
+@example(instance=_W1_B1600_SEED1007_STEP7)
+@example(instance=_W1_B1600_SEED1009_STEP23)
+@example(instance=_W1_B1600_SEED1003_STEP9)
+@example(instance=_W1_B1600_SEED1005_STEP14)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(instance=planning_instances())
 def test_plan_matches_the_reference_and_the_oracle(instance):
@@ -581,23 +691,35 @@ def exogenous_steps(draw, belief):
 
 
 def test_the_bound_cuts_the_fixed_searches():
-    """Nodes expanded on the fixed instances; the bound that ignored the
-    schedule expanded 146, 57, 1, 220 and 77.  The target that flees is
-    out of reach at every horizon."""
+    """Nodes expanded on the fixed instances.  The bound that ignored the
+    schedule expanded 146, 57, 1, 220 and 77 on the first five; the one
+    that counted no quarter turns and every teammate shot expanded 13, 25,
+    0, 45, 44, 172, 43, 39, 37 and 46.  The target that flees is out of
+    reach at every horizon, and so is W1's failed search."""
     instances = {
         "B1600 seed 1 step 8": _B1600_SEED1_STEP8,
         "B1600 seed 0 step 18": _B1600_SEED0_STEP18,
         "fleeing, horizon 3": _fleeing_target(horizon=3),
         "fleeing, horizon 8": _fleeing_target(horizon=8),
         "stray teammate shot": _stray_teammate_shot(horizon=5),
+        "W1 seed 1004 step 14": _W1_SEED1004_STEP14,
+        "W1 B1600 seed 1007 step 7": _W1_B1600_SEED1007_STEP7,
+        "W1 B1600 seed 1009 step 23": _W1_B1600_SEED1009_STEP23,
+        "W1 B1600 seed 1003 step 9": _W1_B1600_SEED1003_STEP9,
+        "W1 B1600 seed 1005 step 14": _W1_B1600_SEED1005_STEP14,
     }
     results = {name: plan(*instance) for name, instance in instances.items()}
     assert {name: r.expanded for name, r in results.items()} == {
-        "B1600 seed 1 step 8": 13,
-        "B1600 seed 0 step 18": 25,
+        "B1600 seed 1 step 8": 11,
+        "B1600 seed 0 step 18": 5,
         "fleeing, horizon 3": 0,
-        "fleeing, horizon 8": 45,
-        "stray teammate shot": 44,
+        "fleeing, horizon 8": 14,
+        "stray teammate shot": 4,
+        "W1 seed 1004 step 14": 124,
+        "W1 B1600 seed 1007 step 7": 39,
+        "W1 B1600 seed 1009 step 23": 34,
+        "W1 B1600 seed 1003 step 9": 31,
+        "W1 B1600 seed 1005 step 14": 22,
     }
     assert [(r.success, len(r.actions)) for r in results.values()] == [
         (True, 7),
@@ -605,9 +727,31 @@ def test_the_bound_cuts_the_fixed_searches():
         (False, 0),
         (False, 0),
         (True, 4),
+        (False, 0),
+        (True, 7),
+        (True, 8),
+        (True, 7),
+        (True, 6),
     ]
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an explicit example: every draw gives
+    ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
+
+
+# W1's recorded searches, each with an idle step appended.
+@example(instance=_W1_SEED1004_STEP14, data=_Drawn(()))
+@example(instance=_W1_B1600_SEED1007_STEP7, data=_Drawn(()))
+@example(instance=_W1_B1600_SEED1009_STEP23, data=_Drawn(()))
+@example(instance=_W1_B1600_SEED1003_STEP9, data=_Drawn(()))
+@example(instance=_W1_B1600_SEED1005_STEP14, data=_Drawn(()))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(instance=planning_instances(), data=st.data())
 def test_the_search_bound_is_consistent_and_admissible(instance, data):
@@ -617,7 +761,7 @@ def test_the_search_bound_is_consistent_and_admissible(instance, data):
     the least plan length."""
     b, goal, gdom, horizon, schedule = instance
     schedule = schedule + [data.draw(exogenous_steps(b))]
-    h = goal_bound(goal, gdom, schedule)
+    h = goal_bound(b, goal, gdom, schedule)
     for depth, step in enumerate(schedule):
         for action in candidate_actions(b, gdom):
             if not check_executable(b, action, gdom)[0]:

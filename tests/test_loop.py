@@ -1045,8 +1045,8 @@ GOLDEN_W0_WORK = {
     "learn_stacked": 16,
     "predict_action": 1016,
     "observe_progress": 136,
-    "plan_nodes": 291,
-    "plan_progress": 914,
+    "plan_nodes": 247,
+    "plan_progress": 612,
 }
 
 
@@ -1120,43 +1120,43 @@ def test_golden_w0_work_counts(w0_pass):
 
 # W1's quality ledger (see ``w1_ledger``), pinned per policy.  All six
 # policies together: 51/72 wins, 0/72 ad hoc survival, 1,261 decisions,
-# 846 searches, 3,060 nodes, 3,414 of 5,125 predictions correct, 72 deaths
+# 846 searches, 2,693 nodes, 3,414 of 5,125 predictions correct, 72 deaths
 # at 1,261 decision steps in all (the guard dies in every episode, so
 # ``death_ticks`` equals ``decisions``), 54 of them trades.
 GOLDEN_ADHOC_W1 = {
     "P1": {
         "wins": 9, "survived": 0, "predictions": 715, "correct": 534,
-        "decisions": 173, "searches": 117, "nodes": 485, "failed": 1, "fallbacks": 1,
+        "decisions": 173, "searches": 117, "nodes": 437, "failed": 1, "fallbacks": 1,
         "death_ticks": 173, "trades": 8,
         "decision_hash": "77e6612d96b2773d3915171aa2a2a349eca5723ade0be3f87f4e4ffcba1a952c",
     },
     "P2": {
         "wins": 4, "survived": 0, "predictions": 765, "correct": 439,
-        "decisions": 185, "searches": 124, "nodes": 268, "failed": 0, "fallbacks": 0,
+        "decisions": 185, "searches": 124, "nodes": 264, "failed": 0, "fallbacks": 0,
         "death_ticks": 185, "trades": 9,
         "decision_hash": "2f41c499ca887a9980b0467f1011ba1411befefd8ef21ddb73392379165a8f82",
     },
     "B220": {
         "wins": 9, "survived": 0, "predictions": 720, "correct": 620,
-        "decisions": 175, "searches": 114, "nodes": 531, "failed": 1, "fallbacks": 1,
+        "decisions": 175, "searches": 114, "nodes": 436, "failed": 1, "fallbacks": 1,
         "death_ticks": 175, "trades": 6,
         "decision_hash": "bfd1b8240b960a0e1c2ef986cf6fde223416a671c6e909bc3dddc41fc1160e00",
     },
     "B650": {
         "wins": 12, "survived": 0, "predictions": 956, "correct": 716,
-        "decisions": 224, "searches": 148, "nodes": 478, "failed": 0, "fallbacks": 0,
+        "decisions": 224, "searches": 148, "nodes": 421, "failed": 0, "fallbacks": 0,
         "death_ticks": 224, "trades": 11,
         "decision_hash": "95af3127da0fa72f4939169e8867e4594122e9d9dc5ead4dafc633d4593f8791",
     },
     "B1240": {
         "wins": 12, "survived": 0, "predictions": 728, "correct": 514,
-        "decisions": 176, "searches": 112, "nodes": 329, "failed": 0, "fallbacks": 0,
+        "decisions": 176, "searches": 112, "nodes": 310, "failed": 0, "fallbacks": 0,
         "death_ticks": 176, "trades": 10,
         "decision_hash": "dd56122b6ba34dac9540252eea15f7cab9968ee66a2bfb7dff0dd0bc71092eda",
     },
     "B1600": {
         "wins": 5, "survived": 0, "predictions": 1241, "correct": 591,
-        "decisions": 328, "searches": 231, "nodes": 969, "failed": 0, "fallbacks": 0,
+        "decisions": 328, "searches": 231, "nodes": 825, "failed": 0, "fallbacks": 0,
         "death_ticks": 328, "trades": 10,
         "decision_hash": "74b19ad8366b5029ad325c687ef717b309cb18f1bb42c6dad80f7718c7ef2a86",
     },
