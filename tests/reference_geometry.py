@@ -20,7 +20,9 @@ from ``fortdefense.kr.goals``, ``_rotate_toward`` from
 below is its definition by brute force instead: for each facing and
 offset, the least over the final facings of the quarter turns to it plus
 the Manhattan distance to an offset of its cone, every pair of offsets
-compared.
+compared.  ``steps_to_disk`` is the same brute force for the L1 distance
+transform that builds it, on the whole disk: for each offset, the least
+Manhattan distance to an in-range offset.
 
 The scripted attackers' cone tests and the simulator's action list as they
 were before they read ``Geometry.danger``, ``Geometry.pocket`` and
@@ -107,6 +109,18 @@ def in_arc(
     bearing = math.atan2(dx, dy)
     half = math.radians(config.shoot_arc_deg) / 2
     return abs(wrap_angle(bearing - facing.angle)) <= half + EPS
+
+
+def steps_to_disk(config: GridConfig) -> dict[tuple[int, int], int]:
+    """``min(|dx - ox| + |dy - oy|)`` over the in-range offsets ``(ox, oy)``,
+    for every offset ``(dx, dy)`` between two cells of the grid."""
+    xs, ys = range(1 - config.width, config.width), range(1 - config.height, config.height)
+    disk = [(ox, oy) for ox in xs for oy in ys if in_range(config, 0, 0, ox, oy)]
+    return {
+        (dx, dy): min(abs(dx - ox) + abs(dy - oy) for ox, oy in disk)
+        for dx in xs
+        for dy in ys
+    }
 
 
 def steps_to_sight(config: GridConfig) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,8 @@ views over random states on them: the danger cells and strike posts that
 the scripted attackers share, each agent's moves and shots (which must
 partition the simulator's action list) and that list itself.  The
 planner's shot table, which replaced no formula, is compared with its
-brute-force definition the same way.  The other
+brute-force definition the same way, and the L1 distance transform that
+builds it with the Manhattan distance to the disk.  The other
 tests pin the tables' lifetime (one per configuration
 object, invisible to equality, hashing and serialization), the enum
 attributes that replaced properties, and the one facing rule
@@ -38,6 +39,7 @@ from fortdefense.env import (
     GridConfig,
     Tick,
     WorldState,
+    _steps_to,
     facing_toward,
     fort_center,
     fort_distance,
@@ -252,6 +254,29 @@ def test_one_snapshot_holds_the_roster_scans_and_every_agents_actions(state):
     assert tick.threat is threat
     for agent in state.agents:
         assert tick.legal_actions(agent.id) == ref.legal_actions(state, agent.id), agent.id
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        GridConfig(),
+        GridConfig(shoot_range=3.5),
+        GridConfig(shoot_arc_deg=180.0),
+        GridConfig(width=30, height=30),
+    ],
+    ids=["default", "range-3.5", "arc-180", "grid-30x30"],
+)
+def test_steps_to_disk_is_the_manhattan_distance_to_the_disk(config):
+    # the transform that builds steps_to_sight from each cone, run on the
+    # whole disk, indexed from (1 - width, 1 - height)
+    w, h = config.width, config.height
+    dist = _steps_to(frozenset(config.geometry.disk), w, h)
+    steps = {
+        (dx, dy): int(dist[dx + w - 1, dy + h - 1])
+        for dx in range(1 - w, w)
+        for dy in range(1 - h, h)
+    }
+    assert steps == ref.steps_to_disk(config)
 
 
 @example(config=GridConfig())
