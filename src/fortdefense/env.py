@@ -11,7 +11,7 @@ sits at y = height - 1 and attackers start near y = 0.
 
 Geometry is tabulated per configuration.  ``config.geometry`` is a
 :class:`Geometry`, built on first use and kept on the frozen config: the
-range, arc and shot-cone tests per facing and offset, the scripted
+arc and shot-cone tests per facing and offset, the scripted
 attackers' danger cones and strike pockets per facing, the weapon-range
 disk of offsets, per facing and offset the fewest moves and quarter turns
 that bring a target into the shot cone (which the planner's search bound
@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from operator import attrgetter
 from typing import Mapping, Optional, Union
@@ -169,15 +169,15 @@ SHOT_ACTIONS = _ShotActions()
 
 
 class AgentKind(Enum):
-    """Agent roles.  ``is_guard`` is a plain member attribute: true for
-    both kinds of guard, false for attackers."""
+    """Agent roles.  ``is_guard`` is a plain member attribute, true for
+    guards.  The simulator plays every guard alike; which one a controller
+    drives is the controller's business, not the state's."""
 
     GUARD = "guard"
-    AD_HOC_GUARD = "ad_hoc_guard"
     ATTACKER = "attacker"
 
     def __init__(self, value: str) -> None:
-        self.is_guard = value != "attacker"
+        self.is_guard = value == "guard"
 
 
 @dataclass
@@ -298,8 +298,6 @@ class Outcome(Enum):
 class EpisodeResult:
     outcome: Outcome
     steps: int
-    shots_fired: dict[int, int]
-    shots_hit: dict[int, int]
 
     @property
     def guards_win(self) -> bool:
@@ -308,16 +306,15 @@ class EpisodeResult:
 
 @dataclass(frozen=True)
 class ShotEvent:
-    """One shot.  ``hit`` means the shot was lethal (target alive at tick
-    start, inside range and arc).  When several shots kill the same target
-    simultaneously, exactly one shooter is ``credited`` with the elimination
-    (the highest shooter id, a fixed convention); accuracy statistics count
-    credited eliminations over shots fired."""
+    """One fired shot, the one record of shots: ``step`` reports one per
+    live agent's SHOOT, in shooter-id order.  ``hit`` means the shot was
+    lethal (target alive at tick start, inside range and arc); every kill
+    of a tick is named by at least one hit, and several shooters that hit
+    one target each report it."""
 
     shooter: int
     target: int
     hit: bool
-    credited: bool = False
 
 
 @dataclass(frozen=True)
@@ -336,8 +333,6 @@ class WorldState:
     config: GridConfig
     agents: list[AgentState]
     step_count: int = 0
-    shots_fired: dict[int, int] = field(default_factory=dict)
-    shots_hit: dict[int, int] = field(default_factory=dict)
 
     def get(self, agent_id: int) -> AgentState:
         for a in self.agents:
@@ -359,40 +354,30 @@ class WorldState:
                 for a in self.agents
             ],
             step_count=self.step_count,
-            shots_fired=dict(self.shots_fired),
-            shots_hit=dict(self.shots_hit),
         )
 
 
-def reset(config: GridConfig, seed: int, ad_hoc: bool = True) -> WorldState:
-    """Create the initial state for an episode.
+def reset(config: GridConfig, seed: int) -> WorldState:
+    """Create the initial state for an episode, a function of ``config``
+    and ``seed`` alone.
 
-    Guards spawn in distinct cells adjacent to the fort facing south;
-    attackers spawn in distinct cells of the bottom row band facing north.
-    When ``ad_hoc`` is set, guard 0 is the ad hoc agent (the simulator treats
-    it identically; the flag only marks which agent external controllers
-    drive).
+    Guards spawn in distinct cells adjacent to the fort facing south, with
+    ids from 0; attackers spawn in distinct cells of the bottom row band
+    facing north, with the ids after the guards'.
     """
     config.validate()
     rng = random.Random(seed)
     guard_cells = rng.sample(config._guard_spawn_cells(), config.n_guards)
     attacker_cells = rng.sample(config._attacker_spawn_cells(), config.n_attackers)
-    agents = []
-    for i, (x, y) in enumerate(guard_cells):
-        kind = AgentKind.AD_HOC_GUARD if (ad_hoc and i == 0) else AgentKind.GUARD
-        agents.append(AgentState(i, kind, x, y, Direction.S))
+    agents = [
+        AgentState(i, AgentKind.GUARD, x, y, Direction.S)
+        for i, (x, y) in enumerate(guard_cells)
+    ]
     for j, (x, y) in enumerate(attacker_cells):
         agents.append(
             AgentState(config.n_guards + j, AgentKind.ATTACKER, x, y, Direction.N)
         )
-    ids = [a.id for a in agents]
-    return WorldState(
-        config=config,
-        agents=agents,
-        step_count=0,
-        shots_fired={i: 0 for i in ids},
-        shots_hit={i: 0 for i in ids},
-    )
+    return WorldState(config=config, agents=agents)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +483,12 @@ class Geometry:
     height - 1)``; the per-facing tables are tuples indexed by
     ``Direction.index``.
 
-    * ``in_range[offset]`` -- whether the offset is within weapon range;
-      its keys are the span;
     * ``in_arc[facing]`` -- the set of offsets in the facing's arc (never
       the zero offset);
     * ``cone[facing]`` -- the set of offsets in range and in the arc: where
       a shooter so facing hits;
-    * ``disk`` -- the in-range offsets, in ``(dx, dy)`` order;
+    * ``disk`` -- the offsets of the span within weapon range, in ``(dx,
+      dy)`` order;
     * ``danger[facing]`` -- the set of offsets in the facing's arc with
       ``math.hypot(dx, dy) <= shoot_range + DANGER_MARGIN``: where a shooter
       so facing may hit after one more closing step (the scripted
@@ -550,8 +534,7 @@ class Geometry:
     def __init__(self, config: GridConfig) -> None:
         w, h = config.width, config.height
         offsets = [(dx, dy) for dx in range(1 - w, w) for dy in range(1 - h, h)]
-        self.in_range = {o: _range_formula(config.shoot_range, *o) for o in offsets}
-        self.disk = tuple(o for o in offsets if self.in_range[o])
+        self.disk = tuple(o for o in offsets if _range_formula(config.shoot_range, *o))
         self.in_arc = tuple(
             frozenset(o for o in offsets if _arc_formula(config.shoot_arc_deg, facing, *o))
             for facing in Direction
@@ -820,14 +803,15 @@ def step(
     Requires exactly one action per live agent; actions for dead agents are
     dropped with a warning event, unknown ids raise.  Shots resolve first
     against tick-start poses (a hit needs the target alive at tick start and
-    inside range and arc -- anything else fires and misses); mutual shots
-    kill both, and agents killed this tick neither move nor rotate.  Moves
-    then resolve simultaneously: moves into cells of non-moving agents
-    cancel, pairwise swaps cancel, and when several movers contest one cell
-    the lowest agent id wins.  Off-grid or self-targeted moves downgrade to
-    holds with a warning event.  The cancellations repeat in rounds, each
-    walking the movers in id order, until one cancels nothing: without
-    conflicts, the common case, after one.  ``state`` is left as it was.
+    inside range and arc -- anything else fires and misses), each reported
+    as one :class:`ShotEvent`, in shooter-id order; mutual shots kill both,
+    and agents killed this tick neither move nor rotate.  Moves then resolve
+    simultaneously: moves into cells of non-moving agents cancel, pairwise
+    swaps cancel, and when several movers contest one cell the lowest agent
+    id wins.  Off-grid moves downgrade to holds with a warning event.  The
+    cancellations repeat in rounds, each walking the movers in id order,
+    until one cancels nothing: without conflicts, the common case, after
+    one.  ``state`` is left as it was.
     """
     if terminal(state) is not None:
         raise ValueError("cannot step a terminal state")
@@ -854,10 +838,8 @@ def step(
 
     # --- one pass in id order: shots against tick-start poses, each
     # mover's start and target cells, each turner's new facing ---
-    shots_fired, shots_hit = dict(state.shots_fired), dict(state.shots_hit)
     cone = config.geometry.cone
-    lethal: dict[int, list[int]] = {}  # target id -> lethal shooter ids
-    shot_pairs: list[tuple[int, int, bool]] = []
+    killed: set[int] = set()
     steps: list[tuple[int, tuple[int, int], int, int]] = []
     turns: dict[int, Direction] = {}
     for agent_id in sorted(effective):
@@ -865,13 +847,12 @@ def step(
         agent = by_id[agent_id]
         if kind is ActionKind.SHOOT:
             target = by_id[effective[agent_id].target]
-            shots_fired[agent_id] += 1
             hit = target.alive and (
                 (target.x - agent.x, target.y - agent.y) in cone[agent.direction.index]
             )
             if hit:
-                lethal.setdefault(target.id, []).append(agent_id)
-            shot_pairs.append((agent_id, target.id, hit))
+                killed.add(target.id)
+            events.append(ShotEvent(agent_id, target.id, hit))
         elif kind in MOVE_KINDS:
             d = MOVE_KINDS[kind]
             steps.append((agent_id, (agent.x, agent.y), agent.x + d.dx, agent.y + d.dy))
@@ -879,13 +860,6 @@ def step(
             turns[agent_id] = agent.direction.clockwise()
         elif kind is ActionKind.ROTATE_CCW:
             turns[agent_id] = agent.direction.counterclockwise()
-    credited_for = {target: max(shooters) for target, shooters in lethal.items()}
-    for shooter_id, target_id, hit in shot_pairs:
-        was_credited = hit and credited_for.get(target_id) == shooter_id
-        if was_credited:
-            shots_hit[shooter_id] += 1
-        events.append(ShotEvent(shooter_id, target_id, hit, credited=was_credited))
-    killed = set(lethal)
 
     # --- moves, for agents still alive after shot resolution; ``dest`` is
     # filled in id order, and deleting from it keeps that order ---
@@ -939,10 +913,7 @@ def step(
             x, y = dest.get(i) or (a.x, a.y)
             facing = turns.get(i, a.direction)
             agents.append(AgentState(i, a.kind, x, y, facing, a.alive))
-    return (
-        WorldState(config, agents, state.step_count + 1, shots_fired, shots_hit),
-        events,
-    )
+    return WorldState(config, agents, state.step_count + 1), events
 
 
 def terminal(state: WorldState) -> Optional[EpisodeResult]:
@@ -972,9 +943,4 @@ def terminal(state: WorldState) -> Optional[EpisodeResult]:
         outcome = Outcome.GUARDS_WIN_TIMEOUT
     if outcome is None:
         return None
-    return EpisodeResult(
-        outcome=outcome,
-        steps=state.step_count,
-        shots_fired=dict(state.shots_fired),
-        shots_hit=dict(state.shots_hit),
-    )
+    return EpisodeResult(outcome=outcome, steps=state.step_count)

@@ -624,19 +624,14 @@ def effective_atoms(
 
 @dataclass
 class EpisodeStats:
-    """Per-episode scalar results."""
+    """Per-episode scalar results.  ``adhoc_alive`` is guard 0's survival,
+    whether the controller or the scripted policy plays it."""
 
-    episode: int
     seed: int
-    policy: str
     outcome: str
     steps: int
     guards_win: bool
     adhoc_alive: bool
-    adhoc_shots_fired: int
-    adhoc_shots_hit: int
-    guard_shots_fired: int
-    guard_shots_hit: int
     pred_total: int
     pred_correct: int
 
@@ -670,8 +665,10 @@ def run_games(
     example_sink: Optional[Mapping[str, list]] = None,
 ) -> GameStats:
     """Run episodes of the scripted team against the scripted attackers,
-    with the controlled guard either knowledge-driven (``ad_hoc=True``) or
-    scripted like its teammates (the baseline).
+    with guard 0 either driven by an :class:`AdHocController`
+    (``ad_hoc=True``) or scripted like its teammates (the baseline).  The
+    simulator plays both alike; ``ad_hoc`` only chooses whether a
+    controller plays.
 
     Each tick takes one snapshot of the state (``env.Tick``), which every
     scripted agent's ``policy_action`` reads, with its :func:`tick_seed`,
@@ -689,7 +686,7 @@ def run_games(
     spec = make_policy(policy)
     for episode in range(n_episodes):
         episode_seed = seed + episode
-        state = reset(config, episode_seed, ad_hoc=ad_hoc)
+        state = reset(config, episode_seed)
         prev_action: dict[int, Action] = {}
         if controller is not None:
             controller.begin_episode(state, seed=episode_seed, policy=policy)
@@ -719,21 +716,13 @@ def run_games(
             prev_action.update(actions)
             state = nxt
             result = terminal(state)
-        adhoc_id = 0
-        guard_ids = [a.id for a in state.agents if a.kind.is_guard]
         stats.episodes.append(
             EpisodeStats(
-                episode=episode,
                 seed=episode_seed,
-                policy=policy,
                 outcome=result.outcome.value,
                 steps=result.steps,
                 guards_win=result.guards_win,
-                adhoc_alive=state.get(adhoc_id).alive,
-                adhoc_shots_fired=state.shots_fired.get(adhoc_id, 0),
-                adhoc_shots_hit=state.shots_hit.get(adhoc_id, 0),
-                guard_shots_fired=sum(state.shots_fired.get(g, 0) for g in guard_ids),
-                guard_shots_hit=sum(state.shots_hit.get(g, 0) for g in guard_ids),
+                adhoc_alive=state.get(0).alive,
                 pred_total=controller.pred_total if controller else 0,
                 pred_correct=controller.pred_correct if controller else 0,
             )

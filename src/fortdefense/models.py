@@ -637,8 +637,7 @@ def _fraction(lib: ModelLibrary, agent: int, type_id: int) -> float:
 def incremental_update(
     model: Optional[StackedModel],
     buffer: Sequence[tuple[Sequence[float], int]],
-    reservoir: Optional[Sequence[tuple[Sequence[float], int]]] = None,
-    max_leaves: int = N_FEATURES,
+    reservoir: Sequence[tuple[Sequence[float], int]],
 ) -> StackedModel:
     """Refit on reservoir + buffer; keep the old model if it holds up better.
 
@@ -646,17 +645,17 @@ def incremental_update(
     prior model (or too few examples to hold any out) the refit is returned
     directly, so an empty reservoir reduces to ``learn_stacked``.
     """
-    combined = list(reservoir or []) + list(buffer)
+    combined = list(reservoir) + list(buffer)
     if not combined:
         raise ValueError("no examples to update from")
     X = np.array([v for v, _ in combined], dtype=float)
     y = np.array([int(lab) for _, lab in combined], dtype=int)
     if model is None:
-        return learn_stacked(X, y, max_leaves)
+        return learn_stacked(X, y)
     hold = np.arange(len(y)) % 5 == 4
     if not hold.any():
-        return learn_stacked(X, y, max_leaves)
-    new_model = learn_stacked(X[~hold], y[~hold], max_leaves)
+        return learn_stacked(X, y)
+    new_model = learn_stacked(X[~hold], y[~hold])
     if accuracy(new_model, X[hold], y[hold]) >= accuracy(model, X[hold], y[hold]):
         return new_model
     return model

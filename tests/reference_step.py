@@ -74,19 +74,14 @@ def step(
             continue
         shooter = by_id[agent_id]
         target = by_id[act.target]
-        nxt.shots_fired[agent_id] += 1
         hit = target.alive and in_cone(
             state.config, shooter.direction, shooter.x, shooter.y, target.x, target.y
         )
         if hit:
             lethal.setdefault(target.id, []).append(agent_id)
         shot_pairs.append((agent_id, target.id, hit))
-    credited_for = {target: max(shooters) for target, shooters in lethal.items()}
     for shooter_id, target_id, hit in shot_pairs:
-        was_credited = hit and credited_for.get(target_id) == shooter_id
-        if was_credited:
-            nxt.shots_hit[shooter_id] += 1
-        events.append(ShotEvent(shooter_id, target_id, hit, credited=was_credited))
+        events.append(ShotEvent(shooter_id, target_id, hit))
     killed = set(lethal)
     for tid in killed:
         nxt_by_id[tid].alive = False

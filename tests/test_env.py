@@ -31,6 +31,7 @@ from fortdefense.env import (
     Outcome,
     ShotEvent,
     WorldState,
+    in_cone,
     legal_actions,
     reset,
     step,
@@ -60,14 +61,7 @@ def tiny_config(**overrides) -> GridConfig:
 
 
 def make_state(config, agents, step_count=0) -> WorldState:
-    ids = [a.id for a in agents]
-    return WorldState(
-        config=config,
-        agents=agents,
-        step_count=step_count,
-        shots_fired={i: 0 for i in ids},
-        shots_hit={i: 0 for i in ids},
-    )
+    return WorldState(config=config, agents=agents, step_count=step_count)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +242,8 @@ def test_shot_at_range_plus_one_misses():
     target = AgentState(1, AgentKind.ATTACKER, 11, 10, Direction.N)  # 6 cells east
     state = make_state(config, [shooter, target])
     nxt, events = step(state, {0: Action.shoot(1), 1: Action.noop()})
-    assert nxt.shots_fired[0] == 1
-    assert nxt.shots_hit[0] == 0
     assert nxt.get(1).alive
-    assert events == [ShotEvent(0, 1, hit=False, credited=False)]
+    assert events == [ShotEvent(0, 1, hit=False)]
 
 
 def test_mutual_shots_kill_both():
@@ -261,15 +253,11 @@ def test_mutual_shots_kill_both():
     state = make_state(config, [a, b])
     nxt, events = step(state, {0: Action.shoot(1), 1: Action.shoot(0)})
     assert not nxt.get(0).alive and not nxt.get(1).alive
-    assert nxt.shots_hit == {0: 1, 1: 1}
-    assert events == [
-        ShotEvent(0, 1, hit=True, credited=True),
-        ShotEvent(1, 0, hit=True, credited=True),
-    ]
+    assert events == [ShotEvent(0, 1, hit=True), ShotEvent(1, 0, hit=True)]
 
 
 def test_simultaneous_kill_credits_one_shooter():
-    # both shots are lethal, the elimination is credited once (highest id)
+    # both shots are lethal: each reports its hit, in shooter-id order
     config = GridConfig(n_guards=2, n_attackers=1)
     g0 = AgentState(0, AgentKind.GUARD, 5, 10, Direction.E)
     g1 = AgentState(1, AgentKind.GUARD, 5, 12, Direction.E)
@@ -279,12 +267,7 @@ def test_simultaneous_kill_credits_one_shooter():
         state, {0: Action.shoot(2), 1: Action.shoot(2), 2: Action.noop()}
     )
     assert not nxt.get(2).alive
-    assert nxt.shots_fired == {0: 1, 1: 1, 2: 0}
-    assert nxt.shots_hit == {0: 0, 1: 1, 2: 0}
-    assert events == [
-        ShotEvent(0, 2, hit=True, credited=False),
-        ShotEvent(1, 2, hit=True, credited=True),
-    ]
+    assert events == [ShotEvent(0, 2, hit=True), ShotEvent(1, 2, hit=True)]
 
 
 def test_killed_agent_does_not_complete_its_move():
@@ -318,8 +301,7 @@ def test_shot_at_dead_target_counts_as_miss():
     live = AgentState(2, AgentKind.ATTACKER, 5, 0, Direction.N)
     state = make_state(config, [shooter, corpse, live])
     nxt, events = step(state, {0: Action.shoot(1), 2: Action.noop()})
-    assert nxt.shots_fired[0] == 1 and nxt.shots_hit[0] == 0
-    assert ShotEvent(0, 1, hit=False, credited=False) in events
+    assert ShotEvent(0, 1, hit=False) in events
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +313,7 @@ def build_terminal_state(attacker_on_fort, attackers_dead, guards_dead, timed_ou
     config = GridConfig(n_guards=2, n_attackers=2, max_steps=10)
     fort_cell = sorted(config.fort_cells)[0]
     agents = [
-        AgentState(0, AgentKind.AD_HOC_GUARD, 0, 0, Direction.S, alive=not guards_dead),
+        AgentState(0, AgentKind.GUARD, 0, 0, Direction.S, alive=not guards_dead),
         AgentState(1, AgentKind.GUARD, 1, 0, Direction.S, alive=not guards_dead),
         AgentState(
             2,
@@ -404,11 +386,7 @@ def test_reset_spawn_layout():
     assert len(state.agents) == 6
     guards = state.guards()
     attackers = state.attackers()
-    assert [g.kind for g in guards] == [
-        AgentKind.AD_HOC_GUARD,
-        AgentKind.GUARD,
-        AgentKind.GUARD,
-    ]
+    assert [(g.id, g.kind) for g in guards] == [(i, AgentKind.GUARD) for i in range(3)]
     positions = [a.pos for a in state.agents]
     assert len(set(positions)) == 6
     for g in guards:
@@ -420,11 +398,8 @@ def test_reset_spawn_layout():
     for a in attackers:
         assert 0 <= a.y < config.attacker_band_rows
         assert a.direction is Direction.N
-    # same seed, same spawn; the ad hoc flag only changes agent 0's kind
-    again = reset(config, seed=42)
-    assert again == state
-    plain = reset(config, seed=42, ad_hoc=False)
-    assert all(g.kind is AgentKind.GUARD for g in plain.guards())
+    # same seed, same spawn
+    assert reset(config, seed=42) == state
 
 
 def test_reset_rejects_invalid_configs():
@@ -534,25 +509,48 @@ def test_rotation_cycle():
 # ---------------------------------------------------------------------------
 
 
+def assert_shot_events_are_the_record(before, joint, after, events):
+    """The tick's shot events are the live agents' shots, in shooter-id
+    order; each hit is lethal geometry at tick start; and the agents down
+    after the tick are those down before plus those a hit names."""
+    shots = [e for e in events if isinstance(e, ShotEvent)]
+    fired = [(i, joint[i].target) for i in sorted(joint) if joint[i].kind is ActionKind.SHOOT]
+    assert [(e.shooter, e.target) for e in shots] == fired
+    for e in shots:
+        shooter, target = before.get(e.shooter), before.get(e.target)
+        lethal = target.alive and in_cone(
+            before.config, shooter.direction, shooter.x, shooter.y, target.x, target.y
+        )
+        assert e.hit == lethal, e
+    named = {e.target for e in shots if e.hit}
+    for a in after.agents:
+        assert (not a.alive) == (not before.get(a.id).alive or a.id in named)
+    return len(shots)
+
+
 def test_random_walk_keeps_invariants():
-    rng = random.Random(2024)
-    config = GridConfig(max_steps=60)
-    for episode in range(8):
-        state = reset(config, seed=rng.randrange(10**6))
-        while terminal(state) is None:
-            joint = {}
-            for agent in state.agents:
-                if not agent.alive:
-                    continue
-                options = legal_actions(state, agent.id)
-                joint[agent.id] = options[rng.randrange(len(options))]
-            state, _ = step(state, joint)
-            positions = [a.pos for a in state.agents]
-            assert len(set(positions)) == len(positions)
-            for a in state.agents:
-                assert config.in_bounds(a.x, a.y)
-            for i in state.shots_fired:
-                assert state.shots_hit[i] <= state.shots_fired[i]
+    # the default grid fires no shot from these draws; the crowded one does
+    crowded = GridConfig(width=8, height=8, n_guards=2, n_attackers=3, max_steps=60)
+    for config in (GridConfig(max_steps=60), crowded):
+        rng = random.Random(2024)
+        n_shots = 0
+        for episode in range(8):
+            state = reset(config, seed=rng.randrange(10**6))
+            while terminal(state) is None:
+                joint = {}
+                for agent in state.agents:
+                    if not agent.alive:
+                        continue
+                    options = legal_actions(state, agent.id)
+                    joint[agent.id] = options[rng.randrange(len(options))]
+                before = state
+                state, events = step(state, joint)
+                positions = [a.pos for a in state.agents]
+                assert len(set(positions)) == len(positions)
+                for a in state.agents:
+                    assert config.in_bounds(a.x, a.y)
+                n_shots += assert_shot_events_are_the_record(before, joint, state, events)
+    assert n_shots > 0
 
 
 def test_fixed_script_is_deterministic():
@@ -614,9 +612,7 @@ def valid_states(draw):
     alive[draw(st.integers(PROPERTY_CONFIG.n_guards, _N_AGENTS - 1))] = True
     agents = []
     for i, (x, y) in enumerate(cells):
-        if i == 0:
-            kind = AgentKind.AD_HOC_GUARD
-        elif i < PROPERTY_CONFIG.n_guards:
+        if i < PROPERTY_CONFIG.n_guards:
             kind = AgentKind.GUARD
         else:
             kind = AgentKind.ATTACKER

@@ -140,13 +140,12 @@ def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path, ticks, saved):
     for byte."""
     config = GridConfig(width=8, height=8, n_guards=2, n_attackers=2, max_steps=60)
     agents = [
-        AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+        AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
         AgentState(1, AgentKind.GUARD, 4, 4, Direction.W),
         AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
         AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
     ]
-    no_shots = dict.fromkeys(range(4), 0)
-    states = [WorldState(config, agents, 0, no_shots, dict(no_shots))]
+    states = [WorldState(config, agents)]
     controller = AdHocController(config, refit=False)
     controller.begin_episode(states[0], seed=0, policy="chain")
     chain = {1: Action.move(Direction.N), 2: Action.move(Direction.N)}
@@ -159,7 +158,7 @@ def test_a_belief_rebuilt_from_the_observation_is_saved(tmp_path, ticks, saved):
         states.append(after)
     # the episode is cut after ``ticks`` ticks
     record = controller.finish_episode(
-        EpisodeResult(Outcome.GUARDS_WIN_TIMEOUT, ticks, state.shots_fired, state.shots_hit)
+        EpisodeResult(Outcome.GUARDS_WIN_TIMEOUT, ticks)
     )
     assert [s.reconciled for s in record.steps] == [True, False, False][:ticks]
     observed = observe_world(states[1], controller.gdom)

@@ -34,14 +34,7 @@ DIR_INDEX = {Direction.N: 0, Direction.E: 1, Direction.S: 2, Direction.W: 3}
 
 
 def make_state(config, agents):
-    ids = [a.id for a in agents]
-    return WorldState(
-        config=config,
-        agents=agents,
-        step_count=0,
-        shots_fired={i: 0 for i in ids},
-        shots_hit={i: 0 for i in ids},
-    )
+    return WorldState(config=config, agents=agents)
 
 
 def random_states(n_states, seed=0, steps_per_state=3):
@@ -124,7 +117,7 @@ def oracle_vector(state, modeled, prev_action):
 @st.composite
 def roster_states(draw):
     """A state of a 3v3, 4v2, 2v4 or 4v4 roster on the default grid: agents
-    on distinct cells facing anywhere, some dead, guard 0 ad hoc or not;
+    on distinct cells facing anywhere, some dead;
     plus a previous-action map that lacks some ids and maps others to
     ``None`` or any action.  4v4 truncates to six blocks; 2v4 fills them
     with a different mix of mates and opponents for each side."""
@@ -133,12 +126,10 @@ def roster_states(draw):
     n = n_guards + n_attackers
     cell = st.tuples(st.integers(0, config.width - 1), st.integers(0, config.height - 1))
     cells = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
-    guard_kinds = [draw(st.sampled_from([AgentKind.AD_HOC_GUARD, AgentKind.GUARD]))]
-    guard_kinds += [AgentKind.GUARD] * (n_guards - 1)
     agents = [
         AgentState(
             i,
-            guard_kinds[i] if i < n_guards else AgentKind.ATTACKER,
+            AgentKind.GUARD if i < n_guards else AgentKind.ATTACKER,
             x,
             y,
             draw(st.sampled_from(list(Direction))),
@@ -221,7 +212,7 @@ def test_center_singularity_distance_zero_angle_zero():
         n_attackers=1,
     )
     agents = [
-        AgentState(0, AgentKind.AD_HOC_GUARD, 2, 2, Direction.N),
+        AgentState(0, AgentKind.GUARD, 2, 2, Direction.N),
         AgentState(1, AgentKind.ATTACKER, 0, 0, Direction.N),
     ]
     vec = extract(Tick(make_state(config, agents)), {})[0]

@@ -153,8 +153,8 @@ ROSTERS = [(3, 3), (4, 2), (2, 4), (4, 4)]
 def scripted_states(draw) -> WorldState:
     """A state on a random configuration: one of ``ROSTERS``, agents on
     distinct cells drawn half the time from the grid's edge rows and
-    columns (where strike pockets are clipped), any facings, corpses, guard
-    0 ad hoc or not, and the roster in any list order."""
+    columns (where strike pockets are clipped), any facings, corpses, and
+    the roster in any list order."""
     n_guards, n_attackers = draw(st.sampled_from(ROSTERS))
     config = dataclasses.replace(
         draw(configs()), n_guards=n_guards, n_attackers=n_attackers
@@ -165,20 +165,13 @@ def scripted_states(draw) -> WorldState:
     cells = draw(
         st.lists(st.tuples(coord(w), coord(h)), min_size=n, max_size=n, unique=True)
     )
-    ad_hoc = draw(st.booleans())
     agents = []
     for i, (x, y) in enumerate(cells):
-        if i >= n_guards:
-            kind = AgentKind.ATTACKER
-        elif i == 0 and ad_hoc:
-            kind = AgentKind.AD_HOC_GUARD
-        else:
-            kind = AgentKind.GUARD
+        kind = AgentKind.GUARD if i < n_guards else AgentKind.ATTACKER
         facing = draw(st.sampled_from(list(Direction)))
         agents.append(AgentState(i, kind, x, y, facing, alive=draw(st.booleans())))
     agents = draw(st.permutations(agents))
-    zeros = {i: 0 for i in range(n)}
-    return WorldState(config, agents, 0, dict(zeros), dict(zeros))
+    return WorldState(config, agents)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -307,10 +300,10 @@ def test_boundary_draws_reach_the_eps_edge():
 
 def test_a_replaced_config_gets_fresh_tables():
     config = GridConfig()
-    assert config.geometry.in_range[(4, 0)]
+    assert (4, 0) in config.geometry.disk
     narrow = dataclasses.replace(config, shoot_range=3.0)
     assert narrow.geometry is not config.geometry
-    assert not narrow.geometry.in_range[(4, 0)]
+    assert (4, 0) not in narrow.geometry.disk
     assert config.geometry is config.geometry
 
 

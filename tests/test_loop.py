@@ -62,14 +62,7 @@ from reference_plan import reference_plan
 
 
 def make_state(config, agents, step_count=0) -> WorldState:
-    ids = [a.id for a in agents]
-    return WorldState(
-        config=config,
-        agents=agents,
-        step_count=step_count,
-        shots_fired={i: 0 for i in ids},
-        shots_hit={i: 0 for i in ids},
-    )
+    return WorldState(config=config, agents=agents, step_count=step_count)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +99,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 3, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 3, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 5, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 3, 1, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 5, 1, Direction.N),
@@ -132,7 +125,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 4, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
@@ -155,7 +148,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 4, Direction.W),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
@@ -183,7 +176,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 5, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.S),
@@ -205,7 +198,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 4, 5, Direction.S),
+                AgentState(0, AgentKind.GUARD, 4, 5, Direction.S),
                 AgentState(1, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 2, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.E),
@@ -229,7 +222,7 @@ class TestEffectiveAtoms:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 5, Direction.S, alive=False),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
@@ -265,7 +258,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 7, 7, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 0, Direction.N),
@@ -286,7 +279,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 7, 7, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 3, 1, Direction.N),
@@ -308,7 +301,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 1, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 1, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 0, Direction.N),
@@ -324,7 +317,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 1, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 1, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N, alive=False),
                 AgentState(3, AgentKind.ATTACKER, 6, 0, Direction.N),
@@ -349,7 +342,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 1, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 1, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 4, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.S),
                 AgentState(3, AgentKind.ATTACKER, 6, 0, Direction.N),
@@ -374,7 +367,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 1, 2, Direction.E),
                 AgentState(2, AgentKind.ATTACKER, 4, 1, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.N),
@@ -405,7 +398,7 @@ class TestPredictionHelpers:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 0, 7, Direction.S),
+                AgentState(0, AgentKind.GUARD, 0, 7, Direction.S),
                 AgentState(1, AgentKind.GUARD, 1, 4, Direction.E),
                 AgentState(2, AgentKind.ATTACKER, 4, 1, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.N),
@@ -435,7 +428,7 @@ def drive_episode(config, controller, seed, policy="P1"):
     from fortdefense.policies import make_policy, policy_action
 
     spec = make_policy(policy)
-    state = reset(config, seed, ad_hoc=True)
+    state = reset(config, seed)
     controller.begin_episode(state, seed=seed, policy=policy)
     gdom = controller.gdom
     ticks = 0
@@ -484,7 +477,7 @@ class TestControllerLoop:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 3, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 3, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 5, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 2, Direction.N, alive=False),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N, alive=False),
@@ -501,7 +494,7 @@ class TestControllerLoop:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 3, 6, Direction.S, alive=False),
+                AgentState(0, AgentKind.GUARD, 3, 6, Direction.S, alive=False),
                 AgentState(1, AgentKind.GUARD, 5, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 2, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 6, 1, Direction.N),
@@ -601,7 +594,7 @@ class TestControllerLoop:
         state = make_state(
             small_config,
             [
-                AgentState(0, AgentKind.AD_HOC_GUARD, 4, 6, Direction.S),
+                AgentState(0, AgentKind.GUARD, 4, 6, Direction.S),
                 AgentState(1, AgentKind.GUARD, 0, 6, Direction.S),
                 AgentState(2, AgentKind.ATTACKER, 4, 3, Direction.N),
                 AgentState(3, AgentKind.ATTACKER, 7, 0, Direction.N),
@@ -684,9 +677,7 @@ def mid_game_states(draw, config):
     agents = [
         AgentState(
             i,
-            AgentKind.AD_HOC_GUARD if i == 0
-            else AgentKind.GUARD if i < config.n_guards
-            else AgentKind.ATTACKER,
+            AgentKind.GUARD if i < config.n_guards else AgentKind.ATTACKER,
             x,
             y,
             draw(st.sampled_from(list(Direction))),
@@ -834,8 +825,6 @@ class TestRunGames:
                 "guards_win_timeout",
             }
             assert 0 < e.steps <= small_config.max_steps
-            assert e.adhoc_shots_hit <= e.adhoc_shots_fired
-            assert e.adhoc_shots_fired <= e.guard_shots_fired
             assert e.pred_total == 0
 
     def test_example_sink_shapes_and_determinism(self, small_config):
